@@ -4,9 +4,9 @@
 //
 // Each width-w pair answers the fusion pass's core question: is ONE
 // BatchTransientEvolver over a w-column block faster than w independent
-// TransientEvolvers walking the same grid?  The batch amortises the CSR
-// traversal and every vals[k]/lambda division across the block while
-// keeping every column bitwise identical to its sequential twin (asserted
+// TransientEvolvers walking the same grid?  The batch amortises each
+// traversal of the uniformised matrix across the block while keeping
+// every column bitwise identical to its sequential twin (asserted
 // by test_ctmc / test_linalg), so the speedup here is pure bandwidth —
 // no accuracy is traded.  Width 1 measures the batch engine's overhead on
 // degenerate blocks (the reason singleton groups are demoted to the solo

@@ -9,15 +9,35 @@
 
 namespace arcade::ctmc {
 
-Ctmc until_transform(const Ctmc& chain, const std::vector<bool>& phi,
-                     const std::vector<bool>& psi) {
+namespace {
+
+/// The states until_transform makes absorbing: those in Psi or in neither
+/// Phi nor Psi.
+std::vector<bool> until_absorbing(const Ctmc& chain, const std::vector<bool>& phi,
+                                  const std::vector<bool>& psi) {
     const std::size_t n = chain.state_count();
     ARCADE_ASSERT(phi.size() == n && psi.size() == n, "mask size mismatch");
     std::vector<bool> absorbing(n, false);
     for (std::size_t s = 0; s < n; ++s) {
         absorbing[s] = psi[s] || (!phi[s] && !psi[s]);
     }
-    return chain.make_absorbing(absorbing);
+    return absorbing;
+}
+
+/// The transient evolver over the until-transformed chain, uniformised
+/// straight from `chain` and the absorbing mask (no transformed copy).
+TransientEvolver until_evolver(const Ctmc& chain, std::span<const double> initial,
+                               const std::vector<bool>& phi, const std::vector<bool>& psi,
+                               const TransientOptions& options) {
+    const std::vector<bool> absorbing = until_absorbing(chain, phi, psi);
+    return TransientEvolver(uniformise(chain, &absorbing), initial, options);
+}
+
+}  // namespace
+
+Ctmc until_transform(const Ctmc& chain, const std::vector<bool>& phi,
+                     const std::vector<bool>& psi) {
+    return chain.make_absorbing(until_absorbing(chain, phi, psi));
 }
 
 double mass_in(std::span<const double> dist, const std::vector<bool>& set) {
@@ -31,9 +51,10 @@ double mass_in(std::span<const double> dist, const std::vector<bool>& set) {
 double bounded_until_probability(const Ctmc& chain, std::span<const double> initial,
                                  const std::vector<bool>& phi, const std::vector<bool>& psi,
                                  double t, const TransientOptions& options) {
-    const Ctmc transformed = until_transform(chain, phi, psi);
-    const auto dist = transient_distribution(transformed, initial, t, options);
-    return mass_in(dist, psi);
+    ARCADE_ASSERT(t >= 0.0, "negative time");
+    TransientEvolver evolver = until_evolver(chain, initial, phi, psi, options);
+    evolver.advance_to(t);
+    return mass_in(evolver.distribution(), psi);
 }
 
 std::vector<double> bounded_until_series(const Ctmc& chain, std::span<const double> initial,
@@ -41,8 +62,7 @@ std::vector<double> bounded_until_series(const Ctmc& chain, std::span<const doub
                                          const std::vector<bool>& psi,
                                          std::span<const double> times,
                                          const TransientOptions& options) {
-    const Ctmc transformed = until_transform(chain, phi, psi);
-    TransientEvolver evolver(transformed, initial, options);
+    TransientEvolver evolver = until_evolver(chain, initial, phi, psi, options);
     std::vector<double> out;
     out.reserve(times.size());
     for (double t : times) {
@@ -55,7 +75,7 @@ std::vector<double> bounded_until_series(const Ctmc& chain, std::span<const doub
 std::vector<double> bounded_until_all_states(const Ctmc& chain, const std::vector<bool>& phi,
                                              const std::vector<bool>& psi, double t,
                                              const TransientOptions& options) {
-    const Ctmc transformed = until_transform(chain, phi, psi);
+    const std::vector<bool> absorbing = until_absorbing(chain, phi, psi);
     const std::size_t n = chain.state_count();
 
     // `cur` can be the return value (the zero-rate short-circuit) and `acc`
@@ -65,21 +85,19 @@ std::vector<double> bounded_until_all_states(const Ctmc& chain, const std::vecto
 
     // A zero-rate transformed chain (every phi-state already absorbing) never
     // moves: v(t) is exactly the psi indicator, no uniformisation needed.
-    const double max_rate = transformed.max_exit_rate();
-    if (max_rate == 0.0) return cur;
+    if (chain.max_exit_rate(absorbing) == 0.0) return cur;
 
     // Backward recurrence: v(t) = sum_k pois_k(q t) * P^k * 1_psi.
-    const double lambda = max_rate * 1.02;
-    const auto weights = numeric::fox_glynn_cached(lambda * t, options.epsilon);
+    const linalg::UniformisedMatrix p = uniformise(chain, &absorbing);
+    const auto weights = numeric::fox_glynn_cached(p.lambda * t, options.epsilon);
 
     std::vector<double> acc(n, 0.0);
     engine::ScratchVector next_scratch(options.workspace, n);
     std::vector<double>& next = next_scratch.get();
 
-    const auto& rates = transformed.rates();
     // next = P * cur  (column-vector form of the uniformised matrix)
     const auto power_step = [&] {
-        linalg::uniformised_multiply_right(rates, lambda, cur, next);
+        linalg::uniformised_multiply_right(p, cur, next);
         std::swap(cur, next);
     };
 

@@ -18,9 +18,11 @@
 namespace arcade::ctmc {
 
 /// The transformed chain the until measures evolve: states in Psi or in
-/// neither Phi nor Psi are made absorbing.  Exposed so batched evaluation
-/// (the sweep fusion pass) can build the very same chain the per-cell path
-/// would and evolve several initial distributions over it at once.
+/// neither Phi nor Psi are made absorbing.  The measures below never build
+/// it — they uniformise the original chain with those states masked
+/// absorbing, which gives the same P bit for bit.  Exposed so batched
+/// evaluation (the sweep fusion pass) can evolve several initial
+/// distributions over the very same chain at once.
 [[nodiscard]] Ctmc until_transform(const Ctmc& chain, const std::vector<bool>& phi,
                                    const std::vector<bool>& psi);
 

@@ -37,6 +37,15 @@ Ctmc::Ctmc(linalg::CsrMatrix rates, std::vector<double> initial_distribution)
     }
 }
 
+double Ctmc::max_exit_rate(const std::vector<bool>& absorbing) const {
+    ARCADE_ASSERT(absorbing.size() == state_count(), "absorbing mask size mismatch");
+    double max_rate = 0.0;
+    for (std::size_t s = 0; s < state_count(); ++s) {
+        if (!absorbing[s]) max_rate = std::max(max_rate, exit_rates_[s]);
+    }
+    return max_rate;
+}
+
 void Ctmc::set_label(const std::string& name, std::vector<bool> states) {
     ARCADE_ASSERT(states.size() == state_count(), "label size mismatch for '" + name + "'");
     labels_[name] = std::move(states);
@@ -89,6 +98,12 @@ void Ctmc::set_initial_distribution(std::vector<double> initial) {
         throw InvalidArgument("initial distribution must sum to 1");
     }
     initial_ = std::move(initial);
+}
+
+linalg::UniformisedMatrix uniformise(const Ctmc& chain, const std::vector<bool>* absorbing) {
+    const double max_rate =
+        absorbing != nullptr ? chain.max_exit_rate(*absorbing) : chain.max_exit_rate();
+    return linalg::uniformise(chain.rates(), linalg::uniformisation_rate(max_rate), absorbing);
 }
 
 }  // namespace arcade::ctmc

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "linalg/csr_matrix.hpp"
+#include "linalg/kernels.hpp"
 
 namespace arcade::ctmc {
 
@@ -38,6 +39,9 @@ public:
     }
     /// Largest exit rate over all states (uniformisation constant basis).
     [[nodiscard]] double max_exit_rate() const noexcept { return max_exit_rate_; }
+    /// Largest exit rate over the states outside `absorbing`: the
+    /// max_exit_rate() of make_absorbing(absorbing), without building it.
+    [[nodiscard]] double max_exit_rate(const std::vector<bool>& absorbing) const;
 
     /// Registers a named state set.  Replaces an existing label of that name.
     void set_label(const std::string& name, std::vector<bool> states);
@@ -66,6 +70,12 @@ private:
     double max_exit_rate_ = 0.0;
     std::unordered_map<std::string, std::vector<bool>> labels_;
 };
+
+/// P = I + Q/lambda of `chain` at linalg::uniformisation_rate of its largest
+/// exit rate.  With `absorbing`, the states in it are made absorbing first —
+/// the uniformised make_absorbing(*absorbing), same bits, without the copy.
+[[nodiscard]] linalg::UniformisedMatrix uniformise(const Ctmc& chain,
+                                                   const std::vector<bool>* absorbing = nullptr);
 
 }  // namespace arcade::ctmc
 

@@ -10,30 +10,21 @@
 
 namespace arcade::ctmc {
 
-namespace {
-
-/// One application of the uniformised DTMC:  out = in * P  where
-/// P = I + Q/lambda (Q = R with diagonal -exit_rate).
-void uniformised_step(const Ctmc& chain, double lambda, std::span<const double> in,
-                      std::span<double> out) {
-    linalg::uniformised_multiply_left(chain.rates(), lambda, in, out);
-}
-
-}  // namespace
-
 TransientEvolver::TransientEvolver(const Ctmc& chain, std::span<const double> initial,
                                    TransientOptions options)
-    : chain_(chain),
-      options_(options),
-      lambda_(std::max(chain.max_exit_rate(), 1e-12) * 1.02),
-      dist_(initial.begin(), initial.end()) {
-    ARCADE_ASSERT(initial.size() == chain.state_count(), "initial size mismatch");
+    : TransientEvolver(uniformise(chain), initial, options) {}
+
+TransientEvolver::TransientEvolver(linalg::UniformisedMatrix p,
+                                   std::span<const double> initial, TransientOptions options)
+    : p_(std::move(p)), options_(options), dist_(initial.begin(), initial.end()) {
+    const std::size_t n = p_.rows();
+    ARCADE_ASSERT(initial.size() == n, "initial size mismatch");
     if (options_.workspace != nullptr) {
-        scratch_a_ = options_.workspace->acquire(chain.state_count());
-        scratch_b_ = options_.workspace->acquire(chain.state_count());
+        scratch_a_ = options_.workspace->acquire(n);
+        scratch_b_ = options_.workspace->acquire(n);
     } else {
-        scratch_a_.assign(chain.state_count(), 0.0);
-        scratch_b_.assign(chain.state_count(), 0.0);
+        scratch_a_.assign(n, 0.0);
+        scratch_b_.assign(n, 0.0);
     }
 }
 
@@ -46,7 +37,7 @@ TransientEvolver::~TransientEvolver() {
 
 void TransientEvolver::step(double dt) {
     if (dt <= 0.0) return;
-    const double q = lambda_ * dt;
+    const double q = p_.lambda * dt;
     // Every evolver stepping the same grid over the same chain asks for the
     // same (q, epsilon): share the weights through the process-wide cache.
     const auto weights = numeric::fox_glynn_cached(q, options_.epsilon);
@@ -65,7 +56,7 @@ void TransientEvolver::step(double dt) {
         }
         if (k == weights->right) break;
         // cur = cur * P; reuse dist_ as the step target then swap.
-        uniformised_step(chain_, lambda_, cur, dist_);
+        linalg::uniformised_multiply_left(p_, cur, dist_);
         std::swap(cur, dist_);
     }
     dist_ = acc;

@@ -38,10 +38,15 @@ struct TransientOptions {
     const TransientOptions& options = {});
 
 /// Incremental uniformisation engine.  Construct once per (chain, initial),
-/// then call advance_to() with non-decreasing times.
+/// then call advance_to() with non-decreasing times.  The chain is
+/// uniformised once, at construction; every step multiplies by that P.
 class TransientEvolver {
 public:
     TransientEvolver(const Ctmc& chain, std::span<const double> initial,
+                     TransientOptions options = {});
+    /// Evolves over an already uniformised chain (e.g. ctmc::uniformise with
+    /// an absorbing mask).
+    TransientEvolver(linalg::UniformisedMatrix p, std::span<const double> initial,
                      TransientOptions options = {});
     ~TransientEvolver();
     TransientEvolver(const TransientEvolver&) = delete;
@@ -61,9 +66,8 @@ public:
     [[nodiscard]] double time() const noexcept { return time_; }
 
 private:
-    const Ctmc& chain_;
+    linalg::UniformisedMatrix p_;
     TransientOptions options_;
-    double lambda_;                  ///< uniformisation rate
     std::vector<double> dist_;
     std::vector<double> scratch_a_;  ///< pool-borrowed when options_.workspace
     std::vector<double> scratch_b_;

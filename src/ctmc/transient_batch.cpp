@@ -13,10 +13,7 @@ namespace arcade::ctmc {
 BatchTransientEvolver::BatchTransientEvolver(const Ctmc& chain,
                                              std::span<const std::vector<double>> columns,
                                              TransientOptions options)
-    : chain_(chain),
-      options_(options),
-      lambda_(std::max(chain.max_exit_rate(), 1e-12) * 1.02),
-      width_(columns.size()) {
+    : p_(uniformise(chain)), options_(options), width_(columns.size()) {
     ARCADE_ASSERT(width_ > 0, "BatchTransientEvolver: no columns");
     const std::size_t n = chain.state_count();
     for (const auto& column : columns) {
@@ -46,7 +43,7 @@ BatchTransientEvolver::~BatchTransientEvolver() {
 
 void BatchTransientEvolver::step(double dt) {
     if (dt <= 0.0) return;
-    const double q = lambda_ * dt;
+    const double q = p_.lambda * dt;
     const auto weights = numeric::fox_glynn_cached(q, options_.epsilon);
 
     // Per column this is exactly TransientEvolver::step: the weight
@@ -63,8 +60,7 @@ void BatchTransientEvolver::step(double dt) {
             for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += w * cur[i];
         }
         if (k == weights->right) break;
-        linalg::uniformised_multiply_left_batch(chain_.rates(), lambda_, cur, block_,
-                                                width_);
+        linalg::uniformised_multiply_left_batch(p_, cur, block_, width_);
         std::swap(cur, block_);
     }
     block_ = acc;
@@ -87,13 +83,13 @@ void BatchTransientEvolver::advance_to(double t) {
 
 void BatchTransientEvolver::extract_column(std::size_t c, std::span<double> out) const {
     ARCADE_ASSERT(c < width_, "BatchTransientEvolver: column out of range");
-    ARCADE_ASSERT(out.size() == chain_.state_count(),
+    ARCADE_ASSERT(out.size() == p_.rows(),
                   "BatchTransientEvolver: output size mismatch");
     for (std::size_t s = 0; s < out.size(); ++s) out[s] = block_[s * width_ + c];
 }
 
 std::vector<double> BatchTransientEvolver::column(std::size_t c) const {
-    std::vector<double> out(chain_.state_count(), 0.0);
+    std::vector<double> out(p_.rows(), 0.0);
     extract_column(c, out);
     return out;
 }

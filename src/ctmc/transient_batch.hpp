@@ -3,8 +3,8 @@
 //
 // A BatchTransientEvolver evolves `width` distributions over the same chain
 // through ONE Fox–Glynn weight sequence per step, using the multi-RHS
-// CSR×dense-block kernels so each matrix traversal (and each vals[k]/lambda
-// division) is amortised across the block.  The block is row-major —
+// CSR×dense-block kernels so each traversal of the uniformised matrix is
+// amortised across the block.  The block is row-major —
 // column c of state s lives at block()[s*width + c] — and every column is
 // advanced with exactly the arithmetic a single-column TransientEvolver
 // would perform, so column c stays bitwise identical to evolving that
@@ -54,9 +54,8 @@ public:
     [[nodiscard]] std::vector<double> column(std::size_t c) const;
 
 private:
-    const Ctmc& chain_;
+    linalg::UniformisedMatrix p_;  ///< uniformise(chain), as TransientEvolver
     TransientOptions options_;
-    double lambda_;  ///< same uniformisation rate formula as TransientEvolver
     std::size_t width_;
     std::vector<double> block_;
     std::vector<double> scratch_a_;  ///< pool-borrowed when options_.workspace

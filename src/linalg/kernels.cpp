@@ -9,14 +9,9 @@
 
 #if defined(__x86_64__) || defined(_M_X64)
 #define ARCADE_SIMD_X86 1
-#include <immintrin.h>
 #elif defined(__aarch64__)
 #define ARCADE_SIMD_NEON 1
 #include <arm_neon.h>
-#endif
-
-#if defined(ARCADE_SIMD_X86) || defined(ARCADE_SIMD_NEON)
-#define ARCADE_SIMD_ARCH 1
 #endif
 
 namespace arcade::linalg {
@@ -87,6 +82,22 @@ inline std::size_t find_diag(const std::size_t* cols, std::size_t begin, std::si
     return end;
 }
 
+/// y[cols[k]] += xr*vals[k] over [begin,end).  Columns are unique within a
+/// row, so the four scatters never alias and each y element still receives
+/// its contributions in row order.
+inline void scatter_row(const std::size_t* __restrict cols, const double* __restrict vals,
+                        double xr, double* __restrict y, std::size_t begin,
+                        std::size_t end) {
+    std::size_t k = begin;
+    for (; k + 4 <= end; k += 4) {
+        y[cols[k]] += xr * vals[k];
+        y[cols[k + 1]] += xr * vals[k + 1];
+        y[cols[k + 2]] += xr * vals[k + 2];
+        y[cols[k + 3]] += xr * vals[k + 3];
+    }
+    for (; k < end; ++k) y[cols[k]] += xr * vals[k];
+}
+
 void multiply_left_scalar(const CsrMatrix& m, std::span<const double> x,
                           std::span<double> y) {
     std::fill(y.begin(), y.end(), 0.0);
@@ -102,8 +113,11 @@ void multiply_left_scalar(const CsrMatrix& m, std::span<const double> x,
     }
 }
 
-void multiply_left_blocked(const CsrMatrix& m, std::span<const double> x,
-                           std::span<double> y) {
+/// The blocked y = x^T * M.  kStay adds x[r]*stay[r] to y[r] after row r's
+/// scatter — the uniformised step over a precomputed P.
+template <bool kStay>
+void left_rows(const CsrMatrix& m, const double* __restrict stay, std::span<const double> x,
+               std::span<double> y) {
     std::fill(y.begin(), y.end(), 0.0);
     const std::size_t* __restrict row_ptr = m.row_ptr().data();
     const std::size_t* __restrict cols = m.col_idx().data();
@@ -113,17 +127,8 @@ void multiply_left_blocked(const CsrMatrix& m, std::span<const double> x,
     for (std::size_t r = 0; r < m.rows(); ++r) {
         const double xr = xp[r];
         if (xr == 0.0) continue;
-        std::size_t k = row_ptr[r];
-        const std::size_t end = row_ptr[r + 1];
-        // Columns are unique within a row, so the four scatters never alias
-        // and each y element still receives its contributions in row order.
-        for (; k + 4 <= end; k += 4) {
-            yp[cols[k]] += xr * vals[k];
-            yp[cols[k + 1]] += xr * vals[k + 1];
-            yp[cols[k + 2]] += xr * vals[k + 2];
-            yp[cols[k + 3]] += xr * vals[k + 3];
-        }
-        for (; k < end; ++k) yp[cols[k]] += xr * vals[k];
+        scatter_row(cols, vals, xr, yp, row_ptr[r], row_ptr[r + 1]);
+        if constexpr (kStay) yp[r] += xr * stay[r];
     }
 }
 
@@ -141,50 +146,41 @@ void multiply_right_scalar(const CsrMatrix& m, std::span<const double> x,
     }
 }
 
-void multiply_right_blocked(const CsrMatrix& m, std::span<const double> x,
-                            std::span<double> y) {
+/// The blocked y = M * x.  kStay adds stay[r]*x[r] LAST — the uniformised
+/// backward step over a precomputed P.
+template <bool kStay>
+void right_rows(const CsrMatrix& m, const double* __restrict stay, std::span<const double> x,
+                std::span<double> y) {
     const std::size_t* __restrict row_ptr = m.row_ptr().data();
     const std::size_t* __restrict cols = m.col_idx().data();
     const double* __restrict vals = m.values().data();
     const double* __restrict xp = x.data();
     double* __restrict yp = y.data();
+    const auto row = [&](std::size_t r) {
+        const double dot = row_dot(cols, vals, xp, row_ptr[r], row_ptr[r + 1], 0.0);
+        if constexpr (kStay) {
+            return dot + stay[r] * xp[r];
+        } else {
+            return dot;
+        }
+    };
     const std::size_t rows = m.rows();
     // Four-row blocks give the compiler four independent dependency chains;
     // within each row the dot product stays in ascending order.
     std::size_t r = 0;
     for (; r + 4 <= rows; r += 4) {
-        yp[r] = row_dot(cols, vals, xp, row_ptr[r], row_ptr[r + 1], 0.0);
-        yp[r + 1] = row_dot(cols, vals, xp, row_ptr[r + 1], row_ptr[r + 2], 0.0);
-        yp[r + 2] = row_dot(cols, vals, xp, row_ptr[r + 2], row_ptr[r + 3], 0.0);
-        yp[r + 3] = row_dot(cols, vals, xp, row_ptr[r + 3], row_ptr[r + 4], 0.0);
+        yp[r] = row(r);
+        yp[r + 1] = row(r + 1);
+        yp[r + 2] = row(r + 2);
+        yp[r + 3] = row(r + 3);
     }
-    for (; r < rows; ++r) {
-        yp[r] = row_dot(cols, vals, xp, row_ptr[r], row_ptr[r + 1], 0.0);
-    }
+    for (; r < rows; ++r) yp[r] = row(r);
 }
 
-void uniformised_left_scalar(const CsrMatrix& rates, double lambda,
-                             std::span<const double> in, std::span<double> out) {
-    std::fill(out.begin(), out.end(), 0.0);
-    for (std::size_t i = 0; i < rates.rows(); ++i) {
-        const double p = in[i];
-        if (p == 0.0) continue;
-        const auto cols = rates.row_columns(i);
-        const auto vals = rates.row_values(i);
-        double moved = 0.0;
-        for (std::size_t k = 0; k < cols.size(); ++k) {
-            if (cols[k] == i) continue;
-            const double q = vals[k] / lambda;
-            out[cols[k]] += p * q;
-            moved += q;
-        }
-        out[i] += p * (1.0 - moved);
-    }
-}
-
-/// Off-diagonal scatter over [begin,end): out[col] += p*val/lambda, with the
-/// moved-mass accumulator chained sequentially (same order as the scalar
-/// loop's ascending walk).
+/// Off-diagonal scatter over [begin,end) for the on-the-fly reference:
+/// out[col] += p*(val/lambda), with the moved-mass accumulator chained
+/// sequentially in ascending entry order — the order uniformise() sums the
+/// stay mass in.
 inline double scatter_range(const std::size_t* __restrict cols,
                             const double* __restrict vals, double p, double lambda,
                             double* __restrict out, std::size_t begin, std::size_t end,
@@ -207,27 +203,6 @@ inline double scatter_range(const std::size_t* __restrict cols,
         moved += q;
     }
     return moved;
-}
-
-void uniformised_left_blocked(const CsrMatrix& rates, double lambda,
-                              std::span<const double> in, std::span<double> out) {
-    std::fill(out.begin(), out.end(), 0.0);
-    const std::size_t* __restrict row_ptr = rates.row_ptr().data();
-    const std::size_t* __restrict cols = rates.col_idx().data();
-    const double* __restrict vals = rates.values().data();
-    double* __restrict op = out.data();
-    for (std::size_t i = 0; i < rates.rows(); ++i) {
-        const double p = in[i];
-        if (p == 0.0) continue;
-        const std::size_t begin = row_ptr[i];
-        const std::size_t end = row_ptr[i + 1];
-        const std::size_t diag = find_diag(cols, begin, end, i);
-        double moved = scatter_range(cols, vals, p, lambda, op, begin, diag, 0.0);
-        if (diag != end) {
-            moved = scatter_range(cols, vals, p, lambda, op, diag + 1, end, moved);
-        }
-        op[i] += p * (1.0 - moved);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -257,8 +232,11 @@ void multiply_left_batch_scalar(const CsrMatrix& m, std::span<const double> x,
     }
 }
 
-void multiply_left_batch_blocked(const CsrMatrix& m, std::span<const double> x,
-                                 std::span<double> y, std::size_t width) {
+/// The blocked Y = X^T * M.  kStay adds x[r][c]*stay[r] to y[r][c] after row
+/// r's scatter, per live column — the batch uniformised step.
+template <bool kStay>
+void left_batch_rows(const CsrMatrix& m, const double* __restrict stay,
+                     std::span<const double> x, std::span<double> y, std::size_t width) {
     std::fill(y.begin(), y.end(), 0.0);
     const std::size_t* __restrict row_ptr = m.row_ptr().data();
     const std::size_t* __restrict cols = m.col_idx().data();
@@ -271,7 +249,9 @@ void multiply_left_batch_blocked(const CsrMatrix& m, std::span<const double> x,
         // and from flipping a -0 accumulator to +0); when the whole row
         // block is live it guards nothing, so the dense path runs the same
         // arithmetic branch-free — which is what lets the compiler
-        // vectorise the column loop.
+        // vectorise the column loop.  Transient distributions go strictly
+        // positive after a few steps, so the dense path is the steady state
+        // of every batched sweep.
         bool any = false;
         bool all = true;
         for (std::size_t c = 0; c < width; ++c) {
@@ -280,11 +260,15 @@ void multiply_left_batch_blocked(const CsrMatrix& m, std::span<const double> x,
             all = all && live;
         }
         if (!any) continue;
+        double* __restrict yi = yp + r * width;
         if (all) {
             for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
                 const double v = vals[k];
                 double* __restrict yr = yp + cols[k] * width;
                 for (std::size_t c = 0; c < width; ++c) yr[c] += xr[c] * v;
+            }
+            if constexpr (kStay) {
+                for (std::size_t c = 0; c < width; ++c) yi[c] += xr[c] * stay[r];
             }
         } else {
             for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
@@ -293,6 +277,11 @@ void multiply_left_batch_blocked(const CsrMatrix& m, std::span<const double> x,
                 for (std::size_t c = 0; c < width; ++c) {
                     const double p = xr[c];
                     if (p != 0.0) yr[c] += p * v;
+                }
+            }
+            if constexpr (kStay) {
+                for (std::size_t c = 0; c < width; ++c) {
+                    if (xr[c] != 0.0) yi[c] += xr[c] * stay[r];
                 }
             }
         }
@@ -336,269 +325,28 @@ void multiply_right_batch_blocked(const CsrMatrix& m, std::span<const double> x,
     }
 }
 
-void uniformised_left_batch_scalar(const CsrMatrix& rates, double lambda,
-                                   std::span<const double> in, std::span<double> out,
-                                   std::size_t width) {
-    std::fill(out.begin(), out.end(), 0.0);
-    for (std::size_t c = 0; c < width; ++c) {
-        for (std::size_t i = 0; i < rates.rows(); ++i) {
-            const double p = in[i * width + c];
-            if (p == 0.0) continue;
-            const auto cols = rates.row_columns(i);
-            const auto vals = rates.row_values(i);
-            double moved = 0.0;
-            for (std::size_t k = 0; k < cols.size(); ++k) {
-                if (cols[k] == i) continue;
-                const double q = vals[k] / lambda;
-                out[cols[k] * width + c] += p * q;
-                moved += q;
-            }
-            out[i * width + c] += p * (1.0 - moved);
-        }
-    }
-}
-
-/// Off-diagonal batch scatter over [begin,end): ONE division per entry
-/// serves every column, and `moved` (column-independent) is chained
-/// sequentially in the same ascending order as the single-vector loops.
-/// kDense = every column of this row block is non-zero: the per-column
-/// guard only protects zero columns (from 0·±inf→NaN and from flipping a
-/// -0 accumulator to +0), so dropping it for fully-live rows performs the
-/// identical arithmetic while letting the compiler vectorise the column
-/// loop.  Transient distributions go strictly positive after a few steps,
-/// so the dense instantiation is the steady state of every batched sweep.
-template <bool kDense>
-inline double scatter_range_batch(const std::size_t* __restrict cols,
-                                  const double* __restrict vals,
-                                  const double* __restrict p, double lambda,
-                                  double* __restrict out, std::size_t begin,
-                                  std::size_t end, std::size_t width, double moved) {
-    for (std::size_t k = begin; k < end; ++k) {
-        const double q = vals[k] / lambda;
-        double* __restrict o = out + cols[k] * width;
-        for (std::size_t c = 0; c < width; ++c) {
-            const double pc = p[c];
-            if (kDense || pc != 0.0) o[c] += pc * q;
-        }
-        moved += q;
-    }
-    return moved;
-}
-
-void uniformised_left_batch_blocked(const CsrMatrix& rates, double lambda,
-                                    std::span<const double> in, std::span<double> out,
-                                    std::size_t width) {
-    std::fill(out.begin(), out.end(), 0.0);
-    const std::size_t* __restrict row_ptr = rates.row_ptr().data();
-    const std::size_t* __restrict cols = rates.col_idx().data();
-    const double* __restrict vals = rates.values().data();
-    const double* __restrict ip = in.data();
-    double* __restrict op = out.data();
-    for (std::size_t i = 0; i < rates.rows(); ++i) {
-        const double* __restrict p = ip + i * width;
-        bool any = false;
-        bool all = true;
-        for (std::size_t c = 0; c < width; ++c) {
-            const bool live = p[c] != 0.0;
-            any = any || live;
-            all = all && live;
-        }
-        if (!any) continue;
-        const std::size_t begin = row_ptr[i];
-        const std::size_t end = row_ptr[i + 1];
-        const std::size_t diag = find_diag(cols, begin, end, i);
-        double moved;
-        if (all) {
-            moved = scatter_range_batch<true>(cols, vals, p, lambda, op, begin, diag,
-                                              width, 0.0);
-            if (diag != end) {
-                moved = scatter_range_batch<true>(cols, vals, p, lambda, op, diag + 1,
-                                                  end, width, moved);
-            }
-            double* __restrict oi = op + i * width;
-            const double retained = 1.0 - moved;
-            for (std::size_t c = 0; c < width; ++c) oi[c] += p[c] * retained;
-        } else {
-            moved = scatter_range_batch<false>(cols, vals, p, lambda, op, begin, diag,
-                                               width, 0.0);
-            if (diag != end) {
-                moved = scatter_range_batch<false>(cols, vals, p, lambda, op, diag + 1,
-                                                   end, width, moved);
-            }
-            double* __restrict oi = op + i * width;
-            const double retained = 1.0 - moved;
-            for (std::size_t c = 0; c < width; ++c) {
-                if (p[c] != 0.0) oi[c] += p[c] * retained;
-            }
-        }
-    }
-}
-
-void uniformised_right_scalar(const CsrMatrix& rates, double lambda,
-                              std::span<const double> cur, std::span<double> next) {
-    for (std::size_t i = 0; i < rates.rows(); ++i) {
-        const auto cols = rates.row_columns(i);
-        const auto vals = rates.row_values(i);
-        double moved = 0.0;
-        double sum = 0.0;
-        for (std::size_t k = 0; k < cols.size(); ++k) {
-            if (cols[k] == i) continue;
-            const double p = vals[k] / lambda;
-            sum += p * cur[cols[k]];
-            moved += p;
-        }
-        next[i] = sum + (1.0 - moved) * cur[i];
-    }
-}
-
-/// Off-diagonal gather over [begin,end): sum += (val/lambda)*cur[col] and
-/// moved += val/lambda, both chained sequentially in ascending order.
-inline void gather_range(const std::size_t* __restrict cols, const double* __restrict vals,
-                         double lambda, const double* __restrict cur, std::size_t begin,
-                         std::size_t end, double& sum, double& moved) {
-    double s = sum;
-    double m = moved;
-    std::size_t k = begin;
-    for (; k + 4 <= end; k += 4) {
-        const double p0 = vals[k] / lambda;
-        const double p1 = vals[k + 1] / lambda;
-        const double p2 = vals[k + 2] / lambda;
-        const double p3 = vals[k + 3] / lambda;
-        s = (((s + p0 * cur[cols[k]]) + p1 * cur[cols[k + 1]]) + p2 * cur[cols[k + 2]]) +
-            p3 * cur[cols[k + 3]];
-        m = (((m + p0) + p1) + p2) + p3;
-    }
-    for (; k < end; ++k) {
-        const double p = vals[k] / lambda;
-        s += p * cur[cols[k]];
-        m += p;
-    }
-    sum = s;
-    moved = m;
-}
-
-void uniformised_right_blocked(const CsrMatrix& rates, double lambda,
-                               std::span<const double> cur, std::span<double> next) {
-    const std::size_t* __restrict row_ptr = rates.row_ptr().data();
-    const std::size_t* __restrict cols = rates.col_idx().data();
-    const double* __restrict vals = rates.values().data();
-    const double* __restrict cp = cur.data();
-    double* __restrict np = next.data();
-    for (std::size_t i = 0; i < rates.rows(); ++i) {
-        const std::size_t begin = row_ptr[i];
-        const std::size_t end = row_ptr[i + 1];
-        const std::size_t diag = find_diag(cols, begin, end, i);
-        double sum = 0.0;
-        double moved = 0.0;
-        gather_range(cols, vals, lambda, cp, begin, diag, sum, moved);
-        if (diag != end) gather_range(cols, vals, lambda, cp, diag + 1, end, sum, moved);
-        np[i] = sum + (1.0 - moved) * cp[i];  // diagonal term last, like the seed
-    }
-}
-
 // ---------------------------------------------------------------------------
-// SIMD primitives.  Only element-wise work is ever vectorised; every
-// accumulator is folded lane by lane in the SAME sequential order as the
-// scalar/blocked loops, and mul/add stay separate instructions (no FMA
-// contraction), so the results are bitwise identical across all three modes.
+// SIMD bodies.  Only element-wise work is ever vectorised; every accumulator
+// is folded lane by lane in the SAME sequential order as the scalar/blocked
+// loops, and mul/add stay separate instructions (no FMA contraction), so the
+// results are bitwise identical across all three modes.
 //
-// Which primitives get a vector body is a measured decision, not a uniform
-// one.  On AVX2 Skylake-class cores the ordered-fold constraint makes
-// gather-based reductions (vpgatherqq + four serial adds) slower than the
-// blocked scalar unroll at EVERY row length — gathers cost one load-port
-// micro-op per element, exactly like scalar loads, so only ALU work is
-// saved and the extra shuffles eat the saving.  Division is the opposite:
-// one vdivpd retires four divisions in roughly half the cycles of four
-// divsd, a win that survives the lane extraction.  The x86 simd build
-// therefore vectorises the division-heavy uniformised primitives and
-// reuses the blocked bodies for the multiply-only paths.  NEON pays no
-// gather penalty (two-lane vectors load scalars directly), so aarch64
-// keeps vector bodies throughout.
+// Which kernels get a vector body is a measured decision.  On AVX2
+// Skylake-class cores the ordered-fold constraint makes gather-based
+// reductions (vpgatherqq + four serial adds) slower than the blocked scalar
+// unroll at EVERY row length — gathers cost one load-port micro-op per
+// element, exactly like scalar loads, so only ALU work is saved and the
+// extra shuffles eat the saving.  Every sparse kernel here is such a
+// multiply-and-gather (the uniformised steps too: their divisions happen
+// once, in uniformise()), so on x86 KernelMode::Simd runs the blocked
+// bodies.  NEON pays no gather penalty (two-lane vectors load scalars
+// directly), so aarch64 keeps vector bodies for the single-vector
+// multiplies and the Gauss–Seidel gathers.  The batch kernels use the
+// blocked bodies on both ISAs: their inner per-column loop is already
+// contiguous and the compiler vectorises it at the baseline ISA.
 // ---------------------------------------------------------------------------
 
-#if defined(ARCADE_SIMD_X86)
-
-/// Blocked body, re-used verbatim: vector mul + lane extraction measured
-/// slower than four scalar multiply-adds for this shape (see block comment
-/// above).
-inline double row_dot_simd(const std::size_t* __restrict cols,
-                           const double* __restrict vals, const double* __restrict x,
-                           std::size_t begin, std::size_t end, double acc) {
-    return row_dot(cols, vals, x, begin, end, acc);
-}
-
-/// The four lanes of `v` folded into `acc` strictly left to right —
-/// (((acc+v0)+v1)+v2)+v3, the scalar loops' association — via register
-/// shuffles (no temp-array round trip through the store buffer).
-__attribute__((target("avx2"))) inline double fold_lanes_ordered(__m256d v, double acc) {
-    const __m128d lo = _mm256_castpd256_pd128(v);
-    const __m128d hi = _mm256_extractf128_pd(v, 1);
-    acc += _mm_cvtsd_f64(lo);
-    acc += _mm_cvtsd_f64(_mm_unpackhi_pd(lo, lo));
-    acc += _mm_cvtsd_f64(hi);
-    acc += _mm_cvtsd_f64(_mm_unpackhi_pd(hi, hi));
-    return acc;
-}
-
-__attribute__((target("avx2"))) double scatter_range_simd(
-    const std::size_t* __restrict cols, const double* __restrict vals, double p,
-    double lambda, double* __restrict out, std::size_t begin, std::size_t end,
-    double moved) {
-    std::size_t k = begin;
-    const __m256d lam = _mm256_set1_pd(lambda);
-    const __m256d pv = _mm256_set1_pd(p);
-    for (; k + 4 <= end; k += 4) {
-        const __m256d qv = _mm256_div_pd(_mm256_loadu_pd(vals + k), lam);
-        const __m256d pq = _mm256_mul_pd(pv, qv);
-        const __m128d lo = _mm256_castpd256_pd128(pq);
-        const __m128d hi = _mm256_extractf128_pd(pq, 1);
-        out[cols[k]] += _mm_cvtsd_f64(lo);
-        out[cols[k + 1]] += _mm_cvtsd_f64(_mm_unpackhi_pd(lo, lo));
-        out[cols[k + 2]] += _mm_cvtsd_f64(hi);
-        out[cols[k + 3]] += _mm_cvtsd_f64(_mm_unpackhi_pd(hi, hi));
-        moved = fold_lanes_ordered(qv, moved);
-    }
-    for (; k < end; ++k) {
-        const double q0 = vals[k] / lambda;
-        out[cols[k]] += p * q0;
-        moved += q0;
-    }
-    return moved;
-}
-
-__attribute__((target("avx2"))) void gather_range_simd(
-    const std::size_t* __restrict cols, const double* __restrict vals, double lambda,
-    const double* __restrict cur, std::size_t begin, std::size_t end, double& sum,
-    double& moved) {
-    double s = sum;
-    double m = moved;
-    std::size_t k = begin;
-    const __m256d lam = _mm256_set1_pd(lambda);
-    // Vector division, scalar loads of `cur`: vpgatherqq would cost the
-    // same load-port micro-ops as four scalar loads and lose the division
-    // win to its setup overhead.
-    for (; k + 4 <= end; k += 4) {
-        const __m256d pv = _mm256_div_pd(_mm256_loadu_pd(vals + k), lam);
-        const __m128d lo = _mm256_castpd256_pd128(pv);
-        const __m128d hi = _mm256_extractf128_pd(pv, 1);
-        const double p0 = _mm_cvtsd_f64(lo);
-        const double p1 = _mm_cvtsd_f64(_mm_unpackhi_pd(lo, lo));
-        const double p2 = _mm_cvtsd_f64(hi);
-        const double p3 = _mm_cvtsd_f64(_mm_unpackhi_pd(hi, hi));
-        s = (((s + p0 * cur[cols[k]]) + p1 * cur[cols[k + 1]]) + p2 * cur[cols[k + 2]]) +
-            p3 * cur[cols[k + 3]];
-        m = (((m + p0) + p1) + p2) + p3;
-    }
-    for (; k < end; ++k) {
-        const double p0 = vals[k] / lambda;
-        s += p0 * cur[cols[k]];
-        m += p0;
-    }
-    sum = s;
-    moved = m;
-}
-
-#elif defined(ARCADE_SIMD_NEON)
+#if defined(ARCADE_SIMD_NEON)
 
 double row_dot_simd(const std::size_t* __restrict cols, const double* __restrict vals,
                     const double* __restrict x, std::size_t begin, std::size_t end,
@@ -625,88 +373,6 @@ void mul_scatter_simd(const std::size_t* __restrict cols, const double* __restri
     }
     for (; k < end; ++k) y[cols[k]] += xr * vals[k];
 }
-
-double scatter_range_simd(const std::size_t* __restrict cols,
-                          const double* __restrict vals, double p, double lambda,
-                          double* __restrict out, std::size_t begin, std::size_t end,
-                          double moved) {
-    std::size_t k = begin;
-    const float64x2_t lam = vdupq_n_f64(lambda);
-    const float64x2_t pv = vdupq_n_f64(p);
-    for (; k + 2 <= end; k += 2) {
-        const float64x2_t qv = vdivq_f64(vld1q_f64(vals + k), lam);
-        const float64x2_t pq = vmulq_f64(pv, qv);
-        out[cols[k]] += vgetq_lane_f64(pq, 0);
-        out[cols[k + 1]] += vgetq_lane_f64(pq, 1);
-        moved = (moved + vgetq_lane_f64(qv, 0)) + vgetq_lane_f64(qv, 1);
-    }
-    for (; k < end; ++k) {
-        const double q0 = vals[k] / lambda;
-        out[cols[k]] += p * q0;
-        moved += q0;
-    }
-    return moved;
-}
-
-void gather_range_simd(const std::size_t* __restrict cols, const double* __restrict vals,
-                       double lambda, const double* __restrict cur, std::size_t begin,
-                       std::size_t end, double& sum, double& moved) {
-    double s = sum;
-    double m = moved;
-    std::size_t k = begin;
-    const float64x2_t lam = vdupq_n_f64(lambda);
-    for (; k + 2 <= end; k += 2) {
-        const float64x2_t pv = vdivq_f64(vld1q_f64(vals + k), lam);
-        const float64x2_t cs = {cur[cols[k]], cur[cols[k + 1]]};
-        const float64x2_t pc = vmulq_f64(pv, cs);
-        s = (s + vgetq_lane_f64(pc, 0)) + vgetq_lane_f64(pc, 1);
-        m = (m + vgetq_lane_f64(pv, 0)) + vgetq_lane_f64(pv, 1);
-    }
-    for (; k < end; ++k) {
-        const double p0 = vals[k] / lambda;
-        s += p0 * cur[cols[k]];
-        m += p0;
-    }
-    sum = s;
-    moved = m;
-}
-
-#endif  // SIMD primitives
-
-#if defined(ARCADE_SIMD_ARCH)
-
-// On x86 the uniformised variants carry the avx2 target themselves so the
-// range helpers inline into the row loops — that lets the compiler hoist
-// the loop-invariant broadcasts (lambda, p) out of the per-row calls, which
-// matters when rows are short.  The multiply variants deliberately stay at
-// the baseline ISA: their bodies are the blocked scalar loops, and compiling
-// those with AVX2 enabled invites the compiler to SLP-vectorise the
-// four-unrolled body into the gather + lane-extract pattern this file
-// measured as slower.  The dispatchers only reach any of these after
-// simd_available(), so the attribute never runs on unsupported hardware.
-#if defined(ARCADE_SIMD_X86)
-#define ARCADE_SIMD_TARGET __attribute__((target("avx2")))
-#else
-#define ARCADE_SIMD_TARGET
-#endif
-
-#if defined(ARCADE_SIMD_X86)
-
-// The multiply kernels' best bitwise-preserving x86 implementation IS the
-// blocked one (measured; see the primitives block comment): dispatch
-// straight to the very same functions so simd mode executes identical
-// machine code, not a copy at a different address.
-void multiply_left_simd(const CsrMatrix& m, std::span<const double> x,
-                        std::span<double> y) {
-    multiply_left_blocked(m, x, y);
-}
-
-void multiply_right_simd(const CsrMatrix& m, std::span<const double> x,
-                         std::span<double> y) {
-    multiply_right_blocked(m, x, y);
-}
-
-#else  // NEON
 
 void multiply_left_simd(const CsrMatrix& m, std::span<const double> x,
                         std::span<double> y) {
@@ -746,160 +412,7 @@ void multiply_right_simd(const CsrMatrix& m, std::span<const double> x,
     }
 }
 
-#endif  // multiply variants
-
-ARCADE_SIMD_TARGET void uniformised_left_simd(const CsrMatrix& rates, double lambda,
-                           std::span<const double> in, std::span<double> out) {
-    std::fill(out.begin(), out.end(), 0.0);
-    const std::size_t* __restrict row_ptr = rates.row_ptr().data();
-    const std::size_t* __restrict cols = rates.col_idx().data();
-    const double* __restrict vals = rates.values().data();
-    double* __restrict op = out.data();
-    for (std::size_t i = 0; i < rates.rows(); ++i) {
-        const double p = in[i];
-        if (p == 0.0) continue;
-        const std::size_t begin = row_ptr[i];
-        const std::size_t end = row_ptr[i + 1];
-        const std::size_t diag = find_diag(cols, begin, end, i);
-        double moved = scatter_range_simd(cols, vals, p, lambda, op, begin, diag, 0.0);
-        if (diag != end) {
-            moved = scatter_range_simd(cols, vals, p, lambda, op, diag + 1, end, moved);
-        }
-        op[i] += p * (1.0 - moved);
-    }
-}
-
-ARCADE_SIMD_TARGET void uniformised_right_simd(const CsrMatrix& rates, double lambda,
-                            std::span<const double> cur, std::span<double> next) {
-    const std::size_t* __restrict row_ptr = rates.row_ptr().data();
-    const std::size_t* __restrict cols = rates.col_idx().data();
-    const double* __restrict vals = rates.values().data();
-    const double* __restrict cp = cur.data();
-    double* __restrict np = next.data();
-    for (std::size_t i = 0; i < rates.rows(); ++i) {
-        const std::size_t begin = row_ptr[i];
-        const std::size_t end = row_ptr[i + 1];
-        const std::size_t diag = find_diag(cols, begin, end, i);
-        double sum = 0.0;
-        double moved = 0.0;
-        gather_range_simd(cols, vals, lambda, cp, begin, diag, sum, moved);
-        if (diag != end) {
-            gather_range_simd(cols, vals, lambda, cp, diag + 1, end, sum, moved);
-        }
-        np[i] = sum + (1.0 - moved) * cp[i];  // diagonal term last, like the seed
-    }
-}
-
-// Batch simd variants.  The multiply batch kernels dispatch to the blocked
-// bodies on both ISAs: the batch layout's inner per-column loop is already
-// the element-wise form, contiguous in memory, and the compiler vectorises
-// it at the baseline ISA without any reassociation to forbid — a hand
-// vector body has nothing left to win.  The uniformised batch kernel keeps
-// the division win on x86: vdivpd retires four vals[k]/lambda at once and
-// each quotient is then scattered to its columns, with `moved` folded lane
-// by lane in scalar order.  On NEON the single division per entry is
-// already amortised across the whole block, so the two-lane vdivq trick of
-// the single-vector path has no leverage and the blocked body is used.
-
-#if defined(ARCADE_SIMD_X86)
-
-/// kDense as in scatter_range_batch: fully-live rows drop the per-column
-/// guard (identical arithmetic, see there) so the scatter loop vectorises.
-template <bool kDense>
-ARCADE_SIMD_TARGET double scatter_range_batch_simd(
-    const std::size_t* __restrict cols, const double* __restrict vals,
-    const double* __restrict p, double lambda, double* __restrict out,
-    std::size_t begin, std::size_t end, std::size_t width, double moved) {
-    std::size_t k = begin;
-    const __m256d lam = _mm256_set1_pd(lambda);
-    for (; k + 4 <= end; k += 4) {
-        const __m256d qv = _mm256_div_pd(_mm256_loadu_pd(vals + k), lam);
-        alignas(32) double q[4];
-        _mm256_store_pd(q, qv);
-        for (int j = 0; j < 4; ++j) {
-            const double qj = q[j];
-            double* __restrict o = out + cols[k + static_cast<std::size_t>(j)] * width;
-            for (std::size_t c = 0; c < width; ++c) {
-                const double pc = p[c];
-                if (kDense || pc != 0.0) o[c] += pc * qj;
-            }
-        }
-        moved = fold_lanes_ordered(qv, moved);
-    }
-    for (; k < end; ++k) {
-        const double q = vals[k] / lambda;
-        double* __restrict o = out + cols[k] * width;
-        for (std::size_t c = 0; c < width; ++c) {
-            const double pc = p[c];
-            if (kDense || pc != 0.0) o[c] += pc * q;
-        }
-        moved += q;
-    }
-    return moved;
-}
-
-ARCADE_SIMD_TARGET void uniformised_left_batch_simd(const CsrMatrix& rates,
-                                                    double lambda,
-                                                    std::span<const double> in,
-                                                    std::span<double> out,
-                                                    std::size_t width) {
-    std::fill(out.begin(), out.end(), 0.0);
-    const std::size_t* __restrict row_ptr = rates.row_ptr().data();
-    const std::size_t* __restrict cols = rates.col_idx().data();
-    const double* __restrict vals = rates.values().data();
-    const double* __restrict ip = in.data();
-    double* __restrict op = out.data();
-    for (std::size_t i = 0; i < rates.rows(); ++i) {
-        const double* __restrict p = ip + i * width;
-        bool any = false;
-        bool all = true;
-        for (std::size_t c = 0; c < width; ++c) {
-            const bool live = p[c] != 0.0;
-            any = any || live;
-            all = all && live;
-        }
-        if (!any) continue;
-        const std::size_t begin = row_ptr[i];
-        const std::size_t end = row_ptr[i + 1];
-        const std::size_t diag = find_diag(cols, begin, end, i);
-        double moved;
-        if (all) {
-            moved = scatter_range_batch_simd<true>(cols, vals, p, lambda, op, begin,
-                                                   diag, width, 0.0);
-            if (diag != end) {
-                moved = scatter_range_batch_simd<true>(cols, vals, p, lambda, op,
-                                                       diag + 1, end, width, moved);
-            }
-            double* __restrict oi = op + i * width;
-            const double retained = 1.0 - moved;
-            for (std::size_t c = 0; c < width; ++c) oi[c] += p[c] * retained;
-        } else {
-            moved = scatter_range_batch_simd<false>(cols, vals, p, lambda, op, begin,
-                                                    diag, width, 0.0);
-            if (diag != end) {
-                moved = scatter_range_batch_simd<false>(cols, vals, p, lambda, op,
-                                                        diag + 1, end, width, moved);
-            }
-            double* __restrict oi = op + i * width;
-            const double retained = 1.0 - moved;
-            for (std::size_t c = 0; c < width; ++c) {
-                if (p[c] != 0.0) oi[c] += p[c] * retained;
-            }
-        }
-    }
-}
-
-#else  // NEON
-
-void uniformised_left_batch_simd(const CsrMatrix& rates, double lambda,
-                                 std::span<const double> in, std::span<double> out,
-                                 std::size_t width) {
-    uniformised_left_batch_blocked(rates, lambda, in, out, width);
-}
-
-#endif  // batch simd variants
-
-#endif  // ARCADE_SIMD_ARCH
+#endif  // ARCADE_SIMD_NEON
 
 }  // namespace
 
@@ -913,11 +426,11 @@ void multiply_left(const CsrMatrix& m, std::span<const double> x, std::span<doub
     ARCADE_ASSERT(x.size() == m.rows() && y.size() == m.cols(),
                   "multiply_left shape mismatch");
     switch (effective_mode()) {
-#if defined(ARCADE_SIMD_ARCH)
+#if defined(ARCADE_SIMD_NEON)
         case KernelMode::Simd: multiply_left_simd(m, x, y); return;
 #endif
-        case KernelMode::Blocked: multiply_left_blocked(m, x, y); return;
-        default: multiply_left_scalar(m, x, y); return;
+        case KernelMode::Scalar: multiply_left_scalar(m, x, y); return;
+        default: left_rows<false>(m, nullptr, x, y); return;
     }
 }
 
@@ -925,39 +438,93 @@ void multiply_right(const CsrMatrix& m, std::span<const double> x, std::span<dou
     ARCADE_ASSERT(x.size() == m.cols() && y.size() == m.rows(),
                   "multiply_right shape mismatch");
     switch (effective_mode()) {
-#if defined(ARCADE_SIMD_ARCH)
+#if defined(ARCADE_SIMD_NEON)
         case KernelMode::Simd: multiply_right_simd(m, x, y); return;
 #endif
-        case KernelMode::Blocked: multiply_right_blocked(m, x, y); return;
-        default: multiply_right_scalar(m, x, y); return;
+        case KernelMode::Scalar: multiply_right_scalar(m, x, y); return;
+        default: right_rows<false>(m, nullptr, x, y); return;
     }
+}
+
+double uniformisation_rate(double max_exit_rate) {
+    return std::max(max_exit_rate, 1e-12) * 1.02;
+}
+
+UniformisedMatrix uniformise(const CsrMatrix& rates, double lambda,
+                             const std::vector<bool>* absorbing) {
+    const std::size_t n = rates.rows();
+    ARCADE_ASSERT(rates.cols() == n, "uniformise: rate matrix must be square");
+    ARCADE_ASSERT(absorbing == nullptr || absorbing->size() == n,
+                  "uniformise: absorbing mask size mismatch");
+    const auto& row_ptr = rates.row_ptr();
+    const auto& cols = rates.col_idx();
+    const auto& vals = rates.values();
+    const auto moves = [&](std::size_t i) { return absorbing == nullptr || !(*absorbing)[i]; };
+
+    std::vector<std::size_t> jump_ptr(n + 1, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+        std::size_t len = 0;
+        if (moves(i)) {
+            for (std::size_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k) len += cols[k] != i;
+        }
+        jump_ptr[i + 1] = jump_ptr[i] + len;
+    }
+    std::vector<std::size_t> jump_cols(jump_ptr[n]);
+    std::vector<double> jump_vals(jump_ptr[n]);
+    std::vector<double> stay(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        std::size_t out = jump_ptr[i];
+        double moved = 0.0;
+        if (moves(i)) {
+            for (std::size_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
+                if (cols[k] == i) continue;
+                const double q = vals[k] / lambda;
+                jump_cols[out] = cols[k];
+                jump_vals[out] = q;
+                ++out;
+                moved += q;
+            }
+        }
+        stay[i] = 1.0 - moved;
+    }
+    return {CsrMatrix(n, n, std::move(jump_ptr), std::move(jump_cols), std::move(jump_vals)),
+            std::move(stay), lambda};
+}
+
+void uniformised_multiply_left(const UniformisedMatrix& p, std::span<const double> in,
+                               std::span<double> out) {
+    ARCADE_ASSERT(in.size() == p.rows() && out.size() == p.rows(),
+                  "uniformised_multiply_left shape mismatch");
+    left_rows<true>(p.jumps, p.stay.data(), in, out);
+}
+
+void uniformised_multiply_right(const UniformisedMatrix& p, std::span<const double> cur,
+                                std::span<double> next) {
+    ARCADE_ASSERT(cur.size() == p.rows() && next.size() == p.rows(),
+                  "uniformised_multiply_right shape mismatch");
+    right_rows<true>(p.jumps, p.stay.data(), cur, next);
 }
 
 void uniformised_multiply_left(const CsrMatrix& rates, double lambda,
                                std::span<const double> in, std::span<double> out) {
     ARCADE_ASSERT(in.size() == rates.rows() && out.size() == rates.rows(),
                   "uniformised_multiply_left shape mismatch");
-    switch (effective_mode()) {
-#if defined(ARCADE_SIMD_ARCH)
-        case KernelMode::Simd: uniformised_left_simd(rates, lambda, in, out); return;
-#endif
-        case KernelMode::Blocked: uniformised_left_blocked(rates, lambda, in, out); return;
-        default: uniformised_left_scalar(rates, lambda, in, out); return;
-    }
-}
-
-void uniformised_multiply_right(const CsrMatrix& rates, double lambda,
-                                std::span<const double> cur, std::span<double> next) {
-    ARCADE_ASSERT(cur.size() == rates.rows() && next.size() == rates.rows(),
-                  "uniformised_multiply_right shape mismatch");
-    switch (effective_mode()) {
-#if defined(ARCADE_SIMD_ARCH)
-        case KernelMode::Simd: uniformised_right_simd(rates, lambda, cur, next); return;
-#endif
-        case KernelMode::Blocked:
-            uniformised_right_blocked(rates, lambda, cur, next);
-            return;
-        default: uniformised_right_scalar(rates, lambda, cur, next); return;
+    std::fill(out.begin(), out.end(), 0.0);
+    const std::size_t* __restrict row_ptr = rates.row_ptr().data();
+    const std::size_t* __restrict cols = rates.col_idx().data();
+    const double* __restrict vals = rates.values().data();
+    double* __restrict op = out.data();
+    for (std::size_t i = 0; i < rates.rows(); ++i) {
+        const double p = in[i];
+        if (p == 0.0) continue;
+        const std::size_t begin = row_ptr[i];
+        const std::size_t end = row_ptr[i + 1];
+        const std::size_t diag = find_diag(cols, begin, end, i);
+        double moved = scatter_range(cols, vals, p, lambda, op, begin, diag, 0.0);
+        if (diag != end) {
+            moved = scatter_range(cols, vals, p, lambda, op, diag + 1, end, moved);
+        }
+        op[i] += p * (1.0 - moved);
     }
 }
 
@@ -966,14 +533,10 @@ void multiply_left_batch(const CsrMatrix& m, std::span<const double> x,
     ARCADE_ASSERT(width > 0, "multiply_left_batch: zero width");
     ARCADE_ASSERT(x.size() == m.rows() * width && y.size() == m.cols() * width,
                   "multiply_left_batch shape mismatch");
-    switch (effective_mode()) {
-#if defined(ARCADE_SIMD_ARCH)
-        // Dispatches to the blocked body on every ISA (see the batch simd
-        // block comment); kept as a case so the mode contract stays total.
-        case KernelMode::Simd: multiply_left_batch_blocked(m, x, y, width); return;
-#endif
-        case KernelMode::Blocked: multiply_left_batch_blocked(m, x, y, width); return;
-        default: multiply_left_batch_scalar(m, x, y, width); return;
+    if (effective_mode() == KernelMode::Scalar) {
+        multiply_left_batch_scalar(m, x, y, width);
+    } else {
+        left_batch_rows<false>(m, nullptr, x, y, width);
     }
 }
 
@@ -982,32 +545,20 @@ void multiply_right_batch(const CsrMatrix& m, std::span<const double> x,
     ARCADE_ASSERT(width > 0, "multiply_right_batch: zero width");
     ARCADE_ASSERT(x.size() == m.cols() * width && y.size() == m.rows() * width,
                   "multiply_right_batch shape mismatch");
-    switch (effective_mode()) {
-#if defined(ARCADE_SIMD_ARCH)
-        case KernelMode::Simd: multiply_right_batch_blocked(m, x, y, width); return;
-#endif
-        case KernelMode::Blocked: multiply_right_batch_blocked(m, x, y, width); return;
-        default: multiply_right_batch_scalar(m, x, y, width); return;
+    if (effective_mode() == KernelMode::Scalar) {
+        multiply_right_batch_scalar(m, x, y, width);
+    } else {
+        multiply_right_batch_blocked(m, x, y, width);
     }
 }
 
-void uniformised_multiply_left_batch(const CsrMatrix& rates, double lambda,
+void uniformised_multiply_left_batch(const UniformisedMatrix& p,
                                      std::span<const double> in, std::span<double> out,
                                      std::size_t width) {
     ARCADE_ASSERT(width > 0, "uniformised_multiply_left_batch: zero width");
-    ARCADE_ASSERT(in.size() == rates.rows() * width && out.size() == rates.rows() * width,
+    ARCADE_ASSERT(in.size() == p.rows() * width && out.size() == p.rows() * width,
                   "uniformised_multiply_left_batch shape mismatch");
-    switch (effective_mode()) {
-#if defined(ARCADE_SIMD_ARCH)
-        case KernelMode::Simd:
-            uniformised_left_batch_simd(rates, lambda, in, out, width);
-            return;
-#endif
-        case KernelMode::Blocked:
-            uniformised_left_batch_blocked(rates, lambda, in, out, width);
-            return;
-        default: uniformised_left_batch_scalar(rates, lambda, in, out, width); return;
-    }
+    left_batch_rows<true>(p.jumps, p.stay.data(), in, out, width);
 }
 
 double gather_skip_diag(std::span<const std::size_t> cols, std::span<const double> vals,
@@ -1020,7 +571,7 @@ double gather_skip_diag(std::span<const std::size_t> cols, std::span<const doubl
         return acc;
     }
     const std::size_t diag = find_diag(cols.data(), 0, cols.size(), skip);
-#if defined(ARCADE_SIMD_ARCH)
+#if defined(ARCADE_SIMD_NEON)
     if (mode == KernelMode::Simd) {
         acc = row_dot_simd(cols.data(), vals.data(), x.data(), 0, diag, acc);
         if (diag != cols.size()) {
@@ -1053,7 +604,7 @@ double gather_capture_diag(std::span<const std::size_t> cols, std::span<const do
         return acc;
     }
     const std::size_t d = find_diag(cols.data(), 0, cols.size(), row);
-#if defined(ARCADE_SIMD_ARCH)
+#if defined(ARCADE_SIMD_NEON)
     if (mode == KernelMode::Simd) {
         acc = row_dot_simd(cols.data(), vals.data(), x.data(), 0, d, acc);
         if (d != cols.size()) {

@@ -1,23 +1,31 @@
 // Blocked and SIMD CSR matvec kernels for the numeric core.
 //
-// Every kernel here exists in three variants selected by KernelMode:
-// Blocked (4-way unrolled inner loops over __restrict pointers, with the
-// diagonal split out of the uniformised loops so the hot path is
-// branch-free), Simd (runtime-dispatched AVX2 on x86-64 / NEON on aarch64
-// vector bodies; resolves to Blocked when the CPU lacks the extension) and
-// Scalar (the seed's straightforward loops, kept as the reference).  All
-// variants accumulate in the SAME ascending-index order with a single
-// sequential accumulator chain, so their results are bitwise identical —
-// the unrolling and vectorisation only pipeline the loads, multiplies and
-// divisions (the element-wise work), they never reassociate a
-// floating-point sum and never contract into FMAs.  ARCADE_KERNELS=
-// scalar|blocked|simd selects the variant process-wide; tests and benches
-// flip the mode at runtime via set_kernel_mode().
+// The plain multiplies and the Gauss–Seidel gathers exist in three variants
+// selected by KernelMode: Blocked (4-way unrolled inner loops over
+// __restrict pointers, with the diagonal split out of the gathers so the
+// hot path is branch-free), Simd (NEON vector bodies on aarch64; on x86-64
+// the blocked bodies, which measured faster than AVX2 gathers; resolves to
+// Blocked when the CPU lacks the extension) and Scalar (the seed's
+// straightforward loops, kept as the reference).  All variants accumulate
+// in the SAME ascending-index order with a single sequential accumulator
+// chain, so their results are bitwise identical — the unrolling and
+// vectorisation only pipeline the loads and multiplies, they never
+// reassociate a floating-point sum and never contract into FMAs.
+// ARCADE_KERNELS=scalar|blocked|simd selects the variant process-wide;
+// tests and benches flip the mode at runtime via set_kernel_mode().
+//
+// Uniformisation is done once per solve: uniformise() turns a rate matrix
+// into P = I + Q/lambda (off-diagonal probabilities plus per-row stay
+// mass), and the uniformised kernels are the blocked multiply loops over
+// that matrix with one stay term per row.  They perform the same operations
+// in the same order as dividing rate/lambda on the fly, so they are bitwise
+// identical to the on-the-fly reference kept below.
 #ifndef ARCADE_LINALG_KERNELS_HPP
 #define ARCADE_LINALG_KERNELS_HPP
 
 #include <cstddef>
 #include <span>
+#include <vector>
 
 #include "linalg/csr_matrix.hpp"
 
@@ -50,31 +58,54 @@ void multiply_left(const CsrMatrix& m, std::span<const double> x, std::span<doub
 /// y = M * x (backward solutions).  `x.size()==cols`, `y.size()==rows`.
 void multiply_right(const CsrMatrix& m, std::span<const double> x, std::span<double> y);
 
-/// One forward application of the uniformised DTMC, out = in * P with
-/// P = I + Q/lambda built on the fly from the rate matrix: for each row i
-/// the off-diagonal entries scatter in[i]*rate/lambda and the retained mass
-/// in[i]*(1 - moved) lands on out[i] afterwards — exactly the seed's
-/// transient/power-iteration step, including the in[i]==0 row skip.
-/// `out` is overwritten.
+/// The uniformisation rate for a chain whose largest exit rate is
+/// `max_exit_rate`: 2% above it, floored away from zero.  Every transient,
+/// bounded-until and accumulated-reward solve uses this one formula.
+[[nodiscard]] double uniformisation_rate(double max_exit_rate);
+
+/// P = I + Q/lambda of a rate matrix, built once per solve by uniformise().
+struct UniformisedMatrix {
+    /// Off-diagonal jump probabilities rate/lambda in the rate matrix's
+    /// (ascending) column order; the diagonal is dropped and absorbing rows
+    /// are empty.
+    CsrMatrix jumps;
+    /// Per-row stay mass 1 - (sum of the row's jumps), summed in that order.
+    std::vector<double> stay;
+    double lambda = 0.0;
+
+    [[nodiscard]] std::size_t rows() const noexcept { return stay.size(); }
+};
+
+/// Uniformises `rates` at `lambda`.  When `absorbing` is given, its states
+/// lose every outgoing transition (stay mass 1) — exactly the matrix of the
+/// chain with those rows removed, without building that chain.
+[[nodiscard]] UniformisedMatrix uniformise(const CsrMatrix& rates, double lambda,
+                                           const std::vector<bool>* absorbing = nullptr);
+
+/// One forward step out = in * P: each row with in[i] != 0 scatters
+/// in[i]*jump and then adds in[i]*stay[i] to out[i].  `out` is overwritten.
+void uniformised_multiply_left(const UniformisedMatrix& p, std::span<const double> in,
+                               std::span<double> out);
+
+/// The column-vector form next = P * cur, the stay term stay[i]*cur[i]
+/// added LAST (the bounded-until backward recurrence).
+void uniformised_multiply_right(const UniformisedMatrix& p, std::span<const double> cur,
+                                std::span<double> next);
+
+/// The same forward step computed on the fly from the rate matrix, dividing
+/// every rate by `lambda` as it goes — the reference the precomputed
+/// kernels are bitwise identical to.  `out` is overwritten.
 void uniformised_multiply_left(const CsrMatrix& rates, double lambda,
                                std::span<const double> in, std::span<double> out);
-
-/// The column-vector (gather) form of the same uniformised matrix,
-/// next = P * cur, with the diagonal term (1 - moved)*cur[i] added LAST —
-/// matching the seed's bounded-until backward recurrence bit for bit.
-void uniformised_multiply_right(const CsrMatrix& rates, double lambda,
-                                std::span<const double> cur, std::span<double> next);
 
 // ---------------------------------------------------------------------------
 // Multi-RHS (CSR × dense-block) forms of the kernels above.  The block is
 // row-major: column c of state s lives at x[s*width + c], so ONE traversal of
-// the matrix serves all `width` vectors — the traversal (and, in the
-// uniformised kernel, the division vals[k]/lambda) is amortised across the
-// block.  Each column is accumulated in the same ascending-index
-// sequential-chain order as the single-vector kernel, including the
-// per-column in==0.0 row skip, so column c of the result is bitwise
-// identical to running the single-vector kernel on column c alone: the
-// ARCADE_KERNELS three-mode identity contract extends unchanged.
+// the matrix serves all `width` vectors.  Each column is accumulated in the
+// same ascending-index sequential-chain order as the single-vector kernel,
+// including the per-column in==0.0 row skip, so column c of the result is
+// bitwise identical to running the single-vector kernel on column c alone:
+// the ARCADE_KERNELS three-mode identity contract extends unchanged.
 // ---------------------------------------------------------------------------
 
 /// Y = X^T * M for a row-major block of `width` row vectors.
@@ -87,11 +118,11 @@ void multiply_left_batch(const CsrMatrix& m, std::span<const double> x,
 void multiply_right_batch(const CsrMatrix& m, std::span<const double> x,
                           std::span<double> y, std::size_t width);
 
-/// One forward application of the uniformised DTMC to a row-major block of
-/// `width` distributions: column c of `out` equals
-/// uniformised_multiply_left(rates, lambda, column c of `in`) bit for bit.
-/// `in.size()==out.size()==rates.rows()*width`.  `out` is overwritten.
-void uniformised_multiply_left_batch(const CsrMatrix& rates, double lambda,
+/// One forward step over a row-major block of `width` distributions:
+/// column c of `out` equals uniformised_multiply_left(p, column c of `in`)
+/// bit for bit.  `in.size()==out.size()==p.rows()*width`.  `out` is
+/// overwritten.
+void uniformised_multiply_left_batch(const UniformisedMatrix& p,
                                      std::span<const double> in, std::span<double> out,
                                      std::size_t width);
 

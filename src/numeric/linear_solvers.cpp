@@ -96,19 +96,19 @@ SolverResult steady_state_power(const linalg::CsrMatrix& rate_matrix, std::span<
     const std::size_t n = rate_matrix.rows();
     ARCADE_ASSERT(rate_matrix.cols() == n && pi.size() == n, "shape mismatch");
 
-    // Uniformise: P = I + Q/Lambda.
-    std::vector<double> exit_rate(n, 0.0);
+    // Uniformise once: P = I + Q/Lambda.
+    double max_exit = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
         const auto cols = rate_matrix.row_columns(i);
         const auto vals = rate_matrix.row_values(i);
+        double exit = 0.0;
         for (std::size_t k = 0; k < cols.size(); ++k) {
-            if (cols[k] != i) exit_rate[i] += vals[k];
+            if (cols[k] != i) exit += vals[k];
         }
+        max_exit = std::max(max_exit, exit);
     }
-    double lambda = 0.0;
-    for (double r : exit_rate) lambda = std::max(lambda, r);
-    if (lambda == 0.0) lambda = 1.0;
-    lambda *= 1.02;
+    const linalg::UniformisedMatrix p =
+        linalg::uniformise(rate_matrix, linalg::uniformisation_rate(max_exit));
 
     const double u = 1.0 / static_cast<double>(n);
     for (double& x : pi) x = u;
@@ -116,7 +116,7 @@ SolverResult steady_state_power(const linalg::CsrMatrix& rate_matrix, std::span<
 
     SolverResult res;
     for (std::size_t it = 0; it < options.max_iterations; ++it) {
-        linalg::uniformised_multiply_left(rate_matrix, lambda, pi, next);
+        linalg::uniformised_multiply_left(p, pi, next);
         const double err = options.relative ? linalg::relative_distance(next, pi)
                                             : linalg::linf_distance(next, pi);
         std::copy(next.begin(), next.end(), pi.begin());

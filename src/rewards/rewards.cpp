@@ -27,18 +27,19 @@ void check(const ctmc::Ctmc& chain, const RewardStructure& reward,
 
 /// E over one interval of length dt starting from distribution `dist`:
 ///   (1/L) sum_k (1 - F_k(L dt)) * (dist P^k) · rho
-/// Also advances `dist` to the end of the interval (re-using the powers).
-double accumulate_interval(const ctmc::Ctmc& chain, double lambda, std::vector<double>& dist,
+/// with L = p.lambda.  Also advances `dist` to the end of the interval
+/// (re-using the powers).
+double accumulate_interval(const linalg::UniformisedMatrix& p, std::vector<double>& dist,
                            const std::vector<double>& rho, double dt,
                            const ctmc::TransientOptions& options) {
     if (dt <= 0.0) return 0.0;
-    const double q = lambda * dt;
+    const double q = p.lambda * dt;
     const auto weights = numeric::fox_glynn_cached(q, options.epsilon);
 
     // Survival function of the Poisson: S_k = P(N > k) = 1 - F_k.
     // Computed from the normalised weights; mass below `left` counts as
     // already included in F (indices < left have negligible pmf).
-    const std::size_t n = chain.state_count();
+    const std::size_t n = p.rows();
     engine::ScratchVector cur_scratch(options.workspace, n);
     engine::ScratchVector next_scratch(options.workspace, n);
     engine::ScratchVector end_scratch(options.workspace, n);
@@ -62,17 +63,14 @@ double accumulate_interval(const ctmc::Ctmc& chain, double lambda, std::vector<d
             for (std::size_t i = 0; i < n; ++i) end_dist[i] += w * cur[i];
         }
         if (k == weights->right) break;
-        // out = in * P with P = I + Q/lambda — the shared kernel performs
-        // exactly the scalar loop this file used to hand-roll, and picks up
-        // the ARCADE_KERNELS variant dispatch.
-        linalg::uniformised_multiply_left(chain.rates(), lambda, cur, next);
+        linalg::uniformised_multiply_left(p, cur, next);
         std::swap(cur, next);
     }
     // Indices k < left all have survival 1 and are skipped by weight(k)==0 in
     // the loop only for the *pmf*; the survival term must still be counted.
     // The loop above runs k from 0 so all survival terms are included.
     dist = end_dist;
-    return total / lambda;
+    return total / p.lambda;
 }
 
 }  // namespace
@@ -106,9 +104,9 @@ double accumulated_reward(const ctmc::Ctmc& chain, std::span<const double> initi
                           const ctmc::TransientOptions& options) {
     check(chain, reward, initial);
     ARCADE_ASSERT(t >= 0.0, "negative time bound");
-    const double lambda = std::max(chain.max_exit_rate(), 1e-12) * 1.02;
     std::vector<double> dist(initial.begin(), initial.end());
-    return accumulate_interval(chain, lambda, dist, reward.state_rates(), t, options);
+    return accumulate_interval(ctmc::uniformise(chain), dist, reward.state_rates(), t,
+                               options);
 }
 
 std::vector<double> accumulated_reward_series(const ctmc::Ctmc& chain,
@@ -117,7 +115,7 @@ std::vector<double> accumulated_reward_series(const ctmc::Ctmc& chain,
                                               std::span<const double> times,
                                               const ctmc::TransientOptions& options) {
     check(chain, reward, initial);
-    const double lambda = std::max(chain.max_exit_rate(), 1e-12) * 1.02;
+    const linalg::UniformisedMatrix p = ctmc::uniformise(chain);
     std::vector<double> dist(initial.begin(), initial.end());
     std::vector<double> out;
     out.reserve(times.size());
@@ -135,7 +133,7 @@ std::vector<double> accumulated_reward_series(const ctmc::Ctmc& chain,
                                   "; grid times must be non-decreasing");
         }
         const double dt = std::max(0.0, t - prev);
-        acc += accumulate_interval(chain, lambda, dist, reward.state_rates(), dt, options);
+        acc += accumulate_interval(p, dist, reward.state_rates(), dt, options);
         out.push_back(acc);
         prev = std::max(prev, t);
     }

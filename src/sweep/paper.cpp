@@ -91,56 +91,56 @@ const ScenarioResult* find(const SweepReport& report, int line,
 
 ScenarioGrid fig3() {
     return figure_grid({1, 2}, {"DED"},  // strategy irrelevant without repair
-                       {MeasureKind::Reliability, DisasterKind::None, 1.0,
-                        time_grid(1000.0, 101)});
+                       measure_spec(MeasureKind::Reliability, DisasterKind::None,
+                                    1.0, time_grid(1000.0, 101)));
 }
 
 ScenarioGrid fig4() {
     return figure_grid({1}, {"DED", "FRF-1", "FRF-2"},
-                       {MeasureKind::Survivability, DisasterKind::AllPumps, kX1,
-                        time_grid(4.5, 91)});
+                       measure_spec(MeasureKind::Survivability, DisasterKind::AllPumps,
+                                    kX1, time_grid(4.5, 91)));
 }
 
 ScenarioGrid fig5() {
     return figure_grid({1}, {"DED", "FRF-1", "FRF-2"},
-                       {MeasureKind::Survivability, DisasterKind::AllPumps, kX2,
-                        time_grid(4.5, 91)});
+                       measure_spec(MeasureKind::Survivability, DisasterKind::AllPumps,
+                                    kX2, time_grid(4.5, 91)));
 }
 
 ScenarioGrid fig6() {
     return figure_grid({1}, {"DED", "FRF-1", "FRF-2"},
-                       {MeasureKind::InstantaneousCost, DisasterKind::AllPumps, 1.0,
-                        time_grid(4.5, 91)});
+                       measure_spec(MeasureKind::InstantaneousCost, DisasterKind::AllPumps,
+                                    1.0, time_grid(4.5, 91)));
 }
 
 ScenarioGrid fig7() {
     return figure_grid({1}, {"DED", "FRF-1", "FRF-2"},
-                       {MeasureKind::AccumulatedCost, DisasterKind::AllPumps, 1.0,
-                        time_grid(10.0, 101)});
+                       measure_spec(MeasureKind::AccumulatedCost, DisasterKind::AllPumps,
+                                    1.0, time_grid(10.0, 101)));
 }
 
 ScenarioGrid fig8() {
     return figure_grid({2}, {"DED", "FFF-1", "FFF-2", "FRF-1", "FRF-2"},
-                       {MeasureKind::Survivability, DisasterKind::Mixed, kX1,
-                        time_grid(100.0, 101)});
+                       measure_spec(MeasureKind::Survivability, DisasterKind::Mixed,
+                                    kX1, time_grid(100.0, 101)));
 }
 
 ScenarioGrid fig9() {
     return figure_grid({2}, {"DED", "FFF-1", "FFF-2", "FRF-1", "FRF-2"},
-                       {MeasureKind::Survivability, DisasterKind::Mixed, kX2,
-                        time_grid(100.0, 101)});
+                       measure_spec(MeasureKind::Survivability, DisasterKind::Mixed,
+                                    kX2, time_grid(100.0, 101)));
 }
 
 ScenarioGrid fig10() {
     return figure_grid({2}, {"FFF-1", "FFF-2", "FRF-1", "FRF-2"},
-                       {MeasureKind::InstantaneousCost, DisasterKind::Mixed, 1.0,
-                        time_grid(50.0, 101)});
+                       measure_spec(MeasureKind::InstantaneousCost, DisasterKind::Mixed,
+                                    1.0, time_grid(50.0, 101)));
 }
 
 ScenarioGrid fig11() {
     return figure_grid({2}, {"FFF-1", "FFF-2", "FRF-1", "FRF-2"},
-                       {MeasureKind::AccumulatedCost, DisasterKind::Mixed, 1.0,
-                        time_grid(50.0, 101)});
+                       measure_spec(MeasureKind::AccumulatedCost, DisasterKind::Mixed,
+                                    1.0, time_grid(50.0, 101)));
 }
 
 ScenarioGrid table1() {
@@ -149,7 +149,7 @@ ScenarioGrid table1() {
     grid.strategies = strategy_names();
     // The paper's (individual) encoding next to the lumped comparison.
     grid.variants = {individual_variant(), lumped_variant()};
-    grid.measures = {{MeasureKind::StateSpace, DisasterKind::None, 1.0, {}}};
+    grid.measures = {measure_spec(MeasureKind::StateSpace)};
     return grid;
 }
 
@@ -157,7 +157,7 @@ ScenarioGrid table2() {
     ScenarioGrid grid;
     grid.lines = {1, 2};
     grid.strategies = strategy_names();
-    grid.measures = {{MeasureKind::Availability, DisasterKind::None, 1.0, {}}};
+    grid.measures = {measure_spec(MeasureKind::Availability)};
     return grid;
 }
 
@@ -170,13 +170,17 @@ ScenarioGrid everything() {
     grid.lines = {1, 2};
     grid.strategies = strategy_names();
     grid.measures = {
-        {MeasureKind::Availability, DisasterKind::None, 1.0, {}},              // Table 2
-        {MeasureKind::Survivability, DisasterKind::AllPumps, kX1, short_grid},  // Fig 4
-        {MeasureKind::Survivability, DisasterKind::AllPumps, kX2, short_grid},  // Fig 5
-        {MeasureKind::InstantaneousCost, DisasterKind::AllPumps, 1.0, short_grid},  // Fig 6
-        {MeasureKind::AccumulatedCost, DisasterKind::AllPumps, 1.0, cost_grid},     // Fig 7
-        {MeasureKind::Survivability, DisasterKind::Mixed, kX1, long_grid},     // Fig 8
-        {MeasureKind::Survivability, DisasterKind::Mixed, kX2, long_grid},     // Fig 9
+        measure_spec(MeasureKind::Availability),  // Table 2
+        measure_spec(MeasureKind::Survivability, DisasterKind::AllPumps, kX1,
+                     short_grid),  // Fig 4
+        measure_spec(MeasureKind::Survivability, DisasterKind::AllPumps, kX2,
+                     short_grid),  // Fig 5
+        measure_spec(MeasureKind::InstantaneousCost, DisasterKind::AllPumps, 1.0,
+                     short_grid),  // Fig 6
+        measure_spec(MeasureKind::AccumulatedCost, DisasterKind::AllPumps, 1.0,
+                     cost_grid),  // Fig 7
+        measure_spec(MeasureKind::Survivability, DisasterKind::Mixed, kX1, long_grid),  // Fig 8
+        measure_spec(MeasureKind::Survivability, DisasterKind::Mixed, kX2, long_grid),  // Fig 9
     };
     return grid;
 }

@@ -56,6 +56,16 @@ std::string to_string(DisasterKind kind) {
     throw InvalidArgument("unknown DisasterKind");
 }
 
+MeasureSpec measure_spec(MeasureKind kind, DisasterKind disaster, double service_level,
+                         std::vector<double> times) {
+    MeasureSpec spec;
+    spec.kind = kind;
+    spec.disaster = disaster;
+    spec.service_level = service_level;
+    spec.times = std::move(times);
+    return spec;
+}
+
 ModelVariant lumped_variant() { return {"lumped", core::Encoding::Lumped, true}; }
 
 ModelVariant individual_variant() {

@@ -75,6 +75,12 @@ struct MeasureSpec {
     }
 };
 
+/// A measure that is not a property (no formula text, repair kept).
+[[nodiscard]] MeasureSpec measure_spec(MeasureKind kind,
+                                       DisasterKind disaster = DisasterKind::None,
+                                       double service_level = 1.0,
+                                       std::vector<double> times = {});
+
 /// One way of building the model of a cell: the state-space encoding plus
 /// whether the repair units are kept.  Table 1 sweeps the encodings; the
 /// ablation studies sweep repair on/off.  Named so result rows stay

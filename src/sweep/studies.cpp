@@ -18,7 +18,7 @@ ScenarioGrid ablation_encodings() {
     grid.lines = {1, 2};
     grid.strategies = paper::strategy_names();
     grid.variants = {individual_variant(), lumped_variant()};
-    grid.measures = {{MeasureKind::Availability, DisasterKind::None, 1.0, {}}};
+    grid.measures = {measure_spec(MeasureKind::Availability)};
     return grid;
 }
 
@@ -65,8 +65,8 @@ ScenarioGrid ablation_preemption() {
     grid.strategies = {"FRF-1", "FRF-1-pre", "FRF-2", "FRF-2-pre",
                        "FFF-1", "FFF-1-pre", "FFF-2", "FFF-2-pre"};
     grid.measures = {
-        {MeasureKind::Availability, DisasterKind::None, 1.0, {}},
-        {MeasureKind::Survivability, DisasterKind::Mixed, 1.0, {0.0, 10.0}},
+        measure_spec(MeasureKind::Availability),
+        measure_spec(MeasureKind::Survivability, DisasterKind::Mixed, 1.0, {0.0, 10.0}),
     };
     return grid;
 }
@@ -76,7 +76,7 @@ ScenarioGrid ablation_preemption_sizes() {
     grid.lines = {2};
     grid.strategies = {"FRF-1-pre"};
     grid.variants = {individual_variant()};
-    grid.measures = {{MeasureKind::StateSpace, DisasterKind::None, 1.0, {}}};
+    grid.measures = {measure_spec(MeasureKind::StateSpace)};
     return grid;
 }
 
@@ -145,8 +145,8 @@ ScenarioGrid mttr_sensitivity(const std::vector<double>& scales) {
         grid.parameters.push_back(std::move(set));
     }
     grid.measures = {
-        {MeasureKind::Availability, DisasterKind::None, 1.0, {}},
-        {MeasureKind::SteadyStateCost, DisasterKind::None, 1.0, {}},
+        measure_spec(MeasureKind::Availability),
+        measure_spec(MeasureKind::SteadyStateCost),
     };
     return grid;
 }
@@ -193,7 +193,7 @@ ScenarioGrid pump_scaling(std::size_t max_extra_pumps) {
         scale.extra_pumps = extra;
         grid.scales.push_back(std::move(scale));
     }
-    grid.measures = {{MeasureKind::StateSpace, DisasterKind::None, 1.0, {}}};
+    grid.measures = {measure_spec(MeasureKind::StateSpace)};
     return grid;
 }
 

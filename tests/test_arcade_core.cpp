@@ -46,7 +46,7 @@ TEST(ArcadeModel, PolicyStringsRoundTrip) {
                    RepairPolicy::FastestFailureFirst, RepairPolicy::Priority}) {
         EXPECT_EQ(core::repair_policy_from_string(core::to_string(p)), p);
     }
-    EXPECT_THROW(core::repair_policy_from_string("bogus"), arcade::InvalidArgument);
+    EXPECT_THROW((void)core::repair_policy_from_string("bogus"), arcade::InvalidArgument);
 }
 
 TEST(FaultTree, QualitativeGateSemantics) {
@@ -229,5 +229,5 @@ TEST(Compiler, UnreachableDisasterIsAnError) {
     core::Disaster d;
     d.name = "too-many";
     d.failed_per_phase = {3};  // more than exist
-    EXPECT_THROW(compiled.disaster_state(d), arcade::Error);
+    EXPECT_THROW((void)compiled.disaster_state(d), arcade::Error);
 }

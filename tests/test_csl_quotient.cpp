@@ -150,12 +150,16 @@ TEST(CslQuotient, LiftedQuotientCheckAgreesWithFullChainOnPlantedChains) {
             // the quotient is wrong.
             EXPECT_EQ(full.satisfaction, lifted.satisfaction) << what;
             ASSERT_EQ(full.holds.has_value(), lifted.holds.has_value()) << what;
-            if (full.holds) EXPECT_EQ(*full.holds, *lifted.holds) << what;
+            if (full.holds) {
+                EXPECT_EQ(*full.holds, *lifted.holds) << what;
+            }
             // Values are two different linear-algebra runs (6 blocks vs 18
             // states): equal to tight tolerance, never bitwise.
             expect_near_rel(full.values, lifted.values, 1e-9, what);
             ASSERT_EQ(full.value.has_value(), lifted.value.has_value()) << what;
-            if (full.value) EXPECT_NEAR(*full.value, *lifted.value, 1e-9) << what;
+            if (full.value) {
+                EXPECT_NEAR(*full.value, *lifted.value, 1e-9) << what;
+            }
         }
     }
 }
@@ -174,7 +178,7 @@ TEST(CslQuotient, EnginePathUnderAutoIsTheLiftedQuotientCheckBitwise) {
     const auto q = session.quotient(model);
     ASSERT_LT(q->block_count(), model->state_count());
 
-    for (const std::string formula :
+    for (const std::string& formula :
          {std::string("P=? [ true U<=10 \"down\" ]"),
           std::string("P>=0.5 [ true U<=100 \"operational\" ]"),
           wt::properties::survivability_formula(2.0 / 3.0, 50.0)}) {
@@ -209,7 +213,7 @@ TEST(CslQuotient, AutoAgreesWithOffOnBothWatertreeEncodings) {
             session_auto.compile(wt::line2(wt::strategy("FFF-1")), automatic);
 
         const std::string x2 = wt::properties::survivability_formula(2.0 / 3.0, 25.0);
-        for (const std::string formula :
+        for (const std::string& formula :
              {std::string("P=? [ true U<=10 \"down\" ]"),
               std::string("S=? [ \"operational\" ]"),
               std::string("R{\"cost\"}=? [ S ]"),
@@ -221,9 +225,13 @@ TEST(CslQuotient, AutoAgreesWithOffOnBothWatertreeEncodings) {
                 formula + (encoding == core::Encoding::Individual ? " individual"
                                                                   : " lumped");
             EXPECT_EQ(a.satisfaction, b.satisfaction) << what;
-            if (a.holds) EXPECT_EQ(*a.holds, *b.holds) << what;
+            if (a.holds) {
+                EXPECT_EQ(*a.holds, *b.holds) << what;
+            }
             expect_near_rel(a.values, b.values, 1e-8, what);
-            if (a.value) EXPECT_NEAR(*a.value, *b.value, 1e-8) << what;
+            if (a.value) {
+                EXPECT_NEAR(*a.value, *b.value, 1e-8) << what;
+            }
         }
     }
 }

@@ -227,12 +227,12 @@ TEST(ExprVm, ShortCircuitSkipsRhsErrors) {
     // g & 1/0 = 0.5: rhs only evaluates when g holds.
     const auto guarded = expr::compile(expr::parse_expression("g & 1/0 = 0.5"), map);
     EXPECT_FALSE(guarded.run(f).as_bool());
-    EXPECT_THROW(guarded.run(t), arcade::ModelError);
+    EXPECT_THROW((void)guarded.run(t), arcade::ModelError);
 
     // g | ... dually.
     const auto escape = expr::compile(expr::parse_expression("g | 1/0 = 0.5"), map);
     EXPECT_TRUE(escape.run(t).as_bool());
-    EXPECT_THROW(escape.run(f), arcade::ModelError);
+    EXPECT_THROW((void)escape.run(f), arcade::ModelError);
 }
 
 TEST(ExprVm, IllTypedFoldsErrorAtRunLikeTheInterpreter) {
@@ -245,13 +245,13 @@ TEST(ExprVm, IllTypedFoldsErrorAtRunLikeTheInterpreter) {
         const auto program = expr::compile(e, map);
         std::string interp_error;
         try {
-            e.evaluate(env);
+            (void)e.evaluate(env);
             FAIL() << text << " should throw";
         } catch (const arcade::ModelError& err) {
             interp_error = err.what();
         }
         try {
-            program.run(none);
+            (void)program.run(none);
             FAIL() << text << " should throw";
         } catch (const arcade::ModelError& err) {
             EXPECT_EQ(interp_error, std::string(err.what())) << text;

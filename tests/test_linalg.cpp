@@ -5,12 +5,17 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <random>
 #include <vector>
 
+#include "arcade/compiler.hpp"
+#include "ctmc/bounded_until.hpp"
+#include "ctmc/ctmc.hpp"
 #include "linalg/csr_matrix.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/vector_ops.hpp"
 #include "support/errors.hpp"
+#include "watertree/watertree.hpp"
 
 namespace la = arcade::linalg;
 
@@ -147,8 +152,10 @@ private:
 };
 
 bool same_bits(std::span<const double> a, std::span<const double> b) {
+    // memcmp's pointers must be non-null even for zero bytes, and an empty
+    // vector's data() may be null.
     return a.size() == b.size() &&
-           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+           (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
 bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
@@ -210,15 +217,12 @@ void expect_all_modes_identical(Specials specials) {
     const la::CsrMatrix m = edge_matrix();
     const std::size_t n = m.rows();
     const std::vector<double> x = edge_vector(n, specials);
-    const double lambda = 3.5;
 
-    std::vector<double> ref_left(n), ref_right(n), ref_uleft(n), ref_uright(n);
+    std::vector<double> ref_left(n), ref_right(n);
     {
         const KernelModeGuard guard(la::KernelMode::Scalar);
         la::multiply_left(m, x, ref_left);
         la::multiply_right(m, x, ref_right);
-        la::uniformised_multiply_left(m, lambda, x, ref_uleft);
-        la::uniformised_multiply_right(m, lambda, x, ref_uright);
     }
 
     for (const la::KernelMode mode : kModes) {
@@ -228,12 +232,6 @@ void expect_all_modes_identical(Specials specials) {
         EXPECT_TRUE(same_bits(y, ref_left)) << "multiply_left " << mode_name(mode);
         la::multiply_right(m, x, y);
         EXPECT_TRUE(same_bits(y, ref_right)) << "multiply_right " << mode_name(mode);
-        la::uniformised_multiply_left(m, lambda, x, y);
-        EXPECT_TRUE(same_bits(y, ref_uleft))
-            << "uniformised_multiply_left " << mode_name(mode);
-        la::uniformised_multiply_right(m, lambda, x, y);
-        EXPECT_TRUE(same_bits(y, ref_uright))
-            << "uniformised_multiply_right " << mode_name(mode);
     }
 }
 
@@ -383,7 +381,7 @@ std::vector<double> deinterleave_column(std::span<const double> block, std::size
 void expect_batch_matches_single(Specials specials) {
     const la::CsrMatrix m = edge_matrix();
     const std::size_t n = m.rows();
-    const double lambda = 3.5;
+    const la::UniformisedMatrix p = la::uniformise(m, 3.5);
 
     for (const std::size_t width : kBatchWidths) {
         std::vector<std::vector<double>> columns;
@@ -402,7 +400,7 @@ void expect_batch_matches_single(Specials specials) {
             for (std::size_t c = 0; c < width; ++c) {
                 la::multiply_left(m, columns[c], ref_left[c]);
                 la::multiply_right(m, columns[c], ref_right[c]);
-                la::uniformised_multiply_left(m, lambda, columns[c], ref_uleft[c]);
+                la::uniformised_multiply_left(p, columns[c], ref_uleft[c]);
             }
 
             std::vector<double> out(n * width, 0.5);  // poisoned: must overwrite
@@ -420,7 +418,7 @@ void expect_batch_matches_single(Specials specials) {
                     << " column " << c;
             }
             std::fill(out.begin(), out.end(), 0.5);
-            la::uniformised_multiply_left_batch(m, lambda, block, out, width);
+            la::uniformised_multiply_left_batch(p, block, out, width);
             for (std::size_t c = 0; c < width; ++c) {
                 EXPECT_TRUE(same_bits(deinterleave_column(out, width, c), ref_uleft[c]))
                     << "uniformised_multiply_left_batch " << mode_name(mode) << " width "
@@ -448,13 +446,243 @@ TEST(BatchKernels, WidthOneMatchesSingleVectorExactly) {
     // Degenerate width: the strided layout collapses to the plain one and
     // the batch kernels must be drop-in equal to their single-vector twins.
     const la::CsrMatrix m = edge_matrix();
+    const la::UniformisedMatrix p = la::uniformise(m, 3.5);
     const std::size_t n = m.rows();
     const std::vector<double> x = edge_vector(n, Specials::None);
     for (const la::KernelMode mode : kModes) {
         const KernelModeGuard guard(mode);
         std::vector<double> single(n), batch(n, 0.5);
-        la::uniformised_multiply_left(m, 3.5, x, single);
-        la::uniformised_multiply_left_batch(m, 3.5, x, batch, 1);
+        la::uniformised_multiply_left(p, x, single);
+        la::uniformised_multiply_left_batch(p, x, batch, 1);
         EXPECT_TRUE(same_bits(batch, single)) << mode_name(mode);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Uniformise once.  The solvers step over P = uniformise(rates, lambda), and
+// every precomputed kernel must be bitwise equal to dividing rate/lambda on
+// the fly: the left form against the kept on-the-fly kernel, the right form
+// against the seed's scalar loop below, the batch form per column against
+// both.  The inputs carry the same ±inf / quiet-NaN payload classes as the
+// kernel-mode tests above.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+namespace ctmc = arcade::ctmc;
+namespace core = arcade::core;
+namespace watertree = arcade::watertree;
+
+/// The seed's scalar right-form loop: next = P * cur with P built on the
+/// fly and the stay term (1 - moved)*cur[i] added last.
+void reference_uniformised_right(const la::CsrMatrix& rates, double lambda,
+                                 std::span<const double> cur, std::span<double> next) {
+    for (std::size_t i = 0; i < rates.rows(); ++i) {
+        const auto cols = rates.row_columns(i);
+        const auto vals = rates.row_values(i);
+        double moved = 0.0;
+        double sum = 0.0;
+        for (std::size_t k = 0; k < cols.size(); ++k) {
+            if (cols[k] == i) continue;
+            const double p = vals[k] / lambda;
+            sum += p * cur[cols[k]];
+            moved += p;
+        }
+        next[i] = sum + (1.0 - moved) * cur[i];
+    }
+}
+
+/// Random non-negative rate matrix mixing empty rows, one-entry rows (the
+/// entry is sometimes the diagonal) and rows of 2–12 entries, every third
+/// of which also stores a diagonal entry.
+la::CsrMatrix random_rates(std::size_t n, std::mt19937_64& rng) {
+    std::uniform_real_distribution<double> rate(0.01, 5.0);
+    std::uniform_int_distribution<std::size_t> column(0, n - 1);
+    std::uniform_int_distribution<int> shape(0, 5);
+    la::CsrBuilder b(n, n);
+    for (std::size_t r = 0; r < n; ++r) {
+        const int kind = shape(rng);
+        if (kind == 0) continue;
+        if (kind == 1) {
+            b.add(r, r % 4 == 0 ? r : column(rng), rate(rng));
+            continue;
+        }
+        const std::size_t len = 2 + r % 11;
+        for (std::size_t k = 0; k < len; ++k) b.add(r, column(rng), rate(rng));
+        if (r % 3 == 0) b.add(r, r, rate(rng));
+    }
+    return b.build();
+}
+
+double max_exit(const la::CsrMatrix& rates) {
+    double max_rate = 0.0;
+    for (std::size_t r = 0; r < rates.rows(); ++r) {
+        double exit = 0.0;
+        const auto cols = rates.row_columns(r);
+        const auto vals = rates.row_values(r);
+        for (std::size_t k = 0; k < cols.size(); ++k) {
+            if (cols[k] != r) exit += vals[k];
+        }
+        max_rate = std::max(max_rate, exit);
+    }
+    return max_rate;
+}
+
+bool same_matrix(const la::UniformisedMatrix& a, const la::UniformisedMatrix& b) {
+    return a.jumps.rows() == b.jumps.rows() && a.jumps.row_ptr() == b.jumps.row_ptr() &&
+           a.jumps.col_idx() == b.jumps.col_idx() &&
+           same_bits(a.jumps.values(), b.jumps.values()) && same_bits(a.stay, b.stay) &&
+           same_bits(a.lambda, b.lambda);
+}
+
+/// The matrices the identity tests run on: the awkward edge matrix (signed
+/// values, stored diagonals) and random chains of growing size.
+std::vector<la::CsrMatrix> identity_matrices() {
+    std::vector<la::CsrMatrix> out{edge_matrix()};
+    std::mt19937_64 rng(2010);
+    for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{7},
+                                std::size_t{18}, std::size_t{41}, std::size_t{97}}) {
+        out.push_back(random_rates(n, rng));
+    }
+    return out;
+}
+
+void expect_precomputed_matches_on_the_fly(Specials specials) {
+    for (const la::CsrMatrix& m : identity_matrices()) {
+        const std::size_t n = m.rows();
+        const double lambda = la::uniformisation_rate(max_exit(m));
+        const la::UniformisedMatrix p = la::uniformise(m, lambda);
+        const std::vector<double> x = edge_vector(n, specials);
+
+        std::vector<double> ref(n), got(n, 0.5);
+        la::uniformised_multiply_left(m, lambda, x, ref);
+        la::uniformised_multiply_left(p, x, got);
+        EXPECT_TRUE(same_bits(got, ref)) << "left n=" << n;
+
+        reference_uniformised_right(m, lambda, x, ref);
+        std::fill(got.begin(), got.end(), 0.5);
+        la::uniformised_multiply_right(p, x, got);
+        EXPECT_TRUE(same_bits(got, ref)) << "right n=" << n;
+    }
+}
+
+}  // namespace
+
+TEST(Uniformise, DropsDiagonalAndEmptiesAbsorbingRows) {
+    la::CsrBuilder b(3, 3);
+    b.add(0, 0, 9.0);  // stored diagonal: never a jump
+    b.add(0, 1, 1.0);
+    b.add(0, 2, 3.0);
+    b.add(1, 0, 2.0);
+    const la::CsrMatrix rates = b.build();
+
+    const la::UniformisedMatrix p = la::uniformise(rates, 8.0);
+    EXPECT_EQ(p.lambda, 8.0);
+    EXPECT_EQ(p.jumps.row_ptr(), (std::vector<std::size_t>{0, 2, 3, 3}));
+    EXPECT_EQ(p.jumps.col_idx(), (std::vector<std::size_t>{1, 2, 0}));
+    EXPECT_EQ(p.jumps.values(), (std::vector<double>{0.125, 0.375, 0.25}));
+    EXPECT_EQ(p.stay, (std::vector<double>{0.5, 0.75, 1.0}));
+
+    const std::vector<bool> absorbing{true, false, false};
+    const la::UniformisedMatrix masked = la::uniformise(rates, 8.0, &absorbing);
+    EXPECT_EQ(masked.jumps.row_ptr(), (std::vector<std::size_t>{0, 0, 1, 1}));
+    EXPECT_EQ(masked.jumps.col_idx(), (std::vector<std::size_t>{0}));
+    EXPECT_EQ(masked.stay, (std::vector<double>{1.0, 0.75, 1.0}));
+}
+
+TEST(UniformisedKernels, PrecomputedMatchesOnTheFly) {
+    expect_precomputed_matches_on_the_fly(Specials::None);
+}
+
+TEST(UniformisedKernels, InfinitiesPropagateIdentically) {
+    expect_precomputed_matches_on_the_fly(Specials::Inf);
+}
+
+TEST(UniformisedKernels, NansPropagateIdentically) {
+    expect_precomputed_matches_on_the_fly(Specials::NaN);
+}
+
+TEST(UniformisedKernels, BatchColumnsMatchAtWidthsOneToNine) {
+    // Odd widths from 3 carry an all-zero column, so no row is fully live;
+    // the other widths mix fully-live rows (the dense path), rows with some
+    // zero columns and row 0, which is zero in every column.
+    for (const Specials specials : {Specials::None, Specials::Inf, Specials::NaN}) {
+        for (const la::CsrMatrix& m : identity_matrices()) {
+            const std::size_t n = m.rows();
+            const double lambda = la::uniformisation_rate(max_exit(m));
+            const la::UniformisedMatrix p = la::uniformise(m, lambda);
+            for (std::size_t width = 1; width <= 9; ++width) {
+                std::vector<std::vector<double>> columns;
+                for (std::size_t c = 0; c < width; ++c) {
+                    const bool dead = width >= 3 && width % 2 == 1 && c == 1;
+                    columns.push_back(dead ? std::vector<double>(n, 0.0)
+                                           : batch_column(n, c, specials));
+                }
+                std::vector<double> out(n * width, 0.5);
+                la::uniformised_multiply_left_batch(p, interleave(columns), out, width);
+                for (std::size_t c = 0; c < width; ++c) {
+                    std::vector<double> ref(n);
+                    la::uniformised_multiply_left(m, lambda, columns[c], ref);
+                    EXPECT_TRUE(same_bits(deinterleave_column(out, width, c), ref))
+                        << "n=" << n << " width=" << width << " column=" << c;
+                }
+            }
+        }
+    }
+}
+
+namespace {
+
+/// uniformise(chain, &mask) against uniformising the until-transformed copy:
+/// same jumps, stay bits and lambda.
+void expect_mask_matches_until_transform(const ctmc::Ctmc& chain,
+                                         const std::vector<bool>& phi,
+                                         const std::vector<bool>& psi) {
+    std::vector<bool> absorbing(chain.state_count());
+    for (std::size_t s = 0; s < absorbing.size(); ++s) {
+        absorbing[s] = psi[s] || (!phi[s] && !psi[s]);
+    }
+    const ctmc::Ctmc transformed = ctmc::until_transform(chain, phi, psi);
+    const double lambda = la::uniformisation_rate(transformed.max_exit_rate());
+    EXPECT_TRUE(same_bits(chain.max_exit_rate(absorbing), transformed.max_exit_rate()));
+
+    const la::UniformisedMatrix want = la::uniformise(transformed.rates(), lambda);
+    EXPECT_TRUE(same_matrix(la::uniformise(chain.rates(), lambda, &absorbing), want));
+    EXPECT_TRUE(same_matrix(ctmc::uniformise(chain, &absorbing), want));
+}
+
+}  // namespace
+
+TEST(UniformisedKernels, AbsorbingMaskMatchesUntilTransformOnPlantedChains) {
+    std::mt19937_64 rng(77);
+    std::bernoulli_distribution coin(0.4);
+    for (const std::size_t n : {std::size_t{1}, std::size_t{5}, std::size_t{23},
+                                std::size_t{64}}) {
+        const ctmc::Ctmc chain(random_rates(n, rng), ctmc::Ctmc::point_distribution(n, 0));
+        for (int trial = 0; trial < 4; ++trial) {
+            std::vector<bool> phi(n), psi(n);
+            for (std::size_t s = 0; s < n; ++s) {
+                phi[s] = !coin(rng);
+                psi[s] = coin(rng);
+            }
+            expect_mask_matches_until_transform(chain, phi, psi);
+        }
+        // Everything absorbing: the zero-rate transformed chain.
+        expect_mask_matches_until_transform(chain, std::vector<bool>(n, false),
+                                            std::vector<bool>(n, true));
+    }
+}
+
+TEST(UniformisedKernels, AbsorbingMaskMatchesUntilTransformOnLine2Frf1) {
+    core::CompileOptions options;
+    options.encoding = core::Encoding::Individual;
+    options.reduction = core::ReductionPolicy::Off;
+    options.symmetry = core::SymmetryPolicy::Off;
+    const auto model = core::compile(watertree::line(2, watertree::strategy("FRF-1")), options);
+    ASSERT_EQ(model.state_count(), 8129u);
+    const std::vector<bool> phi(model.state_count(), true);
+    for (const double level : {0.25, 0.5, 1.0}) {
+        expect_mask_matches_until_transform(model.chain(), phi,
+                                            model.service_at_least(level));
     }
 }

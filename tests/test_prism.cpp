@@ -121,7 +121,7 @@ TEST(PrismParser, MalformedInputsAreParseErrors) {
 
 TEST(PrismParser, MissingSemicolonErrorsMentionLocation) {
     try {
-        prism::parse_prism("ctmc\nmodule m\n  x : [0..1] init 0\nendmodule\n");
+        (void)prism::parse_prism("ctmc\nmodule m\n  x : [0..1] init 0\nendmodule\n");
         FAIL() << "expected ParseError";
     } catch (const arcade::ParseError& e) {
         EXPECT_NE(std::string(e.what()).find("line"), std::string::npos);

@@ -114,7 +114,7 @@ TEST(PropertySweep, SteadyStateCostPropertyMatchesByteIdentically) {
     grid.lines = {2};
     grid.strategies = {"DED", "FRF-1"};
     grid.measures = {
-        {sweep::MeasureKind::SteadyStateCost, sweep::DisasterKind::None, 1.0, {}},
+        sweep::measure_spec(sweep::MeasureKind::SteadyStateCost),
         property_measure(wp::steady_cost_formula(), sweep::DisasterKind::None, {}),
     };
     for (const auto reduction :

@@ -83,7 +83,9 @@ TEST(Rewards, SeriesAgreesWithPointSolvesAndIsMonotone) {
                     rw::instantaneous_reward(chain, chain.initial_distribution(), reward,
                                              times[i]),
                     1e-9);
-        if (i > 0) EXPECT_GT(acc[i], acc[i - 1]);  // positive rewards accumulate
+        if (i > 0) {
+            EXPECT_GT(acc[i], acc[i - 1]);  // positive rewards accumulate
+        }
     }
     EXPECT_NEAR(acc[0], 0.0, 1e-12);
 }

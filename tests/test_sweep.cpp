@@ -17,13 +17,17 @@ namespace engine = arcade::engine;
 namespace sweep = arcade::sweep;
 namespace wt = arcade::watertree;
 
+using sweep::DisasterKind;
+using sweep::measure_spec;
+using sweep::MeasureKind;
+
 namespace {
 
 sweep::ScenarioGrid table2_line2_ded() {
     sweep::ScenarioGrid grid;
     grid.lines = {2};
     grid.strategies = {"DED"};
-    grid.measures = {{sweep::MeasureKind::Availability, sweep::DisasterKind::None, 1.0, {}}};
+    grid.measures = {measure_spec(MeasureKind::Availability)};
     return grid;
 }
 
@@ -34,9 +38,9 @@ TEST(ScenarioGrid, ExpandIsTheDeduplicatedCrossProduct) {
     grid.lines = {1, 2};
     grid.strategies = {"DED", "FRF-1"};
     grid.measures = {
-        {sweep::MeasureKind::Availability, sweep::DisasterKind::None, 1.0, {}},
-        {sweep::MeasureKind::Availability, sweep::DisasterKind::None, 1.0, {}},  // dup
-        {sweep::MeasureKind::SteadyStateCost, sweep::DisasterKind::None, 1.0, {}},
+        measure_spec(MeasureKind::Availability),
+        measure_spec(MeasureKind::Availability),  // dup
+        measure_spec(MeasureKind::SteadyStateCost),
     };
     const auto items = sweep::expand(grid);
     EXPECT_EQ(items.size(), 2u * 2u * 2u);  // duplicate measure dropped
@@ -50,8 +54,8 @@ TEST(ScenarioGrid, MixedDisasterIsPrunedOffLine1NotAnError) {
     sweep::ScenarioGrid grid;
     grid.lines = {1, 2};
     grid.strategies = {"DED"};
-    grid.measures = {{sweep::MeasureKind::Survivability, sweep::DisasterKind::Mixed,
-                      1.0 / 3.0, {0.0, 1.0}}};
+    grid.measures = {measure_spec(MeasureKind::Survivability, DisasterKind::Mixed,
+                                  1.0 / 3.0, {0.0, 1.0})};
     const auto items = sweep::expand(grid);
     ASSERT_EQ(items.size(), 1u);
     EXPECT_EQ(items.front().line, 2);
@@ -67,18 +71,18 @@ TEST(ScenarioGrid, MalformedSpecsThrowEagerly) {
     EXPECT_THROW((void)sweep::expand(grid), arcade::InvalidArgument);
 
     grid = table2_line2_ded();
-    grid.measures = {{sweep::MeasureKind::Survivability, sweep::DisasterKind::Mixed,
-                      1.0 / 3.0, {}}};  // series without a time grid
+    grid.measures = {measure_spec(MeasureKind::Survivability, DisasterKind::Mixed,
+                                  1.0 / 3.0, {})};  // series without a time grid
     EXPECT_THROW((void)sweep::expand(grid), arcade::InvalidArgument);
 
     grid = table2_line2_ded();
-    grid.measures = {{sweep::MeasureKind::Survivability, sweep::DisasterKind::Mixed,
-                      1.0 / 3.0, {2.0, 1.0}}};  // descending grid
+    grid.measures = {measure_spec(MeasureKind::Survivability, DisasterKind::Mixed,
+                                  1.0 / 3.0, {2.0, 1.0})};  // descending grid
     EXPECT_THROW((void)sweep::expand(grid), arcade::InvalidArgument);
 
     grid = table2_line2_ded();
-    grid.measures = {{sweep::MeasureKind::Reliability, sweep::DisasterKind::AllPumps, 1.0,
-                      {0.0, 1.0}}};  // reliability cannot take a disaster
+    grid.measures = {measure_spec(MeasureKind::Reliability, DisasterKind::AllPumps, 1.0,
+                                  {0.0, 1.0})};  // reliability cannot take a disaster
     EXPECT_THROW((void)sweep::expand(grid), arcade::InvalidArgument);
 
     grid = table2_line2_ded();
@@ -121,8 +125,8 @@ TEST(SweepRunner, SurvivabilitySeriesMatchesDirectEvaluation) {
     sweep::ScenarioGrid grid;
     grid.lines = {2};
     grid.strategies = {"FRF-1"};
-    grid.measures = {{sweep::MeasureKind::Survivability, sweep::DisasterKind::Mixed,
-                      1.0 / 3.0, times}};
+    grid.measures = {measure_spec(MeasureKind::Survivability, DisasterKind::Mixed,
+                                  1.0 / 3.0, times)};
     sweep::SweepRunner runner(session);
     const auto report = runner.run(grid);
     ASSERT_EQ(report.results.size(), 1u);
@@ -140,9 +144,9 @@ TEST(SweepRunner, ResultsAreDeterministicAcrossThreadCounts) {
     grid.lines = {1, 2};
     grid.strategies = {"DED", "FRF-1", "FFF-2"};
     grid.measures = {
-        {sweep::MeasureKind::Availability, sweep::DisasterKind::None, 1.0, {}},
-        {sweep::MeasureKind::Survivability, sweep::DisasterKind::AllPumps, 1.0 / 3.0,
-         times},
+        measure_spec(MeasureKind::Availability),
+        measure_spec(MeasureKind::Survivability, DisasterKind::AllPumps, 1.0 / 3.0,
+                     times),
     };
     engine::AnalysisSession serial_session;
     sweep::SweepRunner serial(serial_session, {1u, {}});
@@ -163,8 +167,8 @@ TEST(SweepRunner, SharedPrefixesCompileOnceAndRepeatSweepsHitCache) {
     grid.lines = {2};
     grid.strategies = {"DED", "FRF-1"};
     grid.measures = {
-        {sweep::MeasureKind::Availability, sweep::DisasterKind::None, 1.0, {}},
-        {sweep::MeasureKind::SteadyStateCost, sweep::DisasterKind::None, 1.0, {}},
+        measure_spec(MeasureKind::Availability),
+        measure_spec(MeasureKind::SteadyStateCost),
     };
     sweep::SweepRunner runner(session);
     const auto first = runner.run(grid);
@@ -189,8 +193,8 @@ TEST(SweepExport, CsvAndJsonCarryEveryPointAndTheCounters) {
     grid.lines = {2};
     grid.strategies = {"DED"};
     grid.measures = {
-        {sweep::MeasureKind::Availability, sweep::DisasterKind::None, 1.0, {}},
-        {sweep::MeasureKind::Survivability, sweep::DisasterKind::Mixed, 1.0 / 3.0, times},
+        measure_spec(MeasureKind::Availability),
+        measure_spec(MeasureKind::Survivability, DisasterKind::Mixed, 1.0 / 3.0, times),
     };
     sweep::SweepRunner runner(session);
     const auto report = runner.run(grid);
@@ -237,7 +241,7 @@ TEST(ScenarioGrid, VariantAxisSweepsEncodingsAsDistinctCells) {
     grid.lines = {2};
     grid.strategies = {"DED"};
     grid.variants = {sweep::individual_variant(), sweep::lumped_variant()};
-    grid.measures = {{sweep::MeasureKind::StateSpace, sweep::DisasterKind::None, 1.0, {}}};
+    grid.measures = {measure_spec(MeasureKind::StateSpace)};
     const auto items = sweep::expand(grid);
     ASSERT_EQ(items.size(), 2u);
     EXPECT_EQ(items[0].variant.name, "individual");
@@ -252,7 +256,7 @@ TEST(ScenarioGrid, VariantAxisSweepsEncodingsAsDistinctCells) {
 
     // A state-space cell with a disaster is meaningless, not prunable.
     grid.variants = {sweep::lumped_variant()};
-    grid.measures = {{sweep::MeasureKind::StateSpace, sweep::DisasterKind::Mixed, 1.0, {}}};
+    grid.measures = {measure_spec(MeasureKind::StateSpace, DisasterKind::Mixed, 1.0, {})};
     EXPECT_THROW((void)sweep::expand(grid), arcade::InvalidArgument);
 }
 
@@ -262,7 +266,7 @@ TEST(SweepRunner, StateSpaceMeasureReportsTheCompiledModelSizes) {
     grid.lines = {2};
     grid.strategies = {"DED"};
     grid.variants = {sweep::individual_variant(), sweep::lumped_variant()};
-    grid.measures = {{sweep::MeasureKind::StateSpace, sweep::DisasterKind::None, 1.0, {}}};
+    grid.measures = {measure_spec(MeasureKind::StateSpace)};
     sweep::RunnerOptions full;  // the cells pin Table 1's full sizes
     full.symmetry = core::SymmetryPolicy::Off;
     sweep::SweepRunner runner(session, full);
@@ -295,7 +299,7 @@ TEST(SweepRunner, NoRepairVariantCompilesTheStrippedModel) {
     grid.lines = {2};
     grid.strategies = {"DED"};
     grid.variants = {{"norepair", core::Encoding::Lumped, false}};
-    grid.measures = {{sweep::MeasureKind::StateSpace, sweep::DisasterKind::None, 1.0, {}}};
+    grid.measures = {measure_spec(MeasureKind::StateSpace)};
     sweep::SweepRunner runner(session);
     const auto report = runner.run(grid);
     ASSERT_EQ(report.results.size(), 1u);
@@ -355,10 +359,10 @@ TEST(ShardSlice, ShardCsvsConcatenateByteIdenticallyForOneTwoThreeShards) {
     grid.strategies = {"DED", "FRF-1"};
     grid.variants = {sweep::lumped_variant(), sweep::individual_variant()};
     grid.measures = {
-        {sweep::MeasureKind::Availability, sweep::DisasterKind::None, 1.0, {}},
-        {sweep::MeasureKind::StateSpace, sweep::DisasterKind::None, 1.0, {}},
-        {sweep::MeasureKind::Survivability, sweep::DisasterKind::AllPumps, 1.0 / 3.0,
-         arcade::time_grid(5.0, 6)},
+        measure_spec(MeasureKind::Availability),
+        measure_spec(MeasureKind::StateSpace),
+        measure_spec(MeasureKind::Survivability, DisasterKind::AllPumps, 1.0 / 3.0,
+                     arcade::time_grid(5.0, 6)),
     };
 
     engine::AnalysisSession unsharded_session;
@@ -437,7 +441,7 @@ TEST(SweepExport, CsvAndJsonEscapingRoundTripsHostileNames) {
     sweep::ParameterSet nasty;
     nasty.name = "mttr,\"x10\"\nfast";
     grid.parameters = {nasty};
-    grid.measures = {{sweep::MeasureKind::Availability, sweep::DisasterKind::None, 1.0, {}}};
+    grid.measures = {measure_spec(MeasureKind::Availability)};
     sweep::SweepRunner runner(session);
     const auto report = runner.run(grid);
 
@@ -458,7 +462,7 @@ TEST(SweepRunner, ParameterPerturbationsAreDistinctCells) {
     slow_repair.name = "pump-mttr-x10";
     slow_repair.params.pump_mttr = 10.0;
     grid.parameters = {sweep::ParameterSet{}, slow_repair};
-    grid.measures = {{sweep::MeasureKind::Availability, sweep::DisasterKind::None, 1.0, {}}};
+    grid.measures = {measure_spec(MeasureKind::Availability)};
     sweep::SweepRunner runner(session);
     const auto report = runner.run(grid);
     ASSERT_EQ(report.results.size(), 2u);
@@ -533,14 +537,14 @@ TEST(SweepRunner, BatchedRunIsByteIdenticalToSequentialRun) {
     grid.lines = {2};
     grid.strategies = {"FRF-1"};
     grid.measures = {
-        {sweep::MeasureKind::Survivability, sweep::DisasterKind::AllPumps, 1.0 / 3.0,
-         times},
-        {sweep::MeasureKind::Survivability, sweep::DisasterKind::Mixed, 1.0 / 3.0, times},
-        {sweep::MeasureKind::InstantaneousCost, sweep::DisasterKind::AllPumps, 1.0, times},
-        {sweep::MeasureKind::InstantaneousCost, sweep::DisasterKind::Mixed, 1.0, times},
+        measure_spec(MeasureKind::Survivability, DisasterKind::AllPumps, 1.0 / 3.0,
+                     times),
+        measure_spec(MeasureKind::Survivability, DisasterKind::Mixed, 1.0 / 3.0, times),
+        measure_spec(MeasureKind::InstantaneousCost, DisasterKind::AllPumps, 1.0, times),
+        measure_spec(MeasureKind::InstantaneousCost, DisasterKind::Mixed, 1.0, times),
         // A different level does NOT fuse with the first pair (different
         // until-transform) and, alone, demotes to the solo path.
-        {sweep::MeasureKind::Survivability, sweep::DisasterKind::Mixed, 2.0 / 3.0, times},
+        measure_spec(MeasureKind::Survivability, DisasterKind::Mixed, 2.0 / 3.0, times),
     };
 
     engine::AnalysisSession off_session;

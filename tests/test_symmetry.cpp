@@ -376,8 +376,7 @@ TEST(SweepSymmetry, SymmetryCountersRideTheExports) {
     grid.lines = {2};
     grid.strategies = {"FRF-1"};
     grid.variants = {sweep::individual_variant()};
-    grid.measures = {{sweep::MeasureKind::Availability, sweep::DisasterKind::None, 1.0,
-                      {}}};
+    grid.measures = {sweep::measure_spec(sweep::MeasureKind::Availability)};
     sweep::RunnerOptions options;
     options.symmetry = core::SymmetryPolicy::Auto;
     sweep::SweepRunner runner(session, options);
