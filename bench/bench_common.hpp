@@ -1,5 +1,5 @@
 // Shared helpers for the experiment harnesses (one binary per paper
-// table/figure; see DESIGN.md's experiment index).
+// table/figure; README.md's artefact table maps each to its sweep spec).
 //
 // Every harness funnels its compilations through the process-wide
 // engine::AnalysisSession, so a figure looping over the five strategies

@@ -1,14 +1,15 @@
-// Batched multi-vector transient evolution vs sequential single-vector
-// evolution, on the paper's Line-2 individual encoding (8129 states, the
-// chain behind the Disaster-2 figures) over the Figs 4–6 time grid.
+// Batched multi-vector series evaluation vs sequential single-vector
+// passes, on the paper's Line-2 individual encoding (8129 states, the chain
+// behind the Disaster-2 figures) over the Figs 4–6 time grid.
 //
 // Each width-w pair answers the fusion pass's core question: is ONE
-// BatchTransientEvolver over a w-column block faster than w independent
-// TransientEvolvers walking the same grid?  The batch amortises each
-// traversal of the uniformised matrix across the block while keeping
-// every column bitwise identical to its sequential twin (asserted
-// by test_ctmc / test_linalg), so the speedup here is pure bandwidth —
-// no accuracy is traded.  Width 1 measures the batch engine's overhead on
+// ctmc::functional_series_batch pass over a w-column block faster than w
+// independent ctmc::functional_series passes over the same grid?  Both read
+// the instantaneous cost rate off every power of P.  The batch amortises
+// each traversal of the uniformised matrix across the block while keeping
+// every column bitwise identical to its sequential twin (asserted by
+// test_ctmc / test_linalg), so the speedup here is pure bandwidth — no
+// accuracy is traded.  Width 1 measures the batch engine's overhead on
 // degenerate blocks (the reason singleton groups are demoted to the solo
 // path in sweep::SweepRunner).
 //
@@ -20,17 +21,20 @@
 
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "bench_json.hpp"
 #include "ctmc/transient.hpp"
 #include "ctmc/transient_batch.hpp"
+#include "linalg/vector_ops.hpp"
 #include "support/series.hpp"
 #include "watertree/watertree.hpp"
 
 namespace core = arcade::core;
 namespace ctmc = arcade::ctmc;
+namespace linalg = arcade::linalg;
 namespace wt = arcade::watertree;
 
 namespace {
@@ -47,11 +51,18 @@ const std::vector<double>& grid() {
     return times;
 }
 
-/// Evolved state-points per iteration: states × columns × grid steps, the
-/// common work unit of both harness halves (reported as col_states/s).
-double work(std::size_t states, std::size_t width) {
-    return static_cast<double>(states) * static_cast<double>(width) *
-           static_cast<double>(grid().size());
+/// The instantaneous cost rate, the functional both halves read per power.
+double cost_rate(std::span<const double> dist) {
+    return linalg::dot(dist, line2_frf1()->cost_reward().state_rates());
+}
+
+/// Evolved state-points per iteration: states × columns × powers of P (the
+/// grid's last right Fox–Glynn point, plus P^0), the common work unit of
+/// both harness halves (reported as col_states/s).
+double work(const ctmc::Ctmc& chain, std::size_t width) {
+    const ctmc::SeriesGrid series(ctmc::uniformise(chain).lambda, grid(), 1e-12);
+    return static_cast<double>(chain.state_count()) * static_cast<double>(width) *
+           static_cast<double>(series.steps() + 1);
 }
 
 void BM_TransientSequential(benchmark::State& state, std::size_t width) {
@@ -60,17 +71,19 @@ void BM_TransientSequential(benchmark::State& state, std::size_t width) {
     const auto initial = model->disaster_distribution(wt::disaster2());
     double sink = 0.0;
     for (auto _ : state) {
+        // Each pass uniformises the chain, as every per-cell measure does.
         for (std::size_t c = 0; c < width; ++c) {
-            ctmc::TransientEvolver evolver(model->chain(), initial, bench::transient());
-            for (const double t : grid()) evolver.advance_to(t);
-            sink += evolver.distribution()[0];
+            sink += ctmc::functional_series(ctmc::uniformise(model->chain()), initial, grid(),
+                                            ctmc::SeriesForm::Instantaneous, cost_rate,
+                                            bench::transient())
+                        .back();
         }
         benchmark::DoNotOptimize(sink);
     }
     state.counters["states"] = static_cast<double>(model->state_count());
     state.counters["width"] = static_cast<double>(width);
     state.counters["col_states/s"] = benchmark::Counter(
-        work(model->state_count(), width), benchmark::Counter::kIsIterationInvariantRate);
+        work(model->chain(), width), benchmark::Counter::kIsIterationInvariantRate);
 }
 
 void BM_TransientBatched(benchmark::State& state, std::size_t width) {
@@ -80,15 +93,17 @@ void BM_TransientBatched(benchmark::State& state, std::size_t width) {
         width, model->disaster_distribution(wt::disaster2()));
     double sink = 0.0;
     for (auto _ : state) {
-        ctmc::BatchTransientEvolver evolver(model->chain(), columns, bench::transient());
-        for (const double t : grid()) evolver.advance_to(t);
-        sink += evolver.block()[0];
+        sink += ctmc::functional_series_batch(model->chain(), columns, grid(),
+                                              ctmc::SeriesForm::Instantaneous, cost_rate,
+                                              bench::transient())
+                    .front()
+                    .back();
         benchmark::DoNotOptimize(sink);
     }
     state.counters["states"] = static_cast<double>(model->state_count());
     state.counters["width"] = static_cast<double>(width);
     state.counters["col_states/s"] = benchmark::Counter(
-        work(model->state_count(), width), benchmark::Counter::kIsIterationInvariantRate);
+        work(model->chain(), width), benchmark::Counter::kIsIterationInvariantRate);
 }
 
 BENCHMARK_CAPTURE(BM_TransientSequential, l2_w1, 1)->Unit(benchmark::kMillisecond);

@@ -4,7 +4,8 @@
 // reactive-modules translation, single-threaded so the numbers isolate
 // per-state evaluation cost), and the scalar vs blocked vs SIMD CSR kernels
 // on the matvec shapes the numeric core runs (distribution propagation,
-// backward gather, uniformised step).  All comparisons are between
+// backward gather, uniformised step), plus one survivability series cell
+// timed end to end.  All kernel comparisons are between
 // bitwise-identical computations — the speedup is pure evaluation
 // mechanics, never a numerics change (asserted by test_eval_rewire).
 //
@@ -24,6 +25,7 @@
 #include "arcade/modules_compiler.hpp"
 #include "bench_common.hpp"
 #include "bench_json.hpp"
+#include "ctmc/bounded_until.hpp"
 #include "expr/codegen.hpp"
 #include "expr/vm.hpp"
 #include "linalg/kernels.hpp"
@@ -31,6 +33,7 @@
 #include "watertree/watertree.hpp"
 
 namespace core = arcade::core;
+namespace ctmc = arcade::ctmc;
 namespace expr = arcade::expr;
 namespace linalg = arcade::linalg;
 namespace modules = arcade::modules;
@@ -181,6 +184,38 @@ BENCHMARK_CAPTURE(BM_MatvecRight, simd, linalg::KernelMode::Simd);
 BENCHMARK(BM_UniformisedLeft);
 BENCHMARK(BM_UniformisedRight);
 BENCHMARK(BM_UniformisedLeftOnTheFly);
+
+// ---------------------------------------------------------------------------
+// One survivability series cell end to end: line-1 FRF-1, individual
+// encoding (111809 states), Disaster 1, service >= 1/3 on the Fig 4 grid
+// {0, 0.05, ..., 4.5} through bounded_until_series.  The cell is one
+// uniformisation pass: `steps` powers of P, the right Fox–Glynn point of
+// the grid's last time, for all 91 points.
+// ---------------------------------------------------------------------------
+
+void BM_SurvivabilityCellFig4(benchmark::State& state) {
+    bench::stamp_build_type(state);
+    const auto model = bench::compile_individual(wt::line1(wt::strategy("FRF-1")));
+    const auto initial = model->disaster_distribution(wt::disaster1(model->model()));
+    const std::vector<bool> phi(model->state_count(), true);
+    const std::vector<bool> psi = model->service_at_least(1.0 / 3.0);
+    const std::vector<double> times = arcade::time_grid(4.5, 91);
+    double last = 0.0;
+    for (auto _ : state) {
+        last = ctmc::bounded_until_series(model->chain(), initial, phi, psi, times,
+                                          bench::transient())
+                   .back();
+        benchmark::DoNotOptimize(last);
+    }
+    const double lambda = linalg::uniformisation_rate(model->chain().max_exit_rate(psi));
+    state.counters["states"] = static_cast<double>(model->state_count());
+    state.counters["grid_points"] = static_cast<double>(times.size());
+    state.counters["steps"] =
+        static_cast<double>(ctmc::SeriesGrid(lambda, times, 1e-12).steps());
+    state.counters["survivability"] = last;
+}
+
+BENCHMARK(BM_SurvivabilityCellFig4)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

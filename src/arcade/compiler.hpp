@@ -66,13 +66,13 @@ using engine::SymmetryPolicy;
 using engine::default_symmetry_policy;
 
 /// Whether the sweep runner fuses cells that share a chain and time grid
-/// into one batched uniformisation (ctmc::BatchTransientEvolver over the
+/// into one batched uniformisation (ctmc::functional_series_batch over the
 /// multi-RHS kernels).
-///   Off  — every cell walks its grid with its own TransientEvolver.
+///   Off  — every cell runs its own ctmc::functional_series pass.
 ///   Auto — fusible cells (survivability and instantaneous cost, whose
 ///          initial distributions become the batch columns) are evolved as
-///          one CSR×dense-block product per step.  Batched columns are
-///          bitwise identical to the single-vector evolution, so every
+///          one CSR×dense-block product per power of P.  Batched columns
+///          are bitwise identical to the single-vector pass, so every
 ///          exported byte is the same under either policy.
 enum class BatchPolicy { Off, Auto };
 

@@ -24,15 +24,6 @@ std::vector<bool> until_absorbing(const Ctmc& chain, const std::vector<bool>& ph
     return absorbing;
 }
 
-/// The transient evolver over the until-transformed chain, uniformised
-/// straight from `chain` and the absorbing mask (no transformed copy).
-TransientEvolver until_evolver(const Ctmc& chain, std::span<const double> initial,
-                               const std::vector<bool>& phi, const std::vector<bool>& psi,
-                               const TransientOptions& options) {
-    const std::vector<bool> absorbing = until_absorbing(chain, phi, psi);
-    return TransientEvolver(uniformise(chain, &absorbing), initial, options);
-}
-
 }  // namespace
 
 Ctmc until_transform(const Ctmc& chain, const std::vector<bool>& phi,
@@ -52,9 +43,9 @@ double bounded_until_probability(const Ctmc& chain, std::span<const double> init
                                  const std::vector<bool>& phi, const std::vector<bool>& psi,
                                  double t, const TransientOptions& options) {
     ARCADE_ASSERT(t >= 0.0, "negative time");
-    TransientEvolver evolver = until_evolver(chain, initial, phi, psi, options);
-    evolver.advance_to(t);
-    return mass_in(evolver.distribution(), psi);
+    return bounded_until_series(chain, initial, phi, psi, std::span<const double>(&t, 1),
+                                options)
+        .front();
 }
 
 std::vector<double> bounded_until_series(const Ctmc& chain, std::span<const double> initial,
@@ -62,14 +53,10 @@ std::vector<double> bounded_until_series(const Ctmc& chain, std::span<const doub
                                          const std::vector<bool>& psi,
                                          std::span<const double> times,
                                          const TransientOptions& options) {
-    TransientEvolver evolver = until_evolver(chain, initial, phi, psi, options);
-    std::vector<double> out;
-    out.reserve(times.size());
-    for (double t : times) {
-        evolver.advance_to(t);
-        out.push_back(mass_in(evolver.distribution(), psi));
-    }
-    return out;
+    const std::vector<bool> absorbing = until_absorbing(chain, phi, psi);
+    return functional_series(
+        uniformise(chain, &absorbing), initial, times, SeriesForm::Instantaneous,
+        [&psi](std::span<const double> dist) { return mass_in(dist, psi); }, options);
 }
 
 std::vector<double> bounded_until_all_states(const Ctmc& chain, const std::vector<bool>& phi,

@@ -27,21 +27,24 @@ namespace arcade::ctmc {
                                    const std::vector<bool>& psi);
 
 /// Probability mass of `dist` inside `set`, summed in ascending state
-/// order — the exact reduction bounded_until_series applies per grid point
+/// order — the exact functional bounded_until_series applies per power of P
 /// (exposed for the same reason as until_transform).
 [[nodiscard]] double mass_in(std::span<const double> dist, const std::vector<bool>& set);
 
 /// P[Phi U<=t Psi] for every state as initial state... is expensive;
 /// this API computes it for one initial distribution, which is what the
-/// paper's measures need (GOOD models fix the disaster state).
+/// paper's measures need (GOOD models fix the disaster state).  It is the
+/// one-point bounded_until_series, so it equals that series' value at `t`
+/// bit for bit.
 [[nodiscard]] double bounded_until_probability(const Ctmc& chain,
                                                std::span<const double> initial,
                                                const std::vector<bool>& phi,
                                                const std::vector<bool>& psi, double t,
                                                const TransientOptions& options = {});
 
-/// The same probability evaluated on an ascending time grid, sharing the
-/// transformed chain and stepping the transient distribution.
+/// The same probability on a non-decreasing time grid: one
+/// functional_series pass of mass_in(·, psi) over the uniformised chain with
+/// the until-absorbing states masked.
 [[nodiscard]] std::vector<double> bounded_until_series(const Ctmc& chain,
                                                        std::span<const double> initial,
                                                        const std::vector<bool>& phi,

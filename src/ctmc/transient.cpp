@@ -5,34 +5,18 @@
 #include <string>
 
 #include "linalg/kernels.hpp"
-#include "numeric/fox_glynn.hpp"
 #include "support/errors.hpp"
 
 namespace arcade::ctmc {
 
 TransientEvolver::TransientEvolver(const Ctmc& chain, std::span<const double> initial,
                                    TransientOptions options)
-    : TransientEvolver(uniformise(chain), initial, options) {}
-
-TransientEvolver::TransientEvolver(linalg::UniformisedMatrix p,
-                                   std::span<const double> initial, TransientOptions options)
-    : p_(std::move(p)), options_(options), dist_(initial.begin(), initial.end()) {
-    const std::size_t n = p_.rows();
-    ARCADE_ASSERT(initial.size() == n, "initial size mismatch");
-    if (options_.workspace != nullptr) {
-        scratch_a_ = options_.workspace->acquire(n);
-        scratch_b_ = options_.workspace->acquire(n);
-    } else {
-        scratch_a_.assign(n, 0.0);
-        scratch_b_.assign(n, 0.0);
-    }
-}
-
-TransientEvolver::~TransientEvolver() {
-    if (options_.workspace != nullptr) {
-        options_.workspace->release(std::move(scratch_a_));
-        options_.workspace->release(std::move(scratch_b_));
-    }
+    : p_(uniformise(chain)),
+      options_(options),
+      dist_(initial.begin(), initial.end()),
+      scratch_a_(options.workspace, p_.rows()),
+      scratch_b_(options.workspace, p_.rows()) {
+    ARCADE_ASSERT(initial.size() == p_.rows(), "initial size mismatch");
 }
 
 void TransientEvolver::step(double dt) {
@@ -43,8 +27,8 @@ void TransientEvolver::step(double dt) {
     const auto weights = numeric::fox_glynn_cached(q, options_.epsilon);
 
     // result = sum_k w_k * dist * P^k
-    std::vector<double>& acc = scratch_a_;
-    std::vector<double>& cur = scratch_b_;
+    std::vector<double>& acc = scratch_a_.get();
+    std::vector<double>& cur = scratch_b_.get();
     std::fill(acc.begin(), acc.end(), 0.0);
     cur = dist_;
 
@@ -99,6 +83,77 @@ std::vector<std::vector<double>> transient_series(const Ctmc& chain,
         out.push_back(evolver.distribution());
     }
     return out;
+}
+
+SeriesGrid::SeriesGrid(double lambda, std::span<const double> times, double epsilon)
+    : lambda_(lambda) {
+    windows_.reserve(times.size());
+    double prev = 0.0;
+    for (const double t : times) {
+        if (t < prev - TransientEvolver::kTimeTolerance) {
+            throw InvalidArgument("time grid: t=" + std::to_string(t) +
+                                  " is before the previous grid point " +
+                                  std::to_string(prev) +
+                                  "; grid times must be non-decreasing");
+        }
+        if (!windows_.empty() && t <= prev) {
+            windows_.push_back(windows_.back());  // duplicate: clamp to prev
+            continue;
+        }
+        prev = std::max(prev, t);
+        windows_.push_back(numeric::fox_glynn_cached(lambda * prev, epsilon));
+        steps_ = std::max(steps_, windows_.back()->right);
+    }
+}
+
+std::vector<double> SeriesGrid::combine(std::span<const double> s, SeriesForm form) const {
+    ARCADE_ASSERT(s.size() > steps_, "SeriesGrid::combine: power sequence too short");
+    std::vector<double> out;
+    out.reserve(windows_.size());
+    for (const auto& w : windows_) {
+        double total = 0.0;
+        if (form == SeriesForm::Instantaneous) {
+            for (std::size_t k = w->left; k <= w->right; ++k) total += w->weight(k) * s[k];
+            out.push_back(total);
+            continue;
+        }
+        // Survival function of the Poisson, S_k = P(N > k) = 1 - F_k, from
+        // the normalised weights: every k below the window has S_k = 1.
+        double cdf = 0.0;
+        for (std::size_t k = 0; k <= w->right; ++k) {
+            cdf += w->weight(k);
+            const double survival = std::max(0.0, 1.0 - cdf);
+            if (survival > 0.0) total += survival * s[k];
+        }
+        out.push_back(total / lambda_);
+    }
+    return out;
+}
+
+std::vector<double> functional_series(const linalg::UniformisedMatrix& p,
+                                      std::span<const double> initial,
+                                      std::span<const double> times, SeriesForm form,
+                                      const DistributionFunctional& f,
+                                      const TransientOptions& options) {
+    const std::size_t n = p.rows();
+    ARCADE_ASSERT(initial.size() == n, "initial size mismatch");
+    const SeriesGrid grid(p.lambda, times, options.epsilon);
+
+    engine::ScratchVector cur_scratch(options.workspace, n);
+    engine::ScratchVector next_scratch(options.workspace, n);
+    std::vector<double>& cur = cur_scratch.get();
+    std::vector<double>& next = next_scratch.get();
+    std::copy(initial.begin(), initial.end(), cur.begin());
+
+    std::vector<double> s;
+    s.reserve(grid.steps() + 1);
+    for (std::size_t k = 0;; ++k) {
+        s.push_back(f(cur));
+        if (k == grid.steps()) break;
+        linalg::uniformised_multiply_left(p, cur, next);
+        std::swap(cur, next);
+    }
+    return grid.combine(s, form);
 }
 
 }  // namespace arcade::ctmc

@@ -1,23 +1,32 @@
 // Transient analysis of CTMCs by uniformisation with Fox–Glynn weights.
 //
-// Provides both a single-time solver and an incremental time-series solver
-// (stepping from grid point to grid point), which is what the figure
-// benchmarks use: stepping re-uses the distribution at the previous grid
-// point, so a 200-point curve costs a few thousand sparse matrix-vector
-// products instead of hundreds of thousands.
+// Every curve the paper plots is a scalar functional of the transient
+// distribution: mass in a set (survivability, reliability) or a dot product
+// with reward rates (instantaneous and accumulated cost).  functional_series
+// evaluates such a curve from ONE power sequence s_k = f(initial · P^k),
+// k = 0 … K, where K is the right Fox–Glynn point of the grid's last time;
+// each grid point then weights that sequence with its own Poisson window.
+// A 101-point curve costs K + 1 sparse matrix-vector products — the same
+// as a single solve at its last time point.
+//
+// TransientEvolver and transient_distribution/transient_series return whole
+// distributions and step from grid point to grid point.
 #ifndef ARCADE_CTMC_TRANSIENT_HPP
 #define ARCADE_CTMC_TRANSIENT_HPP
 
+#include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "ctmc/ctmc.hpp"
 #include "engine/workspace.hpp"
+#include "numeric/fox_glynn.hpp"
 
 namespace arcade::ctmc {
 
 struct TransientOptions {
-    double epsilon = 1e-12;  ///< Fox–Glynn truncation error per solve/step
+    double epsilon = 1e-12;  ///< Fox–Glynn truncation error per grid point
     /// When set, uniformisation scratch vectors are borrowed from (and
     /// returned to) this pool instead of being allocated per evolver —
     /// an AnalysisSession passes its pool here so repeated curve
@@ -44,11 +53,6 @@ class TransientEvolver {
 public:
     TransientEvolver(const Ctmc& chain, std::span<const double> initial,
                      TransientOptions options = {});
-    /// Evolves over an already uniformised chain (e.g. ctmc::uniformise with
-    /// an absorbing mask).
-    TransientEvolver(linalg::UniformisedMatrix p, std::span<const double> initial,
-                     TransientOptions options = {});
-    ~TransientEvolver();
     TransientEvolver(const TransientEvolver&) = delete;
     TransientEvolver& operator=(const TransientEvolver&) = delete;
 
@@ -69,12 +73,57 @@ private:
     linalg::UniformisedMatrix p_;
     TransientOptions options_;
     std::vector<double> dist_;
-    std::vector<double> scratch_a_;  ///< pool-borrowed when options_.workspace
-    std::vector<double> scratch_b_;
+    engine::ScratchVector scratch_a_;  ///< pool-borrowed when options_.workspace
+    engine::ScratchVector scratch_b_;
     double time_ = 0.0;
 
     void step(double dt);
 };
+
+/// How a grid value is formed from the power sequence s_k = f(initial · P^k).
+enum class SeriesForm {
+    Instantaneous,  ///< f(π_t) = Σ_k pois(k; λt) · s_k
+    Accumulated,    ///< ∫_0^t f(π_u) du = (1/λ) Σ_k P(N_λt > k) · s_k
+};
+
+/// The Fox–Glynn window of every point of a time grid at uniformisation rate
+/// `lambda`, with TransientEvolver's grid semantics: a point within
+/// kTimeTolerance below its predecessor is a duplicate and clamps to it (the
+/// same window, hence the same value); an earlier one throws
+/// InvalidArgument.  t = 0 has the window {1} at k = 0, so its instantaneous
+/// value is s_0 = f(initial) and its accumulated value 0.
+class SeriesGrid {
+public:
+    SeriesGrid(double lambda, std::span<const double> times, double epsilon);
+
+    /// K: the highest power any grid point reads, so s_0 … s_K are needed.
+    [[nodiscard]] std::size_t steps() const noexcept { return steps_; }
+
+    /// The grid values from s_0 … s_K.  Each point depends only on its own
+    /// window and s, never on the other points of the grid.
+    [[nodiscard]] std::vector<double> combine(std::span<const double> s,
+                                              SeriesForm form) const;
+
+private:
+    double lambda_;
+    std::vector<std::shared_ptr<const numeric::PoissonWeights>> windows_;
+    std::size_t steps_ = 0;
+};
+
+/// A scalar functional of a distribution (mass in a set, reward dot product).
+using DistributionFunctional = std::function<double(std::span<const double>)>;
+
+/// f(π_t) (or ∫_0^t f(π_u) du) at every point of the non-decreasing grid
+/// `times`, from one pass of s_k = f(initial · P^k) up to the grid's largest
+/// right window point.  The pass's two scratch vectors are borrowed from
+/// `options.workspace`.  A one-point grid {t} gives bitwise the value the
+/// same point has on any longer grid.
+[[nodiscard]] std::vector<double> functional_series(const linalg::UniformisedMatrix& p,
+                                                    std::span<const double> initial,
+                                                    std::span<const double> times,
+                                                    SeriesForm form,
+                                                    const DistributionFunctional& f,
+                                                    const TransientOptions& options = {});
 
 }  // namespace arcade::ctmc
 

@@ -1,15 +1,17 @@
 // Batched transient analysis: one uniformisation drives a whole block of
 // distributions.
 //
-// A BatchTransientEvolver evolves `width` distributions over the same chain
-// through ONE Fox–Glynn weight sequence per step, using the multi-RHS
-// CSR×dense-block kernels so each traversal of the uniformised matrix is
-// amortised across the block.  The block is row-major —
-// column c of state s lives at block()[s*width + c] — and every column is
-// advanced with exactly the arithmetic a single-column TransientEvolver
-// would perform, so column c stays bitwise identical to evolving that
-// initial vector alone.  This is what lets the sweep runner fuse cells that
-// share a chain and time grid without perturbing a single output byte.
+// A BatchTransientEvolver steps `width` distributions over the same chain
+// through powers of ONE uniformised matrix, using the multi-RHS
+// CSR×dense-block kernel so each traversal of P is amortised across the
+// block.  The block is row-major — column c of state s lives at
+// [s*width + c] — and every power step advances each column with
+// exactly the arithmetic uniformised_multiply_left performs on that column
+// alone.  functional_series_batch reads a functional off every column per
+// power and combines it with functional_series' own grid code, so column c
+// of its result is bitwise the single-vector series.  This is what lets the
+// sweep runner fuse cells that share a chain and time grid without
+// perturbing a single output byte.
 #ifndef ARCADE_CTMC_TRANSIENT_BATCH_HPP
 #define ARCADE_CTMC_TRANSIENT_BATCH_HPP
 
@@ -21,10 +23,8 @@
 
 namespace arcade::ctmc {
 
-/// Incremental uniformisation over a row-major block of distributions.
-/// Construct once per (chain, columns), then call advance_to() with
-/// non-decreasing times — the same protocol as TransientEvolver, with the
-/// same kTimeTolerance duplicate/backwards semantics.
+/// Powers of the uniformised chain applied to a row-major block of
+/// distributions.
 class BatchTransientEvolver {
 public:
     /// `columns[c]` is the initial distribution of column c; every column
@@ -32,38 +32,32 @@ public:
     BatchTransientEvolver(const Ctmc& chain,
                           std::span<const std::vector<double>> columns,
                           TransientOptions options = {});
-    ~BatchTransientEvolver();
-    BatchTransientEvolver(const BatchTransientEvolver&) = delete;
-    BatchTransientEvolver& operator=(const BatchTransientEvolver&) = delete;
 
-    /// Advances every column to absolute time `t` (TransientEvolver
-    /// semantics: duplicates within kTimeTolerance are a no-op, genuinely
-    /// decreasing times throw InvalidArgument).
-    void advance_to(double t);
+    /// block ← block · P: column c becomes uniformised_multiply_left(P,
+    /// column c) bit for bit.
+    void power_step();
 
     [[nodiscard]] std::size_t width() const noexcept { return width_; }
-    [[nodiscard]] double time() const noexcept { return time_; }
-
-    /// The current row-major block: state s, column c at [s*width() + c].
-    [[nodiscard]] const std::vector<double>& block() const noexcept { return block_; }
+    /// The uniformisation rate of P (uniformise(chain).lambda).
+    [[nodiscard]] double lambda() const noexcept { return p_.lambda; }
 
     /// Copies column c into `out` (`out.size()` must be state_count()).
     void extract_column(std::size_t c, std::span<double> out) const;
 
-    /// Column c as a fresh vector (convenience over extract_column).
-    [[nodiscard]] std::vector<double> column(std::size_t c) const;
-
 private:
-    linalg::UniformisedMatrix p_;  ///< uniformise(chain), as TransientEvolver
-    TransientOptions options_;
+    linalg::UniformisedMatrix p_;    ///< uniformise(chain)
     std::size_t width_;
-    std::vector<double> block_;
-    std::vector<double> scratch_a_;  ///< pool-borrowed when options_.workspace
-    std::vector<double> scratch_b_;
-    double time_ = 0.0;
-
-    void step(double dt);
+    engine::ScratchVector block_;    ///< pool-borrowed when options.workspace
+    engine::ScratchVector scratch_;
 };
+
+/// functional_series(uniformise(chain), columns[c], times, form, f, options)
+/// for every column, from one batched power pass: result[c] is bitwise that
+/// single-vector series.
+[[nodiscard]] std::vector<std::vector<double>> functional_series_batch(
+    const Ctmc& chain, std::span<const std::vector<double>> columns,
+    std::span<const double> times, SeriesForm form, const DistributionFunctional& f,
+    const TransientOptions& options = {});
 
 }  // namespace arcade::ctmc
 

@@ -85,8 +85,8 @@ struct SessionStats {
     std::size_t codegen_cache_hits = 0;
     std::size_t codegen_fallbacks = 0;
     /// Batched transient evolution (sweep fusion pass, ARCADE_BATCH=auto):
-    /// sweep cells that were evolved inside a fused batch instead of with
-    /// their own TransientEvolver, distinct distribution columns those
+    /// sweep cells that were evaluated inside a fused batch instead of by
+    /// their own uniformisation pass, distinct distribution columns those
     /// batches carried, and the wall seconds spent inside batch evaluation.
     /// All zero under BatchPolicy::Off.
     std::size_t batch_cells_fused = 0;

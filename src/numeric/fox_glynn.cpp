@@ -122,7 +122,10 @@ struct FoxGlynnCache {
     std::list<std::pair<CacheKey, std::shared_ptr<const PoissonWeights>>> lru;
     std::map<CacheKey, decltype(lru)::iterator> index;
     FoxGlynnCacheStats stats;
-    static constexpr std::size_t kCapacity = 64;
+    // Each series cell asks for one window per grid point (91–101 distinct
+    // q on the paper's grids); one pass of the paper's grid asks for ~1700
+    // distinct windows, about 1 MB of weights.
+    static constexpr std::size_t kCapacity = 2048;
 };
 
 FoxGlynnCache& cache() {

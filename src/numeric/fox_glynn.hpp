@@ -33,11 +33,11 @@ struct PoissonWeights {
 /// ConvergenceError instead of silently returning under-covering weights.
 [[nodiscard]] PoissonWeights fox_glynn(double q, double epsilon);
 
-/// fox_glynn through a small process-wide LRU cache keyed by the exact bit
-/// patterns of (q, epsilon).  Uniformisation walks a fixed time grid, so
-/// every step of every sweep cell over the same chain asks for the same
-/// (lambda·dt, epsilon) pair — the cache turns those recomputations into a
-/// shared lookup.  Cached weights are the same values fox_glynn would
+/// fox_glynn through a process-wide LRU cache keyed by the exact bit
+/// patterns of (q, epsilon).  A series pass asks for one window per grid
+/// point, and every sweep cell over the same chain and time grid asks for
+/// the same (lambda·t, epsilon) pairs — the cache turns those
+/// recomputations into a shared lookup.  Cached weights are the same values fox_glynn would
 /// return (same computation, run once), so byte-identity of every consumer
 /// is preserved.  ConvergenceError is propagated, never cached.
 /// Thread-safe; callers keep the result alive via the shared_ptr even if

@@ -7,7 +7,10 @@
 // Accumulated rewards use the uniformisation identity
 //   E[∫_0^t rho(X_s) ds] = (1/L) * sum_k (1 - F_k(Lt)) * (pi_0 P^k) · rho
 // where F_k is the Poisson cdf at rate Lt (Tijms & Veldman / standard
-// Markov-reward uniformisation).
+// Markov-reward uniformisation).  Both transient measures are
+// ctmc::functional_series passes of (pi_0 P^k) · rho, so a whole grid costs
+// one power sequence up to its last time point, and a single-time value is
+// the one-point series (bitwise the series value at that time).
 #ifndef ARCADE_REWARDS_REWARDS_HPP
 #define ARCADE_REWARDS_REWARDS_HPP
 
@@ -41,7 +44,8 @@ private:
                                           const RewardStructure& reward, double t,
                                           const ctmc::TransientOptions& options = {});
 
-/// Instantaneous reward on an ascending time grid (shared evolver).
+/// Instantaneous reward on a non-decreasing time grid (one uniformisation
+/// pass; TransientEvolver's duplicate/decreasing grid semantics).
 [[nodiscard]] std::vector<double> instantaneous_reward_series(
     const ctmc::Ctmc& chain, std::span<const double> initial, const RewardStructure& reward,
     std::span<const double> times, const ctmc::TransientOptions& options = {});
@@ -52,9 +56,8 @@ private:
                                         const RewardStructure& reward, double t,
                                         const ctmc::TransientOptions& options = {});
 
-/// Accumulated reward on an ascending time grid.  Increments are evaluated
-/// per grid interval from the evolving distribution, so the cost is
-/// comparable to one transient series.
+/// Accumulated reward on a non-decreasing time grid, every point read off
+/// the same power sequence as instantaneous_reward_series.
 [[nodiscard]] std::vector<double> accumulated_reward_series(
     const ctmc::Ctmc& chain, std::span<const double> initial, const RewardStructure& reward,
     std::span<const double> times, const ctmc::TransientOptions& options = {});

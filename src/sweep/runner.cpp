@@ -217,12 +217,12 @@ ScenarioResult evaluate(engine::AnalysisSession& session, const ScenarioGrid& gr
 // evolve the SAME matrix over the SAME time grid: same model key, same
 // measure class (survivability at one exact service level, or instantaneous
 // cost), same grid bits.  Their initial distributions — one per distinct
-// disaster — become the columns of one BatchTransientEvolver, whose columns
-// are bitwise identical to per-cell evolution, so fused cells export the
-// same bytes the per-cell path would.  Reliability keeps its own path (its
-// initial vector is the chain initial, never a second column),
-// AccumulatedCost interleaves a survival-weighted recurrence that is not a
-// plain transient evolution, and Property routes through the CSL checker.
+// disaster — become the columns of one ctmc::functional_series_batch pass,
+// whose per-column series are bitwise the per-cell series, so fused cells
+// export the same bytes the per-cell path would.  Reliability keeps its own
+// path (its initial vector is the chain initial, never a second column),
+// AccumulatedCost is not fused (no fusion plan covers it), and Property
+// routes through the CSL checker.
 // ---------------------------------------------------------------------------
 
 bool fusible(const WorkItem& item) {
@@ -298,22 +298,14 @@ void evaluate_batch(engine::AnalysisSession& session, const ScenarioGrid& grid,
         r.model_states = model->state_count();
         r.model_transitions = model->transition_count();
         r.model_full_states = model->symmetry_full_states();
-        r.values.clear();
-        r.values.reserve(first.measure.times.size());
     }
 
-    ctmc::BatchTransientEvolver evolver(*fused.chain, columns,
-                                        core::session_transient(session));
-    std::vector<double> column(fused.chain->state_count(), 0.0);
-    for (const double t : first.measure.times) {
-        evolver.advance_to(t);
-        for (std::size_t c = 0; c < plan.columns.size(); ++c) {
-            evolver.extract_column(c, column);
-            const double value = fused.reduce(column);
-            for (const std::size_t idx : plan.columns[c].cells) {
-                results[idx].values.push_back(value);
-            }
-        }
+    const auto series = ctmc::functional_series_batch(
+        *fused.chain, columns, first.measure.times, ctmc::SeriesForm::Instantaneous,
+        [&fused](std::span<const double> dist) { return fused.reduce(dist); },
+        core::session_transient(session));
+    for (std::size_t c = 0; c < plan.columns.size(); ++c) {
+        for (const std::size_t idx : plan.columns[c].cells) results[idx].values = series[c];
     }
 
     const double elapsed = now_seconds() - t0;

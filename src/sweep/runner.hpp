@@ -5,8 +5,8 @@
 //   1. every *unique* model prefix of the grid is compiled exactly once
 //      (through the session, so a repeated sweep — or a prefix another
 //      harness already compiled — is a pure cache hit);
-//   2. the measures evaluate in parallel, each series walking its whole
-//      time grid with a single TransientEvolver.
+//   2. the measures evaluate in parallel, each series reading its whole
+//      time grid off one uniformisation pass (ctmc::functional_series).
 //
 // Results land in deterministic grid order regardless of thread count or
 // steal pattern: workers write into a pre-sized slot per work item.  The
@@ -74,11 +74,12 @@ struct RunnerOptions {
     /// Batched multi-vector transient evolution (ARCADE_BATCH): under Auto
     /// the runner fuses survivability / instantaneous-cost cells that share
     /// a model, an evolution matrix and a time grid into one
-    /// BatchTransientEvolver (their disasters become the batch columns) and
-    /// scatters the per-column values back to their cells.  Batched columns
-    /// are bitwise identical to per-cell evolution, so exported CSVs are
-    /// byte-identical under either policy; the report's stats carry the
-    /// batch_cells_fused / batch_columns / batch_seconds counters.
+    /// ctmc::functional_series_batch pass (their disasters become the batch
+    /// columns) and scatters the per-column series back to their cells.
+    /// Batched columns are bitwise identical to per-cell evaluation, so
+    /// exported CSVs are byte-identical under either policy; the report's
+    /// stats carry the batch_cells_fused / batch_columns / batch_seconds
+    /// counters.
     core::BatchPolicy batch = core::default_batch_policy();
 };
 

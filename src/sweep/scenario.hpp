@@ -52,8 +52,8 @@ enum class DisasterKind {
 [[nodiscard]] std::string to_string(DisasterKind kind);
 
 /// One measure requested of every (line, strategy, parameters) cell.
-/// Scalar measures ignore `times`; series measures evaluate the whole grid
-/// with a single TransientEvolver (stepping point to point).
+/// Scalar measures ignore `times`; series measures read the whole grid off
+/// one uniformisation pass (ctmc::functional_series).
 struct MeasureSpec {
     MeasureKind kind = MeasureKind::Availability;
     DisasterKind disaster = DisasterKind::None;

@@ -12,6 +12,7 @@
 #include "ctmc/steady_state.hpp"
 #include "ctmc/transient.hpp"
 #include "ctmc/transient_batch.hpp"
+#include "linalg/kernels.hpp"
 #include "support/errors.hpp"
 
 namespace ctmc = arcade::ctmc;
@@ -294,15 +295,13 @@ TEST(Ctmc, ExitRatesAreCachedAtConstructionAndIgnoreDiagonal) {
 }
 
 // ---------------------------------------------------------------------------
-// BatchTransientEvolver: per-column bitwise identity with TransientEvolver.
-// The batch engine is only allowed to amortise structure (one matrix
-// traversal, one Fox–Glynn sequence per step) — never arithmetic, so every
-// column it carries must hold exactly the bytes a single-vector evolver
-// produces for that initial vector.  This is the property the sweep
-// runner's fusion pass (and the byte-identical-CSV guarantee) stands on.
+// The series pass: one power sequence s_k = f(initial · P^k) per curve, every
+// grid point weighted by its own Fox–Glynn window.
 // ---------------------------------------------------------------------------
 
 namespace {
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 
 bool same_column_bits(std::span<const double> a, std::span<const double> b) {
     return a.size() == b.size() &&
@@ -322,69 +321,225 @@ ctmc::Ctmc random_chain(std::mt19937& rng, std::size_t n) {
     return ctmc::Ctmc(b.build(), ctmc::Ctmc::point_distribution(n, 0));
 }
 
+/// {0, t_max/(points-1), ..., t_max}.
+std::vector<double> uniform_grid(double t_max, std::size_t points) {
+    std::vector<double> times(points);
+    for (std::size_t i = 0; i < points; ++i) {
+        times[i] = t_max * static_cast<double>(i) / static_cast<double>(points - 1);
+    }
+    return times;
+}
+
+/// Per-segment truncation error of the segment-wise references.  Each of
+/// their segments drops up to epsilon of Poisson mass and the errors add up
+/// along the grid, so they run at 1e-14 per segment to stay well inside the
+/// 1e-12 the single pass is held to.
+constexpr double kSegmentEpsilon = 1e-14;
+
+/// Segment-wise reference: a TransientEvolver over the until-transformed
+/// chain stepped from grid point to grid point, mass in psi read at each.
+std::vector<double> segmentwise_until(const ctmc::Ctmc& chain,
+                                      std::span<const double> initial,
+                                      const std::vector<bool>& phi,
+                                      const std::vector<bool>& psi,
+                                      std::span<const double> times) {
+    ctmc::TransientOptions options;
+    options.epsilon = kSegmentEpsilon;
+    ctmc::TransientEvolver evolver(ctmc::until_transform(chain, phi, psi), initial,
+                                   options);
+    std::vector<double> out;
+    for (const double t : times) {
+        evolver.advance_to(t);
+        out.push_back(ctmc::mass_in(evolver.distribution(), psi));
+    }
+    return out;
+}
+
 }  // namespace
 
-TEST(BatchTransient, ColumnsBitwiseIdenticalToSingleEvolvers) {
+TEST(SeriesPass, PoissonProcessSurvivabilityClosedForm) {
+    // Pure birth at rate r, absorbed at m births: P[true U<=t N>=m] is the
+    // Poisson tail P(N_t >= m) = 1 - sum_{j<m} e^{-rt} (rt)^j / j!.
+    const int m = 6;
+    const double r = 2.5;
+    la::CsrBuilder b(m + 1, m + 1);
+    for (int i = 0; i < m; ++i) b.add(i, i + 1, r);
+    const ctmc::Ctmc chain(b.build(), ctmc::Ctmc::point_distribution(m + 1, 0));
+    const std::vector<bool> phi(m + 1, true);
+    std::vector<bool> psi(m + 1, false);
+    psi[m] = true;
+    const auto times = uniform_grid(5.0, 101);
+    const auto series =
+        ctmc::bounded_until_series(chain, chain.initial_distribution(), phi, psi, times);
+    ASSERT_EQ(series.size(), times.size());
+    for (std::size_t i = 0; i < times.size(); ++i) {
+        const double rt = r * times[i];
+        double below = 0.0;
+        double pmf = std::exp(-rt);
+        for (int j = 0; j < m; ++j) {
+            below += pmf;
+            pmf *= rt / (j + 1.0);
+        }
+        EXPECT_NEAR(series[i], 1.0 - below, 1e-12) << "t=" << times[i];
+    }
+}
+
+TEST(SeriesPass, BoundedUntilAgreesWithSegmentwiseEvolverOnRandomChains) {
+    std::mt19937 rng(20261017);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    for (int trial = 0; trial < 8; ++trial) {
+        const std::size_t n = 4 + static_cast<std::size_t>(trial) % 5;
+        const auto chain = random_chain(rng, n);
+        std::vector<bool> phi(n), psi(n);
+        for (std::size_t s = 0; s < n; ++s) {
+            phi[s] = unit(rng) < 0.8;
+            psi[s] = unit(rng) < 0.3;
+        }
+        const auto times = uniform_grid(1.0 + 4.0 * unit(rng), 41);
+        const auto series = ctmc::bounded_until_series(chain, chain.initial_distribution(),
+                                                       phi, psi, times);
+        const auto reference =
+            segmentwise_until(chain, chain.initial_distribution(), phi, psi, times);
+        ASSERT_EQ(series.size(), reference.size());
+        for (std::size_t i = 0; i < times.size(); ++i) {
+            EXPECT_NEAR(series[i], reference[i], 1e-12)
+                << "trial=" << trial << " t=" << times[i];
+        }
+    }
+}
+
+TEST(SeriesPass, BoundedUntilGridSemantics) {
+    const auto chain = erlang(3, 1.5);
+    const std::vector<bool> phi(4, true);
+    const std::vector<bool> psi{false, false, true, true};
+    std::vector<double> initial(4, 0.0);
+    initial[0] = 0.25;
+    initial[2] = 0.75;  // f(initial) = 0.75: the t = 0 value is exact
+    const auto series = [&](const std::vector<double>& times) {
+        return ctmc::bounded_until_series(chain, initial, phi, psi, times);
+    };
+    const auto at = series({0.0, 1.0, 1.0, 2.5});
+    ASSERT_EQ(at.size(), 4u);
+    EXPECT_EQ(at[0], 0.75);
+    EXPECT_EQ(at[1], at[2]);  // an exact duplicate repeats the value
+    EXPECT_GT(at[3], at[1]);
+    // A point within the duplicate tolerance clamps to its predecessor.
+    const auto clamped = series({1.0, 1.0 - 1e-13});
+    EXPECT_TRUE(same_bits(clamped[0], clamped[1]));
+    EXPECT_TRUE(same_bits(clamped[0], at[1]));
+    // A genuinely decreasing grid is a caller error.
+    EXPECT_THROW((void)series({1.0, 0.5}), arcade::InvalidArgument);
+    EXPECT_THROW((void)series({-0.5}), arcade::InvalidArgument);
+    EXPECT_TRUE(series({}).empty());
+}
+
+TEST(SeriesPass, SingleTimeBoundedUntilIsBitwiseTheSeriesPoint) {
+    std::mt19937 rng(20261018);
+    const auto chain = random_chain(rng, 7);
+    const std::vector<bool> phi(7, true);
+    const std::vector<bool> psi{false, true, false, false, true, false, false};
+    const std::vector<double> times{0.0, 0.05, 0.3, 0.3001, 1.7, 4.0, 12.5};
+    const auto series =
+        ctmc::bounded_until_series(chain, chain.initial_distribution(), phi, psi, times);
+    for (std::size_t i = 0; i < times.size(); ++i) {
+        EXPECT_TRUE(same_bits(series[i],
+                              ctmc::bounded_until_probability(
+                                  chain, chain.initial_distribution(), phi, psi, times[i])))
+            << "t=" << times[i];
+    }
+}
+
+// ---------------------------------------------------------------------------
+// BatchTransientEvolver / functional_series_batch: per-column bitwise
+// identity with the single-vector pass.  The batch engine is only allowed to
+// amortise structure (one matrix traversal per power of P) — never
+// arithmetic, so every column it carries must hold exactly the bytes the
+// single-vector pass produces for that initial vector.  This is the
+// property the sweep runner's fusion pass (and the byte-identical-CSV
+// guarantee) stands on.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Distinct columns: point distributions and a couple of mixtures, so a
+/// column mix-up cannot cancel out.
+std::vector<std::vector<double>> distinct_columns(std::size_t n, std::size_t width) {
+    std::vector<std::vector<double>> columns;
+    for (std::size_t c = 0; c < width; ++c) {
+        std::vector<double> init(n, 0.0);
+        if (c % 2 == 0) {
+            init[c % n] = 1.0;
+        } else {
+            init[c % n] = 0.5;
+            init[(c + 2) % n] = 0.5;
+        }
+        columns.push_back(std::move(init));
+    }
+    return columns;
+}
+
+}  // namespace
+
+TEST(BatchTransient, PowerStepColumnsBitwiseIdenticalToSingleVectorSteps) {
     std::mt19937 rng(20260807);
-    const std::vector<double> times{0.0, 0.25, 0.25, 1.0, 2.5, 7.0};
     for (const std::size_t width : {std::size_t{1}, std::size_t{3}, std::size_t{4},
                                     std::size_t{5}, std::size_t{8}}) {
         const std::size_t n = 6;
         const auto chain = random_chain(rng, n);
-        // Distinct columns: point distributions and a couple of mixtures,
-        // so a column mix-up cannot cancel out.
-        std::vector<std::vector<double>> columns;
-        for (std::size_t c = 0; c < width; ++c) {
-            std::vector<double> init(n, 0.0);
-            if (c % 2 == 0) {
-                init[c % n] = 1.0;
-            } else {
-                init[c % n] = 0.5;
-                init[(c + 2) % n] = 0.5;
-            }
-            columns.push_back(std::move(init));
-        }
+        const auto columns = distinct_columns(n, width);
+        const auto p = ctmc::uniformise(chain);
 
         ctmc::BatchTransientEvolver batch(chain, columns);
-        std::vector<std::unique_ptr<ctmc::TransientEvolver>> singles;
-        for (const auto& init : columns) {
-            singles.push_back(std::make_unique<ctmc::TransientEvolver>(chain, init));
-        }
-
+        EXPECT_EQ(batch.width(), width);
+        EXPECT_TRUE(same_bits(batch.lambda(), p.lambda));
+        auto singles = columns;
+        std::vector<double> next(n);
         std::vector<double> column(n);
-        for (const double t : times) {
-            batch.advance_to(t);
+        for (int k = 0; k < 12; ++k) {
             for (std::size_t c = 0; c < width; ++c) {
-                singles[c]->advance_to(t);
                 batch.extract_column(c, column);
-                EXPECT_TRUE(same_column_bits(column, singles[c]->distribution()))
-                    << "width=" << width << " c=" << c << " t=" << t;
-                EXPECT_TRUE(same_column_bits(batch.column(c), singles[c]->distribution()))
-                    << "width=" << width << " c=" << c << " t=" << t << " (column())";
+                EXPECT_TRUE(same_column_bits(column, singles[c]))
+                    << "width=" << width << " c=" << c << " k=" << k;
+            }
+            batch.power_step();
+            for (auto& single : singles) {
+                la::uniformised_multiply_left(p, single, next);
+                std::swap(single, next);
             }
         }
-        EXPECT_EQ(batch.width(), width);
-        EXPECT_DOUBLE_EQ(batch.time(), times.back());
     }
 }
 
-TEST(BatchTransient, AdvanceToDuplicateTimeIsANoOp) {
+TEST(BatchTransient, SeriesColumnsBitwiseIdenticalToSingleVectorSeries) {
+    std::mt19937 rng(20260808);
+    const std::vector<double> times{0.0, 0.25, 0.25, 0.25 - 1e-13, 1.0, 2.5, 7.0};
+    const std::vector<bool> set{true, false, true, false, false, true};
+    const auto f = [&set](std::span<const double> dist) { return ctmc::mass_in(dist, set); };
+    for (const auto form : {ctmc::SeriesForm::Instantaneous, ctmc::SeriesForm::Accumulated}) {
+        for (const std::size_t width : {std::size_t{1}, std::size_t{3}, std::size_t{5}}) {
+            const std::size_t n = 6;
+            const auto chain = random_chain(rng, n);
+            const auto columns = distinct_columns(n, width);
+            const auto batched = ctmc::functional_series_batch(chain, columns, times, form, f);
+            ASSERT_EQ(batched.size(), width);
+            for (std::size_t c = 0; c < width; ++c) {
+                const auto single = ctmc::functional_series(ctmc::uniformise(chain),
+                                                            columns[c], times, form, f);
+                EXPECT_TRUE(same_column_bits(batched[c], single))
+                    << "width=" << width << " c=" << c;
+            }
+        }
+    }
+}
+
+TEST(BatchTransient, SeriesRejectsDecreasingGrid) {
     const auto chain = two_state(0.7, 0.9);
     const std::vector<std::vector<double>> columns{chain.initial_distribution(),
                                                    {0.0, 1.0}};
-    ctmc::BatchTransientEvolver evolver(chain, columns);
-    evolver.advance_to(1.0);
-    const std::vector<double> before = evolver.block();
-    evolver.advance_to(1.0);                     // exact duplicate
-    evolver.advance_to(1.0 - 5e-13);             // within kTimeTolerance
-    EXPECT_EQ(evolver.block(), before);
-    EXPECT_DOUBLE_EQ(evolver.time(), 1.0);
-}
-
-TEST(BatchTransient, AdvanceToDecreasingTimeThrows) {
-    const auto chain = two_state(0.7, 0.9);
-    const std::vector<std::vector<double>> columns{chain.initial_distribution()};
-    ctmc::BatchTransientEvolver evolver(chain, columns);
-    evolver.advance_to(2.0);
-    EXPECT_THROW(evolver.advance_to(1.0), arcade::InvalidArgument);
+    const std::vector<double> decreasing{2.0, 1.0};
+    const std::vector<bool> up{true, false};
+    EXPECT_THROW((void)ctmc::functional_series_batch(
+                     chain, columns, decreasing, ctmc::SeriesForm::Instantaneous,
+                     [&up](std::span<const double> d) { return ctmc::mass_in(d, up); }),
+                 arcade::InvalidArgument);
 }
