@@ -11,7 +11,7 @@
 //
 //   arcade_sweep [--threads N] [--csv out.csv] [--json out.json]
 //                [--shard i/n] [--csv-footer] [--reduction off|auto]
-//                [--symmetry off|auto] [--batch off|auto] [--mttr-sweep]
+//                [--symmetry off|auto] [--mttr-sweep]
 //                [--properties] [--pump-scaling N] [--list]
 //
 // --reduction auto analyses every scenario on the automatic
@@ -22,11 +22,6 @@
 // swaps in sweep::paper::properties() — the same evaluation with every
 // measure expressed as a CSL/CSRL formula (watertree::properties), checked
 // through the engine's property cache.
-//
-// --batch auto fuses cells that share a chain and time grid into one batched
-// multi-vector evolution (README, "Batched transient evolution"); the CSV/
-// JSON output is byte-identical either way, and the summary reports how many
-// cells fused into how many columns.
 //
 // --symmetry auto explores every model as its symmetry quotient over
 // interchangeable components (README, "Symmetry reduction"); --pump-scaling N
@@ -68,7 +63,6 @@ int main(int argc, char** argv) {
     int pump_scaling = -1;  // <0: not requested
     core::ReductionPolicy reduction = core::default_reduction_policy();
     core::SymmetryPolicy symmetry = core::default_symmetry_policy();
-    core::BatchPolicy batch = core::default_batch_policy();
     bool symmetry_explicit = false;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -121,17 +115,6 @@ int main(int argc, char** argv) {
                 return 2;
             }
             symmetry_explicit = true;
-        } else if (arg == "--batch" && has_value) {
-            const std::string value = argv[++i];
-            if (value == "off") {
-                batch = core::BatchPolicy::Off;
-            } else if (value == "auto") {
-                batch = core::BatchPolicy::Auto;
-            } else {
-                std::cerr << "arcade_sweep: --batch takes 'off' or 'auto', got '"
-                          << value << "'\n";
-                return 2;
-            }
         } else if (arg == "--reduction" && has_value) {
             const std::string value = argv[++i];
             if (value == "off") {
@@ -146,7 +129,7 @@ int main(int argc, char** argv) {
         } else {
             std::cerr << "usage: arcade_sweep [--threads N] [--csv PATH] [--json PATH] "
                          "[--shard i/n] [--csv-footer] [--reduction off|auto] "
-                         "[--symmetry off|auto] [--batch off|auto] [--mttr-sweep] "
+                         "[--symmetry off|auto] [--mttr-sweep] "
                          "[--properties] [--pump-scaling N] [--list]\n";
             return 2;
         }
@@ -181,7 +164,7 @@ int main(int argc, char** argv) {
     }
 
     sweep::SweepRunner runner(arcade::engine::AnalysisSession::global(),
-                              {threads, shard, reduction, symmetry, batch});
+                              {threads, shard, reduction, symmetry});
     const auto report = runner.run(grid);
 
     if (shard.is_sharded()) {
@@ -269,13 +252,6 @@ int main(int argc, char** argv) {
                   << " orbit representatives (";
         std::snprintf(buf, sizeof buf, "%.1fx", report.stats.symmetry_ratio());
         std::cout << buf << ")\n";
-    }
-    if (batch == core::BatchPolicy::Auto) {
-        std::cout << "# batch: " << report.stats.batch_cells_fused
-                  << " cells fused into " << report.stats.batch_columns
-                  << " columns (";
-        std::snprintf(buf, sizeof buf, "%.3f", report.stats.batch_seconds);
-        std::cout << buf << " s batched)\n";
     }
     if (properties_sweep) {
         std::cout << "# properties: " << report.stats.property_misses

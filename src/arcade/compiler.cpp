@@ -801,19 +801,6 @@ ReductionPolicy default_reduction_policy() {
     return policy;
 }
 
-BatchPolicy default_batch_policy() {
-    static const BatchPolicy policy = [] {
-        const char* env = std::getenv("ARCADE_BATCH");
-        if (env == nullptr) return BatchPolicy::Off;
-        const std::string value(env);
-        if (value == "auto" || value == "Auto" || value == "on" || value == "1") {
-            return BatchPolicy::Auto;
-        }
-        return BatchPolicy::Off;
-    }();
-    return policy;
-}
-
 ctmc::LumpSignature CompiledModel::lump_signature() const {
     ctmc::LumpSignature signature;
     signature.labels = chain_.label_names();

@@ -33,7 +33,6 @@
 #include "ctmc/quotient.hpp"
 #include "engine/state_store.hpp"
 #include "engine/symmetry.hpp"
-#include "expr/vm.hpp"
 #include "rewards/rewards.hpp"
 
 namespace arcade::core {
@@ -65,21 +64,11 @@ enum class ReductionPolicy { Off, Auto };
 using engine::SymmetryPolicy;
 using engine::default_symmetry_policy;
 
-/// Whether the sweep runner fuses cells that share a chain and time grid
-/// into one batched uniformisation (ctmc::functional_series_batch over the
-/// multi-RHS kernels).
-///   Off  — every cell runs its own ctmc::functional_series pass.
-///   Auto — fusible cells (survivability and instantaneous cost, whose
-///          initial distributions become the batch columns) are evolved as
-///          one CSR×dense-block product per power of P.  Batched columns
-///          are bitwise identical to the single-vector pass, so every
-///          exported byte is the same under either policy.
+/// Remains only for the benchmark's provenance code.
 enum class BatchPolicy { Off, Auto };
 
-/// Process-wide default, read once from the ARCADE_BATCH environment
-/// variable ("auto"/"on"/"1" select Auto; anything else, or unset, is Off).
-/// Lets CI force the whole test suite through the batched engine.
-[[nodiscard]] BatchPolicy default_batch_policy();
+/// Remains only for the benchmark's provenance code; always Off.
+[[nodiscard]] constexpr BatchPolicy default_batch_policy() { return BatchPolicy::Off; }
 
 /// Name of the chain label marking states with service level >= `level`
 /// (within the library-wide 1e-9 tolerance): "service>=<level>", the level
@@ -103,20 +92,6 @@ struct CompileOptions {
     /// Error additionally throws ModelError when any error-severity finding
     /// exists.  Overridable per process via ARCADE_LINT=off|warn|error.
     analysis::LintLevel lint = analysis::default_lint_level();
-    /// Expression evaluator requested for this compile
-    /// (ARCADE_EVAL=interp|vm|codegen).  The Arcade encoders themselves are
-    /// hand-written native transition functions — stage 0 of the
-    /// compilation ladder whose stages 1 (bytecode VM) and 2 (generated
-    /// C++, expr/codegen.hpp) serve the reactive-modules pipeline — so the
-    /// mode does not change how this compiler runs; it is recorded for
-    /// provenance and keys the session caches, keeping mode-comparison
-    /// measurements honest.  Every mode yields the bitwise-identical chain.
-    expr::EvalMode eval = expr::default_eval_mode();
-    /// Batched multi-vector transient evolution (ARCADE_BATCH=off|auto).
-    /// Recorded for provenance like `eval`, but deliberately NOT part of the
-    /// session cache key: batching changes how grids are walked, never what
-    /// is compiled — the artefact is identical under either policy.
-    BatchPolicy batch = default_batch_policy();
 };
 
 /// A disaster for survivability analysis: how many components of each phase

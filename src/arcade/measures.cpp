@@ -3,7 +3,6 @@
 #include "arcade/fault_tree.hpp"
 #include "ctmc/bounded_until.hpp"
 #include "ctmc/steady_state.hpp"
-#include "linalg/vector_ops.hpp"
 #include "rewards/rewards.hpp"
 #include "support/errors.hpp"
 
@@ -127,51 +126,19 @@ std::vector<double> accumulated_cost_series(const CompiledModel& model,
                                               times, transient);
 }
 
-double FusedSeriesPlan::reduce(std::span<const double> dist) const {
-    if (!mask.empty()) return ctmc::mass_in(dist, mask);
-    return linalg::dot(dist, weights);
-}
-
 FusedSeriesPlan survivability_fused_plan(const CompiledModel& model,
                                          double service_level) {
     FusedSeriesPlan plan;
     plan.quotient = auto_quotient(model);
-    // Same transform construction as survivability_series →
-    // bounded_until_series: phi = true everywhere, psi = the service mask,
-    // chain = until_transform of the (quotient) chain.
-    if (plan.quotient) {
-        const std::vector<bool> phi(plan.quotient->block_count(), true);
-        plan.mask = plan.quotient->project_mask(model.service_at_least(service_level));
-        plan.transformed = std::make_shared<const ctmc::Ctmc>(
-            ctmc::until_transform(plan.quotient->chain(), phi, plan.mask));
-    } else {
-        const std::vector<bool> phi(model.state_count(), true);
-        plan.mask = model.service_at_least(service_level);
-        plan.transformed = std::make_shared<const ctmc::Ctmc>(
-            ctmc::until_transform(model.chain(), phi, plan.mask));
-    }
+    const ctmc::Ctmc& base = plan.quotient ? plan.quotient->chain() : model.chain();
+    const std::vector<bool> phi(base.state_count(), true);
+    const std::vector<bool> target =
+        plan.quotient ? plan.quotient->project_mask(model.service_at_least(service_level))
+                      : model.service_at_least(service_level);
+    plan.transformed =
+        std::make_shared<const ctmc::Ctmc>(ctmc::until_transform(base, phi, target));
     plan.chain = plan.transformed.get();
     return plan;
-}
-
-FusedSeriesPlan instantaneous_cost_fused_plan(const CompiledModel& model) {
-    FusedSeriesPlan plan;
-    plan.quotient = auto_quotient(model);
-    if (plan.quotient) {
-        plan.chain = &plan.quotient->chain();
-        plan.weights = plan.quotient->project_values(model.cost_reward().state_rates());
-    } else {
-        plan.chain = &model.chain();
-        plan.weights = model.cost_reward().state_rates();
-    }
-    return plan;
-}
-
-std::vector<double> fused_initial(const CompiledModel& model, const Disaster& disaster) {
-    if (const auto q = auto_quotient(model)) {
-        return q->project(model.disaster_distribution(disaster));
-    }
-    return model.disaster_distribution(disaster);
 }
 
 double steady_state_cost(const CompiledModel& model) {

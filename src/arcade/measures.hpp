@@ -71,45 +71,19 @@ namespace arcade::core {
 /// the series functions to reuse the session's uniformisation scratch.
 [[nodiscard]] ctmc::TransientOptions session_transient(engine::AnalysisSession& session);
 
-/// The shared evolution structure of a batch of fusible series cells: the
-/// exact chain the per-cell path would evolve (until-transformed for
-/// survivability, the raw or quotient chain for instantaneous cost) plus
-/// the reduction applied at each grid point.  Built once per fused batch by
-/// the sweep runner; the batch columns come from fused_initial() (one per
-/// distinct disaster).  Because the chain construction, the (batched,
-/// per-column bitwise-identical) evolution, and the reduction are the same
-/// code the per-cell measure runs, every value a plan produces is byte-for-
-/// byte the value survivability_series / instantaneous_cost_series returns.
-/// The plan borrows the model's (or its quotient's) chain rather than
-/// copying it, so it must not outlive the CompiledModel it was built from.
+/// Remains only for the benchmark's step-count code (a survivability cell's chain).
 struct FusedSeriesPlan {
     /// Keeps the quotient alive while `chain` is in use (Auto reduction);
     /// nullptr under ReductionPolicy::Off.
     std::shared_ptr<const ctmc::QuotientCtmc> quotient;
-    /// Owns the until-transformed chain when the plan builds one
-    /// (survivability); the cost plans point `chain` at the model directly.
+    /// Owns the until-transformed chain.
     std::shared_ptr<const ctmc::Ctmc> transformed;
-    const ctmc::Ctmc* chain = nullptr;  ///< the chain every column evolves over
-    std::vector<bool> mask;             ///< survivability target (empty for costs)
-    std::vector<double> weights;        ///< cost rates (empty for survivability)
-
-    /// The per-grid-point reduction: mass_in(dist, mask) for survivability,
-    /// dot(dist, weights) for instantaneous cost.
-    [[nodiscard]] double reduce(std::span<const double> dist) const;
+    const ctmc::Ctmc* chain = nullptr;  ///< transformed.get()
 };
 
-/// Plan for P[true U<=t service>=level | disaster] cells (quotient-aware).
+/// Remains only for the benchmark's step-count code (until-transforms the chain).
 [[nodiscard]] FusedSeriesPlan survivability_fused_plan(const CompiledModel& model,
                                                        double service_level);
-
-/// Plan for R{"cost"}[I=t] cells (quotient-aware).
-[[nodiscard]] FusedSeriesPlan instantaneous_cost_fused_plan(const CompiledModel& model);
-
-/// The initial distribution of a disaster cell, projected onto the
-/// quotient when the model reduces — exactly the vector the per-cell
-/// measure would evolve, i.e. one batch column.
-[[nodiscard]] std::vector<double> fused_initial(const CompiledModel& model,
-                                                const Disaster& disaster);
 
 /// The distinct service levels of the model, ascending (0 and 1 included);
 /// consecutive pairs delimit the paper's service intervals X1, X2, ...

@@ -20,15 +20,13 @@ namespace arcade::ctmc {
 /// The transformed chain the until measures evolve: states in Psi or in
 /// neither Phi nor Psi are made absorbing.  The measures below never build
 /// it — they uniformise the original chain with those states masked
-/// absorbing, which gives the same P bit for bit.  Exposed so batched
-/// evaluation (the sweep fusion pass) can evolve several initial
-/// distributions over the very same chain at once.
+/// absorbing, which gives the same P bit for bit.  Exposed as the reference
+/// the masked uniformisation is tested against.
 [[nodiscard]] Ctmc until_transform(const Ctmc& chain, const std::vector<bool>& phi,
                                    const std::vector<bool>& psi);
 
 /// Probability mass of `dist` inside `set`, summed in ascending state
-/// order — the exact functional bounded_until_series applies per power of P
-/// (exposed for the same reason as until_transform).
+/// order — the exact functional bounded_until_series applies per power of P.
 [[nodiscard]] double mass_in(std::span<const double> dist, const std::vector<bool>& set);
 
 /// P[Phi U<=t Psi] for every state as initial state... is expensive;

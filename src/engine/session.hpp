@@ -84,14 +84,6 @@ struct SessionStats {
     std::size_t codegen_builds = 0;
     std::size_t codegen_cache_hits = 0;
     std::size_t codegen_fallbacks = 0;
-    /// Batched transient evolution (sweep fusion pass, ARCADE_BATCH=auto):
-    /// sweep cells that were evaluated inside a fused batch instead of by
-    /// their own uniformisation pass, distinct distribution columns those
-    /// batches carried, and the wall seconds spent inside batch evaluation.
-    /// All zero under BatchPolicy::Off.
-    std::size_t batch_cells_fused = 0;
-    std::size_t batch_columns = 0;
-    double batch_seconds = 0.0;
 
     /// Aggregate state-space reduction achieved by lumping (>= 1; 1.0 when
     /// nothing was lumped).
@@ -110,34 +102,34 @@ struct SessionStats {
     }
 };
 
-/// Counter delta between two stats() snapshots — how batch consumers (the
+/// Counter delta between two stats() snapshots — how run-level consumers (the
 /// sweep runner) attribute cache effectiveness to one run of work against
 /// a long-lived session.
 [[nodiscard]] inline SessionStats operator-(const SessionStats& after,
                                             const SessionStats& before) {
-    return SessionStats{after.compile_hits - before.compile_hits,
-                        after.compile_misses - before.compile_misses,
-                        after.explore_hits - before.explore_hits,
-                        after.explore_misses - before.explore_misses,
-                        after.steady_state_hits - before.steady_state_hits,
-                        after.steady_state_misses - before.steady_state_misses,
-                        after.lump_hits - before.lump_hits,
-                        after.lump_misses - before.lump_misses,
-                        after.lump_states_in - before.lump_states_in,
-                        after.lump_states_out - before.lump_states_out,
-                        after.property_hits - before.property_hits,
-                        after.property_misses - before.property_misses,
-                        after.lint_warnings - before.lint_warnings,
-                        after.lint_errors - before.lint_errors,
-                        after.symmetry_states_in - before.symmetry_states_in,
-                        after.symmetry_states_out - before.symmetry_states_out,
-                        after.symmetry_seconds - before.symmetry_seconds,
-                        after.codegen_builds - before.codegen_builds,
-                        after.codegen_cache_hits - before.codegen_cache_hits,
-                        after.codegen_fallbacks - before.codegen_fallbacks,
-                        after.batch_cells_fused - before.batch_cells_fused,
-                        after.batch_columns - before.batch_columns,
-                        after.batch_seconds - before.batch_seconds};
+    // Designated initialisers: a field listed out of declaration order is a
+    // compile error rather than a silent misattribution.
+    return SessionStats{
+        .compile_hits = after.compile_hits - before.compile_hits,
+        .compile_misses = after.compile_misses - before.compile_misses,
+        .explore_hits = after.explore_hits - before.explore_hits,
+        .explore_misses = after.explore_misses - before.explore_misses,
+        .steady_state_hits = after.steady_state_hits - before.steady_state_hits,
+        .steady_state_misses = after.steady_state_misses - before.steady_state_misses,
+        .lump_hits = after.lump_hits - before.lump_hits,
+        .lump_misses = after.lump_misses - before.lump_misses,
+        .lump_states_in = after.lump_states_in - before.lump_states_in,
+        .lump_states_out = after.lump_states_out - before.lump_states_out,
+        .property_hits = after.property_hits - before.property_hits,
+        .property_misses = after.property_misses - before.property_misses,
+        .lint_warnings = after.lint_warnings - before.lint_warnings,
+        .lint_errors = after.lint_errors - before.lint_errors,
+        .symmetry_states_in = after.symmetry_states_in - before.symmetry_states_in,
+        .symmetry_states_out = after.symmetry_states_out - before.symmetry_states_out,
+        .symmetry_seconds = after.symmetry_seconds - before.symmetry_seconds,
+        .codegen_builds = after.codegen_builds - before.codegen_builds,
+        .codegen_cache_hits = after.codegen_cache_hits - before.codegen_cache_hits,
+        .codegen_fallbacks = after.codegen_fallbacks - before.codegen_fallbacks};
 }
 
 /// Structural fingerprint of a model (stable across identical rebuilds of
@@ -206,11 +198,6 @@ public:
     [[nodiscard]] WorkspacePool& workspace() noexcept { return workspace_; }
 
     [[nodiscard]] SessionStats stats() const;
-
-    /// Records one fused batch evaluation (sweep fusion pass): `cells` work
-    /// items served, `columns` distinct distribution columns evolved,
-    /// `seconds` wall time spent.
-    void record_batch(std::size_t cells, std::size_t columns, double seconds);
 
     /// Drops every cached artefact (models, distributions, scratch).
     void clear();

@@ -91,9 +91,10 @@ std::string reg(std::uint32_t r) {
 
 /// The fixed preamble every unit shares: a tagged value struct plus inline
 /// operators that replicate apply_binary/apply_unary (expr/expr.cpp) branch
-/// for branch.  Type errors and division by zero throw Err, which the
-/// extern "C" wrappers turn into a negative return — the host then re-runs
-/// the paired VM program to raise the identical ModelError.
+/// for branch.  Type errors, division by zero and integer overflow throw
+/// Err, which the extern "C" wrappers turn into a negative return — the
+/// host then re-runs the paired VM program to raise the identical
+/// ModelError.
 constexpr const char* kPreamble = R"(// generated by arcade::expr codegen v1 — do not edit
 #include <cmath>
 #include <cstdint>
@@ -106,9 +107,9 @@ inline V D(double v) { return V{2, 0, v}; }
 inline double bits(unsigned long long u) { double d; __builtin_memcpy(&d, &u, 8); return d; }
 inline bool as_bool(const V& v) { if (v.t != 0) throw Err{}; return v.i != 0; }
 inline double as_double(const V& v) { if (v.t == 0) throw Err{}; return v.t == 1 ? static_cast<double>(v.i) : v.d; }
-inline V op_add(const V& a, const V& b) { if (a.t == 1 && b.t == 1) return I(a.i + b.i); return D(as_double(a) + as_double(b)); }
-inline V op_sub(const V& a, const V& b) { if (a.t == 1 && b.t == 1) return I(a.i - b.i); return D(as_double(a) - as_double(b)); }
-inline V op_mul(const V& a, const V& b) { if (a.t == 1 && b.t == 1) return I(a.i * b.i); return D(as_double(a) * as_double(b)); }
+inline V op_add(const V& a, const V& b) { long long r = 0; if (a.t == 1 && b.t == 1) { if (__builtin_add_overflow(a.i, b.i, &r)) throw Err{}; return I(r); } return D(as_double(a) + as_double(b)); }
+inline V op_sub(const V& a, const V& b) { long long r = 0; if (a.t == 1 && b.t == 1) { if (__builtin_sub_overflow(a.i, b.i, &r)) throw Err{}; return I(r); } return D(as_double(a) - as_double(b)); }
+inline V op_mul(const V& a, const V& b) { long long r = 0; if (a.t == 1 && b.t == 1) { if (__builtin_mul_overflow(a.i, b.i, &r)) throw Err{}; return I(r); } return D(as_double(a) * as_double(b)); }
 inline V op_min(const V& a, const V& b) { if (a.t == 1 && b.t == 1) return I(a.i < b.i ? a.i : b.i); const double x = as_double(a); const double y = as_double(b); return D(x < y ? x : y); }
 inline V op_max(const V& a, const V& b) { if (a.t == 1 && b.t == 1) return I(a.i > b.i ? a.i : b.i); const double x = as_double(a); const double y = as_double(b); return D(x > y ? x : y); }
 inline V op_div(const V& a, const V& b) { const double y = as_double(b); if (y == 0.0) throw Err{}; return D(as_double(a) / y); }
@@ -127,7 +128,7 @@ inline V op_gt(const V& a, const V& b) { const double x = as_double(a); const do
 inline V op_ge(const V& a, const V& b) { const double x = as_double(a); const double y = as_double(b); return B(x >= y); }
 inline V op_implies(const V& a, const V& b) { return B(!as_bool(a) || as_bool(b)); }
 inline V op_iff(const V& a, const V& b) { const bool x = as_bool(a); const bool y = as_bool(b); return B(x == y); }
-inline V op_neg(const V& a) { if (a.t == 1) return I(-a.i); return D(-as_double(a)); }
+inline V op_neg(const V& a) { long long r = 0; if (a.t == 1) { if (__builtin_sub_overflow(0LL, a.i, &r)) throw Err{}; return I(r); } return D(-as_double(a)); }
 inline V op_not(const V& a) { return B(!as_bool(a)); }
 inline V op_floor(const V& a) { return I(static_cast<long long>(std::floor(as_double(a)))); }
 inline V op_ceil(const V& a) { return I(static_cast<long long>(std::ceil(as_double(a)))); }

@@ -116,14 +116,14 @@ Value apply_binary(BinaryOp op, const Value& a, const Value& b) {
             if (a.is_int() && b.is_int()) {
                 const long long x = a.as_int();
                 const long long y = b.as_int();
-                switch (op) {
-                    case BinaryOp::Add: return Value(x + y);
-                    case BinaryOp::Sub: return Value(x - y);
-                    case BinaryOp::Mul: return Value(x * y);
-                    case BinaryOp::Min: return Value(x < y ? x : y);
-                    case BinaryOp::Max: return Value(x > y ? x : y);
-                    default: break;
-                }
+                if (op == BinaryOp::Min) return Value(x < y ? x : y);
+                if (op == BinaryOp::Max) return Value(x > y ? x : y);
+                long long r = 0;
+                const bool overflow = op == BinaryOp::Add   ? __builtin_add_overflow(x, y, &r)
+                                      : op == BinaryOp::Sub ? __builtin_sub_overflow(x, y, &r)
+                                                            : __builtin_mul_overflow(x, y, &r);
+                if (overflow) throw ModelError("integer overflow");
+                return Value(r);
             }
             const double x = a.as_double();
             const double y = b.as_double();
@@ -161,7 +161,13 @@ Value apply_binary(BinaryOp op, const Value& a, const Value& b) {
 Value apply_unary(UnaryOp op, const Value& a) {
     switch (op) {
         case UnaryOp::Neg:
-            if (a.is_int()) return Value(-a.as_int());
+            if (a.is_int()) {
+                long long r = 0;
+                if (__builtin_sub_overflow(0LL, a.as_int(), &r)) {
+                    throw ModelError("integer overflow");
+                }
+                return Value(r);
+            }
             return Value(-a.as_double());
         case UnaryOp::Not: return Value(!a.as_bool());
         case UnaryOp::Floor: return Value(static_cast<long long>(std::floor(a.as_double())));

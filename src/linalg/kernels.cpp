@@ -206,126 +206,6 @@ inline double scatter_range(const std::size_t* __restrict cols,
 }
 
 // ---------------------------------------------------------------------------
-// Batch (multi-RHS) bodies.  The scalar variants literally re-run the
-// single-vector scalar loop per column over the strided block — they ARE the
-// identity the fast variants must reproduce.  The blocked variants walk the
-// matrix once and serve every column from each entry; per-column update
-// order is still ascending (r,k), and the per-column zero skip is kept
-// (it is semantic, not an optimisation: skipped columns must receive NO
-// update at that row, exactly like the single-vector kernel's row skip).
-// ---------------------------------------------------------------------------
-
-void multiply_left_batch_scalar(const CsrMatrix& m, std::span<const double> x,
-                                std::span<double> y, std::size_t width) {
-    std::fill(y.begin(), y.end(), 0.0);
-    const auto& row_ptr = m.row_ptr();
-    const auto& col_idx = m.col_idx();
-    const auto& values = m.values();
-    for (std::size_t c = 0; c < width; ++c) {
-        for (std::size_t r = 0; r < m.rows(); ++r) {
-            const double xr = x[r * width + c];
-            if (xr == 0.0) continue;
-            for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-                y[col_idx[k] * width + c] += xr * values[k];
-            }
-        }
-    }
-}
-
-/// The blocked Y = X^T * M.  kStay adds x[r][c]*stay[r] to y[r][c] after row
-/// r's scatter, per live column — the batch uniformised step.
-template <bool kStay>
-void left_batch_rows(const CsrMatrix& m, const double* __restrict stay,
-                     std::span<const double> x, std::span<double> y, std::size_t width) {
-    std::fill(y.begin(), y.end(), 0.0);
-    const std::size_t* __restrict row_ptr = m.row_ptr().data();
-    const std::size_t* __restrict cols = m.col_idx().data();
-    const double* __restrict vals = m.values().data();
-    const double* __restrict xp = x.data();
-    double* __restrict yp = y.data();
-    for (std::size_t r = 0; r < m.rows(); ++r) {
-        const double* __restrict xr = xp + r * width;
-        // The per-column guard only protects zero columns (from 0·±inf→NaN
-        // and from flipping a -0 accumulator to +0); when the whole row
-        // block is live it guards nothing, so the dense path runs the same
-        // arithmetic branch-free — which is what lets the compiler
-        // vectorise the column loop.  Transient distributions go strictly
-        // positive after a few steps, so the dense path is the steady state
-        // of every batched sweep.
-        bool any = false;
-        bool all = true;
-        for (std::size_t c = 0; c < width; ++c) {
-            const bool live = xr[c] != 0.0;
-            any = any || live;
-            all = all && live;
-        }
-        if (!any) continue;
-        double* __restrict yi = yp + r * width;
-        if (all) {
-            for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-                const double v = vals[k];
-                double* __restrict yr = yp + cols[k] * width;
-                for (std::size_t c = 0; c < width; ++c) yr[c] += xr[c] * v;
-            }
-            if constexpr (kStay) {
-                for (std::size_t c = 0; c < width; ++c) yi[c] += xr[c] * stay[r];
-            }
-        } else {
-            for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-                const double v = vals[k];
-                double* __restrict yr = yp + cols[k] * width;
-                for (std::size_t c = 0; c < width; ++c) {
-                    const double p = xr[c];
-                    if (p != 0.0) yr[c] += p * v;
-                }
-            }
-            if constexpr (kStay) {
-                for (std::size_t c = 0; c < width; ++c) {
-                    if (xr[c] != 0.0) yi[c] += xr[c] * stay[r];
-                }
-            }
-        }
-    }
-}
-
-void multiply_right_batch_scalar(const CsrMatrix& m, std::span<const double> x,
-                                 std::span<double> y, std::size_t width) {
-    const auto& row_ptr = m.row_ptr();
-    const auto& col_idx = m.col_idx();
-    const auto& values = m.values();
-    for (std::size_t c = 0; c < width; ++c) {
-        for (std::size_t r = 0; r < m.rows(); ++r) {
-            double acc = 0.0;
-            for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-                acc += values[k] * x[col_idx[k] * width + c];
-            }
-            y[r * width + c] = acc;
-        }
-    }
-}
-
-void multiply_right_batch_blocked(const CsrMatrix& m, std::span<const double> x,
-                                  std::span<double> y, std::size_t width) {
-    const std::size_t* __restrict row_ptr = m.row_ptr().data();
-    const std::size_t* __restrict cols = m.col_idx().data();
-    const double* __restrict vals = m.values().data();
-    const double* __restrict xp = x.data();
-    double* __restrict yp = y.data();
-    for (std::size_t r = 0; r < m.rows(); ++r) {
-        double* __restrict yr = yp + r * width;
-        for (std::size_t c = 0; c < width; ++c) yr[c] = 0.0;
-        // Per column the accumulation is the plain ascending-k chain — the
-        // width independent chains already give the ILP the single-vector
-        // kernel needed four-row blocking for.
-        for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-            const double v = vals[k];
-            const double* __restrict xc = xp + cols[k] * width;
-            for (std::size_t c = 0; c < width; ++c) yr[c] += v * xc[c];
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // SIMD bodies.  Only element-wise work is ever vectorised; every accumulator
 // is folded lane by lane in the SAME sequential order as the scalar/blocked
 // loops, and mul/add stay separate instructions (no FMA contraction), so the
@@ -341,9 +221,7 @@ void multiply_right_batch_blocked(const CsrMatrix& m, std::span<const double> x,
 // once, in uniformise()), so on x86 KernelMode::Simd runs the blocked
 // bodies.  NEON pays no gather penalty (two-lane vectors load scalars
 // directly), so aarch64 keeps vector bodies for the single-vector
-// multiplies and the Gauss–Seidel gathers.  The batch kernels use the
-// blocked bodies on both ISAs: their inner per-column loop is already
-// contiguous and the compiler vectorises it at the baseline ISA.
+// multiplies and the Gauss–Seidel gathers.
 // ---------------------------------------------------------------------------
 
 #if defined(ARCADE_SIMD_NEON)
@@ -526,39 +404,6 @@ void uniformised_multiply_left(const CsrMatrix& rates, double lambda,
         }
         op[i] += p * (1.0 - moved);
     }
-}
-
-void multiply_left_batch(const CsrMatrix& m, std::span<const double> x,
-                         std::span<double> y, std::size_t width) {
-    ARCADE_ASSERT(width > 0, "multiply_left_batch: zero width");
-    ARCADE_ASSERT(x.size() == m.rows() * width && y.size() == m.cols() * width,
-                  "multiply_left_batch shape mismatch");
-    if (effective_mode() == KernelMode::Scalar) {
-        multiply_left_batch_scalar(m, x, y, width);
-    } else {
-        left_batch_rows<false>(m, nullptr, x, y, width);
-    }
-}
-
-void multiply_right_batch(const CsrMatrix& m, std::span<const double> x,
-                          std::span<double> y, std::size_t width) {
-    ARCADE_ASSERT(width > 0, "multiply_right_batch: zero width");
-    ARCADE_ASSERT(x.size() == m.cols() * width && y.size() == m.rows() * width,
-                  "multiply_right_batch shape mismatch");
-    if (effective_mode() == KernelMode::Scalar) {
-        multiply_right_batch_scalar(m, x, y, width);
-    } else {
-        multiply_right_batch_blocked(m, x, y, width);
-    }
-}
-
-void uniformised_multiply_left_batch(const UniformisedMatrix& p,
-                                     std::span<const double> in, std::span<double> out,
-                                     std::size_t width) {
-    ARCADE_ASSERT(width > 0, "uniformised_multiply_left_batch: zero width");
-    ARCADE_ASSERT(in.size() == p.rows() * width && out.size() == p.rows() * width,
-                  "uniformised_multiply_left_batch shape mismatch");
-    left_batch_rows<true>(p.jumps, p.stay.data(), in, out, width);
 }
 
 double gather_skip_diag(std::span<const std::size_t> cols, std::span<const double> vals,

@@ -98,34 +98,6 @@ void uniformised_multiply_right(const UniformisedMatrix& p, std::span<const doub
 void uniformised_multiply_left(const CsrMatrix& rates, double lambda,
                                std::span<const double> in, std::span<double> out);
 
-// ---------------------------------------------------------------------------
-// Multi-RHS (CSR × dense-block) forms of the kernels above.  The block is
-// row-major: column c of state s lives at x[s*width + c], so ONE traversal of
-// the matrix serves all `width` vectors.  Each column is accumulated in the
-// same ascending-index sequential-chain order as the single-vector kernel,
-// including the per-column in==0.0 row skip, so column c of the result is
-// bitwise identical to running the single-vector kernel on column c alone:
-// the ARCADE_KERNELS three-mode identity contract extends unchanged.
-// ---------------------------------------------------------------------------
-
-/// Y = X^T * M for a row-major block of `width` row vectors.
-/// `x.size()==rows*width`, `y.size()==cols*width`.  `y` is overwritten.
-void multiply_left_batch(const CsrMatrix& m, std::span<const double> x,
-                         std::span<double> y, std::size_t width);
-
-/// Y = M * X for a row-major block of `width` column vectors.
-/// `x.size()==cols*width`, `y.size()==rows*width`.  `y` is overwritten.
-void multiply_right_batch(const CsrMatrix& m, std::span<const double> x,
-                          std::span<double> y, std::size_t width);
-
-/// One forward step over a row-major block of `width` distributions:
-/// column c of `out` equals uniformised_multiply_left(p, column c of `in`)
-/// bit for bit.  `in.size()==out.size()==p.rows()*width`.  `out` is
-/// overwritten.
-void uniformised_multiply_left_batch(const UniformisedMatrix& p,
-                                     std::span<const double> in, std::span<double> out,
-                                     std::size_t width);
-
 /// acc + sum of vals[k]*x[cols[k]] over entries whose column != skip, in
 /// ascending index order (the Gauss–Seidel inflow gather).
 [[nodiscard]] double gather_skip_diag(std::span<const std::size_t> cols,

@@ -122,9 +122,6 @@ void write_csv(const SweepReport& report, const ScenarioGrid& grid, std::ostream
            << " codegen_builds=" << report.stats.codegen_builds
            << " codegen_cache_hits=" << report.stats.codegen_cache_hits
            << " codegen_fallbacks=" << report.stats.codegen_fallbacks
-           << " batch_cells_fused=" << report.stats.batch_cells_fused
-           << " batch_columns=" << report.stats.batch_columns
-           << " batch_seconds=" << fmt(report.stats.batch_seconds)
            << " state_points=" << report.state_points
            << " states_per_sec=" << fmt(report.states_per_second())
            << " wall_seconds=" << fmt(report.wall_seconds) << "\n";
@@ -156,9 +153,6 @@ void write_json(const SweepReport& report, const ScenarioGrid& grid, std::ostrea
        << "    \"codegen_builds\": " << report.stats.codegen_builds << ",\n"
        << "    \"codegen_cache_hits\": " << report.stats.codegen_cache_hits << ",\n"
        << "    \"codegen_fallbacks\": " << report.stats.codegen_fallbacks << ",\n"
-       << "    \"batch_cells_fused\": " << report.stats.batch_cells_fused << ",\n"
-       << "    \"batch_columns\": " << report.stats.batch_columns << ",\n"
-       << "    \"batch_seconds\": " << fmt(report.stats.batch_seconds) << ",\n"
        << "    \"state_points\": " << report.state_points << ",\n"
        << "    \"states_per_second\": " << fmt(report.states_per_second()) << ",\n"
        << "    \"wall_seconds\": " << fmt(report.wall_seconds) << "\n  },\n"

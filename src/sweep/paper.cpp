@@ -335,7 +335,8 @@ void render_table1(const SweepReport& report, std::ostream& os) {
     os << "=== Table 1: state space for repair strategies ===\n";
     os << "(paper values in parentheses; states must match exactly;\n"
           " FRF/FFF transition counts are PRISM-encoding artifacts in the\n"
-          " paper — our encoding is policy-independent, see DESIGN.md)\n\n";
+          " paper — our encoding is policy-independent, see README.md,\n"
+          " \"Differences from the paper\")\n\n";
 
     struct PaperRow {
         const char* name;

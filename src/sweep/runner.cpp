@@ -1,20 +1,15 @@
 #include "sweep/runner.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
-#include <cstdint>
-#include <cstdio>
 #include <deque>
 #include <exception>
 #include <functional>
 #include <map>
 #include <mutex>
-#include <numeric>
 #include <thread>
 
 #include "arcade/measures.hpp"
-#include "ctmc/transient_batch.hpp"
 #include "engine/explore.hpp"
 #include "logic/csl_compiled.hpp"
 #include "support/errors.hpp"
@@ -212,109 +207,6 @@ ScenarioResult evaluate(engine::AnalysisSession& session, const ScenarioGrid& gr
     return result;
 }
 
-// ---------------------------------------------------------------------------
-// Fusion pass (RunnerOptions::batch == Auto).  Cells fuse when they would
-// evolve the SAME matrix over the SAME time grid: same model key, same
-// measure class (survivability at one exact service level, or instantaneous
-// cost), same grid bits.  Their initial distributions — one per distinct
-// disaster — become the columns of one ctmc::functional_series_batch pass,
-// whose per-column series are bitwise the per-cell series, so fused cells
-// export the same bytes the per-cell path would.  Reliability keeps its own
-// path (its initial vector is the chain initial, never a second column),
-// AccumulatedCost is not fused (no fusion plan covers it), and Property
-// routes through the CSL checker.
-// ---------------------------------------------------------------------------
-
-bool fusible(const WorkItem& item) {
-    return (item.measure.kind == MeasureKind::Survivability ||
-            item.measure.kind == MeasureKind::InstantaneousCost) &&
-           !item.measure.times.empty();
-}
-
-/// Exact-bits text of a double (fusion keys must distinguish every value
-/// %.17g round-trips to, and -0.0 from +0.0).
-std::string double_bits(double v) {
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(v)));
-    return buf;
-}
-
-std::string fuse_key(const WorkItem& item) {
-    std::string key = item.model_key();
-    key += '\n';
-    if (item.measure.kind == MeasureKind::Survivability) {
-        key += "surv@" + double_bits(item.measure.service_level);
-    } else {
-        key += "cost";
-    }
-    key += '\n';
-    for (double t : item.measure.times) key += double_bits(t) + ",";
-    return key;
-}
-
-/// One column of a fused batch: the cells (usually one — expand()
-/// deduplicates) that read this disaster's trajectory.
-struct BatchColumn {
-    std::size_t first_cell = 0;        ///< representative item index
-    std::vector<std::size_t> cells;    ///< item indices served by this column
-};
-
-struct BatchPlan {
-    std::vector<std::size_t> cells;    ///< every item index in this batch
-    std::vector<BatchColumn> columns;  ///< one per distinct disaster
-};
-
-void evaluate_batch(engine::AnalysisSession& session, const ScenarioGrid& grid,
-                    const std::vector<WorkItem>& items, const BatchPlan& plan,
-                    const RunnerOptions& options, std::vector<ScenarioResult>& results) {
-    const double t0 = now_seconds();
-    // Mirror the per-cell path's session traffic — one compile lookup and
-    // one quotient lookup per cell — so the footer counters are independent
-    // of the batch policy.
-    engine::AnalysisSession::CompiledPtr model;
-    for (const std::size_t idx : plan.cells) {
-        model = compile_item(session, grid, items[idx], options);
-        if (options.reduction == core::ReductionPolicy::Auto) {
-            (void)session.quotient(model);
-        }
-    }
-    const WorkItem& first = items[plan.cells.front()];
-    const core::FusedSeriesPlan fused =
-        first.measure.kind == MeasureKind::Survivability
-            ? core::survivability_fused_plan(*model, first.measure.service_level)
-            : core::instantaneous_cost_fused_plan(*model);
-
-    std::vector<std::vector<double>> columns;
-    columns.reserve(plan.columns.size());
-    for (const auto& col : plan.columns) {
-        columns.push_back(core::fused_initial(
-            *model, make_disaster(items[col.first_cell].measure.disaster, *model)));
-    }
-
-    for (const std::size_t idx : plan.cells) {
-        ScenarioResult& r = results[idx];
-        r.item = items[idx];
-        r.model_states = model->state_count();
-        r.model_transitions = model->transition_count();
-        r.model_full_states = model->symmetry_full_states();
-    }
-
-    const auto series = ctmc::functional_series_batch(
-        *fused.chain, columns, first.measure.times, ctmc::SeriesForm::Instantaneous,
-        [&fused](std::span<const double> dist) { return fused.reduce(dist); },
-        core::session_transient(session));
-    for (std::size_t c = 0; c < plan.columns.size(); ++c) {
-        for (const std::size_t idx : plan.columns[c].cells) results[idx].values = series[c];
-    }
-
-    const double elapsed = now_seconds() - t0;
-    for (const std::size_t idx : plan.cells) {
-        results[idx].seconds = elapsed / static_cast<double>(plan.cells.size());
-    }
-    session.record_batch(plan.cells.size(), plan.columns.size(), elapsed);
-}
-
 }  // namespace
 
 SweepReport SweepRunner::run(const ScenarioGrid& grid) {
@@ -362,57 +254,11 @@ SweepReport SweepRunner::run(const ScenarioGrid& grid, const std::vector<WorkIte
         }
     });
 
-    // Fusion pass: under BatchPolicy::Auto, cells sharing an evolution
-    // matrix and time grid are grouped into batches; everything else — and
-    // singleton groups, where batching buys nothing — keeps the per-cell
-    // path.  Group iteration is over a std::map, so the batch list (and
-    // with it every result byte and counter) is deterministic.
-    std::vector<std::size_t> solo;
-    std::vector<BatchPlan> batches;
-    if (options_.batch == core::BatchPolicy::Auto) {
-        std::map<std::string, BatchPlan> groups;
-        std::map<std::string, std::map<std::string, std::size_t>> column_of;
-        for (std::size_t i = 0; i < items.size(); ++i) {
-            if (!fusible(items[i])) {
-                solo.push_back(i);
-                continue;
-            }
-            const std::string key = fuse_key(items[i]);
-            BatchPlan& plan = groups[key];
-            plan.cells.push_back(i);
-            const std::string column_key = to_string(items[i].measure.disaster);
-            const auto [slot, inserted] =
-                column_of[key].emplace(column_key, plan.columns.size());
-            if (inserted) {
-                plan.columns.push_back(BatchColumn{i, {i}});
-            } else {
-                plan.columns[slot->second].cells.push_back(i);
-            }
-        }
-        for (auto& [key, plan] : groups) {
-            if (plan.cells.size() < 2) {
-                solo.insert(solo.end(), plan.cells.begin(), plan.cells.end());
-            } else {
-                batches.push_back(std::move(plan));
-            }
-        }
-        std::sort(solo.begin(), solo.end());
-    } else {
-        solo.resize(items.size());
-        std::iota(solo.begin(), solo.end(), std::size_t{0});
-    }
-
     // Phase 2: evaluate every cell; results land in grid order by index.
     SweepReport report;
     report.results.resize(items.size());
-    run_stealing(workers, solo.size() + batches.size(), [&](std::size_t task) {
-        if (task < solo.size()) {
-            const std::size_t i = solo[task];
-            report.results[i] = evaluate(session_, grid, items[i], options_);
-        } else {
-            evaluate_batch(session_, grid, items, batches[task - solo.size()], options_,
-                           report.results);
-        }
+    run_stealing(workers, items.size(), [&](std::size_t i) {
+        report.results[i] = evaluate(session_, grid, items[i], options_);
     });
 
     report.unique_models = unique_models.size();

@@ -11,7 +11,6 @@
 #include "ctmc/ctmc.hpp"
 #include "ctmc/steady_state.hpp"
 #include "ctmc/transient.hpp"
-#include "ctmc/transient_batch.hpp"
 #include "linalg/kernels.hpp"
 #include "support/errors.hpp"
 
@@ -303,12 +302,7 @@ namespace {
 
 bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 
-bool same_column_bits(std::span<const double> a, std::span<const double> b) {
-    return a.size() == b.size() &&
-           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
-}
-
-/// A random irreducible-ish chain and a set of distinct initial columns.
+/// A random irreducible-ish chain.
 ctmc::Ctmc random_chain(std::mt19937& rng, std::size_t n) {
     std::uniform_real_distribution<double> rate(0.1, 3.0);
     std::uniform_real_distribution<double> unit(0.0, 1.0);
@@ -449,97 +443,3 @@ TEST(SeriesPass, SingleTimeBoundedUntilIsBitwiseTheSeriesPoint) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// BatchTransientEvolver / functional_series_batch: per-column bitwise
-// identity with the single-vector pass.  The batch engine is only allowed to
-// amortise structure (one matrix traversal per power of P) — never
-// arithmetic, so every column it carries must hold exactly the bytes the
-// single-vector pass produces for that initial vector.  This is the
-// property the sweep runner's fusion pass (and the byte-identical-CSV
-// guarantee) stands on.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Distinct columns: point distributions and a couple of mixtures, so a
-/// column mix-up cannot cancel out.
-std::vector<std::vector<double>> distinct_columns(std::size_t n, std::size_t width) {
-    std::vector<std::vector<double>> columns;
-    for (std::size_t c = 0; c < width; ++c) {
-        std::vector<double> init(n, 0.0);
-        if (c % 2 == 0) {
-            init[c % n] = 1.0;
-        } else {
-            init[c % n] = 0.5;
-            init[(c + 2) % n] = 0.5;
-        }
-        columns.push_back(std::move(init));
-    }
-    return columns;
-}
-
-}  // namespace
-
-TEST(BatchTransient, PowerStepColumnsBitwiseIdenticalToSingleVectorSteps) {
-    std::mt19937 rng(20260807);
-    for (const std::size_t width : {std::size_t{1}, std::size_t{3}, std::size_t{4},
-                                    std::size_t{5}, std::size_t{8}}) {
-        const std::size_t n = 6;
-        const auto chain = random_chain(rng, n);
-        const auto columns = distinct_columns(n, width);
-        const auto p = ctmc::uniformise(chain);
-
-        ctmc::BatchTransientEvolver batch(chain, columns);
-        EXPECT_EQ(batch.width(), width);
-        EXPECT_TRUE(same_bits(batch.lambda(), p.lambda));
-        auto singles = columns;
-        std::vector<double> next(n);
-        std::vector<double> column(n);
-        for (int k = 0; k < 12; ++k) {
-            for (std::size_t c = 0; c < width; ++c) {
-                batch.extract_column(c, column);
-                EXPECT_TRUE(same_column_bits(column, singles[c]))
-                    << "width=" << width << " c=" << c << " k=" << k;
-            }
-            batch.power_step();
-            for (auto& single : singles) {
-                la::uniformised_multiply_left(p, single, next);
-                std::swap(single, next);
-            }
-        }
-    }
-}
-
-TEST(BatchTransient, SeriesColumnsBitwiseIdenticalToSingleVectorSeries) {
-    std::mt19937 rng(20260808);
-    const std::vector<double> times{0.0, 0.25, 0.25, 0.25 - 1e-13, 1.0, 2.5, 7.0};
-    const std::vector<bool> set{true, false, true, false, false, true};
-    const auto f = [&set](std::span<const double> dist) { return ctmc::mass_in(dist, set); };
-    for (const auto form : {ctmc::SeriesForm::Instantaneous, ctmc::SeriesForm::Accumulated}) {
-        for (const std::size_t width : {std::size_t{1}, std::size_t{3}, std::size_t{5}}) {
-            const std::size_t n = 6;
-            const auto chain = random_chain(rng, n);
-            const auto columns = distinct_columns(n, width);
-            const auto batched = ctmc::functional_series_batch(chain, columns, times, form, f);
-            ASSERT_EQ(batched.size(), width);
-            for (std::size_t c = 0; c < width; ++c) {
-                const auto single = ctmc::functional_series(ctmc::uniformise(chain),
-                                                            columns[c], times, form, f);
-                EXPECT_TRUE(same_column_bits(batched[c], single))
-                    << "width=" << width << " c=" << c;
-            }
-        }
-    }
-}
-
-TEST(BatchTransient, SeriesRejectsDecreasingGrid) {
-    const auto chain = two_state(0.7, 0.9);
-    const std::vector<std::vector<double>> columns{chain.initial_distribution(),
-                                                   {0.0, 1.0}};
-    const std::vector<double> decreasing{2.0, 1.0};
-    const std::vector<bool> up{true, false};
-    EXPECT_THROW((void)ctmc::functional_series_batch(
-                     chain, columns, decreasing, ctmc::SeriesForm::Instantaneous,
-                     [&up](std::span<const double> d) { return ctmc::mass_in(d, up); }),
-                 arcade::InvalidArgument);
-}

@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <random>
 #include <span>
@@ -259,6 +260,61 @@ TEST(ExprVm, IllTypedFoldsErrorAtRunLikeTheInterpreter) {
     }
 }
 
+namespace {
+
+constexpr long long kInt64Min = std::numeric_limits<long long>::min();
+constexpr long long kInt64Max = std::numeric_limits<long long>::max();
+
+/// Slot `lo` holds INT64_MIN and `hi` INT64_MAX.
+struct ExtremeSlots {
+    MapEnv env;
+    expr::SlotMap map;
+    std::vector<expr::Value> slots{expr::Value(kInt64Min), expr::Value(kInt64Max)};
+    ExtremeSlots() {
+        env.values.emplace("lo", slots[0]);
+        env.values.emplace("hi", slots[1]);
+        map.slots.emplace("lo", 0u);
+        map.slots.emplace("hi", 1u);
+    }
+};
+
+/// Integer arithmetic that leaves the int64 range: INT64_MIN + -1,
+/// INT64_MIN - 1, INT64_MAX * 2 and -INT64_MIN, over slots.
+std::vector<expr::Expr> overflowing_slot_exprs() {
+    using E = expr::Expr;
+    return {E::binary(expr::BinaryOp::Add, E::identifier("lo"), E::integer(-1)),
+            E::binary(expr::BinaryOp::Sub, E::identifier("lo"), E::integer(1)),
+            E::binary(expr::BinaryOp::Mul, E::identifier("hi"), E::integer(2)),
+            E::unary(expr::UnaryOp::Neg, E::identifier("lo"))};
+}
+
+}  // namespace
+
+TEST(ExprVm, IntegerOverflowIsAModelErrorInBothEvaluators) {
+    const ExtremeSlots x;
+    using E = expr::Expr;
+    std::vector<expr::Expr> exprs = overflowing_slot_exprs();
+    // All-literal operands: construction folding must keep the node and
+    // leave the error to evaluation.
+    exprs.push_back(E::binary(expr::BinaryOp::Add, E::integer(kInt64Min), E::integer(-1)));
+    exprs.push_back(E::binary(expr::BinaryOp::Mul, E::integer(kInt64Max), E::integer(2)));
+    exprs.push_back(E::unary(expr::UnaryOp::Neg, E::integer(kInt64Min)));
+    for (const auto& e : exprs) {
+        const Outcome interp = run_interp(e, x.env);
+        const Outcome vm = run_vm(e, x.map, x.slots);
+        EXPECT_TRUE(interp.threw) << e.to_string();
+        EXPECT_TRUE(vm.threw) << e.to_string();
+        EXPECT_EQ(interp.error, "integer overflow") << e.to_string();
+        EXPECT_EQ(vm.error, "integer overflow") << e.to_string();
+    }
+    // The edges themselves stay in range.
+    const auto edge = E::binary(expr::BinaryOp::Add, E::identifier("lo"), E::integer(1));
+    EXPECT_EQ(run_vm(edge, x.map, x.slots).value.as_int(), kInt64Min + 1);
+    const auto neg = E::unary(expr::UnaryOp::Neg, E::identifier("hi"));
+    EXPECT_EQ(run_interp(neg, x.env).value.as_int(), -kInt64Max);
+    EXPECT_EQ(run_vm(neg, x.map, x.slots).value.as_int(), -kInt64Max);
+}
+
 TEST(ExprVm, DefaultModeHonoursEnvironment) {
     // The env variable is read once per process; all this test can assert
     // portably is that the default is one of the two modes and stable.
@@ -348,6 +404,29 @@ TEST(ExprCodegen, NativeMatchesVmBitwise) {
     // Both routes must be exercised heavily or the differential is hollow.
     EXPECT_GT(value_cases, 300);
     EXPECT_GT(error_cases, 100);
+#endif
+}
+
+// Integer overflow fails the native evaluation like every other VM error.
+TEST(ExprCodegen, IntegerOverflowFailsLikeTheVm) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    GTEST_SKIP() << "codegen dlopens uninstrumented objects; skipped under sanitizers";
+#else
+    const ExtremeSlots x;
+    std::vector<expr::Program> programs;
+    for (const auto& e : overflowing_slot_exprs()) programs.push_back(expr::compile(e, x.map));
+    std::vector<const expr::Program*> ptrs;
+    for (const auto& p : programs) ptrs.push_back(&p);
+    const auto unit = expr::build_native_unit(ptrs, std::vector<bool>{false, false});
+    if (unit == nullptr) {
+        GTEST_SKIP() << "no host toolchain / dlopen available";
+    }
+    const std::int64_t state[] = {kInt64Min, kInt64Max};
+    for (std::size_t i = 0; i < programs.size(); ++i) {
+        expr::Value native{false};
+        EXPECT_FALSE(unit->try_run(i, std::span<const std::int64_t>(state, 2), native)) << i;
+        EXPECT_THROW((void)programs[i].run(x.slots), arcade::ModelError) << i;
+    }
 #endif
 }
 

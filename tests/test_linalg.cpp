@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <limits>
 #include <random>
@@ -334,137 +333,11 @@ TEST(Kernels, SimdModeAlwaysDispatchable) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch (multi-RHS) kernels.  The contract mirrors the single-vector one,
-// per column: extracting column c of a batch result must reproduce, bit for
-// bit, the single-vector kernel applied to column c alone — in every mode,
-// at every width, including the strided-layout edge widths (1, odd, vector
-// width, vector width + 1, 2× vector width) and the ±inf / quiet-NaN payload
-// classes.  Columns are made distinct (different zero positions, different
-// scales) so a kernel that mixed columns up, skipped the wrong column's
-// zero, or reused one column's q-scaling for another would be caught.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-constexpr std::size_t kBatchWidths[] = {1, 3, 4, 5, 8};
-
-/// Column c of the batch input: the edge vector, per-column scaled, with a
-/// column-dependent extra zero so the per-column zero-skip is observable.
-std::vector<double> batch_column(std::size_t n, std::size_t c, Specials specials) {
-    std::vector<double> v = edge_vector(n, specials);
-    const double scale = 1.0 + 0.5 * static_cast<double>(c);
-    for (std::size_t i = 0; i < n; ++i) {
-        if (std::isfinite(v[i])) v[i] *= scale;  // leave special payloads untouched
-    }
-    if (n > 0) v[(2 * c + 1) % n] = 0.0;
-    return v;
-}
-
-/// Row-major interleave: block[s*width + c] = columns[c][s].
-std::vector<double> interleave(const std::vector<std::vector<double>>& columns) {
-    const std::size_t width = columns.size();
-    const std::size_t n = columns.empty() ? 0 : columns[0].size();
-    std::vector<double> block(n * width);
-    for (std::size_t s = 0; s < n; ++s) {
-        for (std::size_t c = 0; c < width; ++c) block[s * width + c] = columns[c][s];
-    }
-    return block;
-}
-
-std::vector<double> deinterleave_column(std::span<const double> block, std::size_t width,
-                                        std::size_t c) {
-    std::vector<double> column(block.size() / width);
-    for (std::size_t s = 0; s < column.size(); ++s) column[s] = block[s * width + c];
-    return column;
-}
-
-void expect_batch_matches_single(Specials specials) {
-    const la::CsrMatrix m = edge_matrix();
-    const std::size_t n = m.rows();
-    const la::UniformisedMatrix p = la::uniformise(m, 3.5);
-
-    for (const std::size_t width : kBatchWidths) {
-        std::vector<std::vector<double>> columns;
-        columns.reserve(width);
-        for (std::size_t c = 0; c < width; ++c) columns.push_back(batch_column(n, c, specials));
-        const std::vector<double> block = interleave(columns);
-
-        for (const la::KernelMode mode : kModes) {
-            const KernelModeGuard guard(mode);
-            // Per-column references from the single-vector kernels in the
-            // SAME mode (themselves bitwise identical across modes, by the
-            // tests above).
-            std::vector<std::vector<double>> ref_left(width, std::vector<double>(n));
-            std::vector<std::vector<double>> ref_right(width, std::vector<double>(n));
-            std::vector<std::vector<double>> ref_uleft(width, std::vector<double>(n));
-            for (std::size_t c = 0; c < width; ++c) {
-                la::multiply_left(m, columns[c], ref_left[c]);
-                la::multiply_right(m, columns[c], ref_right[c]);
-                la::uniformised_multiply_left(p, columns[c], ref_uleft[c]);
-            }
-
-            std::vector<double> out(n * width, 0.5);  // poisoned: must overwrite
-            la::multiply_left_batch(m, block, out, width);
-            for (std::size_t c = 0; c < width; ++c) {
-                EXPECT_TRUE(same_bits(deinterleave_column(out, width, c), ref_left[c]))
-                    << "multiply_left_batch " << mode_name(mode) << " width " << width
-                    << " column " << c;
-            }
-            std::fill(out.begin(), out.end(), 0.5);
-            la::multiply_right_batch(m, block, out, width);
-            for (std::size_t c = 0; c < width; ++c) {
-                EXPECT_TRUE(same_bits(deinterleave_column(out, width, c), ref_right[c]))
-                    << "multiply_right_batch " << mode_name(mode) << " width " << width
-                    << " column " << c;
-            }
-            std::fill(out.begin(), out.end(), 0.5);
-            la::uniformised_multiply_left_batch(p, block, out, width);
-            for (std::size_t c = 0; c < width; ++c) {
-                EXPECT_TRUE(same_bits(deinterleave_column(out, width, c), ref_uleft[c]))
-                    << "uniformised_multiply_left_batch " << mode_name(mode) << " width "
-                    << width << " column " << c;
-            }
-        }
-    }
-}
-
-}  // namespace
-
-TEST(BatchKernels, ColumnsBitwiseIdenticalToSingleVectorKernels) {
-    expect_batch_matches_single(Specials::None);
-}
-
-TEST(BatchKernels, InfinitiesPropagateIdenticallyPerColumn) {
-    expect_batch_matches_single(Specials::Inf);
-}
-
-TEST(BatchKernels, NansPropagateIdenticallyPerColumn) {
-    expect_batch_matches_single(Specials::NaN);
-}
-
-TEST(BatchKernels, WidthOneMatchesSingleVectorExactly) {
-    // Degenerate width: the strided layout collapses to the plain one and
-    // the batch kernels must be drop-in equal to their single-vector twins.
-    const la::CsrMatrix m = edge_matrix();
-    const la::UniformisedMatrix p = la::uniformise(m, 3.5);
-    const std::size_t n = m.rows();
-    const std::vector<double> x = edge_vector(n, Specials::None);
-    for (const la::KernelMode mode : kModes) {
-        const KernelModeGuard guard(mode);
-        std::vector<double> single(n), batch(n, 0.5);
-        la::uniformised_multiply_left(p, x, single);
-        la::uniformised_multiply_left_batch(p, x, batch, 1);
-        EXPECT_TRUE(same_bits(batch, single)) << mode_name(mode);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Uniformise once.  The solvers step over P = uniformise(rates, lambda), and
 // every precomputed kernel must be bitwise equal to dividing rate/lambda on
 // the fly: the left form against the kept on-the-fly kernel, the right form
-// against the seed's scalar loop below, the batch form per column against
-// both.  The inputs carry the same ±inf / quiet-NaN payload classes as the
-// kernel-mode tests above.
+// against the seed's scalar loop below.  The inputs carry the same ±inf /
+// quiet-NaN payload classes as the kernel-mode tests above.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -600,35 +473,6 @@ TEST(UniformisedKernels, InfinitiesPropagateIdentically) {
 
 TEST(UniformisedKernels, NansPropagateIdentically) {
     expect_precomputed_matches_on_the_fly(Specials::NaN);
-}
-
-TEST(UniformisedKernels, BatchColumnsMatchAtWidthsOneToNine) {
-    // Odd widths from 3 carry an all-zero column, so no row is fully live;
-    // the other widths mix fully-live rows (the dense path), rows with some
-    // zero columns and row 0, which is zero in every column.
-    for (const Specials specials : {Specials::None, Specials::Inf, Specials::NaN}) {
-        for (const la::CsrMatrix& m : identity_matrices()) {
-            const std::size_t n = m.rows();
-            const double lambda = la::uniformisation_rate(max_exit(m));
-            const la::UniformisedMatrix p = la::uniformise(m, lambda);
-            for (std::size_t width = 1; width <= 9; ++width) {
-                std::vector<std::vector<double>> columns;
-                for (std::size_t c = 0; c < width; ++c) {
-                    const bool dead = width >= 3 && width % 2 == 1 && c == 1;
-                    columns.push_back(dead ? std::vector<double>(n, 0.0)
-                                           : batch_column(n, c, specials));
-                }
-                std::vector<double> out(n * width, 0.5);
-                la::uniformised_multiply_left_batch(p, interleave(columns), out, width);
-                for (std::size_t c = 0; c < width; ++c) {
-                    std::vector<double> ref(n);
-                    la::uniformised_multiply_left(m, lambda, columns[c], ref);
-                    EXPECT_TRUE(same_bits(deinterleave_column(out, width, c), ref))
-                        << "n=" << n << " width=" << width << " column=" << c;
-                }
-            }
-        }
-    }
 }
 
 namespace {

@@ -4,7 +4,6 @@
 // bit-for-bit, not just approximately).
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <sstream>
 
 #include "arcade/measures.hpp"
@@ -524,65 +523,4 @@ TEST(Studies, PreemptiveStrategyVariantsResolveByName) {
     // The paper's own strategy list is unchanged.
     EXPECT_EQ(wt::paper_strategies().size(), 5u);
     EXPECT_THROW((void)wt::strategy("DED-pre"), arcade::InvalidArgument);
-}
-
-TEST(SweepRunner, BatchedRunIsByteIdenticalToSequentialRun) {
-    // Two survivability cells (same level, same grid, different disasters)
-    // and two instantaneous-cost cells on one model: under BatchPolicy::Auto
-    // each pair fuses into one width-2 batched evolution.  The fused run
-    // must produce byte-for-byte the values — and the CSV bytes — of the
-    // cell-at-a-time run, and must say so in the batch counters.
-    const auto times = arcade::time_grid(4.5, 10);
-    sweep::ScenarioGrid grid;
-    grid.lines = {2};
-    grid.strategies = {"FRF-1"};
-    grid.measures = {
-        measure_spec(MeasureKind::Survivability, DisasterKind::AllPumps, 1.0 / 3.0,
-                     times),
-        measure_spec(MeasureKind::Survivability, DisasterKind::Mixed, 1.0 / 3.0, times),
-        measure_spec(MeasureKind::InstantaneousCost, DisasterKind::AllPumps, 1.0, times),
-        measure_spec(MeasureKind::InstantaneousCost, DisasterKind::Mixed, 1.0, times),
-        // A different level does NOT fuse with the first pair (different
-        // until-transform) and, alone, demotes to the solo path.
-        measure_spec(MeasureKind::Survivability, DisasterKind::Mixed, 2.0 / 3.0, times),
-    };
-
-    engine::AnalysisSession off_session;
-    sweep::RunnerOptions off_options;
-    off_options.batch = core::BatchPolicy::Off;
-    sweep::SweepRunner off_runner(off_session, off_options);
-    const auto off = off_runner.run(grid);
-
-    engine::AnalysisSession auto_session;
-    sweep::RunnerOptions auto_options;
-    auto_options.batch = core::BatchPolicy::Auto;
-    sweep::SweepRunner auto_runner(auto_session, auto_options);
-    const auto batched = auto_runner.run(grid);
-
-    ASSERT_EQ(off.results.size(), batched.results.size());
-    for (std::size_t i = 0; i < off.results.size(); ++i) {
-        EXPECT_EQ(off.results[i].item.key(), batched.results[i].item.key()) << i;
-        ASSERT_EQ(off.results[i].values.size(), batched.results[i].values.size()) << i;
-        for (std::size_t k = 0; k < off.results[i].values.size(); ++k) {
-            const double a = off.results[i].values[k];
-            const double b = batched.results[i].values[k];
-            EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0)
-                << off.results[i].item.key() << " point " << k;
-        }
-        EXPECT_EQ(off.results[i].model_states, batched.results[i].model_states) << i;
-    }
-
-    // Counter contract: Off fuses nothing; Auto fused the two pairs (four
-    // cells as two two-column batches) and ran the odd level solo.
-    EXPECT_EQ(off.stats.batch_cells_fused, 0u);
-    EXPECT_EQ(batched.stats.batch_cells_fused, 4u);
-    EXPECT_EQ(batched.stats.batch_columns, 4u);
-    EXPECT_GE(batched.stats.batch_seconds, 0.0);
-
-    // And the exported CSVs (sans footer — the footer's timing counters
-    // differ run to run by design) are byte-identical.
-    std::ostringstream off_csv, auto_csv;
-    sweep::write_csv(off, grid, off_csv);
-    sweep::write_csv(batched, grid, auto_csv);
-    EXPECT_EQ(off_csv.str(), auto_csv.str());
 }

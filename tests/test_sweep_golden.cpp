@@ -194,7 +194,8 @@ TEST(SweepGolden, Table1StateSpaceRowsAreByteIdentical) {
     expected << "=== Table 1: state space for repair strategies ===\n";
     expected << "(paper values in parentheses; states must match exactly;\n"
                 " FRF/FFF transition counts are PRISM-encoding artifacts in the\n"
-                " paper — our encoding is policy-independent, see DESIGN.md)\n\n";
+                " paper — our encoding is policy-independent, see README.md,\n"
+                " \"Differences from the paper\")\n\n";
     arcade::Table table({"Strategy", "L1 states", "L1 trans.", "L2 states", "L2 trans.",
                          "L1 lumped", "L2 lumped"});
     for (const auto& row : paper) {

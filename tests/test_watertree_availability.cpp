@@ -1,6 +1,6 @@
 // Integration tests: steady-state availability against the paper's Table 2.
 //
-// Tolerances are tiered (see DESIGN.md §1):
+// Tolerances are tiered (see README.md, "Differences from the paper"):
 // * DED rows are exact product-form quantities — we match to 5e-7.
 // * Two-crew rows match to 2e-4.
 // * One-crew rows: the paper's own table contains a semantic impossibility
@@ -73,14 +73,15 @@ TEST(WatertreeAvailability, OneCrewRowsMatchPaperCoarsely) {
     // The paper's FFF-1 row deviates most from the exact solution: with a
     // work-conserving single crew the ST/SF/RES order provably has little
     // effect on availability, so FFF-1 ~ FRF-1 in any exact solution
-    // (ours: 0.72163 vs 0.72240).  See EXPERIMENTS.md.
+    // (ours: 0.72163 vs 0.72240).  See README.md, "Differences from the paper".
     EXPECT_NEAR(line_availability(wt::line1(strategy_named("FFF-1"))), 0.7273540, 7e-3);
 }
 
 TEST(WatertreeAvailability, OneCrewPoliciesNearlyTie) {
-    // The work-conservation argument (DESIGN.md §1): with one crew the line
-    // is up only when the whole backlog except one pump is cleared, so the
-    // service order among always-required components barely matters.
+    // The work-conservation argument (README.md, "Differences from the
+    // paper"): with one crew the line is up only when the whole backlog
+    // except one pump is cleared, so the service order among
+    // always-required components barely matters.
     const double frf1 = line_availability(wt::line1(strategy_named("FRF-1")));
     const double fff1 = line_availability(wt::line1(strategy_named("FFF-1")));
     EXPECT_NEAR(frf1, fff1, 2e-3);
