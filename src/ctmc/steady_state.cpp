@@ -40,20 +40,29 @@ std::vector<double> bscc_steady_state(const Ctmc& chain, const std::vector<std::
     return pi;
 }
 
-}  // namespace
+/// Per-state scratch reused by every reachability solve of one
+/// steady_state call (one solve per BSCC).
+struct ReachScratch {
+    std::vector<bool> maybe;
+    std::vector<std::size_t> index;
+};
 
-std::vector<double> reachability_probability(const Ctmc& chain, const std::vector<bool>& allowed,
-                                             const std::vector<bool>& targets,
-                                             const numeric::SolverOptions& options) {
+/// reachability_probability over a precomputed incoming-edge structure
+/// (linalg::incoming_off_diagonal of the chain's rates).
+std::vector<double> reachability_over(const Ctmc& chain, const linalg::CsrMatrix& incoming,
+                                      const std::vector<bool>& allowed,
+                                      const std::vector<bool>& targets,
+                                      const numeric::SolverOptions& options,
+                                      ReachScratch& scratch) {
     const std::size_t n = chain.state_count();
     ARCADE_ASSERT(allowed.size() == n && targets.size() == n, "mask size mismatch");
 
     const linalg::CsrMatrix& rates = chain.rates();
-    const linalg::CsrMatrix transposed = rates.transposed();
 
     // Qualitative precomputation keeps the linear system non-singular:
     // solve only on states that can reach targets via allowed states.
-    std::vector<bool> maybe(n, false);
+    std::vector<bool>& maybe = scratch.maybe;
+    maybe.assign(n, false);
     {
         std::vector<std::size_t> frontier;
         for (std::size_t v = 0; v < n; ++v) {
@@ -65,7 +74,7 @@ std::vector<double> reachability_probability(const Ctmc& chain, const std::vecto
         while (!frontier.empty()) {
             const std::size_t v = frontier.back();
             frontier.pop_back();
-            for (std::size_t w : transposed.row_columns(v)) {
+            for (std::size_t w : incoming.row_columns(v)) {
                 if (!maybe[w] && allowed[w] && !targets[w]) {
                     maybe[w] = true;
                     frontier.push_back(w);
@@ -77,7 +86,8 @@ std::vector<double> reachability_probability(const Ctmc& chain, const std::vecto
     // Embedded DTMC restricted to unknown states: x = A x + b where
     // A[i][j] = p_ij for unknown j, b[i] = sum over target j of p_ij.
     std::vector<std::size_t> unknown;  // maybe && !target
-    std::vector<std::size_t> index(n, std::numeric_limits<std::size_t>::max());
+    std::vector<std::size_t>& index = scratch.index;
+    index.assign(n, std::numeric_limits<std::size_t>::max());
     for (std::size_t v = 0; v < n; ++v) {
         if (maybe[v] && !targets[v]) {
             index[v] = unknown.size();
@@ -119,6 +129,16 @@ std::vector<double> reachability_probability(const Ctmc& chain, const std::vecto
     return result;
 }
 
+}  // namespace
+
+std::vector<double> reachability_probability(const Ctmc& chain, const std::vector<bool>& allowed,
+                                             const std::vector<bool>& targets,
+                                             const numeric::SolverOptions& options) {
+    ReachScratch scratch;
+    return reachability_over(chain, linalg::incoming_off_diagonal(chain.rates()), allowed,
+                             targets, options, scratch);
+}
+
 std::vector<double> steady_state(const Ctmc& chain, const SteadyStateOptions& options) {
     const std::size_t n = chain.state_count();
     const auto scc = graph::strongly_connected_components(chain.rates());
@@ -147,13 +167,18 @@ std::vector<double> steady_state(const Ctmc& chain, const SteadyStateOptions& op
     }
 
     // Reachability probability of each BSCC from the initial distribution.
+    // The incoming-edge structure and the masks are built once and shared
+    // by every BSCC's solve.
     const auto& init = chain.initial_distribution();
-    std::vector<bool> trivially_inside(bsccs.size(), false);
+    const linalg::CsrMatrix incoming = linalg::incoming_off_diagonal(chain.rates());
+    ReachScratch scratch;
     const std::vector<bool> all_allowed(n, true);
+    std::vector<bool> target(n, false);
     for (std::size_t bi = 0; bi < bsccs.size(); ++bi) {
-        std::vector<bool> target(n, false);
         for (std::size_t v : bsccs[bi]) target[v] = true;
-        const auto reach = reachability_probability(chain, all_allowed, target, options.solver);
+        const auto reach =
+            reachability_over(chain, incoming, all_allowed, target, options.solver, scratch);
+        for (std::size_t v : bsccs[bi]) target[v] = false;
         double mass = 0.0;
         for (std::size_t v = 0; v < n; ++v) mass += init[v] * reach[v];
         if (mass <= 0.0) continue;

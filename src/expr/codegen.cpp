@@ -130,8 +130,9 @@ inline V op_implies(const V& a, const V& b) { return B(!as_bool(a) || as_bool(b)
 inline V op_iff(const V& a, const V& b) { const bool x = as_bool(a); const bool y = as_bool(b); return B(x == y); }
 inline V op_neg(const V& a) { long long r = 0; if (a.t == 1) { if (__builtin_sub_overflow(0LL, a.i, &r)) throw Err{}; return I(r); } return D(-as_double(a)); }
 inline V op_not(const V& a) { return B(!as_bool(a)); }
-inline V op_floor(const V& a) { return I(static_cast<long long>(std::floor(as_double(a)))); }
-inline V op_ceil(const V& a) { return I(static_cast<long long>(std::ceil(as_double(a)))); }
+inline long long checked_integer(double d) { if (!(d >= -0x1p63 && d < 0x1p63)) throw Err{}; return static_cast<long long>(d); }
+inline V op_floor(const V& a) { return I(checked_integer(std::floor(as_double(a)))); }
+inline V op_ceil(const V& a) { return I(checked_integer(std::ceil(as_double(a)))); }
 }  // namespace
 )";
 

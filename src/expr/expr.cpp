@@ -158,6 +158,17 @@ Value apply_binary(BinaryOp op, const Value& a, const Value& b) {
     throw ModelError("unhandled binary operator");
 }
 
+namespace {
+
+/// A floored or ceiled double as an int; NaN and values outside the int64
+/// range (where the cast would be undefined) are an overflow.
+long long checked_integer(double d) {
+    if (!(d >= -0x1p63 && d < 0x1p63)) throw ModelError("integer overflow");
+    return static_cast<long long>(d);
+}
+
+}  // namespace
+
 Value apply_unary(UnaryOp op, const Value& a) {
     switch (op) {
         case UnaryOp::Neg:
@@ -170,8 +181,8 @@ Value apply_unary(UnaryOp op, const Value& a) {
             }
             return Value(-a.as_double());
         case UnaryOp::Not: return Value(!a.as_bool());
-        case UnaryOp::Floor: return Value(static_cast<long long>(std::floor(a.as_double())));
-        case UnaryOp::Ceil: return Value(static_cast<long long>(std::ceil(a.as_double())));
+        case UnaryOp::Floor: return Value(checked_integer(std::floor(a.as_double())));
+        case UnaryOp::Ceil: return Value(checked_integer(std::ceil(a.as_double())));
     }
     throw ModelError("unhandled unary operator");
 }

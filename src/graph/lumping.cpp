@@ -94,29 +94,10 @@ Partition coarsest_lumping_splitter(const linalg::CsrMatrix& rates, Partition pa
 
     // Incoming edges (transposed matrix), diagonal dropped: processing a
     // splitter needs "who sends rate into this block".
-    std::vector<std::size_t> tbegin(n + 1, 0);
-    for (std::size_t s = 0; s < n; ++s) {
-        const auto cols = rates.row_columns(s);
-        for (std::size_t k = 0; k < cols.size(); ++k) {
-            if (cols[k] != s) ++tbegin[cols[k] + 1];
-        }
-    }
-    for (std::size_t v = 0; v < n; ++v) tbegin[v + 1] += tbegin[v];
-    std::vector<std::size_t> tsource(tbegin[n]);
-    std::vector<double> trate(tbegin[n]);
-    {
-        std::vector<std::size_t> fill(tbegin.begin(), tbegin.end() - 1);
-        for (std::size_t s = 0; s < n; ++s) {
-            const auto cols = rates.row_columns(s);
-            const auto vals = rates.row_values(s);
-            for (std::size_t k = 0; k < cols.size(); ++k) {
-                if (cols[k] == s) continue;
-                const std::size_t slot = fill[cols[k]]++;
-                tsource[slot] = s;
-                trate[slot] = vals[k];
-            }
-        }
-    }
+    const linalg::CsrMatrix incoming = linalg::incoming_off_diagonal(rates);
+    const std::vector<std::size_t>& tbegin = incoming.row_ptr();
+    const std::vector<std::size_t>& tsource = incoming.col_idx();
+    const std::vector<double>& trate = incoming.values();
 
     // Refinable partition: states grouped contiguously per block in `elems`,
     // with per-block [begin, end) ranges.  Blocks only ever split, so block

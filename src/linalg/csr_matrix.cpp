@@ -16,31 +16,107 @@ void CsrBuilder::add(std::size_t row, std::size_t col, double value) {
     entries_.push_back(Coo{row, col, value});
 }
 
-CsrMatrix CsrBuilder::build() const {
-    std::vector<Coo> sorted = entries_;
-    std::sort(sorted.begin(), sorted.end(), [](const Coo& a, const Coo& b) {
-        return a.row != b.row ? a.row < b.row : a.col < b.col;
-    });
-    std::vector<std::size_t> row_ptr(rows_ + 1, 0);
-    std::vector<std::size_t> col_idx;
-    std::vector<double> values;
-    col_idx.reserve(sorted.size());
-    values.reserve(sorted.size());
-    std::size_t i = 0;
-    for (std::size_t r = 0; r < rows_; ++r) {
-        row_ptr[r] = col_idx.size();
-        while (i < sorted.size() && sorted[i].row == r) {
-            const std::size_t c = sorted[i].col;
-            double v = 0.0;
-            while (i < sorted.size() && sorted[i].row == r && sorted[i].col == c) {
-                v += sorted[i].value;
-                ++i;
+namespace {
+
+/// Sorts one row's (column, value) pairs by column, stably: entries at the
+/// same column keep their relative order.  Rows are short (a handful of
+/// entries), so an insertion sort does the work without allocating; long
+/// rows fall back to std::stable_sort.
+void sort_row_by_column(std::size_t* cols, double* vals, std::size_t len) {
+    constexpr std::size_t kInsertionMax = 32;
+    if (len <= kInsertionMax) {
+        for (std::size_t i = 1; i < len; ++i) {
+            const std::size_t c = cols[i];
+            const double v = vals[i];
+            std::size_t j = i;
+            for (; j > 0 && cols[j - 1] > c; --j) {
+                cols[j] = cols[j - 1];
+                vals[j] = vals[j - 1];
             }
-            col_idx.push_back(c);
-            values.push_back(v);
+            cols[j] = c;
+            vals[j] = v;
+        }
+        return;
+    }
+    std::vector<Entry> row(len);
+    for (std::size_t k = 0; k < len; ++k) row[k] = Entry{cols[k], vals[k]};
+    std::stable_sort(row.begin(), row.end(),
+                     [](const Entry& a, const Entry& b) { return a.column < b.column; });
+    for (std::size_t k = 0; k < len; ++k) {
+        cols[k] = row[k].column;
+        vals[k] = row[k].value;
+    }
+}
+
+/// Counting-sort transpose of `m` over the entries `keep(row, col)` accepts.
+/// Source rows are visited in ascending order, so every transposed row comes
+/// out column-sorted without a sort.
+template <typename Keep>
+CsrMatrix transpose_kept(const CsrMatrix& m, Keep keep) {
+    const std::size_t rows = m.rows();
+    const std::size_t cols = m.cols();
+    const auto& row_ptr = m.row_ptr();
+    const auto& col_idx = m.col_idx();
+    const auto& values = m.values();
+    std::vector<std::size_t> ptr(cols + 1, 0);
+    for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+            if (keep(r, col_idx[k])) ++ptr[col_idx[k] + 1];
         }
     }
-    row_ptr[rows_] = col_idx.size();
+    for (std::size_t c = 0; c < cols; ++c) ptr[c + 1] += ptr[c];
+    std::vector<std::size_t> out_cols(ptr[cols]);
+    std::vector<double> out_vals(ptr[cols]);
+    std::vector<std::size_t> fill(ptr.begin(), ptr.end() - 1);
+    for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+            if (!keep(r, col_idx[k])) continue;
+            const std::size_t slot = fill[col_idx[k]]++;
+            out_cols[slot] = r;
+            out_vals[slot] = values[k];
+        }
+    }
+    return CsrMatrix(cols, rows, std::move(ptr), std::move(out_cols), std::move(out_vals));
+}
+
+}  // namespace
+
+CsrMatrix CsrBuilder::build() const {
+    // Stable counting sort by row: each row's slice holds its entries in
+    // add() order.
+    std::vector<std::size_t> row_ptr(rows_ + 1, 0);
+    for (const Coo& e : entries_) ++row_ptr[e.row + 1];
+    for (std::size_t r = 0; r < rows_; ++r) row_ptr[r + 1] += row_ptr[r];
+    std::vector<std::size_t> col_idx(entries_.size());
+    std::vector<double> values(entries_.size());
+    {
+        std::vector<std::size_t> fill(row_ptr.begin(), row_ptr.end() - 1);
+        for (const Coo& e : entries_) {
+            const std::size_t slot = fill[e.row]++;
+            col_idx[slot] = e.col;
+            values[slot] = e.value;
+        }
+    }
+    // Order each row by column, then sum each run of duplicates in add()
+    // order, compacting in place (the write cursor never passes the read).
+    std::size_t out = 0;
+    for (std::size_t r = 0; r < rows_; ++r) {
+        const std::size_t begin = row_ptr[r];
+        const std::size_t end = row_ptr[r + 1];
+        sort_row_by_column(col_idx.data() + begin, values.data() + begin, end - begin);
+        row_ptr[r] = out;
+        for (std::size_t k = begin; k < end;) {
+            const std::size_t c = col_idx[k];
+            double v = 0.0;
+            for (; k < end && col_idx[k] == c; ++k) v += values[k];
+            col_idx[out] = c;
+            values[out] = v;
+            ++out;
+        }
+    }
+    row_ptr[rows_] = out;
+    col_idx.resize(out);
+    values.resize(out);
     return CsrMatrix(rows_, cols_, std::move(row_ptr), std::move(col_idx), std::move(values));
 }
 
@@ -87,15 +163,12 @@ void CsrMatrix::multiply_right(std::span<const double> x, std::span<double> y) c
 }
 
 CsrMatrix CsrMatrix::transposed() const {
-    CsrBuilder b(cols_, rows_);
-    for (std::size_t r = 0; r < rows_; ++r) {
-        const std::size_t begin = row_ptr_[r];
-        const std::size_t end = row_ptr_[r + 1];
-        for (std::size_t k = begin; k < end; ++k) {
-            b.add(col_idx_[k], r, values_[k]);
-        }
-    }
-    return b.build();
+    return transpose_kept(*this, [](std::size_t, std::size_t) { return true; });
+}
+
+CsrMatrix incoming_off_diagonal(const CsrMatrix& m) {
+    ARCADE_ASSERT(m.rows() == m.cols(), "incoming_off_diagonal needs a square matrix");
+    return transpose_kept(m, [](std::size_t r, std::size_t c) { return r != c; });
 }
 
 }  // namespace arcade::linalg

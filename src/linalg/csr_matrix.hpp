@@ -18,7 +18,14 @@ struct Entry {
 class CsrMatrix;
 
 /// Incremental builder: entries may arrive in any order; duplicate
-/// coordinates are summed.  `build()` produces a column-sorted CsrMatrix.
+/// coordinates are summed.  `build()` produces a column-sorted CsrMatrix in
+/// time linear in the entry count (a stable counting sort by row, then an
+/// insertion sort of each short row by column).
+///
+/// Summation order contract: the entries at one coordinate are summed in the
+/// order they were add()ed, starting from +0.0 — ((0.0 + v1) + v2) + ... —
+/// so three or more duplicates whose sum depends on association always give
+/// the same bits.
 class CsrBuilder {
 public:
     explicit CsrBuilder(std::size_t rows, std::size_t cols);
@@ -68,7 +75,8 @@ public:
     /// y = M * x  (matrix times column vector; used for backward solutions).
     void multiply_right(std::span<const double> x, std::span<double> y) const;
 
-    /// Transposed copy (used to precompute incoming-edge structure).
+    /// Transposed copy, by a counting sort over the columns: O(nnz + rows +
+    /// cols), every entry copied unchanged, rows column-sorted.
     [[nodiscard]] CsrMatrix transposed() const;
 
     [[nodiscard]] const std::vector<std::size_t>& row_ptr() const noexcept { return row_ptr_; }
@@ -82,6 +90,13 @@ private:
     std::vector<std::size_t> col_idx_;
     std::vector<double> values_;
 };
+
+/// Incoming edges of a square matrix with the diagonal dropped: row v lists,
+/// in ascending order, every source s != v with m(s, v) stored, valued
+/// m(s, v).  This is transposed() minus the diagonal — the "who sends rate
+/// into v" structure of Gauss–Seidel steady-state sweeps, reachability
+/// searches and splitter-based lumping.
+[[nodiscard]] CsrMatrix incoming_off_diagonal(const CsrMatrix& m);
 
 }  // namespace arcade::linalg
 

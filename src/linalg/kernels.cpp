@@ -55,24 +55,6 @@ KernelMode effective_mode() {
     return mode;
 }
 
-/// Sequential-order dot product of one CSR row range against a dense vector.
-/// The unrolled body chains the adds (((acc+t0)+t1)+t2)+t3 — identical
-/// association to the scalar loop — while the four loads/multiplies pipeline.
-inline double row_dot(const std::size_t* __restrict cols, const double* __restrict vals,
-                      const double* __restrict x, std::size_t begin, std::size_t end,
-                      double acc) {
-    std::size_t k = begin;
-    for (; k + 4 <= end; k += 4) {
-        const double t0 = vals[k] * x[cols[k]];
-        const double t1 = vals[k + 1] * x[cols[k + 1]];
-        const double t2 = vals[k + 2] * x[cols[k + 2]];
-        const double t3 = vals[k + 3] * x[cols[k + 3]];
-        acc = (((acc + t0) + t1) + t2) + t3;
-    }
-    for (; k < end; ++k) acc += vals[k] * x[cols[k]];
-    return acc;
-}
-
 /// Index of the diagonal entry in [begin,end), or end when absent.
 inline std::size_t find_diag(const std::size_t* cols, std::size_t begin, std::size_t end,
                              std::size_t row) {
@@ -221,7 +203,7 @@ inline double scatter_range(const std::size_t* __restrict cols,
 // once, in uniformise()), so on x86 KernelMode::Simd runs the blocked
 // bodies.  NEON pays no gather penalty (two-lane vectors load scalars
 // directly), so aarch64 keeps vector bodies for the single-vector
-// multiplies and the Gauss–Seidel gathers.
+// multiplies.
 // ---------------------------------------------------------------------------
 
 #if defined(ARCADE_SIMD_NEON)
@@ -404,68 +386,6 @@ void uniformised_multiply_left(const CsrMatrix& rates, double lambda,
         }
         op[i] += p * (1.0 - moved);
     }
-}
-
-double gather_skip_diag(std::span<const std::size_t> cols, std::span<const double> vals,
-                        std::span<const double> x, std::size_t skip, double acc) {
-    const KernelMode mode = effective_mode();
-    if (mode == KernelMode::Scalar) {
-        for (std::size_t k = 0; k < cols.size(); ++k) {
-            if (cols[k] != skip) acc += vals[k] * x[cols[k]];
-        }
-        return acc;
-    }
-    const std::size_t diag = find_diag(cols.data(), 0, cols.size(), skip);
-#if defined(ARCADE_SIMD_NEON)
-    if (mode == KernelMode::Simd) {
-        acc = row_dot_simd(cols.data(), vals.data(), x.data(), 0, diag, acc);
-        if (diag != cols.size()) {
-            acc = row_dot_simd(cols.data(), vals.data(), x.data(), diag + 1, cols.size(),
-                               acc);
-        }
-        return acc;
-    }
-#endif
-    acc = row_dot(cols.data(), vals.data(), x.data(), 0, diag, acc);
-    if (diag != cols.size()) {
-        acc = row_dot(cols.data(), vals.data(), x.data(), diag + 1, cols.size(), acc);
-    }
-    return acc;
-}
-
-double gather_capture_diag(std::span<const std::size_t> cols, std::span<const double> vals,
-                           std::span<const double> x, std::size_t row, double acc,
-                           double& diag) {
-    diag = 0.0;
-    const KernelMode mode = effective_mode();
-    if (mode == KernelMode::Scalar) {
-        for (std::size_t k = 0; k < cols.size(); ++k) {
-            if (cols[k] == row) {
-                diag = vals[k];
-            } else {
-                acc += vals[k] * x[cols[k]];
-            }
-        }
-        return acc;
-    }
-    const std::size_t d = find_diag(cols.data(), 0, cols.size(), row);
-#if defined(ARCADE_SIMD_NEON)
-    if (mode == KernelMode::Simd) {
-        acc = row_dot_simd(cols.data(), vals.data(), x.data(), 0, d, acc);
-        if (d != cols.size()) {
-            diag = vals[d];
-            acc = row_dot_simd(cols.data(), vals.data(), x.data(), d + 1, cols.size(),
-                               acc);
-        }
-        return acc;
-    }
-#endif
-    acc = row_dot(cols.data(), vals.data(), x.data(), 0, d, acc);
-    if (d != cols.size()) {
-        diag = vals[d];
-        acc = row_dot(cols.data(), vals.data(), x.data(), d + 1, cols.size(), acc);
-    }
-    return acc;
 }
 
 }  // namespace arcade::linalg

@@ -1,16 +1,15 @@
 // Blocked and SIMD CSR matvec kernels for the numeric core.
 //
-// The plain multiplies and the Gauss–Seidel gathers exist in three variants
-// selected by KernelMode: Blocked (4-way unrolled inner loops over
-// __restrict pointers, with the diagonal split out of the gathers so the
-// hot path is branch-free), Simd (NEON vector bodies on aarch64; on x86-64
-// the blocked bodies, which measured faster than AVX2 gathers; resolves to
-// Blocked when the CPU lacks the extension) and Scalar (the seed's
-// straightforward loops, kept as the reference).  All variants accumulate
-// in the SAME ascending-index order with a single sequential accumulator
-// chain, so their results are bitwise identical — the unrolling and
-// vectorisation only pipeline the loads and multiplies, they never
-// reassociate a floating-point sum and never contract into FMAs.
+// The plain multiplies exist in three variants selected by KernelMode:
+// Blocked (4-way unrolled inner loops over __restrict pointers), Simd (NEON
+// vector bodies on aarch64; on x86-64 the blocked bodies, which measured
+// faster than AVX2 gathers; resolves to Blocked when the CPU lacks the
+// extension) and Scalar (the seed's straightforward loops, kept as the
+// reference).  All variants accumulate in the SAME ascending-index order
+// with a single sequential accumulator chain, so their results are bitwise
+// identical — the unrolling and vectorisation only pipeline the loads and
+// multiplies, they never reassociate a floating-point sum and never
+// contract into FMAs.
 // ARCADE_KERNELS=scalar|blocked|simd selects the variant process-wide;
 // tests and benches flip the mode at runtime via set_kernel_mode().
 //
@@ -51,6 +50,26 @@ enum class KernelMode {
 
 /// Overrides the mode at runtime (atomic; used by identity tests/benches).
 void set_kernel_mode(KernelMode mode);
+
+/// acc + sum of vals[k]*x[cols[k]] over one CSR row range [begin,end), in
+/// ascending index order.  The unrolled body chains the adds
+/// (((acc+t0)+t1)+t2)+t3 — the association of the one-at-a-time loop —
+/// while the four loads and multiplies pipeline.  The blocked right
+/// multiplies and the Gauss–Seidel sweeps share it.
+inline double row_dot(const std::size_t* __restrict cols, const double* __restrict vals,
+                      const double* __restrict x, std::size_t begin, std::size_t end,
+                      double acc) {
+    std::size_t k = begin;
+    for (; k + 4 <= end; k += 4) {
+        const double t0 = vals[k] * x[cols[k]];
+        const double t1 = vals[k + 1] * x[cols[k + 1]];
+        const double t2 = vals[k + 2] * x[cols[k + 2]];
+        const double t3 = vals[k + 3] * x[cols[k + 3]];
+        acc = (((acc + t0) + t1) + t2) + t3;
+    }
+    for (; k < end; ++k) acc += vals[k] * x[cols[k]];
+    return acc;
+}
 
 /// y = x^T * M (distribution propagation).  `x.size()==rows`, `y.size()==cols`.
 void multiply_left(const CsrMatrix& m, std::span<const double> x, std::span<double> y);
@@ -97,20 +116,6 @@ void uniformised_multiply_right(const UniformisedMatrix& p, std::span<const doub
 /// kernels are bitwise identical to.  `out` is overwritten.
 void uniformised_multiply_left(const CsrMatrix& rates, double lambda,
                                std::span<const double> in, std::span<double> out);
-
-/// acc + sum of vals[k]*x[cols[k]] over entries whose column != skip, in
-/// ascending index order (the Gauss–Seidel inflow gather).
-[[nodiscard]] double gather_skip_diag(std::span<const std::size_t> cols,
-                                      std::span<const double> vals,
-                                      std::span<const double> x, std::size_t skip,
-                                      double acc);
-
-/// Like gather_skip_diag, but also reports the skipped diagonal value
-/// (0.0 when the row stores no diagonal) — the fixpoint Gauss–Seidel shape.
-[[nodiscard]] double gather_capture_diag(std::span<const std::size_t> cols,
-                                         std::span<const double> vals,
-                                         std::span<const double> x, std::size_t row,
-                                         double acc, double& diag);
 
 }  // namespace arcade::linalg
 

@@ -18,6 +18,33 @@ double criterion(double newv, double oldv, bool relative) {
     return diff / scale;
 }
 
+/// `a` with its diagonal split out: the off-diagonal entries keep their
+/// ascending column order, `diag[i]` is a(i,i) (0.0 when not stored).
+linalg::CsrMatrix split_diagonal(const linalg::CsrMatrix& a, std::vector<double>& diag) {
+    const std::size_t n = a.rows();
+    const auto& row_ptr = a.row_ptr();
+    const auto& cols = a.col_idx();
+    const auto& vals = a.values();
+    diag.assign(n, 0.0);
+    std::vector<std::size_t> ptr(n + 1, 0);
+    std::vector<std::size_t> off_cols;
+    std::vector<double> off_vals;
+    off_cols.reserve(cols.size());
+    off_vals.reserve(cols.size());
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
+            if (cols[k] == i) {
+                diag[i] = vals[k];
+            } else {
+                off_cols.push_back(cols[k]);
+                off_vals.push_back(vals[k]);
+            }
+        }
+        ptr[i + 1] = off_cols.size();
+    }
+    return linalg::CsrMatrix(n, n, std::move(ptr), std::move(off_cols), std::move(off_vals));
+}
+
 }  // namespace
 
 SolverResult steady_state_gauss_seidel(const linalg::CsrMatrix& rate_matrix,
@@ -26,8 +53,8 @@ SolverResult steady_state_gauss_seidel(const linalg::CsrMatrix& rate_matrix,
     ARCADE_ASSERT(rate_matrix.cols() == n, "steady state needs square matrix");
     ARCADE_ASSERT(pi.size() == n, "pi size mismatch");
 
-    // Precompute incoming edges and exit rates.
-    const linalg::CsrMatrix incoming = rate_matrix.transposed();
+    // Precompute incoming edges (diagonal dropped) and exit rates.
+    const linalg::CsrMatrix incoming = linalg::incoming_off_diagonal(rate_matrix);
     std::vector<double> exit_rate(n, 0.0);
     for (std::size_t i = 0; i < n; ++i) {
         const auto cols = rate_matrix.row_columns(i);
@@ -41,13 +68,16 @@ SolverResult steady_state_gauss_seidel(const linalg::CsrMatrix& rate_matrix,
     const double u = 1.0 / static_cast<double>(n);
     for (double& x : pi) x = u;
 
+    const std::size_t* row_ptr = incoming.row_ptr().data();
+    const std::size_t* cols = incoming.col_idx().data();
+    const double* vals = incoming.values().data();
     SolverResult res;
     for (std::size_t it = 0; it < options.max_iterations; ++it) {
         double worst = 0.0;
         for (std::size_t j = 0; j < n; ++j) {
             if (exit_rate[j] <= 0.0) continue;  // absorbing: handled by caller
-            const double inflow = linalg::gather_skip_diag(
-                incoming.row_columns(j), incoming.row_values(j), pi, j, 0.0);
+            const double inflow =
+                linalg::row_dot(cols, vals, pi.data(), row_ptr[j], row_ptr[j + 1], 0.0);
             const double newv = inflow / exit_rate[j];
             worst = std::max(worst, criterion(newv, pi[j], options.relative));
             pi[j] = newv;
@@ -70,16 +100,23 @@ SolverResult fixpoint_gauss_seidel(const linalg::CsrMatrix& a, std::span<const d
     ARCADE_ASSERT(a.cols() == n, "fixpoint needs square matrix");
     ARCADE_ASSERT(b.size() == n && x.size() == n, "rhs/solution size mismatch");
 
+    std::vector<double> diag;
+    const linalg::CsrMatrix off = split_diagonal(a, diag);
+    for (const double d : diag) {
+        ARCADE_ASSERT(d < 1.0, "fixpoint: diagonal >= 1 is singular");
+    }
+
+    const std::size_t* row_ptr = off.row_ptr().data();
+    const std::size_t* cols = off.col_idx().data();
+    const double* vals = off.values().data();
     SolverResult res;
     for (std::size_t it = 0; it < options.max_iterations; ++it) {
         double worst = 0.0;
         for (std::size_t i = 0; i < n; ++i) {
-            double diag = 0.0;
-            const double acc = linalg::gather_capture_diag(a.row_columns(i), a.row_values(i),
-                                                           x, i, b[i], diag);
             // x_i = a_ii x_i + acc  =>  x_i = acc / (1 - a_ii)
-            ARCADE_ASSERT(diag < 1.0, "fixpoint: diagonal >= 1 is singular");
-            const double newv = acc / (1.0 - diag);
+            const double acc =
+                linalg::row_dot(cols, vals, x.data(), row_ptr[i], row_ptr[i + 1], b[i]);
+            const double newv = acc / (1.0 - diag[i]);
             worst = std::max(worst, criterion(newv, x[i], options.relative));
             x[i] = newv;
         }

@@ -315,6 +315,52 @@ TEST(ExprVm, IntegerOverflowIsAModelErrorInBothEvaluators) {
     EXPECT_EQ(run_vm(neg, x.map, x.slots).value.as_int(), -kInt64Max);
 }
 
+namespace {
+
+/// floor/ceil whose result leaves the int64 range or is NaN: floor(1e300),
+/// ceil(-1e300), floor(NaN) (the language's 0.0/0.0 is a division-by-zero
+/// error, so NaN comes from a literal and from pow(-1, 0.5)), floor of
+/// INT64_MAX as a double (2^63, one past the range) and ceil(-inf).
+std::vector<expr::Expr> out_of_range_rounding_exprs() {
+    using E = expr::Expr;
+    const auto as_double = [](const char* slot) {
+        return E::binary(expr::BinaryOp::Mul, E::identifier(slot), E::real(1.0));
+    };
+    return {E::unary(expr::UnaryOp::Floor, E::real(1e300)),
+            E::unary(expr::UnaryOp::Ceil, E::real(-1e300)),
+            E::unary(expr::UnaryOp::Floor,
+                     E::real(std::numeric_limits<double>::quiet_NaN())),
+            expr::parse_expression("floor(pow(-1, 0.5))"),
+            E::unary(expr::UnaryOp::Floor, as_double("hi")),
+            E::unary(expr::UnaryOp::Ceil,
+                     E::binary(expr::BinaryOp::Mul, E::identifier("lo"), E::real(1e300)))};
+}
+
+}  // namespace
+
+TEST(ExprVm, RoundingOutsideInt64IsAModelErrorInBothEvaluators) {
+    const ExtremeSlots x;
+    for (const auto& e : out_of_range_rounding_exprs()) {
+        const Outcome interp = run_interp(e, x.env);
+        const Outcome vm = run_vm(e, x.map, x.slots);
+        EXPECT_TRUE(interp.threw) << e.to_string();
+        EXPECT_TRUE(vm.threw) << e.to_string();
+        EXPECT_EQ(interp.error, "integer overflow") << e.to_string();
+        EXPECT_EQ(vm.error, "integer overflow") << e.to_string();
+    }
+    // floor(0.0/0.0) fails on the division before it reaches floor.
+    const expr::Expr nan_text = expr::parse_expression("floor(0.0/0.0)");
+    EXPECT_EQ(run_interp(nan_text, x.env).error, "division by zero");
+    EXPECT_EQ(run_vm(nan_text, x.map, x.slots).error, "division by zero");
+    // INT64_MIN is exactly -2^63, the bottom edge, and stays in range.
+    using E = expr::Expr;
+    const auto edge = E::unary(expr::UnaryOp::Ceil, E::binary(expr::BinaryOp::Mul,
+                                                              E::identifier("lo"),
+                                                              E::real(1.0)));
+    EXPECT_EQ(run_interp(edge, x.env).value.as_int(), kInt64Min);
+    EXPECT_EQ(run_vm(edge, x.map, x.slots).value.as_int(), kInt64Min);
+}
+
 TEST(ExprVm, DefaultModeHonoursEnvironment) {
     // The env variable is read once per process; all this test can assert
     // portably is that the default is one of the two modes and stable.
@@ -415,6 +461,31 @@ TEST(ExprCodegen, IntegerOverflowFailsLikeTheVm) {
     const ExtremeSlots x;
     std::vector<expr::Program> programs;
     for (const auto& e : overflowing_slot_exprs()) programs.push_back(expr::compile(e, x.map));
+    std::vector<const expr::Program*> ptrs;
+    for (const auto& p : programs) ptrs.push_back(&p);
+    const auto unit = expr::build_native_unit(ptrs, std::vector<bool>{false, false});
+    if (unit == nullptr) {
+        GTEST_SKIP() << "no host toolchain / dlopen available";
+    }
+    const std::int64_t state[] = {kInt64Min, kInt64Max};
+    for (std::size_t i = 0; i < programs.size(); ++i) {
+        expr::Value native{false};
+        EXPECT_FALSE(unit->try_run(i, std::span<const std::int64_t>(state, 2), native)) << i;
+        EXPECT_THROW((void)programs[i].run(x.slots), arcade::ModelError) << i;
+    }
+#endif
+}
+
+// Out-of-range floor/ceil fails the native evaluation like the VM.
+TEST(ExprCodegen, RoundingOutsideInt64FailsLikeTheVm) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    GTEST_SKIP() << "codegen dlopens uninstrumented objects; skipped under sanitizers";
+#else
+    const ExtremeSlots x;
+    std::vector<expr::Program> programs;
+    for (const auto& e : out_of_range_rounding_exprs()) {
+        programs.push_back(expr::compile(e, x.map));
+    }
     std::vector<const expr::Program*> ptrs;
     for (const auto& p : programs) ptrs.push_back(&p);
     const auto unit = expr::build_native_unit(ptrs, std::vector<bool>{false, false});

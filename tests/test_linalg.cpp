@@ -2,9 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "arcade/compiler.hpp"
@@ -248,45 +251,6 @@ TEST(Kernels, NansPropagateIdenticallyAcrossModes) {
     expect_all_modes_identical(Specials::NaN);
 }
 
-TEST(Kernels, GatherHelpersAgreeAcrossModes) {
-    // Row shapes 0, 1, 2 and 7 entries; x carries NaN and inf so the fold
-    // order is observable in the bits.
-    const std::vector<std::size_t> cols{0, 2, 3, 5, 6, 7, 9};
-    const std::vector<double> vals{0.5, -1.25, 2.0, 0.375, -0.75, 4.0, 1.5};
-    std::vector<double> x(10);
-    for (std::size_t i = 0; i < x.size(); ++i) x[i] = 1.0 / (static_cast<double>(i) + 0.5);
-    x[5] = std::numeric_limits<double>::infinity();
-    x[9] = std::numeric_limits<double>::quiet_NaN();
-
-    for (const std::size_t len : {std::size_t{0}, std::size_t{1}, std::size_t{2},
-                                  std::size_t{7}}) {
-        const std::span<const std::size_t> c(cols.data(), len);
-        const std::span<const double> v(vals.data(), len);
-        for (const std::size_t skip : {std::size_t{3}, std::size_t{21}}) {
-            double ref_skip = 0.0;
-            double ref_cap = 0.0;
-            double ref_diag = 0.0;
-            {
-                const KernelModeGuard guard(la::KernelMode::Scalar);
-                ref_skip = la::gather_skip_diag(c, v, x, skip, 0.0625);
-                ref_cap = la::gather_capture_diag(c, v, x, skip, 0.0625, ref_diag);
-            }
-            for (const la::KernelMode mode : kModes) {
-                const KernelModeGuard guard(mode);
-                double diag = -1.0;
-                EXPECT_TRUE(same_bits(la::gather_skip_diag(c, v, x, skip, 0.0625),
-                                      ref_skip))
-                    << "gather_skip_diag " << mode_name(mode) << " len " << len;
-                EXPECT_TRUE(same_bits(
-                    la::gather_capture_diag(c, v, x, skip, 0.0625, diag), ref_cap))
-                    << "gather_capture_diag " << mode_name(mode) << " len " << len;
-                EXPECT_TRUE(same_bits(diag, ref_diag))
-                    << "captured diagonal " << mode_name(mode) << " len " << len;
-            }
-        }
-    }
-}
-
 TEST(Kernels, VectorOpsAgreeAcrossModesOnAwkwardLengths) {
     for (const Specials specials : {Specials::None, Specials::Inf, Specials::NaN}) {
         for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2},
@@ -330,6 +294,153 @@ TEST(Kernels, SimdModeAlwaysDispatchable) {
     std::vector<double> y(m.rows(), 0.0);
     la::multiply_right(m, x, y);
     SUCCEED() << (la::simd_available() ? "simd bodies" : "blocked fallback");
+}
+
+// ---------------------------------------------------------------------------
+// Linear-time assembly.  CsrBuilder::build() is a stable counting sort by
+// row plus a per-row column sort, and sums the entries at one coordinate in
+// add() order from +0.0; transposed() and incoming_off_diagonal() are
+// counting sorts over the columns.  Every check below is on the bits.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+bool same_matrix_bits(const la::CsrMatrix& a, const la::CsrMatrix& b) {
+    return a.rows() == b.rows() && a.cols() == b.cols() && a.row_ptr() == b.row_ptr() &&
+           a.col_idx() == b.col_idx() && same_bits(a.values(), b.values());
+}
+
+struct Triplet {
+    std::size_t row;
+    std::size_t col;
+    double value;
+};
+
+/// Random COO input: some rows empty, columns drawn from a narrow window so
+/// coordinates repeat, values spread over 24 decades so the summation order
+/// of duplicates shows in the bits.
+std::vector<Triplet> random_coo(std::size_t rows, std::size_t cols, std::size_t count,
+                                std::mt19937_64& rng) {
+    std::vector<Triplet> out;
+    if (rows == 0 || cols == 0) return out;
+    std::uniform_int_distribution<std::size_t> pick_row(0, rows - 1);
+    std::uniform_int_distribution<std::size_t> pick_col(0, std::min<std::size_t>(cols, 6) - 1);
+    std::uniform_int_distribution<std::size_t> shift(0, cols - 1);
+    std::uniform_real_distribution<double> mantissa(-1.0, 1.0);
+    std::uniform_int_distribution<int> exponent(-8, 16);
+    for (std::size_t k = 0; k < count; ++k) {
+        const std::size_t r = pick_row(rng);
+        if (r % 3 == 1) continue;  // every third row stays empty
+        const std::size_t c = (pick_col(rng) + r * 7 + (k % 11 == 0 ? shift(rng) : 0)) % cols;
+        out.push_back({r, c, mantissa(rng) * std::pow(10.0, exponent(rng))});
+    }
+    return out;
+}
+
+/// The builder's contract written the slow way: an ordered map keyed by
+/// (row, col), each value summed in arrival order from +0.0.
+la::CsrMatrix reference_build(std::size_t rows, std::size_t cols,
+                              const std::vector<Triplet>& coo) {
+    std::map<std::pair<std::size_t, std::size_t>, double> sums;
+    for (const Triplet& t : coo) {
+        sums.try_emplace({t.row, t.col}, 0.0).first->second += t.value;
+    }
+    std::vector<std::size_t> row_ptr(rows + 1, 0);
+    std::vector<std::size_t> col_idx;
+    std::vector<double> values;
+    for (const auto& [rc, v] : sums) {
+        ++row_ptr[rc.first + 1];
+        col_idx.push_back(rc.second);
+        values.push_back(v);
+    }
+    for (std::size_t r = 0; r < rows; ++r) row_ptr[r + 1] += row_ptr[r];
+    return la::CsrMatrix(rows, cols, std::move(row_ptr), std::move(col_idx), std::move(values));
+}
+
+/// Transpose the slow way: for every column, scan every row.
+la::CsrMatrix reference_transpose(const la::CsrMatrix& m, bool drop_diagonal) {
+    std::vector<Triplet> coo;
+    for (std::size_t c = 0; c < m.cols(); ++c) {
+        for (std::size_t r = 0; r < m.rows(); ++r) {
+            const auto cols = m.row_columns(r);
+            const auto vals = m.row_values(r);
+            for (std::size_t k = 0; k < cols.size(); ++k) {
+                if (cols[k] == c && !(drop_diagonal && r == c)) coo.push_back({c, r, vals[k]});
+            }
+        }
+    }
+    return reference_build(m.cols(), m.rows(), coo);
+}
+
+struct Shape {
+    std::size_t rows;
+    std::size_t cols;
+    std::size_t count;
+};
+
+constexpr Shape kShapes[] = {{0, 0, 0},   {0, 5, 10},  {5, 0, 10},  {1, 1, 9},
+                             {7, 3, 40},  {3, 11, 40}, {40, 40, 300}, {97, 61, 900}};
+
+}  // namespace
+
+TEST(CsrBuilder, RandomCooMatchesTheInsertionOrderReference) {
+    std::mt19937_64 rng(0x5eed15);
+    for (const Shape& shape : kShapes) {
+        for (int round = 0; round < 3; ++round) {
+            const auto coo = random_coo(shape.rows, shape.cols, shape.count, rng);
+            la::CsrBuilder b(shape.rows, shape.cols);
+            for (const Triplet& t : coo) b.add(t.row, t.col, t.value);
+            EXPECT_TRUE(same_matrix_bits(b.build(),
+                                         reference_build(shape.rows, shape.cols, coo)))
+                << shape.rows << "x" << shape.cols << " round " << round;
+        }
+    }
+}
+
+TEST(CsrBuilder, DuplicatesSumInInsertionOrder) {
+    // ((0 + 1e16) + 1) + -1e16 == 0 but ((0 + 1e16) + -1e16) + 1 == 1: three
+    // entries at one coordinate whose sum depends on the order.  Interleave
+    // them with other rows and columns, in a short row (insertion sort) and
+    // a long one (the stable_sort fallback).
+    for (const std::size_t filler : {std::size_t{0}, std::size_t{60}}) {
+        la::CsrBuilder b(3, 100);
+        for (std::size_t c = filler; c > 0; --c) b.add(1, c + 30, 0.5);
+        b.add(1, 4, 1e16);
+        b.add(1, 7, 1e16);
+        b.add(0, 4, 3.0);
+        b.add(1, 4, 1.0);
+        b.add(1, 7, -1e16);
+        b.add(2, 4, -0.0);  // a lone -0.0 sums to +0.0
+        b.add(1, 4, -1e16);
+        b.add(1, 7, 1.0);
+        const la::CsrMatrix m = b.build();
+        EXPECT_TRUE(same_bits(m.at(1, 4), 0.0)) << m.at(1, 4);
+        EXPECT_TRUE(same_bits(m.at(1, 7), 1.0)) << m.at(1, 7);
+        EXPECT_TRUE(same_bits(m.at(0, 4), 3.0));
+        ASSERT_EQ(m.row_columns(2).size(), 1u);
+        EXPECT_TRUE(same_bits(m.row_values(2)[0], 0.0));
+        EXPECT_EQ(m.row_columns(1).size(), 2 + filler);
+        EXPECT_TRUE(std::is_sorted(m.row_columns(1).begin(), m.row_columns(1).end()));
+    }
+}
+
+TEST(CsrMatrix, TransposeMatchesTheNaiveReferenceAndRoundTrips) {
+    std::mt19937_64 rng(0x7a5e);
+    for (const Shape& shape : kShapes) {
+        const auto coo = random_coo(shape.rows, shape.cols, shape.count, rng);
+        la::CsrBuilder b(shape.rows, shape.cols);
+        for (const Triplet& t : coo) b.add(t.row, t.col, t.value);
+        const la::CsrMatrix m = b.build();
+        const la::CsrMatrix t = m.transposed();
+        EXPECT_TRUE(same_matrix_bits(t, reference_transpose(m, false)))
+            << shape.rows << "x" << shape.cols;
+        EXPECT_TRUE(same_matrix_bits(t.transposed(), m)) << shape.rows << "x" << shape.cols;
+        if (shape.rows == shape.cols) {
+            EXPECT_TRUE(same_matrix_bits(la::incoming_off_diagonal(m),
+                                         reference_transpose(m, true)))
+                << shape.rows << "x" << shape.cols;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

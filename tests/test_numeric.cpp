@@ -1,11 +1,21 @@
 // Unit tests: Fox–Glynn Poisson weights and the iterative linear solvers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "arcade/compiler.hpp"
 #include "linalg/csr_matrix.hpp"
+#include "linalg/vector_ops.hpp"
 #include "numeric/fox_glynn.hpp"
 #include "numeric/linear_solvers.hpp"
+#include "support/errors.hpp"
+#include "watertree/watertree.hpp"
 
 namespace num = arcade::numeric;
 namespace la = arcade::linalg;
@@ -176,4 +186,274 @@ TEST(FoxGlynnCache, HitsAndMissesAreCountedAndSharedAcrossCallers) {
     const auto cleared = num::fox_glynn_cache_stats();
     EXPECT_EQ(cleared.hits, 0u);
     EXPECT_EQ(cleared.misses, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Bitwise oracle for the Gauss–Seidel sweeps.  The solvers sweep diagonal-
+// free rows built once with an inline dot product; the references below are
+// the earlier per-row scalar gathers (incoming edges kept WITH the diagonal
+// and skipped entry by entry, the fixpoint diagonal captured row by row).
+// Both sum in ascending index order with one accumulator, so pi, x, the
+// iteration count and the final error must agree to the bit.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+namespace core = arcade::core;
+namespace watertree = arcade::watertree;
+
+double criterion(double newv, double oldv, bool relative) {
+    const double diff = std::abs(newv - oldv);
+    if (!relative) return diff;
+    return diff / std::max(std::abs(newv), 1e-300);
+}
+
+struct SolveRun {
+    bool threw = false;
+    num::SolverResult result;
+    std::vector<double> x;
+};
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+void expect_same_run(const SolveRun& got, const SolveRun& want, const std::string& what) {
+    EXPECT_EQ(got.threw, want.threw) << what;
+    EXPECT_EQ(got.result.iterations, want.result.iterations) << what;
+    if (!want.threw) {  // a ConvergenceError carries no SolverResult
+        EXPECT_TRUE(same_bits(got.result.final_error, want.result.final_error)) << what;
+    }
+    ASSERT_EQ(got.x.size(), want.x.size()) << what;
+    EXPECT_EQ(std::memcmp(got.x.data(), want.x.data(), got.x.size() * sizeof(double)), 0)
+        << what;
+}
+
+/// The earlier steady-state sweep: incoming[j] holds (i, rate(i,j)) for every
+/// stored entry, diagonal included, and the gather skips j itself.
+SolveRun reference_steady(const la::CsrMatrix& rates, const num::SolverOptions& options) {
+    const std::size_t n = rates.rows();
+    std::vector<std::vector<std::pair<std::size_t, double>>> incoming(n);
+    std::vector<double> exit_rate(n, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto cols = rates.row_columns(i);
+        const auto vals = rates.row_values(i);
+        for (std::size_t k = 0; k < cols.size(); ++k) {
+            incoming[cols[k]].emplace_back(i, vals[k]);
+            if (cols[k] != i) exit_rate[i] += vals[k];
+        }
+    }
+    SolveRun run;
+    run.x.assign(n, 1.0 / static_cast<double>(n));
+    for (std::size_t it = 0; it < options.max_iterations; ++it) {
+        double worst = 0.0;
+        for (std::size_t j = 0; j < n; ++j) {
+            if (exit_rate[j] <= 0.0) continue;
+            double inflow = 0.0;
+            for (const auto& [i, v] : incoming[j]) {
+                if (i != j) inflow += v * run.x[i];
+            }
+            const double newv = inflow / exit_rate[j];
+            worst = std::max(worst, criterion(newv, run.x[j], options.relative));
+            run.x[j] = newv;
+        }
+        run.result.iterations = it + 1;
+        run.result.final_error = worst;
+        if (worst < options.epsilon) {
+            la::normalize(run.x);
+            return run;
+        }
+    }
+    run.threw = true;
+    return run;
+}
+
+/// The earlier fixpoint sweep: each row's diagonal captured while gathering.
+SolveRun reference_fixpoint(const la::CsrMatrix& a, const std::vector<double>& b,
+                       const num::SolverOptions& options) {
+    const std::size_t n = a.rows();
+    SolveRun run;
+    run.x.assign(n, 0.0);
+    for (std::size_t it = 0; it < options.max_iterations; ++it) {
+        double worst = 0.0;
+        for (std::size_t i = 0; i < n; ++i) {
+            const auto cols = a.row_columns(i);
+            const auto vals = a.row_values(i);
+            double diag = 0.0;
+            double acc = b[i];
+            for (std::size_t k = 0; k < cols.size(); ++k) {
+                if (cols[k] == i) {
+                    diag = vals[k];
+                } else {
+                    acc += vals[k] * run.x[cols[k]];
+                }
+            }
+            const double newv = acc / (1.0 - diag);
+            worst = std::max(worst, criterion(newv, run.x[i], options.relative));
+            run.x[i] = newv;
+        }
+        run.result.iterations = it + 1;
+        run.result.final_error = worst;
+        if (worst < options.epsilon) return run;
+    }
+    run.threw = true;
+    return run;
+}
+
+SolveRun library_steady(const la::CsrMatrix& rates, const num::SolverOptions& options) {
+    SolveRun run;
+    run.x.assign(rates.rows(), 0.0);
+    try {
+        run.result = num::steady_state_gauss_seidel(rates, run.x, options);
+    } catch (const arcade::ConvergenceError&) {
+        run.threw = true;
+        run.result.iterations = options.max_iterations;
+    }
+    return run;
+}
+
+SolveRun library_fixpoint(const la::CsrMatrix& a, const std::vector<double>& b,
+                     const num::SolverOptions& options) {
+    SolveRun run;
+    run.x.assign(a.rows(), 0.0);
+    try {
+        run.result = num::fixpoint_gauss_seidel(a, b, run.x, options);
+    } catch (const arcade::ConvergenceError&) {
+        run.threw = true;
+        run.result.iterations = options.max_iterations;
+    }
+    return run;
+}
+
+/// Random rates over n states: every fifth row absorbing (empty, or only a
+/// stored diagonal), the others 1–9 off-diagonal entries, half of them with
+/// a stored (generator-style negative) diagonal.
+la::CsrMatrix random_chain(std::size_t n, std::mt19937_64& rng) {
+    std::uniform_int_distribution<std::size_t> len(1, 9);
+    std::uniform_int_distribution<std::size_t> target(0, n - 1);
+    std::uniform_real_distribution<double> rate(0.01, 3.0);
+    la::CsrBuilder b(n, n);
+    for (std::size_t i = 0; i < n; ++i) {
+        if (i % 5 == 3) {
+            if (i % 2 == 0) b.add(i, i, -0.0);
+            continue;
+        }
+        double exit = 0.0;
+        for (std::size_t k = len(rng); k > 0; --k) {
+            std::size_t j = target(rng);
+            if (j == i) j = (j + 1) % n;
+            const double r = rate(rng);
+            b.add(i, j, r);
+            exit += r;
+        }
+        if (i % 2 == 1) b.add(i, i, -exit);
+    }
+    return b.build();
+}
+
+core::CompiledModel line2_frf2() {
+    core::CompileOptions options;
+    options.encoding = core::Encoding::Individual;
+    options.reduction = core::ReductionPolicy::Off;
+    options.symmetry = core::SymmetryPolicy::Off;
+    return core::compile(watertree::line(2, watertree::strategy("FRF-2")), options);
+}
+
+}  // namespace
+
+TEST(GaussSeidelOracle, SteadyStateMatchesTheScalarGatherOnLine2Frf2) {
+    const auto model = line2_frf2();
+    ASSERT_EQ(model.state_count(), 8129u);
+    const num::SolverOptions options;
+    const SolveRun want = reference_steady(model.chain().rates(), options);
+    ASSERT_FALSE(want.threw);
+    expect_same_run(library_steady(model.chain().rates(), options), want, "line-2 FRF-2");
+}
+
+TEST(GaussSeidelOracle, SteadyStateMatchesTheScalarGatherOnRandomChains) {
+    std::mt19937_64 rng(0x65a5);
+    for (const std::size_t n : {std::size_t{1}, std::size_t{6}, std::size_t{40},
+                                std::size_t{151}}) {
+        const la::CsrMatrix rates = random_chain(n, rng);
+        for (const bool relative : {true, false}) {
+            num::SolverOptions options;
+            options.relative = relative;
+            options.max_iterations = 3000;
+            const std::string what =
+                "n=" + std::to_string(n) + (relative ? " relative" : " absolute");
+            expect_same_run(library_steady(rates, options), reference_steady(rates, options),
+                            what);
+        }
+    }
+}
+
+TEST(GaussSeidelOracle, FixpointMatchesTheScalarGatherOnReachability) {
+    // Reach a state below full service on line 2 FRF-2: the embedded DTMC
+    // restricted to the full-service states (every state reaches the
+    // target, so the system is non-singular).
+    const auto model = line2_frf2();
+    const auto& rates = model.chain().rates();
+    const std::vector<bool> full = model.service_at_least(1.0);
+    std::vector<std::size_t> local(rates.rows(), rates.rows());
+    std::size_t m = 0;
+    for (std::size_t s = 0; s < rates.rows(); ++s) {
+        if (full[s]) local[s] = m++;
+    }
+    ASSERT_GT(m, 1u);
+    la::CsrBuilder ab(m, m);
+    std::vector<double> b(m, 0.0);
+    for (std::size_t s = 0; s < rates.rows(); ++s) {
+        if (!full[s]) continue;
+        const double exit = model.chain().exit_rate(s);
+        const auto cols = rates.row_columns(s);
+        const auto vals = rates.row_values(s);
+        for (std::size_t k = 0; k < cols.size(); ++k) {
+            if (cols[k] == s) continue;
+            if (full[cols[k]]) {
+                ab.add(local[s], local[cols[k]], vals[k] / exit);
+            } else {
+                b[local[s]] += vals[k] / exit;
+            }
+        }
+    }
+    const la::CsrMatrix a = ab.build();
+    const num::SolverOptions options;
+    const SolveRun want = reference_fixpoint(a, b, options);
+    ASSERT_FALSE(want.threw);
+    expect_same_run(library_fixpoint(a, b, options), want, "line-2 FRF-2 reachability");
+}
+
+TEST(GaussSeidelOracle, FixpointMatchesTheScalarGatherWithStoredDiagonals) {
+    // Sub-stochastic rows (mass 0.9) that put a share on their own diagonal.
+    std::mt19937_64 rng(0xf1c5);
+    std::uniform_real_distribution<double> share(0.05, 1.0);
+    for (const std::size_t n : {std::size_t{1}, std::size_t{9}, std::size_t{64}}) {
+        std::uniform_int_distribution<std::size_t> target(0, n - 1);
+        la::CsrBuilder ab(n, n);
+        std::vector<double> b(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            std::vector<std::pair<std::size_t, double>> row;
+            double total = 0.0;
+            for (std::size_t k = i % 7; k > 0; --k) {
+                row.emplace_back(target(rng), share(rng));
+                total += row.back().second;
+            }
+            const double diag = i % 3 == 0 ? 0.0 : share(rng);
+            const double bi = share(rng);
+            const double scale = 0.9 / (total + diag + bi);
+            for (const auto& [j, w] : row) {
+                if (j != i) ab.add(i, j, w * scale);
+            }
+            if (diag > 0.0) ab.add(i, i, diag * scale);
+            b[i] = bi * scale;
+        }
+        const la::CsrMatrix a = ab.build();
+        for (const bool relative : {true, false}) {
+            num::SolverOptions options;
+            options.relative = relative;
+            const std::string what =
+                "n=" + std::to_string(n) + (relative ? " relative" : " absolute");
+            const SolveRun want = reference_fixpoint(a, b, options);
+            ASSERT_FALSE(want.threw) << what;
+            expect_same_run(library_fixpoint(a, b, options), want, what);
+        }
+    }
 }
