@@ -338,7 +338,7 @@ void BM_SparseMatvec(benchmark::State& state) {
     std::vector<double> x(model.state_count(), 1.0 / model.state_count());
     std::vector<double> y(model.state_count(), 0.0);
     for (auto _ : state) {
-        model.chain().rates().multiply_left(x, y);
+        arcade::linalg::multiply_left(model.chain().rates(), x, y);
         benchmark::DoNotOptimize(y.data());
     }
 }

@@ -275,7 +275,7 @@ std::string AbstractValue::to_string() const {
         return format_double(x);
     };
     std::string out;
-    if (has_numeric) out += "[" + fmt(lo) + ", " + fmt(hi) + "]";
+    if (has_numeric) (out += "[") += fmt(lo) + ", " + fmt(hi) + "]";
     if (has_bool()) {
         if (!out.empty()) out += " or ";
         out += "{";

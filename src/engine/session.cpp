@@ -1,7 +1,6 @@
 #include "engine/session.hpp"
 
 #include "ctmc/steady_state.hpp"
-#include "expr/codegen.hpp"
 #include "graph/lumping.hpp"
 #include "linalg/vector_ops.hpp"
 #include "logic/csl_compiled.hpp"
@@ -345,15 +344,7 @@ double AnalysisSession::steady_state_cost(const CompiledPtr& model) {
 
 SessionStats AnalysisSession::stats() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    SessionStats out = stats_;
-    // The codegen counters are process-wide (the disk cache and toolchain
-    // are shared by every session), so snapshot rather than accumulate:
-    // delta-taking consumers (operator-) still see per-run traffic.
-    const expr::CodegenCounters cg = expr::codegen_counters();
-    out.codegen_builds = cg.builds;
-    out.codegen_cache_hits = cg.cache_hits;
-    out.codegen_fallbacks = cg.fallbacks;
-    return out;
+    return stats_;
 }
 
 void AnalysisSession::clear() {

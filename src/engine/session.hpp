@@ -75,15 +75,6 @@ struct SessionStats {
     std::size_t symmetry_states_in = 0;
     std::size_t symmetry_states_out = 0;
     double symmetry_seconds = 0.0;
-    /// Native-codegen backend traffic (expr/codegen.hpp), snapshotted from
-    /// the process-wide counters at stats() time: generated units compiled
-    /// out of process, units reloaded from the content-addressed disk
-    /// cache, and graceful VM fallbacks (no toolchain / no dlopen).  All
-    /// zero unless ARCADE_EVAL=codegen (or an explicit EvalMode::Codegen
-    /// request) ran in this process.
-    std::size_t codegen_builds = 0;
-    std::size_t codegen_cache_hits = 0;
-    std::size_t codegen_fallbacks = 0;
 
     /// Aggregate state-space reduction achieved by lumping (>= 1; 1.0 when
     /// nothing was lumped).
@@ -126,10 +117,7 @@ struct SessionStats {
         .lint_errors = after.lint_errors - before.lint_errors,
         .symmetry_states_in = after.symmetry_states_in - before.symmetry_states_in,
         .symmetry_states_out = after.symmetry_states_out - before.symmetry_states_out,
-        .symmetry_seconds = after.symmetry_seconds - before.symmetry_seconds,
-        .codegen_builds = after.codegen_builds - before.codegen_builds,
-        .codegen_cache_hits = after.codegen_cache_hits - before.codegen_cache_hits,
-        .codegen_fallbacks = after.codegen_fallbacks - before.codegen_fallbacks};
+        .symmetry_seconds = after.symmetry_seconds - before.symmetry_seconds};
 }
 
 /// Structural fingerprint of a model (stable across identical rebuilds of

@@ -277,12 +277,15 @@ std::string Expr::to_string() const {
             return std::string(binary_symbol(b->op)) + "(" + b->lhs.to_string() + ", " +
                    b->rhs.to_string() + ")";
         }
-        return "(" + b->lhs.to_string() + " " + binary_symbol(b->op) + " " +
-               b->rhs.to_string() + ")";
+        std::string out = "(";
+        out += b->lhs.to_string() + " " + binary_symbol(b->op) + " " + b->rhs.to_string() + ")";
+        return out;
     }
     const auto& ite_node = std::get<Ite>(n);
-    return "(" + ite_node.cond.to_string() + " ? " + ite_node.then_branch.to_string() + " : " +
+    std::string out = "(";
+    out += ite_node.cond.to_string() + " ? " + ite_node.then_branch.to_string() + " : " +
            ite_node.else_branch.to_string() + ")";
+    return out;
 }
 
 std::vector<std::string> Expr::free_variables() const {

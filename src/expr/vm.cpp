@@ -1,7 +1,6 @@
 #include "expr/vm.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <utility>
@@ -11,15 +10,7 @@
 
 namespace arcade::expr {
 
-EvalMode default_eval_mode() {
-    static const EvalMode mode = [] {
-        const char* env = std::getenv("ARCADE_EVAL");
-        if (env != nullptr && std::string(env) == "interp") return EvalMode::Interp;
-        if (env != nullptr && std::string(env) == "codegen") return EvalMode::Codegen;
-        return EvalMode::Vm;
-    }();
-    return mode;
-}
+EvalMode default_eval_mode() { return EvalMode::Vm; }
 
 /// Single-expression code generator.  Register allocation is a simple
 /// expression-stack discipline: a node's result lands in `dst`, temporaries

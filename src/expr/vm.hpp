@@ -7,8 +7,8 @@
 // per-evaluation allocation.  Evaluation semantics are bit-identical to
 // Expr::evaluate — both share apply_binary/apply_unary, short-circuit `&`/`|`
 // the same way, and throw the same ModelErrors on type mismatches — so the
-// tree interpreter remains the differential-test oracle (ARCADE_EVAL=interp
-// selects it process-wide on the hot paths that honour EvalMode).
+// tree interpreter remains the differential-test oracle, selected only by
+// tests that pass EvalMode::Interp explicitly.
 #ifndef ARCADE_EXPR_VM_HPP
 #define ARCADE_EXPR_VM_HPP
 
@@ -27,12 +27,10 @@ namespace arcade::expr {
 enum class EvalMode {
     Vm,       ///< compiled bytecode programs (default)
     Interp,   ///< the Expr tree walker (differential-test oracle)
-    Codegen,  ///< generated C++ compiled out of process + dlopen (expr/codegen)
+    Codegen,  ///< kept for perfbench; runs the VM
 };
 
-/// Process-wide default, read once from the ARCADE_EVAL environment variable
-/// ("interp" selects the tree interpreter, "codegen" the native backend;
-/// anything else, or unset, the VM).
+/// Kept for perfbench; always EvalMode::Vm.
 [[nodiscard]] EvalMode default_eval_mode();
 
 /// Compile-time name resolution: identifiers listed in `slots` become

@@ -1,7 +1,6 @@
 #include "graph/lumping.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <unordered_map>
@@ -286,15 +285,6 @@ std::vector<std::vector<std::size_t>> Partition::members() const {
     std::vector<std::vector<std::size_t>> out(count);
     for (std::size_t v = 0; v < block_of.size(); ++v) out[block_of[v]].push_back(v);
     return out;
-}
-
-LumpingAlgorithm default_lumping_algorithm() {
-    static const LumpingAlgorithm algorithm = [] {
-        const char* env = std::getenv("ARCADE_LUMPING");
-        if (env != nullptr && std::string(env) == "rounds") return LumpingAlgorithm::Rounds;
-        return LumpingAlgorithm::SplitterQueue;
-    }();
-    return algorithm;
 }
 
 Partition coarsest_lumping(const linalg::CsrMatrix& rates,

@@ -21,7 +21,7 @@
 //   bitwise — re-queueing every part keeps the result identical to the
 //   round-based reference on every input.
 //
-// * Rounds (the reference, selected by ARCADE_LUMPING=rounds) — splits every
+// * Rounds (the reference that test_lumping passes explicitly) — splits every
 //   block by the full signature
 //     sig(s) = [ block(s), sorted { (block(target), summed rate) : targets
 //                outside block(s) } ]
@@ -103,11 +103,6 @@ enum class LumpingAlgorithm {
     Rounds,         ///< full-signature sweeps, O(rounds × m log n) (reference)
 };
 
-/// Process-wide default, read once from the ARCADE_LUMPING environment
-/// variable ("rounds" selects the round-based reference; anything else, or
-/// unset, selects the splitter queue).
-[[nodiscard]] LumpingAlgorithm default_lumping_algorithm();
-
 /// Work counters of one refinement run (bench_perf_lumping reports these).
 struct LumpingStats {
     /// Rounds: full signature sweeps until the fixed point.
@@ -131,7 +126,7 @@ struct LumpingStats {
 /// the run's work counters.
 [[nodiscard]] Partition coarsest_lumping(
     const linalg::CsrMatrix& rates, const std::vector<std::size_t>& initial_block_of,
-    LumpingAlgorithm algorithm = default_lumping_algorithm(),
+    LumpingAlgorithm algorithm = LumpingAlgorithm::SplitterQueue,
     LumpingStats* stats = nullptr);
 
 }  // namespace arcade::graph

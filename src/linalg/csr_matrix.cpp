@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "linalg/kernels.hpp"
 #include "support/errors.hpp"
 
 namespace arcade::linalg {
@@ -152,14 +151,6 @@ double CsrMatrix::row_sum(std::size_t row) const {
     double s = 0.0;
     for (double v : row_values(row)) s += v;
     return s;
-}
-
-void CsrMatrix::multiply_left(std::span<const double> x, std::span<double> y) const {
-    linalg::multiply_left(*this, x, y);
-}
-
-void CsrMatrix::multiply_right(std::span<const double> x, std::span<double> y) const {
-    linalg::multiply_right(*this, x, y);
 }
 
 CsrMatrix CsrMatrix::transposed() const {

@@ -68,13 +68,6 @@ public:
     /// Sum of stored values in `row`.
     [[nodiscard]] double row_sum(std::size_t row) const;
 
-    /// y = x^T * M   (row-vector times matrix; the propagation direction for
-    /// distributions).  `x.size()==rows()`, `y.size()==cols()`.
-    void multiply_left(std::span<const double> x, std::span<double> y) const;
-
-    /// y = M * x  (matrix times column vector; used for backward solutions).
-    void multiply_right(std::span<const double> x, std::span<double> y) const;
-
     /// Transposed copy, by a counting sort over the columns: O(nnz + rows +
     /// cols), every entry copied unchanged, rows column-sorted.
     [[nodiscard]] CsrMatrix transposed() const;

@@ -2,56 +2,17 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <string>
 
 #include "support/errors.hpp"
 
-#if defined(__x86_64__) || defined(_M_X64)
-#define ARCADE_SIMD_X86 1
-#elif defined(__aarch64__)
-#define ARCADE_SIMD_NEON 1
-#include <arm_neon.h>
-#endif
-
 namespace arcade::linalg {
 
-KernelMode default_kernel_mode() {
-    static const KernelMode mode = [] {
-        const char* env = std::getenv("ARCADE_KERNELS");
-        if (env != nullptr) {
-            const std::string value(env);
-            if (value == "scalar") return KernelMode::Scalar;
-            if (value == "simd") return KernelMode::Simd;
-        }
-        return KernelMode::Blocked;
-    }();
-    return mode;
-}
-
-bool simd_available() {
-#if defined(ARCADE_SIMD_X86)
-    static const bool ok = __builtin_cpu_supports("avx2") != 0;
-    return ok;
-#elif defined(ARCADE_SIMD_NEON)
-    return true;  // NEON is baseline on aarch64
-#else
-    return false;
-#endif
-}
+bool simd_available() { return false; }
 
 namespace {
 
 std::atomic<KernelMode>& mode_slot() {
-    static std::atomic<KernelMode> mode{default_kernel_mode()};
-    return mode;
-}
-
-/// The mode the dispatchers act on: Simd degrades to Blocked when the CPU
-/// lacks the extension, so "ARCADE_KERNELS=simd everywhere" is always safe.
-KernelMode effective_mode() {
-    const KernelMode mode = mode_slot().load(std::memory_order_relaxed);
-    if (mode == KernelMode::Simd && !simd_available()) return KernelMode::Blocked;
+    static std::atomic<KernelMode> mode{KernelMode::Blocked};
     return mode;
 }
 
@@ -114,51 +75,6 @@ void left_rows(const CsrMatrix& m, const double* __restrict stay, std::span<cons
     }
 }
 
-void multiply_right_scalar(const CsrMatrix& m, std::span<const double> x,
-                           std::span<double> y) {
-    const auto& row_ptr = m.row_ptr();
-    const auto& col_idx = m.col_idx();
-    const auto& values = m.values();
-    for (std::size_t r = 0; r < m.rows(); ++r) {
-        double acc = 0.0;
-        for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-            acc += values[k] * x[col_idx[k]];
-        }
-        y[r] = acc;
-    }
-}
-
-/// The blocked y = M * x.  kStay adds stay[r]*x[r] LAST — the uniformised
-/// backward step over a precomputed P.
-template <bool kStay>
-void right_rows(const CsrMatrix& m, const double* __restrict stay, std::span<const double> x,
-                std::span<double> y) {
-    const std::size_t* __restrict row_ptr = m.row_ptr().data();
-    const std::size_t* __restrict cols = m.col_idx().data();
-    const double* __restrict vals = m.values().data();
-    const double* __restrict xp = x.data();
-    double* __restrict yp = y.data();
-    const auto row = [&](std::size_t r) {
-        const double dot = row_dot(cols, vals, xp, row_ptr[r], row_ptr[r + 1], 0.0);
-        if constexpr (kStay) {
-            return dot + stay[r] * xp[r];
-        } else {
-            return dot;
-        }
-    };
-    const std::size_t rows = m.rows();
-    // Four-row blocks give the compiler four independent dependency chains;
-    // within each row the dot product stays in ascending order.
-    std::size_t r = 0;
-    for (; r + 4 <= rows; r += 4) {
-        yp[r] = row(r);
-        yp[r + 1] = row(r + 1);
-        yp[r + 2] = row(r + 2);
-        yp[r + 3] = row(r + 3);
-    }
-    for (; r < rows; ++r) yp[r] = row(r);
-}
-
 /// Off-diagonal scatter over [begin,end) for the on-the-fly reference:
 /// out[col] += p*(val/lambda), with the moved-mass accumulator chained
 /// sequentially in ascending entry order — the order uniformise() sums the
@@ -187,93 +103,6 @@ inline double scatter_range(const std::size_t* __restrict cols,
     return moved;
 }
 
-// ---------------------------------------------------------------------------
-// SIMD bodies.  Only element-wise work is ever vectorised; every accumulator
-// is folded lane by lane in the SAME sequential order as the scalar/blocked
-// loops, and mul/add stay separate instructions (no FMA contraction), so the
-// results are bitwise identical across all three modes.
-//
-// Which kernels get a vector body is a measured decision.  On AVX2
-// Skylake-class cores the ordered-fold constraint makes gather-based
-// reductions (vpgatherqq + four serial adds) slower than the blocked scalar
-// unroll at EVERY row length — gathers cost one load-port micro-op per
-// element, exactly like scalar loads, so only ALU work is saved and the
-// extra shuffles eat the saving.  Every sparse kernel here is such a
-// multiply-and-gather (the uniformised steps too: their divisions happen
-// once, in uniformise()), so on x86 KernelMode::Simd runs the blocked
-// bodies.  NEON pays no gather penalty (two-lane vectors load scalars
-// directly), so aarch64 keeps vector bodies for the single-vector
-// multiplies.
-// ---------------------------------------------------------------------------
-
-#if defined(ARCADE_SIMD_NEON)
-
-double row_dot_simd(const std::size_t* __restrict cols, const double* __restrict vals,
-                    const double* __restrict x, std::size_t begin, std::size_t end,
-                    double acc) {
-    std::size_t k = begin;
-    for (; k + 2 <= end; k += 2) {
-        const float64x2_t xs = {x[cols[k]], x[cols[k + 1]]};
-        const float64x2_t t = vmulq_f64(vld1q_f64(vals + k), xs);
-        acc = (acc + vgetq_lane_f64(t, 0)) + vgetq_lane_f64(t, 1);
-    }
-    for (; k < end; ++k) acc += vals[k] * x[cols[k]];
-    return acc;
-}
-
-void mul_scatter_simd(const std::size_t* __restrict cols, const double* __restrict vals,
-                      double xr, double* __restrict y, std::size_t begin,
-                      std::size_t end) {
-    std::size_t k = begin;
-    const float64x2_t xv = vdupq_n_f64(xr);
-    for (; k + 2 <= end; k += 2) {
-        const float64x2_t t = vmulq_f64(xv, vld1q_f64(vals + k));
-        y[cols[k]] += vgetq_lane_f64(t, 0);
-        y[cols[k + 1]] += vgetq_lane_f64(t, 1);
-    }
-    for (; k < end; ++k) y[cols[k]] += xr * vals[k];
-}
-
-void multiply_left_simd(const CsrMatrix& m, std::span<const double> x,
-                        std::span<double> y) {
-    std::fill(y.begin(), y.end(), 0.0);
-    const std::size_t* __restrict row_ptr = m.row_ptr().data();
-    const std::size_t* __restrict cols = m.col_idx().data();
-    const double* __restrict vals = m.values().data();
-    const double* __restrict xp = x.data();
-    double* __restrict yp = y.data();
-    for (std::size_t r = 0; r < m.rows(); ++r) {
-        const double xr = xp[r];
-        if (xr == 0.0) continue;
-        mul_scatter_simd(cols, vals, xr, yp, row_ptr[r], row_ptr[r + 1]);
-    }
-}
-
-void multiply_right_simd(const CsrMatrix& m, std::span<const double> x,
-                         std::span<double> y) {
-    const std::size_t* __restrict row_ptr = m.row_ptr().data();
-    const std::size_t* __restrict cols = m.col_idx().data();
-    const double* __restrict vals = m.values().data();
-    const double* __restrict xp = x.data();
-    double* __restrict yp = y.data();
-    const std::size_t rows = m.rows();
-    // Same four-row blocking as the blocked kernel: each row's accumulation
-    // is a serial dependency chain, so four independent rows in flight are
-    // what keep the vector units busy.
-    std::size_t r = 0;
-    for (; r + 4 <= rows; r += 4) {
-        yp[r] = row_dot_simd(cols, vals, xp, row_ptr[r], row_ptr[r + 1], 0.0);
-        yp[r + 1] = row_dot_simd(cols, vals, xp, row_ptr[r + 1], row_ptr[r + 2], 0.0);
-        yp[r + 2] = row_dot_simd(cols, vals, xp, row_ptr[r + 2], row_ptr[r + 3], 0.0);
-        yp[r + 3] = row_dot_simd(cols, vals, xp, row_ptr[r + 3], row_ptr[r + 4], 0.0);
-    }
-    for (; r < rows; ++r) {
-        yp[r] = row_dot_simd(cols, vals, xp, row_ptr[r], row_ptr[r + 1], 0.0);
-    }
-}
-
-#endif  // ARCADE_SIMD_NEON
-
 }  // namespace
 
 KernelMode kernel_mode() { return mode_slot().load(std::memory_order_relaxed); }
@@ -285,24 +114,10 @@ void set_kernel_mode(KernelMode mode) {
 void multiply_left(const CsrMatrix& m, std::span<const double> x, std::span<double> y) {
     ARCADE_ASSERT(x.size() == m.rows() && y.size() == m.cols(),
                   "multiply_left shape mismatch");
-    switch (effective_mode()) {
-#if defined(ARCADE_SIMD_NEON)
-        case KernelMode::Simd: multiply_left_simd(m, x, y); return;
-#endif
-        case KernelMode::Scalar: multiply_left_scalar(m, x, y); return;
-        default: left_rows<false>(m, nullptr, x, y); return;
-    }
-}
-
-void multiply_right(const CsrMatrix& m, std::span<const double> x, std::span<double> y) {
-    ARCADE_ASSERT(x.size() == m.cols() && y.size() == m.rows(),
-                  "multiply_right shape mismatch");
-    switch (effective_mode()) {
-#if defined(ARCADE_SIMD_NEON)
-        case KernelMode::Simd: multiply_right_simd(m, x, y); return;
-#endif
-        case KernelMode::Scalar: multiply_right_scalar(m, x, y); return;
-        default: right_rows<false>(m, nullptr, x, y); return;
+    if (kernel_mode() == KernelMode::Scalar) {
+        multiply_left_scalar(m, x, y);
+    } else {
+        left_rows<false>(m, nullptr, x, y);
     }
 }
 
@@ -362,7 +177,27 @@ void uniformised_multiply_right(const UniformisedMatrix& p, std::span<const doub
                                 std::span<double> next) {
     ARCADE_ASSERT(cur.size() == p.rows() && next.size() == p.rows(),
                   "uniformised_multiply_right shape mismatch");
-    right_rows<true>(p.jumps, p.stay.data(), cur, next);
+    const std::size_t* __restrict row_ptr = p.jumps.row_ptr().data();
+    const std::size_t* __restrict cols = p.jumps.col_idx().data();
+    const double* __restrict vals = p.jumps.values().data();
+    const double* __restrict stay = p.stay.data();
+    const double* __restrict xp = cur.data();
+    double* __restrict yp = next.data();
+    const auto row = [&](std::size_t r) {
+        return row_dot(cols, vals, xp, row_ptr[r], row_ptr[r + 1], 0.0) + stay[r] * xp[r];
+    };
+    const std::size_t rows = p.rows();
+    // Four-row blocks give the compiler four independent dependency chains;
+    // within each row the dot product stays in ascending order and the stay
+    // term is added LAST.
+    std::size_t r = 0;
+    for (; r + 4 <= rows; r += 4) {
+        yp[r] = row(r);
+        yp[r + 1] = row(r + 1);
+        yp[r + 2] = row(r + 2);
+        yp[r + 3] = row(r + 3);
+    }
+    for (; r < rows; ++r) yp[r] = row(r);
 }
 
 void uniformised_multiply_left(const CsrMatrix& rates, double lambda,

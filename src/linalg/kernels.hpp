@@ -1,17 +1,13 @@
-// Blocked and SIMD CSR matvec kernels for the numeric core.
+// Blocked CSR matvec kernels for the numeric core.
 //
-// The plain multiplies exist in three variants selected by KernelMode:
-// Blocked (4-way unrolled inner loops over __restrict pointers), Simd (NEON
-// vector bodies on aarch64; on x86-64 the blocked bodies, which measured
-// faster than AVX2 gathers; resolves to Blocked when the CPU lacks the
-// extension) and Scalar (the seed's straightforward loops, kept as the
-// reference).  All variants accumulate in the SAME ascending-index order
-// with a single sequential accumulator chain, so their results are bitwise
-// identical — the unrolling and vectorisation only pipeline the loads and
-// multiplies, they never reassociate a floating-point sum and never
-// contract into FMAs.
-// ARCADE_KERNELS=scalar|blocked|simd selects the variant process-wide;
-// tests and benches flip the mode at runtime via set_kernel_mode().
+// Every production multiply runs one blocked body: 4-way unrolled inner
+// loops over __restrict pointers.  The plain multiply_left also keeps the
+// seed's straightforward loop as a reference, selected only when a test or
+// bench calls set_kernel_mode(KernelMode::Scalar).  Both accumulate in the
+// SAME ascending-index order with a single sequential accumulator chain, so
+// their results are bitwise identical — the unrolling only pipelines the
+// loads and multiplies; it never reassociates a floating-point sum and
+// never contracts into FMAs.
 //
 // Uniformisation is done once per solve: uniformise() turns a rate matrix
 // into P = I + Q/lambda (off-diagonal probabilities plus per-row stay
@@ -32,20 +28,14 @@ namespace arcade::linalg {
 
 enum class KernelMode {
     Blocked,  ///< unrolled kernels (default)
-    Scalar,   ///< the seed's reference loops
-    Simd,     ///< AVX2/NEON vector bodies (falls back to Blocked at runtime)
+    Scalar,   ///< the seed's reference loop (multiply_left only)
+    Simd,     ///< kept for perfbench; runs the blocked kernels
 };
 
-/// Process-wide default, read once from the ARCADE_KERNELS environment
-/// variable ("scalar" selects the reference loops, "simd" the vector
-/// bodies; anything else, or unset, the blocked kernels).
-[[nodiscard]] KernelMode default_kernel_mode();
-
-/// True when the running CPU supports the SIMD bodies (AVX2 on x86-64,
-/// NEON on aarch64).  When false, KernelMode::Simd resolves to Blocked.
+/// Kept for perfbench; always false.
 [[nodiscard]] bool simd_available();
 
-/// Current mode; initially default_kernel_mode().
+/// Current mode; initially Blocked.
 [[nodiscard]] KernelMode kernel_mode();
 
 /// Overrides the mode at runtime (atomic; used by identity tests/benches).
@@ -54,8 +44,8 @@ void set_kernel_mode(KernelMode mode);
 /// acc + sum of vals[k]*x[cols[k]] over one CSR row range [begin,end), in
 /// ascending index order.  The unrolled body chains the adds
 /// (((acc+t0)+t1)+t2)+t3 — the association of the one-at-a-time loop —
-/// while the four loads and multiplies pipeline.  The blocked right
-/// multiplies and the Gauss–Seidel sweeps share it.
+/// while the four loads and multiplies pipeline.  The uniformised right
+/// multiply and the Gauss–Seidel sweeps share it.
 inline double row_dot(const std::size_t* __restrict cols, const double* __restrict vals,
                       const double* __restrict x, std::size_t begin, std::size_t end,
                       double acc) {
@@ -73,9 +63,6 @@ inline double row_dot(const std::size_t* __restrict cols, const double* __restri
 
 /// y = x^T * M (distribution propagation).  `x.size()==rows`, `y.size()==cols`.
 void multiply_left(const CsrMatrix& m, std::span<const double> x, std::span<double> y);
-
-/// y = M * x (backward solutions).  `x.size()==cols`, `y.size()==rows`.
-void multiply_right(const CsrMatrix& m, std::span<const double> x, std::span<double> y);
 
 /// The uniformisation rate for a chain whose largest exit rate is
 /// `max_exit_rate`: 2% above it, floored away from zero.  Every transient,

@@ -3,126 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
-#include "linalg/kernels.hpp"
 #include "support/errors.hpp"
 
-#if defined(__x86_64__) || defined(_M_X64)
-#define ARCADE_SIMD_X86 1
-#include <immintrin.h>
-#elif defined(__aarch64__)
-#define ARCADE_SIMD_NEON 1
-#include <arm_neon.h>
-#endif
-
-#if defined(ARCADE_SIMD_X86) || defined(ARCADE_SIMD_NEON)
-#define ARCADE_SIMD_ARCH 1
-#endif
-
 namespace arcade::linalg {
-
-namespace {
-
-/// True when the dispatchers should take the vector bodies.
-bool use_simd() { return kernel_mode() == KernelMode::Simd && simd_available(); }
-
-// Vectorised bodies: element-wise subtract/abs/multiply in lanes, every
-// accumulation extracted lane by lane and chained in the reference loop's
-// sequential order (no FMA contraction) — bitwise identical to the scalar
-// bodies below, including NaN/inf propagation (fabs and andnot-with-sign-bit
-// agree on every payload).
-
-#if defined(ARCADE_SIMD_X86)
-
-__attribute__((target("avx2"))) double l1_distance_simd(const double* __restrict a,
-                                                        const double* __restrict b,
-                                                        std::size_t n) {
-    double s = 0.0;
-    std::size_t i = 0;
-    const __m256d sign = _mm256_set1_pd(-0.0);
-    alignas(32) double t[4];
-    for (; i + 4 <= n; i += 4) {
-        const __m256d d = _mm256_sub_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i));
-        _mm256_store_pd(t, _mm256_andnot_pd(sign, d));
-        s = (((s + t[0]) + t[1]) + t[2]) + t[3];
-    }
-    for (; i < n; ++i) s += std::abs(a[i] - b[i]);
-    return s;
-}
-
-__attribute__((target("avx2"))) double dot_simd(const double* __restrict a,
-                                                const double* __restrict b,
-                                                std::size_t n) {
-    double s = 0.0;
-    std::size_t i = 0;
-    alignas(32) double t[4];
-    for (; i + 4 <= n; i += 4) {
-        _mm256_store_pd(t, _mm256_mul_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i)));
-        s = (((s + t[0]) + t[1]) + t[2]) + t[3];
-    }
-    for (; i < n; ++i) s += a[i] * b[i];
-    return s;
-}
-
-__attribute__((target("avx2"))) void axpy_simd(double alpha, const double* __restrict x,
-                                               double* __restrict y, std::size_t n) {
-    std::size_t i = 0;
-    const __m256d av = _mm256_set1_pd(alpha);
-    for (; i + 4 <= n; i += 4) {
-        const __m256d p = _mm256_mul_pd(av, _mm256_loadu_pd(x + i));
-        _mm256_storeu_pd(y + i, _mm256_add_pd(_mm256_loadu_pd(y + i), p));
-    }
-    for (; i < n; ++i) y[i] += alpha * x[i];
-}
-
-#elif defined(ARCADE_SIMD_NEON)
-
-double l1_distance_simd(const double* __restrict a, const double* __restrict b,
-                        std::size_t n) {
-    double s = 0.0;
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        const float64x2_t d = vabsq_f64(vsubq_f64(vld1q_f64(a + i), vld1q_f64(b + i)));
-        s = (s + vgetq_lane_f64(d, 0)) + vgetq_lane_f64(d, 1);
-    }
-    for (; i < n; ++i) s += std::abs(a[i] - b[i]);
-    return s;
-}
-
-double dot_simd(const double* __restrict a, const double* __restrict b, std::size_t n) {
-    double s = 0.0;
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        const float64x2_t p = vmulq_f64(vld1q_f64(a + i), vld1q_f64(b + i));
-        s = (s + vgetq_lane_f64(p, 0)) + vgetq_lane_f64(p, 1);
-    }
-    for (; i < n; ++i) s += a[i] * b[i];
-    return s;
-}
-
-void axpy_simd(double alpha, const double* __restrict x, double* __restrict y,
-               std::size_t n) {
-    std::size_t i = 0;
-    const float64x2_t av = vdupq_n_f64(alpha);
-    for (; i + 2 <= n; i += 2) {
-        const float64x2_t p = vmulq_f64(av, vld1q_f64(x + i));
-        vst1q_f64(y + i, vaddq_f64(vld1q_f64(y + i), p));
-    }
-    for (; i < n; ++i) y[i] += alpha * x[i];
-}
-
-#endif  // SIMD bodies
-
-}  // namespace
-
-double l1_distance(std::span<const double> a, std::span<const double> b) {
-    ARCADE_ASSERT(a.size() == b.size(), "l1_distance size mismatch");
-#if defined(ARCADE_SIMD_ARCH)
-    if (use_simd()) return l1_distance_simd(a.data(), b.data(), a.size());
-#endif
-    double s = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i) s += std::abs(a[i] - b[i]);
-    return s;
-}
 
 double linf_distance(std::span<const double> a, std::span<const double> b) {
     ARCADE_ASSERT(a.size() == b.size(), "linf_distance size mismatch");
@@ -160,9 +43,6 @@ double neumaier_sum(std::span<const double> v) {
 
 double dot(std::span<const double> a, std::span<const double> b) {
     ARCADE_ASSERT(a.size() == b.size(), "dot size mismatch");
-#if defined(ARCADE_SIMD_ARCH)
-    if (use_simd()) return dot_simd(a.data(), b.data(), a.size());
-#endif
     double s = 0.0;
     for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
     return s;
@@ -172,17 +52,6 @@ void normalize(std::span<double> v) {
     const double s = sum(v);
     if (!(s > 0.0)) throw ModelError("cannot normalize vector with non-positive sum");
     for (double& x : v) x /= s;
-}
-
-void axpy(double alpha, std::span<const double> x, std::span<double> y) {
-    ARCADE_ASSERT(x.size() == y.size(), "axpy size mismatch");
-#if defined(ARCADE_SIMD_ARCH)
-    if (use_simd()) {
-        axpy_simd(alpha, x.data(), y.data(), x.size());
-        return;
-    }
-#endif
-    for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
 }
 
 }  // namespace arcade::linalg

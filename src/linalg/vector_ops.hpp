@@ -1,12 +1,6 @@
 // Dense vector helpers for probability vectors.
 //
-// l1_distance, dot and axpy honour the process-wide kernel mode
-// (linalg/kernels.hpp): under KernelMode::Simd their element-wise work
-// (subtract/abs/multiply) runs vectorised, with every accumulation chained
-// in the same sequential order as the reference loops — bitwise-identical
-// results across all modes.  The pure running-sum helpers (sum,
-// neumaier_sum, the max-reductions) are inherently sequential and have a
-// single variant.
+// One plain loop per helper, each accumulating in ascending index order.
 #ifndef ARCADE_LINALG_VECTOR_OPS_HPP
 #define ARCADE_LINALG_VECTOR_OPS_HPP
 
@@ -14,9 +8,6 @@
 #include <vector>
 
 namespace arcade::linalg {
-
-/// sum_i |a_i - b_i| (L1 distance).
-[[nodiscard]] double l1_distance(std::span<const double> a, std::span<const double> b);
 
 /// max_i |a_i - b_i| (Chebyshev distance).
 [[nodiscard]] double linf_distance(std::span<const double> a, std::span<const double> b);
@@ -29,9 +20,8 @@ namespace arcade::linalg {
 
 /// Neumaier-compensated sum of entries: a running total with a separate
 /// compensation term that absorbs the rounding error of each add, folded
-/// into the total once at the end.  Strictly sequential (the compensation
-/// depends on every preceding add), so there is exactly one variant; the
-/// Fox–Glynn weight normalisation is built on this.
+/// into the total once at the end.  The Fox–Glynn weight normalisation is
+/// built on this.
 [[nodiscard]] double neumaier_sum(std::span<const double> v);
 
 /// dot product.
@@ -39,9 +29,6 @@ namespace arcade::linalg {
 
 /// Scales v so entries sum to 1.  Throws ModelError when the sum is ~0.
 void normalize(std::span<double> v);
-
-/// y += alpha * x.
-void axpy(double alpha, std::span<const double> x, std::span<double> y);
 
 }  // namespace arcade::linalg
 

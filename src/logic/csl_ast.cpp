@@ -21,14 +21,17 @@ std::string fmt(double v) {
 }
 
 std::string bound_string(const Bound& b) {
+    std::string out;
     switch (b.comparison) {
         case Comparison::Query: return "=?";
-        case Comparison::Lt: return "<" + fmt(b.threshold);
-        case Comparison::Le: return "<=" + fmt(b.threshold);
-        case Comparison::Gt: return ">" + fmt(b.threshold);
-        case Comparison::Ge: return ">=" + fmt(b.threshold);
+        case Comparison::Lt: out = "<"; break;
+        case Comparison::Le: out = "<="; break;
+        case Comparison::Gt: out = ">"; break;
+        case Comparison::Ge: out = ">="; break;
+        default: throw InvalidArgument("unknown Comparison");
     }
-    throw InvalidArgument("unknown Comparison");
+    out += fmt(b.threshold);
+    return out;
 }
 
 std::string path_string(const PathFormula& path) {
@@ -69,19 +72,29 @@ std::string to_string(const StateFormula& formula) {
         return "\"" + label->name + "\"";
     }
     if (const auto* neg = std::get_if<Negation>(&formula.node())) {
-        return "!" + to_string(*neg->operand);
+        std::string out = "!";
+        out += to_string(*neg->operand);
+        return out;
     }
     if (const auto* con = std::get_if<Conjunction>(&formula.node())) {
-        return "(" + to_string(*con->lhs) + " & " + to_string(*con->rhs) + ")";
+        std::string out = "(";
+        out += to_string(*con->lhs) + " & " + to_string(*con->rhs) + ")";
+        return out;
     }
     if (const auto* dis = std::get_if<Disjunction>(&formula.node())) {
-        return "(" + to_string(*dis->lhs) + " | " + to_string(*dis->rhs) + ")";
+        std::string out = "(";
+        out += to_string(*dis->lhs) + " | " + to_string(*dis->rhs) + ")";
+        return out;
     }
     if (const auto* prob = std::get_if<Probabilistic>(&formula.node())) {
-        return "P" + bound_string(prob->bound) + " [ " + path_string(prob->path) + " ]";
+        std::string out = "P";
+        out += bound_string(prob->bound) + " [ " + path_string(prob->path) + " ]";
+        return out;
     }
     if (const auto* ss = std::get_if<SteadyState>(&formula.node())) {
-        return "S" + bound_string(ss->bound) + " [ " + to_string(*ss->operand) + " ]";
+        std::string out = "S";
+        out += bound_string(ss->bound) + " [ " + to_string(*ss->operand) + " ]";
+        return out;
     }
     const auto& reward = std::get<Reward>(formula.node());
     std::string out = "R";

@@ -1,14 +1,12 @@
 #include "modules/explorer.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <unordered_map>
 #include <utility>
 
 #include <chrono>
 
 #include "engine/explore.hpp"
-#include "expr/codegen.hpp"
 #include "linalg/csr_matrix.hpp"
 #include "modules/symmetry.hpp"
 #include "support/errors.hpp"
@@ -52,41 +50,34 @@ private:
     std::span<const std::int64_t> state_;
 };
 
-/// One assignment with its target resolved to a slot index.  `fn` indexes
-/// the value program inside the model's native unit (EvalMode::Codegen).
+/// One assignment with its target resolved to a slot index.
 struct CompiledAssignment {
     std::size_t slot;
     expr::Program value;
-    std::uint32_t fn = 0;
 };
 
 /// One stochastic alternative, pre-compiled.
 struct CompiledAlternative {
     expr::Program rate;
     std::vector<CompiledAssignment> assignments;
-    std::uint32_t rate_fn = 0;
 };
 
 /// One guarded command, pre-compiled (guard + all alternatives).
 struct CompiledCommand {
     expr::Program guard;
     std::vector<CompiledAlternative> alternatives;
-    std::uint32_t guard_fn = 0;
 };
 
 /// One label predicate, pre-compiled.
 struct CompiledLabel {
     std::string name;
     expr::Program program;
-    std::uint32_t fn = 0;
 };
 
 /// One reward item (guard ? rate contribution), pre-compiled.
 struct CompiledRewardItem {
     expr::Program guard;
     expr::Program rate;
-    std::uint32_t guard_fn = 0;
-    std::uint32_t rate_fn = 0;
 };
 
 /// Commands of one action across the participating modules (one inner vector
@@ -110,13 +101,9 @@ struct ExploreContext {
     expr::SlotMap slot_map;
     /// Parallel to interleaved; filled when eval != Interp.
     std::vector<CompiledCommand> compiled_interleaved;
-    /// Labels/rewards, pre-compiled with the commands (eval != Interp) so
-    /// they join the model's single native unit under Codegen.
+    /// Labels/rewards, pre-compiled with the commands (eval != Interp).
     std::vector<CompiledLabel> labels;
     std::vector<std::vector<CompiledRewardItem>> rewards;
-    /// The model's generated-code unit (Codegen only; nullptr after a
-    /// graceful fallback, in which case eval was downgraded to Vm).
-    std::shared_ptr<const expr::NativeUnit> native;
 };
 
 /// Unpacks a state valuation into VM slot values (bool-aware, like the
@@ -161,41 +148,8 @@ CompiledCommand compile_command(const Command& cmd, const ExploreContext& ctx) {
     return out;
 }
 
-/// Walks every compiled program in deterministic order, assigning each its
-/// index inside the model's native unit and collecting the pointers for
-/// build_native_unit.  Must run after the compiled vectors are final (the
-/// registry holds addresses into them).
-std::vector<const expr::Program*> assign_native_indices(ExploreContext& ctx) {
-    std::vector<const expr::Program*> registry;
-    const auto add = [&registry](const expr::Program& p, std::uint32_t& fn) {
-        fn = static_cast<std::uint32_t>(registry.size());
-        registry.push_back(&p);
-    };
-    const auto add_command = [&add](CompiledCommand& cmd) {
-        add(cmd.guard, cmd.guard_fn);
-        for (auto& alt : cmd.alternatives) {
-            add(alt.rate, alt.rate_fn);
-            for (auto& asg : alt.assignments) add(asg.value, asg.fn);
-        }
-    };
-    for (auto& cmd : ctx.compiled_interleaved) add_command(cmd);
-    for (auto& group : ctx.sync_groups) {
-        for (auto& cmds : group.compiled) {
-            for (auto& cmd : cmds) add_command(cmd);
-        }
-    }
-    for (auto& label : ctx.labels) add(label.program, label.fn);
-    for (auto& items : ctx.rewards) {
-        for (auto& item : items) {
-            add(item.guard, item.guard_fn);
-            add(item.rate, item.rate_fn);
-        }
-    }
-    return registry;
-}
-
 ExploreContext make_context(const ModuleSystem& system, expr::EvalMode eval) {
-    ExploreContext ctx{system, system.all_variables(), {}, {}, {}, {}, eval, {}, {}, {}, {}, {}};
+    ExploreContext ctx{system, system.all_variables(), {}, {}, {}, {}, eval, {}, {}, {}, {}};
     if (ctx.vars.empty()) throw ModelError("module system has no variables");
     ctx.is_bool.resize(ctx.vars.size(), false);
     for (std::size_t i = 0; i < ctx.vars.size(); ++i) {
@@ -231,9 +185,8 @@ ExploreContext make_context(const ModuleSystem& system, expr::EvalMode eval) {
     std::sort(ctx.sync_groups.begin(), ctx.sync_groups.end(),
               [](const SyncGroup& a, const SyncGroup& b) { return a.action < b.action; });
 
-    // Pre-compile every guard/rate/assignment — plus labels and rewards, so
-    // Codegen can batch the whole model into one translation unit; the
-    // successor loop then runs slot-indexed bytecode (or native code) only.
+    // Pre-compile every guard/rate/assignment, labels and rewards; the
+    // successor loop then runs slot-indexed bytecode only.
     if (ctx.eval != expr::EvalMode::Interp) {
         ctx.compiled_interleaved.reserve(ctx.interleaved.size());
         for (const Command* cmd : ctx.interleaved) {
@@ -262,14 +215,6 @@ ExploreContext make_context(const ModuleSystem& system, expr::EvalMode eval) {
             ctx.rewards.push_back(std::move(items));
         }
     }
-    if (ctx.eval == expr::EvalMode::Codegen) {
-        const std::vector<const expr::Program*> registry = assign_native_indices(ctx);
-        ctx.native = expr::build_native_unit(registry, ctx.is_bool);
-        // No toolchain / no dlopen / failed build: degrade to the bytecode
-        // VM (build_native_unit counted the fallback).  The compiled
-        // programs are already in place, so nothing else changes.
-        if (ctx.native == nullptr) ctx.eval = expr::EvalMode::Vm;
-    }
     return ctx;
 }
 
@@ -280,12 +225,11 @@ engine::StateLayout make_layout(const std::vector<VarDecl>& vars) {
     return engine::StateLayout(fields);
 }
 
-/// Per-thread successor generator over the shared context.  Dispatches per
-/// state between the bytecode VM (default), the generated-code unit
-/// (Codegen) and the tree interpreter (oracle); all three walk the commands
-/// in exactly the same order with bit-identical evaluation semantics, so
-/// the emitted transition sequence — and hence the explored chain — is
-/// identical bit for bit.
+/// Per-thread successor generator over the shared context.  Runs either the
+/// bytecode VM (default) or the tree interpreter (oracle); both walk the
+/// commands in exactly the same order with bit-identical evaluation
+/// semantics, so the emitted transition sequence — and hence the explored
+/// chain — is identical bit for bit.
 class Worker {
 public:
     explicit Worker(const ExploreContext& ctx)
@@ -295,57 +239,29 @@ public:
 
     template <typename Emit>
     void operator()(std::span<const std::int64_t> current, Emit&& emit) {
-        switch (ctx_.eval) {
-            case expr::EvalMode::Interp:
-                run_interp(current, emit);
-                break;
-            case expr::EvalMode::Codegen:
-                run_compiled(current, emit, NativeEval{*this, current});
-                break;
-            default:
-                fill_slots(current, ctx_.is_bool, slots_);
-                run_compiled(current, emit,
-                             VmEval{std::span<const expr::Value>(slots_)});
-                break;
+        if (ctx_.eval == expr::EvalMode::Interp) {
+            run_interp(current, emit);
+        } else {
+            fill_slots(current, ctx_.is_bool, slots_);
+            run_compiled(current, emit);
         }
     }
 
 private:
-    /// Evaluates one compiled program against the pre-filled slot values.
-    struct VmEval {
-        std::span<const expr::Value> slots;
-        expr::Value operator()(const expr::Program& p, std::uint32_t /*fn*/) const {
-            return p.run(slots);
-        }
-    };
+    /// Runs one compiled program against the pre-filled slot values.
+    [[nodiscard]] expr::Value run(const expr::Program& p) const {
+        return p.run(std::span<const expr::Value>(slots_));
+    }
 
-    /// Evaluates one compiled program through the model's native unit,
-    /// straight off the raw packed valuation.  When the native call reports
-    /// failure (the evaluation would throw), the paired VM program is re-run
-    /// over freshly filled slots so the identical ModelError is raised.
-    struct NativeEval {
-        Worker& w;
-        std::span<const std::int64_t> current;
-        expr::Value operator()(const expr::Program& p, std::uint32_t fn) const {
-            expr::Value out;
-            if (w.ctx_.native->try_run(fn, current, out)) return out;
-            fill_slots(current, w.ctx_.is_bool, w.slots_);
-            return p.run(w.slots_);
-        }
-    };
-
-    /// The compiled successor walk, shared by the VM and Codegen paths: the
-    /// evaluator is the only difference, so the emitted transition sequence
-    /// — and hence the explored chain — is identical bit for bit.
-    template <typename Emit, typename Eval>
-    void run_compiled(std::span<const std::int64_t> current, Emit&& emit,
-                      const Eval& ev) {
+    /// The bytecode successor walk over the slots of `current`.
+    template <typename Emit>
+    void run_compiled(std::span<const std::int64_t> current, Emit&& emit) {
         // Interleaved commands.
         for (const CompiledCommand& cmd : ctx_.compiled_interleaved) {
-            if (!ev(cmd.guard, cmd.guard_fn).as_bool()) continue;
+            if (!run(cmd.guard).as_bool()) continue;
             for (const auto& alt : cmd.alternatives) {
-                const double rate = ev(alt.rate, alt.rate_fn).as_double();
-                apply_assignments_compiled(current, {&alt}, ev);
+                const double rate = run(alt.rate).as_double();
+                apply_assignments_compiled(current, {&alt});
                 emit(std::span<const std::int64_t>(target_), rate);
             }
         }
@@ -357,9 +273,9 @@ private:
             for (const auto& cmds : group.compiled) {
                 std::vector<std::pair<const CompiledAlternative*, double>> here;
                 for (const CompiledCommand& cmd : cmds) {
-                    if (!ev(cmd.guard, cmd.guard_fn).as_bool()) continue;
+                    if (!run(cmd.guard).as_bool()) continue;
                     for (const auto& alt : cmd.alternatives) {
-                        here.emplace_back(&alt, ev(alt.rate, alt.rate_fn).as_double());
+                        here.emplace_back(&alt, run(alt.rate).as_double());
                     }
                 }
                 if (here.empty()) {
@@ -379,7 +295,7 @@ private:
                     alts_vm_.push_back(enabled_vm_[m][pick_[m]].first);
                     rate *= enabled_vm_[m][pick_[m]].second;
                 }
-                apply_assignments_compiled(current, alts_vm_, ev);
+                apply_assignments_compiled(current, alts_vm_);
                 emit(std::span<const std::int64_t>(target_), rate);
 
                 // advance the odometer
@@ -464,25 +380,18 @@ private:
         target_[slot] = raw;
     }
 
-    template <typename Eval>
     void apply_assignments_compiled(std::span<const std::int64_t> from,
-                                    std::span<const CompiledAlternative* const> alts,
-                                    const Eval& ev) {
+                                    std::span<const CompiledAlternative* const> alts) {
         target_.assign(from.begin(), from.end());
         for (const CompiledAlternative* alt : alts) {
-            for (const auto& asg : alt->assignments) {
-                store_assignment(asg.slot, ev(asg.value, asg.fn));
-            }
+            for (const auto& asg : alt->assignments) store_assignment(asg.slot, run(asg.value));
         }
     }
 
-    template <typename Eval>
     void apply_assignments_compiled(std::span<const std::int64_t> from,
-                                    std::initializer_list<const CompiledAlternative*> alts,
-                                    const Eval& ev) {
+                                    std::initializer_list<const CompiledAlternative*> alts) {
         apply_assignments_compiled(
-            from, std::span<const CompiledAlternative* const>(alts.begin(), alts.size()),
-            ev);
+            from, std::span<const CompiledAlternative* const>(alts.begin(), alts.size()));
     }
 
     void apply_assignments(std::span<const std::int64_t> from,
@@ -608,34 +517,24 @@ ExploredModel explore(const ModuleSystem& system, const ExploreOptions& options)
     const std::size_t n = out.store.size();
     State values(ctx.vars.size());
     if (ctx.eval != expr::EvalMode::Interp) {
-        // Labels/rewards were compiled with the commands (make_context), so
-        // under Codegen they evaluate through the same native unit; a failed
-        // native call falls back to the paired VM program per state.
+        // Labels/rewards were compiled with the commands (make_context).
         std::vector<expr::Value> slots(ctx.vars.size());
         std::vector<std::vector<bool>> label_bits(ctx.labels.size(),
                                                   std::vector<bool>(n, false));
         std::vector<std::vector<double>> reward_rates(ctx.rewards.size(),
                                                       std::vector<double>(n, 0.0));
-        const bool native = ctx.eval == expr::EvalMode::Codegen;
+        const std::span<const expr::Value> slot_view(slots);
         for (std::size_t s = 0; s < n; ++s) {
             out.store.unpack(s, std::span<std::int64_t>(values));
-            if (!native) fill_slots(values, ctx.is_bool, slots);
-            const auto eval_prog = [&](const expr::Program& p, std::uint32_t fn) {
-                if (native) {
-                    expr::Value v;
-                    if (ctx.native->try_run(fn, values, v)) return v;
-                    fill_slots(values, ctx.is_bool, slots);
-                }
-                return p.run(std::span<const expr::Value>(slots));
-            };
+            fill_slots(values, ctx.is_bool, slots);
             for (std::size_t l = 0; l < ctx.labels.size(); ++l) {
-                label_bits[l][s] = eval_prog(ctx.labels[l].program, ctx.labels[l].fn).as_bool();
+                label_bits[l][s] = ctx.labels[l].program.run(slot_view).as_bool();
             }
             for (std::size_t r = 0; r < ctx.rewards.size(); ++r) {
                 double rate = 0.0;
                 for (const auto& item : ctx.rewards[r]) {
-                    if (eval_prog(item.guard, item.guard_fn).as_bool()) {
-                        rate += eval_prog(item.rate, item.rate_fn).as_double();
+                    if (item.guard.run(slot_view).as_bool()) {
+                        rate += item.rate.run(slot_view).as_double();
                     }
                 }
                 reward_rates[r][s] = rate;
@@ -700,24 +599,9 @@ std::vector<bool> evaluate_state_predicate(const ExploredModel& model,
     if (eval != expr::EvalMode::Interp) {
         const expr::SlotMap slot_map = make_slot_map(system, var_index);
         const expr::Program program = expr::compile(predicate, slot_map);
-        // Single-program native unit; identical predicate texts share one
-        // cached .so.  nullptr (no toolchain) degrades to the VM.
-        std::shared_ptr<const expr::NativeUnit> native;
-        if (eval == expr::EvalMode::Codegen) {
-            const expr::Program* ptr = &program;
-            native = expr::build_native_unit(std::span<const expr::Program* const>(&ptr, 1),
-                                             is_bool);
-        }
         std::vector<expr::Value> slots(model.variable_names.size());
         for (std::size_t s = 0; s < model.store.size(); ++s) {
             model.store.unpack(s, std::span<std::int64_t>(values));
-            if (native != nullptr) {
-                expr::Value v;
-                if (native->try_run(0, values, v)) {
-                    bits[s] = v.as_bool();
-                    continue;
-                }
-            }
             fill_slots(values, is_bool, slots);
             bits[s] = program.run(slots).as_bool();
         }

@@ -31,13 +31,10 @@ struct ExploreOptions {
     /// Worker threads for the sharded BFS; 0 = hardware concurrency.
     unsigned threads = 0;
     /// Evaluator for guards/rates/assignments/labels/rewards.  The default
-    /// compiles every expression to bytecode once per model (expr::vm);
-    /// ARCADE_EVAL=codegen batches all of the model's programs into one
-    /// generated C++ unit compiled out of process and dlopen'ed
-    /// (expr/codegen, falling back to the VM when no toolchain is
-    /// available); the tree interpreter (ARCADE_EVAL=interp) is the root
-    /// oracle — all three produce bitwise-identical chains.
-    expr::EvalMode eval = expr::default_eval_mode();
+    /// compiles every expression to bytecode once per model (expr::vm); the
+    /// tree interpreter (EvalMode::Interp) is the oracle tests pass
+    /// explicitly — both produce bitwise-identical chains.
+    expr::EvalMode eval = expr::EvalMode::Vm;
     /// On-the-fly symmetry reduction (ARCADE_SYMMETRY=off|auto): under Auto
     /// the explorer runs modules::analyze_symmetry and explores the orbit
     /// quotient directly whenever interchangeable module instances are
@@ -84,7 +81,7 @@ struct ExploredModel {
 /// compiled once and run per state under `eval` (VM by default).
 [[nodiscard]] std::vector<bool> evaluate_state_predicate(
     const ExploredModel& model, const ModuleSystem& system, const expr::Expr& predicate,
-    expr::EvalMode eval = expr::default_eval_mode());
+    expr::EvalMode eval = expr::EvalMode::Vm);
 
 }  // namespace arcade::modules
 

@@ -63,7 +63,9 @@ void flatten_chain(const expr::Expr& e, expr::BinaryOp op, const Rename& rename,
 }
 
 std::string op_tag(expr::BinaryOp op) {
-    return "b" + std::to_string(static_cast<int>(op));
+    std::string out = "b";
+    out += std::to_string(static_cast<int>(op));
+    return out;
 }
 
 std::string normal_form(const expr::Expr& e, const Rename& rename) {
@@ -71,19 +73,26 @@ std::string normal_form(const expr::Expr& e, const Rename& rename) {
     return std::visit(
         [&](const auto& node) -> std::string {
             using T = std::decay_t<decltype(node)>;
+            std::string out;
             if constexpr (std::is_same_v<T, expr::Literal>) {
-                return "l:" + node.value.to_string();
+                out = "l:";
+                out += node.value.to_string();
+                return out;
             } else if constexpr (std::is_same_v<T, expr::Identifier>) {
-                return "v:" + renamed(node.name, rename);
+                out = "v:";
+                out += renamed(node.name, rename);
+                return out;
             } else if constexpr (std::is_same_v<T, expr::Unary>) {
-                return "u" + std::to_string(static_cast<int>(node.op)) + "(" +
+                out = "u";
+                out += std::to_string(static_cast<int>(node.op)) + "(" +
                        normal_form(node.operand, rename) + ")";
+                return out;
             } else if constexpr (std::is_same_v<T, expr::Binary>) {
                 if (commutative_associative(node.op)) {
                     std::vector<std::string> parts;
                     flatten_chain(e, node.op, rename, parts);
                     std::sort(parts.begin(), parts.end());
-                    std::string out = op_tag(node.op) + "{";
+                    out = op_tag(node.op) + "{";
                     for (const auto& p : parts) out += p + ";";
                     return out + "}";
                 }
@@ -93,9 +102,11 @@ std::string normal_form(const expr::Expr& e, const Rename& rename) {
                 return op_tag(node.op) + "(" + lhs + "," + rhs + ")";
             } else {
                 static_assert(std::is_same_v<T, expr::Ite>);
-                return "ite(" + normal_form(node.cond, rename) + "," +
+                out = "ite(";
+                out += normal_form(node.cond, rename) + "," +
                        normal_form(node.then_branch, rename) + "," +
                        normal_form(node.else_branch, rename) + ")";
+                return out;
             }
         },
         e.node());
@@ -108,7 +119,8 @@ std::string normal_form(const expr::Expr& e, const Rename& rename) {
 std::string command_form(const Command& cmd, const Rename& rename) {
     std::string out = "[" + cmd.action + "]" + normal_form(cmd.guard, rename);
     for (const auto& alt : cmd.alternatives) {
-        out += "->" + normal_form(alt.rate, rename) + ":";
+        out += "->";
+        out += normal_form(alt.rate, rename) + ":";
         for (const auto& asg : alt.assignments) {
             out += renamed(asg.variable, rename) + "=" +
                    normal_form(asg.value, rename) + "&";
@@ -173,9 +185,12 @@ std::string template_key(const ModuleSystem& system, const Module& module) {
     std::string key;
     for (std::size_t i = 0; i < module.variables.size(); ++i) {
         const auto& v = module.variables[i];
-        rename.emplace(v.name, "@" + std::to_string(i));
+        std::string placeholder = "@";
+        placeholder += std::to_string(i);
+        rename.emplace(v.name, std::move(placeholder));
         own.insert(v.name);
-        key += "var[" + std::to_string(static_cast<int>(v.type)) + "," +
+        key += "var[";
+        key += std::to_string(static_cast<int>(v.type)) + "," +
                std::to_string(v.low) + "," + std::to_string(v.high) + "," +
                std::to_string(v.init) + "]";
     }

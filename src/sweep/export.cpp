@@ -89,9 +89,9 @@ void write_csv(const SweepReport& report, const ScenarioGrid& grid, std::ostream
             to_string(m.kind) + "," +
             to_string(m.disaster) + "," +
             (m.kind == MeasureKind::Survivability ? fmt(m.service_level) : "") + ",";
-        std::string suffix =
-            property_column ? "," + csv_field(m.property) : std::string();
-        if (scale_column) suffix += "," + csv_field(r.item.scale.name);
+        std::string suffix;
+        if (property_column) (suffix += ",") += csv_field(m.property);
+        if (scale_column) (suffix += ",") += csv_field(r.item.scale.name);
         if (m.is_series()) {
             for (std::size_t i = 0; i < r.values.size(); ++i) {
                 os << prefix << fmt(m.times[i]) << "," << fmt(r.values[i]) << suffix
@@ -119,9 +119,6 @@ void write_csv(const SweepReport& report, const ScenarioGrid& grid, std::ostream
            << " symmetry_seconds=" << fmt(report.stats.symmetry_seconds)
            << " lint_warnings=" << report.stats.lint_warnings
            << " lint_errors=" << report.stats.lint_errors
-           << " codegen_builds=" << report.stats.codegen_builds
-           << " codegen_cache_hits=" << report.stats.codegen_cache_hits
-           << " codegen_fallbacks=" << report.stats.codegen_fallbacks
            << " state_points=" << report.state_points
            << " states_per_sec=" << fmt(report.states_per_second())
            << " wall_seconds=" << fmt(report.wall_seconds) << "\n";
@@ -150,9 +147,6 @@ void write_json(const SweepReport& report, const ScenarioGrid& grid, std::ostrea
        << "    \"symmetry_seconds\": " << fmt(report.stats.symmetry_seconds) << ",\n"
        << "    \"lint_warnings\": " << report.stats.lint_warnings << ",\n"
        << "    \"lint_errors\": " << report.stats.lint_errors << ",\n"
-       << "    \"codegen_builds\": " << report.stats.codegen_builds << ",\n"
-       << "    \"codegen_cache_hits\": " << report.stats.codegen_cache_hits << ",\n"
-       << "    \"codegen_fallbacks\": " << report.stats.codegen_fallbacks << ",\n"
        << "    \"state_points\": " << report.state_points << ",\n"
        << "    \"states_per_second\": " << fmt(report.states_per_second()) << ",\n"
        << "    \"wall_seconds\": " << fmt(report.wall_seconds) << "\n  },\n"

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <ostream>
 #include <string>
+#include <utility>
 
 #include "sweep/paper.hpp"
 #include "support/errors.hpp"
@@ -161,7 +162,9 @@ void render_mttr_sensitivity(const SweepReport& report, const ScenarioGrid& grid
         char buf[64];
         for (const int line : grid.lines) {
             for (const auto& name : grid.strategies) {
-                std::vector<std::string> cells{"L" + std::to_string(line) + " " + name};
+                std::string label = "L";
+                label += std::to_string(line) + " " + name;
+                std::vector<std::string> cells{std::move(label)};
                 for (std::size_t p = 0; p < grid.parameters.size(); ++p) {
                     const auto& cell = find_or_throw(report, line, name, kind,
                                                      DisasterKind::None, 1.0, {}, p);

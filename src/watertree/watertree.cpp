@@ -66,14 +66,14 @@ core::ArcadeModel build_line(const std::string& name, std::size_t sandfilters,
 core::ArcadeModel line1(const Strategy& strategy, const Parameters& params,
                         std::size_t extra_pumps) {
     std::string name = "line1-" + strategy.name;
-    if (extra_pumps > 0) name += "+" + std::to_string(extra_pumps) + "p";
+    if (extra_pumps > 0) (name += "+") += std::to_string(extra_pumps) + "p";
     return build_line(name, 3, 4 + extra_pumps, 3, strategy, params);
 }
 
 core::ArcadeModel line2(const Strategy& strategy, const Parameters& params,
                         std::size_t extra_pumps) {
     std::string name = "line2-" + strategy.name;
-    if (extra_pumps > 0) name += "+" + std::to_string(extra_pumps) + "p";
+    if (extra_pumps > 0) (name += "+") += std::to_string(extra_pumps) + "p";
     return build_line(name, 2, 3 + extra_pumps, 2, strategy, params);
 }
 

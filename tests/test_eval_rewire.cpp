@@ -1,30 +1,31 @@
-// Whole-pipeline identity tests for the two performance rewirings of the
-// evaluation stack:
+// Whole-pipeline identity tests for the two rewirings of the evaluation
+// stack:
 //
-//  * the expr bytecode VM vs the tree interpreter — and the native codegen
-//    backend vs the VM — must explore IDENTICAL chains: same states in the
-//    same order, bitwise-equal rates, equal label bitsets and reward
-//    vectors, on every watertree line/strategy's reactive-modules
-//    translation;
-//  * the blocked and simd CSR kernels vs the scalar reference must render
-//    the whole paper evaluation (sweep::paper::everything()) to a
-//    byte-identical CSV.
+//  * the expr bytecode VM vs the tree interpreter must explore IDENTICAL
+//    chains: same states in the same order, bitwise-equal rates, equal label
+//    bitsets and reward vectors — on every watertree line/strategy's
+//    reactive-modules translation, on hand-written PRISM texts, on a
+//    pump-scaled line, and on a per-pump module system explored through
+//    its symmetry quotient;
+//  * the blocked CSR kernels vs the scalar reference must render the whole
+//    paper evaluation (sweep::paper::everything()) to a byte-identical CSV.
 //
-// These are the guarantees that make ARCADE_EVAL / ARCADE_KERNELS pure
-// performance toggles rather than numerics knobs.
+// The interpreter and the scalar kernels are reached only through the
+// explicit EvalMode / set_kernel_mode arguments these tests pass.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "arcade/modules_compiler.hpp"
-#include "expr/codegen.hpp"
 #include "expr/vm.hpp"
 #include "linalg/kernels.hpp"
 #include "modules/explorer.hpp"
+#include "prism/prism_parser.hpp"
 #include "sweep/sweep.hpp"
 #include "watertree/watertree.hpp"
 
@@ -33,6 +34,7 @@ namespace engine = arcade::engine;
 namespace expr = arcade::expr;
 namespace linalg = arcade::linalg;
 namespace modules = arcade::modules;
+namespace prism = arcade::prism;
 namespace sweep = arcade::sweep;
 namespace wt = arcade::watertree;
 
@@ -42,10 +44,12 @@ bool same_double_bits(double a, double b) {
     return std::memcmp(&a, &b, sizeof a) == 0;
 }
 
-modules::ExploredModel explore_with(const modules::ModuleSystem& system,
-                                    expr::EvalMode eval) {
+modules::ExploredModel explore_with(
+    const modules::ModuleSystem& system, expr::EvalMode eval,
+    engine::SymmetryPolicy symmetry = engine::default_symmetry_policy()) {
     modules::ExploreOptions options;
     options.eval = eval;
+    options.symmetry = symmetry;
     return modules::explore(system, options);
 }
 
@@ -104,6 +108,123 @@ std::string paper_csv(linalg::KernelMode mode) {
     return os.str();
 }
 
+/// The PRISM texts test_prism parses and explores, plus the test_modules
+/// idioms (constants in rates, summed reward items) written as PRISM.
+const char* const kPrismTexts[] = {
+    R"(
+// availability model with shared repair
+ctmc
+
+const double lambda = 1/100;
+const double mu = 0.5;
+const int N = 2;
+
+formula both_up = x=0 & y=0;
+
+module comp_x
+  x : [0..1] init 0;
+  [] x=0 -> lambda : (x'=1);
+  [] x=1 -> mu : (x'=0);
+endmodule
+
+module comp_y
+  y : [0..1] init 0;
+  [] y=0 -> 2*lambda : (y'=1);
+  [] y=1 -> mu : (y'=0);
+endmodule
+
+label "up" = both_up;
+label "deg" = x+y = 1;
+
+rewards "downtime"
+  !both_up : 1;
+endrewards
+)",
+    R"(
+ctmc
+module a
+  x : [0..1] init 0;
+  [tick] x=0 -> 2 : (x'=1);
+endmodule
+module b
+  y : [0..1] init 0;
+  [tick] y=0 -> 3 : (y'=1);
+endmodule
+)",
+    R"(
+ctmc
+module m
+  b : bool init false;
+  [] !b -> 1.5 : (b'=true);
+  [] b -> 1 : true;
+endmodule
+)",
+    R"(
+ctmc
+module m
+  x : [0..2] init 0;
+  [] x=0 -> 1 : (x'=1) + 3 : (x'=2);
+endmodule
+)",
+    R"(
+ctmc
+const int N = 3;
+module m
+  x : [0..3] init 0;
+  [] x < N - 1 -> 1 : (x'=x+1);
+  [] x > 0 -> 2 : (x'=x-1);
+endmodule
+)",
+    R"(
+ctmc
+const double lambda = 0.25;
+const int N = 2;
+module counter
+  c : [0..2] init 0;
+  [] c < N -> lambda * (c + 1) : (c'=c+1);
+  [] c > 0 -> 1 : (c'=0);
+endmodule
+label "full" = c = N;
+rewards "cost"
+  c=1 : 3;
+  true : 0.5;
+endrewards
+)",
+};
+
+/// Line 2's pump stage with one spare pump beyond the paper (two of four
+/// required), dedicated repair, one module per pump.
+const char* const kPumpStage = R"(
+ctmc
+const double fail = 0.002;
+const double repair = 1;
+module pump1
+  p1 : [0..1] init 0;
+  [] p1=0 -> fail : (p1'=1);
+  [] p1=1 -> repair : (p1'=0);
+endmodule
+module pump2
+  p2 : [0..1] init 0;
+  [] p2=0 -> fail : (p2'=1);
+  [] p2=1 -> repair : (p2'=0);
+endmodule
+module pump3
+  p3 : [0..1] init 0;
+  [] p3=0 -> fail : (p3'=1);
+  [] p3=1 -> repair : (p3'=0);
+endmodule
+module pump4
+  p4 : [0..1] init 0;
+  [] p4=0 -> fail : (p4'=1);
+  [] p4=1 -> repair : (p4'=0);
+endmodule
+label "operational" = p1+p2+p3+p4 <= 2;
+rewards "cost"
+  p1+p2+p3+p4 >= 1 : 3*(p1+p2+p3+p4);
+  true : 1;
+endrewards
+)";
+
 }  // namespace
 
 TEST(EvalRewire, InterpAndVmExploreIdenticalChains) {
@@ -118,34 +239,35 @@ TEST(EvalRewire, InterpAndVmExploreIdenticalChains) {
                                     std::string(name) + " line " + std::to_string(line));
         }
     }
-}
 
-TEST(EvalRewire, CodegenAndVmExploreIdenticalChains) {
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-    GTEST_SKIP() << "codegen dlopens uninstrumented objects; skipped under sanitizers";
-#else
-    // The native backend must reproduce the VM's chains bit for bit.  The
-    // identity holds even without a toolchain — the graceful fallback IS
-    // the VM — so this test doubles as the no-toolchain smoke when run
-    // with a stripped PATH.
-    const auto before = expr::codegen_counters();
-    for (const char* name : {"DED", "FRF-1", "FRF-2", "FFF-1", "FFF-2"}) {
-        for (int line = 1; line <= 2; ++line) {
-            const auto model = line == 1 ? wt::line1(wt::strategy(name))
-                                         : wt::line2(wt::strategy(name));
-            const auto system = core::to_reactive_modules(model);
-            const auto vm = explore_with(system, expr::EvalMode::Vm);
-            const auto native = explore_with(system, expr::EvalMode::Codegen);
-            expect_identical_chains(vm, native,
-                                    std::string(name) + " line " + std::to_string(line) +
-                                        " (codegen)");
-        }
+    for (std::size_t i = 0; i < std::size(kPrismTexts); ++i) {
+        const auto system = prism::parse_prism(kPrismTexts[i]);
+        const auto vm = explore_with(system, expr::EvalMode::Vm);
+        const auto interp = explore_with(system, expr::EvalMode::Interp);
+        expect_identical_chains(vm, interp, "PRISM text " + std::to_string(i));
     }
-    const auto after = expr::codegen_counters();
-    // Every explore either built/reused a unit or counted a fallback.
-    EXPECT_GT(after.builds + after.cache_hits + after.fallbacks,
-              before.builds + before.cache_hits + before.fallbacks);
-#endif
+
+    // One spare pump beyond the paper's line 2 under SymmetryPolicy::Auto.
+    // The translation keeps each repair unit's components in one module, so
+    // it carries no module orbits and explores in full.
+    const auto scaled =
+        core::to_reactive_modules(wt::line2(wt::strategy("DED"), {}, /*extra_pumps=*/1));
+    expect_identical_chains(
+        explore_with(scaled, expr::EvalMode::Vm, engine::SymmetryPolicy::Auto),
+        explore_with(scaled, expr::EvalMode::Interp, engine::SymmetryPolicy::Auto),
+        "DED line 2 +1 pump");
+
+    // The same four-pump stage written one module per pump, which does
+    // carry an orbit: both evaluators drive the canonicalising explore.
+    const auto pumps = prism::parse_prism(kPumpStage);
+    const auto vm = explore_with(pumps, expr::EvalMode::Vm, engine::SymmetryPolicy::Auto);
+    const auto interp =
+        explore_with(pumps, expr::EvalMode::Interp, engine::SymmetryPolicy::Auto);
+    ASSERT_TRUE(vm.symmetry_reduced);
+    ASSERT_TRUE(interp.symmetry_reduced);
+    EXPECT_EQ(vm.state_count(), 5u);  // failed-pump count 0..4
+    EXPECT_EQ(vm.symmetry_full_states, interp.symmetry_full_states);
+    expect_identical_chains(vm, interp, "four-pump stage (symmetry)");
 }
 
 TEST(EvalRewire, StatePredicateAgreesAcrossEvaluators) {
@@ -159,11 +281,6 @@ TEST(EvalRewire, StatePredicateAgreesAcrossEvaluators) {
         modules::evaluate_state_predicate(model, system, predicate, expr::EvalMode::Interp);
     EXPECT_EQ(vm, interp);
     EXPECT_EQ(vm, model.chain.label(system.labels.begin()->first));
-#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
-    const auto native =
-        modules::evaluate_state_predicate(model, system, predicate, expr::EvalMode::Codegen);
-    EXPECT_EQ(native, vm);
-#endif
 }
 
 TEST(EvalRewire, BlockedAndScalarKernelsRenderIdenticalPaperCsv) {
@@ -171,15 +288,6 @@ TEST(EvalRewire, BlockedAndScalarKernelsRenderIdenticalPaperCsv) {
     const std::string scalar = paper_csv(linalg::KernelMode::Scalar);
     ASSERT_FALSE(blocked.empty());
     EXPECT_EQ(blocked, scalar);
-}
-
-TEST(EvalRewire, SimdAndBlockedKernelsRenderIdenticalPaperCsv) {
-    // Whether the Simd bodies engage or resolve to Blocked (CPU without the
-    // extension), the rendered paper evaluation must not move a byte.
-    const std::string simd = paper_csv(linalg::KernelMode::Simd);
-    const std::string blocked = paper_csv(linalg::KernelMode::Blocked);
-    ASSERT_FALSE(simd.empty());
-    EXPECT_EQ(simd, blocked);
 }
 
 TEST(EvalRewire, KernelModeDefaultsAndOverrides) {

@@ -10,9 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <limits>
 #include <map>
 #include <random>
@@ -20,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "expr/codegen.hpp"
 #include "expr/expr.hpp"
 #include "expr/vm.hpp"
 #include "support/errors.hpp"
@@ -361,185 +358,8 @@ TEST(ExprVm, RoundingOutsideInt64IsAModelErrorInBothEvaluators) {
     EXPECT_EQ(run_vm(edge, x.map, x.slots).value.as_int(), kInt64Min);
 }
 
-TEST(ExprVm, DefaultModeHonoursEnvironment) {
-    // The env variable is read once per process; all this test can assert
-    // portably is that the default is one of the two modes and stable.
-    const expr::EvalMode mode = expr::default_eval_mode();
-    EXPECT_EQ(mode, expr::default_eval_mode());
-}
-
-// The native backend's contract mirrors the VM's: for every program a
-// successful try_run returns the bit-identical Value the VM computes, and
-// every evaluation the VM would abort with a ModelError reports failure
-// instead (the caller re-runs the VM to raise it).  One fuzzed unit of many
-// programs checks both routes over several raw state valuations.
-TEST(ExprCodegen, NativeMatchesVmBitwise) {
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-    GTEST_SKIP() << "codegen dlopens uninstrumented objects; skipped under sanitizers";
-#else
-    // Slots mirror the explorer's packing: int64 raw values, bool slots
-    // decoded as state[i] != 0.  No double slot — module variables are
-    // ints and bools — so fuzzed trees naming d0 fail to compile and are
-    // simply re-rolled.
-    expr::SlotMap map;
-    map.slots.emplace("i0", 0u);
-    map.slots.emplace("i1", 1u);
-    map.slots.emplace("b0", 2u);
-    map.slots.emplace("b1", 3u);
-    const std::vector<bool> is_bool{false, false, true, true};
-
-    Fuzzer fuzz(0xc0de9e);
-    std::vector<expr::Expr> exprs;
-    std::vector<expr::Program> programs;
-    while (programs.size() < 300) {
-        expr::Expr e = fuzz.gen(5);
-        try {
-            programs.push_back(expr::compile(e, map));
-        } catch (const arcade::ModelError&) {
-            continue;  // names the slotless d0
-        }
-        exprs.push_back(std::move(e));
-    }
-    std::vector<const expr::Program*> ptrs;
-    ptrs.reserve(programs.size());
-    for (const auto& p : programs) ptrs.push_back(&p);
-
-    const auto unit = expr::build_native_unit(ptrs, is_bool);
-    if (unit == nullptr) {
-        GTEST_SKIP() << "no host toolchain / dlopen available";
-    }
-    ASSERT_EQ(unit->size(), programs.size());
-
-    const std::int64_t states[][4] = {{3, -2, 1, 0},
-                                      {0, 0, 0, 1},
-                                      {-3, 7, 1, 1},
-                                      {2, 1, 0, 0},
-                                      {-1, -1, 1, 0}};
-    int value_cases = 0;
-    int error_cases = 0;
-    for (const auto& state : states) {
-        const std::vector<expr::Value> slots{
-            expr::Value(static_cast<long long>(state[0])),
-            expr::Value(static_cast<long long>(state[1])),
-            expr::Value(state[2] != 0), expr::Value(state[3] != 0)};
-        for (std::size_t i = 0; i < programs.size(); ++i) {
-            Outcome vm;
-            try {
-                vm.value = programs[i].run(slots);
-            } catch (const arcade::ModelError& err) {
-                vm.threw = true;
-                vm.error = err.what();
-            }
-            expr::Value native{false};
-            const bool ok =
-                unit->try_run(i, std::span<const std::int64_t>(state, 4), native);
-            ASSERT_EQ(ok, !vm.threw)
-                << exprs[i].to_string() << "\n vm: "
-                << (vm.threw ? vm.error : vm.value.to_string());
-            if (ok) {
-                ++value_cases;
-                EXPECT_TRUE(bitwise_equal(native, vm.value))
-                    << exprs[i].to_string() << "\n native: " << native.to_string()
-                    << "\n vm:     " << vm.value.to_string();
-            } else {
-                ++error_cases;
-            }
-        }
-        if (HasFatalFailure()) return;
-    }
-    // Both routes must be exercised heavily or the differential is hollow.
-    EXPECT_GT(value_cases, 300);
-    EXPECT_GT(error_cases, 100);
-#endif
-}
-
-// Integer overflow fails the native evaluation like every other VM error.
-TEST(ExprCodegen, IntegerOverflowFailsLikeTheVm) {
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-    GTEST_SKIP() << "codegen dlopens uninstrumented objects; skipped under sanitizers";
-#else
-    const ExtremeSlots x;
-    std::vector<expr::Program> programs;
-    for (const auto& e : overflowing_slot_exprs()) programs.push_back(expr::compile(e, x.map));
-    std::vector<const expr::Program*> ptrs;
-    for (const auto& p : programs) ptrs.push_back(&p);
-    const auto unit = expr::build_native_unit(ptrs, std::vector<bool>{false, false});
-    if (unit == nullptr) {
-        GTEST_SKIP() << "no host toolchain / dlopen available";
-    }
-    const std::int64_t state[] = {kInt64Min, kInt64Max};
-    for (std::size_t i = 0; i < programs.size(); ++i) {
-        expr::Value native{false};
-        EXPECT_FALSE(unit->try_run(i, std::span<const std::int64_t>(state, 2), native)) << i;
-        EXPECT_THROW((void)programs[i].run(x.slots), arcade::ModelError) << i;
-    }
-#endif
-}
-
-// Out-of-range floor/ceil fails the native evaluation like the VM.
-TEST(ExprCodegen, RoundingOutsideInt64FailsLikeTheVm) {
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-    GTEST_SKIP() << "codegen dlopens uninstrumented objects; skipped under sanitizers";
-#else
-    const ExtremeSlots x;
-    std::vector<expr::Program> programs;
-    for (const auto& e : out_of_range_rounding_exprs()) {
-        programs.push_back(expr::compile(e, x.map));
-    }
-    std::vector<const expr::Program*> ptrs;
-    for (const auto& p : programs) ptrs.push_back(&p);
-    const auto unit = expr::build_native_unit(ptrs, std::vector<bool>{false, false});
-    if (unit == nullptr) {
-        GTEST_SKIP() << "no host toolchain / dlopen available";
-    }
-    const std::int64_t state[] = {kInt64Min, kInt64Max};
-    for (std::size_t i = 0; i < programs.size(); ++i) {
-        expr::Value native{false};
-        EXPECT_FALSE(unit->try_run(i, std::span<const std::int64_t>(state, 2), native)) << i;
-        EXPECT_THROW((void)programs[i].run(x.slots), arcade::ModelError) << i;
-    }
-#endif
-}
-
-// Without a working compiler build_native_unit must return nullptr and count
-// a fallback, never throw.  The compile fails before any dlopen, so this is
-// safe under sanitizers too.
-TEST(ExprCodegen, GracefulFallbackWithoutToolchain) {
-    const char* old_cxx = std::getenv("ARCADE_CXX");
-    const std::string saved_cxx = old_cxx != nullptr ? old_cxx : "";
-    const char* old_cache = std::getenv("ARCADE_CODEGEN_CACHE");
-    const std::string saved_cache = old_cache != nullptr ? old_cache : "";
-
-    const auto cache_dir =
-        std::filesystem::temp_directory_path() / "arcade-codegen-fallback-test";
-    std::filesystem::remove_all(cache_dir);
-    ::setenv("ARCADE_CXX", "/nonexistent/arcade-no-such-compiler", 1);
-    ::setenv("ARCADE_CODEGEN_CACHE", cache_dir.string().c_str(), 1);
-
-    // A source shape nothing else in this binary builds successfully, so
-    // neither the in-memory unit cache nor the fresh on-disk cache can
-    // satisfy it and the bogus compiler is genuinely reached.
-    expr::SlotMap map;
-    map.slots.emplace("i0", 0u);
-    const expr::Program program =
-        expr::compile(expr::parse_expression("i0 * 48271 + 16807"), map);
-    const expr::Program* ptr = &program;
-
-    const std::size_t before = expr::codegen_counters().fallbacks;
-    const auto unit = expr::build_native_unit(
-        std::span<const expr::Program* const>(&ptr, 1), std::vector<bool>{false});
-    EXPECT_EQ(unit, nullptr);
-    EXPECT_GE(expr::codegen_counters().fallbacks, before + 1);
-
-    if (!saved_cxx.empty()) {
-        ::setenv("ARCADE_CXX", saved_cxx.c_str(), 1);
-    } else {
-        ::unsetenv("ARCADE_CXX");
-    }
-    if (!saved_cache.empty()) {
-        ::setenv("ARCADE_CODEGEN_CACHE", saved_cache.c_str(), 1);
-    } else {
-        ::unsetenv("ARCADE_CODEGEN_CACHE");
-    }
-    std::filesystem::remove_all(cache_dir);
+TEST(ExprVm, DefaultModeIsTheVm) {
+    // No environment variable selects the evaluator; the interpreter is only
+    // reached by passing EvalMode::Interp explicitly.
+    EXPECT_EQ(expr::default_eval_mode(), expr::EvalMode::Vm);
 }

@@ -14,10 +14,13 @@
 //  * module systems with interchangeable instances are detected, asymmetric
 //    rates or asymmetric labels block the (conservative) detection;
 //  * the sweep's pump-scaling axis reports quotient vs full-chain sizes,
-//    with a >= 10x reduction at the paper's own 4-pump line.
+//    with a >= 10x reduction at the paper's own 4-pump line;
+//  * the whole paper evaluation on the individual encoding explored as
+//    symmetry quotients is bitwise identical to the hand-lumped encoding.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
 #include <vector>
 
@@ -395,4 +398,41 @@ TEST(SweepSymmetry, SymmetryCountersRideTheExports) {
     sweep::write_csv(report, grid, csv, with_footer);
     EXPECT_NE(csv.str().find("symmetry_states_in=8129"), std::string::npos);
     EXPECT_NE(csv.str().find("symmetry_ratio="), std::string::npos);
+}
+
+TEST(SweepSymmetry, IndividualQuotientsRenderThePaperBitwiseLikeTheLumpedEncoding) {
+    // The finding that keeps LumpedEncoder honest: every value of
+    // sweep::paper::everything() computed on the individual encoding's
+    // symmetry quotients carries the same bits as on the hand-lumped
+    // encoding, over the same state counts.
+    const auto run = [](const sweep::ModelVariant& variant, core::SymmetryPolicy symmetry) {
+        auto grid = sweep::paper::everything();
+        grid.variants = {variant};
+        engine::AnalysisSession session;
+        sweep::RunnerOptions options;
+        options.reduction = core::ReductionPolicy::Off;
+        options.symmetry = symmetry;
+        sweep::SweepRunner runner(session, options);
+        return runner.run(grid);
+    };
+    const auto quotient = run(sweep::individual_variant(), core::SymmetryPolicy::Auto);
+    const auto lumped = run(sweep::lumped_variant(), core::SymmetryPolicy::Off);
+
+    ASSERT_EQ(quotient.results.size(), lumped.results.size());
+    std::size_t values = 0;
+    for (std::size_t i = 0; i < quotient.results.size(); ++i) {
+        const auto& q = quotient.results[i];
+        const auto& l = lumped.results[i];
+        ASSERT_EQ(q.item.index, l.item.index);
+        EXPECT_EQ(q.model_states, l.model_states) << l.item.key();
+        ASSERT_EQ(q.values.size(), l.values.size()) << l.item.key();
+        for (std::size_t k = 0; k < q.values.size(); ++k) {
+            EXPECT_EQ(std::memcmp(&q.values[k], &l.values[k], sizeof(double)), 0)
+                << l.item.key() << " point " << k << ": " << q.values[k] << " vs "
+                << l.values[k];
+        }
+        values += q.values.size();
+    }
+    EXPECT_EQ(quotient.results.size(), 60u);
+    EXPECT_EQ(values, 4760u);
 }
