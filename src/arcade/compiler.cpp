@@ -10,7 +10,6 @@
 #include "arcade/fault_tree.hpp"
 #include "arcade/modules_compiler.hpp"
 #include "engine/explore.hpp"
-#include "linalg/csr_matrix.hpp"
 #include "support/errors.hpp"
 
 namespace arcade::core {
@@ -228,24 +227,44 @@ public:
         return n;
     }
 
-    /// Waiting components served by derived crews, best-first, up to `k`.
-    [[nodiscard]] std::vector<std::size_t> top_waiting(const State& s, std::size_t ru,
-                                                       std::size_t k) const {
-        std::vector<std::size_t> out;
-        if (k == 0) return out;
+    /// Per-thread buffers of successors(), service() and disaster(): the
+    /// successor being built and the queue scans, sized once and reused, so
+    /// generating a successor allocates nothing.
+    struct Scratch {
+        State next;
+        std::vector<std::size_t> picked;
+        std::vector<std::pair<std::int16_t, std::size_t>> waiting;
+        std::vector<std::size_t> up_per_phase;
+    };
+
+    [[nodiscard]] Scratch scratch() const {
+        Scratch scratch;
+        scratch.next.reserve(2 * n_);
+        scratch.picked.reserve(n_);
+        scratch.waiting.reserve(n_);
+        scratch.up_per_phase.reserve(model_.phases.size());
+        return scratch;
+    }
+
+    /// Waiting components served by derived crews, best-first, up to `k`,
+    /// into scratch.picked.
+    void top_waiting(const State& s, std::size_t ru, std::size_t k, Scratch& scratch) const {
+        std::vector<std::size_t>& out = scratch.picked;
+        out.clear();
+        if (k == 0) return;
         for (const auto& cls : plan_.rus[ru].classes) {
             // members sorted by rank
-            std::vector<std::pair<std::int16_t, std::size_t>> waiting;
+            auto& waiting = scratch.waiting;
+            waiting.clear();
             for (std::size_t c : cls) {
                 if (s[c] == kWaiting) waiting.emplace_back(rank(s, c), c);
             }
             std::sort(waiting.begin(), waiting.end());
             for (const auto& [rk, c] : waiting) {
                 out.push_back(c);
-                if (out.size() == k) return out;
+                if (out.size() == k) return;
             }
         }
-        return out;
     }
 
     /// Removes `c` from its class queue: ranks above it shift down.
@@ -267,12 +286,15 @@ public:
             static_cast<std::int16_t>(waiting_in_class(s, ru, cls));  // includes itself now
     }
 
+    /// Calls emit(const State& target, rate) for every outgoing transition;
+    /// `target` is scratch.next, valid only during the call.
     template <typename Emit>
-    void successors(const State& s, Emit&& emit) const {
+    void successors(const State& s, Scratch& scratch, Emit&& emit) const {
+        State& t = scratch.next;
         // failures
         for (std::size_t c = 0; c < n_; ++c) {
             if (s[c] != kUp) continue;
-            State t = s;
+            t = s;
             const std::size_t ru = plan_.comps[c].ru;
             if (ru == SIZE_MAX || plan_.rus[ru].kind == RuKind::None) {
                 t[c] = kWaiting;
@@ -287,7 +309,7 @@ public:
                     append_to_queue(t, c);
                 }
             }
-            emit(std::move(t), plan_.comps[c].frate);
+            emit(t, plan_.comps[c].frate);
         }
         // repairs
         for (std::size_t r = 0; r < plan_.rus.size(); ++r) {
@@ -296,18 +318,19 @@ public:
             if (ru.kind == RuKind::Dedicated) {
                 for (std::size_t c : ru.components) {
                     if (s[c] != kInRepair) continue;
-                    State t = s;
+                    t = s;
                     t[c] = kUp;
-                    emit(std::move(t), plan_.comps[c].rrate);
+                    emit(t, plan_.comps[c].rrate);
                 }
                 continue;
             }
             if (ru.preemptive) {
-                for (std::size_t c : top_waiting(s, r, ru.crews)) {
-                    State t = s;
+                top_waiting(s, r, ru.crews, scratch);
+                for (std::size_t c : scratch.picked) {
+                    t = s;
                     remove_from_queue(t, c);
                     t[c] = kUp;
-                    emit(std::move(t), plan_.comps[c].rrate);
+                    emit(t, plan_.comps[c].rrate);
                 }
                 continue;
             }
@@ -316,28 +339,30 @@ public:
             {
                 // crew 1 completes the tracked repair; the best waiting
                 // component (if any) is promoted into the tracked slot.
-                State t = s;
+                t = s;
                 t[tr] = kUp;
-                const auto next = top_waiting(s, r, 1);
-                if (!next.empty()) {
-                    const std::size_t w = next.front();
+                top_waiting(s, r, 1, scratch);
+                if (!scratch.picked.empty()) {
+                    const std::size_t w = scratch.picked.front();
                     remove_from_queue(t, w);
                     t[w] = kInRepair;
                 }
-                emit(std::move(t), plan_.comps[tr].rrate);
+                emit(t, plan_.comps[tr].rrate);
             }
             // derived crews 2..k complete policy-best waiting repairs
-            for (std::size_t c : top_waiting(s, r, ru.crews - 1)) {
-                State t = s;
+            top_waiting(s, r, ru.crews - 1, scratch);
+            for (std::size_t c : scratch.picked) {
+                t = s;
                 remove_from_queue(t, c);
                 t[c] = kUp;
-                emit(std::move(t), plan_.comps[c].rrate);
+                emit(t, plan_.comps[c].rrate);
             }
         }
     }
 
-    [[nodiscard]] double service(const State& s) const {
-        std::vector<std::size_t> up(model_.phases.size(), 0);
+    [[nodiscard]] double service(const State& s, Scratch& scratch) const {
+        std::vector<std::size_t>& up = scratch.up_per_phase;
+        up.assign(model_.phases.size(), 0);
         for (std::size_t c = 0; c < n_; ++c) {
             if (s[c] == kUp) ++up[plan_.comps[c].phase];
         }
@@ -394,12 +419,14 @@ public:
         }
         // Second pass: promote the policy-best waiting member of every
         // non-preemptive queue RU into the tracked slot.
+        Scratch scratch;
         for (std::size_t r = 0; r < plan_.rus.size(); ++r) {
             if (plan_.rus[r].kind != RuKind::Queue || plan_.rus[r].preemptive) continue;
-            const auto best = top_waiting(s, r, 1);
-            if (!best.empty()) {
-                remove_from_queue(s, best.front());
-                s[best.front()] = kInRepair;
+            top_waiting(s, r, 1, scratch);
+            if (!scratch.picked.empty()) {
+                const std::size_t best = scratch.picked.front();
+                remove_from_queue(s, best);
+                s[best] = kInRepair;
             }
         }
         return s;
@@ -473,11 +500,28 @@ public:
         return down;
     }
 
-    /// Served waiting members per group for derived crews, up to k total.
-    [[nodiscard]] std::vector<std::pair<std::size_t, std::size_t>> served_waiting(
-        const State& s, std::size_t r, std::size_t k) const {
-        std::vector<std::pair<std::size_t, std::size_t>> out;  // (group, count)
-        if (k == 0) return out;
+    /// Per-thread buffers of successors(), service() and disaster(); see
+    /// IndividualEncoder::Scratch.
+    struct Scratch {
+        State next;
+        std::vector<std::pair<std::size_t, std::size_t>> served;  // (group, count)
+        std::vector<std::size_t> up_per_phase;
+    };
+
+    [[nodiscard]] Scratch scratch() const {
+        Scratch scratch;
+        scratch.next.reserve(g_ + r_);
+        scratch.served.reserve(g_);
+        scratch.up_per_phase.reserve(model_.phases.size());
+        return scratch;
+    }
+
+    /// Served waiting members per group for derived crews, up to k total,
+    /// into scratch.served.
+    void served_waiting(const State& s, std::size_t r, std::size_t k, Scratch& scratch) const {
+        auto& out = scratch.served;
+        out.clear();
+        if (k == 0) return;
         std::size_t left = k;
         for (std::size_t g : plan_.ru_groups[r]) {
             const std::size_t w = static_cast<std::size_t>(s[g]);
@@ -487,11 +531,13 @@ public:
             left -= take;
             if (left == 0) break;
         }
-        return out;
     }
 
+    /// Calls emit(const State& target, rate) for every outgoing transition;
+    /// `target` is scratch.next, valid only during the call.
     template <typename Emit>
-    void successors(const State& s, Emit&& emit) const {
+    void successors(const State& s, Scratch& scratch, Emit&& emit) const {
+        State& t = scratch.next;
         // failures
         for (std::size_t g = 0; g < g_; ++g) {
             const Group& group = plan_.groups[g];
@@ -499,7 +545,7 @@ public:
             const std::size_t up = group.size - down;
             if (up == 0) continue;
             const double rate = static_cast<double>(up) * group.frate;
-            State t = s;
+            t = s;
             const std::size_t r = group.ru;
             if (r != SIZE_MAX && plan_.rus[r].kind == RuKind::Queue &&
                 !plan_.rus[r].preemptive && tracked_group(s, r) == SIZE_MAX) {
@@ -507,7 +553,7 @@ public:
             } else {
                 ++t[g];
             }
-            emit(std::move(t), rate);
+            emit(t, rate);
         }
         // repairs
         for (std::size_t r = 0; r < r_; ++r) {
@@ -517,17 +563,18 @@ public:
                 for (std::size_t g : plan_.ru_groups[r]) {
                     const std::size_t down = static_cast<std::size_t>(s[g]);
                     if (down == 0) continue;
-                    State t = s;
+                    t = s;
                     --t[g];
-                    emit(std::move(t), static_cast<double>(down) * plan_.groups[g].rrate);
+                    emit(t, static_cast<double>(down) * plan_.groups[g].rrate);
                 }
                 continue;
             }
             if (ru.preemptive) {
-                for (const auto& [g, count] : served_waiting(s, r, ru.crews)) {
-                    State t = s;
+                served_waiting(s, r, ru.crews, scratch);
+                for (const auto& [g, count] : scratch.served) {
+                    t = s;
                     --t[g];
-                    emit(std::move(t), static_cast<double>(count) * plan_.groups[g].rrate);
+                    emit(t, static_cast<double>(count) * plan_.groups[g].rrate);
                 }
                 continue;
             }
@@ -535,26 +582,29 @@ public:
             if (tg == SIZE_MAX) continue;
             {
                 // crew 1 completes; promote the best waiting group
-                State t = s;
-                const auto next = served_waiting(s, r, 1);
-                if (next.empty()) {
+                t = s;
+                served_waiting(s, r, 1, scratch);
+                if (scratch.served.empty()) {
                     t[g_ + r] = 0;
                 } else {
-                    t[g_ + r] = static_cast<std::int16_t>(next.front().first + 1);
-                    --t[next.front().first];
+                    const std::size_t next = scratch.served.front().first;
+                    t[g_ + r] = static_cast<std::int16_t>(next + 1);
+                    --t[next];
                 }
-                emit(std::move(t), plan_.groups[tg].rrate);
+                emit(t, plan_.groups[tg].rrate);
             }
-            for (const auto& [g, count] : served_waiting(s, r, ru.crews - 1)) {
-                State t = s;
+            served_waiting(s, r, ru.crews - 1, scratch);
+            for (const auto& [g, count] : scratch.served) {
+                t = s;
                 --t[g];
-                emit(std::move(t), static_cast<double>(count) * plan_.groups[g].rrate);
+                emit(t, static_cast<double>(count) * plan_.groups[g].rrate);
             }
         }
     }
 
-    [[nodiscard]] double service(const State& s) const {
-        std::vector<std::size_t> up(model_.phases.size(), 0);
+    [[nodiscard]] double service(const State& s, Scratch& scratch) const {
+        std::vector<std::size_t>& up = scratch.up_per_phase;
+        up.resize(model_.phases.size());
         for (std::size_t p = 0; p < model_.phases.size(); ++p) {
             up[p] = model_.phases[p].components.size();
         }
@@ -600,12 +650,14 @@ public:
             ARCADE_ASSERT(remaining == 0, "disaster allocation failed");
         }
         // promote tracked slots
+        Scratch scratch;
         for (std::size_t r = 0; r < r_; ++r) {
             if (plan_.rus[r].kind != RuKind::Queue || plan_.rus[r].preemptive) continue;
-            const auto next = served_waiting(s, r, 1);
-            if (!next.empty()) {
-                s[g_ + r] = static_cast<std::int16_t>(next.front().first + 1);
-                --s[next.front().first];
+            served_waiting(s, r, 1, scratch);
+            if (!scratch.served.empty()) {
+                const std::size_t next = scratch.served.front().first;
+                s[g_ + r] = static_cast<std::int16_t>(next + 1);
+                --s[next];
             }
         }
         return s;
@@ -619,20 +671,21 @@ private:
 };
 
 /// Adapts an encoder (which works on int16 vectors) to the engine's int64
-/// worker interface.  One adapter per worker thread: the conversion buffers
-/// are worker-local, the encoder itself is shared immutable state.
+/// worker interface.  One adapter per worker thread: the conversion buffer
+/// and the encoder's scratch are worker-local, the encoder itself is shared
+/// immutable state.
 template <typename Encoder>
 class EncoderWorker {
 public:
     explicit EncoderWorker(const Encoder& encoder, std::size_t fields)
-        : encoder_(encoder), current_(fields) {}
+        : encoder_(encoder), current_(fields), scratch_(encoder.scratch()) {}
 
     template <typename Emit>
     void operator()(std::span<const std::int64_t> state, Emit&& emit) {
         for (std::size_t i = 0; i < current_.size(); ++i) {
             current_[i] = static_cast<std::int16_t>(state[i]);
         }
-        encoder_.successors(current_, [&](State&& target, double rate) {
+        encoder_.successors(current_, scratch_, [&](const State& target, double rate) {
             ARCADE_ASSERT(rate > 0.0, "non-positive rate emitted");
             emit(std::span<const std::int16_t>(target), rate);
         });
@@ -641,6 +694,7 @@ public:
 private:
     const Encoder& encoder_;
     State current_;
+    typename Encoder::Scratch scratch_;
 };
 
 /// Orbit structure of the individual encoding: every lumped group with two
@@ -711,21 +765,18 @@ CompiledModel run_compile(const ArcadeModel& model, const Plan& plan, Encoder en
                 .count();
     }
 
-    linalg::CsrBuilder builder(n, n);
-    for (const auto& t : explored.transitions) {
-        if (t.source != t.target) builder.add(t.source, t.target, t.rate);
-    }
     std::vector<double> init(n, 0.0);
     init[0] = 1.0;
-    ctmc::Ctmc chain(builder.build(), std::move(init));
+    ctmc::Ctmc chain(std::move(explored.rates), std::move(init));
 
     std::vector<double> service(n);
     std::vector<double> cost(n);
     {
         State decoded(fields);
+        auto scratch = encoder.scratch();
         for (std::size_t s = 0; s < n; ++s) {
             store.unpack(s, std::span<std::int16_t>(decoded));
-            service[s] = encoder.service(decoded);
+            service[s] = encoder.service(decoded, scratch);
             cost[s] = encoder.cost_rate(decoded);
         }
     }

@@ -1,16 +1,22 @@
 // Deterministic parallel breadth-first state-space exploration over the
-// packed state store.
+// packed state store, assembling the chain's CSR rate matrix as it goes.
 //
 // The frontier is processed level-synchronously: each BFS level is sharded
 // into contiguous chunks, one per std::thread worker.  Workers evaluate
 // successors independently (the expensive part: guard/rate evaluation and
-// encoder logic) into per-shard triplet buffers — packed target words plus
-// rates, grouped by source.  A serial merge then walks the shards in source
-// order, interning targets and appending CSR triplets.  Because the merge
-// consumes emissions in exactly the order a single-threaded BFS would
-// produce them, state numbering and the transition multiset are identical
-// for every thread count — parallel exploration is bit-compatible with
-// serial, which the tier-1 tests assert.
+// encoder logic) into per-shard buffers — packed target words plus rates,
+// grouped by source.  A serial merge then walks the shards in source order,
+// interning targets.  Because the merge consumes emissions in exactly the
+// order a single-threaded BFS would produce them, state numbering and every
+// row are identical for every thread count — parallel exploration is
+// bit-compatible with serial, which the tier-1 tests assert.
+//
+// Sources are numbered in BFS order and each source's emissions arrive
+// contiguously (inline and merged alike), so the rate matrix is built row by
+// row: a source's interned (target, rate) pairs are appended and the row is
+// closed as soon as its last emission is in — self-loops dropped (CTMC
+// no-ops), then linalg::sort_and_sum_row(), the library's one duplicate-sum
+// contract, which also coalesces the per-orbit rates of symmetry reduction.
 #ifndef ARCADE_ENGINE_EXPLORE_HPP
 #define ARCADE_ENGINE_EXPLORE_HPP
 
@@ -25,16 +31,10 @@
 
 #include "engine/state_store.hpp"
 #include "engine/symmetry.hpp"
+#include "linalg/csr_matrix.hpp"
 #include "support/errors.hpp"
 
 namespace arcade::engine {
-
-/// One rate-matrix triplet produced by exploration.
-struct Transition {
-    std::size_t source;
-    std::size_t target;
-    double rate;
-};
 
 struct EngineOptions {
     std::size_t max_states = 50'000'000;  ///< explosion guard
@@ -49,10 +49,11 @@ struct EngineOptions {
 };
 
 /// Result of an exploration: interned states (index order = BFS discovery
-/// order) and the transition triplets.
+/// order) and the square rate matrix over them — self-loops dropped, rows
+/// column-sorted, duplicate targets summed in emission order.
 struct Explored {
     StateStore store;
-    std::vector<Transition> transitions;
+    linalg::CsrMatrix rates;
 };
 
 /// Resolves an EngineOptions thread request against the hardware.
@@ -64,17 +65,18 @@ inline unsigned resolve_threads(unsigned requested) {
 
 /// Explores the reachable state space from `initial`.
 ///
-/// `make_worker()` must return an independent worker per thread; a worker is
-/// a callable `worker(std::span<const std::int64_t> state, auto&& emit)`
-/// that calls `emit(std::span<const Int> target, double rate)` — any
-/// integral element type — for every outgoing transition.  Workers only
-/// read shared model data, so the same factory serves the serial and the
-/// parallel path.  Zero rates are dropped; negative rates throw ModelError.
+/// `make_worker()` must return an independent worker; it is called once per
+/// shard a level actually runs on, so at most `threads` times and exactly
+/// once for a model whose levels all run inline.  A worker is a callable
+/// `worker(std::span<const std::int64_t> state, auto&& emit)` that calls
+/// `emit(std::span<const Int> target, double rate)` — any integral element
+/// type — for every outgoing transition.  Workers only read shared model
+/// data, so the same factory serves the serial and the parallel path.  Zero
+/// rates are dropped; negative rates throw ModelError.
 template <typename WorkerFactory>
 Explored explore_bfs(const StateLayout& layout, std::span<const std::int64_t> initial,
                      WorkerFactory&& make_worker, const EngineOptions& options = {}) {
-    Explored result{StateStore(layout), {}};
-    StateStore& store = result.store;
+    StateStore store(layout);
     const std::size_t wps = layout.words_per_state();
     const std::size_t fields = layout.field_count();
 
@@ -102,6 +104,26 @@ Explored explore_bfs(const StateLayout& layout, std::span<const std::int64_t> in
         }
     };
 
+    // The rate matrix, one row per source in BFS order.  The open row is
+    // [row_ptr.back(), col_idx.size()): append() leaves self-loops out and
+    // close_row() sorts and sums the row in place.
+    std::vector<std::size_t> row_ptr{0};
+    std::vector<std::size_t> col_idx;
+    std::vector<double> values;
+    const auto append = [&](std::size_t source, std::size_t target, double rate) {
+        if (target == source) return;  // rate self-loop: a CTMC no-op
+        col_idx.push_back(target);
+        values.push_back(rate);
+    };
+    const auto close_row = [&] {
+        const std::size_t begin = row_ptr.back();
+        const std::size_t end = linalg::sort_and_sum_row(col_idx.data(), values.data(), begin,
+                                                         col_idx.size(), begin);
+        col_idx.resize(end);
+        values.resize(end);
+        row_ptr.push_back(end);
+    };
+
     // Per-shard successor buffer: packed target words and rates, plus the
     // number of emissions of every source in the shard (merge ordering key).
     struct Shard {
@@ -119,13 +141,19 @@ Explored explore_bfs(const StateLayout& layout, std::span<const std::int64_t> in
         std::vector<std::uint64_t> packed;
         std::vector<std::int64_t> canonical;  // scratch for symmetry reduction
     };
+    // Workers and shards are made on first use, up to the number of shards
+    // a level activates — never `threads` of them up front.
     std::vector<WorkerState> workers;
-    workers.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t) {
-        workers.push_back(WorkerState{make_worker(), std::vector<std::int64_t>(fields),
-                                      std::vector<std::uint64_t>(wps),
-                                      std::vector<std::int64_t>(fields)});
-    }
+    std::vector<Shard> shards;
+    const auto ensure_workers = [&](std::size_t count) {
+        if (workers.size() >= count) return;
+        workers.reserve(count);
+        while (workers.size() < count) {
+            workers.push_back(WorkerState{make_worker(), std::vector<std::int64_t>(fields),
+                                          std::vector<std::uint64_t>(wps),
+                                          std::vector<std::int64_t>(fields)});
+        }
+    };
 
     // Packs `target` into w.packed, canonicalising to the orbit
     // representative first when symmetry reduction is on.  Identical in the
@@ -147,13 +175,13 @@ Explored explore_bfs(const StateLayout& layout, std::span<const std::int64_t> in
     constexpr std::size_t kMinShardStates = 128;
 
     std::size_t level_begin = 0;
-    std::vector<Shard> shards(threads);
     while (level_begin < store.size()) {
         check_explosion(store.size());
         const std::size_t level_end = store.size();
         const std::size_t count = level_end - level_begin;
         const auto active = static_cast<unsigned>(std::min<std::size_t>(
             threads, std::max<std::size_t>(1, count / kMinShardStates)));
+        ensure_workers(active);
 
         if (active <= 1) {
             // Inline path: intern targets as they are emitted — exactly the
@@ -168,8 +196,9 @@ Explored explore_bfs(const StateLayout& layout, std::span<const std::int64_t> in
                              pack_target(w, target);
                              const auto [index, inserted] = store.intern(w.packed.data());
                              if (inserted) check_explosion(store.size());
-                             result.transitions.push_back(Transition{si, index, rate});
+                             append(si, index, rate);
                          });
+                close_row();
             }
             level_begin = level_end;
             continue;
@@ -177,6 +206,7 @@ Explored explore_bfs(const StateLayout& layout, std::span<const std::int64_t> in
 
         const std::size_t per_shard = (count + active - 1) / active;
 
+        if (shards.size() < active) shards.resize(active);
         for (unsigned t = 0; t < active; ++t) {
             Shard& shard = shards[t];
             shard.begin = level_begin + std::min<std::size_t>(count, t * per_shard);
@@ -222,8 +252,8 @@ Explored explore_bfs(const StateLayout& layout, std::span<const std::int64_t> in
             if (shards[t].error) std::rethrow_exception(shards[t].error);
         }
 
-        // Serial merge in source order: identical interning order to the
-        // serial path.  The explosion guard runs per intern, like the
+        // Serial merge in source order: identical interning order and rows
+        // to the serial path.  The explosion guard runs per intern, like the
         // serial path's per-state check, so a blowing-up level cannot
         // intern unboundedly before the ModelError fires.
         for (unsigned t = 0; t < active; ++t) {
@@ -235,14 +265,22 @@ Explored explore_bfs(const StateLayout& layout, std::span<const std::int64_t> in
                     const auto [index, inserted] =
                         store.intern(shard.words.data() + cursor * wps);
                     if (inserted) check_explosion(store.size());
-                    result.transitions.push_back(
-                        Transition{si, index, shard.rates[cursor]});
+                    append(si, index, shard.rates[cursor]);
                 }
+                close_row();
             }
         }
         level_begin = level_end;
     }
-    return result;
+
+    // Growth slack goes back: the arrays carry exactly their entries.
+    row_ptr.shrink_to_fit();
+    col_idx.shrink_to_fit();
+    values.shrink_to_fit();
+    const std::size_t n = store.size();
+    return Explored{std::move(store),
+                    linalg::CsrMatrix(n, n, std::move(row_ptr), std::move(col_idx),
+                                      std::move(values))};
 }
 
 }  // namespace arcade::engine

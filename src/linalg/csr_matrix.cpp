@@ -80,6 +80,20 @@ CsrMatrix transpose_kept(const CsrMatrix& m, Keep keep) {
 
 }  // namespace
 
+std::size_t sort_and_sum_row(std::size_t* cols, double* vals, std::size_t begin,
+                             std::size_t end, std::size_t out) {
+    sort_row_by_column(cols + begin, vals + begin, end - begin);
+    for (std::size_t k = begin; k < end;) {
+        const std::size_t c = cols[k];
+        double v = 0.0;
+        for (; k < end && cols[k] == c; ++k) v += vals[k];
+        cols[out] = c;
+        vals[out] = v;
+        ++out;
+    }
+    return out;
+}
+
 CsrMatrix CsrBuilder::build() const {
     // Stable counting sort by row: each row's slice holds its entries in
     // add() order.
@@ -96,22 +110,13 @@ CsrMatrix CsrBuilder::build() const {
             values[slot] = e.value;
         }
     }
-    // Order each row by column, then sum each run of duplicates in add()
-    // order, compacting in place (the write cursor never passes the read).
+    // Close each row in place: the rows before it have already shrunk, so
+    // its sums land at `out`, never past its own entries.
     std::size_t out = 0;
     for (std::size_t r = 0; r < rows_; ++r) {
         const std::size_t begin = row_ptr[r];
-        const std::size_t end = row_ptr[r + 1];
-        sort_row_by_column(col_idx.data() + begin, values.data() + begin, end - begin);
         row_ptr[r] = out;
-        for (std::size_t k = begin; k < end;) {
-            const std::size_t c = col_idx[k];
-            double v = 0.0;
-            for (; k < end && col_idx[k] == c; ++k) v += values[k];
-            col_idx[out] = c;
-            values[out] = v;
-            ++out;
-        }
+        out = sort_and_sum_row(col_idx.data(), values.data(), begin, row_ptr[r + 1], out);
     }
     row_ptr[rows_] = out;
     col_idx.resize(out);

@@ -17,15 +17,28 @@ struct Entry {
 
 class CsrMatrix;
 
+/// Closes one CSR row: stably sorts the row's entries, held at positions
+/// [begin, end) of `cols`/`vals`, by column, then sums each run of equal
+/// columns in its original order starting from +0.0 — ((0.0 + v1) + v2) +
+/// ... — and writes the sums, one per distinct column in ascending order,
+/// from position `out` (out <= begin; the write cursor never passes the
+/// read cursor).  Returns the position one past the last sum written.
+///
+/// This is the summation order contract of every CSR assembly in the
+/// library (CsrBuilder::build() and the explorer's row assembly): three or
+/// more duplicates whose sum depends on association always give the same
+/// bits.  Short rows (up to 32 entries) are insertion-sorted without
+/// allocating; longer rows fall back to std::stable_sort.
+std::size_t sort_and_sum_row(std::size_t* cols, double* vals, std::size_t begin,
+                             std::size_t end, std::size_t out);
+
 /// Incremental builder: entries may arrive in any order; duplicate
 /// coordinates are summed.  `build()` produces a column-sorted CsrMatrix in
-/// time linear in the entry count (a stable counting sort by row, then an
-/// insertion sort of each short row by column).
+/// time linear in the entry count (a stable counting sort by row, then
+/// sort_and_sum_row() on each row).
 ///
 /// Summation order contract: the entries at one coordinate are summed in the
-/// order they were add()ed, starting from +0.0 — ((0.0 + v1) + v2) + ... —
-/// so three or more duplicates whose sum depends on association always give
-/// the same bits.
+/// order they were add()ed, starting from +0.0 (see sort_and_sum_row()).
 class CsrBuilder {
 public:
     explicit CsrBuilder(std::size_t rows, std::size_t cols);

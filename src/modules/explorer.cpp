@@ -7,7 +7,6 @@
 #include <chrono>
 
 #include "engine/explore.hpp"
-#include "linalg/csr_matrix.hpp"
 #include "modules/symmetry.hpp"
 #include "support/errors.hpp"
 
@@ -479,16 +478,9 @@ ExploredModel explore(const ModuleSystem& system, const ExploreOptions& options)
         make_layout(ctx.vars), initial, [&ctx] { return Worker(ctx); }, engine_options);
     engine::StateStore store = std::move(explored.store);
 
-    // Build the rate matrix.
-    linalg::CsrBuilder builder(store.size(), store.size());
-    for (const auto& t : explored.transitions) {
-        if (t.target == t.source) continue;  // drop rate self-loops (CTMC no-ops)
-        builder.add(t.source, t.target, t.rate);
-    }
-
     std::vector<double> init_dist(store.size(), 0.0);
     init_dist[0] = 1.0;
-    ctmc::Ctmc chain(builder.build(), std::move(init_dist));
+    ctmc::Ctmc chain(std::move(explored.rates), std::move(init_dist));
 
     ExploredModel out{std::move(chain), {}, std::move(store), {}};
     out.variable_names.reserve(ctx.vars.size());

@@ -2,7 +2,10 @@
 // analysis-session caching, workspace pooling.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <map>
+#include <span>
 #include <vector>
 
 #include "arcade/compiler.hpp"
@@ -13,6 +16,7 @@
 #include "engine/session.hpp"
 #include "engine/state_store.hpp"
 #include "engine/workspace.hpp"
+#include "linalg/csr_matrix.hpp"
 #include "modules/explorer.hpp"
 #include "support/errors.hpp"
 #include "watertree/watertree.hpp"
@@ -131,6 +135,208 @@ TEST(StateStore, InternDeduplicatesAndSurvivesRehash) {
     }
     layout.pack(std::span<const std::int64_t>(std::vector<std::int64_t>{n + 1}), words.data());
     EXPECT_EQ(store.find(words.data()), SIZE_MAX);
+}
+
+// ---------------------------------------------------------------------------
+// explore_bfs against an independent reference BFS: std::map over
+// valuations, triplets, then CsrBuilder — no packed store, no row assembly.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+namespace la = arcade::linalg;
+
+/// A 5-dimensional grid [0, 7]^5 (32768 states; its middle BFS levels hold
+/// thousands of states, so 2-4 threads take the sharded path).  Every state
+/// emits: three duplicate steps along dimension 0 valued 0.1, 0.2, 0.3, whose
+/// sum depends on association; unit-ish steps along the other dimensions; a
+/// self-loop; a zero-rate step back (dropped); a jump to the origin; and a
+/// late duplicate of the dimension-1 step, apart from its first emission.
+constexpr std::int64_t kGridSide = 8;
+constexpr std::size_t kGridDims = 5;
+
+template <typename Emit>
+void grid_successors(std::span<const std::int64_t> v, std::vector<std::int64_t>& t,
+                     Emit&& emit) {
+    t.assign(v.begin(), v.end());
+    const auto send = [&](double rate) { emit(std::span<const std::int64_t>(t), rate); };
+    if (v[0] + 1 < kGridSide) {
+        ++t[0];
+        for (const double rate : {0.1, 0.2, 0.3}) send(rate);
+        --t[0];
+    }
+    for (std::size_t d = 1; d < kGridDims; ++d) {
+        if (v[d] + 1 >= kGridSide) continue;
+        ++t[d];
+        send(1.0 + 0.25 * static_cast<double>(d));
+        --t[d];
+    }
+    send(0.7);  // self-loop
+    if (v[0] > 0) {
+        --t[0];
+        send(0.0);  // zero rate: never becomes a transition
+        ++t[0];
+    }
+    std::vector<std::int64_t> origin(kGridDims, 0);
+    emit(std::span<const std::int64_t>(origin), 0.05);
+    if (v[1] + 1 < kGridSide) {
+        ++t[1];
+        send(1e-3);
+        --t[1];
+    }
+}
+
+auto grid_factory(std::size_t* made = nullptr) {
+    return [made] {
+        if (made != nullptr) ++*made;
+        return [t = std::vector<std::int64_t>()](std::span<const std::int64_t> v,
+                                                 auto&& emit) mutable {
+            grid_successors(v, t, emit);
+        };
+    };
+}
+
+const engine::StateLayout& grid_layout() {
+    static const engine::StateLayout layout(
+        std::vector<engine::FieldSpec>(kGridDims, {0, kGridSide - 1}));
+    return layout;
+}
+
+struct ReferenceChain {
+    std::vector<std::vector<std::int64_t>> states;  // BFS discovery order
+    la::CsrMatrix rates;
+};
+
+ReferenceChain reference_bfs(const std::vector<std::int64_t>& initial) {
+    std::map<std::vector<std::int64_t>, std::size_t> index{{initial, 0}};
+    ReferenceChain out;
+    out.states.push_back(initial);
+    struct Triplet {
+        std::size_t source;
+        std::size_t target;
+        double rate;
+    };
+    std::vector<Triplet> triplets;
+    std::vector<std::int64_t> scratch;
+    for (std::size_t si = 0; si < out.states.size(); ++si) {
+        const std::vector<std::int64_t> v = out.states[si];
+        grid_successors(v, scratch, [&](std::span<const std::int64_t> target, double rate) {
+            if (rate == 0.0) return;
+            const auto [it, inserted] = index.emplace(
+                std::vector<std::int64_t>(target.begin(), target.end()), out.states.size());
+            if (inserted) out.states.push_back(it->first);
+            triplets.push_back({si, it->second, rate});
+        });
+    }
+    la::CsrBuilder builder(out.states.size(), out.states.size());
+    for (const Triplet& t : triplets) {
+        if (t.source != t.target) builder.add(t.source, t.target, t.rate);
+    }
+    out.rates = builder.build();
+    return out;
+}
+
+std::vector<std::uint64_t> bits_of(const std::vector<double>& values) {
+    std::vector<std::uint64_t> bits;
+    for (const double v : values) bits.push_back(std::bit_cast<std::uint64_t>(v));
+    return bits;
+}
+
+}  // namespace
+
+TEST(ExploreBfs, MatchesReferenceBfsBitwiseForEveryThreadCount) {
+    const std::vector<std::int64_t> initial(kGridDims, 0);
+    const ReferenceChain reference = reference_bfs(initial);
+    ASSERT_EQ(reference.states.size(), 32768u);
+
+    // The association-dependent triple is summed left to right from +0.0.
+    const double left = ((0.0 + 0.1) + 0.2) + 0.3;
+    ASSERT_NE(left, 0.1 + (0.2 + 0.3));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(reference.rates.at(0, 1)),
+              std::bit_cast<std::uint64_t>(left));
+
+    for (const unsigned threads : {1u, 2u, 3u, 4u}) {
+        const auto explored = engine::explore_bfs(grid_layout(), initial, grid_factory(),
+                                                  engine::EngineOptions{.threads = threads});
+        ASSERT_EQ(explored.store.size(), reference.states.size()) << threads << " threads";
+        std::vector<std::int64_t> values(kGridDims);
+        for (std::size_t s = 0; s < reference.states.size(); ++s) {
+            explored.store.unpack(s, std::span<std::int64_t>(values));
+            ASSERT_EQ(values, reference.states[s]) << "state " << s << ", " << threads;
+        }
+        const la::CsrMatrix& rates = explored.rates;
+        EXPECT_EQ(rates.rows(), reference.rates.rows());
+        EXPECT_EQ(rates.cols(), reference.rates.cols());
+        EXPECT_EQ(rates.row_ptr(), reference.rates.row_ptr()) << threads << " threads";
+        EXPECT_EQ(rates.col_idx(), reference.rates.col_idx()) << threads << " threads";
+        EXPECT_EQ(bits_of(rates.values()), bits_of(reference.rates.values()))
+            << threads << " threads";
+        // Exactly sized, like CsrBuilder::build(): no growth slack.
+        EXPECT_EQ(rates.col_idx().capacity(), rates.nonzeros());
+        EXPECT_EQ(rates.values().capacity(), rates.nonzeros());
+    }
+}
+
+TEST(ExploreBfs, NegativeRateThrowsOnInlineAndShardedPaths) {
+    // State (4, 4, 4, 4, 4) sits on BFS level 20, thousands of states wide.
+    const auto factory = [] {
+        return [t = std::vector<std::int64_t>()](std::span<const std::int64_t> v,
+                                                 auto&& emit) mutable {
+            grid_successors(v, t, emit);
+            bool hit = true;
+            for (const std::int64_t x : v) hit = hit && x == 4;
+            if (hit) emit(v, -1.0);
+        };
+    };
+    const std::vector<std::int64_t> initial(kGridDims, 0);
+    for (const unsigned threads : {1u, 4u}) {
+        EXPECT_THROW((void)engine::explore_bfs(grid_layout(), initial, factory,
+                                               engine::EngineOptions{.threads = threads}),
+                     arcade::ModelError)
+            << threads << " threads";
+    }
+}
+
+TEST(ExploreBfs, StateGuardThrowsOnInlineAndShardedPaths) {
+    const std::vector<std::int64_t> initial(kGridDims, 0);
+    // Levels 0-4 hold 1 + 5 + 15 + 35 + 70 states, all under the 128-state
+    // shard minimum: the guard at 100 fires while interning inline, with the
+    // one worker of the inline path.
+    std::size_t made = 0;
+    EXPECT_THROW((void)engine::explore_bfs(
+                     grid_layout(), initial, grid_factory(&made),
+                     engine::EngineOptions{.max_states = 100, .threads = 4}),
+                 arcade::ModelError);
+    EXPECT_EQ(made, 1u);
+    // Level 7 (330 states) is the first split in two; 792 states are
+    // interned when it starts, so the guard at 1000 fires in its merge.
+    made = 0;
+    EXPECT_THROW((void)engine::explore_bfs(
+                     grid_layout(), initial, grid_factory(&made),
+                     engine::EngineOptions{.max_states = 1000, .threads = 2}),
+                 arcade::ModelError);
+    EXPECT_EQ(made, 2u);
+}
+
+TEST(ExploreBfs, MakesWorkersOnlyForShardsThatRun) {
+    // A 10-state path: every level holds one state, so exploration never
+    // leaves the inline path and no thread starts, whatever is requested.
+    const engine::StateLayout layout({{0, 9}});
+    std::size_t made = 0;
+    const auto factory = [&made] {
+        ++made;
+        return [](std::span<const std::int64_t> v, auto&& emit) {
+            if (v[0] >= 9) return;
+            const std::int64_t next = v[0] + 1;
+            emit(std::span<const std::int64_t>(&next, 1), 1.0);
+        };
+    };
+    const std::vector<std::int64_t> initial{0};
+    const auto explored = engine::explore_bfs(layout, initial, factory,
+                                              engine::EngineOptions{.threads = 1'000'000});
+    EXPECT_EQ(made, 1u);
+    EXPECT_EQ(explored.store.size(), 10u);
+    EXPECT_EQ(explored.rates.nonzeros(), 9u);
 }
 
 namespace {
