@@ -10,7 +10,6 @@
 // bench_json.hpp.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <tuple>
@@ -18,10 +17,8 @@
 #include <string>
 #include <vector>
 
-#include "analysis/lint.hpp"
 #include "arcade/compiler.hpp"
 #include "arcade/measures.hpp"
-#include "arcade/modules_compiler.hpp"
 #include "bench_common.hpp"
 #include "bench_json.hpp"
 #include "ctmc/bounded_until.hpp"
@@ -107,38 +104,6 @@ void BM_StateSpaceLine1Lumped(benchmark::State& state) {
     report_construction(state, compiled);
 }
 BENCHMARK(BM_StateSpaceLine1Lumped)->Unit(benchmark::kMillisecond);
-
-/// The compile pipeline's lint stage in isolation (reactive-modules
-/// translation + linter), with its cost relative to a full compile of the
-/// same model.  The stage is budgeted at < 5% of compile time on the
-/// paper's large model (line 1); the smaller line 2 compiles in a few
-/// milliseconds, so its fraction is noisier.
-void BM_LintStage(benchmark::State& state) {
-    bench::stamp_build_type(state);
-    const auto model = state.range(0) == 1 ? wt::line1(wt::strategy("FRF-1"))
-                                           : wt::line2(wt::strategy("FRF-1"));
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            arcade::analysis::lint(core::to_reactive_modules(model)).clean());
-    }
-    const auto lint_start = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(
-        arcade::analysis::lint(core::to_reactive_modules(model)).clean());
-    const auto lint_end = std::chrono::steady_clock::now();
-    core::CompileOptions options;
-    options.lint = arcade::analysis::LintLevel::Off;
-    const auto compile_start = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(core::compile(model, options).state_count());
-    const auto compile_end = std::chrono::steady_clock::now();
-    const double lint_seconds =
-        std::chrono::duration<double>(lint_end - lint_start).count();
-    const double compile_seconds =
-        std::chrono::duration<double>(compile_end - compile_start).count();
-    state.counters["lint_seconds"] = lint_seconds;
-    state.counters["compile_seconds"] = compile_seconds;
-    state.counters["lint_fraction"] = lint_seconds / compile_seconds;
-}
-BENCHMARK(BM_LintStage)->Arg(1)->Arg(2)->ArgName("line")->Unit(benchmark::kMicrosecond);
 
 /// Cold session: every iteration compiles for real (cache miss).
 void BM_SessionCompileCold(benchmark::State& state) {

@@ -6,13 +6,17 @@
 // reactive-modules translation) or a PRISM file (.prism/.pm/.sm — linted
 // directly, including the AR010 unused-formula check the parser feeds).
 // Diagnostics print to stdout, one line each, prefixed with the file name.
+// An Arcade model outside the translation's fragment (e.g. preemptive
+// repair, which the native compiler accepts) is reported on stderr as
+// "not linted" and does not fail the run.  Every file is processed.
 //
-// Exit status: 0 when no file produced an error-severity finding (warnings
-// and notes are fine; --level off merely parses), 1 when any did, 2 on
-// usage or parse failure.
+// Exit status: 2 on usage errors or when any file could not be read or
+// parsed; otherwise 1 when any file produced an error-severity finding
+// (warnings and notes are fine; --level off merely parses), else 0.
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -40,12 +44,20 @@ std::string read_file(const std::string& path) {
     return out.str();
 }
 
-/// Lints one file; returns its report.  Throws on parse failure.
-analysis::LintReport lint_file(const std::string& path) {
+/// Lints one file; returns its report, or nullopt (after saying so on
+/// stderr) when the Arcade model has no reactive-modules translation.
+/// Throws on read or parse failure.
+std::optional<analysis::LintReport> lint_file(const std::string& path) {
     analysis::LintOptions options;
     arcade::modules::ModuleSystem system;
     if (ends_with(path, ".xml")) {
-        system = arcade::core::to_reactive_modules(arcade::core::load_model(path));
+        const auto model = arcade::core::load_model(path);
+        try {
+            system = arcade::core::to_reactive_modules(model);
+        } catch (const arcade::ModelError& e) {
+            std::cerr << path << ": not linted: " << e.what() << "\n";
+            return std::nullopt;
+        }
     } else {
         arcade::prism::PrismParseInfo info;
         system = arcade::prism::parse_prism(read_file(path), &info);
@@ -57,7 +69,7 @@ analysis::LintReport lint_file(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    analysis::LintLevel level = analysis::default_lint_level();
+    analysis::LintLevel level = analysis::LintLevel::Warn;
     std::vector<std::string> paths;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -86,22 +98,30 @@ int main(int argc, char** argv) {
 
     int errors = 0;
     int warnings = 0;
+    std::size_t not_linted = 0;
+    std::size_t unreadable = 0;
     for (const auto& path : paths) {
-        analysis::LintReport report;
+        std::optional<analysis::LintReport> report;
         try {
             report = lint_file(path);
         } catch (const std::exception& e) {
             std::cerr << path << ": " << e.what() << "\n";
-            return 2;
+            ++unreadable;
+            continue;
+        }
+        if (!report) {
+            ++not_linted;
+            continue;
         }
         if (level == analysis::LintLevel::Off) continue;
-        errors += report.errors;
-        warnings += report.warnings + report.notes;
-        for (const auto& d : report.diagnostics) {
+        errors += report->errors;
+        warnings += report->warnings + report->notes;
+        for (const auto& d : report->diagnostics) {
             std::cout << path << ": " << d.to_string() << "\n";
         }
     }
-    std::printf("%zu file(s) checked, %d error(s), %d warning(s)\n", paths.size(),
-                errors, warnings);
+    std::printf("%zu file(s) checked, %d error(s), %d warning(s), %zu not linted\n",
+                paths.size(), errors, warnings, not_linted);
+    if (unreadable > 0) return 2;
     return level != analysis::LintLevel::Off && errors > 0 ? 1 : 0;
 }

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cctype>
 #include <cstdint>
-#include <cstdlib>
 #include <map>
 #include <set>
 #include <utility>
@@ -619,20 +618,6 @@ std::string_view severity_name(Severity severity) noexcept {
         case Severity::Error: return "error";
     }
     return "?";
-}
-
-LintLevel default_lint_level() {
-    static const LintLevel level = [] {
-        const char* env = std::getenv("ARCADE_LINT");
-        if (env == nullptr || *env == '\0') return LintLevel::Warn;
-        const auto parsed = parse_lint_level(env);
-        if (!parsed) {
-            throw ModelError(std::string("ARCADE_LINT: unknown level '") + env +
-                             "' (expected off, warn or error)");
-        }
-        return *parsed;
-    }();
-    return level;
 }
 
 std::string Diagnostic::to_string() const {

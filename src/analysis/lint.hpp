@@ -1,6 +1,8 @@
-// Model linter: static checks over the reactive-modules IR, run before
-// exploration (arcade::compile wires it in; examples/arcade_lint exposes it
-// standalone).  Built on the abstract interpreter in analysis/interval.hpp.
+// Model linter: static checks over the reactive-modules IR.  It runs where
+// models are written — the examples/arcade_lint CLI (Arcade-XML or PRISM)
+// and test_analysis, which pins every shipped model lint-clean — never
+// inside arcade::compile.  Built on the abstract interpreter in
+// analysis/interval.hpp.
 //
 // Check catalogue (stable IDs — tests and golden files reference them):
 //   AR001 error    unknown identifier (in an expression, or assignment target)
@@ -40,11 +42,12 @@ namespace arcade::analysis {
 
 enum class Severity { Note, Warning, Error };
 
-/// How much of the linter the compile pipeline runs and enforces.
+/// examples/arcade_lint's --level.  Off only parses; Warn (the default) and
+/// Error both print every finding and exit 1 on any error-severity one.
 enum class LintLevel {
-    Off,    ///< skip the lint stage entirely
-    Warn,   ///< run, report to stderr, never block compilation
-    Error,  ///< run, throw ModelError when any error-severity finding exists
+    Off,
+    Warn,
+    Error,
 };
 
 /// "off" / "warn" / "error" (accepts a few aliases, case-insensitive).
@@ -52,9 +55,8 @@ enum class LintLevel {
 [[nodiscard]] std::string_view lint_level_name(LintLevel level) noexcept;
 [[nodiscard]] std::string_view severity_name(Severity severity) noexcept;
 
-/// Process-wide default, read once from ARCADE_LINT (off|warn|error);
-/// defaults to Warn.  Unknown values throw ModelError on first use.
-[[nodiscard]] LintLevel default_lint_level();
+/// Kept for perfbench (provenance); `arcade::compile` runs no lint stage.
+[[nodiscard]] constexpr LintLevel default_lint_level() { return LintLevel::Off; }
 
 /// One finding.  `offset` is the byte offset into the source text the
 /// expression was parsed from (expr::Expr::npos for programmatically built

@@ -8,7 +8,6 @@
 #include <string>
 
 #include "arcade/fault_tree.hpp"
-#include "arcade/modules_compiler.hpp"
 #include "engine/explore.hpp"
 #include "support/errors.hpp"
 
@@ -919,45 +918,14 @@ std::vector<std::int16_t> CompiledModel::encoded_state(std::size_t index) const 
     return values;
 }
 
-namespace {
-
-/// Lint stage of the compile pipeline.  Lints the reactive-modules
-/// translation (the declarative view of the model); models outside that
-/// translation's fragment (preemptive repair, >2 crews) skip the stage.
-/// Returns {warnings+notes, errors}; throws under LintLevel::Error when the
-/// report contains errors.
-std::pair<int, int> run_lint_stage(const ArcadeModel& model, analysis::LintLevel level) {
-    if (level == analysis::LintLevel::Off) return {0, 0};
-    analysis::LintReport report;
-    try {
-        report = analysis::lint(to_reactive_modules(model));
-    } catch (const ModelError&) {
-        return {0, 0};  // no reactive-modules translation to lint
-    }
-    if (!report.clean()) {
-        std::fputs(report.to_string().c_str(), stderr);
-        if (level == analysis::LintLevel::Error && report.errors > 0) {
-            throw ModelError("model lint failed (" + std::to_string(report.errors) +
-                             " error(s)):\n" + report.to_string());
-        }
-    }
-    return {report.warnings + report.notes, report.errors};
-}
-
-}  // namespace
-
 CompiledModel compile(const ArcadeModel& model, const CompileOptions& options) {
     model.validate();
-    const auto [lint_warnings, lint_errors] = run_lint_stage(model, options.lint);
     const Plan plan = make_plan(model);
-    CompiledModel compiled =
-        options.encoding == Encoding::Individual
-            ? run_compile(model, plan, IndividualEncoder(model, plan), options.encoding,
-                          options)
-            : run_compile(model, plan, LumpedEncoder(model, plan), options.encoding,
-                          options);
-    compiled.set_lint_counts(lint_warnings, lint_errors);
-    return compiled;
+    return options.encoding == Encoding::Individual
+               ? run_compile(model, plan, IndividualEncoder(model, plan), options.encoding,
+                             options)
+               : run_compile(model, plan, LumpedEncoder(model, plan), options.encoding,
+                             options);
 }
 
 ArcadeModel without_repair(const ArcadeModel& model) {

@@ -87,10 +87,7 @@ struct CompileOptions {
     ReductionPolicy reduction = default_reduction_policy();
     /// Explore the symmetry quotient directly (ARCADE_SYMMETRY=off|auto)?
     SymmetryPolicy symmetry = default_symmetry_policy();
-    /// Model linter stage (analysis/lint.hpp), run on the reactive-modules
-    /// translation before exploration.  Warn reports findings to stderr;
-    /// Error additionally throws ModelError when any error-severity finding
-    /// exists.  Overridable per process via ARCADE_LINT=off|warn|error.
+    /// Kept for perfbench; `compile` ignores it.
     analysis::LintLevel lint = analysis::default_lint_level();
 };
 
@@ -174,18 +171,6 @@ public:
         return state_symmetry_.get();
     }
 
-    /// Findings of the lint stage that compiled this model (0/0 when the
-    /// stage was off or the model has no reactive-modules translation).
-    /// Warnings include notes; the AnalysisSession aggregates these into its
-    /// lint_warnings/lint_errors counters.
-    [[nodiscard]] int lint_warnings() const noexcept { return lint_warnings_; }
-    [[nodiscard]] int lint_errors() const noexcept { return lint_errors_; }
-    /// Set by arcade::compile after the lint stage runs.
-    void set_lint_counts(int warnings, int errors) noexcept {
-        lint_warnings_ = warnings;
-        lint_errors_ = errors;
-    }
-
     /// The model's full measure signature: every chain label plus the
     /// service-level and cost-rate vectors — the union of everything any
     /// measure in this library reads, so ONE quotient serves them all.
@@ -234,8 +219,6 @@ private:
     std::shared_ptr<const engine::StateSymmetry> state_symmetry_;
     double symmetry_full_states_ = 0.0;
     double symmetry_seconds_ = 0.0;
-    int lint_warnings_ = 0;
-    int lint_errors_ = 0;
     /// Lazy quotient cache.  The mutex lives behind a shared_ptr so the
     /// model stays movable (run_compile returns by value).
     mutable std::shared_ptr<std::mutex> quotient_mutex_ = std::make_shared<std::mutex>();

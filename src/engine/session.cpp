@@ -41,14 +41,12 @@ private:
 
 std::uint64_t options_key(std::uint64_t model_fp, std::uint64_t encoding,
                           std::size_t max_states, std::uint64_t reduction,
-                          std::uint64_t lint = 0, std::uint64_t symmetry = 0,
-                          std::uint64_t eval = 0) {
+                          std::uint64_t symmetry = 0, std::uint64_t eval = 0) {
     Fingerprinter fp(0);
     fp.mix(model_fp);
     fp.mix(encoding);
     fp.mix(max_states);
     fp.mix(reduction);
-    fp.mix(lint);
     fp.mix(symmetry);
     // Only modules exploration evaluates expressions.  Every eval mode
     // produces the bitwise-identical chain, but the explore key still
@@ -152,13 +150,11 @@ AnalysisSession::CompiledPtr AnalysisSession::compile(const core::ArcadeModel& m
     const std::uint64_t key = options_key(
         fingerprint(model), static_cast<std::uint64_t>(options.encoding), options.max_states,
         static_cast<std::uint64_t>(options.reduction),
-        static_cast<std::uint64_t>(options.lint),
         static_cast<std::uint64_t>(options.symmetry));
     const std::uint64_t check = options_key(fingerprint(model, /*seed=*/1),
                                             static_cast<std::uint64_t>(options.encoding),
                                             options.max_states,
                                             static_cast<std::uint64_t>(options.reduction),
-                                            static_cast<std::uint64_t>(options.lint),
                                             static_cast<std::uint64_t>(options.symmetry));
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -179,8 +175,6 @@ AnalysisSession::CompiledPtr AnalysisSession::compile(const core::ArcadeModel& m
     }
     entry = {check, std::move(fresh)};
     ++stats_.compile_misses;
-    stats_.lint_warnings += static_cast<std::size_t>(entry.value->lint_warnings());
-    stats_.lint_errors += static_cast<std::size_t>(entry.value->lint_errors());
     if (entry.value->symmetry_reduced()) {
         stats_.symmetry_states_in +=
             static_cast<std::size_t>(entry.value->symmetry_full_states() + 0.5);
@@ -194,12 +188,11 @@ AnalysisSession::ExploredPtr AnalysisSession::explore(const modules::ModuleSyste
                                                       const modules::ExploreOptions& options) {
     const std::uint64_t key =
         options_key(fingerprint(system), 0, options.max_states, /*reduction=*/0,
-                    /*lint=*/0, static_cast<std::uint64_t>(options.symmetry),
+                    static_cast<std::uint64_t>(options.symmetry),
                     static_cast<std::uint64_t>(options.eval));
     const std::uint64_t check =
         options_key(fingerprint(system, /*seed=*/1), 0, options.max_states,
-                    /*reduction=*/0, /*lint=*/0,
-                    static_cast<std::uint64_t>(options.symmetry),
+                    /*reduction=*/0, static_cast<std::uint64_t>(options.symmetry),
                     static_cast<std::uint64_t>(options.eval));
     {
         std::lock_guard<std::mutex> lock(mutex_);

@@ -59,11 +59,6 @@ struct SessionStats {
     /// misses run the checker (on the quotient under ReductionPolicy::Auto).
     std::size_t property_hits = 0;
     std::size_t property_misses = 0;
-    /// Lint-stage findings aggregated over compile misses (warnings include
-    /// notes); cached compiles re-report nothing, mirroring the fact that
-    /// the stage ran once per model.
-    std::size_t lint_warnings = 0;
-    std::size_t lint_errors = 0;
     /// On-the-fly symmetry reduction, aggregated over compile/explore misses
     /// whose model carried nontrivial orbits: full-chain states that were
     /// never materialised (recovered exactly from orbit sizes) vs orbit
@@ -113,8 +108,6 @@ struct SessionStats {
         .lump_states_out = after.lump_states_out - before.lump_states_out,
         .property_hits = after.property_hits - before.property_hits,
         .property_misses = after.property_misses - before.property_misses,
-        .lint_warnings = after.lint_warnings - before.lint_warnings,
-        .lint_errors = after.lint_errors - before.lint_errors,
         .symmetry_states_in = after.symmetry_states_in - before.symmetry_states_in,
         .symmetry_states_out = after.symmetry_states_out - before.symmetry_states_out,
         .symmetry_seconds = after.symmetry_seconds - before.symmetry_seconds};

@@ -117,8 +117,6 @@ void write_csv(const SweepReport& report, const ScenarioGrid& grid, std::ostream
            << " symmetry_states_out=" << report.stats.symmetry_states_out
            << " symmetry_ratio=" << fmt(report.stats.symmetry_ratio())
            << " symmetry_seconds=" << fmt(report.stats.symmetry_seconds)
-           << " lint_warnings=" << report.stats.lint_warnings
-           << " lint_errors=" << report.stats.lint_errors
            << " state_points=" << report.state_points
            << " states_per_sec=" << fmt(report.states_per_second())
            << " wall_seconds=" << fmt(report.wall_seconds) << "\n";
@@ -145,8 +143,6 @@ void write_json(const SweepReport& report, const ScenarioGrid& grid, std::ostrea
        << "    \"symmetry_states_out\": " << report.stats.symmetry_states_out << ",\n"
        << "    \"symmetry_ratio\": " << fmt(report.stats.symmetry_ratio()) << ",\n"
        << "    \"symmetry_seconds\": " << fmt(report.stats.symmetry_seconds) << ",\n"
-       << "    \"lint_warnings\": " << report.stats.lint_warnings << ",\n"
-       << "    \"lint_errors\": " << report.stats.lint_errors << ",\n"
        << "    \"state_points\": " << report.state_points << ",\n"
        << "    \"states_per_second\": " << fmt(report.states_per_second()) << ",\n"
        << "    \"wall_seconds\": " << fmt(report.wall_seconds) << "\n  },\n"

@@ -1,23 +1,33 @@
 // Unit tests: abstract interpretation (analysis/interval.hpp), the model
 // linter (analysis/lint.hpp) with its planted-bug fixtures, expression byte
-// offsets, and the watertree lint-clean golden.
+// offsets, and the golden that every shipped model lints clean.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "analysis/interval.hpp"
 #include "analysis/lint.hpp"
 #include "arcade/compiler.hpp"
 #include "arcade/modules_compiler.hpp"
+#include "arcade/xml_io.hpp"
+#include "engine/session.hpp"
 #include "expr/expr.hpp"
 #include "prism/prism_parser.hpp"
 #include "support/errors.hpp"
+#include "sweep/paper.hpp"
+#include "sweep/studies.hpp"
 #include "watertree/watertree.hpp"
 
 namespace analysis = arcade::analysis;
 namespace core = arcade::core;
+namespace engine = arcade::engine;
 namespace expr = arcade::expr;
+namespace modules = arcade::modules;
 namespace prism = arcade::prism;
+namespace sweep = arcade::sweep;
 namespace watertree = arcade::watertree;
 
 namespace {
@@ -428,54 +438,87 @@ endmodule
 }
 
 // ---------------------------------------------------------------------------
-// Watertree golden: the paper models lint clean at `error` level
+// Watertree golden: every model a shipped grid compiles lints clean
 // ---------------------------------------------------------------------------
 
-TEST(WatertreeLint, AllPaperModelsLintClean) {
-    for (int line = 1; line <= 2; ++line) {
-        for (const auto& strategy : watertree::paper_strategies()) {
-            const auto system =
-                core::to_reactive_modules(watertree::line(line, strategy));
+namespace {
+
+/// The model a sweep cell compiles, built the way sweep/runner.cpp's
+/// compile_item builds it: line, strategy, parameter set and pump scale,
+/// with the repair units stripped for reliability and strip_repair
+/// properties (and for repair-free variants).
+core::ArcadeModel cell_model(const sweep::ScenarioGrid& grid, const sweep::WorkItem& item) {
+    const bool with_repair =
+        item.variant.repair && item.measure.kind != sweep::MeasureKind::Reliability &&
+        !(item.measure.kind == sweep::MeasureKind::Property && item.measure.strip_repair);
+    auto model = watertree::line(item.line, watertree::strategy(item.strategy),
+                                 grid.parameters[item.parameter_index].params,
+                                 item.scale.extra_pumps);
+    return with_repair ? model : core::without_repair(model);
+}
+
+}  // namespace
+
+TEST(WatertreeLint, EveryShippedModelLintsClean) {
+    // arcade::compile runs no linter, so this golden is what keeps the
+    // shipped models and their translation lint-clean.  Every unique model
+    // of every shipped grid must translate and lint with no findings at
+    // all, and so must its Arcade-XML round trip.  The translation does not
+    // depend on the encoding, so one pass covers both.
+    namespace paper = sweep::paper;
+    namespace studies = sweep::studies;
+    const std::vector<sweep::ScenarioGrid> grids = {
+        paper::everything(),          paper::properties(),
+        paper::table1(),              paper::fig3(),
+        studies::ablation_encodings(), studies::ablation_preemption(),
+        studies::ablation_preemption_sizes(), studies::mttr_sensitivity(),
+        studies::pump_scaling()};
+    std::set<std::uint64_t> seen;
+    std::set<std::string> not_translatable;
+    std::size_t clean = 0;
+    for (const auto& grid : grids) {
+        for (const auto& item : sweep::expand(grid)) {
+            const auto model = cell_model(grid, item);
+            if (!seen.insert(engine::fingerprint(model)).second) continue;
+            const std::string label = "line " + std::to_string(item.line) + " " +
+                                      item.strategy + " (" + item.model_key() + ")";
+            modules::ModuleSystem system;
+            try {
+                system = core::to_reactive_modules(model);
+            } catch (const arcade::ModelError&) {
+                not_translatable.insert("L" + std::to_string(item.line) + " " +
+                                        item.strategy);
+                continue;
+            }
             const auto report = analysis::lint(system);
-            EXPECT_EQ(report.errors, 0)
-                << "line " << line << " " << strategy.name << ":\n"
-                << report.to_string();
-            EXPECT_EQ(report.warnings, 0)
-                << "line " << line << " " << strategy.name << ":\n"
-                << report.to_string();
-            EXPECT_EQ(report.notes, 0)
-                << "line " << line << " " << strategy.name << ":\n"
-                << report.to_string();
+            EXPECT_EQ(report.errors, 0) << label << ":\n" << report.to_string();
+            EXPECT_EQ(report.warnings, 0) << label << ":\n" << report.to_string();
+            EXPECT_EQ(report.notes, 0) << label << ":\n" << report.to_string();
+            const auto round_trip = analysis::lint(
+                core::to_reactive_modules(core::model_from_xml(core::model_to_xml(model))));
+            EXPECT_EQ(round_trip.to_string(), report.to_string()) << label;
+            if (report.clean()) ++clean;
         }
     }
+    // Preemptive repair has no reactive-modules translation; only the
+    // line-2 preemption ablation ships such models.
+    EXPECT_EQ(not_translatable, (std::set<std::string>{"L2 FFF-1-pre", "L2 FFF-2-pre",
+                                                       "L2 FRF-1-pre", "L2 FRF-2-pre"}));
+    EXPECT_EQ(clean, 58u);  // 62 unique models: 58 translate, 4 do not
 }
 
-TEST(WatertreeLint, CompilesAtErrorLevelUnderBothEncodings) {
-    const auto& strategy = watertree::strategy("DED");
-    const auto model = watertree::line(2, strategy);
-    for (const auto encoding : {core::Encoding::Individual, core::Encoding::Lumped}) {
-        core::CompileOptions options;
-        options.encoding = encoding;
-        options.lint = analysis::LintLevel::Error;
-        const auto compiled = core::compile(model, options);
-        EXPECT_EQ(compiled.lint_errors(), 0);
-        EXPECT_EQ(compiled.lint_warnings(), 0);
-        EXPECT_GT(compiled.chain().state_count(), 0u);
-    }
-}
-
-TEST(CompileLint, ErrorLevelThrowsOnLintErrors) {
-    // An Arcade model cannot easily plant a lint error (the translation is
-    // correct by construction), so exercise the throwing path through the
-    // linter directly plus compile's level contract: Off and Warn never
-    // throw for clean models.
-    const auto& strategy = watertree::strategy("DED");
-    const auto model = watertree::line(2, strategy);
-    for (const auto level :
-         {analysis::LintLevel::Off, analysis::LintLevel::Warn}) {
-        core::CompileOptions options;
-        options.encoding = core::Encoding::Lumped;
-        options.lint = level;
-        EXPECT_NO_THROW({ const auto c = core::compile(model, options); });
-    }
+TEST(WatertreeLint, CompileOptionsLintIsInert) {
+    // arcade::compile runs no lint stage, so the level must not split the
+    // session's compile cache.
+    engine::AnalysisSession session;
+    const auto model = watertree::line(2, watertree::strategy("DED"));
+    core::CompileOptions options;
+    options.encoding = core::Encoding::Lumped;
+    options.lint = analysis::LintLevel::Off;
+    const auto first = session.compile(model, options);
+    options.lint = analysis::LintLevel::Error;
+    const auto second = session.compile(model, options);
+    EXPECT_EQ(first, second);
+    EXPECT_EQ(session.stats().compile_misses, 1u);
+    EXPECT_EQ(session.stats().compile_hits, 1u);
 }
