@@ -92,38 +92,36 @@ double survivability(const CompiledModel& model, const Disaster& disaster,
     return survivability_series(model, disaster, service_level, times).back();
 }
 
-std::vector<double> instantaneous_cost_series(const CompiledModel& model,
-                                              const Disaster& disaster,
-                                              std::span<const double> times,
-                                              const ctmc::TransientOptions& transient) {
+std::vector<std::vector<double>> cost_series(const CompiledModel& model,
+                                             const Disaster& disaster,
+                                             std::span<const ctmc::SeriesRequest> requests,
+                                             const ctmc::TransientOptions& transient) {
     if (const auto q = auto_quotient(model)) {
         const rewards::RewardStructure cost(
             model.cost_reward().name(),
             q->project_values(model.cost_reward().state_rates()));
         const auto initial = q->project(model.disaster_distribution(disaster));
-        return rewards::instantaneous_reward_series(q->chain(), initial, cost, times,
-                                                    transient);
+        return rewards::reward_series(q->chain(), initial, cost, requests, transient);
     }
     const auto initial = model.disaster_distribution(disaster);
-    return rewards::instantaneous_reward_series(model.chain(), initial, model.cost_reward(),
-                                                times, transient);
+    return rewards::reward_series(model.chain(), initial, model.cost_reward(), requests,
+                                  transient);
+}
+
+std::vector<double> instantaneous_cost_series(const CompiledModel& model,
+                                              const Disaster& disaster,
+                                              std::span<const double> times,
+                                              const ctmc::TransientOptions& transient) {
+    const ctmc::SeriesRequest request{times, ctmc::SeriesForm::Instantaneous};
+    return std::move(cost_series(model, disaster, std::span(&request, 1), transient).front());
 }
 
 std::vector<double> accumulated_cost_series(const CompiledModel& model,
                                             const Disaster& disaster,
                                             std::span<const double> times,
                                             const ctmc::TransientOptions& transient) {
-    if (const auto q = auto_quotient(model)) {
-        const rewards::RewardStructure cost(
-            model.cost_reward().name(),
-            q->project_values(model.cost_reward().state_rates()));
-        const auto initial = q->project(model.disaster_distribution(disaster));
-        return rewards::accumulated_reward_series(q->chain(), initial, cost, times,
-                                                  transient);
-    }
-    const auto initial = model.disaster_distribution(disaster);
-    return rewards::accumulated_reward_series(model.chain(), initial, model.cost_reward(),
-                                              times, transient);
+    const ctmc::SeriesRequest request{times, ctmc::SeriesForm::Accumulated};
+    return std::move(cost_series(model, disaster, std::span(&request, 1), transient).front());
 }
 
 FusedSeriesPlan survivability_fused_plan(const CompiledModel& model,

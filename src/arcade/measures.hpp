@@ -6,11 +6,12 @@
 //   survivability    P=?[true U<=t service>=x] from a disaster state (GOOD)
 //   costs            R{"cost"}=?[I=t] and R{"cost"}=?[C<=t] after a disaster
 //
-// Series variants share one transient evolver per curve, which is what the
-// figure benchmarks rely on.  Every series function accepts a
-// ctmc::TransientOptions whose workspace pool the engine's AnalysisSession
-// provides — the session-flavoured overloads below wire that up and reuse
-// the session's cached steady-state solution for the long-run measures.
+// Every series is one uniformised power pass (ctmc::functional_series), and
+// cost_series reads several cost curves off one pass.  Every series function
+// accepts a ctmc::TransientOptions whose workspace pool the engine's
+// AnalysisSession provides — the session-flavoured overloads below wire that
+// up and reuse the session's cached steady-state solution for the long-run
+// measures.
 #ifndef ARCADE_ARCADE_MEASURES_HPP
 #define ARCADE_ARCADE_MEASURES_HPP
 
@@ -49,6 +50,15 @@ namespace arcade::core {
 /// Single-point survivability.
 [[nodiscard]] double survivability(const CompiledModel& model, const Disaster& disaster,
                                    double service_level, double time);
+
+/// Cost curves after the disaster — instantaneous (Fig 6) and accumulated
+/// (Fig 7), each request on its own grid — from ONE power pass over the
+/// model's chain (its quotient under ReductionPolicy::Auto).  Result i is
+/// bitwise the one-request series of request i.
+[[nodiscard]] std::vector<std::vector<double>> cost_series(
+    const CompiledModel& model, const Disaster& disaster,
+    std::span<const ctmc::SeriesRequest> requests,
+    const ctmc::TransientOptions& transient = {});
 
 /// Expected instantaneous cost rate at each time after the disaster.
 [[nodiscard]] std::vector<double> instantaneous_cost_series(

@@ -54,9 +54,21 @@ std::vector<double> bounded_until_series(const Ctmc& chain, std::span<const doub
                                          std::span<const double> times,
                                          const TransientOptions& options) {
     const std::vector<bool> absorbing = until_absorbing(chain, phi, psi);
+    // The Psi states in ascending order, listed once per solve: summing
+    // dist over them is mass_in(dist, psi) — the same additions in the same
+    // order — without testing every state's bit after every step.
+    std::vector<std::size_t> members;
+    for (std::size_t s = 0; s < psi.size(); ++s) {
+        if (psi[s]) members.push_back(s);
+    }
     return functional_series(
         uniformise(chain, &absorbing), initial, times, SeriesForm::Instantaneous,
-        [&psi](std::span<const double> dist) { return mass_in(dist, psi); }, options);
+        [&members](std::span<const double> dist) {
+            double p = 0.0;
+            for (const std::size_t s : members) p += dist[s];
+            return p;
+        },
+        options);
 }
 
 std::vector<double> bounded_until_all_states(const Ctmc& chain, const std::vector<bool>& phi,

@@ -26,7 +26,9 @@ namespace arcade::ctmc {
                                    const std::vector<bool>& psi);
 
 /// Probability mass of `dist` inside `set`, summed in ascending state
-/// order — the exact functional bounded_until_series applies per power of P.
+/// order.  bounded_until_series sums over a list of Psi's members instead,
+/// which performs the same additions in the same order; this is the
+/// reference it is tested against.
 [[nodiscard]] double mass_in(std::span<const double> dist, const std::vector<bool>& set);
 
 /// P[Phi U<=t Psi] for every state as initial state... is expensive;
@@ -41,7 +43,7 @@ namespace arcade::ctmc {
                                                const TransientOptions& options = {});
 
 /// The same probability on a non-decreasing time grid: one
-/// functional_series pass of mass_in(·, psi) over the uniformised chain with
+/// functional_series pass of the mass in psi over the uniformised chain with
 /// the until-absorbing states masked.
 [[nodiscard]] std::vector<double> bounded_until_series(const Ctmc& chain,
                                                        std::span<const double> initial,

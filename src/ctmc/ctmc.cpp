@@ -7,21 +7,32 @@
 
 namespace arcade::ctmc {
 
-Ctmc::Ctmc(linalg::CsrMatrix rates, std::vector<double> initial_distribution)
-    : rates_(std::move(rates)), initial_(std::move(initial_distribution)) {
-    if (rates_.rows() != rates_.cols()) throw InvalidArgument("rate matrix must be square");
-    if (initial_.size() != rates_.rows()) {
-        throw InvalidArgument("initial distribution size mismatch");
-    }
+namespace {
+
+/// The one check of an initial distribution over `n` states: every
+/// probability finite and >= -1e-12, the mass within 1e-9 of 1.  The
+/// comparisons are written so that NaN fails them.
+void validate_initial(std::span<const double> initial, std::size_t n) {
+    if (initial.size() != n) throw InvalidArgument("initial distribution size mismatch");
     double mass = 0.0;
-    for (double p : initial_) {
+    for (const double p : initial) {
+        if (!std::isfinite(p)) throw InvalidArgument("non-finite initial probability");
         if (p < -1e-12) throw InvalidArgument("negative initial probability");
         mass += p;
     }
-    if (std::abs(mass - 1.0) >= 1e-9) {
+    if (!(std::abs(mass - 1.0) < 1e-9)) {
         throw InvalidArgument("initial distribution must sum to 1");
     }
-    for (double v : rates_.values()) {
+}
+
+}  // namespace
+
+Ctmc::Ctmc(linalg::CsrMatrix rates, std::vector<double> initial_distribution)
+    : rates_(std::move(rates)), initial_(std::move(initial_distribution)) {
+    if (rates_.rows() != rates_.cols()) throw InvalidArgument("rate matrix must be square");
+    validate_initial(initial_, rates_.rows());
+    for (const double v : rates_.values()) {
+        if (!std::isfinite(v)) throw InvalidArgument("non-finite transition rate");
         if (v < 0.0) throw InvalidArgument("negative transition rate");
     }
     exit_rates_.resize(rates_.rows());
@@ -91,12 +102,7 @@ Ctmc Ctmc::make_absorbing(const std::vector<bool>& absorbing) const {
 }
 
 void Ctmc::set_initial_distribution(std::vector<double> initial) {
-    ARCADE_ASSERT(initial.size() == state_count(), "initial distribution size mismatch");
-    double mass = 0.0;
-    for (double p : initial) mass += p;
-    if (std::abs(mass - 1.0) > 1e-9) {
-        throw InvalidArgument("initial distribution must sum to 1");
-    }
+    validate_initial(initial, state_count());
     initial_ = std::move(initial);
 }
 

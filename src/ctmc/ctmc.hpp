@@ -22,6 +22,9 @@ namespace arcade::ctmc {
 /// an initial distribution, and named boolean labellings.
 class Ctmc {
 public:
+    /// Throws InvalidArgument unless the matrix is square, every rate is
+    /// finite and >= 0, and the initial distribution is valid (see
+    /// set_initial_distribution).
     Ctmc(linalg::CsrMatrix rates, std::vector<double> initial_distribution);
 
     [[nodiscard]] std::size_t state_count() const noexcept { return rates_.rows(); }
@@ -59,8 +62,9 @@ public:
     /// transitions removed.  Labels and initial distribution are preserved.
     [[nodiscard]] Ctmc make_absorbing(const std::vector<bool>& absorbing) const;
 
-    /// Replaces the initial distribution (must have matching size; normalised
-    /// by the caller or it throws).
+    /// Replaces the initial distribution.  Throws InvalidArgument unless it
+    /// has one entry per state, every entry is finite and >= -1e-12, and
+    /// the mass is within 1e-9 of 1 (the caller normalises).
     void set_initial_distribution(std::vector<double> initial);
 
 private:

@@ -130,14 +130,20 @@ std::vector<double> SeriesGrid::combine(std::span<const double> s, SeriesForm fo
     return out;
 }
 
-std::vector<double> functional_series(const linalg::UniformisedMatrix& p,
-                                      std::span<const double> initial,
-                                      std::span<const double> times, SeriesForm form,
-                                      const DistributionFunctional& f,
-                                      const TransientOptions& options) {
+std::vector<std::vector<double>> functional_series(const linalg::UniformisedMatrix& p,
+                                                   std::span<const double> initial,
+                                                   std::span<const SeriesRequest> requests,
+                                                   const DistributionFunctional& f,
+                                                   const TransientOptions& options) {
     const std::size_t n = p.rows();
     ARCADE_ASSERT(initial.size() == n, "initial size mismatch");
-    const SeriesGrid grid(p.lambda, times, options.epsilon);
+    std::vector<SeriesGrid> grids;
+    grids.reserve(requests.size());
+    std::size_t steps = 0;
+    for (const SeriesRequest& request : requests) {
+        grids.emplace_back(p.lambda, request.times, options.epsilon);
+        steps = std::max(steps, grids.back().steps());
+    }
 
     engine::ScratchVector cur_scratch(options.workspace, n);
     engine::ScratchVector next_scratch(options.workspace, n);
@@ -146,14 +152,28 @@ std::vector<double> functional_series(const linalg::UniformisedMatrix& p,
     std::copy(initial.begin(), initial.end(), cur.begin());
 
     std::vector<double> s;
-    s.reserve(grid.steps() + 1);
+    s.reserve(steps + 1);
     for (std::size_t k = 0;; ++k) {
         s.push_back(f(cur));
-        if (k == grid.steps()) break;
+        if (k == steps) break;
         linalg::uniformised_multiply_left(p, cur, next);
         std::swap(cur, next);
     }
-    return grid.combine(s, form);
+    std::vector<std::vector<double>> out;
+    out.reserve(requests.size());
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        out.push_back(grids[i].combine(s, requests[i].form));
+    }
+    return out;
+}
+
+std::vector<double> functional_series(const linalg::UniformisedMatrix& p,
+                                      std::span<const double> initial,
+                                      std::span<const double> times, SeriesForm form,
+                                      const DistributionFunctional& f,
+                                      const TransientOptions& options) {
+    const SeriesRequest request{times, form};
+    return std::move(functional_series(p, initial, std::span(&request, 1), f, options).front());
 }
 
 }  // namespace arcade::ctmc

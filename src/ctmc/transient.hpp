@@ -113,11 +113,28 @@ private:
 /// A scalar functional of a distribution (mass in a set, reward dot product).
 using DistributionFunctional = std::function<double(std::span<const double>)>;
 
+/// One curve to read off a power sequence: a non-decreasing time grid and
+/// the form its values take.
+struct SeriesRequest {
+    std::span<const double> times;
+    SeriesForm form = SeriesForm::Instantaneous;
+};
+
+/// Every request's curve from ONE pass of s_k = f(initial · P^k), stepped
+/// up to the largest right window point over all the requests' grids.  Each
+/// request gets its own SeriesGrid (so a decreasing grid in any request
+/// throws InvalidArgument before any step), and result i is bitwise the
+/// single-request functional_series of request i: a grid point reads only
+/// s_0 … s_right of its own window, whatever the other requests need.  The
+/// pass's two scratch vectors are borrowed from `options.workspace`.
+[[nodiscard]] std::vector<std::vector<double>> functional_series(
+    const linalg::UniformisedMatrix& p, std::span<const double> initial,
+    std::span<const SeriesRequest> requests, const DistributionFunctional& f,
+    const TransientOptions& options = {});
+
 /// f(π_t) (or ∫_0^t f(π_u) du) at every point of the non-decreasing grid
-/// `times`, from one pass of s_k = f(initial · P^k) up to the grid's largest
-/// right window point.  The pass's two scratch vectors are borrowed from
-/// `options.workspace`.  A one-point grid {t} gives bitwise the value the
-/// same point has on any longer grid.
+/// `times`: the one-request pass above.  A one-point grid {t} gives bitwise
+/// the value the same point has on any longer grid.
 [[nodiscard]] std::vector<double> functional_series(const linalg::UniformisedMatrix& p,
                                                     std::span<const double> initial,
                                                     std::span<const double> times,

@@ -37,7 +37,9 @@
 namespace arcade::engine {
 
 struct EngineOptions {
-    std::size_t max_states = 50'000'000;  ///< explosion guard
+    /// Explosion guard.  At most linalg::kMaxIndex (state numbers are
+    /// 32-bit column indices); explore_bfs throws ModelError otherwise.
+    std::size_t max_states = 50'000'000;
     /// Worker threads; 0 means std::thread::hardware_concurrency().
     unsigned threads = 0;
     /// On-the-fly symmetry reduction: when non-null (and nontrivial), the
@@ -76,6 +78,13 @@ inline unsigned resolve_threads(unsigned requested) {
 template <typename WorkerFactory>
 Explored explore_bfs(const StateLayout& layout, std::span<const std::int64_t> initial,
                      WorkerFactory&& make_worker, const EngineOptions& options = {}) {
+    // State numbers are the rate matrix's column indices; the explosion
+    // guard below keeps them in range once max_states is.
+    if (options.max_states > linalg::kMaxIndex) {
+        throw ModelError("max_states " + std::to_string(options.max_states) +
+                         " exceeds the " + std::to_string(linalg::kMaxIndex) +
+                         "-state limit of the 32-bit rate-matrix index");
+    }
     StateStore store(layout);
     const std::size_t wps = layout.words_per_state();
     const std::size_t fields = layout.field_count();
@@ -108,11 +117,11 @@ Explored explore_bfs(const StateLayout& layout, std::span<const std::int64_t> in
     // [row_ptr.back(), col_idx.size()): append() leaves self-loops out and
     // close_row() sorts and sums the row in place.
     std::vector<std::size_t> row_ptr{0};
-    std::vector<std::size_t> col_idx;
+    std::vector<linalg::Index> col_idx;
     std::vector<double> values;
     const auto append = [&](std::size_t source, std::size_t target, double rate) {
         if (target == source) return;  // rate self-loop: a CTMC no-op
-        col_idx.push_back(target);
+        col_idx.push_back(static_cast<linalg::Index>(target));
         values.push_back(rate);
     };
     const auto close_row = [&] {

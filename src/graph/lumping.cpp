@@ -95,7 +95,7 @@ Partition coarsest_lumping_splitter(const linalg::CsrMatrix& rates, Partition pa
     // splitter needs "who sends rate into this block".
     const linalg::CsrMatrix incoming = linalg::incoming_off_diagonal(rates);
     const std::vector<std::size_t>& tbegin = incoming.row_ptr();
-    const std::vector<std::size_t>& tsource = incoming.col_idx();
+    const std::vector<linalg::Index>& tsource = incoming.col_idx();
     const std::vector<double>& trate = incoming.values();
 
     // Refinable partition: states grouped contiguously per block in `elems`,

@@ -1,31 +1,33 @@
 #include "linalg/csr_matrix.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "support/errors.hpp"
 
 namespace arcade::linalg {
 
-CsrBuilder::CsrBuilder(std::size_t rows, std::size_t cols) : rows_(rows), cols_(cols) {}
-
-void CsrBuilder::add(std::size_t row, std::size_t col, double value) {
-    ARCADE_ASSERT(row < rows_ && col < cols_,
-                  "entry (" + std::to_string(row) + "," + std::to_string(col) +
-                      ") outside " + std::to_string(rows_) + "x" + std::to_string(cols_));
-    entries_.push_back(Coo{row, col, value});
-}
-
 namespace {
+
+/// Throws unless every row and column number of a rows x cols matrix fits
+/// in an Index.
+void check_index_range(std::size_t rows, std::size_t cols, const char* what) {
+    if (rows > kMaxIndex || cols > kMaxIndex) {
+        throw InvalidArgument(std::string(what) + ": " + std::to_string(rows) + "x" +
+                              std::to_string(cols) + " exceeds the " +
+                              std::to_string(kMaxIndex) + " rows/columns a 32-bit index holds");
+    }
+}
 
 /// Sorts one row's (column, value) pairs by column, stably: entries at the
 /// same column keep their relative order.  Rows are short (a handful of
 /// entries), so an insertion sort does the work without allocating; long
 /// rows fall back to std::stable_sort.
-void sort_row_by_column(std::size_t* cols, double* vals, std::size_t len) {
+void sort_row_by_column(Index* cols, double* vals, std::size_t len) {
     constexpr std::size_t kInsertionMax = 32;
     if (len <= kInsertionMax) {
         for (std::size_t i = 1; i < len; ++i) {
-            const std::size_t c = cols[i];
+            const Index c = cols[i];
             const double v = vals[i];
             std::size_t j = i;
             for (; j > 0 && cols[j - 1] > c; --j) {
@@ -64,14 +66,14 @@ CsrMatrix transpose_kept(const CsrMatrix& m, Keep keep) {
         }
     }
     for (std::size_t c = 0; c < cols; ++c) ptr[c + 1] += ptr[c];
-    std::vector<std::size_t> out_cols(ptr[cols]);
+    std::vector<Index> out_cols(ptr[cols]);
     std::vector<double> out_vals(ptr[cols]);
     std::vector<std::size_t> fill(ptr.begin(), ptr.end() - 1);
     for (std::size_t r = 0; r < rows; ++r) {
         for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
             if (!keep(r, col_idx[k])) continue;
             const std::size_t slot = fill[col_idx[k]]++;
-            out_cols[slot] = r;
+            out_cols[slot] = static_cast<Index>(r);
             out_vals[slot] = values[k];
         }
     }
@@ -80,11 +82,22 @@ CsrMatrix transpose_kept(const CsrMatrix& m, Keep keep) {
 
 }  // namespace
 
-std::size_t sort_and_sum_row(std::size_t* cols, double* vals, std::size_t begin,
-                             std::size_t end, std::size_t out) {
+CsrBuilder::CsrBuilder(std::size_t rows, std::size_t cols) : rows_(rows), cols_(cols) {
+    check_index_range(rows, cols, "CsrBuilder");
+}
+
+void CsrBuilder::add(std::size_t row, std::size_t col, double value) {
+    ARCADE_ASSERT(row < rows_ && col < cols_,
+                  "entry (" + std::to_string(row) + "," + std::to_string(col) +
+                      ") outside " + std::to_string(rows_) + "x" + std::to_string(cols_));
+    entries_.push_back(Coo{static_cast<Index>(row), static_cast<Index>(col), value});
+}
+
+std::size_t sort_and_sum_row(Index* cols, double* vals, std::size_t begin, std::size_t end,
+                             std::size_t out) {
     sort_row_by_column(cols + begin, vals + begin, end - begin);
     for (std::size_t k = begin; k < end;) {
-        const std::size_t c = cols[k];
+        const Index c = cols[k];
         double v = 0.0;
         for (; k < end && cols[k] == c; ++k) v += vals[k];
         cols[out] = c;
@@ -100,7 +113,7 @@ CsrMatrix CsrBuilder::build() const {
     std::vector<std::size_t> row_ptr(rows_ + 1, 0);
     for (const Coo& e : entries_) ++row_ptr[e.row + 1];
     for (std::size_t r = 0; r < rows_; ++r) row_ptr[r + 1] += row_ptr[r];
-    std::vector<std::size_t> col_idx(entries_.size());
+    std::vector<Index> col_idx(entries_.size());
     std::vector<double> values(entries_.size());
     {
         std::vector<std::size_t> fill(row_ptr.begin(), row_ptr.end() - 1);
@@ -125,17 +138,18 @@ CsrMatrix CsrBuilder::build() const {
 }
 
 CsrMatrix::CsrMatrix(std::size_t rows, std::size_t cols, std::vector<std::size_t> row_ptr,
-                     std::vector<std::size_t> col_idx, std::vector<double> values)
+                     std::vector<Index> col_idx, std::vector<double> values)
     : rows_(rows),
       cols_(cols),
       row_ptr_(std::move(row_ptr)),
       col_idx_(std::move(col_idx)),
       values_(std::move(values)) {
+    check_index_range(rows_, cols_, "CsrMatrix");
     ARCADE_ASSERT(row_ptr_.size() == rows_ + 1, "row_ptr size mismatch");
     ARCADE_ASSERT(col_idx_.size() == values_.size(), "col/value size mismatch");
 }
 
-std::span<const std::size_t> CsrMatrix::row_columns(std::size_t row) const {
+std::span<const Index> CsrMatrix::row_columns(std::size_t row) const {
     ARCADE_ASSERT(row < rows_, "row out of range");
     return {col_idx_.data() + row_ptr_[row], row_ptr_[row + 1] - row_ptr_[row]};
 }

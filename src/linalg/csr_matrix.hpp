@@ -4,14 +4,24 @@
 #define ARCADE_LINALG_CSR_MATRIX_HPP
 
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
 namespace arcade::linalg {
 
+/// The column index of every stored entry (and the row/column number of
+/// every matrix): 32 bits, so the matrix stream moves 12 bytes per nonzero
+/// instead of 16.  Row pointers stay std::size_t.  A matrix with more rows
+/// or columns than kMaxIndex is refused with InvalidArgument by CsrBuilder
+/// and the CsrMatrix constructor — never silently wrapped.
+using Index = std::uint32_t;
+inline constexpr std::size_t kMaxIndex = std::numeric_limits<Index>::max();
+
 /// One stored entry of a sparse matrix row.
 struct Entry {
-    std::size_t column;
+    Index column;
     double value;
 };
 
@@ -29,8 +39,8 @@ class CsrMatrix;
 /// more duplicates whose sum depends on association always give the same
 /// bits.  Short rows (up to 32 entries) are insertion-sorted without
 /// allocating; longer rows fall back to std::stable_sort.
-std::size_t sort_and_sum_row(std::size_t* cols, double* vals, std::size_t begin,
-                             std::size_t end, std::size_t out);
+std::size_t sort_and_sum_row(Index* cols, double* vals, std::size_t begin, std::size_t end,
+                             std::size_t out);
 
 /// Incremental builder: entries may arrive in any order; duplicate
 /// coordinates are summed.  `build()` produces a column-sorted CsrMatrix in
@@ -41,6 +51,7 @@ std::size_t sort_and_sum_row(std::size_t* cols, double* vals, std::size_t begin,
 /// order they were add()ed, starting from +0.0 (see sort_and_sum_row()).
 class CsrBuilder {
 public:
+    /// Throws InvalidArgument when `rows` or `cols` exceeds kMaxIndex.
     explicit CsrBuilder(std::size_t rows, std::size_t cols);
 
     void add(std::size_t row, std::size_t col, double value);
@@ -54,8 +65,8 @@ private:
     std::size_t rows_;
     std::size_t cols_;
     struct Coo {
-        std::size_t row;
-        std::size_t col;
+        Index row;
+        Index col;
         double value;
     };
     std::vector<Coo> entries_;
@@ -65,14 +76,15 @@ private:
 class CsrMatrix {
 public:
     CsrMatrix() = default;
+    /// Throws InvalidArgument when `rows` or `cols` exceeds kMaxIndex.
     CsrMatrix(std::size_t rows, std::size_t cols, std::vector<std::size_t> row_ptr,
-              std::vector<std::size_t> col_idx, std::vector<double> values);
+              std::vector<Index> col_idx, std::vector<double> values);
 
     [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
     [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
     [[nodiscard]] std::size_t nonzeros() const noexcept { return values_.size(); }
 
-    [[nodiscard]] std::span<const std::size_t> row_columns(std::size_t row) const;
+    [[nodiscard]] std::span<const Index> row_columns(std::size_t row) const;
     [[nodiscard]] std::span<const double> row_values(std::size_t row) const;
 
     /// Value at (row, col); 0.0 when not stored.
@@ -86,14 +98,14 @@ public:
     [[nodiscard]] CsrMatrix transposed() const;
 
     [[nodiscard]] const std::vector<std::size_t>& row_ptr() const noexcept { return row_ptr_; }
-    [[nodiscard]] const std::vector<std::size_t>& col_idx() const noexcept { return col_idx_; }
+    [[nodiscard]] const std::vector<Index>& col_idx() const noexcept { return col_idx_; }
     [[nodiscard]] const std::vector<double>& values() const noexcept { return values_; }
 
 private:
     std::size_t rows_ = 0;
     std::size_t cols_ = 0;
     std::vector<std::size_t> row_ptr_;  // size rows_+1
-    std::vector<std::size_t> col_idx_;
+    std::vector<Index> col_idx_;
     std::vector<double> values_;
 };
 

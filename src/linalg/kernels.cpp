@@ -17,7 +17,7 @@ std::atomic<KernelMode>& mode_slot() {
 }
 
 /// Index of the diagonal entry in [begin,end), or end when absent.
-inline std::size_t find_diag(const std::size_t* cols, std::size_t begin, std::size_t end,
+inline std::size_t find_diag(const Index* cols, std::size_t begin, std::size_t end,
                              std::size_t row) {
     for (std::size_t k = begin; k < end; ++k) {
         if (cols[k] == row) return k;
@@ -28,7 +28,7 @@ inline std::size_t find_diag(const std::size_t* cols, std::size_t begin, std::si
 /// y[cols[k]] += xr*vals[k] over [begin,end).  Columns are unique within a
 /// row, so the four scatters never alias and each y element still receives
 /// its contributions in row order.
-inline void scatter_row(const std::size_t* __restrict cols, const double* __restrict vals,
+inline void scatter_row(const Index* __restrict cols, const double* __restrict vals,
                         double xr, double* __restrict y, std::size_t begin,
                         std::size_t end) {
     std::size_t k = begin;
@@ -63,7 +63,7 @@ void left_rows(const CsrMatrix& m, const double* __restrict stay, std::span<cons
                std::span<double> y) {
     std::fill(y.begin(), y.end(), 0.0);
     const std::size_t* __restrict row_ptr = m.row_ptr().data();
-    const std::size_t* __restrict cols = m.col_idx().data();
+    const Index* __restrict cols = m.col_idx().data();
     const double* __restrict vals = m.values().data();
     const double* __restrict xp = x.data();
     double* __restrict yp = y.data();
@@ -79,7 +79,7 @@ void left_rows(const CsrMatrix& m, const double* __restrict stay, std::span<cons
 /// out[col] += p*(val/lambda), with the moved-mass accumulator chained
 /// sequentially in ascending entry order — the order uniformise() sums the
 /// stay mass in.
-inline double scatter_range(const std::size_t* __restrict cols,
+inline double scatter_range(const Index* __restrict cols,
                             const double* __restrict vals, double p, double lambda,
                             double* __restrict out, std::size_t begin, std::size_t end,
                             double moved) {
@@ -144,7 +144,7 @@ UniformisedMatrix uniformise(const CsrMatrix& rates, double lambda,
         }
         jump_ptr[i + 1] = jump_ptr[i] + len;
     }
-    std::vector<std::size_t> jump_cols(jump_ptr[n]);
+    std::vector<Index> jump_cols(jump_ptr[n]);
     std::vector<double> jump_vals(jump_ptr[n]);
     std::vector<double> stay(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -178,7 +178,7 @@ void uniformised_multiply_right(const UniformisedMatrix& p, std::span<const doub
     ARCADE_ASSERT(cur.size() == p.rows() && next.size() == p.rows(),
                   "uniformised_multiply_right shape mismatch");
     const std::size_t* __restrict row_ptr = p.jumps.row_ptr().data();
-    const std::size_t* __restrict cols = p.jumps.col_idx().data();
+    const Index* __restrict cols = p.jumps.col_idx().data();
     const double* __restrict vals = p.jumps.values().data();
     const double* __restrict stay = p.stay.data();
     const double* __restrict xp = cur.data();
@@ -206,7 +206,7 @@ void uniformised_multiply_left(const CsrMatrix& rates, double lambda,
                   "uniformised_multiply_left shape mismatch");
     std::fill(out.begin(), out.end(), 0.0);
     const std::size_t* __restrict row_ptr = rates.row_ptr().data();
-    const std::size_t* __restrict cols = rates.col_idx().data();
+    const Index* __restrict cols = rates.col_idx().data();
     const double* __restrict vals = rates.values().data();
     double* __restrict op = out.data();
     for (std::size_t i = 0; i < rates.rows(); ++i) {

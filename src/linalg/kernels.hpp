@@ -46,7 +46,7 @@ void set_kernel_mode(KernelMode mode);
 /// (((acc+t0)+t1)+t2)+t3 — the association of the one-at-a-time loop —
 /// while the four loads and multiplies pipeline.  The uniformised right
 /// multiply and the Gauss–Seidel sweeps share it.
-inline double row_dot(const std::size_t* __restrict cols, const double* __restrict vals,
+inline double row_dot(const Index* __restrict cols, const double* __restrict vals,
                       const double* __restrict x, std::size_t begin, std::size_t end,
                       double acc) {
     std::size_t k = begin;

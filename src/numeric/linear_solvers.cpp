@@ -27,7 +27,7 @@ linalg::CsrMatrix split_diagonal(const linalg::CsrMatrix& a, std::vector<double>
     const auto& vals = a.values();
     diag.assign(n, 0.0);
     std::vector<std::size_t> ptr(n + 1, 0);
-    std::vector<std::size_t> off_cols;
+    std::vector<linalg::Index> off_cols;
     std::vector<double> off_vals;
     off_cols.reserve(cols.size());
     off_vals.reserve(cols.size());
@@ -69,7 +69,7 @@ SolverResult steady_state_gauss_seidel(const linalg::CsrMatrix& rate_matrix,
     for (double& x : pi) x = u;
 
     const std::size_t* row_ptr = incoming.row_ptr().data();
-    const std::size_t* cols = incoming.col_idx().data();
+    const linalg::Index* cols = incoming.col_idx().data();
     const double* vals = incoming.values().data();
     SolverResult res;
     for (std::size_t it = 0; it < options.max_iterations; ++it) {
@@ -107,7 +107,7 @@ SolverResult fixpoint_gauss_seidel(const linalg::CsrMatrix& a, std::span<const d
     }
 
     const std::size_t* row_ptr = off.row_ptr().data();
-    const std::size_t* cols = off.col_idx().data();
+    const linalg::Index* cols = off.col_idx().data();
     const double* vals = off.values().data();
     SolverResult res;
     for (std::size_t it = 0; it < options.max_iterations; ++it) {

@@ -10,24 +10,29 @@ namespace arcade::rewards {
 RewardStructure::RewardStructure(std::string name, std::vector<double> state_rates)
     : name_(std::move(name)), rates_(std::move(state_rates)) {}
 
-namespace {
-
-void check(const ctmc::Ctmc& chain, const RewardStructure& reward,
-           std::span<const double> initial) {
+std::vector<std::vector<double>> reward_series(const ctmc::Ctmc& chain,
+                                               std::span<const double> initial,
+                                               const RewardStructure& reward,
+                                               std::span<const ctmc::SeriesRequest> requests,
+                                               const ctmc::TransientOptions& options) {
     ARCADE_ASSERT(reward.state_count() == chain.state_count(),
                   "reward structure size mismatch");
     ARCADE_ASSERT(initial.size() == chain.state_count(), "initial size mismatch");
-}
-
-/// The reward functional rho on the uniformised chain, in `form`.
-std::vector<double> reward_series(const ctmc::Ctmc& chain, std::span<const double> initial,
-                                  const RewardStructure& reward, std::span<const double> times,
-                                  ctmc::SeriesForm form, const ctmc::TransientOptions& options) {
-    check(chain, reward, initial);
     const std::vector<double>& rho = reward.state_rates();
     return ctmc::functional_series(
-        ctmc::uniformise(chain), initial, times, form,
+        ctmc::uniformise(chain), initial, requests,
         [&rho](std::span<const double> dist) { return linalg::dot(dist, rho); }, options);
+}
+
+namespace {
+
+/// The one-request reward_series.
+std::vector<double> single_series(const ctmc::Ctmc& chain, std::span<const double> initial,
+                                  const RewardStructure& reward, std::span<const double> times,
+                                  ctmc::SeriesForm form, const ctmc::TransientOptions& options) {
+    const ctmc::SeriesRequest request{times, form};
+    return std::move(
+        reward_series(chain, initial, reward, std::span(&request, 1), options).front());
 }
 
 }  // namespace
@@ -46,7 +51,7 @@ std::vector<double> instantaneous_reward_series(const ctmc::Ctmc& chain,
                                                 const RewardStructure& reward,
                                                 std::span<const double> times,
                                                 const ctmc::TransientOptions& options) {
-    return reward_series(chain, initial, reward, times, ctmc::SeriesForm::Instantaneous,
+    return single_series(chain, initial, reward, times, ctmc::SeriesForm::Instantaneous,
                          options);
 }
 
@@ -64,7 +69,7 @@ std::vector<double> accumulated_reward_series(const ctmc::Ctmc& chain,
                                               const RewardStructure& reward,
                                               std::span<const double> times,
                                               const ctmc::TransientOptions& options) {
-    return reward_series(chain, initial, reward, times, ctmc::SeriesForm::Accumulated,
+    return single_series(chain, initial, reward, times, ctmc::SeriesForm::Accumulated,
                          options);
 }
 

@@ -62,6 +62,13 @@ private:
     const ctmc::Ctmc& chain, std::span<const double> initial, const RewardStructure& reward,
     std::span<const double> times, const ctmc::TransientOptions& options = {});
 
+/// Every request's curve (instantaneous or accumulated, each on its own
+/// grid) from ONE ctmc::functional_series pass of (pi_0 P^k) · rho; result i
+/// is bitwise the one-request series of request i.
+[[nodiscard]] std::vector<std::vector<double>> reward_series(
+    const ctmc::Ctmc& chain, std::span<const double> initial, const RewardStructure& reward,
+    std::span<const ctmc::SeriesRequest> requests, const ctmc::TransientOptions& options = {});
+
 /// Long-run average reward rate (steady-state weighted reward).
 [[nodiscard]] double steady_state_reward(const ctmc::Ctmc& chain,
                                          const RewardStructure& reward);

@@ -104,6 +104,10 @@ void run_stealing(std::size_t workers, std::size_t count,
     if (first_error) std::rethrow_exception(first_error);
 }
 
+bool is_cost(MeasureKind kind) {
+    return kind == MeasureKind::InstantaneousCost || kind == MeasureKind::AccumulatedCost;
+}
+
 core::Disaster make_disaster(DisasterKind kind, const core::CompiledModel& model) {
     switch (kind) {
         case DisasterKind::None: {
@@ -136,25 +140,32 @@ engine::AnalysisSession::CompiledPtr compile_item(engine::AnalysisSession& sessi
                                    options.symmetry, item.scale.extra_pumps);
 }
 
-ScenarioResult evaluate(engine::AnalysisSession& session, const ScenarioGrid& grid,
-                        const WorkItem& item, const RunnerOptions& options) {
-    const double t0 = now_seconds();
-    const auto model = compile_item(session, grid, item, options);
-    const core::ReductionPolicy reduction = options.reduction;
-    // Route the quotient lookup through the session so the lump cache
-    // counters see one request per cell (the measures below reuse the same
-    // shared quotient).
-    if (reduction == core::ReductionPolicy::Auto &&
+/// The compiled model of `item`, its quotient lookup routed through the
+/// session so the lump cache counters see one request per cell (the
+/// measures reuse the same shared quotient), and the cell's result with
+/// the model's sizes filled in.
+engine::AnalysisSession::CompiledPtr prepare(engine::AnalysisSession& session,
+                                             const ScenarioGrid& grid, const WorkItem& item,
+                                             const RunnerOptions& options,
+                                             ScenarioResult& result) {
+    auto model = compile_item(session, grid, item, options);
+    if (options.reduction == core::ReductionPolicy::Auto &&
         item.measure.kind != MeasureKind::StateSpace) {
         (void)session.quotient(model);
     }
-    const auto transient = core::session_transient(session);
-
-    ScenarioResult result;
     result.item = item;
     result.model_states = model->state_count();
     result.model_transitions = model->transition_count();
     result.model_full_states = model->symmetry_full_states();
+    return model;
+}
+
+ScenarioResult evaluate(engine::AnalysisSession& session, const ScenarioGrid& grid,
+                        const WorkItem& item, const RunnerOptions& options) {
+    const double t0 = now_seconds();
+    ScenarioResult result;
+    const auto model = prepare(session, grid, item, options, result);
+    const auto transient = core::session_transient(session);
     switch (item.measure.kind) {
         case MeasureKind::Availability:
             result.values = {core::availability(session, model)};
@@ -174,15 +185,10 @@ ScenarioResult evaluate(engine::AnalysisSession& session, const ScenarioGrid& gr
                 item.measure.service_level, item.measure.times, transient);
             break;
         case MeasureKind::InstantaneousCost:
-            result.values = core::instantaneous_cost_series(
-                *model, make_disaster(item.measure.disaster, *model), item.measure.times,
-                transient);
-            break;
         case MeasureKind::AccumulatedCost:
-            result.values = core::accumulated_cost_series(
-                *model, make_disaster(item.measure.disaster, *model), item.measure.times,
-                transient);
-            break;
+            // Cost cells are power-sequence tasks (evaluate_costs).
+            throw InvalidArgument("sweep: cost cell '" + item.key() +
+                                  "' must run through evaluate_costs");
         case MeasureKind::Property: {
             const auto formula = logic::parse_csl(item.measure.property);
             if (item.measure.is_series()) {
@@ -205,6 +211,59 @@ ScenarioResult evaluate(engine::AnalysisSession& session, const ScenarioGrid& gr
     }
     result.seconds = now_seconds() - t0;
     return result;
+}
+
+/// Phase-2 tasks: one per power sequence.  Cost cells with equal model key,
+/// variant, scale and disaster step the same chain from the same
+/// distribution with the same reward, so they form one task (of one cell
+/// when the partner lies outside `items`); every other item is its own
+/// task.  Tasks are listed by their first item.
+std::vector<std::vector<std::size_t>> power_sequences(const std::vector<WorkItem>& items) {
+    std::vector<std::vector<std::size_t>> tasks;
+    std::map<std::string, std::size_t> cost_task;  // group key -> task
+    for (std::size_t i = 0; i < items.size(); ++i) {
+        const WorkItem& item = items[i];
+        if (is_cost(item.measure.kind)) {
+            const std::string key = item.model_key() + "/v=" + item.variant.name +
+                                    "/sc=" + item.scale.name + "/" +
+                                    to_string(item.measure.disaster);
+            const auto [it, inserted] = cost_task.emplace(key, tasks.size());
+            if (!inserted) {
+                tasks[it->second].push_back(i);
+                continue;
+            }
+        }
+        tasks.push_back({i});
+    }
+    return tasks;
+}
+
+/// Evaluates a group of one or more cost cells with one core::cost_series
+/// pass, the only path a cost cell takes.  Every cell is prepared as
+/// evaluate() prepares it; the task's wall time is split evenly across its
+/// cells, so the cells' seconds still sum to busy time.
+void evaluate_costs(engine::AnalysisSession& session, const ScenarioGrid& grid,
+                    const std::vector<WorkItem>& items, const std::vector<std::size_t>& cells,
+                    const RunnerOptions& options, std::vector<ScenarioResult>& results) {
+    const double t0 = now_seconds();
+    engine::AnalysisSession::CompiledPtr model;
+    std::vector<ctmc::SeriesRequest> requests;
+    requests.reserve(cells.size());
+    for (const std::size_t i : cells) {
+        const MeasureSpec& measure = items[i].measure;
+        model = prepare(session, grid, items[i], options, results[i]);
+        requests.push_back({measure.times, measure.kind == MeasureKind::InstantaneousCost
+                                               ? ctmc::SeriesForm::Instantaneous
+                                               : ctmc::SeriesForm::Accumulated});
+    }
+    auto values = core::cost_series(
+        *model, make_disaster(items[cells.front()].measure.disaster, *model), requests,
+        core::session_transient(session));
+    const double seconds = (now_seconds() - t0) / static_cast<double>(cells.size());
+    for (std::size_t k = 0; k < cells.size(); ++k) {
+        results[cells[k]].values = std::move(values[k]);
+        results[cells[k]].seconds = seconds;
+    }
 }
 
 }  // namespace
@@ -254,11 +313,19 @@ SweepReport SweepRunner::run(const ScenarioGrid& grid, const std::vector<WorkIte
         }
     });
 
-    // Phase 2: evaluate every cell; results land in grid order by index.
+    // Phase 2: one task per power sequence; results land in grid order by
+    // item index.
     SweepReport report;
     report.results.resize(items.size());
-    run_stealing(workers, items.size(), [&](std::size_t i) {
-        report.results[i] = evaluate(session_, grid, items[i], options_);
+    const auto tasks = power_sequences(items);
+    run_stealing(workers, tasks.size(), [&](std::size_t t) {
+        const auto& cells = tasks[t];
+        if (is_cost(items[cells.front()].measure.kind)) {
+            evaluate_costs(session_, grid, items, cells, options_, report.results);
+        } else {
+            report.results[cells.front()] = evaluate(session_, grid, items[cells.front()],
+                                                     options_);
+        }
     });
 
     report.unique_models = unique_models.size();

@@ -5,8 +5,10 @@
 //   1. every *unique* model prefix of the grid is compiled exactly once
 //      (through the session, so a repeated sweep — or a prefix another
 //      harness already compiled — is a pure cache hit);
-//   2. the measures evaluate in parallel, each series reading its whole
-//      time grid off one uniformisation pass (ctmc::functional_series).
+//   2. the measures evaluate in parallel, one task per power sequence:
+//      each series reads its whole time grid off one uniformisation pass
+//      (ctmc::functional_series), and the cost cells of one model and
+//      disaster (Figs 6 and 7) share one pass (core::cost_series).
 //
 // Results land in deterministic grid order regardless of thread count or
 // steal pattern: workers write into a pre-sized slot per work item.  The
@@ -35,7 +37,9 @@ struct ScenarioResult {
     /// equals model_states when the model was explored without symmetry
     /// reduction (the state-space scaling report's numerator).
     double model_full_states = 0.0;
-    double seconds = 0.0;               ///< wall time of this cell's evaluation
+    /// Wall time of this cell's evaluation; cells that shared one power
+    /// pass split its wall time evenly.
+    double seconds = 0.0;
 };
 
 struct SweepReport {

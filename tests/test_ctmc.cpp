@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <random>
 #include <span>
@@ -276,6 +277,33 @@ TEST(Ctmc, ValidationRejectsBadInputs) {
     EXPECT_THROW(ctmc::Ctmc(b2.build(), {0.7, 0.0}), std::exception);  // mass != 1
 }
 
+TEST(Ctmc, RejectsNanRate) {
+    la::CsrBuilder b(2, 2);
+    b.add(0, 1, std::nan(""));
+    EXPECT_THROW(ctmc::Ctmc(b.build(), {1.0, 0.0}), arcade::InvalidArgument);
+}
+
+TEST(Ctmc, RejectsInfiniteRate) {
+    la::CsrBuilder b(2, 2);
+    b.add(0, 1, std::numeric_limits<double>::infinity());
+    EXPECT_THROW(ctmc::Ctmc(b.build(), {1.0, 0.0}), arcade::InvalidArgument);
+}
+
+TEST(Ctmc, RejectsNanInitialProbability) {
+    la::CsrBuilder b(2, 2);
+    b.add(0, 1, 1.0);
+    EXPECT_THROW(ctmc::Ctmc(b.build(), {std::nan(""), 1.0}), arcade::InvalidArgument);
+}
+
+TEST(Ctmc, SetInitialDistributionRejectsNegativeMass) {
+    auto chain = two_state(1.0, 2.0);
+    EXPECT_THROW(chain.set_initial_distribution({1.5, -0.5}), arcade::InvalidArgument);
+    EXPECT_THROW(chain.set_initial_distribution({std::nan(""), 1.0}),
+                 arcade::InvalidArgument);
+    chain.set_initial_distribution({0.25, 0.75});
+    EXPECT_EQ(chain.initial_distribution(), (std::vector<double>{0.25, 0.75}));
+}
+
 TEST(Ctmc, ExitRatesAreCachedAtConstructionAndIgnoreDiagonal) {
     la::CsrBuilder b(3, 3);
     b.add(0, 1, 1.5);
@@ -443,3 +471,81 @@ TEST(SeriesPass, SingleTimeBoundedUntilIsBitwiseTheSeriesPoint) {
     }
 }
 
+
+TEST(SeriesPass, MemberListFunctionalIsBitwiseMassIn) {
+    std::mt19937 rng(20261019);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    for (int trial = 0; trial < 6; ++trial) {
+        const std::size_t n = 5 + static_cast<std::size_t>(trial);
+        const auto chain = random_chain(rng, n);
+        std::vector<bool> phi(n), psi(n), absorbing(n);
+        for (std::size_t s = 0; s < n; ++s) {
+            phi[s] = unit(rng) < 0.8;
+            psi[s] = unit(rng) < 0.4;
+            absorbing[s] = psi[s] || !phi[s];
+        }
+        const auto times = uniform_grid(3.0, 31);
+        const auto series = ctmc::bounded_until_series(chain, chain.initial_distribution(),
+                                                       phi, psi, times);
+        const auto reference = ctmc::functional_series(
+            ctmc::uniformise(chain, &absorbing), chain.initial_distribution(), times,
+            ctmc::SeriesForm::Instantaneous,
+            [&psi](std::span<const double> dist) { return ctmc::mass_in(dist, psi); });
+        ASSERT_EQ(series.size(), reference.size());
+        for (std::size_t i = 0; i < times.size(); ++i) {
+            EXPECT_TRUE(same_bits(series[i], reference[i]))
+                << "trial=" << trial << " t=" << times[i];
+        }
+    }
+}
+
+TEST(SeriesPass, SharedPassIsBitwiseSeparatePasses) {
+    std::mt19937 rng(20261020);
+    const auto chain = random_chain(rng, 9);
+    std::uniform_real_distribution<double> unit(0.0, 5.0);
+    std::vector<double> rho(9);
+    for (double& r : rho) r = unit(rng);
+    const ctmc::DistributionFunctional f = [&rho](std::span<const double> dist) {
+        double total = 0.0;
+        for (std::size_t s = 0; s < dist.size(); ++s) total += dist[s] * rho[s];
+        return total;
+    };
+    const auto p = ctmc::uniformise(chain);
+    const auto& initial = chain.initial_distribution();
+    // Different last times (the accumulated grid runs further), both
+    // starting at t = 0, each with a duplicate point.
+    const std::vector<double> inst_times{0.0, 0.4, 0.4, 1.1, 2.5};
+    const std::vector<double> acc_times{0.0, 0.7, 3.0, 3.0, 6.0};
+    const std::vector<ctmc::SeriesRequest> requests{
+        {inst_times, ctmc::SeriesForm::Instantaneous},
+        {acc_times, ctmc::SeriesForm::Accumulated}};
+    const auto shared = ctmc::functional_series(p, initial, requests, f);
+    ASSERT_EQ(shared.size(), 2u);
+    const auto inst =
+        ctmc::functional_series(p, initial, inst_times, ctmc::SeriesForm::Instantaneous, f);
+    const auto acc =
+        ctmc::functional_series(p, initial, acc_times, ctmc::SeriesForm::Accumulated, f);
+    ASSERT_EQ(shared[0].size(), inst.size());
+    ASSERT_EQ(shared[1].size(), acc.size());
+    for (std::size_t i = 0; i < inst.size(); ++i) {
+        EXPECT_TRUE(same_bits(shared[0][i], inst[i])) << "t=" << inst_times[i];
+    }
+    for (std::size_t i = 0; i < acc.size(); ++i) {
+        EXPECT_TRUE(same_bits(shared[1][i], acc[i])) << "t=" << acc_times[i];
+    }
+    EXPECT_EQ(shared[1][0], 0.0);  // nothing accumulates by t = 0
+    EXPECT_TRUE(same_bits(shared[1][2], shared[1][3]));
+
+    // A decreasing grid in either request is refused.
+    const std::vector<double> decreasing{0.0, 2.0, 1.0};
+    const std::vector<ctmc::SeriesRequest> bad_first{
+        {decreasing, ctmc::SeriesForm::Instantaneous},
+        {acc_times, ctmc::SeriesForm::Accumulated}};
+    const std::vector<ctmc::SeriesRequest> bad_second{
+        {inst_times, ctmc::SeriesForm::Instantaneous},
+        {decreasing, ctmc::SeriesForm::Accumulated}};
+    EXPECT_THROW((void)ctmc::functional_series(p, initial, bad_first, f),
+                 arcade::InvalidArgument);
+    EXPECT_THROW((void)ctmc::functional_series(p, initial, bad_second, f),
+                 arcade::InvalidArgument);
+}

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <map>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "arcade/compiler.hpp"
@@ -316,6 +317,21 @@ TEST(ExploreBfs, StateGuardThrowsOnInlineAndShardedPaths) {
                      engine::EngineOptions{.max_states = 1000, .threads = 2}),
                  arcade::ModelError);
     EXPECT_EQ(made, 2u);
+}
+
+TEST(ExploreBfs, StateLimitBeyondTheIndexRangeThrowsBeforeExploring) {
+    // State numbers are 32-bit column indices: a guard that could let more
+    // states through is refused on entry, before any worker is made.
+    const std::vector<std::int64_t> initial(kGridDims, 0);
+    std::size_t made = 0;
+    try {
+        (void)engine::explore_bfs(grid_layout(), initial, grid_factory(&made),
+                                  engine::EngineOptions{.max_states = std::size_t{1} << 32});
+        ADD_FAILURE() << "expected ModelError";
+    } catch (const arcade::ModelError& e) {
+        EXPECT_NE(std::string(e.what()).find("32-bit"), std::string::npos) << e.what();
+    }
+    EXPECT_EQ(made, 0u);
 }
 
 TEST(ExploreBfs, MakesWorkersOnlyForShardsThatRun) {

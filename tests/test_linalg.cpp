@@ -287,11 +287,11 @@ la::CsrMatrix reference_build(std::size_t rows, std::size_t cols,
         sums.try_emplace({t.row, t.col}, 0.0).first->second += t.value;
     }
     std::vector<std::size_t> row_ptr(rows + 1, 0);
-    std::vector<std::size_t> col_idx;
+    std::vector<la::Index> col_idx;
     std::vector<double> values;
     for (const auto& [rc, v] : sums) {
         ++row_ptr[rc.first + 1];
-        col_idx.push_back(rc.second);
+        col_idx.push_back(static_cast<la::Index>(rc.second));
         values.push_back(v);
     }
     for (std::size_t r = 0; r < rows; ++r) row_ptr[r + 1] += row_ptr[r];
@@ -363,6 +363,16 @@ TEST(CsrBuilder, DuplicatesSumInInsertionOrder) {
         EXPECT_EQ(m.row_columns(1).size(), 2 + filler);
         EXPECT_TRUE(std::is_sorted(m.row_columns(1).begin(), m.row_columns(1).end()));
     }
+}
+
+TEST(CsrBuilder, DimensionsBeyondTheIndexRangeThrow) {
+    // Checked before anything is allocated: no matrix this large is built.
+    const std::size_t too_many = std::size_t{1} << 32;
+    EXPECT_THROW(la::CsrBuilder(2, too_many), arcade::InvalidArgument);
+    EXPECT_THROW(la::CsrBuilder(too_many, 2), arcade::InvalidArgument);
+    EXPECT_THROW(la::CsrMatrix(too_many, 1, {}, {}, {}), arcade::InvalidArgument);
+    EXPECT_THROW(la::CsrMatrix(1, too_many, {0, 0}, {}, {}), arcade::InvalidArgument);
+    EXPECT_NO_THROW(la::CsrBuilder(2, la::kMaxIndex));
 }
 
 TEST(CsrMatrix, TransposeMatchesTheNaiveReferenceAndRoundTrips) {
@@ -504,14 +514,14 @@ TEST(Uniformise, DropsDiagonalAndEmptiesAbsorbingRows) {
     const la::UniformisedMatrix p = la::uniformise(rates, 8.0);
     EXPECT_EQ(p.lambda, 8.0);
     EXPECT_EQ(p.jumps.row_ptr(), (std::vector<std::size_t>{0, 2, 3, 3}));
-    EXPECT_EQ(p.jumps.col_idx(), (std::vector<std::size_t>{1, 2, 0}));
+    EXPECT_EQ(p.jumps.col_idx(), (std::vector<la::Index>{1, 2, 0}));
     EXPECT_EQ(p.jumps.values(), (std::vector<double>{0.125, 0.375, 0.25}));
     EXPECT_EQ(p.stay, (std::vector<double>{0.5, 0.75, 1.0}));
 
     const std::vector<bool> absorbing{true, false, false};
     const la::UniformisedMatrix masked = la::uniformise(rates, 8.0, &absorbing);
     EXPECT_EQ(masked.jumps.row_ptr(), (std::vector<std::size_t>{0, 0, 1, 1}));
-    EXPECT_EQ(masked.jumps.col_idx(), (std::vector<std::size_t>{0}));
+    EXPECT_EQ(masked.jumps.col_idx(), (std::vector<la::Index>{0}));
     EXPECT_EQ(masked.stay, (std::vector<double>{1.0, 0.75, 1.0}));
 }
 

@@ -4,7 +4,13 @@
 // bit-for-bit, not just approximately).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <map>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "arcade/measures.hpp"
 #include "support/errors.hpp"
@@ -523,4 +529,55 @@ TEST(Studies, PreemptiveStrategyVariantsResolveByName) {
     // The paper's own strategy list is unchanged.
     EXPECT_EQ(wt::paper_strategies().size(), 5u);
     EXPECT_THROW((void)wt::strategy("DED-pre"), arcade::InvalidArgument);
+}
+
+TEST(SweepRunner, SharedCostPassMatchesSeparateCostCellsBitwise) {
+    // The Fig 6 (instantaneous) and Fig 7 (accumulated) cells of one model
+    // share one power pass when both are in the grid.  Run them alone and
+    // together: every curve must keep its bits, and the shared run must
+    // still deliver its results in grid order.
+    const auto paper = sweep::paper::everything();
+    const auto cost_measure = [&](MeasureKind kind) {
+        for (const auto& m : paper.measures) {
+            if (m.kind == kind) return m;
+        }
+        throw std::logic_error("paper grid lost a cost measure");
+    };
+    const auto grid_of = [&](std::vector<sweep::MeasureSpec> measures) {
+        auto grid = paper;
+        grid.measures = std::move(measures);
+        return grid;
+    };
+    const auto inst = cost_measure(MeasureKind::InstantaneousCost);
+    const auto acc = cost_measure(MeasureKind::AccumulatedCost);
+    const auto run = [](const sweep::ScenarioGrid& grid) {
+        engine::AnalysisSession session;
+        return sweep::SweepRunner(session, {4u, {}}).run(grid);
+    };
+    const auto inst_only = run(grid_of({inst}));
+    const auto acc_only = run(grid_of({acc}));
+    const auto both_grid = grid_of({inst, acc});
+    const auto both = run(both_grid);
+
+    std::map<std::string, std::vector<double>> separate;
+    for (const auto* report : {&inst_only, &acc_only}) {
+        for (const auto& r : report->results) separate[r.item.key()] = r.values;
+    }
+    const auto expanded = sweep::expand(both_grid);
+    ASSERT_EQ(both.results.size(), expanded.size());
+    ASSERT_EQ(both.results.size(), separate.size());
+    for (std::size_t i = 0; i < both.results.size(); ++i) {
+        const auto& r = both.results[i];
+        EXPECT_EQ(r.item.index, i);
+        EXPECT_EQ(r.item.key(), expanded[i].key());
+        const auto it = separate.find(r.item.key());
+        ASSERT_NE(it, separate.end()) << r.item.key();
+        ASSERT_EQ(r.values.size(), it->second.size()) << r.item.key();
+        for (std::size_t k = 0; k < r.values.size(); ++k) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(r.values[k]),
+                      std::bit_cast<std::uint64_t>(it->second[k]))
+                << r.item.key() << " point " << k;
+        }
+        EXPECT_GT(r.seconds, 0.0);
+    }
 }

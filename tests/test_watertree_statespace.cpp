@@ -139,9 +139,12 @@ struct Fnv1a {
             h *= 1099511628211ull;
         }
     }
-    void sizes(const std::vector<std::size_t>& v) {
+    /// Each index hashed as one 64-bit word, whatever its stored width, so
+    /// the digests do not depend on the index type.
+    template <typename T>
+    void sizes(const std::vector<T>& v) {
         word(v.size());
-        for (const std::size_t x : v) word(x);
+        for (const T x : v) word(static_cast<std::uint64_t>(x));
     }
     void doubles(const std::vector<double>& v) {
         word(v.size());
