@@ -68,13 +68,13 @@ int main(int argc, char** argv) {
         const std::string arg = argv[i];
         const bool has_value = i + 1 < argc;
         if (arg == "--threads" && has_value) {
-            try {
-                threads = static_cast<unsigned>(std::stoul(argv[++i]));
-            } catch (const std::exception&) {
+            const auto count = sweep::parse_count(argv[++i]);
+            if (!count) {
                 std::cerr << "arcade_sweep: --threads needs a number, got '" << argv[i]
                           << "'\n";
                 return 2;
             }
+            threads = static_cast<unsigned>(*count);
         } else if (arg == "--csv" && has_value) {
             csv_path = argv[++i];
         } else if (arg == "--json" && has_value) {
@@ -95,14 +95,13 @@ int main(int argc, char** argv) {
         } else if (arg == "--list") {
             list_only = true;
         } else if (arg == "--pump-scaling" && has_value) {
-            try {
-                pump_scaling = std::stoi(argv[++i]);
-                if (pump_scaling < 0) throw std::invalid_argument("negative");
-            } catch (const std::exception&) {
+            const auto count = sweep::parse_count(argv[++i]);
+            if (!count) {
                 std::cerr << "arcade_sweep: --pump-scaling needs a non-negative "
                              "number of extra pumps, got '" << argv[i] << "'\n";
                 return 2;
             }
+            pump_scaling = static_cast<int>(*count);
         } else if (arg == "--symmetry" && has_value) {
             const std::string value = argv[++i];
             if (value == "off") {

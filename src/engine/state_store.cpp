@@ -128,9 +128,4 @@ void StateStore::reserve(std::size_t states) {
     hashes_.reserve(states);
 }
 
-std::size_t StateStore::memory_bytes() const noexcept {
-    return arena_.capacity() * sizeof(std::uint64_t) +
-           hashes_.capacity() * sizeof(std::size_t) + slots_.capacity() * sizeof(std::size_t);
-}
-
 }  // namespace arcade::engine

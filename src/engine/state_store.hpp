@@ -116,8 +116,6 @@ public:
     [[nodiscard]] std::int64_t value(std::size_t index, std::size_t field) const;
 
     void reserve(std::size_t states);
-    /// Arena + table footprint in bytes (for the perf counters).
-    [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
 private:
     StateLayout layout_;

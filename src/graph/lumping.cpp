@@ -37,7 +37,6 @@ Partition coarsest_lumping_rounds(const linalg::CsrMatrix& rates, Partition part
     std::vector<std::size_t> next(n);
 
     for (;;) {
-        if (stats != nullptr) ++stats->passes;
         std::unordered_map<std::vector<std::uint64_t>, std::size_t, WordVectorHash> ids;
         ids.reserve(partition.count * 2);
         std::size_t next_count = 0;
@@ -154,7 +153,6 @@ Partition coarsest_lumping_splitter(const linalg::CsrMatrix& rates, Partition pa
         const std::size_t splitter = queue.front();
         queue.pop_front();
         in_queue[splitter] = false;
-        if (stats != nullptr) ++stats->passes;
 
         // Gather every rate sent into the splitter from outside it.  Rates
         // from the splitter's own members are unconstrained by ordinary

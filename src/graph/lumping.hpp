@@ -14,7 +14,8 @@
 //   signature form).  Whenever a block splits, all parts re-enter the queue.
 //   Work is proportional to the in-edges of the splitters processed instead
 //   of one full O(m log n) sweep per round, which is what makes huge
-//   individual encodings cheap to lump (bench_perf_lumping quantifies it).
+//   individual encodings cheap to lump (test_lumping asserts it scans fewer
+//   edges than Rounds on every line-2 individual encoding).
 //   Hopcroft's process-all-but-the-largest-part trick is deliberately NOT
 //   used: its correctness relies on w(s, B \ B') = w(s, B) - w(s, B'), an
 //   identity of exact arithmetic that floating-point sums do not satisfy
@@ -103,11 +104,8 @@ enum class LumpingAlgorithm {
     Rounds,         ///< full-signature sweeps, O(rounds × m log n) (reference)
 };
 
-/// Work counters of one refinement run (bench_perf_lumping reports these).
+/// Work counters of one refinement run (test_lumping compares them).
 struct LumpingStats {
-    /// Rounds: full signature sweeps until the fixed point.
-    /// SplitterQueue: splitter blocks dequeued and processed.
-    std::size_t passes = 0;
     /// Block count of the final partition (block counts only ever grow, so
     /// this is also the peak).
     std::size_t blocks = 0;

@@ -241,30 +241,30 @@ std::vector<WorkItem> expand(const ScenarioGrid& grid) {
     return items;
 }
 
-ShardSpec ShardSpec::parse(const std::string& text) {
-    // Strict digits/digits only: stoul's prefix parsing would turn a typo
-    // like "1/3o" into shard 1/3 and silently duplicate work across a
+std::optional<std::size_t> parse_count(const std::string& text) {
+    // Strict digits only: stoul's prefix parsing would turn a typo like
+    // "1/3o" into shard 1/3 and silently duplicate work across a
     // mis-specified fleet.
-    const auto parse_number = [&](const std::string& part) {
-        if (part.empty() || part.size() > 9 ||
-            part.find_first_not_of("0123456789") != std::string::npos) {
-            throw InvalidArgument("ShardSpec: expected 'i/n' (e.g. '2/3'), got '" + text +
-                                  "'");
-        }
-        return static_cast<std::size_t>(std::stoul(part));
-    };
-    const std::size_t slash = text.find('/');
-    if (slash == std::string::npos) {
-        throw InvalidArgument("ShardSpec: expected 'i/n' (e.g. '2/3'), got '" + text +
-                              "'");
+    if (text.empty() || text.size() > 9 ||
+        text.find_first_not_of("0123456789") != std::string::npos) {
+        return std::nullopt;
     }
-    const std::size_t index = parse_number(text.substr(0, slash));
-    const std::size_t count = parse_number(text.substr(slash + 1));
-    if (count == 0 || index == 0 || index > count) {
+    return static_cast<std::size_t>(std::stoul(text));
+}
+
+ShardSpec ShardSpec::parse(const std::string& text) {
+    const std::size_t slash = text.find('/');
+    const auto index = parse_count(text.substr(0, slash));
+    const auto count =
+        slash == std::string::npos ? std::nullopt : parse_count(text.substr(slash + 1));
+    if (!index || !count) {
+        throw InvalidArgument("ShardSpec: expected 'i/n' (e.g. '2/3'), got '" + text + "'");
+    }
+    if (*count == 0 || *index == 0 || *index > *count) {
         throw InvalidArgument("ShardSpec: shard index must satisfy 1 <= i <= n, got '" +
                               text + "'");
     }
-    return ShardSpec{index, count};
+    return ShardSpec{*index, *count};
 }
 
 std::vector<WorkItem> shard_slice(const std::vector<WorkItem>& items,

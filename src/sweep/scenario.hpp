@@ -12,6 +12,7 @@
 #define ARCADE_SWEEP_SCENARIO_HPP
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -158,6 +159,12 @@ struct WorkItem {
 /// strategy names, unsorted time grids, a reliability measure with a
 /// disaster — throw InvalidArgument here, not mid-run.
 [[nodiscard]] std::vector<WorkItem> expand(const ScenarioGrid& grid);
+
+/// Parses a count written as 1–9 decimal digits and nothing else (no sign,
+/// no space, no suffix); nullopt otherwise.  The CLI's counts (shard
+/// numbers, --threads, --pump-scaling) all go through this rule, so a typo
+/// like "3x" or "-1" is an error rather than a silently different count.
+[[nodiscard]] std::optional<std::size_t> parse_count(const std::string& text);
 
 /// One slice of a sweep partitioned across processes: shard `index` of
 /// `count`, 1-based (the CLI spelling is `--shard i/n`).

@@ -189,7 +189,7 @@ TEST(CoarsestLumping, SplitterQueueMatchesRoundsOnWatertreeEncodings) {
     // levels + cost rates), rebuilt here by exact-value grouping.
     core::CompileOptions lumped;
     lumped.encoding = core::Encoding::Lumped;
-    for (const char* name : {"DED", "FRF-1", "FFF-2"}) {
+    for (const char* name : {"DED", "FRF-1", "FRF-2", "FFF-1", "FFF-2"}) {
         for (const bool individual : {true, false}) {
             const auto model = individual
                                    ? core::compile(wt::line2(wt::strategy(name)))

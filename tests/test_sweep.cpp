@@ -330,6 +330,17 @@ TEST(ShardSpec, ParsesTheCliSpelling) {
     }
 }
 
+TEST(ParseCount, AcceptsOnlyBareDecimalDigits) {
+    EXPECT_EQ(sweep::parse_count("0"), 0u);
+    EXPECT_EQ(sweep::parse_count("3"), 3u);
+    EXPECT_EQ(sweep::parse_count("007"), 7u);
+    EXPECT_EQ(sweep::parse_count("999999999"), 999999999u);
+    for (const char* bad : {"", "-1", "+1", "3x", "1z", " 2", "2 ", "1.0", "0x10",
+                            "1000000000"}) {
+        EXPECT_FALSE(sweep::parse_count(bad).has_value()) << bad;
+    }
+}
+
 TEST(ShardSlice, PartitionsTheWorkListContiguouslyAndExhaustively) {
     const auto grid = sweep::paper::everything();
     const auto items = sweep::expand(grid);

@@ -19,6 +19,7 @@
 //    symmetry quotients is bitwise identical to the hand-lumped encoding.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <sstream>
@@ -322,17 +323,36 @@ TEST(ModulesSymmetry, SynchronisingModulesStayOutOfTheFragment) {
 
 TEST(SweepSymmetry, PumpScalingReportsQuotientAndFullStates) {
     engine::AnalysisSession session;
-    const auto grid = sweep::studies::pump_scaling(/*max_extra_pumps=*/1);
+    const auto grid = sweep::studies::pump_scaling(/*max_extra_pumps=*/3);
     sweep::RunnerOptions options;
     options.symmetry = core::SymmetryPolicy::Auto;
     sweep::SweepRunner runner(session, options);
     const auto report = runner.run(grid);
-    ASSERT_EQ(report.results.size(), 4u);  // 2 lines x 2 scales
+    ASSERT_EQ(report.results.size(), 8u);  // 2 lines x 4 scales
 
-    for (const auto& r : report.results) {
-        EXPECT_GE(r.model_full_states, static_cast<double>(r.model_states));
-        EXPECT_GE(r.model_full_states / static_cast<double>(r.model_states), 10.0)
-            << r.item.key();
+    // Explored quotient states and the full count recovered from orbit
+    // sizes, per (line, extra pumps).  The +3 full chains (23.7M / 1.0M
+    // states) are never built.
+    struct Expected {
+        int line;
+        std::size_t extra_pumps;
+        std::size_t explored;
+        double full;
+    };
+    const Expected expected[] = {
+        {1, 0, 449, 111809},  {1, 1, 545, 562817},  {1, 2, 641, 3381185},
+        {1, 3, 737, 23673089}, {2, 0, 257, 8129},    {2, 1, 327, 33511},
+        {2, 2, 397, 168709},  {2, 3, 467, 1013567},
+    };
+    for (const auto& e : expected) {
+        const auto it = std::find_if(
+            report.results.begin(), report.results.end(), [&](const auto& r) {
+                return r.item.line == e.line && r.item.scale.extra_pumps == e.extra_pumps;
+            });
+        ASSERT_NE(it, report.results.end()) << "line" << e.line << " +" << e.extra_pumps;
+        EXPECT_EQ(it->item.strategy, "FRF-1");
+        EXPECT_EQ(it->model_states, e.explored) << it->item.key();
+        EXPECT_EQ(it->model_full_states, e.full) << it->item.key();
     }
 
     std::ostringstream table;
