@@ -61,8 +61,8 @@ int main(int argc, char** argv) {
     bool properties_sweep = false;
     bool list_only = false;
     int pump_scaling = -1;  // <0: not requested
-    core::ReductionPolicy reduction = core::default_reduction_policy();
-    core::SymmetryPolicy symmetry = core::default_symmetry_policy();
+    core::ReductionPolicy reduction = core::ReductionPolicy::Off;
+    core::SymmetryPolicy symmetry = core::SymmetryPolicy::Off;
     bool symmetry_explicit = false;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];

@@ -64,8 +64,7 @@ int main() {
         cells.emplace_back(buf);
         const std::vector<double> day{0.0, 24.0};
         std::snprintf(buf, sizeof buf, "%.2f",
-                      core::accumulated_cost_series(*compiled, disaster, day,
-                                    core::session_transient(session)).back());
+                      core::accumulated_cost_series(*compiled, disaster, day).back());
         cells.emplace_back(buf);
         std::snprintf(buf, sizeof buf, "%.3f", core::steady_state_cost(session, compiled));
         cells.emplace_back(buf);

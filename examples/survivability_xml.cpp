@@ -38,8 +38,7 @@ int main() {
     fig.set_times(times);
     for (double x : wt::service_interval_bounds(model)) {
         fig.add_series("service>=" + std::to_string(x).substr(0, 4),
-                       core::survivability_series(*compiled, disaster, x, times,
-                                                  core::session_transient(session)));
+                       core::survivability_series(*compiled, disaster, x, times));
     }
     fig.print(std::cout);
     return 0;

@@ -61,8 +61,7 @@ int main() {
               << core::survivability(*frf2_l1, d1, 1.0, 4.5) << "\n";
     const std::vector<double> ten_hours{0.0, 10.0};
     std::cout << "    E[cost over 10h]            = "
-              << core::accumulated_cost_series(*frf2_l1, d1, ten_hours,
-                                           core::session_transient(session)).back() << "\n";
+              << core::accumulated_cost_series(*frf2_l1, d1, ten_hours).back() << "\n";
 
     const auto frf2_l2 = session.compile(wt::line2(wt::paper_strategies()[2]), lumped);
     const auto d2 = wt::disaster2();
@@ -73,8 +72,7 @@ int main() {
               << core::survivability(*frf2_l2, d2, 2.0 / 3.0, 100.0) << "\n";
     const std::vector<double> fifty_hours{0.0, 50.0};
     std::cout << "    E[cost over 50h]            = "
-              << core::accumulated_cost_series(*frf2_l2, d2, fifty_hours,
-                                           core::session_transient(session)).back() << "\n";
+              << core::accumulated_cost_series(*frf2_l2, d2, fifty_hours).back() << "\n";
 
     const auto stats = session.stats();
     std::cout << "\nsession cache: " << stats.compile_misses << " compiles, "

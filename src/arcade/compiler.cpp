@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "arcade/fault_tree.hpp"
@@ -836,19 +835,6 @@ std::string service_label(double level) {
     char buf[40];
     std::snprintf(buf, sizeof buf, "service>=%.17g", level);
     return buf;
-}
-
-ReductionPolicy default_reduction_policy() {
-    static const ReductionPolicy policy = [] {
-        const char* env = std::getenv("ARCADE_REDUCTION");
-        if (env == nullptr) return ReductionPolicy::Off;
-        const std::string value(env);
-        if (value == "auto" || value == "Auto" || value == "on" || value == "1") {
-            return ReductionPolicy::Auto;
-        }
-        return ReductionPolicy::Off;
-    }();
-    return policy;
 }
 
 ctmc::LumpSignature CompiledModel::lump_signature() const {

@@ -46,12 +46,9 @@ enum class Encoding { Individual, Lumped };
 ///          full measure signature (all chain labels + service levels +
 ///          cost rates) and lift/aggregate results back.  Exact for every
 ///          measure in this library; see src/ctmc/quotient.hpp.
+/// Chosen per call (CompileOptions::reduction, RunnerOptions::reduction,
+/// arcade_sweep --reduction); every default is Off.
 enum class ReductionPolicy { Off, Auto };
-
-/// Process-wide default, read once from the ARCADE_REDUCTION environment
-/// variable ("auto"/"on"/"1" select Auto; anything else, or unset, is Off).
-/// Lets CI force the whole test suite through the reduction layer.
-[[nodiscard]] ReductionPolicy default_reduction_policy();
 
 /// Whether compilation explores the symmetry quotient directly (engine
 /// on-the-fly reduction) instead of the full chain.  Under Auto the
@@ -60,9 +57,9 @@ enum class ReductionPolicy { Off, Auto };
 /// canonicalises every explored state to its orbit representative, so the
 /// full chain is never materialised.  The quotient is an exact ordinary
 /// lumping; it composes with ReductionPolicy (symmetry first, splitter-
-/// queue refinement on the residual).  See engine/symmetry.hpp.
+/// queue refinement on the residual).  See engine/symmetry.hpp.  Chosen per
+/// call like ReductionPolicy (arcade_sweep --symmetry); every default is Off.
 using engine::SymmetryPolicy;
-using engine::default_symmetry_policy;
 
 /// Remains only for the benchmark's provenance code.
 enum class BatchPolicy { Off, Auto };
@@ -84,9 +81,9 @@ struct CompileOptions {
     /// Any thread count produces the identical CTMC.
     unsigned threads = 0;
     /// Run analyses on the lumped quotient of the compiled chain?
-    ReductionPolicy reduction = default_reduction_policy();
-    /// Explore the symmetry quotient directly (ARCADE_SYMMETRY=off|auto)?
-    SymmetryPolicy symmetry = default_symmetry_policy();
+    ReductionPolicy reduction = ReductionPolicy::Off;
+    /// Explore the symmetry quotient directly?
+    SymmetryPolicy symmetry = SymmetryPolicy::Off;
     /// Kept for perfbench; `compile` ignores it.
     analysis::LintLevel lint = analysis::default_lint_level();
 };

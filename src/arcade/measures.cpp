@@ -36,10 +36,8 @@ double combined_availability(double line1, double line2) {
     return line1 + line2 - line1 * line2;
 }
 
-ctmc::TransientOptions session_transient(engine::AnalysisSession& session) {
-    ctmc::TransientOptions options;
-    options.workspace = &session.workspace();
-    return options;
+ctmc::TransientOptions session_transient(engine::AnalysisSession& /*session*/) {
+    return {};
 }
 
 std::vector<double> reliability_series(const CompiledModel& model,

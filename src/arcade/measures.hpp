@@ -8,10 +8,9 @@
 //
 // Every series is one uniformised power pass (ctmc::functional_series), and
 // cost_series reads several cost curves off one pass.  Every series function
-// accepts a ctmc::TransientOptions whose workspace pool the engine's
-// AnalysisSession provides — the session-flavoured overloads below wire that
-// up and reuse the session's cached steady-state solution for the long-run
-// measures.
+// accepts a ctmc::TransientOptions (the Fox–Glynn epsilon); the
+// session-flavoured overloads below reuse the session's cached steady-state
+// solution for the long-run measures.
 #ifndef ARCADE_ARCADE_MEASURES_HPP
 #define ARCADE_ARCADE_MEASURES_HPP
 
@@ -77,8 +76,7 @@ namespace arcade::core {
 [[nodiscard]] double steady_state_cost(engine::AnalysisSession& session,
                                        const engine::AnalysisSession::CompiledPtr& model);
 
-/// Transient options wired to a session's workspace pool — pass to any of
-/// the series functions to reuse the session's uniformisation scratch.
+/// Kept for perfbench; returns default options.
 [[nodiscard]] ctmc::TransientOptions session_transient(engine::AnalysisSession& session);
 
 /// Remains only for the benchmark's step-count code (a survivability cell's chain).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "engine/workspace.hpp"
 #include "linalg/kernels.hpp"
 #include "numeric/fox_glynn.hpp"
 #include "support/errors.hpp"
@@ -77,8 +76,6 @@ std::vector<double> bounded_until_all_states(const Ctmc& chain, const std::vecto
     const std::vector<bool> absorbing = until_absorbing(chain, phi, psi);
     const std::size_t n = chain.state_count();
 
-    // `cur` can be the return value (the zero-rate short-circuit) and `acc`
-    // always is — both escape, so only `next` routes through the pool.
     std::vector<double> cur(n, 0.0);
     for (std::size_t s = 0; s < n; ++s) cur[s] = psi[s] ? 1.0 : 0.0;
 
@@ -91,8 +88,7 @@ std::vector<double> bounded_until_all_states(const Ctmc& chain, const std::vecto
     const auto weights = numeric::fox_glynn_cached(p.lambda * t, options.epsilon);
 
     std::vector<double> acc(n, 0.0);
-    engine::ScratchVector next_scratch(options.workspace, n);
-    std::vector<double>& next = next_scratch.get();
+    std::vector<double> next(n);
 
     // next = P * cur  (column-vector form of the uniformised matrix)
     const auto power_step = [&] {

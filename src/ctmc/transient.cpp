@@ -14,8 +14,8 @@ TransientEvolver::TransientEvolver(const Ctmc& chain, std::span<const double> in
     : p_(uniformise(chain)),
       options_(options),
       dist_(initial.begin(), initial.end()),
-      scratch_a_(options.workspace, p_.rows()),
-      scratch_b_(options.workspace, p_.rows()) {
+      scratch_a_(p_.rows()),
+      scratch_b_(p_.rows()) {
     ARCADE_ASSERT(initial.size() == p_.rows(), "initial size mismatch");
 }
 
@@ -27,8 +27,8 @@ void TransientEvolver::step(double dt) {
     const auto weights = numeric::fox_glynn_cached(q, options_.epsilon);
 
     // result = sum_k w_k * dist * P^k
-    std::vector<double>& acc = scratch_a_.get();
-    std::vector<double>& cur = scratch_b_.get();
+    std::vector<double>& acc = scratch_a_;
+    std::vector<double>& cur = scratch_b_;
     std::fill(acc.begin(), acc.end(), 0.0);
     cur = dist_;
 
@@ -145,11 +145,8 @@ std::vector<std::vector<double>> functional_series(const linalg::UniformisedMatr
         steps = std::max(steps, grids.back().steps());
     }
 
-    engine::ScratchVector cur_scratch(options.workspace, n);
-    engine::ScratchVector next_scratch(options.workspace, n);
-    std::vector<double>& cur = cur_scratch.get();
-    std::vector<double>& next = next_scratch.get();
-    std::copy(initial.begin(), initial.end(), cur.begin());
+    std::vector<double> cur(initial.begin(), initial.end());
+    std::vector<double> next(n);
 
     std::vector<double> s;
     s.reserve(steps + 1);

@@ -20,18 +20,12 @@
 #include <vector>
 
 #include "ctmc/ctmc.hpp"
-#include "engine/workspace.hpp"
 #include "numeric/fox_glynn.hpp"
 
 namespace arcade::ctmc {
 
 struct TransientOptions {
     double epsilon = 1e-12;  ///< Fox–Glynn truncation error per grid point
-    /// When set, uniformisation scratch vectors are borrowed from (and
-    /// returned to) this pool instead of being allocated per evolver —
-    /// an AnalysisSession passes its pool here so repeated curve
-    /// evaluations on the same model reuse one set of buffers.
-    engine::WorkspacePool* workspace = nullptr;
 };
 
 /// Distribution over states at time `t`, starting from `initial`.
@@ -73,8 +67,8 @@ private:
     linalg::UniformisedMatrix p_;
     TransientOptions options_;
     std::vector<double> dist_;
-    engine::ScratchVector scratch_a_;  ///< pool-borrowed when options_.workspace
-    engine::ScratchVector scratch_b_;
+    std::vector<double> scratch_a_;
+    std::vector<double> scratch_b_;
     double time_ = 0.0;
 
     void step(double dt);
@@ -125,8 +119,7 @@ struct SeriesRequest {
 /// request gets its own SeriesGrid (so a decreasing grid in any request
 /// throws InvalidArgument before any step), and result i is bitwise the
 /// single-request functional_series of request i: a grid point reads only
-/// s_0 … s_right of its own window, whatever the other requests need.  The
-/// pass's two scratch vectors are borrowed from `options.workspace`.
+/// s_0 … s_right of its own window, whatever the other requests need.
 [[nodiscard]] std::vector<std::vector<double>> functional_series(
     const linalg::UniformisedMatrix& p, std::span<const double> initial,
     std::span<const SeriesRequest> requests, const DistributionFunctional& f,

@@ -188,12 +188,10 @@ AnalysisSession::ExploredPtr AnalysisSession::explore(const modules::ModuleSyste
                                                       const modules::ExploreOptions& options) {
     const std::uint64_t key =
         options_key(fingerprint(system), 0, options.max_states, /*reduction=*/0,
-                    static_cast<std::uint64_t>(options.symmetry),
-                    static_cast<std::uint64_t>(options.eval));
+                    /*symmetry=*/0, static_cast<std::uint64_t>(options.eval));
     const std::uint64_t check =
         options_key(fingerprint(system, /*seed=*/1), 0, options.max_states,
-                    /*reduction=*/0, static_cast<std::uint64_t>(options.symmetry),
-                    static_cast<std::uint64_t>(options.eval));
+                    /*reduction=*/0, /*symmetry=*/0, static_cast<std::uint64_t>(options.eval));
     {
         std::lock_guard<std::mutex> lock(mutex_);
         const auto it = explored_.find(key);
@@ -212,12 +210,6 @@ AnalysisSession::ExploredPtr AnalysisSession::explore(const modules::ModuleSyste
     }
     entry = {check, std::move(fresh)};
     ++stats_.explore_misses;
-    if (entry.value->symmetry_reduced) {
-        stats_.symmetry_states_in +=
-            static_cast<std::size_t>(entry.value->symmetry_full_states + 0.5);
-        stats_.symmetry_states_out += entry.value->state_count();
-        stats_.symmetry_seconds += entry.value->symmetry_seconds;
-    }
     return entry.value;
 }
 
@@ -346,7 +338,6 @@ void AnalysisSession::clear() {
     explored_.clear();
     steady_.clear();
     properties_.clear();
-    workspace_.clear();
     stats_ = SessionStats{};
 }
 

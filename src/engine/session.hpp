@@ -10,8 +10,7 @@
 //     line+strategy+encoding requests return the same shared_ptr),
 //   * steady-state distributions per compiled model (one Gauss–Seidel
 //     solve serves availability AND long-run cost),
-//   * a WorkspacePool of solver scratch vectors (uniformisation buffers)
-//     that TransientOptions::workspace plugs into.
+//   * lumped quotients and CSL property results per compiled model.
 //
 // Sessions are thread-safe; the process-wide `global()` session backs the
 // convenience paths in bench_common and the examples.
@@ -26,7 +25,6 @@
 
 #include "arcade/compiler.hpp"
 #include "arcade/types.hpp"
-#include "engine/workspace.hpp"
 #include "modules/explorer.hpp"
 #include "modules/modules.hpp"
 
@@ -59,14 +57,14 @@ struct SessionStats {
     /// misses run the checker (on the quotient under ReductionPolicy::Auto).
     std::size_t property_hits = 0;
     std::size_t property_misses = 0;
-    /// On-the-fly symmetry reduction, aggregated over compile/explore misses
-    /// whose model carried nontrivial orbits: full-chain states that were
-    /// never materialised (recovered exactly from orbit sizes) vs orbit
-    /// representatives actually explored, plus the wall seconds spent in the
-    /// orbit-accounting pass.  symmetry_states_in / symmetry_states_out is
-    /// the aggregate quotient ratio — next to the lump counters because the
-    /// two reductions compose (symmetry during exploration, splitter-queue
-    /// refinement on the residual).
+    /// On-the-fly symmetry reduction, aggregated over compile misses whose
+    /// model carried nontrivial orbits (SymmetryPolicy::Auto): full-chain
+    /// states that were never materialised (recovered exactly from orbit
+    /// sizes) vs orbit representatives actually explored, plus the wall
+    /// seconds spent in the orbit-accounting pass.  symmetry_states_in /
+    /// symmetry_states_out is the aggregate quotient ratio — next to the
+    /// lump counters because the two reductions compose (symmetry during
+    /// exploration, splitter-queue refinement on the residual).
     std::size_t symmetry_states_in = 0;
     std::size_t symmetry_states_out = 0;
     double symmetry_seconds = 0.0;
@@ -175,12 +173,9 @@ public:
     /// Long-run expected cost rate, from the same cached distribution.
     [[nodiscard]] double steady_state_cost(const CompiledPtr& model);
 
-    /// Scratch-buffer pool for transient solvers (TransientOptions::workspace).
-    [[nodiscard]] WorkspacePool& workspace() noexcept { return workspace_; }
-
     [[nodiscard]] SessionStats stats() const;
 
-    /// Drops every cached artefact (models, distributions, scratch).
+    /// Drops every cached artefact (models, distributions, properties).
     void clear();
 
     /// Process-wide session used by the convenience helpers in bench/examples.
@@ -219,7 +214,6 @@ private:
     std::unordered_map<std::uint64_t, CacheEntry<ExploredPtr>> explored_;
     std::unordered_map<const core::CompiledModel*, SteadyEntry> steady_;
     std::unordered_map<std::uint64_t, PropertyEntry> properties_;
-    WorkspacePool workspace_;
     SessionStats stats_;
 };
 

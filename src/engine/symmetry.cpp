@@ -1,25 +1,10 @@
 #include "engine/symmetry.hpp"
 
-#include <cstdlib>
-#include <string>
 #include <utility>
 
 #include "support/errors.hpp"
 
 namespace arcade::engine {
-
-SymmetryPolicy default_symmetry_policy() {
-    static const SymmetryPolicy policy = [] {
-        const char* raw = std::getenv("ARCADE_SYMMETRY");
-        if (raw == nullptr) return SymmetryPolicy::Off;
-        const std::string value(raw);
-        if (value == "auto" || value == "Auto" || value == "on" || value == "1") {
-            return SymmetryPolicy::Auto;
-        }
-        return SymmetryPolicy::Off;
-    }();
-    return policy;
-}
 
 StateSymmetry::StateSymmetry(std::vector<SymmetryOrbit> orbits) {
     for (auto& orbit : orbits) {

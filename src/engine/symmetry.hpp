@@ -31,25 +31,22 @@
 
 namespace arcade::engine {
 
-/// Whether compile/explore canonicalise states to orbit representatives.
+/// Whether core::compile canonicalises states to orbit representatives.
 /// Mirrors core::ReductionPolicy: Off explores the full chain (the seed
 /// behaviour, byte-identical outputs), Auto explores the symmetry quotient
-/// directly whenever nontrivial orbits are detected.
+/// directly whenever nontrivial orbits are detected.  Each compile chooses
+/// (CompileOptions::symmetry).
 enum class SymmetryPolicy {
     Off,   ///< explore the full chain
     Auto,  ///< canonicalise to orbit representatives during exploration
 };
 
-/// Process-wide default, read once from the ARCADE_SYMMETRY environment
-/// variable ("auto"/"on"/"1" select Auto; anything else, or unset, Off).
-[[nodiscard]] SymmetryPolicy default_symmetry_policy();
-
 /// One orbit of interchangeable instances.  `instances[i]` lists the field
 /// indices (into the StateLayout the symmetry was built for) holding
 /// instance i's sub-vector; every instance has the same arity, and the
 /// field tuples are disjoint.  Any permutation of the instances must be an
-/// automorphism of the chain — the *builder* (compiler or module-level
-/// analysis) is responsible for proving that.
+/// automorphism of the chain — the builder (make_state_symmetry in
+/// arcade/compiler.cpp) is responsible for proving that.
 struct SymmetryOrbit {
     std::vector<std::vector<std::size_t>> instances;
 };

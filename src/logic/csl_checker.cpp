@@ -396,7 +396,6 @@ std::vector<double> check_series(engine::AnalysisSession& session,
                                 : std::vector<double>(initial.begin(), initial.end());
     ctmc::TransientOptions topt;
     topt.epsilon = options.epsilon;
-    topt.workspace = &session.workspace();
 
     std::vector<double> values;
     if (const auto* prob = std::get_if<Probabilistic>(&f->node())) {

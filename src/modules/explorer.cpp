@@ -4,10 +4,7 @@
 #include <unordered_map>
 #include <utility>
 
-#include <chrono>
-
 #include "engine/explore.hpp"
-#include "modules/symmetry.hpp"
 #include "support/errors.hpp"
 
 namespace arcade::modules {
@@ -463,17 +460,9 @@ ExploredModel explore(const ModuleSystem& system, const ExploreOptions& options)
         initial[i] = v.init;
     }
 
-    // On-the-fly symmetry reduction: prove interchangeable module instances
-    // and explore the orbit quotient directly (modules/symmetry.hpp).
-    engine::StateSymmetry symmetry;
-    if (options.symmetry == engine::SymmetryPolicy::Auto) {
-        symmetry = analyze_symmetry(system).state_symmetry(system);
-    }
-
     engine::EngineOptions engine_options;
     engine_options.max_states = options.max_states;
     engine_options.threads = options.threads;
-    engine_options.symmetry = symmetry.trivial() ? nullptr : &symmetry;
     auto explored = engine::explore_bfs(
         make_layout(ctx.vars), initial, [&ctx] { return Worker(ctx); }, engine_options);
     engine::StateStore store = std::move(explored.store);
@@ -485,24 +474,6 @@ ExploredModel explore(const ModuleSystem& system, const ExploreOptions& options)
     ExploredModel out{std::move(chain), {}, std::move(store), {}};
     out.variable_names.reserve(ctx.vars.size());
     for (const auto& v : ctx.vars) out.variable_names.push_back(v.name);
-
-    // Orbit accounting: the full chain is the disjoint union of the orbits
-    // of the explored representatives, so its exact state count is the sum
-    // of orbit sizes (see engine/symmetry.hpp).
-    out.symmetry_full_states = static_cast<double>(out.store.size());
-    if (!symmetry.trivial()) {
-        const auto t0 = std::chrono::steady_clock::now();
-        out.symmetry_reduced = true;
-        out.symmetry_full_states = 0.0;
-        State orbit_values(ctx.vars.size());
-        for (std::size_t s = 0; s < out.store.size(); ++s) {
-            out.store.unpack(s, std::span<std::int64_t>(orbit_values));
-            out.symmetry_full_states += symmetry.orbit_size(orbit_values);
-        }
-        out.symmetry_seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                .count();
-    }
 
     // Labels and rewards: one serial sweep over the decoded states, reusing
     // the same compiled programs (or the oracle environment) per state.

@@ -9,6 +9,8 @@
 // Exploration runs on the engine layer: states are bit-packed into the
 // arena-backed store and the BFS is sharded across worker threads
 // (ExploreOptions::threads); any thread count produces the identical CTMC.
+// The explored chain is always the full chain: orbit (symmetry) reduction
+// happens only in core::compile, lumping after exploration.
 #ifndef ARCADE_MODULES_EXPLORER_HPP
 #define ARCADE_MODULES_EXPLORER_HPP
 
@@ -19,7 +21,6 @@
 
 #include "ctmc/ctmc.hpp"
 #include "engine/state_store.hpp"
-#include "engine/symmetry.hpp"
 #include "expr/vm.hpp"
 #include "modules/modules.hpp"
 #include "rewards/rewards.hpp"
@@ -35,12 +36,6 @@ struct ExploreOptions {
     /// tree interpreter (EvalMode::Interp) is the oracle tests pass
     /// explicitly — both produce bitwise-identical chains.
     expr::EvalMode eval = expr::EvalMode::Vm;
-    /// On-the-fly symmetry reduction (ARCADE_SYMMETRY=off|auto): under Auto
-    /// the explorer runs modules::analyze_symmetry and explores the orbit
-    /// quotient directly whenever interchangeable module instances are
-    /// proven (see modules/symmetry.hpp); labels and rewards are evaluated
-    /// on the orbit representatives, which the analysis guarantees is exact.
-    engine::SymmetryPolicy symmetry = engine::default_symmetry_policy();
 };
 
 /// Result of exploring a module system.
@@ -49,13 +44,6 @@ struct ExploredModel {
     std::vector<std::string> variable_names;  ///< flattened declaration order
     engine::StateStore store;                 ///< packed valuation per state index
     std::map<std::string, rewards::RewardStructure> reward_structures;
-    /// True when the chain is the symmetry quotient over nontrivial orbits.
-    bool symmetry_reduced = false;
-    /// Exact full-chain state count recovered from orbit sizes (equals
-    /// state_count() when no symmetry was applied); wall seconds of the
-    /// post-exploration orbit accounting pass.
-    double symmetry_full_states = 0.0;
-    double symmetry_seconds = 0.0;
 
     [[nodiscard]] std::size_t state_count() const noexcept { return store.size(); }
 

@@ -13,13 +13,6 @@
 
 namespace arcade::numeric {
 
-double poisson_pmf(double q, std::size_t k) {
-    if (q == 0.0) return k == 0 ? 1.0 : 0.0;
-    const double log_p =
-        -q + static_cast<double>(k) * std::log(q) - std::lgamma(static_cast<double>(k) + 1.0);
-    return std::exp(log_p);
-}
-
 PoissonWeights fox_glynn(double q, double epsilon) {
     ARCADE_ASSERT(q >= 0.0, "fox_glynn: negative rate");
     ARCADE_ASSERT(epsilon > 0.0 && epsilon < 1.0, "fox_glynn: epsilon out of (0,1)");

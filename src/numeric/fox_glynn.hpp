@@ -56,9 +56,6 @@ struct FoxGlynnCacheStats {
 /// Empties the LRU and zeroes its counters (tests).
 void fox_glynn_cache_clear();
 
-/// Direct Poisson pmf e^{-q} q^k / k!, numerically stable via logs.
-[[nodiscard]] double poisson_pmf(double q, std::size_t k);
-
 }  // namespace arcade::numeric
 
 #endif  // ARCADE_NUMERIC_FOX_GLYNN_HPP

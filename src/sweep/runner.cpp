@@ -165,7 +165,6 @@ ScenarioResult evaluate(engine::AnalysisSession& session, const ScenarioGrid& gr
     const double t0 = now_seconds();
     ScenarioResult result;
     const auto model = prepare(session, grid, item, options, result);
-    const auto transient = core::session_transient(session);
     switch (item.measure.kind) {
         case MeasureKind::Availability:
             result.values = {core::availability(session, model)};
@@ -177,12 +176,12 @@ ScenarioResult evaluate(engine::AnalysisSession& session, const ScenarioGrid& gr
             result.values = {static_cast<double>(model->state_count())};
             break;
         case MeasureKind::Reliability:
-            result.values = core::reliability_series(*model, item.measure.times, transient);
+            result.values = core::reliability_series(*model, item.measure.times);
             break;
         case MeasureKind::Survivability:
             result.values = core::survivability_series(
                 *model, make_disaster(item.measure.disaster, *model),
-                item.measure.service_level, item.measure.times, transient);
+                item.measure.service_level, item.measure.times);
             break;
         case MeasureKind::InstantaneousCost:
         case MeasureKind::AccumulatedCost:
@@ -257,8 +256,7 @@ void evaluate_costs(engine::AnalysisSession& session, const ScenarioGrid& grid,
                                                : ctmc::SeriesForm::Accumulated});
     }
     auto values = core::cost_series(
-        *model, make_disaster(items[cells.front()].measure.disaster, *model), requests,
-        core::session_transient(session));
+        *model, make_disaster(items[cells.front()].measure.disaster, *model), requests);
     const double seconds = (now_seconds() - t0) / static_cast<double>(cells.size());
     for (std::size_t k = 0; k < cells.size(); ++k) {
         results[cells[k]].values = std::move(values[k]);

@@ -70,11 +70,11 @@ struct RunnerOptions {
     /// Flows into CompileOptions::reduction for every compile of the run;
     /// quotients are built in the phase-1 compile barrier and the report's
     /// stats carry the lump cache counters and reduction sizes.
-    core::ReductionPolicy reduction = core::default_reduction_policy();
-    /// On-the-fly symmetry reduction (ARCADE_SYMMETRY): under Auto every
-    /// compile of the run explores the orbit quotient over interchangeable
-    /// components directly; the report's stats carry the symmetry counters.
-    core::SymmetryPolicy symmetry = core::default_symmetry_policy();
+    core::ReductionPolicy reduction = core::ReductionPolicy::Off;
+    /// On-the-fly symmetry reduction: under Auto every compile of the run
+    /// explores the orbit quotient over interchangeable components directly;
+    /// the report's stats carry the symmetry counters.
+    core::SymmetryPolicy symmetry = core::SymmetryPolicy::Off;
 };
 
 class SweepRunner {

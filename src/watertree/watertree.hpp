@@ -64,13 +64,13 @@ struct Strategy {
 /// compiling (the reliability measure and the no-repair model variants);
 /// `reduction` selects whether measures of the model run on its lumped
 /// quotient; `symmetry` selects on-the-fly exploration of the orbit quotient
-/// over interchangeable components (ARCADE_SYMMETRY).
+/// over interchangeable components.  Both default to Off.
 [[nodiscard]] engine::AnalysisSession::CompiledPtr compile_line(
     engine::AnalysisSession& session, int number, const Strategy& strategy,
     core::Encoding encoding = core::Encoding::Individual, const Parameters& params = {},
     bool with_repair = true,
-    core::ReductionPolicy reduction = core::default_reduction_policy(),
-    core::SymmetryPolicy symmetry = core::default_symmetry_policy(),
+    core::ReductionPolicy reduction = core::ReductionPolicy::Off,
+    core::SymmetryPolicy symmetry = core::SymmetryPolicy::Off,
     std::size_t extra_pumps = 0);
 
 /// Line 1: 3 softeners, 3 sand filters, 1 reservoir, 4 pumps (3+1 spare).

@@ -207,9 +207,7 @@ TEST(Compiler, WithoutRepairRemovesAllRepairTransitions) {
     core::ModelBuilder builder("r");
     builder.add_redundant_phase("c", 3, 100.0, 1.0);
     builder.with_repair(core::RepairPolicy::Dedicated);
-    core::CompileOptions full;  // pins the full 2^3 chain, not its quotient
-    full.symmetry = core::SymmetryPolicy::Off;
-    const auto stripped = core::compile(core::without_repair(builder.build()), full);
+    const auto stripped = core::compile(core::without_repair(builder.build()));
     EXPECT_EQ(stripped.state_count(), 8u);
     // only failure transitions: 3 * 2^3 / 2 ... every up component can fail:
     // sum over states of #up = 3*4 = 12

@@ -39,13 +39,8 @@ protected:
 
 TEST_P(PipelineEquivalence, ModulesTranslationMatchesNativeCompiler) {
     const auto model = wt::line2(strategy());
-    core::CompileOptions full;  // structural full-chain comparison
-    full.symmetry = core::SymmetryPolicy::Off;
-    modules::ExploreOptions full_explore;
-    full_explore.symmetry = arcade::engine::SymmetryPolicy::Off;
-    const auto native = core::compile(model, full);
-    const auto explored =
-        modules::explore(core::to_reactive_modules(model), full_explore);
+    const auto native = core::compile(model);
+    const auto explored = modules::explore(core::to_reactive_modules(model));
 
     EXPECT_EQ(explored.chain.state_count(), native.state_count());
     EXPECT_EQ(explored.chain.transition_count(), native.transition_count());

@@ -173,7 +173,6 @@ TEST(CslQuotient, EnginePathUnderAutoIsTheLiftedQuotientCheckBitwise) {
     core::CompileOptions options;
     options.encoding = core::Encoding::Individual;
     options.reduction = core::ReductionPolicy::Auto;
-    options.symmetry = core::SymmetryPolicy::Off;  // the lift targets the full chain
     const auto model = session.compile(wt::line2(wt::strategy("FRF-1")), options);
     const auto q = session.quotient(model);
     ASSERT_LT(q->block_count(), model->state_count());
@@ -310,7 +309,6 @@ TEST(CslQuotient, UnreferencedNonLumpableRewardStructuresDoNotAbortChecks) {
     engine::AnalysisSession session;
     core::CompileOptions options;
     options.reduction = core::ReductionPolicy::Auto;
-    options.symmetry = core::SymmetryPolicy::Off;  // the guard needs a lumpable chain
     const auto model = session.compile(wt::line2(wt::strategy("DED")), options);
     ASSERT_LT(session.quotient(model)->block_count(), model->state_count());
 

@@ -1,5 +1,5 @@
 // Engine layer: packed state store, deterministic parallel exploration,
-// analysis-session caching, workspace pooling.
+// analysis-session caching.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -12,11 +12,9 @@
 #include "arcade/compiler.hpp"
 #include "arcade/measures.hpp"
 #include "arcade/modules_compiler.hpp"
-#include "ctmc/transient.hpp"
 #include "engine/explore.hpp"
 #include "engine/session.hpp"
 #include "engine/state_store.hpp"
-#include "engine/workspace.hpp"
 #include "linalg/csr_matrix.hpp"
 #include "modules/explorer.hpp"
 #include "support/errors.hpp"
@@ -377,14 +375,12 @@ TEST(ParallelExploration, CompileMatchesSerialOnLine2) {
     const auto model = wt::line2(wt::strategy("FRF-1"));
     core::CompileOptions serial;
     serial.threads = 1;
-    serial.symmetry = core::SymmetryPolicy::Off;  // this test pins the full chain
     const auto reference = core::compile(model, serial);
     EXPECT_EQ(reference.state_count(), 8129u);  // paper Table 1
 
     for (const unsigned threads : {2u, 4u}) {
         core::CompileOptions parallel;
         parallel.threads = threads;
-        parallel.symmetry = core::SymmetryPolicy::Off;
         expect_identical(reference, core::compile(model, parallel));
     }
 }
@@ -480,27 +476,3 @@ TEST(AnalysisSession, SteadyStateSolvedOncePerModel) {
     session.clear();
     EXPECT_EQ(session.stats().steady_state_misses, 0u);
 }
-
-TEST(Workspace, PoolReusesBuffersAndPreservesResults) {
-    engine::AnalysisSession session;
-    core::CompileOptions lumped;
-    lumped.encoding = core::Encoding::Lumped;
-    const auto model = session.compile(wt::line2(wt::strategy("FRF-2")), lumped);
-    const auto disaster = wt::disaster2();
-    const std::vector<double> times{0.0, 10.0, 25.0, 50.0};
-
-    const auto plain = core::survivability_series(*model, disaster, 1.0 / 3.0, times);
-    const auto pooled = core::survivability_series(*model, disaster, 1.0 / 3.0, times,
-                                                   core::session_transient(session));
-    ASSERT_EQ(plain.size(), pooled.size());
-    for (std::size_t i = 0; i < plain.size(); ++i) {
-        EXPECT_NEAR(plain[i], pooled[i], 1e-14);
-    }
-    EXPECT_GT(session.workspace().acquire_count(), 0u);
-
-    // A second curve on the same model reuses the released buffers.
-    (void)core::survivability_series(*model, disaster, 2.0 / 3.0, times,
-                                     core::session_transient(session));
-    EXPECT_GT(session.workspace().reuse_count(), 0u);
-}
-

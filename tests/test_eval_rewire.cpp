@@ -5,8 +5,7 @@
 //    chains: same states in the same order, bitwise-equal rates, equal label
 //    bitsets and reward vectors — on every watertree line/strategy's
 //    reactive-modules translation, on hand-written PRISM texts, on a
-//    pump-scaled line, and on a per-pump module system explored through
-//    its symmetry quotient;
+//    pump-scaled line, and on a module-per-pump system;
 //  * the blocked CSR kernels vs the scalar reference must render the whole
 //    paper evaluation (sweep::paper::everything()) to a byte-identical CSV.
 //
@@ -44,12 +43,10 @@ bool same_double_bits(double a, double b) {
     return std::memcmp(&a, &b, sizeof a) == 0;
 }
 
-modules::ExploredModel explore_with(
-    const modules::ModuleSystem& system, expr::EvalMode eval,
-    engine::SymmetryPolicy symmetry = engine::default_symmetry_policy()) {
+modules::ExploredModel explore_with(const modules::ModuleSystem& system,
+                                    expr::EvalMode eval) {
     modules::ExploreOptions options;
     options.eval = eval;
-    options.symmetry = symmetry;
     return modules::explore(system, options);
 }
 
@@ -247,27 +244,19 @@ TEST(EvalRewire, InterpAndVmExploreIdenticalChains) {
         expect_identical_chains(vm, interp, "PRISM text " + std::to_string(i));
     }
 
-    // One spare pump beyond the paper's line 2 under SymmetryPolicy::Auto.
-    // The translation keeps each repair unit's components in one module, so
-    // it carries no module orbits and explores in full.
+    // One spare pump beyond the paper's line 2.
     const auto scaled =
         core::to_reactive_modules(wt::line2(wt::strategy("DED"), {}, /*extra_pumps=*/1));
-    expect_identical_chains(
-        explore_with(scaled, expr::EvalMode::Vm, engine::SymmetryPolicy::Auto),
-        explore_with(scaled, expr::EvalMode::Interp, engine::SymmetryPolicy::Auto),
-        "DED line 2 +1 pump");
+    expect_identical_chains(explore_with(scaled, expr::EvalMode::Vm),
+                            explore_with(scaled, expr::EvalMode::Interp),
+                            "DED line 2 +1 pump");
 
-    // The same four-pump stage written one module per pump, which does
-    // carry an orbit: both evaluators drive the canonicalising explore.
+    // The same four-pump stage written one module per pump.
     const auto pumps = prism::parse_prism(kPumpStage);
-    const auto vm = explore_with(pumps, expr::EvalMode::Vm, engine::SymmetryPolicy::Auto);
-    const auto interp =
-        explore_with(pumps, expr::EvalMode::Interp, engine::SymmetryPolicy::Auto);
-    ASSERT_TRUE(vm.symmetry_reduced);
-    ASSERT_TRUE(interp.symmetry_reduced);
-    EXPECT_EQ(vm.state_count(), 5u);  // failed-pump count 0..4
-    EXPECT_EQ(vm.symmetry_full_states, interp.symmetry_full_states);
-    expect_identical_chains(vm, interp, "four-pump stage (symmetry)");
+    const auto vm = explore_with(pumps, expr::EvalMode::Vm);
+    const auto interp = explore_with(pumps, expr::EvalMode::Interp);
+    EXPECT_EQ(vm.state_count(), 16u);  // 2^4 pump valuations
+    expect_identical_chains(vm, interp, "four-pump stage");
 }
 
 TEST(EvalRewire, StatePredicateAgreesAcrossEvaluators) {

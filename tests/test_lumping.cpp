@@ -461,7 +461,6 @@ TEST(AutoLumping, SessionCountsLumpCacheTraffic) {
     core::CompileOptions options;
     options.encoding = core::Encoding::Individual;
     options.reduction = core::ReductionPolicy::Auto;
-    options.symmetry = core::SymmetryPolicy::Off;  // counters pin the full chain
     const auto model = session.compile(wt::line2(wt::strategy("FRF-1")), options);
 
     const auto first = session.quotient(model);

@@ -42,9 +42,7 @@ TEST(Explorer, TwoIndependentModulesInterleave) {
     modules::ModuleSystem sys;
     sys.modules.push_back(two_state_module("x", 1.0, 1.0));
     sys.modules.push_back(two_state_module("y", 1.0, 1.0));
-    modules::ExploreOptions full;  // the identical modules would otherwise
-    full.symmetry = arcade::engine::SymmetryPolicy::Off;  // fold to 3 orbits
-    const auto result = modules::explore(sys, full);
+    const auto result = modules::explore(sys);
     EXPECT_EQ(result.chain.state_count(), 4u);
     EXPECT_EQ(result.chain.transition_count(), 8u);
 }

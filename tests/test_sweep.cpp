@@ -138,8 +138,8 @@ TEST(SweepRunner, SurvivabilitySeriesMatchesDirectEvaluation) {
 
     const auto model = wt::compile_line(session, 2, wt::strategy("FRF-1"),
                                         core::Encoding::Lumped);
-    const auto direct = core::survivability_series(*model, wt::disaster2(), 1.0 / 3.0,
-                                                   times, core::session_transient(session));
+    const auto direct =
+        core::survivability_series(*model, wt::disaster2(), 1.0 / 3.0, times);
     EXPECT_EQ(report.results.front().values, direct);
 }
 
@@ -272,19 +272,13 @@ TEST(SweepRunner, StateSpaceMeasureReportsTheCompiledModelSizes) {
     grid.strategies = {"DED"};
     grid.variants = {sweep::individual_variant(), sweep::lumped_variant()};
     grid.measures = {measure_spec(MeasureKind::StateSpace)};
-    sweep::RunnerOptions full;  // the cells pin Table 1's full sizes
-    full.symmetry = core::SymmetryPolicy::Off;
-    sweep::SweepRunner runner(session, full);
+    sweep::SweepRunner runner(session);
     const auto report = runner.run(grid);
     ASSERT_EQ(report.results.size(), 2u);
 
-    core::CompileOptions individual_options;
-    individual_options.symmetry = core::SymmetryPolicy::Off;
-    const auto individual =
-        session.compile(wt::line2(wt::strategy("DED")), individual_options);
+    const auto individual = session.compile(wt::line2(wt::strategy("DED")));
     core::CompileOptions lumped_options;
     lumped_options.encoding = core::Encoding::Lumped;
-    lumped_options.symmetry = core::SymmetryPolicy::Off;
     const auto lumped = session.compile(wt::line2(wt::strategy("DED")), lumped_options);
 
     EXPECT_EQ(report.results[0].model_states, individual->state_count());

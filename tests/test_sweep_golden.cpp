@@ -5,6 +5,12 @@
 // sweep::paper::render_* and rebuilds the expected text with direct
 // compile_line / *_series calls — the exact code shape of the pre-migration
 // harness — in an independent session.
+//
+// Every identity runs twice, under ReductionPolicy::Off and ::Auto: the
+// sweep side through RunnerOptions::reduction, the hand-rolled side through
+// compile_line's reduction argument (or CompileOptions::reduction).  Both
+// sides of each comparison dispatch through the same reduction, so the rows
+// must stay byte-identical either way.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -26,10 +32,25 @@ namespace {
 
 using Renderer = void (*)(const sweep::SweepReport&, std::ostream&);
 
+sweep::RunnerOptions runner_options(core::ReductionPolicy reduction) {
+    sweep::RunnerOptions options;
+    options.reduction = reduction;
+    return options;
+}
+
+core::CompileOptions compile_options(core::ReductionPolicy reduction,
+                                     core::Encoding encoding = core::Encoding::Individual) {
+    core::CompileOptions options;
+    options.encoding = encoding;
+    options.reduction = reduction;
+    return options;
+}
+
 /// Evaluates `grid` through the runner (its own session) and renders it.
-std::string rendered_by_sweep(const sweep::ScenarioGrid& grid, Renderer render) {
+std::string rendered_by_sweep(const sweep::ScenarioGrid& grid, Renderer render,
+                              core::ReductionPolicy reduction) {
     engine::AnalysisSession session;
-    sweep::SweepRunner runner(session);
+    sweep::SweepRunner runner(session, runner_options(reduction));
     const auto report = runner.run(grid);
     std::ostringstream os;
     render(report, os);
@@ -47,28 +68,28 @@ std::string figure_text(const arcade::Figure& fig) {
 std::string handrolled_figure(int line, const std::vector<const char*>& strategies,
                               sweep::MeasureKind kind, double service_level,
                               const std::vector<double>& times, const std::string& title,
-                              const std::string& x_label, const std::string& y_label) {
+                              const std::string& x_label, const std::string& y_label,
+                              core::ReductionPolicy reduction) {
     engine::AnalysisSession session;
-    const auto transient = core::session_transient(session);
     arcade::Figure fig(title, x_label, y_label);
     fig.set_times(times);
     for (const auto* name : strategies) {
         const auto model = wt::compile_line(session, line, wt::strategy(name),
-                                            core::Encoding::Lumped);
+                                            core::Encoding::Lumped, {}, /*with_repair=*/true,
+                                            reduction);
         const auto disaster = line == 2 ? wt::disaster2() : wt::disaster1(model->model());
         switch (kind) {
             case sweep::MeasureKind::Survivability:
                 fig.add_series(name, core::survivability_series(*model, disaster,
-                                                                service_level, times,
-                                                                transient));
+                                                                service_level, times));
                 break;
             case sweep::MeasureKind::InstantaneousCost:
-                fig.add_series(name, core::instantaneous_cost_series(*model, disaster,
-                                                                     times, transient));
+                fig.add_series(name,
+                               core::instantaneous_cost_series(*model, disaster, times));
                 break;
             case sweep::MeasureKind::AccumulatedCost:
-                fig.add_series(name, core::accumulated_cost_series(*model, disaster,
-                                                                   times, transient));
+                fig.add_series(name,
+                               core::accumulated_cost_series(*model, disaster, times));
                 break;
             default:
                 ADD_FAILURE() << "unsupported hand-rolled measure";
@@ -77,107 +98,119 @@ std::string handrolled_figure(int line, const std::vector<const char*>& strategi
     return figure_text(fig);
 }
 
+class SweepGolden : public ::testing::TestWithParam<core::ReductionPolicy> {
+protected:
+    [[nodiscard]] core::ReductionPolicy reduction() const { return GetParam(); }
+};
+
 }  // namespace
 
-TEST(SweepGolden, Fig3ReliabilityRowsAreByteIdentical) {
+TEST_P(SweepGolden, Fig3ReliabilityRowsAreByteIdentical) {
     const auto times = arcade::time_grid(1000.0, 101);
     engine::AnalysisSession session;
-    const auto transient = core::session_transient(session);
-    core::CompileOptions lumped;
-    lumped.encoding = core::Encoding::Lumped;
+    const auto lumped = compile_options(reduction(), core::Encoding::Lumped);
     const auto& ded = wt::strategy("DED");  // strategy irrelevant without repair
     const auto l1 = session.compile(core::without_repair(wt::line1(ded)), lumped);
     const auto l2 = session.compile(core::without_repair(wt::line2(ded)), lumped);
 
     arcade::Figure fig("Figure 3: reliability over time", "t in hours", "Probability (S)");
     fig.set_times(times);
-    fig.add_series("Reliability_line1", core::reliability_series(*l1, times, transient));
-    fig.add_series("Reliability_line2", core::reliability_series(*l2, times, transient));
+    fig.add_series("Reliability_line1", core::reliability_series(*l1, times));
+    fig.add_series("Reliability_line2", core::reliability_series(*l2, times));
 
-    EXPECT_EQ(rendered_by_sweep(sweep::paper::fig3(), sweep::paper::render_fig3),
+    EXPECT_EQ(rendered_by_sweep(sweep::paper::fig3(), sweep::paper::render_fig3,
+                                reduction()),
               figure_text(fig));
 }
 
-TEST(SweepGolden, Fig4SurvivabilityRowsAreByteIdentical) {
-    EXPECT_EQ(rendered_by_sweep(sweep::paper::fig4(), sweep::paper::render_fig4),
+TEST_P(SweepGolden, Fig4SurvivabilityRowsAreByteIdentical) {
+    EXPECT_EQ(rendered_by_sweep(sweep::paper::fig4(), sweep::paper::render_fig4,
+                                reduction()),
               handrolled_figure(
                   1, {"DED", "FRF-1", "FRF-2"}, sweep::MeasureKind::Survivability,
                   1.0 / 3.0, arcade::time_grid(4.5, 91),
                   "Figure 4: survivability Line 1, Disaster 1, X1 (service >= 1/3)",
-                  "t in hours", "Probability (S)"));
+                  "t in hours", "Probability (S)", reduction()));
 }
 
-TEST(SweepGolden, Fig5SurvivabilityRowsAreByteIdentical) {
-    EXPECT_EQ(rendered_by_sweep(sweep::paper::fig5(), sweep::paper::render_fig5),
+TEST_P(SweepGolden, Fig5SurvivabilityRowsAreByteIdentical) {
+    EXPECT_EQ(rendered_by_sweep(sweep::paper::fig5(), sweep::paper::render_fig5,
+                                reduction()),
               handrolled_figure(
                   1, {"DED", "FRF-1", "FRF-2"}, sweep::MeasureKind::Survivability,
                   2.0 / 3.0, arcade::time_grid(4.5, 91),
                   "Figure 5: survivability Line 1, Disaster 1, X2 (service >= 2/3)",
-                  "t in hours", "Probability (S)"));
+                  "t in hours", "Probability (S)", reduction()));
 }
 
-TEST(SweepGolden, Fig6InstantaneousCostRowsAreByteIdentical) {
-    EXPECT_EQ(rendered_by_sweep(sweep::paper::fig6(), sweep::paper::render_fig6),
+TEST_P(SweepGolden, Fig6InstantaneousCostRowsAreByteIdentical) {
+    EXPECT_EQ(rendered_by_sweep(sweep::paper::fig6(), sweep::paper::render_fig6,
+                                reduction()),
               handrolled_figure(1, {"DED", "FRF-1", "FRF-2"},
                                 sweep::MeasureKind::InstantaneousCost, 1.0,
                                 arcade::time_grid(4.5, 91),
                                 "Figure 6: instantaneous cost Line 1, Disaster 1",
-                                "t in hours", "Impuls Costs (I)"));
+                                "t in hours", "Impuls Costs (I)", reduction()));
 }
 
-TEST(SweepGolden, Fig7AccumulatedCostRowsAreByteIdentical) {
-    EXPECT_EQ(rendered_by_sweep(sweep::paper::fig7(), sweep::paper::render_fig7),
+TEST_P(SweepGolden, Fig7AccumulatedCostRowsAreByteIdentical) {
+    EXPECT_EQ(rendered_by_sweep(sweep::paper::fig7(), sweep::paper::render_fig7,
+                                reduction()),
               handrolled_figure(1, {"DED", "FRF-1", "FRF-2"},
                                 sweep::MeasureKind::AccumulatedCost, 1.0,
                                 arcade::time_grid(10.0, 101),
                                 "Figure 7: accumulated cost Line 1, Disaster 1",
-                                "t in hours", "Cumulative costs (I)"));
+                                "t in hours", "Cumulative costs (I)", reduction()));
 }
 
-TEST(SweepGolden, Fig8SurvivabilityRowsAreByteIdentical) {
-    EXPECT_EQ(rendered_by_sweep(sweep::paper::fig8(), sweep::paper::render_fig8),
+TEST_P(SweepGolden, Fig8SurvivabilityRowsAreByteIdentical) {
+    EXPECT_EQ(rendered_by_sweep(sweep::paper::fig8(), sweep::paper::render_fig8,
+                                reduction()),
               handrolled_figure(
                   2, {"DED", "FFF-1", "FFF-2", "FRF-1", "FRF-2"},
                   sweep::MeasureKind::Survivability, 1.0 / 3.0,
                   arcade::time_grid(100.0, 101),
                   "Figure 8: survivability Line 2, Disaster 2, X1 (service >= 1/3)",
-                  "t in hours", "Probability (S)"));
+                  "t in hours", "Probability (S)", reduction()));
 }
 
-TEST(SweepGolden, Fig9SurvivabilityRowsAreByteIdentical) {
-    EXPECT_EQ(rendered_by_sweep(sweep::paper::fig9(), sweep::paper::render_fig9),
+TEST_P(SweepGolden, Fig9SurvivabilityRowsAreByteIdentical) {
+    EXPECT_EQ(rendered_by_sweep(sweep::paper::fig9(), sweep::paper::render_fig9,
+                                reduction()),
               handrolled_figure(
                   2, {"DED", "FFF-1", "FFF-2", "FRF-1", "FRF-2"},
                   sweep::MeasureKind::Survivability, 2.0 / 3.0,
                   arcade::time_grid(100.0, 101),
                   "Figure 9: survivability Line 2, Disaster 2, X3 (service >= 2/3)",
-                  "t in hours", "Probability (S)"));
+                  "t in hours", "Probability (S)", reduction()));
 }
 
-TEST(SweepGolden, Fig10InstantaneousCostRowsAreByteIdentical) {
-    EXPECT_EQ(rendered_by_sweep(sweep::paper::fig10(), sweep::paper::render_fig10),
+TEST_P(SweepGolden, Fig10InstantaneousCostRowsAreByteIdentical) {
+    EXPECT_EQ(rendered_by_sweep(sweep::paper::fig10(), sweep::paper::render_fig10,
+                                reduction()),
               handrolled_figure(2, {"FFF-1", "FFF-2", "FRF-1", "FRF-2"},
                                 sweep::MeasureKind::InstantaneousCost, 1.0,
                                 arcade::time_grid(50.0, 101),
                                 "Figure 10: instantaneous cost Line 2, Disaster 2",
-                                "t in hours", "Impuls costs (I)"));
+                                "t in hours", "Impuls costs (I)", reduction()));
 }
 
-TEST(SweepGolden, Fig11AccumulatedCostRowsAreByteIdentical) {
-    EXPECT_EQ(rendered_by_sweep(sweep::paper::fig11(), sweep::paper::render_fig11),
+TEST_P(SweepGolden, Fig11AccumulatedCostRowsAreByteIdentical) {
+    EXPECT_EQ(rendered_by_sweep(sweep::paper::fig11(), sweep::paper::render_fig11,
+                                reduction()),
               handrolled_figure(2, {"FFF-1", "FFF-2", "FRF-1", "FRF-2"},
                                 sweep::MeasureKind::AccumulatedCost, 1.0,
                                 arcade::time_grid(50.0, 101),
                                 "Figure 11: accumulated cost Line 2, Disaster 2",
-                                "t in hours", "Cumulative costs (I)"));
+                                "t in hours", "Cumulative costs (I)", reduction()));
 }
 
-TEST(SweepGolden, Table1StateSpaceRowsAreByteIdentical) {
+TEST_P(SweepGolden, Table1StateSpaceRowsAreByteIdentical) {
     // The pre-migration harness: per strategy, individual + lumped compiles
     // of both lines, rendered with the paper's values in parentheses.
     engine::AnalysisSession session;
-    core::CompileOptions lumped;
-    lumped.encoding = core::Encoding::Lumped;
+    const auto lumped = compile_options(reduction(), core::Encoding::Lumped);
+    const auto individual_options = compile_options(reduction());
 
     struct PaperRow {
         const char* name;
@@ -200,8 +233,8 @@ TEST(SweepGolden, Table1StateSpaceRowsAreByteIdentical) {
                          "L1 lumped", "L2 lumped"});
     for (const auto& row : paper) {
         const auto& strat = wt::strategy(row.name);
-        const auto l1 = session.compile(wt::line1(strat));
-        const auto l2 = session.compile(wt::line2(strat));
+        const auto l1 = session.compile(wt::line1(strat), individual_options);
+        const auto l2 = session.compile(wt::line2(strat), individual_options);
         const auto l1_lumped = session.compile(wt::line1(strat), lumped);
         const auto l2_lumped = session.compile(wt::line2(strat), lumped);
         table.add_row({row.name,
@@ -216,16 +249,17 @@ TEST(SweepGolden, Table1StateSpaceRowsAreByteIdentical) {
     }
     table.print(expected);
 
-    EXPECT_EQ(rendered_by_sweep(sweep::paper::table1(), sweep::paper::render_table1),
+    EXPECT_EQ(rendered_by_sweep(sweep::paper::table1(), sweep::paper::render_table1,
+                                reduction()),
               expected.str());
 }
 
-TEST(SweepGolden, AblationEncodingsRowsAreByteIdentical) {
+TEST_P(SweepGolden, AblationEncodingsRowsAreByteIdentical) {
     // The pre-migration harness: per line and strategy, session-cached
     // individual + lumped compiles, availability off each, hand-formatted.
     engine::AnalysisSession session;
-    core::CompileOptions lumped;
-    lumped.encoding = core::Encoding::Lumped;
+    const auto lumped = compile_options(reduction(), core::Encoding::Lumped);
+    const auto individual_options = compile_options(reduction());
     std::ostringstream expected;
     expected << "=== Ablation: individual vs lumped encoding ===\n\n";
     arcade::Table table({"Model", "Indiv. states", "Lumped states", "Reduction",
@@ -236,7 +270,7 @@ TEST(SweepGolden, AblationEncodingsRowsAreByteIdentical) {
             const auto model = std::string(line) == "line1"
                                    ? wt::line1(wt::strategy(name))
                                    : wt::line2(wt::strategy(name));
-            const auto individual = session.compile(model);
+            const auto individual = session.compile(model, individual_options);
             const auto lumped_model = session.compile(model, lumped);
             const double ai = core::availability(session, individual);
             const double al = core::availability(session, lumped_model);
@@ -262,21 +296,21 @@ TEST(SweepGolden, AblationEncodingsRowsAreByteIdentical) {
                 " 'drastic reduction' the paper's conclusion anticipates)\n";
 
     engine::AnalysisSession sweep_session;
-    sweep::SweepRunner runner(sweep_session);
+    sweep::SweepRunner runner(sweep_session, runner_options(reduction()));
     const auto report = runner.run(sweep::studies::ablation_encodings());
     std::ostringstream actual;
     sweep::studies::render_ablation_encodings(report, actual);
     EXPECT_EQ(actual.str(), expected.str());
 }
 
-TEST(SweepGolden, AblationPreemptionRowsAreByteIdentical) {
+TEST_P(SweepGolden, AblationPreemptionRowsAreByteIdentical) {
     // The pre-migration harness: lumped line-2 compiles of each strategy
     // and its preemptive twin, availability + survivability to full
     // service at 10 h after Disaster 2, plus the individual-encoding
     // state-count footnote.
     engine::AnalysisSession session;
-    core::CompileOptions lumped;
-    lumped.encoding = core::Encoding::Lumped;
+    const auto lumped = compile_options(reduction(), core::Encoding::Lumped);
+    const auto individual_options = compile_options(reduction());
     const auto compile_variant = [&](const char* policy_name, bool preemptive) {
         auto strat = wt::strategy(policy_name);
         strat.preemptive = preemptive;
@@ -312,12 +346,13 @@ TEST(SweepGolden, AblationPreemptionRowsAreByteIdentical) {
                     auto strat = wt::strategy("FRF-1");
                     strat.preemptive = true;
                     strat.name += "-pre";
-                    return session.compile(wt::line2(strat))->state_count();
+                    return session.compile(wt::line2(strat), individual_options)
+                        ->state_count();
                 }()
              << ")\n";
 
     engine::AnalysisSession sweep_session;
-    sweep::SweepRunner runner(sweep_session);
+    sweep::SweepRunner runner(sweep_session, runner_options(reduction()));
     const auto report = runner.run(sweep::studies::ablation_preemption());
     const auto sizes = runner.run(sweep::studies::ablation_preemption_sizes());
     std::ostringstream actual;
@@ -325,10 +360,9 @@ TEST(SweepGolden, AblationPreemptionRowsAreByteIdentical) {
     EXPECT_EQ(actual.str(), expected.str());
 }
 
-TEST(SweepGolden, Table2AvailabilityRowsAreByteIdentical) {
+TEST_P(SweepGolden, Table2AvailabilityRowsAreByteIdentical) {
     engine::AnalysisSession session;
-    core::CompileOptions lumped;
-    lumped.encoding = core::Encoding::Lumped;
+    const auto lumped = compile_options(reduction(), core::Encoding::Lumped);
 
     struct PaperRow {
         const char* name;
@@ -368,6 +402,14 @@ TEST(SweepGolden, Table2AvailabilityRowsAreByteIdentical) {
     }
     table.print(expected);
 
-    EXPECT_EQ(rendered_by_sweep(sweep::paper::table2(), sweep::paper::render_table2),
+    EXPECT_EQ(rendered_by_sweep(sweep::paper::table2(), sweep::paper::render_table2,
+                                reduction()),
               expected.str());
 }
+
+INSTANTIATE_TEST_SUITE_P(Reduction, SweepGolden,
+                         ::testing::Values(core::ReductionPolicy::Off,
+                                           core::ReductionPolicy::Auto),
+                         [](const ::testing::TestParamInfo<core::ReductionPolicy>& info) {
+                             return info.param == core::ReductionPolicy::Auto ? "Auto" : "Off";
+                         });

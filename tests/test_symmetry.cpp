@@ -1,7 +1,6 @@
 // On-the-fly symmetry reduction: the StateSymmetry canonicalisation kernel,
-// the compiler's orbit detection over interchangeable components, the
-// module-level symmetry analysis, and the policy threading through session,
-// sweep and scaling study.
+// the compiler's orbit detection over interchangeable components, and the
+// policy threading through session, sweep and scaling study.
 //
 //  * canonicalize sorts instance tuples and orbit_size counts permutations
 //    modulo repeated tuples;
@@ -11,10 +10,8 @@
 //    explored full chains (111809 / 8129);
 //  * every measure agrees between the quotient and the full chain to solver
 //    precision, on both encodings, with and without post-hoc lumping;
-//  * module systems with interchangeable instances are detected, asymmetric
-//    rates or asymmetric labels block the (conservative) detection;
-//  * the sweep's pump-scaling axis reports quotient vs full-chain sizes,
-//    with a >= 10x reduction at the paper's own 4-pump line;
+//  * the sweep's pump-scaling axis reports the exact quotient and
+//    full-chain sizes up to +3 pumps;
 //  * the whole paper evaluation on the individual encoding explored as
 //    symmetry quotients is bitwise identical to the hand-lumped encoding.
 #include <gtest/gtest.h>
@@ -27,37 +24,17 @@
 
 #include "arcade/compiler.hpp"
 #include "arcade/measures.hpp"
-#include "ctmc/steady_state.hpp"
 #include "engine/session.hpp"
 #include "engine/symmetry.hpp"
-#include "expr/expr.hpp"
-#include "modules/explorer.hpp"
-#include "modules/symmetry.hpp"
 #include "sweep/sweep.hpp"
 #include "watertree/watertree.hpp"
 
 namespace core = arcade::core;
 namespace engine = arcade::engine;
-namespace expr = arcade::expr;
-namespace modules = arcade::modules;
 namespace sweep = arcade::sweep;
 namespace wt = arcade::watertree;
 
 namespace {
-
-expr::Expr E(const std::string& text) { return expr::parse_expression(text); }
-
-/// Two-state fail/repair module owning one variable (the replicated-pump
-/// shape of the watertree translation).
-modules::Module pump_module(const std::string& var, double fail, double repair) {
-    modules::Module m;
-    m.name = "m_" + var;
-    m.variables.push_back({var, modules::VarType::Int, 0, 1, 0});
-    m.commands.push_back({"", E(var + "=0"), {{expr::Expr::real(fail), {{var, E("1")}}}}});
-    m.commands.push_back(
-        {"", E(var + "=1"), {{expr::Expr::real(repair), {{var, E("0")}}}}});
-    return m;
-}
 
 engine::StateSymmetry three_pairs() {
     // One orbit of three instances, each an adjacent (status, rank) pair
@@ -239,86 +216,6 @@ TEST(CompilerSymmetry, ScaledLineExploresTinyQuotientOfHugeChain) {
     EXPECT_EQ(scaled.state_count(), 545u);
     EXPECT_DOUBLE_EQ(scaled.symmetry_full_states(), 562817.0);
     EXPECT_GE(scaled.symmetry_ratio(), 10.0);
-}
-
-TEST(ModulesSymmetry, DetectsInterchangeableInstances) {
-    modules::ModuleSystem sys;
-    sys.modules.push_back(pump_module("x", 0.5, 2.0));
-    sys.modules.push_back(pump_module("y", 0.5, 2.0));
-    sys.modules.push_back(pump_module("z", 0.5, 2.0));
-    // Symmetric idioms: a sum-threshold label and a sum-rate reward.
-    sys.labels.emplace("mostly_up", E("x+y+z<=1"));
-    sys.rewards.push_back({"failed", {{E("x+y+z>=1"), E("x+y+z")}}});
-
-    const auto analysis = modules::analyze_symmetry(sys);
-    ASSERT_EQ(analysis.orbits.size(), 1u);
-    EXPECT_EQ(analysis.orbits[0].modules, (std::vector<std::size_t>{0, 1, 2}));
-
-    modules::ExploreOptions off;
-    off.symmetry = engine::SymmetryPolicy::Off;
-    modules::ExploreOptions on;
-    on.symmetry = engine::SymmetryPolicy::Auto;
-    const auto full = modules::explore(sys, off);
-    const auto quotient = modules::explore(sys, on);
-    EXPECT_FALSE(full.symmetry_reduced);
-    ASSERT_TRUE(quotient.symmetry_reduced);
-    EXPECT_EQ(full.state_count(), 8u);   // 2^3
-    EXPECT_EQ(quotient.state_count(), 4u);  // failed-count 0..3
-    EXPECT_DOUBLE_EQ(quotient.symmetry_full_states, 8.0);
-
-    // The quotient is an exact lumping: the label measure agrees.
-    const double p_full = arcade::ctmc::steady_state_probability(
-        full.chain, full.chain.label("mostly_up"));
-    const double p_quot = arcade::ctmc::steady_state_probability(
-        quotient.chain, quotient.chain.label("mostly_up"));
-    EXPECT_NEAR(p_full, p_quot, 1e-12);
-
-    // Thread-count invariance survives canonicalisation.
-    modules::ExploreOptions threaded = on;
-    threaded.threads = 4;
-    const auto parallel = modules::explore(sys, threaded);
-    EXPECT_EQ(parallel.state_count(), quotient.state_count());
-    EXPECT_EQ(parallel.chain.transition_count(), quotient.chain.transition_count());
-}
-
-TEST(ModulesSymmetry, AsymmetricRateBlocksDetection) {
-    modules::ModuleSystem sys;
-    sys.modules.push_back(pump_module("x", 0.5, 2.0));
-    sys.modules.push_back(pump_module("y", 0.5, 2.0));
-    sys.modules.push_back(pump_module("z", 0.7, 2.0));  // different failure rate
-    const auto analysis = modules::analyze_symmetry(sys);
-    ASSERT_EQ(analysis.orbits.size(), 1u);  // x and y still interchange
-    EXPECT_EQ(analysis.orbits[0].modules, (std::vector<std::size_t>{0, 1}));
-}
-
-TEST(ModulesSymmetry, AsymmetricLabelBlocksDetection) {
-    modules::ModuleSystem sys;
-    sys.modules.push_back(pump_module("x", 0.5, 2.0));
-    sys.modules.push_back(pump_module("y", 0.5, 2.0));
-    sys.labels.emplace("first_up", E("x=0"));  // singles x out
-    EXPECT_TRUE(modules::analyze_symmetry(sys).trivial());
-
-    // A symmetric label over the same modules is fine (the normal form
-    // flattens and sorts the +-chain, so x+y = y+x).
-    modules::ModuleSystem sym;
-    sym.modules.push_back(pump_module("x", 0.5, 2.0));
-    sym.modules.push_back(pump_module("y", 0.5, 2.0));
-    sym.labels.emplace("any_up", E("x+y<=1"));
-    EXPECT_FALSE(modules::analyze_symmetry(sym).trivial());
-}
-
-TEST(ModulesSymmetry, SynchronisingModulesStayOutOfTheFragment) {
-    // Synchronisation couples instances; the conservative fragment excludes
-    // them even when the programs look alike.
-    modules::ModuleSystem sys;
-    for (const char* var : {"x", "y"}) {
-        modules::Module m = pump_module(var, 0.5, 2.0);
-        m.commands.push_back(
-            {"tick", E(std::string(var) + "=0"),
-             {{expr::Expr::real(1.0), {{var, E(std::string(var))}}}}});
-        sys.modules.push_back(std::move(m));
-    }
-    EXPECT_TRUE(modules::analyze_symmetry(sys).trivial());
 }
 
 TEST(SweepSymmetry, PumpScalingReportsQuotientAndFullStates) {

@@ -35,14 +35,6 @@ const Table1Row kTable1[] = {
     {"FFF-2", 111809, 8129},
 };
 
-/// These tests pin the FULL individual encoding against Table 1, so the
-/// symmetry quotient must stay off even under ARCADE_SYMMETRY=auto.
-core::CompileOptions full_encoding() {
-    core::CompileOptions options;
-    options.symmetry = core::SymmetryPolicy::Off;
-    return options;
-}
-
 const wt::Strategy& strategy_named(const std::string& name) {
     static const auto all = wt::paper_strategies();
     for (const auto& s : all) {
@@ -56,7 +48,7 @@ const wt::Strategy& strategy_named(const std::string& name) {
 TEST(WatertreeStateSpace, Line2MatchesTable1Exactly) {
     for (const auto& row : kTable1) {
         const auto model = wt::line2(strategy_named(row.strategy));
-        const auto compiled = core::compile(model, full_encoding());
+        const auto compiled = core::compile(model);
         EXPECT_EQ(compiled.state_count(), row.line2_states)
             << "strategy " << row.strategy << " (line 2)";
     }
@@ -65,7 +57,7 @@ TEST(WatertreeStateSpace, Line2MatchesTable1Exactly) {
 TEST(WatertreeStateSpace, Line1MatchesTable1Exactly) {
     for (const auto& row : kTable1) {
         const auto model = wt::line1(strategy_named(row.strategy));
-        const auto compiled = core::compile(model, full_encoding());
+        const auto compiled = core::compile(model);
         EXPECT_EQ(compiled.state_count(), row.line1_states)
             << "strategy " << row.strategy << " (line 1)";
     }
@@ -76,20 +68,20 @@ TEST(WatertreeStateSpace, DedicatedTransitionCountsMatchTable1) {
     // state: n * 2^n.  Paper: 22528 (line 1); line 2 prints 4606, which is
     // 2 short of 9*512 — we take the analytic value as authoritative.
     const auto ded = strategy_named("DED");
-    EXPECT_EQ(core::compile(wt::line1(ded), full_encoding()).transition_count(), 22528u);
-    EXPECT_EQ(core::compile(wt::line2(ded), full_encoding()).transition_count(), 4608u);
+    EXPECT_EQ(core::compile(wt::line1(ded)).transition_count(), 22528u);
+    EXPECT_EQ(core::compile(wt::line2(ded)).transition_count(), 4608u);
 }
 
 TEST(WatertreeStateSpace, SecondCrewAddsOneTransitionPerQueueingState) {
     // Paper: FRF-2 has exactly 111797 (line 1) / 8119 (line 2) more
     // transitions than FRF-1 — one extra repair transition in every state
     // with a non-empty waiting queue.
-    const auto frf1_l2 = core::compile(wt::line2(strategy_named("FRF-1")), full_encoding());
-    const auto frf2_l2 = core::compile(wt::line2(strategy_named("FRF-2")), full_encoding());
+    const auto frf1_l2 = core::compile(wt::line2(strategy_named("FRF-1")));
+    const auto frf2_l2 = core::compile(wt::line2(strategy_named("FRF-2")));
     EXPECT_EQ(frf2_l2.transition_count() - frf1_l2.transition_count(), 8119u);
 
-    const auto fff1_l2 = core::compile(wt::line2(strategy_named("FFF-1")), full_encoding());
-    const auto fff2_l2 = core::compile(wt::line2(strategy_named("FFF-2")), full_encoding());
+    const auto fff1_l2 = core::compile(wt::line2(strategy_named("FFF-1")));
+    const auto fff2_l2 = core::compile(wt::line2(strategy_named("FFF-2")));
     EXPECT_EQ(fff2_l2.transition_count() - fff1_l2.transition_count(), 8119u);
 }
 
@@ -261,7 +253,7 @@ TEST(ChainPins, EveryNativeCompileConfiguration) {
             for (const auto encoding : {core::Encoding::Individual, core::Encoding::Lumped}) {
                 for (const bool repair : {true, false}) {
                     const auto base = wt::line(line, strategy);
-                    core::CompileOptions options = full_encoding();
+                    core::CompileOptions options;
                     options.encoding = encoding;
                     const auto compiled =
                         core::compile(repair ? base : core::without_repair(base), options);
@@ -294,10 +286,7 @@ TEST(ChainPins, Line1IndividualUnderSymmetry) {
 
 TEST(ChainPins, ModulesExplorerLine2Translations) {
     for (const auto& strategy : wt::paper_strategies()) {
-        modules::ExploreOptions options;
-        options.symmetry = arcade::engine::SymmetryPolicy::Off;
-        const auto explored =
-            modules::explore(core::to_reactive_modules(wt::line2(strategy)), options);
+        const auto explored = modules::explore(core::to_reactive_modules(wt::line2(strategy)));
         const std::string name = std::string("L2 ").append(strategy.name);
         EXPECT_EQ(chain_digest(explored),
                   pinned(std::begin(kModulesPins), std::end(kModulesPins), name))
