@@ -13,7 +13,9 @@ the next run (remove them with `git worktree remove --force DIR`).  For every
 workload and seed the script then runs --pairs pairs of `perfbench/run.py`
 runs, alternating which side runs first, so drift of the host hits both
 sides alike.  A run whose provenance says "host_perturbed" is skipped with
-its whole pair, and reported.
+its whole pair, reported, and replaced by a fresh pair, up to 2 x --pairs
+pairs in all.  When fewer than MIN_PAIRS pairs are kept, the workload and
+seed end with an explicit "no verdict" line.
 
 Per metric it prints the BASE and CHANGE medians, the relative change, the
 interquartile range of BASE's runs and how many pairs CHANGE won.  Verdicts:
@@ -94,7 +96,23 @@ def summarize(pairs, metrics):
     return rows, skipped, failed
 
 
-def format_rows(title, rows, skipped, failed):
+def collect_pairs(run_pair, wanted):
+    """Runs pairs until `wanted` unperturbed ones are kept, replacing every
+    perturbed pair, with at most 2 x `wanted` pairs run.  `run_pair(i)`
+    runs attempt i and returns (base_run, change_run).  Returns every pair
+    run, perturbed ones included: summarize() drops those."""
+    pairs = []
+    kept = 0
+    while kept < wanted and len(pairs) < 2 * wanted:
+        base, change = run_pair(len(pairs))
+        pairs.append((base, change))
+        if not base["perturbed"] and not change["perturbed"]:
+            kept += 1
+    return pairs
+
+
+def format_rows(title, rows, skipped, failed, run):
+    """The report of one workload and seed; `run` counts the pairs run."""
     lines = [title]
     for r in rows:
         flags = []
@@ -107,6 +125,8 @@ def format_rows(title, rows, skipped, failed):
                      f"wins {r['wins']}/{r['pairs']}  {' '.join(flags)}".rstrip())
     if skipped:
         lines.append(f"  skipped {skipped} pair(s): host_perturbed")
+    if run - skipped < MIN_PAIRS:
+        lines.append(f"  no verdict: {run - skipped} of {run} pairs kept, {MIN_PAIRS} needed")
     if failed:
         lines.append(f"  FAILED: {failed} run(s) reported failures")
     return "\n".join(lines)
@@ -213,6 +233,37 @@ def selftest():
     _, _, failed = rows_of(pairs)
     checks.append(("failed runs counted", failed == 1))
 
+    def canned(perturbed_attempts, total=20):
+        """run_pair over canned attempts: base[i % 10] vs a clear gain, the
+        listed attempts perturbed (with an outlier that must not count)."""
+        def run_pair(i):
+            if i >= total:
+                raise AssertionError("more attempts than the cap")
+            b = base[i % len(base)]
+            if i in perturbed_attempts:
+                return run(b, 1.0), run(9.0, 1.1, perturbed=True)
+            return run(b, 1.0), run(b - 0.04, 1.1)
+        return run_pair
+
+    # Perturbed pairs are replaced until --pairs pairs are kept.
+    pairs = collect_pairs(canned({1, 4}), 10)
+    rows, skipped, _ = rows_of(pairs)
+    checks.append(("perturbed pairs replaced", len(pairs) == 12 and skipped == 2
+                   and rows["setup_s"]["pairs"] == 10 and rows["setup_s"]["claim"]))
+    checks.append(("replaced run has a verdict",
+                   "no verdict" not in format_rows("t", list(rows.values()), skipped, 0,
+                                                   len(pairs))))
+    # A steady steal runs out of attempts: capped at 2 x pairs, no verdict.
+    pairs = collect_pairs(canned(set(range(0, 20, 2)) | {3, 5}), 10)
+    rows, skipped, _ = rows_of(pairs)
+    report = format_rows("t", list(rows.values()), skipped, 0, len(pairs))
+    checks.append(("attempts capped at 2 x pairs", len(pairs) == 20 and skipped == 12))
+    checks.append(("too few kept pairs: no verdict",
+                   "no verdict: 8 of 20 pairs kept, 10 needed" in report
+                   and not rows["setup_s"]["claim"]))
+    checks.append(("perturbed outliers never reach a median",
+                   rows["setup_s"]["change"] < 0.2))
+
     bad = [name for name, ok in checks if not ok]
     for name, ok in checks:
         print(f"# selftest: {'ok  ' if ok else 'FAIL'} {name}")
@@ -256,17 +307,21 @@ def main():
     worst = 0
     for workload in args.workload:
         for seed in args.seed:
-            pairs = []
-            for i in range(args.pairs):
+            def run_pair(i):
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 runs = {}
                 for label in order:
                     runs[label] = run_once(*sides[label], workload, seed, args.seconds,
                                            args.trace)
-                pairs.append((runs["base"], runs["change"]))
-                print(f"# {workload} seed {seed} pair {i + 1}/{args.pairs} done", flush=True)
+                perturbed = runs["base"]["perturbed"] or runs["change"]["perturbed"]
+                print(f"# {workload} seed {seed} pair {i + 1} done"
+                      f"{' (host_perturbed: replaced)' if perturbed else ''}", flush=True)
+                return runs["base"], runs["change"]
+
+            pairs = collect_pairs(run_pair, args.pairs)
             rows, skipped, failed = summarize(pairs, metrics)
-            print(format_rows(f"{workload} seed {seed}", rows, skipped, failed), flush=True)
+            print(format_rows(f"{workload} seed {seed}", rows, skipped, failed, len(pairs)),
+                  flush=True)
             record.append({"workload": workload, "seed": seed, "pairs": pairs, "rows": rows})
             if failed or any(r["regression"] for r in rows):
                 worst = 1

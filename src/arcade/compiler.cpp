@@ -702,13 +702,12 @@ private:
 /// among waiting components of a repair class and the queue discipline
 /// treats class members only by rank, so a swap relabels states without
 /// changing any rate, service level or cost.  The lumped encoding's counter
-/// fields carry no such permutation, so its orbit set is empty (trivial).
-std::shared_ptr<const engine::StateSymmetry> make_state_symmetry(
-    const ArcadeModel& model, const Plan& plan, Encoding encoding,
-    SymmetryPolicy policy) {
-    if (policy != SymmetryPolicy::Auto || encoding != Encoding::Individual) {
-        return nullptr;
-    }
+/// fields carry no such permutation, so it gets no proof (null), and
+/// neither does a model without two interchangeable components.
+std::shared_ptr<const engine::StateSymmetry> make_state_symmetry(const ArcadeModel& model,
+                                                                 const Plan& plan,
+                                                                 Encoding encoding) {
+    if (encoding != Encoding::Individual) return nullptr;
     const std::size_t n = model.components.size();
     std::vector<engine::SymmetryOrbit> orbits;
     for (const auto& group : plan.groups) {
@@ -731,13 +730,17 @@ CompiledModel run_compile(const ArcadeModel& model, const Plan& plan, Encoder en
     const std::size_t fields = initial16.size();
     std::vector<std::int64_t> initial(initial16.begin(), initial16.end());
 
+    // The proof is kept on the model either way; exploration canonicalises
+    // with it only under SymmetryPolicy::Auto.
     const std::shared_ptr<const engine::StateSymmetry> symmetry =
-        make_state_symmetry(model, plan, encoding, options.symmetry);
+        make_state_symmetry(model, plan, encoding);
+    const bool orbit_explored =
+        symmetry != nullptr && options.symmetry == SymmetryPolicy::Auto;
 
     engine::EngineOptions engine_options;
     engine_options.max_states = options.max_states;
     engine_options.threads = options.threads;
-    engine_options.symmetry = symmetry.get();
+    engine_options.symmetry = orbit_explored ? symmetry.get() : nullptr;
     auto explored = engine::explore_bfs(
         layout, initial, [&] { return EncoderWorker<Encoder>(encoder, fields); },
         engine_options);
@@ -750,7 +753,7 @@ CompiledModel run_compile(const ArcadeModel& model, const Plan& plan, Encoder en
     // disjoint union of these orbits).
     double full_states = static_cast<double>(n);
     double symmetry_seconds = 0.0;
-    if (symmetry != nullptr && !symmetry->trivial()) {
+    if (orbit_explored) {
         const auto t0 = std::chrono::steady_clock::now();
         full_states = 0.0;
         std::vector<std::int64_t> values(fields);
@@ -848,8 +851,34 @@ std::pair<std::shared_ptr<const ctmc::QuotientCtmc>, bool> CompiledModel::quotie
     const {
     std::lock_guard<std::mutex> lock(*quotient_mutex_);
     if (quotient_ != nullptr) return {quotient_, false};
-    quotient_ = std::make_shared<const ctmc::QuotientCtmc>(chain_, lump_signature());
+    quotient_ = state_symmetry_ != nullptr && !symmetry_reduced()
+                    ? std::make_shared<const ctmc::QuotientCtmc>(chain_, lump_signature(),
+                                                                 orbit_representatives())
+                    : std::make_shared<const ctmc::QuotientCtmc>(chain_, lump_signature());
     return {quotient_, true};
+}
+
+std::vector<std::size_t> CompiledModel::orbit_representatives() const {
+    const std::size_t n = store_.size();
+    const engine::StateLayout& layout = store_.layout();
+    std::vector<std::size_t> representative(n);
+    std::vector<std::int64_t> values(layout.field_count());
+    std::vector<std::uint64_t> packed(layout.words_per_state());
+    for (std::size_t s = 0; s < n; ++s) {
+        store_.unpack(s, std::span<std::int64_t>(values));
+        if (state_symmetry_->is_canonical(values)) {
+            representative[s] = s;  // its packed words are entry s
+            continue;
+        }
+        state_symmetry_->canonicalize(values);
+        layout.pack(std::span<const std::int64_t>(values), packed.data());
+        representative[s] = store_.find(packed.data());
+        if (representative[s] == SIZE_MAX) {
+            throw InternalError("symmetry proof maps explored state " + std::to_string(s) +
+                                " to an unexplored representative");
+        }
+    }
+    return representative;
 }
 
 std::vector<bool> CompiledModel::service_at_least(double x) const {

@@ -57,8 +57,10 @@ enum class ReductionPolicy { Off, Auto };
 /// canonicalises every explored state to its orbit representative, so the
 /// full chain is never materialised.  The quotient is an exact ordinary
 /// lumping; it composes with ReductionPolicy (symmetry first, splitter-
-/// queue refinement on the residual).  See engine/symmetry.hpp.  Chosen per
-/// call like ReductionPolicy (arcade_sweep --symmetry); every default is Off.
+/// queue refinement on the residual).  Under Off the full chain is explored
+/// and ReductionPolicy::Auto lumps it through the same orbits (see
+/// CompiledModel::quotient).  See engine/symmetry.hpp.  Chosen per call
+/// like ReductionPolicy (arcade_sweep --symmetry); every default is Off.
 using engine::SymmetryPolicy;
 
 /// Remains only for the benchmark's provenance code.
@@ -140,7 +142,8 @@ public:
     /// True when the chain is a symmetry quotient over nontrivial orbits
     /// (policy Auto and at least one interchangeable group of size >= 2).
     [[nodiscard]] bool symmetry_reduced() const noexcept {
-        return state_symmetry_ != nullptr && !state_symmetry_->trivial();
+        return symmetry_ == SymmetryPolicy::Auto && state_symmetry_ != nullptr &&
+               !state_symmetry_->trivial();
     }
 
     /// Exact state count of the full (unreduced) chain: the sum of orbit
@@ -163,7 +166,10 @@ public:
     /// canonicalisation machinery outside the BFS hot path); 0 when off.
     [[nodiscard]] double symmetry_seconds() const noexcept { return symmetry_seconds_; }
 
-    /// The detected orbit structure (null when symmetry is off or trivial).
+    /// The interchangeability proof of the individual encoding: the orbits
+    /// of interchangeable components (null for the lumped encoding and for
+    /// models without two interchangeable components).  Kept under every
+    /// SymmetryPolicy: Auto explores with it, Off lumps through it.
     [[nodiscard]] const engine::StateSymmetry* state_symmetry() const noexcept {
         return state_symmetry_.get();
     }
@@ -175,9 +181,19 @@ public:
 
     /// The strong-bisimulation quotient of the chain w.r.t.
     /// lump_signature(), computed lazily once per model (thread-safe) and
-    /// shared by every consumer.  `.second` reports whether this call built
-    /// it (false = cache hit); the AnalysisSession turns that into its
-    /// lump_hits/lump_misses counters.  Because the session deduplicates
+    /// shared by every consumer.  A fully explored chain with an
+    /// interchangeability proof (individual encoding, SymmetryPolicy::Off)
+    /// is lumped through its orbits: each state is mapped to its orbit
+    /// representative (canonicalise, then look it up in the store), the
+    /// refinement runs on the small orbit chain, and the quotient is read
+    /// off the full chain — bitwise equal to direct lumping on every
+    /// shipped model (ctmc/quotient.hpp has the exactness argument).  Every
+    /// other chain (lumped encoding, orbit-explored chains) is lumped
+    /// directly.  Throws InternalError when a canonical representative is
+    /// missing from the store, i.e. the proof is wrong.
+    /// `.second` reports whether this call built it (false = cache hit);
+    /// the AnalysisSession turns that into its lump_hits/lump_misses
+    /// counters.  Because the session deduplicates
     /// models by fingerprint and each model holds one quotient over its
     /// canonical signature, identical (model, signature) requests anywhere
     /// in the process share one refinement.
@@ -222,6 +238,8 @@ private:
     mutable std::shared_ptr<const ctmc::QuotientCtmc> quotient_;
 
     [[nodiscard]] std::size_t lookup(const std::vector<std::int16_t>& encoded) const;
+    /// representative[s] = index of state s's orbit representative.
+    [[nodiscard]] std::vector<std::size_t> orbit_representatives() const;
 };
 
 /// Compiles `model` (validated) into an explicit CTMC.

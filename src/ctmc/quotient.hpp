@@ -12,6 +12,34 @@
 // chain — the same state-space move network-recovery MDPs and water-network
 // maintenance studies rely on to stay tractable.
 //
+// The partition is refined along one of two routes:
+//
+// * Directly: graph::coarsest_lumping over every state of the chain, seeded
+//   with the signature partition.
+// * Through the orbits, when the caller holds a proof that groups of
+//   states are interchangeable (an orbit-representative map: the orbits
+//   of a group of chain automorphisms that preserves the signature, as
+//   core::compile proves for interchangeable components).  The refinement
+//   runs on the small orbit chain — one state per orbit, carrying its
+//   representative's rates summed per target orbit — seeded with the
+//   signature partition of the representatives; the orbit partition is
+//   then spread back over the members and renumbered by first occurrence.
+//   Exactness: the orbit partition is itself an ordinary lumping
+//   refining the signature, so it refines the coarsest one; and a
+//   partition made of whole orbits is lumpable on the full chain exactly
+//   when it is lumpable on the orbit chain, because every member of an
+//   orbit sends its representative's rate into each union of orbits.  So
+//   in exact arithmetic both routes give the same partition.  The orbit
+//   chain's per-orbit pre-summed rates could in principle round a block
+//   sum differently from the full chain's; test_lumping checks that on
+//   every individual-encoding model the shipped grids compile, with and
+//   without repair, the block map, rates and initial distribution are
+//   bitwise equal to the direct route's.
+//
+// Either way the quotient rates, initial distribution and labels are read
+// off the *original* chain's lowest-index block members, so a route that
+// finds the same partition builds the bitwise-identical quotient.
+//
 // lift() spreads block mass uniformly over members.  That is exact for every
 // block-constant functional (anything in the signature) but *not* a
 // per-state statement: two bisimilar states need not carry equal long-run
@@ -47,6 +75,15 @@ public:
     /// Computes the quotient.  Throws InvalidArgument when a signature
     /// label is missing from the chain or a value row has the wrong size.
     QuotientCtmc(const Ctmc& original, const LumpSignature& signature);
+
+    /// The same quotient, refined through the orbits of a signature-
+    /// preserving group of chain automorphisms (see the header comment).
+    /// `representative[s]` is the representative of state s's orbit, and
+    /// every representative is its own.  Throws InvalidArgument as above,
+    /// and when the map has the wrong size, names a state that is not its
+    /// own representative or joins states the signature tells apart.
+    QuotientCtmc(const Ctmc& original, const LumpSignature& signature,
+                 std::span<const std::size_t> representative);
 
     /// The quotient chain (block-level CTMC).
     [[nodiscard]] const Ctmc& chain() const noexcept { return chain_; }
@@ -110,7 +147,8 @@ private:
         : block_of_(std::move(b.block_of)),
           block_sizes_(std::move(b.block_sizes)),
           chain_(std::move(b.chain)) {}
-    static Build build(const Ctmc& original, const LumpSignature& signature);
+    static Build build(const Ctmc& original, graph::Partition partition,
+                       const LumpSignature& signature);
 
     std::vector<std::size_t> block_of_;
     std::vector<std::size_t> block_sizes_;

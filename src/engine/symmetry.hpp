@@ -12,9 +12,13 @@
 // symmetry quotient, with per-orbit rates accumulated by the CSR builder's
 // duplicate-coalescing.  The quotient of a chain under a group of
 // automorphisms is an exact ordinary lumping, so every measure computed on
-// it equals the full-chain value, and the post-hoc lumping layer
-// (graph::coarsest_lumping) composes on top: symmetry first, splitter-queue
-// refinement on the residual.
+// it equals the full-chain value.  The lumping layer uses the same proof
+// on a fully explored chain: ctmc::QuotientCtmc's orbit entry point maps
+// every state to its representative (canonicalize, then StateStore::find),
+// refines on the orbit chain and spreads the partition back over the
+// members — bitwise the quotient direct lumping of the full chain builds
+// on every shipped model (ctmc/quotient.hpp has the argument).  Either way
+// symmetry comes first and splitter-queue refinement handles the residual.
 //
 // Because the automorphism group fixes the (canonical) initial state, the
 // reachable set of the full chain is the disjoint union of the orbits of

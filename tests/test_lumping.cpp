@@ -10,12 +10,17 @@
 //  * the paper's Table 1: auto-lumping the individual-encoding watertree
 //    models reaches (or beats) the hand-lumped state counts;
 //  * every sweep::paper grid renders numerically identical rows with
-//    ReductionPolicy::Auto and ::Off.
+//    ReductionPolicy::Auto and ::Off;
+//  * lumping through the symmetry orbits gives the bitwise-identical
+//    quotient to direct lumping on every shipped individual-encoding model,
+//    and the same partition on small generated models.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <random>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "arcade/compiler.hpp"
@@ -24,6 +29,7 @@
 #include "ctmc/quotient.hpp"
 #include "ctmc/steady_state.hpp"
 #include "ctmc/transient.hpp"
+#include "engine/session.hpp"
 #include "graph/lumping.hpp"
 #include "rewards/rewards.hpp"
 #include "support/errors.hpp"
@@ -98,6 +104,87 @@ void expect_near_rel(const std::vector<double>& a, const std::vector<double>& b,
         const double scale = std::max({1.0, std::abs(a[i]), std::abs(b[i])});
         EXPECT_NEAR(a[i], b[i], tolerance * scale) << what << " at " << i;
     }
+}
+
+std::vector<std::uint64_t> bits_of(const std::vector<double>& values) {
+    std::vector<std::uint64_t> out;
+    out.reserve(values.size());
+    for (const double v : values) out.push_back(graph::double_bits(v));
+    return out;
+}
+
+/// Bitwise equality of two quotients: block map, CSR arrays, initial
+/// distribution and projected labels.
+void expect_same_quotient(const ctmc::QuotientCtmc& a, const ctmc::QuotientCtmc& b,
+                          const std::string& what) {
+    EXPECT_EQ(a.block_map(), b.block_map()) << what;
+    const auto& ra = a.chain().rates();
+    const auto& rb = b.chain().rates();
+    EXPECT_EQ(ra.row_ptr(), rb.row_ptr()) << what;
+    EXPECT_EQ(ra.col_idx(), rb.col_idx()) << what;
+    EXPECT_EQ(bits_of(ra.values()), bits_of(rb.values())) << what;
+    EXPECT_EQ(bits_of(a.chain().initial_distribution()),
+              bits_of(b.chain().initial_distribution()))
+        << what;
+    ASSERT_EQ(a.chain().label_names(), b.chain().label_names()) << what;
+    for (const auto& name : a.chain().label_names()) {
+        EXPECT_EQ(a.chain().label(name), b.chain().label(name)) << what << " " << name;
+    }
+}
+
+/// True when two block maps describe the same partition, whatever the
+/// block numbering.
+bool same_partition(const std::vector<std::size_t>& a, const std::vector<std::size_t>& b) {
+    if (a.size() != b.size()) return false;
+    std::vector<std::size_t> a_to_b;
+    std::vector<std::size_t> b_to_a;
+    for (std::size_t s = 0; s < a.size(); ++s) {
+        if (a[s] >= a_to_b.size()) a_to_b.resize(a[s] + 1, SIZE_MAX);
+        if (b[s] >= b_to_a.size()) b_to_a.resize(b[s] + 1, SIZE_MAX);
+        if (a_to_b[a[s]] == SIZE_MAX) a_to_b[a[s]] = b[s];
+        if (b_to_a[b[s]] == SIZE_MAX) b_to_a[b[s]] = a[s];
+        if (a_to_b[a[s]] != b[s] || b_to_a[b[s]] != a[s]) return false;
+    }
+    return true;
+}
+
+/// The model a shipped grid cell evaluates: repair units stripped for
+/// reliability and strip_repair properties (and for repair-free variants).
+core::ArcadeModel cell_model(const sweep::ScenarioGrid& grid, const sweep::WorkItem& item) {
+    const bool with_repair =
+        item.variant.repair && item.measure.kind != sweep::MeasureKind::Reliability &&
+        !(item.measure.kind == sweep::MeasureKind::Property && item.measure.strip_repair);
+    auto model = wt::line(item.line, wt::strategy(item.strategy),
+                          grid.parameters[item.parameter_index].params,
+                          item.scale.extra_pumps);
+    return with_repair ? model : core::without_repair(model);
+}
+
+/// A small model with `copies` (2–4) interchangeable components in its
+/// first phase, a second group of one to three, and randomised rates and
+/// repair set-up.
+core::ArcadeModel generated_model(unsigned seed) {
+    std::mt19937 rng(seed);
+    std::uniform_real_distribution<double> mttf(20.0, 400.0);
+    std::uniform_real_distribution<double> mttr(0.2, 12.0);
+    std::uniform_int_distribution<std::size_t> copies(2, 4);
+    std::uniform_int_distribution<std::size_t> others(1, 3);
+    std::uniform_int_distribution<std::size_t> crews(1, 2);
+    const core::RepairPolicy policies[] = {
+        core::RepairPolicy::FirstComeFirstServe, core::RepairPolicy::FastestRepairFirst,
+        core::RepairPolicy::FastestFailureFirst, core::RepairPolicy::Dedicated};
+    core::ModelBuilder builder("generated-" + std::to_string(seed));
+    const std::size_t k = copies(rng);
+    if (seed % 2 == 0) {
+        (void)builder.add_spare_phase("pump", k, k - 1, mttf(rng), mttr(rng));
+    } else {
+        (void)builder.add_redundant_phase("pump", k, mttf(rng), mttr(rng));
+    }
+    (void)builder.add_redundant_phase("filter", others(rng), mttf(rng), mttr(rng));
+    const core::RepairPolicy policy = policies[seed % 4];
+    builder.with_repair(policy, crews(rng),
+                        policy != core::RepairPolicy::Dedicated && seed % 3 == 0);
+    return builder.build();
 }
 
 }  // namespace
@@ -532,4 +619,161 @@ TEST(AutoLumping, PaperGridsRenderIdenticalRowsWithReductionOnAndOff) {
     const auto stats = session_auto.stats();
     EXPECT_GT(stats.lump_misses, 0u);
     EXPECT_GE(stats.reduction_ratio(), 1.0);
+}
+
+TEST(OrbitLumping, EqualsDirectLumpingBitwiseOnEveryShippedIndividualModel) {
+    // Acceptance: every unique model of the shipped grids, compiled on the
+    // individual encoding with and without repair, lumps through its
+    // orbits to exactly the quotient direct lumping builds.
+    const std::vector<sweep::ScenarioGrid> grids = {
+        sweep::paper::everything(), sweep::studies::ablation_encodings(),
+        sweep::studies::ablation_preemption(), sweep::studies::mttr_sensitivity()};
+    std::set<std::uint64_t> seen;
+    core::CompileOptions options;
+    options.encoding = core::Encoding::Individual;
+    std::size_t checked = 0;
+    for (const auto& grid : grids) {
+        for (const auto& item : sweep::expand(grid)) {
+            const auto with_cell = cell_model(grid, item);
+            for (const auto& model : {with_cell, core::without_repair(with_cell)}) {
+                if (!seen.insert(engine::fingerprint(model)).second) continue;
+                const std::string label = "line " + std::to_string(item.line) + " " +
+                                          item.strategy + " (" + model.name + ", " +
+                                          item.model_key() + ")";
+                const auto compiled = core::compile(model, options);
+                ASSERT_NE(compiled.state_symmetry(), nullptr) << label;
+                ASSERT_FALSE(compiled.symmetry_reduced()) << label;
+                const auto orbit_first = compiled.quotient().first;
+                const ctmc::QuotientCtmc direct(compiled.chain(), compiled.lump_signature());
+                expect_same_quotient(*orbit_first, direct, label);
+                ++checked;
+            }
+        }
+    }
+    EXPECT_EQ(checked, 108u);
+}
+
+TEST(OrbitLumping, TwoStagePartitionMatchesDirectLumpingOnGeneratedModels) {
+    core::CompileOptions options;
+    options.encoding = core::Encoding::Individual;
+    for (unsigned seed = 0; seed < 24; ++seed) {
+        const auto model = generated_model(seed);
+        const std::string label = "seed " + std::to_string(seed);
+        const auto compiled = core::compile(model, options);
+        ASSERT_NE(compiled.state_symmetry(), nullptr) << label;
+        const auto orbit_first = compiled.quotient().first;
+        const ctmc::QuotientCtmc direct(compiled.chain(), compiled.lump_signature());
+        ASSERT_TRUE(same_partition(orbit_first->block_map(), direct.block_map())) << label;
+        EXPECT_LT(orbit_first->block_count(), compiled.state_count()) << label;
+
+        // Every solver agrees between the two quotients ...
+        const auto& a = orbit_first->chain();
+        const auto& b = direct.chain();
+        expect_near_rel(ctmc::steady_state(a), ctmc::steady_state(b), 1e-12,
+                        label + " steady state");
+        const auto two_down = compiled.disaster_distribution(
+            core::Disaster{"two down", {std::size_t{2}, std::size_t{0}}});
+        const auto initial = orbit_first->project(two_down);
+        const auto direct_initial = direct.project(two_down);
+        const auto a_down = orbit_first->project_mask(compiled.chain().label("down"));
+        const auto b_down = direct.project_mask(compiled.chain().label("down"));
+        const auto a_up = orbit_first->project_mask(compiled.chain().label("operational"));
+        const auto b_up = direct.project_mask(compiled.chain().label("operational"));
+        const std::vector<bool> a_all(a.state_count(), true);
+        const std::vector<bool> b_all(b.state_count(), true);
+        const arcade::rewards::RewardStructure a_cost(
+            "cost", orbit_first->project_values(compiled.cost_reward().state_rates()));
+        const arcade::rewards::RewardStructure b_cost(
+            "cost", direct.project_values(compiled.cost_reward().state_rates()));
+        for (const double t : {0.5, 5.0, 40.0}) {
+            const std::string at = label + " t=" + std::to_string(t);
+            expect_near_rel(ctmc::transient_distribution(a, initial, t),
+                            ctmc::transient_distribution(b, direct_initial, t), 1e-12,
+                            at + " transient");
+            EXPECT_NEAR(ctmc::bounded_until_probability(a, initial, a_all, a_up, t),
+                        ctmc::bounded_until_probability(b, direct_initial, b_all, b_up, t),
+                        1e-12)
+                << at << " survivability";
+            EXPECT_NEAR(ctmc::bounded_until_probability(a, a.initial_distribution(), a_all,
+                                                        a_down, t),
+                        ctmc::bounded_until_probability(b, b.initial_distribution(), b_all,
+                                                        b_down, t),
+                        1e-12)
+                << at << " unreliability";
+            EXPECT_NEAR(arcade::rewards::instantaneous_reward(a, initial, a_cost, t),
+                        arcade::rewards::instantaneous_reward(b, direct_initial, b_cost, t),
+                        1e-12)
+                << at << " instantaneous cost";
+            EXPECT_NEAR(arcade::rewards::accumulated_reward(a, initial, a_cost, t),
+                        arcade::rewards::accumulated_reward(b, direct_initial, b_cost, t),
+                        1e-12)
+                << at << " accumulated cost";
+        }
+        // ... and with the full chain, to the solvers' precision.
+        core::CompileOptions reduced = options;
+        reduced.reduction = core::ReductionPolicy::Auto;
+        EXPECT_NEAR(core::availability(core::compile(model, reduced)),
+                    core::availability(compiled), 1e-9)
+            << label;
+    }
+}
+
+TEST(OrbitLumping, LumpedAndOrbitExploredChainsLumpDirectly) {
+    // A lumped-encoding chain carries no proof, and an orbit-explored chain
+    // has used its proof already: both quotients are exactly what direct
+    // lumping builds.
+    for (unsigned seed = 0; seed < 8; ++seed) {
+        const auto model = generated_model(seed);
+        const std::string label = "seed " + std::to_string(seed);
+
+        core::CompileOptions orbits;
+        orbits.encoding = core::Encoding::Individual;
+        orbits.symmetry = core::SymmetryPolicy::Auto;
+        orbits.reduction = core::ReductionPolicy::Auto;
+        const auto explored = core::compile(model, orbits);
+        ASSERT_TRUE(explored.symmetry_reduced()) << label;
+        expect_same_quotient(*explored.quotient().first,
+                             ctmc::QuotientCtmc(explored.chain(), explored.lump_signature()),
+                             label + " orbit-explored");
+
+        // FCFS across the two groups has no lumped encoding.
+        if (seed % 4 == 0) continue;
+        core::CompileOptions lumped;
+        lumped.encoding = core::Encoding::Lumped;
+        lumped.reduction = core::ReductionPolicy::Auto;
+        const auto hand = core::compile(model, lumped);
+        EXPECT_EQ(hand.state_symmetry(), nullptr) << label;
+        expect_same_quotient(*hand.quotient().first,
+                             ctmc::QuotientCtmc(hand.chain(), hand.lump_signature()),
+                             label + " lumped");
+        EXPECT_NEAR(core::availability(explored), core::availability(hand), 1e-9) << label;
+    }
+}
+
+TEST(OrbitLumping, RejectsMalformedRepresentativeMaps) {
+    const auto planted = make_planted(3, 2, /*seed=*/5);
+    const auto signature = planted_signature(planted);
+    const std::size_t n = planted.chain.state_count();
+    std::vector<std::size_t> identity(n);
+    for (std::size_t s = 0; s < n; ++s) identity[s] = s;
+    // The identity map is the trivial group: direct lumping exactly.
+    expect_same_quotient(ctmc::QuotientCtmc(planted.chain, signature, identity),
+                         ctmc::QuotientCtmc(planted.chain, signature), "identity");
+
+    const std::vector<std::size_t> short_map(identity.begin(), identity.end() - 1);
+    EXPECT_THROW((void)ctmc::QuotientCtmc(planted.chain, signature, short_map),
+                 arcade::InvalidArgument);
+    auto chained = identity;
+    chained[1] = 0;  // 1 -> 0 -> 2: 0 is not its own representative
+    chained[0] = 2;
+    EXPECT_THROW((void)ctmc::QuotientCtmc(planted.chain, signature, chained),
+                 arcade::InvalidArgument);
+    auto out_of_range = identity;
+    out_of_range[0] = n;
+    EXPECT_THROW((void)ctmc::QuotientCtmc(planted.chain, signature, out_of_range),
+                 arcade::InvalidArgument);
+    auto across = identity;
+    across[2] = 0;  // states 0 and 2 sit in different planted blocks
+    EXPECT_THROW((void)ctmc::QuotientCtmc(planted.chain, signature, across),
+                 arcade::InvalidArgument);
 }
