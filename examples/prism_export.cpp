@@ -5,7 +5,6 @@
 
 #include "arcade/compiler.hpp"
 #include "arcade/modules_compiler.hpp"
-#include "engine/session.hpp"
 #include "logic/csl.hpp"
 #include "modules/explorer.hpp"
 #include "prism/prism_writer.hpp"
@@ -34,11 +33,11 @@ int main() {
 
     // (3) Explore with our engine and model-check CSL/CSRL formulas
     //     (exactly the queries of the paper's Section 3).
-    auto explored = arcade::engine::AnalysisSession::global().explore(system);
-    std::cout << "\nexplored: " << explored->chain.state_count() << " states (paper: 8129)\n\n";
+    const auto explored = arcade::modules::explore(system);
+    std::cout << "\nexplored: " << explored.chain.state_count() << " states (paper: 8129)\n\n";
 
     arcade::logic::CheckerOptions options;
-    options.reward_structures = explored->reward_structures;
+    options.reward_structures = explored.reward_structures;
 
     const char* queries[] = {
         "S=? [ \"operational\" ]",              // availability
@@ -47,7 +46,7 @@ int main() {
         "R{\"cost\"}=? [ S ]",                  // long-run cost rate
     };
     for (const char* q : queries) {
-        const auto result = arcade::logic::check(explored->chain, q, options);
+        const auto result = arcade::logic::check(explored.chain, q, options);
         std::cout << q << "  =  " << *result.value << "\n";
     }
     return 0;

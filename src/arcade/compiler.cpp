@@ -889,12 +889,6 @@ std::vector<bool> CompiledModel::service_at_least(double x) const {
 
 std::vector<bool> CompiledModel::operational_states() const { return service_at_least(1.0); }
 
-std::vector<bool> CompiledModel::total_failure_states() const {
-    std::vector<bool> bits(service_.size());
-    for (std::size_t s = 0; s < service_.size(); ++s) bits[s] = service_[s] <= 1e-9;
-    return bits;
-}
-
 std::size_t CompiledModel::lookup(const std::vector<std::int16_t>& encoded) const {
     std::vector<std::uint64_t> packed(store_.layout().words_per_state());
     if (symmetry_reduced()) {

@@ -127,8 +127,6 @@ public:
     [[nodiscard]] std::vector<bool> service_at_least(double x) const;
     /// States delivering full service (the paper's operational criterion).
     [[nodiscard]] std::vector<bool> operational_states() const;
-    /// States delivering no service at all.
-    [[nodiscard]] std::vector<bool> total_failure_states() const;
 
     /// Repair-cost reward structure: 3/h per failed component + 1/h per
     /// idle crew (paper Section 5), honouring per-model overrides.

@@ -127,53 +127,7 @@ void collect_literals(const FaultTree& t, std::vector<std::size_t>& out) {
     for (const auto& c : t.children()) collect_literals(c, out);
 }
 
-/// All values a subtree can attain (exact, by combination of child values).
-std::set<double> attainable(const FaultTree& t) {
-    switch (t.gate()) {
-        case FaultTree::Gate::Literal:
-            return {0.0, 1.0};
-        case FaultTree::Gate::And:
-        case FaultTree::Gate::KOfN:
-        case FaultTree::Gate::Spare: {
-            // mean / spare-ratio of children: enumerate sums of child values.
-            std::set<double> sums{0.0};
-            for (const auto& c : t.children()) {
-                std::set<double> next;
-                for (double s : sums) {
-                    for (double v : attainable(c)) next.insert(s + v);
-                }
-                sums = std::move(next);
-            }
-            std::set<double> out;
-            double denom = static_cast<double>(t.children().size());
-            if (t.gate() == FaultTree::Gate::KOfN) {
-                denom = static_cast<double>(t.children().size() - t.threshold() + 1);
-            } else if (t.gate() == FaultTree::Gate::Spare) {
-                denom = static_cast<double>(t.threshold());
-            }
-            for (double s : sums) {
-                out.insert(std::min(1.0, s / denom));
-            }
-            return out;
-        }
-        case FaultTree::Gate::Or: {
-            // min of children: any child value can be the minimum.
-            std::set<double> out;
-            for (const auto& c : t.children()) {
-                for (double v : attainable(c)) out.insert(v);
-            }
-            return out;
-        }
-    }
-    return {};
-}
-
 }  // namespace
-
-std::vector<double> FaultTree::attainable_service_levels(std::size_t /*component_count*/) const {
-    const std::set<double> vals = attainable(*this);
-    return {vals.begin(), vals.end()};
-}
 
 FaultTree FaultTree::down_tree(const ArcadeModel& model) {
     std::vector<FaultTree> phase_trees;

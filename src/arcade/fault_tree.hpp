@@ -45,12 +45,6 @@ public:
     /// KofN -> min(1, up/(n-k+1)) over literal children.
     [[nodiscard]] double service_level(const std::vector<bool>& component_up) const;
 
-    /// All distinct service levels the tree can produce, ascending
-    /// (enumerated exactly from the gate structure, not by state-space
-    /// sweeps).  Useful for picking the paper's service intervals.
-    [[nodiscard]] std::vector<double> attainable_service_levels(
-        std::size_t component_count) const;
-
     [[nodiscard]] Gate gate() const noexcept { return gate_; }
     [[nodiscard]] std::size_t component() const;
     [[nodiscard]] const std::vector<FaultTree>& children() const noexcept { return children_; }

@@ -1,6 +1,5 @@
 #include "arcade/types.hpp"
 
-#include <algorithm>
 #include <set>
 
 #include "support/errors.hpp"
@@ -107,23 +106,6 @@ std::size_t ArcadeModel::component_index(const std::string& component_name) cons
         if (components[i].name == component_name) return i;
     }
     throw ModelError("unknown component '" + component_name + "'");
-}
-
-std::optional<std::size_t> ArcadeModel::repair_unit_of(std::size_t component) const {
-    for (std::size_t r = 0; r < repair_units.size(); ++r) {
-        const auto& cs = repair_units[r].components;
-        if (std::find(cs.begin(), cs.end(), component) != cs.end()) return r;
-    }
-    return std::nullopt;
-}
-
-std::size_t ArcadeModel::total_crews() const {
-    std::size_t total = 0;
-    for (const auto& ru : repair_units) {
-        if (ru.policy == RepairPolicy::None) continue;
-        total += ru.policy == RepairPolicy::Dedicated ? ru.components.size() : ru.crews;
-    }
-    return total;
 }
 
 ModelBuilder::ModelBuilder(std::string name) { model_.name = std::move(name); }

@@ -10,7 +10,6 @@
 #define ARCADE_ARCADE_TYPES_HPP
 
 #include <cstddef>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -103,12 +102,6 @@ struct ArcadeModel {
     void validate() const;
 
     [[nodiscard]] std::size_t component_index(const std::string& component_name) const;
-
-    /// Repair unit covering `component`, or nullopt when unrepairable.
-    [[nodiscard]] std::optional<std::size_t> repair_unit_of(std::size_t component) const;
-
-    /// Total number of repair crews (dedicated units count one per component).
-    [[nodiscard]] std::size_t total_crews() const;
 };
 
 /// Fluent builder for assembling models programmatically (the API the

@@ -41,18 +41,13 @@ private:
 
 std::uint64_t options_key(std::uint64_t model_fp, std::uint64_t encoding,
                           std::size_t max_states, std::uint64_t reduction,
-                          std::uint64_t symmetry = 0, std::uint64_t eval = 0) {
+                          std::uint64_t symmetry) {
     Fingerprinter fp(0);
     fp.mix(model_fp);
     fp.mix(encoding);
     fp.mix(max_states);
     fp.mix(reduction);
     fp.mix(symmetry);
-    // Only modules exploration evaluates expressions.  Every eval mode
-    // produces the bitwise-identical chain, but the explore key still
-    // distinguishes them so mode-comparison consumers (the perf benchmarks)
-    // measure a real explore rather than a cache hit.
-    fp.mix(eval);
     return fp.value();
 }
 
@@ -94,57 +89,6 @@ std::uint64_t fingerprint(const core::ArcadeModel& model, std::uint64_t seed) {
     return fp.value();
 }
 
-std::uint64_t fingerprint(const modules::ModuleSystem& system, std::uint64_t seed) {
-    Fingerprinter fp(seed);
-    fp.mix(system.name);
-    fp.mix(system.constants.size());
-    for (const auto& [name, value] : system.constants) {  // std::map: sorted
-        fp.mix(name);
-        fp.mix(value.to_string());
-    }
-    fp.mix(system.modules.size());
-    for (const auto& module : system.modules) {
-        fp.mix(module.name);
-        fp.mix(module.variables.size());
-        for (const auto& v : module.variables) {
-            fp.mix(v.name);
-            fp.mix(static_cast<std::uint64_t>(v.type));
-            fp.mix(static_cast<std::uint64_t>(v.low));
-            fp.mix(static_cast<std::uint64_t>(v.high));
-            fp.mix(static_cast<std::uint64_t>(v.init));
-        }
-        fp.mix(module.commands.size());
-        for (const auto& cmd : module.commands) {
-            fp.mix(cmd.action);
-            fp.mix(cmd.guard.to_string());
-            fp.mix(cmd.alternatives.size());
-            for (const auto& alt : cmd.alternatives) {
-                fp.mix(alt.rate.to_string());
-                fp.mix(alt.assignments.size());
-                for (const auto& asg : alt.assignments) {
-                    fp.mix(asg.variable);
-                    fp.mix(asg.value.to_string());
-                }
-            }
-        }
-    }
-    fp.mix(system.labels.size());
-    for (const auto& [name, predicate] : system.labels) {  // std::map: sorted
-        fp.mix(name);
-        fp.mix(predicate.to_string());
-    }
-    fp.mix(system.rewards.size());
-    for (const auto& decl : system.rewards) {
-        fp.mix(decl.name);
-        fp.mix(decl.items.size());
-        for (const auto& item : decl.items) {
-            fp.mix(item.guard.to_string());
-            fp.mix(item.rate.to_string());
-        }
-    }
-    return fp.value();
-}
-
 AnalysisSession::CompiledPtr AnalysisSession::compile(const core::ArcadeModel& model,
                                                       const core::CompileOptions& options) {
     const std::uint64_t key = options_key(
@@ -181,35 +125,6 @@ AnalysisSession::CompiledPtr AnalysisSession::compile(const core::ArcadeModel& m
         stats_.symmetry_states_out += entry.value->state_count();
         stats_.symmetry_seconds += entry.value->symmetry_seconds();
     }
-    return entry.value;
-}
-
-AnalysisSession::ExploredPtr AnalysisSession::explore(const modules::ModuleSystem& system,
-                                                      const modules::ExploreOptions& options) {
-    const std::uint64_t key =
-        options_key(fingerprint(system), 0, options.max_states, /*reduction=*/0,
-                    /*symmetry=*/0, static_cast<std::uint64_t>(options.eval));
-    const std::uint64_t check =
-        options_key(fingerprint(system, /*seed=*/1), 0, options.max_states,
-                    /*reduction=*/0, /*symmetry=*/0, static_cast<std::uint64_t>(options.eval));
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = explored_.find(key);
-        if (it != explored_.end() && it->second.check == check) {
-            ++stats_.explore_hits;
-            return it->second.value;
-        }
-    }
-    auto fresh =
-        std::make_shared<const modules::ExploredModel>(modules::explore(system, options));
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto& entry = explored_[key];
-    if (entry.value != nullptr && entry.check == check) {
-        ++stats_.explore_hits;
-        return entry.value;
-    }
-    entry = {check, std::move(fresh)};
-    ++stats_.explore_misses;
     return entry.value;
 }
 
@@ -335,7 +250,6 @@ SessionStats AnalysisSession::stats() const {
 void AnalysisSession::clear() {
     std::lock_guard<std::mutex> lock(mutex_);
     compiled_.clear();
-    explored_.clear();
     steady_.clear();
     properties_.clear();
     stats_ = SessionStats{};

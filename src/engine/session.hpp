@@ -1,16 +1,18 @@
-// AnalysisSession — the memoising facade over the compile/explore/solve
-// pipeline.
+// AnalysisSession — the memoising facade over the compile/solve pipeline.
 //
-// Every measure, bench and example funnels through the same pipeline:
-// Arcade model (or reactive-module system) -> explicit-state exploration ->
-// CTMC solvers.  A session caches the expensive artefacts across calls,
-// keyed on a structural fingerprint of the model plus the compile options:
+// Every measure, bench and sweep funnels through the same pipeline:
+// Arcade model -> explicit-state exploration -> CTMC solvers.  A session
+// caches the expensive artefacts across calls, keyed on a structural
+// fingerprint of the model plus the compile options:
 //
-//   * CompiledModel / ExploredModel instances (identical watertree
-//     line+strategy+encoding requests return the same shared_ptr),
+//   * CompiledModel instances (identical watertree line+strategy+encoding
+//     requests return the same shared_ptr),
 //   * steady-state distributions per compiled model (one Gauss–Seidel
 //     solve serves availability AND long-run cost),
 //   * lumped quotients and CSL property results per compiled model.
+//
+// Reactive-modules systems (PRISM input) are not cached here: callers run
+// modules::explore directly.
 //
 // Sessions are thread-safe; the process-wide `global()` session backs the
 // convenience paths in bench_common and the examples.
@@ -25,8 +27,6 @@
 
 #include "arcade/compiler.hpp"
 #include "arcade/types.hpp"
-#include "modules/explorer.hpp"
-#include "modules/modules.hpp"
 
 namespace arcade::logic {
 class StateFormula;
@@ -39,8 +39,6 @@ namespace arcade::engine {
 struct SessionStats {
     std::size_t compile_hits = 0;
     std::size_t compile_misses = 0;
-    std::size_t explore_hits = 0;
-    std::size_t explore_misses = 0;
     std::size_t steady_state_hits = 0;
     std::size_t steady_state_misses = 0;
     /// Quotient (lumping) cache: hits return the model's shared quotient,
@@ -96,8 +94,6 @@ struct SessionStats {
     return SessionStats{
         .compile_hits = after.compile_hits - before.compile_hits,
         .compile_misses = after.compile_misses - before.compile_misses,
-        .explore_hits = after.explore_hits - before.explore_hits,
-        .explore_misses = after.explore_misses - before.explore_misses,
         .steady_state_hits = after.steady_state_hits - before.steady_state_hits,
         .steady_state_misses = after.steady_state_misses - before.steady_state_misses,
         .lump_hits = after.lump_hits - before.lump_hits,
@@ -118,22 +114,15 @@ struct SessionStats {
 /// cannot silently return the wrong model.
 [[nodiscard]] std::uint64_t fingerprint(const core::ArcadeModel& model,
                                         std::uint64_t seed = 0);
-[[nodiscard]] std::uint64_t fingerprint(const modules::ModuleSystem& system,
-                                        std::uint64_t seed = 0);
 
 class AnalysisSession {
 public:
     using CompiledPtr = std::shared_ptr<const core::CompiledModel>;
-    using ExploredPtr = std::shared_ptr<const modules::ExploredModel>;
 
     /// Compiles `model`, or returns the cached instance for an identical
     /// (model fingerprint, encoding, max_states) request.
     [[nodiscard]] CompiledPtr compile(const core::ArcadeModel& model,
                                       const core::CompileOptions& options = {});
-
-    /// Explores `system`, or returns the cached instance.
-    [[nodiscard]] ExploredPtr explore(const modules::ModuleSystem& system,
-                                      const modules::ExploreOptions& options = {});
 
     /// Steady-state distribution of `model`'s chain, solved once per model
     /// and cached for the session.  Returned by shared_ptr so the result
@@ -211,7 +200,6 @@ private:
 
     mutable std::mutex mutex_;
     std::unordered_map<std::uint64_t, CacheEntry<CompiledPtr>> compiled_;
-    std::unordered_map<std::uint64_t, CacheEntry<ExploredPtr>> explored_;
     std::unordered_map<const core::CompiledModel*, SteadyEntry> steady_;
     std::unordered_map<std::uint64_t, PropertyEntry> properties_;
     SessionStats stats_;

@@ -31,7 +31,6 @@ public:
     [[nodiscard]] bool is_double() const noexcept {
         return std::holds_alternative<double>(data_);
     }
-    [[nodiscard]] bool is_numeric() const noexcept { return is_int() || is_double(); }
 
     [[nodiscard]] bool as_bool() const;
     [[nodiscard]] long long as_int() const;

@@ -11,6 +11,14 @@
 // (ExploreOptions::threads); any thread count produces the identical CTMC.
 // The explored chain is always the full chain: orbit (symmetry) reduction
 // happens only in core::compile, lumping after exploration.
+//
+// Every guard, rate, assignment, label and reward expression is prepared
+// once per explore (bytecode by default, the expression tree under
+// EvalMode::Interp) and evaluated over the same per-state slot values, so
+// there is one successor walk, one label/reward sweep and one predicate
+// loop whichever evaluator runs.  This is the path PRISM input and the
+// Arcade-to-reactive-modules translation take; arcade::compile explores
+// with its own encoders.
 #ifndef ARCADE_MODULES_EXPLORER_HPP
 #define ARCADE_MODULES_EXPLORER_HPP
 
@@ -34,7 +42,8 @@ struct ExploreOptions {
     /// Evaluator for guards/rates/assignments/labels/rewards.  The default
     /// compiles every expression to bytecode once per model (expr::vm); the
     /// tree interpreter (EvalMode::Interp) is the oracle tests pass
-    /// explicitly — both produce bitwise-identical chains.
+    /// explicitly.  Both run the same walk and produce bitwise-identical
+    /// chains and identical ModelErrors.
     expr::EvalMode eval = expr::EvalMode::Vm;
 };
 
@@ -58,15 +67,17 @@ struct ExploredModel {
     [[nodiscard]] std::vector<std::vector<std::int64_t>> states() const;
 };
 
-/// Explores `system` from its initial valuation.  Throws ModelError on
-/// unbounded variables, blocked-but-mandatory synchronisation inconsistencies,
-/// negative rates, or state-space overflow.
+/// Explores `system` from its initial valuation.  Throws ModelError before
+/// exploring on duplicate variables, assignments to unknown variables or an
+/// initial value outside its bounds, and while exploring on assignments
+/// leaving a declared range, ill-typed expressions, negative rates or
+/// state-space overflow.
 [[nodiscard]] ExploredModel explore(const ModuleSystem& system,
                                     const ExploreOptions& options = {});
 
 /// Evaluates a boolean expression over every explored state (e.g. an ad-hoc
 /// label that was not registered before exploration).  The predicate is
-/// compiled once and run per state under `eval` (VM by default).
+/// prepared once and run per state under `eval` (VM by default).
 [[nodiscard]] std::vector<bool> evaluate_state_predicate(
     const ExploredModel& model, const ModuleSystem& system, const expr::Expr& predicate,
     expr::EvalMode eval = expr::EvalMode::Vm);

@@ -447,15 +447,6 @@ TEST(AnalysisSession, CompileCacheHitsArePointerIdentical) {
     EXPECT_EQ(stats.compile_misses, 3u);
 }
 
-TEST(AnalysisSession, ExploreCacheHitsArePointerIdentical) {
-    engine::AnalysisSession session;
-    const auto system = core::to_reactive_modules(wt::line2(wt::strategy("DED")));
-    const auto first = session.explore(system);
-    const auto second = session.explore(system);
-    EXPECT_EQ(first.get(), second.get());
-    EXPECT_EQ(session.stats().explore_hits, 1u);
-}
-
 TEST(AnalysisSession, SteadyStateSolvedOncePerModel) {
     engine::AnalysisSession session;
     core::CompileOptions lumped;

@@ -5,7 +5,8 @@
 //    chains: same states in the same order, bitwise-equal rates, equal label
 //    bitsets and reward vectors — on every watertree line/strategy's
 //    reactive-modules translation, on hand-written PRISM texts, on a
-//    pump-scaled line, and on a module-per-pump system;
+//    pump-scaled line, and on a module-per-pump system — and must throw
+//    identical ModelErrors on systems that fail;
 //  * the blocked CSR kernels vs the scalar reference must render the whole
 //    paper evaluation (sweep::paper::everything()) to a byte-identical CSV.
 //
@@ -25,6 +26,7 @@
 #include "linalg/kernels.hpp"
 #include "modules/explorer.hpp"
 #include "prism/prism_parser.hpp"
+#include "support/errors.hpp"
 #include "sweep/sweep.hpp"
 #include "watertree/watertree.hpp"
 
@@ -222,6 +224,17 @@ rewards "cost"
 endrewards
 )";
 
+/// The ModelError message exploring `system` under `eval` raises ("" when
+/// the explore succeeds).
+std::string explore_error(const modules::ModuleSystem& system, expr::EvalMode eval) {
+    try {
+        (void)explore_with(system, eval);
+    } catch (const arcade::ModelError& e) {
+        return e.what();
+    }
+    return "";
+}
+
 }  // namespace
 
 TEST(EvalRewire, InterpAndVmExploreIdenticalChains) {
@@ -270,6 +283,85 @@ TEST(EvalRewire, StatePredicateAgreesAcrossEvaluators) {
         modules::evaluate_state_predicate(model, system, predicate, expr::EvalMode::Interp);
     EXPECT_EQ(vm, interp);
     EXPECT_EQ(vm, model.chain.label(system.labels.begin()->first));
+}
+
+TEST(EvalRewire, InterpAndVmThrowIdenticalModelErrors) {
+    // Each text fails in one place: before exploring (unknown names), while
+    // walking successors (range, guard, rate, synchronised rate, assignment
+    // type) or in the label/reward sweep.
+    const struct {
+        const char* what;
+        const char* text;
+    } cases[] = {
+        {"assignment leaves its range", R"(ctmc
+module m
+  x : [0..3] init 0;
+  [] x<3 -> 1 : (x'=x+2);
+endmodule
+)"},
+        {"ill-typed guard", R"(ctmc
+module m
+  x : [0..1] init 0;
+  [] x & 1 -> 1 : (x'=1);
+endmodule
+)"},
+        {"boolean rate", R"(ctmc
+module m
+  x : [0..1] init 0;
+  [] true -> x=0 : (x'=1);
+endmodule
+)"},
+        {"ill-typed synchronised rate", R"(ctmc
+module a
+  x : [0..1] init 0;
+  [go] x=0 -> 2 : (x'=1);
+endmodule
+module b
+  y : [0..1] init 0;
+  [go] y=0 -> y | true : (y'=1);
+endmodule
+)"},
+        {"non-integer assignment", R"(ctmc
+module m
+  x : [0..1] init 0;
+  [] x=0 -> 1 : (x'=0.5);
+endmodule
+)"},
+        {"assignment to an unknown variable", R"(ctmc
+module m
+  x : [0..1] init 0;
+  [] x=0 -> 1 : (z'=1);
+endmodule
+)"},
+        {"unknown identifier in a guard", R"(ctmc
+module m
+  x : [0..1] init 0;
+  [] x=w -> 1 : (x'=1);
+endmodule
+)"},
+        {"ill-typed label", R"(ctmc
+module m
+  x : [0..1] init 0;
+  [] x=0 -> 1 : (x'=1);
+endmodule
+label "bad" = x + 1;
+)"},
+        {"reward rate divides by zero", R"(ctmc
+module m
+  x : [0..1] init 0;
+  [] x=0 -> 1 : (x'=1);
+endmodule
+rewards "cost"
+  true : 1/x;
+endrewards
+)"},
+    };
+    for (const auto& c : cases) {
+        const auto system = prism::parse_prism(c.text);
+        const std::string vm = explore_error(system, expr::EvalMode::Vm);
+        EXPECT_FALSE(vm.empty()) << c.what;
+        EXPECT_EQ(vm, explore_error(system, expr::EvalMode::Interp)) << c.what;
+    }
 }
 
 TEST(EvalRewire, BlockedAndScalarKernelsRenderIdenticalPaperCsv) {
