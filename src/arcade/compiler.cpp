@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <string>
 
 #include "arcade/fault_tree.hpp"
 #include "engine/explore.hpp"
 #include "support/errors.hpp"
+#include "support/strings.hpp"
 
 namespace arcade::core {
 
@@ -835,9 +835,9 @@ CompiledModel::CompiledModel(ctmc::Ctmc chain, std::vector<double> service,
       symmetry_seconds_(symmetry_seconds) {}
 
 std::string service_label(double level) {
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "service>=%.17g", level);
-    return buf;
+    std::string label = "service>=";
+    append_g17(label, level);
+    return label;
 }
 
 ctmc::LumpSignature CompiledModel::lump_signature() const {

@@ -29,7 +29,9 @@ StateLayout::StateLayout(const std::vector<FieldSpec>& fields) : specs_(fields) 
         slot.mask = bits == 64 ? ~0ull : ((1ull << bits) - 1ull);
         // Zero-width fields store nothing; pin them to shift 0 so pack/unpack
         // never shift by 64 (UB) when the preceding fields fill the word.
-        slot.word = bits == 0 ? 0 : word;
+        // They keep the current word, so slot words never decrease and pack
+        // can store each word once.
+        slot.word = word;
         slot.shift = bits == 0 ? 0 : used;
         slots_.push_back(slot);
         used += bits;

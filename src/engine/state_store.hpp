@@ -42,17 +42,29 @@ public:
     /// ModelError otherwise) into `out[0 .. words_per_state())`.  Inline and
     /// generic over the integral source type: this is the per-successor hot
     /// path of exploration.
+    ///
+    /// Slots are assigned word by word, so each word is accumulated in a
+    /// register and stored once: OR-ing into `out` field by field would
+    /// reload and store the word per field, since `out` may alias the slot
+    /// table.
     template <typename Int>
     void pack(std::span<const Int> values, std::uint64_t* out) const {
-        for (std::size_t w = 0; w < words_; ++w) out[w] = 0;
+        std::uint32_t word = 0;
+        std::uint64_t acc = 0;
         for (std::size_t i = 0; i < slots_.size(); ++i) {
             const Slot& s = slots_[i];
             // single unsigned compare catches both v < low and v > high
             const std::uint64_t raw = static_cast<std::uint64_t>(
                 static_cast<std::int64_t>(values[i])) - static_cast<std::uint64_t>(s.low);
             if (raw > s.range) throw_out_of_range(i, static_cast<std::int64_t>(values[i]));
-            out[s.word] |= raw << s.shift;
+            if (s.word != word) {
+                out[word] = acc;
+                word = s.word;
+                acc = 0;
+            }
+            acc |= raw << s.shift;
         }
+        out[word] = acc;
     }
 
     /// Inverse of pack.

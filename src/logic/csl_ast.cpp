@@ -3,22 +3,15 @@
 // key on, validation of numeric literals, and the Next scan the
 // quotient-aware checker uses to fall back to the full chain.
 #include <cmath>
-#include <cstdio>
 
 #include "graph/lumping.hpp"
 #include "logic/csl.hpp"
 #include "support/errors.hpp"
+#include "support/strings.hpp"
 
 namespace arcade::logic {
 
 namespace {
-
-/// Round-trip-exact decimal form (matches the sweep exports' fmt()).
-std::string fmt(double v) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
 
 std::string bound_string(const Bound& b) {
     std::string out;
@@ -30,7 +23,7 @@ std::string bound_string(const Bound& b) {
         case Comparison::Ge: out = ">="; break;
         default: throw InvalidArgument("unknown Comparison");
     }
-    out += fmt(b.threshold);
+    append_g17(out, b.threshold);
     return out;
 }
 
@@ -40,7 +33,7 @@ std::string path_string(const PathFormula& path) {
     }
     const auto& until = std::get<UntilPath>(path);
     std::string out = to_string(*until.lhs) + " U";
-    if (until.time_bound) out += "<=" + fmt(*until.time_bound);
+    if (until.time_bound) out += "<=" + format_g17(*until.time_bound);
     return out + " " + to_string(*until.rhs);
 }
 
@@ -50,14 +43,14 @@ void validate_bound(const Bound& b, bool probability) {
         (probability && b.threshold > 1.0)) {
         throw InvalidArgument(
             std::string("CSL: ") + (probability ? "P/S" : "R") + " bound threshold " +
-            fmt(b.threshold) + (probability ? " is not a probability in [0, 1]"
-                                            : " must be finite and non-negative"));
+            format_g17(b.threshold) + (probability ? " is not a probability in [0, 1]"
+                                                   : " must be finite and non-negative"));
     }
 }
 
 void validate_time(double t, const char* what) {
     if (!std::isfinite(t) || t < 0.0) {
-        throw InvalidArgument("CSL: " + std::string(what) + " " + fmt(t) +
+        throw InvalidArgument("CSL: " + std::string(what) + " " + format_g17(t) +
                               " must be finite and non-negative");
     }
 }
@@ -101,9 +94,9 @@ std::string to_string(const StateFormula& formula) {
     if (!reward.structure.empty()) out += "{\"" + reward.structure + "\"}";
     out += bound_string(reward.bound) + " [ ";
     if (const auto* inst = std::get_if<InstantaneousReward>(&reward.property)) {
-        out += "I=" + fmt(inst->time);
+        out += "I=" + format_g17(inst->time);
     } else if (const auto* cum = std::get_if<CumulativeReward>(&reward.property)) {
-        out += "C<=" + fmt(cum->time);
+        out += "C<=" + format_g17(cum->time);
     } else {
         out += "S";
     }
@@ -149,7 +142,7 @@ void validate(const CheckerOptions& options) {
     if (!std::isfinite(options.epsilon) || options.epsilon <= 0.0 ||
         options.epsilon >= 1.0) {
         throw InvalidArgument("CSL: CheckerOptions::epsilon must lie in (0, 1), got " +
-                              fmt(options.epsilon));
+                              format_g17(options.epsilon));
     }
 }
 

@@ -2,7 +2,7 @@
 
 #include <cctype>
 #include <charconv>
-#include <cstdio>
+#include <system_error>
 
 namespace arcade {
 
@@ -40,15 +40,29 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep) {
 }
 
 std::string format_double(double value) {
-    char buf[64];
+    char buf[32];
+    char* end = buf;
     // %.17g round-trips but is noisy; try increasing precision until exact.
     for (int prec = 6; prec <= 17; ++prec) {
-        std::snprintf(buf, sizeof buf, "%.*g", prec, value);
+        end = std::to_chars(buf, buf + sizeof buf, value, std::chars_format::general, prec).ptr;
         double back = 0.0;
-        std::sscanf(buf, "%lf", &back);
-        if (back == value) break;
+        if (std::from_chars(buf, end, back).ec == std::errc{} && back == value) break;
     }
-    return buf;
+    return {buf, end};
+}
+
+void append_g17(std::string& out, double value) {
+    // 24 characters cover the longest form, "-2.2250738585072014e-308".
+    char buf[32];
+    char* end =
+        std::to_chars(buf, buf + sizeof buf, value, std::chars_format::general, 17).ptr;
+    out.append(buf, end);
+}
+
+std::string format_g17(double value) {
+    std::string out;
+    append_g17(out, value);
+    return out;
 }
 
 std::string to_lower(std::string_view text) {

@@ -21,8 +21,18 @@ namespace arcade {
 [[nodiscard]] std::string join(const std::vector<std::string>& parts,
                                std::string_view sep);
 
-/// Renders a double with enough digits to round-trip, trimming trailing zeros.
+/// Renders a double with the fewest `%g` digits (6 to 17) that read back as
+/// the same value: the short form for model text (XML, expressions).
 [[nodiscard]] std::string format_double(double value);
+
+/// Appends `value` exactly as printf("%.17g") prints it in the C locale
+/// (round-trip exact; `inf`, `-nan`, ... for the non-finite values), written
+/// by std::to_chars: no allocation beyond `out`'s growth, and independent of
+/// the process locale.  The one formatter behind exports and printed formulas.
+void append_g17(std::string& out, double value);
+
+/// append_g17 into a fresh string.
+[[nodiscard]] std::string format_g17(double value);
 
 /// Lower-cases ASCII letters.
 [[nodiscard]] std::string to_lower(std::string_view text);

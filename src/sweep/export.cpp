@@ -1,18 +1,27 @@
 #include "sweep/export.hpp"
 
-#include <cstdio>
+#include <charconv>
 #include <ostream>
 #include <string>
+
+#include "support/strings.hpp"
 
 namespace arcade::sweep {
 
 namespace {
 
-/// Shortest round-trip-exact decimal form of a double.
-std::string fmt(double v) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
+/// Appends the decimal form of an integer.
+template <typename Int>
+void append_int(std::string& out, Int value) {
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
+}
+
+/// Hands the buffered text to the stream in one write and empties the
+/// buffer, keeping its capacity for the next result.
+void flush(std::string& buf, std::ostream& os) {
+    os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+    buf.clear();
 }
 
 /// Does the grid carry CSL property measures?  Decides (from the grid, not
@@ -37,32 +46,46 @@ bool has_scale(const ScenarioGrid& grid) {
 
 }  // namespace
 
-std::string json_escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
+void append_json_escaped(std::string& out, std::string_view s) {
+    static constexpr char kHex[] = "0123456789abcdef";
     for (const char c : s) {
+        const auto u = static_cast<unsigned char>(c);
         if (c == '"' || c == '\\') {
             out.push_back('\\');
             out.push_back(c);
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
-            out += buf;
+        } else if (u < 0x20) {
+            out += "\\u00";
+            out.push_back(kHex[u >> 4]);
+            out.push_back(kHex[u & 0xf]);
         } else {
             out.push_back(c);
         }
     }
+}
+
+std::string json_escape(const std::string& s) {
+    std::string out;
+    out.reserve(s.size());
+    append_json_escaped(out, s);
     return out;
 }
 
-std::string csv_field(const std::string& s) {
-    if (s.find_first_of(",\"\n\r") == std::string::npos) return s;
-    std::string out = "\"";
+void append_csv_field(std::string& out, std::string_view s) {
+    if (s.find_first_of(",\"\n\r") == std::string_view::npos) {
+        out += s;
+        return;
+    }
+    out.push_back('"');
     for (const char c : s) {
         if (c == '"') out += "\"\"";
         else out.push_back(c);
     }
     out.push_back('"');
+}
+
+std::string csv_field(const std::string& s) {
+    std::string out;
+    append_csv_field(out, s);
     return out;
 }
 
@@ -74,108 +97,188 @@ void write_csv(const SweepReport& report, const ScenarioGrid& grid, std::ostream
     // otherwise indistinguishable).
     const bool property_column = has_property(grid);
     const bool scale_column = has_scale(grid);
+    // Rows are assembled in `out` and written once per result.
+    std::string out;
     if (options.header) {
-        os << "line,strategy,parameters,variant,measure,disaster,service_level,t,value";
-        if (property_column) os << ",property";
-        if (scale_column) os << ",scale";
-        os << "\n";
+        out += "line,strategy,parameters,variant,measure,disaster,service_level,t,value";
+        if (property_column) out += ",property";
+        if (scale_column) out += ",scale";
+        out += '\n';
     }
+    std::string prefix;
+    std::string suffix;
     for (const auto& r : report.results) {
         const auto& m = r.item.measure;
-        const std::string prefix =
-            std::to_string(r.item.line) + "," + csv_field(r.item.strategy) + "," +
-            csv_field(grid.parameters[r.item.parameter_index].name) + "," +
-            csv_field(r.item.variant.name) + "," +
-            to_string(m.kind) + "," +
-            to_string(m.disaster) + "," +
-            (m.kind == MeasureKind::Survivability ? fmt(m.service_level) : "") + ",";
-        std::string suffix;
-        if (property_column) (suffix += ",") += csv_field(m.property);
-        if (scale_column) (suffix += ",") += csv_field(r.item.scale.name);
+        prefix.clear();
+        append_int(prefix, r.item.line);
+        prefix += ',';
+        append_csv_field(prefix, r.item.strategy);
+        prefix += ',';
+        append_csv_field(prefix, grid.parameters[r.item.parameter_index].name);
+        prefix += ',';
+        append_csv_field(prefix, r.item.variant.name);
+        prefix += ',';
+        prefix += to_string(m.kind);
+        prefix += ',';
+        prefix += to_string(m.disaster);
+        prefix += ',';
+        if (m.kind == MeasureKind::Survivability) append_g17(prefix, m.service_level);
+        prefix += ',';
+        suffix.clear();
+        if (property_column) {
+            suffix += ',';
+            append_csv_field(suffix, m.property);
+        }
+        if (scale_column) {
+            suffix += ',';
+            append_csv_field(suffix, r.item.scale.name);
+        }
         if (m.is_series()) {
             for (std::size_t i = 0; i < r.values.size(); ++i) {
-                os << prefix << fmt(m.times[i]) << "," << fmt(r.values[i]) << suffix
-                   << "\n";
+                out += prefix;
+                append_g17(out, m.times[i]);
+                out += ',';
+                append_g17(out, r.values[i]);
+                out += suffix;
+                out += '\n';
             }
         } else {
-            os << prefix << "," << fmt(r.values.front()) << suffix << "\n";
+            out += prefix;
+            out += ',';
+            append_g17(out, r.values.front());
+            out += suffix;
+            out += '\n';
         }
+        flush(out, os);
     }
     if (options.footer) {
-        os << "# scenarios=" << report.results.size() << " unique_models="
-           << report.unique_models << " compile_hits=" << report.stats.compile_hits
-           << " compile_misses=" << report.stats.compile_misses
-           << " steady_hits=" << report.stats.steady_state_hits
-           << " steady_misses=" << report.stats.steady_state_misses
-           << " cache_hit_rate=" << fmt(report.cache_hit_rate())
-           << " lump_hits=" << report.stats.lump_hits
-           << " lump_misses=" << report.stats.lump_misses
-           << " property_hits=" << report.stats.property_hits
-           << " property_misses=" << report.stats.property_misses
-           << " reduction_ratio=" << fmt(report.stats.reduction_ratio())
-           << " symmetry_states_in=" << report.stats.symmetry_states_in
-           << " symmetry_states_out=" << report.stats.symmetry_states_out
-           << " symmetry_ratio=" << fmt(report.stats.symmetry_ratio())
-           << " symmetry_seconds=" << fmt(report.stats.symmetry_seconds)
-           << " state_points=" << report.state_points
-           << " states_per_sec=" << fmt(report.states_per_second())
-           << " wall_seconds=" << fmt(report.wall_seconds) << "\n";
+        const auto& st = report.stats;
+        const auto count = [&out](const char* key, std::size_t n) {
+            out += key;
+            append_int(out, n);
+        };
+        const auto real = [&out](const char* key, double v) {
+            out += key;
+            append_g17(out, v);
+        };
+        count("# scenarios=", report.results.size());
+        count(" unique_models=", report.unique_models);
+        count(" compile_hits=", st.compile_hits);
+        count(" compile_misses=", st.compile_misses);
+        count(" steady_hits=", st.steady_state_hits);
+        count(" steady_misses=", st.steady_state_misses);
+        real(" cache_hit_rate=", report.cache_hit_rate());
+        count(" lump_hits=", st.lump_hits);
+        count(" lump_misses=", st.lump_misses);
+        count(" property_hits=", st.property_hits);
+        count(" property_misses=", st.property_misses);
+        real(" reduction_ratio=", st.reduction_ratio());
+        count(" symmetry_states_in=", st.symmetry_states_in);
+        count(" symmetry_states_out=", st.symmetry_states_out);
+        real(" symmetry_ratio=", st.symmetry_ratio());
+        real(" symmetry_seconds=", st.symmetry_seconds);
+        count(" state_points=", report.state_points);
+        real(" states_per_sec=", report.states_per_second());
+        real(" wall_seconds=", report.wall_seconds);
+        out += '\n';
     }
+    flush(out, os);
 }
 
 void write_json(const SweepReport& report, const ScenarioGrid& grid, std::ostream& os) {
-    os << "{\n  \"counters\": {\n"
-       << "    \"scenarios\": " << report.results.size() << ",\n"
-       << "    \"unique_models\": " << report.unique_models << ",\n"
-       << "    \"compile_hits\": " << report.stats.compile_hits << ",\n"
-       << "    \"compile_misses\": " << report.stats.compile_misses << ",\n"
-       << "    \"steady_state_hits\": " << report.stats.steady_state_hits << ",\n"
-       << "    \"steady_state_misses\": " << report.stats.steady_state_misses << ",\n"
-       << "    \"cache_hit_rate\": " << fmt(report.cache_hit_rate()) << ",\n"
-       << "    \"lump_hits\": " << report.stats.lump_hits << ",\n"
-       << "    \"lump_misses\": " << report.stats.lump_misses << ",\n"
-       << "    \"lump_states_in\": " << report.stats.lump_states_in << ",\n"
-       << "    \"lump_states_out\": " << report.stats.lump_states_out << ",\n"
-       << "    \"property_hits\": " << report.stats.property_hits << ",\n"
-       << "    \"property_misses\": " << report.stats.property_misses << ",\n"
-       << "    \"reduction_ratio\": " << fmt(report.stats.reduction_ratio()) << ",\n"
-       << "    \"symmetry_states_in\": " << report.stats.symmetry_states_in << ",\n"
-       << "    \"symmetry_states_out\": " << report.stats.symmetry_states_out << ",\n"
-       << "    \"symmetry_ratio\": " << fmt(report.stats.symmetry_ratio()) << ",\n"
-       << "    \"symmetry_seconds\": " << fmt(report.stats.symmetry_seconds) << ",\n"
-       << "    \"state_points\": " << report.state_points << ",\n"
-       << "    \"states_per_second\": " << fmt(report.states_per_second()) << ",\n"
-       << "    \"wall_seconds\": " << fmt(report.wall_seconds) << "\n  },\n"
-       << "  \"results\": [\n";
+    // Like write_csv: the counters, then each result, are assembled in
+    // `out` and written once.
+    std::string out = "{\n  \"counters\": {\n";
+    const auto& st = report.stats;
+    const auto count = [&out](const char* key, std::size_t n) {
+        out += "    \"";
+        out += key;
+        out += "\": ";
+        append_int(out, n);
+        out += ",\n";
+    };
+    const auto real = [&out](const char* key, double v) {
+        out += "    \"";
+        out += key;
+        out += "\": ";
+        append_g17(out, v);
+        out += ",\n";
+    };
+    count("scenarios", report.results.size());
+    count("unique_models", report.unique_models);
+    count("compile_hits", st.compile_hits);
+    count("compile_misses", st.compile_misses);
+    count("steady_state_hits", st.steady_state_hits);
+    count("steady_state_misses", st.steady_state_misses);
+    real("cache_hit_rate", report.cache_hit_rate());
+    count("lump_hits", st.lump_hits);
+    count("lump_misses", st.lump_misses);
+    count("lump_states_in", st.lump_states_in);
+    count("lump_states_out", st.lump_states_out);
+    count("property_hits", st.property_hits);
+    count("property_misses", st.property_misses);
+    real("reduction_ratio", st.reduction_ratio());
+    count("symmetry_states_in", st.symmetry_states_in);
+    count("symmetry_states_out", st.symmetry_states_out);
+    real("symmetry_ratio", st.symmetry_ratio());
+    real("symmetry_seconds", st.symmetry_seconds);
+    count("state_points", report.state_points);
+    real("states_per_second", report.states_per_second());
+    out += "    \"wall_seconds\": ";
+    append_g17(out, report.wall_seconds);
+    out += "\n  },\n  \"results\": [\n";
     const bool scale_field = has_scale(grid);
     for (std::size_t i = 0; i < report.results.size(); ++i) {
         const auto& r = report.results[i];
         const auto& m = r.item.measure;
-        os << "    {\"index\": " << r.item.index << ", \"line\": " << r.item.line
-           << ", \"strategy\": \"" << json_escape(r.item.strategy)
-           << "\", \"parameters\": \""
-           << json_escape(grid.parameters[r.item.parameter_index].name)
-           << "\", \"variant\": \"" << json_escape(r.item.variant.name)
-           << "\", \"measure\": \"" << to_string(m.kind) << "\", \"disaster\": \""
-           << to_string(m.disaster) << "\", \"service_level\": " << fmt(m.service_level)
-           << ", \"formula\": \"" << json_escape(m.property) << "\"";
+        out += "    {\"index\": ";
+        append_int(out, r.item.index);
+        out += ", \"line\": ";
+        append_int(out, r.item.line);
+        out += ", \"strategy\": \"";
+        append_json_escaped(out, r.item.strategy);
+        out += "\", \"parameters\": \"";
+        append_json_escaped(out, grid.parameters[r.item.parameter_index].name);
+        out += "\", \"variant\": \"";
+        append_json_escaped(out, r.item.variant.name);
+        out += "\", \"measure\": \"";
+        out += to_string(m.kind);
+        out += "\", \"disaster\": \"";
+        out += to_string(m.disaster);
+        out += "\", \"service_level\": ";
+        append_g17(out, m.service_level);
+        out += ", \"formula\": \"";
+        append_json_escaped(out, m.property);
+        out += '"';
         if (scale_field) {
-            os << ", \"scale\": \"" << json_escape(r.item.scale.name)
-               << "\", \"model_full_states\": " << fmt(r.model_full_states);
+            out += ", \"scale\": \"";
+            append_json_escaped(out, r.item.scale.name);
+            out += "\", \"model_full_states\": ";
+            append_g17(out, r.model_full_states);
         }
-        os << ", \"model_states\": " << r.model_states
-           << ", \"model_transitions\": " << r.model_transitions
-           << ", \"seconds\": " << fmt(r.seconds) << ",\n     \"times\": [";
+        out += ", \"model_states\": ";
+        append_int(out, r.model_states);
+        out += ", \"model_transitions\": ";
+        append_int(out, r.model_transitions);
+        out += ", \"seconds\": ";
+        append_g17(out, r.seconds);
+        out += ",\n     \"times\": [";
         for (std::size_t k = 0; k < m.times.size(); ++k) {
-            os << (k > 0 ? ", " : "") << fmt(m.times[k]);
+            if (k > 0) out += ", ";
+            append_g17(out, m.times[k]);
         }
-        os << "], \"values\": [";
+        out += "], \"values\": [";
         for (std::size_t k = 0; k < r.values.size(); ++k) {
-            os << (k > 0 ? ", " : "") << fmt(r.values[k]);
+            if (k > 0) out += ", ";
+            append_g17(out, r.values[k]);
         }
-        os << "]}" << (i + 1 < report.results.size() ? "," : "") << "\n";
+        out += "]}";
+        if (i + 1 < report.results.size()) out += ',';
+        out += '\n';
+        flush(out, os);
     }
-    os << "  ]\n}\n";
+    out += "  ]\n}\n";
+    flush(out, os);
 }
 
 }  // namespace arcade::sweep

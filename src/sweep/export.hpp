@@ -9,6 +9,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "sweep/runner.hpp"
 
@@ -17,11 +18,15 @@ namespace arcade::sweep {
 /// RFC-4180 CSV field: quoted (with doubled quotes) when the value holds a
 /// separator, quote or newline; the raw string otherwise.
 [[nodiscard]] std::string csv_field(const std::string& s);
+/// csv_field appended to `out`.
+void append_csv_field(std::string& out, std::string_view s);
 
 /// JSON string escaping: quotes, backslashes and control characters (a
 /// caller-supplied ParameterSet or ModelVariant name must never corrupt the
 /// document).
 [[nodiscard]] std::string json_escape(const std::string& s);
+/// json_escape appended to `out`.
+void append_json_escaped(std::string& out, std::string_view s);
 
 struct CsvOptions {
     /// Emit the column-name header line.  Shard 1 of a partitioned sweep
@@ -36,9 +41,11 @@ struct CsvOptions {
 
 /// Header `line,strategy,parameters,variant,measure,disaster,service_level,
 /// t,value`; scalar measures emit one row with an empty `t` column.  Doubles
-/// are round-trip exact (%.17g).  Rows appear in result order, which for
-/// runner output is ascending work-item index — so shard CSVs concatenate
-/// (shard 1 with header, the rest without) into the unsharded document.
+/// are round-trip exact `%.17g` digits (support/strings' append_g17, so the
+/// bytes do not depend on the process locale).  Rows appear in result order,
+/// which for runner output is ascending work-item index — so shard CSVs
+/// concatenate (shard 1 with header, the rest without) into the unsharded
+/// document.  Each result's rows reach `os` in one write.
 void write_csv(const SweepReport& report, const ScenarioGrid& grid, std::ostream& os,
                const CsvOptions& options = {});
 

@@ -1,21 +1,9 @@
 #include "watertree/properties.hpp"
 
-#include <cstdio>
-
 #include "arcade/compiler.hpp"
+#include "support/strings.hpp"
 
 namespace arcade::watertree::properties {
-
-namespace {
-
-/// Round-trip-exact decimal form (matches the CSL printer's %.17g).
-std::string fmt(double v) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
-
-}  // namespace
 
 std::string availability_formula() { return "S=? [ \"operational\" ]"; }
 
@@ -25,19 +13,19 @@ std::string reliability_formula(double horizon) {
     // P(never left full service up to t) = P(G<=t !"down"); the parser
     // desugars G via duality to 1 - P(true U<=t "down") — the reliability
     // measure's arithmetic verbatim.
-    return "P=? [ G<=" + fmt(horizon) + " !\"down\" ]";
+    return "P=? [ G<=" + format_g17(horizon) + " !\"down\" ]";
 }
 
 std::string survivability_formula(double bound, double horizon) {
-    return "P=? [ true U<=" + fmt(horizon) + " \"" + core::service_label(bound) + "\" ]";
+    return "P=? [ true U<=" + format_g17(horizon) + " \"" + core::service_label(bound) + "\" ]";
 }
 
 std::string instantaneous_cost_formula(double time) {
-    return "R{\"cost\"}=? [ I=" + fmt(time) + " ]";
+    return "R{\"cost\"}=? [ I=" + format_g17(time) + " ]";
 }
 
 std::string accumulated_cost_formula(double horizon) {
-    return "R{\"cost\"}=? [ C<=" + fmt(horizon) + " ]";
+    return "R{\"cost\"}=? [ C<=" + format_g17(horizon) + " ]";
 }
 
 std::vector<Property> paper_pack() {

@@ -4,7 +4,9 @@
 
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <random>
 #include <span>
 #include <string>
 #include <vector>
@@ -109,6 +111,140 @@ TEST(StateLayout, PackRejectsOutOfRangeValues) {
     EXPECT_THROW(layout.pack(std::span<const std::int64_t>(std::vector<std::int64_t>{-1}), words.data()),
                  arcade::ModelError);
     EXPECT_THROW(engine::StateLayout({{2, 1}}), arcade::InvalidArgument);
+}
+
+namespace {
+
+/// Reference packer, independent of StateLayout's slot table: assigns the
+/// fields word by word (a field that does not fit opens the next word;
+/// zero-width fields take no bits) and sets each value bit by bit.
+struct ReferencePacking {
+    std::vector<std::uint64_t> words{0};
+    std::vector<std::size_t> word_of;  ///< word each field was assigned to
+};
+
+ReferencePacking reference_pack(const std::vector<engine::FieldSpec>& fields,
+                                const std::vector<std::int64_t>& values) {
+    ReferencePacking out;
+    unsigned used = 0;
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+        const auto low = static_cast<std::uint64_t>(fields[i].low);
+        const auto bits =
+            static_cast<unsigned>(std::bit_width(static_cast<std::uint64_t>(fields[i].high) - low));
+        if (bits > 64 - used) {
+            out.words.push_back(0);
+            used = 0;
+        }
+        out.word_of.push_back(out.words.size() - 1);
+        const std::uint64_t raw = static_cast<std::uint64_t>(values[i]) - low;
+        for (unsigned b = 0; b < bits; ++b) {
+            if (((raw >> b) & 1u) != 0) out.words.back() |= std::uint64_t{1} << (used + b);
+        }
+        used += bits;
+    }
+    return out;
+}
+
+/// A random multi-word layout: widths 0..64 bits, with zero-width fields as
+/// the first and last field and right after fields that fill a word exactly.
+std::vector<engine::FieldSpec> random_layout(std::mt19937_64& rng) {
+    std::vector<engine::FieldSpec> fields;
+    const auto constant = [&] {
+        const auto v = static_cast<std::int64_t>(rng() % 2001) - 1000;
+        fields.push_back({v, v});
+    };
+    const auto field_count = 2 + rng() % 40;
+    unsigned used = 0;
+    if (rng() % 2 == 0) constant();
+    for (std::size_t i = 0; i < field_count; ++i) {
+        unsigned bits = 0;
+        const auto pick = rng() % 10;
+        if (pick == 0) {
+            constant();
+            continue;
+        }
+        if (pick <= 3 && used < 64) {
+            bits = 64 - used;  // fill the current word exactly
+        } else {
+            bits = 1 + static_cast<unsigned>(rng() % 64);
+        }
+        const std::uint64_t top = std::uint64_t{1} << (bits - 1);
+        const std::uint64_t range = top | (rng() & (top - 1));
+        // Keep low + range inside int64: wide fields start at INT64_MIN.
+        const std::int64_t low = bits >= 62
+                                     ? std::numeric_limits<std::int64_t>::min()
+                                     : static_cast<std::int64_t>(rng() % 2001) - 1000;
+        fields.push_back(
+            {low, static_cast<std::int64_t>(static_cast<std::uint64_t>(low) + range)});
+        used = bits > 64 - used ? bits : used + bits;
+        if (used == 64 && rng() % 2 == 0) constant();
+    }
+    if (rng() % 2 == 0) constant();
+    return fields;
+}
+
+std::int64_t random_value(std::mt19937_64& rng, const engine::FieldSpec& f) {
+    const std::uint64_t range = static_cast<std::uint64_t>(f.high) - static_cast<std::uint64_t>(f.low);
+    const std::uint64_t offset = range == ~std::uint64_t{0} ? rng() : rng() % (range + 1);
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(f.low) + offset);
+}
+
+}  // namespace
+
+TEST(StateLayout, PackMatchesABitByBitReferenceOnRandomLayouts) {
+    std::mt19937_64 rng(8129);
+    std::size_t multi_word = 0;
+    std::size_t late_rejections = 0;
+    std::size_t zero_width_rejections = 0;
+    for (int round = 0; round < 2000; ++round) {
+        const auto fields = random_layout(rng);
+        const engine::StateLayout layout(fields);
+        std::vector<std::int64_t> values;
+        for (const auto& f : fields) values.push_back(random_value(rng, f));
+        const auto reference = reference_pack(fields, values);
+        const auto& expected = reference.words;
+        ASSERT_EQ(layout.words_per_state(), expected.size()) << "round " << round;
+        if (expected.size() > 1) ++multi_word;
+
+        // Stale words must be overwritten, not OR-ed into.
+        std::vector<std::uint64_t> words(expected.size(), 0xa5a5a5a5a5a5a5a5ull);
+        layout.pack(std::span<const std::int64_t>(values), words.data());
+        ASSERT_EQ(words, expected) << "round " << round;
+        std::vector<std::int64_t> back(fields.size());
+        layout.unpack(words.data(), std::span<std::int64_t>(back));
+        ASSERT_EQ(back, values) << "round " << round;
+
+        // An out-of-range value in a later word or in a zero-width field
+        // throws the ModelError naming that field's value and range.
+        const auto& word_of = reference.word_of;
+        std::vector<std::size_t> targets;
+        for (std::size_t i = 0; i < fields.size(); ++i) {
+            if (word_of[i] > 0 || fields[i].low == fields[i].high) targets.push_back(i);
+        }
+        if (targets.empty()) continue;
+        const std::size_t bad = targets[rng() % targets.size()];
+        const auto& f = fields[bad];
+        if (f.high == std::numeric_limits<std::int64_t>::max() &&
+            f.low == std::numeric_limits<std::int64_t>::min()) {
+            continue;  // a full 64-bit field has no out-of-range value
+        }
+        auto broken = values;
+        broken[bad] = f.high < std::numeric_limits<std::int64_t>::max() ? f.high + 1 : f.low - 1;
+        const std::string message = "pack: value " + std::to_string(broken[bad]) +
+                                    " outside field range [" + std::to_string(f.low) + "," +
+                                    std::to_string(f.high) + "]";
+        try {
+            layout.pack(std::span<const std::int64_t>(broken), words.data());
+            FAIL() << "round " << round << ": field " << bad << " accepted " << broken[bad];
+        } catch (const arcade::ModelError& e) {
+            EXPECT_EQ(std::string(e.what()), message) << "round " << round;
+        }
+        if (word_of[bad] > 0) ++late_rejections;
+        if (f.low == f.high) ++zero_width_rejections;
+    }
+    EXPECT_GT(multi_word, 1000u);
+    EXPECT_GT(late_rejections, 500u);
+    EXPECT_GT(zero_width_rejections, 100u);
 }
 
 TEST(StateStore, InternDeduplicatesAndSurvivesRehash) {

@@ -1,8 +1,17 @@
 // Unit tests: string utilities and table/series output.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <iomanip>
+#include <limits>
+#include <random>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "support/series.hpp"
 #include "support/strings.hpp"
@@ -37,6 +46,77 @@ TEST(Strings, FormatDoubleRoundTrips) {
         const std::string text = arc::format_double(v);
         EXPECT_DOUBLE_EQ(std::stod(text), v) << text;
     }
+}
+
+namespace {
+
+/// The printf formatter append_g17 replaces.
+std::string printf_g17(double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    return buf;
+}
+
+/// format_double as it was written on printf/scanf: the reference for the
+/// to_chars/from_chars search.
+std::string printf_format_double(double value) {
+    char buf[64];
+    for (int prec = 6; prec <= 17; ++prec) {
+        std::snprintf(buf, sizeof buf, "%.*g", prec, value);
+        double back = 0.0;
+        std::sscanf(buf, "%lf", &back);
+        if (back == value) break;
+    }
+    return buf;
+}
+
+/// Edge cases plus 100k seeded random bit patterns (every exponent,
+/// subnormals and NaN payloads included).
+std::vector<double> formatter_inputs() {
+    using limits = std::numeric_limits<double>;
+    std::vector<double> values = {
+        0.0, -0.0, 1.0, -1.0, 0.1, 0.5, 1.0 / 3.0, 2.0 / 3.0, 1e-12, 12345.6789,
+        -2.5e17, DBL_MIN, -DBL_MIN, DBL_MAX, -DBL_MAX, limits::denorm_min(),
+        -limits::denorm_min(), DBL_MIN / 3.0, limits::epsilon(), limits::infinity(),
+        -limits::infinity(), limits::quiet_NaN(), -limits::quiet_NaN(),
+        9007199254740992.0, 9007199254740993.0, 123456789012345678.0, 1e21, 1e22,
+    };
+    for (int e = -320; e <= 308; ++e) values.push_back(std::pow(10.0, e));
+    for (int n = -1000; n <= 1000; ++n) values.push_back(static_cast<double>(n));
+    std::mt19937_64 rng(20100628);
+    for (int i = 0; i < 100000; ++i) values.push_back(std::bit_cast<double>(rng()));
+    return values;
+}
+
+}  // namespace
+
+TEST(Strings, FormatG17MatchesPrintfByteForByte) {
+    const auto values = formatter_inputs();
+    std::size_t nans = 0;
+    std::size_t subnormals = 0;
+    std::string appended = "x";
+    for (const double v : values) {
+        if (std::isnan(v)) ++nans;
+        if (std::fpclassify(v) == FP_SUBNORMAL) ++subnormals;
+        ASSERT_EQ(arc::format_g17(v), printf_g17(v))
+            << "bits 0x" << std::hex << std::bit_cast<std::uint64_t>(v);
+    }
+    EXPECT_GE(nans, 2u);
+    EXPECT_GT(subnormals, 2u);
+    // append_g17 appends; it never replaces.
+    arc::append_g17(appended, 0.25);
+    arc::append_g17(appended, -DBL_MAX);
+    EXPECT_EQ(appended, "x0.25-1.7976931348623157e+308");
+    EXPECT_EQ(arc::format_g17(-std::numeric_limits<double>::quiet_NaN()), "-nan");
+}
+
+TEST(Strings, FormatDoubleMatchesThePrintfScanfSearch) {
+    for (const double v : formatter_inputs()) {
+        ASSERT_EQ(arc::format_double(v), printf_format_double(v))
+            << "bits 0x" << std::hex << std::bit_cast<std::uint64_t>(v);
+    }
+    EXPECT_EQ(arc::format_double(0.1), "0.1");
+    EXPECT_EQ(arc::format_double(1.0 / 3.0), "0.3333333333333333");
 }
 
 TEST(Series, TimeGridEndpoints) {

@@ -6,6 +6,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -461,6 +462,240 @@ TEST(SweepExport, CsvAndJsonEscapingRoundTripsHostileNames) {
     std::ostringstream json;
     sweep::write_json(report, grid, json);
     EXPECT_NE(json.str().find("mttr,\\\"x10\\\"\\u000afast"), std::string::npos);
+}
+
+namespace {
+
+// The stream writers write_csv/write_json replaced, kept as the reference
+// for their bytes: snprintf("%.17g") per double and operator<< per field.
+
+std::string reference_fmt(double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    return buf;
+}
+
+std::string reference_json_escape(const std::string& s) {
+    std::string out;
+    for (const char c : s) {
+        if (c == '"' || c == '\\') {
+            out.push_back('\\');
+            out.push_back(c);
+        } else if (static_cast<unsigned char>(c) < 0x20) {
+            char buf[8];
+            std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
+            out += buf;
+        } else {
+            out.push_back(c);
+        }
+    }
+    return out;
+}
+
+std::string reference_csv_field(const std::string& s) {
+    if (s.find_first_of(",\"\n\r") == std::string::npos) return s;
+    std::string out = "\"";
+    for (const char c : s) {
+        if (c == '"') out += "\"\"";
+        else out.push_back(c);
+    }
+    out.push_back('"');
+    return out;
+}
+
+bool reference_has_property(const sweep::ScenarioGrid& grid) {
+    for (const auto& m : grid.measures) {
+        if (m.kind == MeasureKind::Property) return true;
+    }
+    return false;
+}
+
+bool reference_has_scale(const sweep::ScenarioGrid& grid) {
+    for (const auto& sc : grid.scales) {
+        if (!sc.is_default()) return true;
+    }
+    return false;
+}
+
+std::string reference_csv(const sweep::SweepReport& report, const sweep::ScenarioGrid& grid,
+                          const sweep::CsvOptions& options) {
+    const auto fmt = reference_fmt;
+    std::ostringstream os;
+    const bool property_column = reference_has_property(grid);
+    const bool scale_column = reference_has_scale(grid);
+    if (options.header) {
+        os << "line,strategy,parameters,variant,measure,disaster,service_level,t,value";
+        if (property_column) os << ",property";
+        if (scale_column) os << ",scale";
+        os << "\n";
+    }
+    for (const auto& r : report.results) {
+        const auto& m = r.item.measure;
+        const std::string prefix =
+            std::to_string(r.item.line) + "," + reference_csv_field(r.item.strategy) + "," +
+            reference_csv_field(grid.parameters[r.item.parameter_index].name) + "," +
+            reference_csv_field(r.item.variant.name) + "," + sweep::to_string(m.kind) + "," +
+            sweep::to_string(m.disaster) + "," +
+            (m.kind == MeasureKind::Survivability ? fmt(m.service_level) : "") + ",";
+        std::string suffix;
+        if (property_column) (suffix += ",") += reference_csv_field(m.property);
+        if (scale_column) (suffix += ",") += reference_csv_field(r.item.scale.name);
+        if (m.is_series()) {
+            for (std::size_t i = 0; i < r.values.size(); ++i) {
+                os << prefix << fmt(m.times[i]) << "," << fmt(r.values[i]) << suffix << "\n";
+            }
+        } else {
+            os << prefix << "," << fmt(r.values.front()) << suffix << "\n";
+        }
+    }
+    if (options.footer) {
+        os << "# scenarios=" << report.results.size() << " unique_models="
+           << report.unique_models << " compile_hits=" << report.stats.compile_hits
+           << " compile_misses=" << report.stats.compile_misses
+           << " steady_hits=" << report.stats.steady_state_hits
+           << " steady_misses=" << report.stats.steady_state_misses
+           << " cache_hit_rate=" << fmt(report.cache_hit_rate())
+           << " lump_hits=" << report.stats.lump_hits
+           << " lump_misses=" << report.stats.lump_misses
+           << " property_hits=" << report.stats.property_hits
+           << " property_misses=" << report.stats.property_misses
+           << " reduction_ratio=" << fmt(report.stats.reduction_ratio())
+           << " symmetry_states_in=" << report.stats.symmetry_states_in
+           << " symmetry_states_out=" << report.stats.symmetry_states_out
+           << " symmetry_ratio=" << fmt(report.stats.symmetry_ratio())
+           << " symmetry_seconds=" << fmt(report.stats.symmetry_seconds)
+           << " state_points=" << report.state_points
+           << " states_per_sec=" << fmt(report.states_per_second())
+           << " wall_seconds=" << fmt(report.wall_seconds) << "\n";
+    }
+    return os.str();
+}
+
+std::string reference_json(const sweep::SweepReport& report, const sweep::ScenarioGrid& grid) {
+    const auto fmt = reference_fmt;
+    std::ostringstream os;
+    os << "{\n  \"counters\": {\n"
+       << "    \"scenarios\": " << report.results.size() << ",\n"
+       << "    \"unique_models\": " << report.unique_models << ",\n"
+       << "    \"compile_hits\": " << report.stats.compile_hits << ",\n"
+       << "    \"compile_misses\": " << report.stats.compile_misses << ",\n"
+       << "    \"steady_state_hits\": " << report.stats.steady_state_hits << ",\n"
+       << "    \"steady_state_misses\": " << report.stats.steady_state_misses << ",\n"
+       << "    \"cache_hit_rate\": " << fmt(report.cache_hit_rate()) << ",\n"
+       << "    \"lump_hits\": " << report.stats.lump_hits << ",\n"
+       << "    \"lump_misses\": " << report.stats.lump_misses << ",\n"
+       << "    \"lump_states_in\": " << report.stats.lump_states_in << ",\n"
+       << "    \"lump_states_out\": " << report.stats.lump_states_out << ",\n"
+       << "    \"property_hits\": " << report.stats.property_hits << ",\n"
+       << "    \"property_misses\": " << report.stats.property_misses << ",\n"
+       << "    \"reduction_ratio\": " << fmt(report.stats.reduction_ratio()) << ",\n"
+       << "    \"symmetry_states_in\": " << report.stats.symmetry_states_in << ",\n"
+       << "    \"symmetry_states_out\": " << report.stats.symmetry_states_out << ",\n"
+       << "    \"symmetry_ratio\": " << fmt(report.stats.symmetry_ratio()) << ",\n"
+       << "    \"symmetry_seconds\": " << fmt(report.stats.symmetry_seconds) << ",\n"
+       << "    \"state_points\": " << report.state_points << ",\n"
+       << "    \"states_per_second\": " << fmt(report.states_per_second()) << ",\n"
+       << "    \"wall_seconds\": " << fmt(report.wall_seconds) << "\n  },\n"
+       << "  \"results\": [\n";
+    const bool scale_field = reference_has_scale(grid);
+    for (std::size_t i = 0; i < report.results.size(); ++i) {
+        const auto& r = report.results[i];
+        const auto& m = r.item.measure;
+        os << "    {\"index\": " << r.item.index << ", \"line\": " << r.item.line
+           << ", \"strategy\": \"" << reference_json_escape(r.item.strategy)
+           << "\", \"parameters\": \""
+           << reference_json_escape(grid.parameters[r.item.parameter_index].name)
+           << "\", \"variant\": \"" << reference_json_escape(r.item.variant.name)
+           << "\", \"measure\": \"" << sweep::to_string(m.kind) << "\", \"disaster\": \""
+           << sweep::to_string(m.disaster) << "\", \"service_level\": " << fmt(m.service_level)
+           << ", \"formula\": \"" << reference_json_escape(m.property) << "\"";
+        if (scale_field) {
+            os << ", \"scale\": \"" << reference_json_escape(r.item.scale.name)
+               << "\", \"model_full_states\": " << fmt(r.model_full_states);
+        }
+        os << ", \"model_states\": " << r.model_states
+           << ", \"model_transitions\": " << r.model_transitions
+           << ", \"seconds\": " << fmt(r.seconds) << ",\n     \"times\": [";
+        for (std::size_t k = 0; k < m.times.size(); ++k) {
+            os << (k > 0 ? ", " : "") << fmt(m.times[k]);
+        }
+        os << "], \"values\": [";
+        for (std::size_t k = 0; k < r.values.size(); ++k) {
+            os << (k > 0 ? ", " : "") << fmt(r.values[k]);
+        }
+        os << "]}" << (i + 1 < report.results.size() ? "," : "") << "\n";
+    }
+    os << "  ]\n}\n";
+    return os.str();
+}
+
+/// write_csv under every header/footer combination and write_json must
+/// reproduce the reference writers' bytes.
+void expect_exports_match_reference(const sweep::SweepReport& report,
+                                    const sweep::ScenarioGrid& grid, const std::string& what) {
+    for (const bool header : {true, false}) {
+        for (const bool footer : {false, true}) {
+            sweep::CsvOptions options;
+            options.header = header;
+            options.footer = footer;
+            std::ostringstream csv;
+            sweep::write_csv(report, grid, csv, options);
+            EXPECT_EQ(csv.str(), reference_csv(report, grid, options))
+                << what << ": header=" << header << " footer=" << footer;
+        }
+    }
+    std::ostringstream json;
+    sweep::write_json(report, grid, json);
+    EXPECT_EQ(json.str(), reference_json(report, grid)) << what;
+}
+
+}  // namespace
+
+TEST(SweepExport, WritersMatchTheStreamReferenceByteForByte) {
+    engine::AnalysisSession session;
+    {
+        // The paper evaluation on the lumped models: series, scalar and
+        // survivability rows (service_level column).
+        const auto grid = sweep::paper::everything();
+        sweep::SweepRunner runner(session);
+        expect_exports_match_reference(runner.run(grid), grid, "paper");
+    }
+    {
+        // CSL properties: the trailing `property` column.
+        const auto grid = sweep::paper::properties();
+        sweep::RunnerOptions options;
+        options.reduction = core::ReductionPolicy::Auto;
+        sweep::SweepRunner runner(session, options);
+        const auto report = runner.run(grid);
+        ASSERT_FALSE(report.results.empty());
+        expect_exports_match_reference(report, grid, "properties");
+    }
+    {
+        // One extra pump: the `scale` column and model_full_states.
+        const auto grid = sweep::studies::pump_scaling(1);
+        sweep::RunnerOptions options;
+        options.symmetry = core::SymmetryPolicy::Auto;
+        sweep::SweepRunner runner(session, options);
+        expect_exports_match_reference(runner.run(grid), grid, "pump scaling");
+    }
+    {
+        // Hostile names: separators, quotes, newlines, backslashes and
+        // control characters in the parameter-set and variant names.
+        sweep::ScenarioGrid grid;
+        grid.lines = {2};
+        grid.strategies = {"DED"};
+        sweep::ParameterSet nasty;
+        nasty.name = "mttr,\"x10\"\nfast\r\x01\x1f\t";
+        grid.parameters = {nasty};
+        auto variant = sweep::lumped_variant();
+        variant.name = "lumped\\\"\b,\x7f";
+        grid.variants = {variant};
+        grid.measures = {measure_spec(MeasureKind::Availability),
+                         measure_spec(MeasureKind::Survivability, DisasterKind::Mixed,
+                                      1.0 / 3.0, {0.0, 1e-7, 0.5})};
+        sweep::SweepRunner runner(session);
+        expect_exports_match_reference(runner.run(grid), grid, "hostile names");
+    }
 }
 
 TEST(SweepRunner, ParameterPerturbationsAreDistinctCells) {
