@@ -14,6 +14,13 @@ namespace arcade::core {
 
 namespace {
 
+/// Entries of `levels` >= x, within the library-wide 1e-9 tolerance.
+std::vector<bool> at_least(std::span<const double> levels, double x) {
+    std::vector<bool> bits(levels.size());
+    for (std::size_t i = 0; i < levels.size(); ++i) bits[i] = levels[i] >= x - 1e-9;
+    return bits;
+}
+
 using State = std::vector<std::int16_t>;
 
 /// How a repair unit behaves for encoding purposes.
@@ -782,11 +789,7 @@ CompiledModel run_compile(const ArcadeModel& model, const Plan& plan, Encoder en
         }
     }
 
-    chain.set_label("operational", [&] {
-        std::vector<bool> bits(n);
-        for (std::size_t s = 0; s < n; ++s) bits[s] = service[s] >= 1.0 - 1e-9;
-        return bits;
-    }());
+    chain.set_label("operational", at_least(service, 1.0));
     chain.set_label("down", [&] {
         std::vector<bool> bits(n);
         for (std::size_t s = 0; s < n; ++s) bits[s] = service[s] < 1.0 - 1e-9;
@@ -803,9 +806,7 @@ CompiledModel run_compile(const ArcadeModel& model, const Plan& plan, Encoder en
     // survivability targets and reproduce the measure pipeline bit for bit.
     for (const double level : phase_service_levels(model)) {
         if (level <= 1e-9) continue;
-        std::vector<bool> bits(n);
-        for (std::size_t s = 0; s < n; ++s) bits[s] = service[s] >= level - 1e-9;
-        chain.set_label(service_label(level), std::move(bits));
+        chain.set_label(service_label(level), at_least(service, level));
     }
 
     return CompiledModel(std::move(chain), std::move(service),
@@ -843,8 +844,41 @@ std::string service_label(double level) {
 ctmc::LumpSignature CompiledModel::lump_signature() const {
     ctmc::LumpSignature signature;
     signature.labels = chain_.label_names();
-    signature.values = {service_, cost_.state_rates()};
+    signature.values.resize(kSignatureRows);
+    signature.values[kServiceRow] = service_;
+    signature.values[kCostRow] = cost_.state_rates();
     return signature;
+}
+
+const std::vector<double>& CompiledModel::block_row(const ctmc::QuotientCtmc& quotient,
+                                                    SignatureRow row) const {
+    ARCADE_ASSERT(quotient.original_state_count() == state_count() &&
+                      quotient.values().size() == kSignatureRows,
+                  "quotient is not over this model's lump signature");
+    return quotient.values()[row];
+}
+
+const std::vector<double>& CompiledModel::block_service_levels(
+    const ctmc::QuotientCtmc& quotient) const {
+    return block_row(quotient, kServiceRow);
+}
+
+const std::vector<double>& CompiledModel::block_cost_rates(
+    const ctmc::QuotientCtmc& quotient) const {
+    return block_row(quotient, kCostRow);
+}
+
+std::vector<bool> CompiledModel::block_service_at_least(const ctmc::QuotientCtmc& quotient,
+                                                        double x) const {
+    return at_least(block_service_levels(quotient), x);
+}
+
+std::vector<double> CompiledModel::block_disaster_distribution(
+    const ctmc::QuotientCtmc& quotient, const Disaster& disaster) const {
+    ARCADE_ASSERT(quotient.original_state_count() == state_count(),
+                  "quotient is not over this model's chain");
+    return ctmc::Ctmc::point_distribution(quotient.block_count(),
+                                          quotient.block_of(disaster_state(disaster)));
 }
 
 std::pair<std::shared_ptr<const ctmc::QuotientCtmc>, bool> CompiledModel::quotient()
@@ -882,9 +916,7 @@ std::vector<std::size_t> CompiledModel::orbit_representatives() const {
 }
 
 std::vector<bool> CompiledModel::service_at_least(double x) const {
-    std::vector<bool> bits(service_.size());
-    for (std::size_t s = 0; s < service_.size(); ++s) bits[s] = service_[s] >= x - 1e-9;
-    return bits;
+    return at_least(service_, x);
 }
 
 std::vector<bool> CompiledModel::operational_states() const { return service_at_least(1.0); }

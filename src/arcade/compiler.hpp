@@ -177,6 +177,26 @@ public:
     /// measure in this library reads, so ONE quotient serves them all.
     [[nodiscard]] ctmc::LumpSignature lump_signature() const;
 
+    // Measure inputs on the blocks of `quotient`, a quotient of this
+    // model's chain over lump_signature() (quotient().first), built in
+    // O(blocks) from the rows the quotient stored per block.  Each is
+    // bitwise the projection of its full-chain counterpart (test_lumping
+    // checks that on every shipped individual model).
+
+    /// Bitwise quotient.project_values(service_levels()).
+    [[nodiscard]] const std::vector<double>& block_service_levels(
+        const ctmc::QuotientCtmc& quotient) const;
+    /// Bitwise quotient.project_values(cost_reward().state_rates()).
+    [[nodiscard]] const std::vector<double>& block_cost_rates(
+        const ctmc::QuotientCtmc& quotient) const;
+    /// Bitwise quotient.project_mask(service_at_least(x)).
+    [[nodiscard]] std::vector<bool> block_service_at_least(const ctmc::QuotientCtmc& quotient,
+                                                           double x) const;
+    /// Bitwise quotient.project(disaster_distribution(disaster)): the point
+    /// distribution on the disaster state's block.
+    [[nodiscard]] std::vector<double> block_disaster_distribution(
+        const ctmc::QuotientCtmc& quotient, const Disaster& disaster) const;
+
     /// The strong-bisimulation quotient of the chain w.r.t.
     /// lump_signature(), computed lazily once per model (thread-safe) and
     /// shared by every consumer.  A fully explored chain with an
@@ -234,6 +254,11 @@ private:
     /// model stays movable (run_compile returns by value).
     mutable std::shared_ptr<std::mutex> quotient_mutex_ = std::make_shared<std::mutex>();
     mutable std::shared_ptr<const ctmc::QuotientCtmc> quotient_;
+
+    /// Value rows of lump_signature(), by position.
+    enum SignatureRow : std::size_t { kServiceRow, kCostRow, kSignatureRows };
+    [[nodiscard]] const std::vector<double>& block_row(const ctmc::QuotientCtmc& quotient,
+                                                       SignatureRow row) const;
 
     [[nodiscard]] std::size_t lookup(const std::vector<std::int16_t>& encoded) const;
     /// representative[s] = index of state s's orbit representative.

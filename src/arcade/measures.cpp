@@ -18,6 +18,11 @@ std::shared_ptr<const ctmc::QuotientCtmc> auto_quotient(const CompiledModel& mod
     return model.quotient().first;
 }
 
+/// The cost reward on the blocks of `q`.
+rewards::RewardStructure block_cost(const CompiledModel& model, const ctmc::QuotientCtmc& q) {
+    return {model.cost_reward().name(), model.block_cost_rates(q)};
+}
+
 }  // namespace
 
 double availability(const CompiledModel& model) {
@@ -73,8 +78,8 @@ std::vector<double> survivability_series(const CompiledModel& model, const Disas
         // Service levels are in the lump signature, so every service>=x
         // mask is block-constant and the quotient solve is exact.
         const std::vector<bool> phi(q->block_count(), true);
-        const auto target = q->project_mask(model.service_at_least(service_level));
-        const auto initial = q->project(model.disaster_distribution(disaster));
+        const auto target = model.block_service_at_least(*q, service_level);
+        const auto initial = model.block_disaster_distribution(*q, disaster);
         return ctmc::bounded_until_series(q->chain(), initial, phi, target, times,
                                           transient);
     }
@@ -95,11 +100,9 @@ std::vector<std::vector<double>> cost_series(const CompiledModel& model,
                                              std::span<const ctmc::SeriesRequest> requests,
                                              const ctmc::TransientOptions& transient) {
     if (const auto q = auto_quotient(model)) {
-        const rewards::RewardStructure cost(
-            model.cost_reward().name(),
-            q->project_values(model.cost_reward().state_rates()));
-        const auto initial = q->project(model.disaster_distribution(disaster));
-        return rewards::reward_series(q->chain(), initial, cost, requests, transient);
+        const auto initial = model.block_disaster_distribution(*q, disaster);
+        return rewards::reward_series(q->chain(), initial, block_cost(model, *q), requests,
+                                      transient);
     }
     const auto initial = model.disaster_distribution(disaster);
     return rewards::reward_series(model.chain(), initial, model.cost_reward(), requests,
@@ -129,7 +132,7 @@ FusedSeriesPlan survivability_fused_plan(const CompiledModel& model,
     const ctmc::Ctmc& base = plan.quotient ? plan.quotient->chain() : model.chain();
     const std::vector<bool> phi(base.state_count(), true);
     const std::vector<bool> target =
-        plan.quotient ? plan.quotient->project_mask(model.service_at_least(service_level))
+        plan.quotient ? model.block_service_at_least(*plan.quotient, service_level)
                       : model.service_at_least(service_level);
     plan.transformed =
         std::make_shared<const ctmc::Ctmc>(ctmc::until_transform(base, phi, target));
@@ -139,10 +142,7 @@ FusedSeriesPlan survivability_fused_plan(const CompiledModel& model,
 
 double steady_state_cost(const CompiledModel& model) {
     if (const auto q = auto_quotient(model)) {
-        const rewards::RewardStructure cost(
-            model.cost_reward().name(),
-            q->project_values(model.cost_reward().state_rates()));
-        return rewards::steady_state_reward(q->chain(), cost);
+        return rewards::steady_state_reward(q->chain(), block_cost(model, *q));
     }
     return rewards::steady_state_reward(model.chain(), model.cost_reward());
 }

@@ -13,6 +13,12 @@ using graph::double_bits;
 
 namespace {
 
+[[noreturn]] void throw_values_not_block_constant() {
+    throw InvalidArgument(
+        "QuotientCtmc: values are not block-constant — the lump signature does not "
+        "cover them");
+}
+
 /// A signature resolved against one chain: label bit vectors by pointer.
 /// Throws InvalidArgument when a label is missing from the chain or a value
 /// row has the wrong size.
@@ -157,11 +163,25 @@ QuotientCtmc::Build QuotientCtmc::build(const Ctmc& original, graph::Partition p
     const std::size_t n = original.state_count();
     const std::size_t m = partition.count;
 
+    // One membership pass: block sizes, representatives (lowest-index
+    // members) and the signature's value rows read off them, each member
+    // checked against its block's entry.
+    const auto& rows = signature.values;
     std::vector<std::size_t> block_sizes(m, 0);
     std::vector<std::size_t> representative(m, n);
+    std::vector<std::vector<double>> values(rows.size(), std::vector<double>(m, 0.0));
     for (std::size_t s = 0; s < n; ++s) {
         const std::size_t b = partition.block_of[s];
-        if (block_sizes[b] == 0) representative[b] = s;
+        if (block_sizes[b] == 0) {
+            representative[b] = s;
+            for (std::size_t r = 0; r < rows.size(); ++r) values[r][b] = rows[r][s];
+        } else {
+            for (std::size_t r = 0; r < rows.size(); ++r) {
+                if (double_bits(values[r][b]) != double_bits(rows[r][s])) {
+                    throw_values_not_block_constant();
+                }
+            }
+        }
         ++block_sizes[b];
     }
 
@@ -195,7 +215,8 @@ QuotientCtmc::Build QuotientCtmc::build(const Ctmc& original, graph::Partition p
         for (std::size_t b = 0; b < m; ++b) projected[b] = bits[representative[b]];
         chain.set_label(name, std::move(projected));
     }
-    return Build{std::move(partition.block_of), std::move(block_sizes), std::move(chain)};
+    return Build{std::move(partition.block_of), std::move(block_sizes), std::move(values),
+                 std::move(chain)};
 }
 
 std::vector<double> QuotientCtmc::project(std::span<const double> per_state) const {
@@ -233,9 +254,7 @@ std::vector<double> QuotientCtmc::project_values(std::span<const double> per_sta
             seen[b] = true;
             out[b] = per_state[s];
         } else if (double_bits(out[b]) != double_bits(per_state[s])) {
-            throw InvalidArgument(
-                "QuotientCtmc: values are not block-constant — the lump signature does "
-                "not cover them");
+            throw_values_not_block_constant();
         }
     }
     return out;

@@ -36,9 +36,11 @@
 //   without repair, the block map, rates and initial distribution are
 //   bitwise equal to the direct route's.
 //
-// Either way the quotient rates, initial distribution and labels are read
-// off the *original* chain's lowest-index block members, so a route that
-// finds the same partition builds the bitwise-identical quotient.
+// Either way the quotient rates, initial distribution, labels and value rows
+// are read off the *original* chain's lowest-index block members, so a route
+// that finds the same partition builds the bitwise-identical quotient.  The
+// per-block value rows (values()) let a measure whose inputs come from the
+// signature build them per block, without a full-chain vector to project.
 //
 // lift() spreads block mass uniformly over members.  That is exact for every
 // block-constant functional (anything in the signature) but *not* a
@@ -73,7 +75,8 @@ struct LumpSignature {
 class QuotientCtmc {
 public:
     /// Computes the quotient.  Throws InvalidArgument when a signature
-    /// label is missing from the chain or a value row has the wrong size.
+    /// label is missing from the chain, a value row has the wrong size or
+    /// is not constant on a block.
     QuotientCtmc(const Ctmc& original, const LumpSignature& signature);
 
     /// The same quotient, refined through the orbits of a signature-
@@ -87,6 +90,13 @@ public:
 
     /// The quotient chain (block-level CTMC).
     [[nodiscard]] const Ctmc& chain() const noexcept { return chain_; }
+
+    /// The signature's value rows per block, in signature order: row i,
+    /// entry b is signature.values[i] at every member of block b (bitwise
+    /// what project_values(signature.values[i]) returns).
+    [[nodiscard]] const std::vector<std::vector<double>>& values() const noexcept {
+        return values_;
+    }
 
     [[nodiscard]] std::size_t original_state_count() const noexcept {
         return block_of_.size();
@@ -141,17 +151,20 @@ private:
     struct Build {
         std::vector<std::size_t> block_of;
         std::vector<std::size_t> block_sizes;
+        std::vector<std::vector<double>> values;
         Ctmc chain;
     };
     explicit QuotientCtmc(Build&& b)
         : block_of_(std::move(b.block_of)),
           block_sizes_(std::move(b.block_sizes)),
+          values_(std::move(b.values)),
           chain_(std::move(b.chain)) {}
     static Build build(const Ctmc& original, graph::Partition partition,
                        const LumpSignature& signature);
 
     std::vector<std::size_t> block_of_;
     std::vector<std::size_t> block_sizes_;
+    std::vector<std::vector<double>> values_;
     Ctmc chain_;
 };
 

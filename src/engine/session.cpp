@@ -228,11 +228,12 @@ std::shared_ptr<const std::vector<double>> AnalysisSession::steady_state(
 }
 
 double AnalysisSession::availability(const CompiledPtr& model) {
+    // Sums the mass of operational_states() without building the mask.
     const auto pi = steady_state(model);
-    const auto operational = model->operational_states();
+    const auto& service = model->service_levels();
     double p = 0.0;
     for (std::size_t s = 0; s < pi->size(); ++s) {
-        if (operational[s]) p += (*pi)[s];
+        if (service[s] >= 1.0 - 1e-9) p += (*pi)[s];
     }
     return p;
 }

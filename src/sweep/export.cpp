@@ -1,8 +1,13 @@
 #include "sweep/export.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <charconv>
+#include <cstdint>
 #include <ostream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "support/strings.hpp"
 
@@ -23,6 +28,38 @@ void flush(std::string& buf, std::ostream& os) {
     os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
     buf.clear();
 }
+
+/// The %.17g text of the time grid last passed to update().  Consecutive
+/// results of one measure share their grid, so a writer formats each run
+/// of equal grids once rather than once per result.
+class TimeGridText {
+public:
+    /// Re-formats only when `times` differs from the last grid (bitwise).
+    void update(const std::vector<double>& times) {
+        const auto same_bits = [](double a, double b) {
+            return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+        };
+        if (std::ranges::equal(times, times_, same_bits)) return;
+        times_ = times;
+        text_.clear();
+        ends_.clear();
+        for (const double t : times) {
+            append_g17(text_, t);
+            ends_.push_back(text_.size());
+        }
+    }
+
+    /// The text of time point k.
+    [[nodiscard]] std::string_view at(std::size_t k) const {
+        const std::size_t begin = k == 0 ? 0 : ends_[k - 1];
+        return std::string_view(text_).substr(begin, ends_[k] - begin);
+    }
+
+private:
+    std::vector<double> times_;
+    std::string text_;
+    std::vector<std::size_t> ends_;
+};
 
 /// Does the grid carry CSL property measures?  Decides (from the grid, not
 /// the result slice, so every shard of one sweep agrees) whether the CSV
@@ -107,6 +144,7 @@ void write_csv(const SweepReport& report, const ScenarioGrid& grid, std::ostream
     }
     std::string prefix;
     std::string suffix;
+    TimeGridText times;
     for (const auto& r : report.results) {
         const auto& m = r.item.measure;
         prefix.clear();
@@ -134,9 +172,10 @@ void write_csv(const SweepReport& report, const ScenarioGrid& grid, std::ostream
             append_csv_field(suffix, r.item.scale.name);
         }
         if (m.is_series()) {
+            times.update(m.times);
             for (std::size_t i = 0; i < r.values.size(); ++i) {
                 out += prefix;
-                append_g17(out, m.times[i]);
+                out += times.at(i);
                 out += ',';
                 append_g17(out, r.values[i]);
                 out += suffix;
@@ -228,6 +267,7 @@ void write_json(const SweepReport& report, const ScenarioGrid& grid, std::ostrea
     append_g17(out, report.wall_seconds);
     out += "\n  },\n  \"results\": [\n";
     const bool scale_field = has_scale(grid);
+    TimeGridText times;
     for (std::size_t i = 0; i < report.results.size(); ++i) {
         const auto& r = report.results[i];
         const auto& m = r.item.measure;
@@ -263,9 +303,10 @@ void write_json(const SweepReport& report, const ScenarioGrid& grid, std::ostrea
         out += ", \"seconds\": ";
         append_g17(out, r.seconds);
         out += ",\n     \"times\": [";
+        times.update(m.times);
         for (std::size_t k = 0; k < m.times.size(); ++k) {
             if (k > 0) out += ", ";
-            append_g17(out, m.times[k]);
+            out += times.at(k);
         }
         out += "], \"values\": [";
         for (std::size_t k = 0; k < r.values.size(); ++k) {

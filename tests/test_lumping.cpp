@@ -13,10 +13,15 @@
 //    ReductionPolicy::Auto and ::Off;
 //  * lumping through the symmetry orbits gives the bitwise-identical
 //    quotient to direct lumping on every shipped individual-encoding model,
-//    and the same partition on small generated models.
+//    and the same partition on small generated models;
+//  * under ReductionPolicy::Auto, the measure inputs built per block (the
+//    quotient's stored signature rows, the disaster state's block) and the
+//    series computed from them equal the full-chain projection path bitwise
+//    on every shipped individual-encoding model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <random>
 #include <set>
@@ -24,6 +29,7 @@
 #include <vector>
 
 #include "arcade/compiler.hpp"
+#include "arcade/fault_tree.hpp"
 #include "arcade/measures.hpp"
 #include "ctmc/bounded_until.hpp"
 #include "ctmc/quotient.hpp"
@@ -113,6 +119,9 @@ std::vector<std::uint64_t> bits_of(const std::vector<double>& values) {
     return out;
 }
 
+/// Bit patterns of one double, for exact comparison of scalar measures.
+std::uint64_t bits_of(double value) { return graph::double_bits(value); }
+
 /// Bitwise equality of two quotients: block map, CSR arrays, initial
 /// distribution and projected labels.
 void expect_same_quotient(const ctmc::QuotientCtmc& a, const ctmc::QuotientCtmc& b,
@@ -158,6 +167,33 @@ core::ArcadeModel cell_model(const sweep::ScenarioGrid& grid, const sweep::WorkI
                           grid.parameters[item.parameter_index].params,
                           item.scale.extra_pumps);
     return with_repair ? model : core::without_repair(model);
+}
+
+/// Calls visit(compiled, label) once for every unique model the shipped
+/// grids compile on the individual encoding (each cell's model with and
+/// without repair), compiled with `options`; returns how many it visited.
+template <typename Visit>
+std::size_t for_each_shipped_individual_model(const core::CompileOptions& options,
+                                              Visit visit) {
+    const std::vector<sweep::ScenarioGrid> grids = {
+        sweep::paper::everything(), sweep::studies::ablation_encodings(),
+        sweep::studies::ablation_preemption(), sweep::studies::mttr_sensitivity()};
+    std::set<std::uint64_t> seen;
+    std::size_t visited = 0;
+    for (const auto& grid : grids) {
+        for (const auto& item : sweep::expand(grid)) {
+            const auto with_cell = cell_model(grid, item);
+            for (const auto& model : {with_cell, core::without_repair(with_cell)}) {
+                if (!seen.insert(engine::fingerprint(model)).second) continue;
+                const std::string label = "line " + std::to_string(item.line) + " " +
+                                          item.strategy + " (" + model.name + ", " +
+                                          item.model_key() + ")";
+                visit(core::compile(model, options), label);
+                ++visited;
+            }
+        }
+    }
+    return visited;
 }
 
 /// A small model with `copies` (2–4) interchangeable components in its
@@ -625,31 +661,83 @@ TEST(OrbitLumping, EqualsDirectLumpingBitwiseOnEveryShippedIndividualModel) {
     // Acceptance: every unique model of the shipped grids, compiled on the
     // individual encoding with and without repair, lumps through its
     // orbits to exactly the quotient direct lumping builds.
-    const std::vector<sweep::ScenarioGrid> grids = {
-        sweep::paper::everything(), sweep::studies::ablation_encodings(),
-        sweep::studies::ablation_preemption(), sweep::studies::mttr_sensitivity()};
-    std::set<std::uint64_t> seen;
     core::CompileOptions options;
     options.encoding = core::Encoding::Individual;
-    std::size_t checked = 0;
-    for (const auto& grid : grids) {
-        for (const auto& item : sweep::expand(grid)) {
-            const auto with_cell = cell_model(grid, item);
-            for (const auto& model : {with_cell, core::without_repair(with_cell)}) {
-                if (!seen.insert(engine::fingerprint(model)).second) continue;
-                const std::string label = "line " + std::to_string(item.line) + " " +
-                                          item.strategy + " (" + model.name + ", " +
-                                          item.model_key() + ")";
-                const auto compiled = core::compile(model, options);
-                ASSERT_NE(compiled.state_symmetry(), nullptr) << label;
-                ASSERT_FALSE(compiled.symmetry_reduced()) << label;
-                const auto orbit_first = compiled.quotient().first;
-                const ctmc::QuotientCtmc direct(compiled.chain(), compiled.lump_signature());
-                expect_same_quotient(*orbit_first, direct, label);
-                ++checked;
+    const std::size_t checked = for_each_shipped_individual_model(
+        options, [](const core::CompiledModel& compiled, const std::string& label) {
+            ASSERT_NE(compiled.state_symmetry(), nullptr) << label;
+            ASSERT_FALSE(compiled.symmetry_reduced()) << label;
+            const auto orbit_first = compiled.quotient().first;
+            const ctmc::QuotientCtmc direct(compiled.chain(), compiled.lump_signature());
+            expect_same_quotient(*orbit_first, direct, label);
+        });
+    EXPECT_EQ(checked, 108u);
+}
+
+TEST(QuotientMeasures, BlockInputsEqualTheProjectionPathBitwiseOnEveryShippedIndividualModel) {
+    // Acceptance: under ReductionPolicy::Auto every measure input is built
+    // per block (the quotient's stored signature rows, the block of the
+    // disaster state).  Each equals bitwise the projection of its full-chain
+    // input, and so does every measure computed from them, on every unique
+    // shipped individual model with and without repair.
+    core::CompileOptions options;
+    options.encoding = core::Encoding::Individual;
+    options.reduction = core::ReductionPolicy::Auto;
+    const std::vector<double> times{0.0, 0.5, 4.0, 24.0};
+    const std::array<ctmc::SeriesRequest, 2> requests{
+        ctmc::SeriesRequest{times, ctmc::SeriesForm::Instantaneous},
+        ctmc::SeriesRequest{times, ctmc::SeriesForm::Accumulated}};
+    const std::size_t checked = for_each_shipped_individual_model(
+        options, [&](const core::CompiledModel& model, const std::string& label) {
+            const auto q = model.quotient().first;
+            const auto& rates = model.cost_reward().state_rates();
+            EXPECT_EQ(bits_of(model.block_service_levels(*q)),
+                      bits_of(q->project_values(model.service_levels())))
+                << label;
+            EXPECT_EQ(bits_of(model.block_cost_rates(*q)), bits_of(q->project_values(rates)))
+                << label;
+
+            // The projection path the Auto measures took before they built
+            // their inputs per block.
+            const arcade::rewards::RewardStructure projected_cost(
+                model.cost_reward().name(), q->project_values(rates));
+            EXPECT_EQ(bits_of(core::steady_state_cost(model)),
+                      bits_of(arcade::rewards::steady_state_reward(q->chain(), projected_cost)))
+                << label;
+
+            const std::vector<bool> phi(q->block_count(), true);
+            const auto levels = core::phase_service_levels(model.model());
+            for (const double x : levels) {
+                EXPECT_EQ(model.block_service_at_least(*q, x),
+                          q->project_mask(model.service_at_least(x)))
+                    << label << " service>=" << x;
             }
-        }
-    }
+            const std::vector<core::Disaster> disasters = {
+                wt::disaster1(model.model()), wt::disaster2(),
+                core::Disaster{"none",
+                               std::vector<std::size_t>(model.model().phases.size(), 0)}};
+            for (const auto& disaster : disasters) {
+                const std::string at = label + " " + disaster.name;
+                const auto initial = q->project(model.disaster_distribution(disaster));
+                EXPECT_EQ(bits_of(model.block_disaster_distribution(*q, disaster)),
+                          bits_of(initial))
+                    << at;
+                for (const double x : levels) {
+                    EXPECT_EQ(bits_of(core::survivability_series(model, disaster, x, times)),
+                              bits_of(ctmc::bounded_until_series(
+                                  q->chain(), initial, phi,
+                                  q->project_mask(model.service_at_least(x)), times)))
+                        << at << " survivability service>=" << x;
+                }
+                const auto costs = core::cost_series(model, disaster, requests);
+                const auto projected =
+                    arcade::rewards::reward_series(q->chain(), initial, projected_cost, requests);
+                ASSERT_EQ(costs.size(), projected.size()) << at;
+                for (std::size_t k = 0; k < costs.size(); ++k) {
+                    EXPECT_EQ(bits_of(costs[k]), bits_of(projected[k])) << at << " cost " << k;
+                }
+            }
+        });
     EXPECT_EQ(checked, 108u);
 }
 

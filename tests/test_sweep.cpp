@@ -698,6 +698,46 @@ TEST(SweepExport, WritersMatchTheStreamReferenceByteForByte) {
     }
 }
 
+TEST(SweepExport, TimeGridTextFollowsEveryChangeOfGrid) {
+    // The writers reuse the previous result's time-grid text when the two
+    // grids are bitwise equal.  A grid that differs anywhere (0 against -0,
+    // one point fewer, a subnormal for 0) must be formatted afresh, also
+    // after a scalar result in between.
+    engine::AnalysisSession session;
+    sweep::ScenarioGrid grid;
+    grid.lines = {2};
+    grid.strategies = {"DED"};
+    grid.measures = {measure_spec(MeasureKind::Availability),
+                     measure_spec(MeasureKind::Survivability, DisasterKind::Mixed, 1.0 / 3.0,
+                                  {0.0, 0.5, 2.0})};
+    sweep::SweepRunner runner(session);
+    const auto base = runner.run(grid);
+    ASSERT_EQ(base.results.size(), 2u);
+    const auto& scalar = base.results[0].item.measure.is_series() ? base.results[1]
+                                                                   : base.results[0];
+    const auto& series = base.results[0].item.measure.is_series() ? base.results[0]
+                                                                   : base.results[1];
+    ASSERT_TRUE(series.item.measure.is_series());
+    ASSERT_FALSE(scalar.item.measure.is_series());
+
+    const std::vector<std::vector<double>> grids = {
+        {0.0, 0.5, 2.0}, {0.0, 0.5, 2.0}, {-0.0, 0.5, 2.0}, {0.0, 0.5},
+        {0.0, 0.5, 2.0}, {},              {0.0, 0.5, 2.0}, {5e-324, 0.5, 2.0}};
+    auto report = base;
+    report.results.clear();
+    for (const auto& times : grids) {
+        if (times.empty()) {
+            report.results.push_back(scalar);
+            continue;
+        }
+        auto r = series;
+        r.item.measure.times = times;
+        r.values.resize(times.size(), 0.25);
+        report.results.push_back(std::move(r));
+    }
+    expect_exports_match_reference(report, grid, "changing grids");
+}
+
 TEST(SweepRunner, ParameterPerturbationsAreDistinctCells) {
     engine::AnalysisSession session;
     sweep::ScenarioGrid grid;
