@@ -737,17 +737,17 @@ CompiledModel run_compile(const ArcadeModel& model, const Plan& plan, Encoder en
     const std::size_t fields = initial16.size();
     std::vector<std::int64_t> initial(initial16.begin(), initial16.end());
 
-    // The proof is kept on the model either way; exploration canonicalises
-    // with it only under SymmetryPolicy::Auto.
+    // Either policy's Auto explores on the orbits of the interchangeability
+    // proof; with both Off the full chain is explored and no proof is built.
+    const bool on_orbits = options.symmetry == SymmetryPolicy::Auto ||
+                           options.reduction == ReductionPolicy::Auto;
     const std::shared_ptr<const engine::StateSymmetry> symmetry =
-        make_state_symmetry(model, plan, encoding);
-    const bool orbit_explored =
-        symmetry != nullptr && options.symmetry == SymmetryPolicy::Auto;
+        on_orbits ? make_state_symmetry(model, plan, encoding) : nullptr;
 
     engine::EngineOptions engine_options;
     engine_options.max_states = options.max_states;
     engine_options.threads = options.threads;
-    engine_options.symmetry = orbit_explored ? symmetry.get() : nullptr;
+    engine_options.symmetry = symmetry.get();
     auto explored = engine::explore_bfs(
         layout, initial, [&] { return EncoderWorker<Encoder>(encoder, fields); },
         engine_options);
@@ -757,16 +757,31 @@ CompiledModel run_compile(const ArcadeModel& model, const Plan& plan, Encoder en
     // Orbit accounting: the full-chain state count is the sum of orbit
     // sizes over the explored representatives (exact — the automorphism
     // group fixes the initial state, so the full reachable set is the
-    // disjoint union of these orbits).
-    double full_states = static_cast<double>(n);
+    // disjoint union of these orbits).  A model that reports the full
+    // chain's sizes (SymmetryPolicy::Off) also counts its transitions: an
+    // automorphism maps each member's row onto its representative's, and a
+    // full-chain row holds one entry per successor the encoder emits,
+    // because every transition fails or repairs exactly one component (a
+    // different one per transition), so no two coincide and none is the
+    // source.
+    double full_states = 0.0;
+    std::size_t full_transitions = 0;
     double symmetry_seconds = 0.0;
-    if (orbit_explored) {
+    if (symmetry != nullptr) {
         const auto t0 = std::chrono::steady_clock::now();
-        full_states = 0.0;
+        const bool count_transitions = options.symmetry == SymmetryPolicy::Off;
         std::vector<std::int64_t> values(fields);
+        State source(fields);
+        auto scratch = encoder.scratch();
         for (std::size_t s = 0; s < n; ++s) {
             store.unpack(s, std::span<std::int64_t>(values));
-            full_states += symmetry->orbit_size(values);
+            const double orbit = symmetry->orbit_size(values);
+            full_states += orbit;
+            if (!count_transitions) continue;
+            store.unpack(s, std::span<std::int16_t>(source));
+            std::size_t row = 0;
+            encoder.successors(source, scratch, [&](const State&, double) { ++row; });
+            full_transitions += static_cast<std::size_t>(orbit) * row;
         }
         symmetry_seconds =
             std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -812,7 +827,8 @@ CompiledModel run_compile(const ArcadeModel& model, const Plan& plan, Encoder en
     return CompiledModel(std::move(chain), std::move(service),
                          rewards::RewardStructure("cost", std::move(cost)), model,
                          std::move(store), encoding, options.reduction,
-                         options.symmetry, symmetry, full_states, symmetry_seconds);
+                         options.symmetry, symmetry, full_states, full_transitions,
+                         symmetry_seconds);
 }
 
 }  // namespace
@@ -822,7 +838,8 @@ CompiledModel::CompiledModel(ctmc::Ctmc chain, std::vector<double> service,
                              engine::StateStore store, Encoding encoding,
                              ReductionPolicy reduction, SymmetryPolicy symmetry,
                              std::shared_ptr<const engine::StateSymmetry> state_symmetry,
-                             double symmetry_full_states, double symmetry_seconds)
+                             double full_states, std::size_t full_transitions,
+                             double symmetry_seconds)
     : chain_(std::move(chain)),
       service_(std::move(service)),
       cost_(std::move(cost)),
@@ -832,8 +849,16 @@ CompiledModel::CompiledModel(ctmc::Ctmc chain, std::vector<double> service,
       reduction_(reduction),
       symmetry_(symmetry),
       state_symmetry_(std::move(state_symmetry)),
-      symmetry_full_states_(symmetry_full_states),
-      symmetry_seconds_(symmetry_seconds) {}
+      full_states_(orbit_explored() ? full_states
+                                    : static_cast<double>(chain_.state_count())),
+      state_count_(chain_.state_count()),
+      transition_count_(chain_.transition_count()),
+      symmetry_seconds_(symmetry_seconds) {
+    if (orbit_explored() && symmetry_ == SymmetryPolicy::Off) {
+        state_count_ = static_cast<std::size_t>(full_states_);
+        transition_count_ = full_transitions;
+    }
+}
 
 std::string service_label(double level) {
     std::string label = "service>=";
@@ -852,7 +877,7 @@ ctmc::LumpSignature CompiledModel::lump_signature() const {
 
 const std::vector<double>& CompiledModel::block_row(const ctmc::QuotientCtmc& quotient,
                                                     SignatureRow row) const {
-    ARCADE_ASSERT(quotient.original_state_count() == state_count() &&
+    ARCADE_ASSERT(quotient.original_state_count() == chain_.state_count() &&
                       quotient.values().size() == kSignatureRows,
                   "quotient is not over this model's lump signature");
     return quotient.values()[row];
@@ -875,7 +900,7 @@ std::vector<bool> CompiledModel::block_service_at_least(const ctmc::QuotientCtmc
 
 std::vector<double> CompiledModel::block_disaster_distribution(
     const ctmc::QuotientCtmc& quotient, const Disaster& disaster) const {
-    ARCADE_ASSERT(quotient.original_state_count() == state_count(),
+    ARCADE_ASSERT(quotient.original_state_count() == chain_.state_count(),
                   "quotient is not over this model's chain");
     return ctmc::Ctmc::point_distribution(quotient.block_count(),
                                           quotient.block_of(disaster_state(disaster)));
@@ -885,34 +910,8 @@ std::pair<std::shared_ptr<const ctmc::QuotientCtmc>, bool> CompiledModel::quotie
     const {
     std::lock_guard<std::mutex> lock(*quotient_mutex_);
     if (quotient_ != nullptr) return {quotient_, false};
-    quotient_ = state_symmetry_ != nullptr && !symmetry_reduced()
-                    ? std::make_shared<const ctmc::QuotientCtmc>(chain_, lump_signature(),
-                                                                 orbit_representatives())
-                    : std::make_shared<const ctmc::QuotientCtmc>(chain_, lump_signature());
+    quotient_ = std::make_shared<const ctmc::QuotientCtmc>(chain_, lump_signature());
     return {quotient_, true};
-}
-
-std::vector<std::size_t> CompiledModel::orbit_representatives() const {
-    const std::size_t n = store_.size();
-    const engine::StateLayout& layout = store_.layout();
-    std::vector<std::size_t> representative(n);
-    std::vector<std::int64_t> values(layout.field_count());
-    std::vector<std::uint64_t> packed(layout.words_per_state());
-    for (std::size_t s = 0; s < n; ++s) {
-        store_.unpack(s, std::span<std::int64_t>(values));
-        if (state_symmetry_->is_canonical(values)) {
-            representative[s] = s;  // its packed words are entry s
-            continue;
-        }
-        state_symmetry_->canonicalize(values);
-        layout.pack(std::span<const std::int64_t>(values), packed.data());
-        representative[s] = store_.find(packed.data());
-        if (representative[s] == SIZE_MAX) {
-            throw InternalError("symmetry proof maps explored state " + std::to_string(s) +
-                                " to an unexplored representative");
-        }
-    }
-    return representative;
 }
 
 std::vector<bool> CompiledModel::service_at_least(double x) const {
@@ -923,7 +922,7 @@ std::vector<bool> CompiledModel::operational_states() const { return service_at_
 
 std::size_t CompiledModel::lookup(const std::vector<std::int16_t>& encoded) const {
     std::vector<std::uint64_t> packed(store_.layout().words_per_state());
-    if (symmetry_reduced()) {
+    if (orbit_explored()) {
         // Only orbit representatives are interned; canonicalise first.
         std::vector<std::int64_t> values(encoded.begin(), encoded.end());
         state_symmetry_->canonicalize(values);
@@ -949,7 +948,7 @@ std::size_t CompiledModel::disaster_state(const Disaster& disaster) const {
 }
 
 std::vector<double> CompiledModel::disaster_distribution(const Disaster& disaster) const {
-    return ctmc::Ctmc::point_distribution(state_count(), disaster_state(disaster));
+    return ctmc::Ctmc::point_distribution(chain_.state_count(), disaster_state(disaster));
 }
 
 std::vector<std::int16_t> CompiledModel::encoded_state(std::size_t index) const {

@@ -45,7 +45,12 @@ enum class Encoding { Individual, Lumped };
 ///   Auto — measures run on the coarsest quotient respecting the model's
 ///          full measure signature (all chain labels + service levels +
 ///          cost rates) and lift/aggregate results back.  Exact for every
-///          measure in this library; see src/ctmc/quotient.hpp.
+///          measure in this library; see src/ctmc/quotient.hpp.  An
+///          individual model with interchangeable components is explored
+///          on its symmetry orbits (as under SymmetryPolicy::Auto), so the
+///          full chain is never built and the quotient is lumped from the
+///          orbit chain; state_count() and transition_count() still report
+///          the full chain's exact sizes.
 /// Chosen per call (CompileOptions::reduction, RunnerOptions::reduction,
 /// arcade_sweep --reduction); every default is Off.
 enum class ReductionPolicy { Off, Auto };
@@ -55,12 +60,13 @@ enum class ReductionPolicy { Off, Auto };
 /// compiler detects interchangeable component groups (same rates, same
 /// phase, same repair class — the replicated pump/filter copies) and
 /// canonicalises every explored state to its orbit representative, so the
-/// full chain is never materialised.  The quotient is an exact ordinary
-/// lumping; it composes with ReductionPolicy (symmetry first, splitter-
-/// queue refinement on the residual).  Under Off the full chain is explored
-/// and ReductionPolicy::Auto lumps it through the same orbits (see
-/// CompiledModel::quotient).  See engine/symmetry.hpp.  Chosen per call
-/// like ReductionPolicy (arcade_sweep --symmetry); every default is Off.
+/// full chain is never materialised, and the model reports the orbit
+/// chain's sizes.  The quotient is an exact ordinary lumping; it composes
+/// with ReductionPolicy (symmetry first, splitter-queue refinement on the
+/// residual).  ReductionPolicy::Auto explores on the same orbits under
+/// either policy; Off with ReductionPolicy::Off explores the full chain.
+/// See engine/symmetry.hpp.  Chosen per call like ReductionPolicy
+/// (arcade_sweep --symmetry); every default is Off.
 using engine::SymmetryPolicy;
 
 /// Remains only for the benchmark's provenance code.
@@ -78,6 +84,9 @@ enum class BatchPolicy { Off, Auto };
 
 struct CompileOptions {
     Encoding encoding = Encoding::Individual;
+    /// Bound on the explored states: orbit representatives when the model
+    /// is explored on its orbits (SymmetryPolicy::Auto or
+    /// ReductionPolicy::Auto), every state of the chain otherwise.
     std::size_t max_states = 50'000'000;
     /// Worker threads for the sharded exploration; 0 = hardware concurrency.
     /// Any thread count produces the identical CTMC.
@@ -103,20 +112,30 @@ struct Disaster {
 /// the seed's unordered_map over heap-allocated encoded vectors.
 class CompiledModel {
 public:
+    /// `full_states`/`full_transitions` are the full chain's exact sizes
+    /// when `state_symmetry` is the proof the chain was explored on (0 and
+    /// ignored otherwise).
     CompiledModel(ctmc::Ctmc chain, std::vector<double> service,
                   rewards::RewardStructure cost, ArcadeModel model,
                   engine::StateStore store, Encoding encoding,
                   ReductionPolicy reduction = ReductionPolicy::Off,
                   SymmetryPolicy symmetry = SymmetryPolicy::Off,
                   std::shared_ptr<const engine::StateSymmetry> state_symmetry = nullptr,
-                  double symmetry_full_states = 0.0, double symmetry_seconds = 0.0);
+                  double full_states = 0.0, std::size_t full_transitions = 0,
+                  double symmetry_seconds = 0.0);
 
+    /// The explored chain: the orbit chain when orbit_explored(), the full
+    /// chain otherwise.  Every per-state vector of this model (service
+    /// levels, cost rates, labels, disaster distributions, lifted results)
+    /// is indexed by its states — size them by chain().state_count().
     [[nodiscard]] const ctmc::Ctmc& chain() const noexcept { return chain_; }
     [[nodiscard]] ctmc::Ctmc& chain() noexcept { return chain_; }
-    [[nodiscard]] std::size_t state_count() const noexcept { return chain_.state_count(); }
-    [[nodiscard]] std::size_t transition_count() const noexcept {
-        return chain_.transition_count();
-    }
+    /// Reported size of the model (Table 1): the full chain's exact state
+    /// and transition counts for a model that only ReductionPolicy::Auto
+    /// put on its orbits, the explored chain's otherwise (so under
+    /// SymmetryPolicy::Auto the orbit chain's).
+    [[nodiscard]] std::size_t state_count() const noexcept { return state_count_; }
+    [[nodiscard]] std::size_t transition_count() const noexcept { return transition_count_; }
 
     /// Quantitative service level of every state (paper Section 3).
     [[nodiscard]] const std::vector<double>& service_levels() const noexcept {
@@ -137,23 +156,24 @@ public:
     [[nodiscard]] ReductionPolicy reduction() const noexcept { return reduction_; }
     [[nodiscard]] SymmetryPolicy symmetry() const noexcept { return symmetry_; }
 
-    /// True when the chain is a symmetry quotient over nontrivial orbits
-    /// (policy Auto and at least one interchangeable group of size >= 2).
+    /// True when the chain was explored on symmetry orbits: an individual
+    /// model with two or more interchangeable components, compiled under
+    /// SymmetryPolicy::Auto or ReductionPolicy::Auto.
+    [[nodiscard]] bool orbit_explored() const noexcept { return state_symmetry_ != nullptr; }
+
+    /// True when the chain is a symmetry quotient that SymmetryPolicy::Auto
+    /// asked for (the session's symmetry_* counters count these).
     [[nodiscard]] bool symmetry_reduced() const noexcept {
-        return symmetry_ == SymmetryPolicy::Auto && state_symmetry_ != nullptr &&
-               !state_symmetry_->trivial();
+        return symmetry_ == SymmetryPolicy::Auto && orbit_explored();
     }
 
     /// Exact state count of the full (unreduced) chain: the sum of orbit
     /// sizes over the explored representatives — recovered without ever
     /// materialising the full chain (engine/symmetry.hpp explains why this
-    /// is exact).  Equals state_count() when no symmetry was applied.
-    [[nodiscard]] double symmetry_full_states() const noexcept {
-        return symmetry_reduced() ? symmetry_full_states_
-                                  : static_cast<double>(state_count());
-    }
+    /// is exact).  Equals state_count() unless symmetry_reduced().
+    [[nodiscard]] double symmetry_full_states() const noexcept { return full_states_; }
 
-    /// full states / quotient states (1.0 when symmetry is off/trivial).
+    /// full states / reported states (1.0 unless symmetry_reduced()).
     [[nodiscard]] double symmetry_ratio() const noexcept {
         return state_count() == 0
                    ? 1.0
@@ -161,13 +181,14 @@ public:
     }
 
     /// Wall seconds of the post-exploration orbit accounting pass (the
-    /// canonicalisation machinery outside the BFS hot path); 0 when off.
+    /// canonicalisation machinery outside the BFS hot path); 0 when the
+    /// chain was explored in full.
     [[nodiscard]] double symmetry_seconds() const noexcept { return symmetry_seconds_; }
 
-    /// The interchangeability proof of the individual encoding: the orbits
-    /// of interchangeable components (null for the lumped encoding and for
-    /// models without two interchangeable components).  Kept under every
-    /// SymmetryPolicy: Auto explores with it, Off lumps through it.
+    /// The interchangeability proof the chain was explored on: the orbits
+    /// of interchangeable components.  Null when the chain was explored in
+    /// full (ReductionPolicy::Off with SymmetryPolicy::Off), for the lumped
+    /// encoding and for models without two interchangeable components.
     [[nodiscard]] const engine::StateSymmetry* state_symmetry() const noexcept {
         return state_symmetry_.get();
     }
@@ -199,16 +220,9 @@ public:
 
     /// The strong-bisimulation quotient of the chain w.r.t.
     /// lump_signature(), computed lazily once per model (thread-safe) and
-    /// shared by every consumer.  A fully explored chain with an
-    /// interchangeability proof (individual encoding, SymmetryPolicy::Off)
-    /// is lumped through its orbits: each state is mapped to its orbit
-    /// representative (canonicalise, then look it up in the store), the
-    /// refinement runs on the small orbit chain, and the quotient is read
-    /// off the full chain — bitwise equal to direct lumping on every
-    /// shipped model (ctmc/quotient.hpp has the exactness argument).  Every
-    /// other chain (lumped encoding, orbit-explored chains) is lumped
-    /// directly.  Throws InternalError when a canonical representative is
-    /// missing from the store, i.e. the proof is wrong.
+    /// shared by every consumer.  It lumps the explored chain directly: an
+    /// orbit-explored chain is already an exact lumping of the full chain,
+    /// so refinement finishes the job on its orbits.
     /// `.second` reports whether this call built it (false = cache hit);
     /// the AnalysisSession turns that into its lump_hits/lump_misses
     /// counters.  Because the session deduplicates
@@ -229,7 +243,7 @@ public:
     [[nodiscard]] std::size_t disaster_state(const Disaster& disaster) const;
 
     /// Point distribution on the disaster state (GOOD-model initial
-    /// distribution).
+    /// distribution), over chain()'s states.
     [[nodiscard]] std::vector<double> disaster_distribution(const Disaster& disaster) const;
 
     /// Raw encoded state, decoded from the packed store (tests/debugging).
@@ -248,7 +262,9 @@ private:
     ReductionPolicy reduction_ = ReductionPolicy::Off;
     SymmetryPolicy symmetry_ = SymmetryPolicy::Off;
     std::shared_ptr<const engine::StateSymmetry> state_symmetry_;
-    double symmetry_full_states_ = 0.0;
+    double full_states_ = 0.0;
+    std::size_t state_count_ = 0;
+    std::size_t transition_count_ = 0;
     double symmetry_seconds_ = 0.0;
     /// Lazy quotient cache.  The mutex lives behind a shared_ptr so the
     /// model stays movable (run_compile returns by value).
@@ -261,8 +277,6 @@ private:
                                                        SignatureRow row) const;
 
     [[nodiscard]] std::size_t lookup(const std::vector<std::int16_t>& encoded) const;
-    /// representative[s] = index of state s's orbit representative.
-    [[nodiscard]] std::vector<std::size_t> orbit_representatives() const;
 };
 
 /// Compiles `model` (validated) into an explicit CTMC.

@@ -83,7 +83,7 @@ std::vector<double> survivability_series(const CompiledModel& model, const Disas
         return ctmc::bounded_until_series(q->chain(), initial, phi, target, times,
                                           transient);
     }
-    const std::vector<bool> phi(model.state_count(), true);
+    const std::vector<bool> phi(model.chain().state_count(), true);
     const std::vector<bool> target = model.service_at_least(service_level);
     const auto initial = model.disaster_distribution(disaster);
     return ctmc::bounded_until_series(model.chain(), initial, phi, target, times, transient);

@@ -47,116 +47,32 @@ public:
         for (const auto& row : values_) out.push_back(double_bits(row[s]));
     }
 
-    /// True when states s and t share every label bit and value (bitwise).
-    [[nodiscard]] bool same(std::size_t s, std::size_t t) const {
-        for (const auto* label : labels_) {
-            if ((*label)[s] != (*label)[t]) return false;
-        }
-        for (const auto& row : values_) {
-            if (double_bits(row[s]) != double_bits(row[t])) return false;
-        }
-        return true;
-    }
-
 private:
     std::vector<const std::vector<bool>*> labels_;
     const std::vector<std::vector<double>>& values_;
 };
 
-/// Initial partition of the signature over the states state_at(0..count):
-/// those sharing every label bit and every value entry start in one block
-/// (exact, no hashing shortcuts — the unordered_map compares full keys).
-template <typename StateAt>
-std::vector<std::size_t> signature_partition(const ResolvedSignature& signature,
-                                             std::size_t count, StateAt state_at) {
-    std::vector<std::size_t> block_of(count, 0);
+/// The coarsest lumping refining the signature: the states sharing every
+/// label bit and every value entry start in one block (exact, no hashing
+/// shortcuts — the unordered_map compares full keys), then splitter-queue
+/// refinement over the chain.
+graph::Partition lump_directly(const Ctmc& original, const LumpSignature& signature) {
+    const ResolvedSignature resolved(original, signature);
+    const std::size_t n = original.state_count();
+    std::vector<std::size_t> block_of(n, 0);
     std::unordered_map<std::vector<std::uint64_t>, std::size_t, graph::WordVectorHash> ids;
     std::vector<std::uint64_t> key;
-    for (std::size_t i = 0; i < count; ++i) {
-        signature.key(state_at(i), key);
-        block_of[i] = ids.try_emplace(key, ids.size()).first->second;
-    }
-    return block_of;
-}
-
-/// The coarsest lumping refining the signature, refined on the chain itself.
-graph::Partition lump_directly(const Ctmc& original, const LumpSignature& signature) {
-    return graph::coarsest_lumping(
-        original.rates(), signature_partition(ResolvedSignature(original, signature),
-                                              original.state_count(),
-                                              [](std::size_t s) { return s; }));
-}
-
-/// The coarsest lumping refining the signature, refined over the orbit
-/// chain (see the header comment): orbits are numbered in ascending order
-/// of their representatives, the orbit chain carries each representative's
-/// rates summed per target orbit, and the orbit partition is spread back
-/// over the members and renumbered by first occurrence.
-graph::Partition lump_through_orbits(const Ctmc& original, const LumpSignature& signature,
-                                     std::span<const std::size_t> representative) {
-    const std::size_t n = original.state_count();
-    if (representative.size() != n) {
-        throw InvalidArgument("QuotientCtmc: orbit map size mismatch");
-    }
-    std::vector<std::size_t> orbit_of(n);
-    std::vector<std::size_t> reps;
     for (std::size_t s = 0; s < n; ++s) {
-        const std::size_t r = representative[s];
-        if (r >= n || representative[r] != r) {
-            throw InvalidArgument("QuotientCtmc: state " + std::to_string(s) +
-                                  " maps to a state that is not its own representative");
-        }
-        if (r == s) {
-            orbit_of[s] = reps.size();
-            reps.push_back(s);
-        }
+        resolved.key(s, key);
+        block_of[s] = ids.try_emplace(key, ids.size()).first->second;
     }
-    const std::size_t k = reps.size();
-    const ResolvedSignature resolved(original, signature);
-    const std::vector<std::size_t> initial =
-        signature_partition(resolved, k, [&](std::size_t o) { return reps[o]; });
-    for (std::size_t s = 0; s < n; ++s) {
-        const std::size_t r = representative[s];
-        if (r == s) continue;
-        if (!resolved.same(s, r)) {
-            throw InvalidArgument("QuotientCtmc: state " + std::to_string(s) +
-                                  " and its orbit representative differ in the signature");
-        }
-        orbit_of[s] = orbit_of[r];
-    }
-
-    linalg::CsrBuilder builder(k, k);
-    for (std::size_t o = 0; o < k; ++o) {
-        const auto cols = original.rates().row_columns(reps[o]);
-        const auto vals = original.rates().row_values(reps[o]);
-        for (std::size_t j = 0; j < cols.size(); ++j) {
-            const std::size_t target = orbit_of[cols[j]];
-            if (target != o) builder.add(o, target, vals[j]);  // orbit-internal moves vanish
-        }
-    }
-    const graph::Partition orbits = graph::coarsest_lumping(builder.build(), initial);
-
-    // Compose in place: orbit_of becomes the full-state block map.
-    graph::Partition out;
-    std::vector<std::size_t> renumber(orbits.count, SIZE_MAX);
-    for (std::size_t s = 0; s < n; ++s) {
-        std::size_t& block = renumber[orbits.block_of[orbit_of[s]]];
-        if (block == SIZE_MAX) block = out.count++;
-        orbit_of[s] = block;
-    }
-    out.block_of = std::move(orbit_of);
-    return out;
+    return graph::coarsest_lumping(original.rates(), block_of);
 }
 
 }  // namespace
 
 QuotientCtmc::QuotientCtmc(const Ctmc& original, const LumpSignature& signature)
     : QuotientCtmc(build(original, lump_directly(original, signature), signature)) {}
-
-QuotientCtmc::QuotientCtmc(const Ctmc& original, const LumpSignature& signature,
-                           std::span<const std::size_t> representative)
-    : QuotientCtmc(build(original, lump_through_orbits(original, signature, representative),
-                         signature)) {}
 
 QuotientCtmc::Build QuotientCtmc::build(const Ctmc& original, graph::Partition partition,
                                         const LumpSignature& signature) {

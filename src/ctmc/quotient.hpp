@@ -12,35 +12,17 @@
 // chain — the same state-space move network-recovery MDPs and water-network
 // maintenance studies rely on to stay tractable.
 //
-// The partition is refined along one of two routes:
+// The partition is the signature partition refined by
+// graph::coarsest_lumping over every state of the chain.  The quotient rates,
+// initial distribution, labels and value rows are read off each block's
+// lowest-index member.  The per-block value rows (values()) let a measure
+// whose inputs come from the signature build them per block, without a
+// chain-sized vector to project.
 //
-// * Directly: graph::coarsest_lumping over every state of the chain, seeded
-//   with the signature partition.
-// * Through the orbits, when the caller holds a proof that groups of
-//   states are interchangeable (an orbit-representative map: the orbits
-//   of a group of chain automorphisms that preserves the signature, as
-//   core::compile proves for interchangeable components).  The refinement
-//   runs on the small orbit chain — one state per orbit, carrying its
-//   representative's rates summed per target orbit — seeded with the
-//   signature partition of the representatives; the orbit partition is
-//   then spread back over the members and renumbered by first occurrence.
-//   Exactness: the orbit partition is itself an ordinary lumping
-//   refining the signature, so it refines the coarsest one; and a
-//   partition made of whole orbits is lumpable on the full chain exactly
-//   when it is lumpable on the orbit chain, because every member of an
-//   orbit sends its representative's rate into each union of orbits.  So
-//   in exact arithmetic both routes give the same partition.  The orbit
-//   chain's per-orbit pre-summed rates could in principle round a block
-//   sum differently from the full chain's; test_lumping checks that on
-//   every individual-encoding model the shipped grids compile, with and
-//   without repair, the block map, rates and initial distribution are
-//   bitwise equal to the direct route's.
-//
-// Either way the quotient rates, initial distribution, labels and value rows
-// are read off the *original* chain's lowest-index block members, so a route
-// that finds the same partition builds the bitwise-identical quotient.  The
-// per-block value rows (values()) let a measure whose inputs come from the
-// signature build them per block, without a full-chain vector to project.
+// A chain explored on symmetry orbits (core::compile under
+// ReductionPolicy::Auto or SymmetryPolicy::Auto) is already an exact lumping
+// of the full chain, and its coarsest quotient is the full chain's: the
+// compiler lumps that orbit chain, so refinement never sees the full chain.
 //
 // lift() spreads block mass uniformly over members.  That is exact for every
 // block-constant functional (anything in the signature) but *not* a
@@ -78,15 +60,6 @@ public:
     /// label is missing from the chain, a value row has the wrong size or
     /// is not constant on a block.
     QuotientCtmc(const Ctmc& original, const LumpSignature& signature);
-
-    /// The same quotient, refined through the orbits of a signature-
-    /// preserving group of chain automorphisms (see the header comment).
-    /// `representative[s]` is the representative of state s's orbit, and
-    /// every representative is its own.  Throws InvalidArgument as above,
-    /// and when the map has the wrong size, names a state that is not its
-    /// own representative or joins states the signature tells apart.
-    QuotientCtmc(const Ctmc& original, const LumpSignature& signature,
-                 std::span<const std::size_t> representative);
 
     /// The quotient chain (block-level CTMC).
     [[nodiscard]] const Ctmc& chain() const noexcept { return chain_; }

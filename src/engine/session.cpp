@@ -140,7 +140,7 @@ std::shared_ptr<const ctmc::QuotientCtmc> AnalysisSession::quotient_impl(
     std::lock_guard<std::mutex> lock(mutex_);
     if (fresh) {
         ++stats_.lump_misses;
-        stats_.lump_states_in += q->original_state_count();
+        stats_.lump_states_in += model->state_count();
         stats_.lump_states_out += q->block_count();
     } else if (count_hit) {
         ++stats_.lump_hits;

@@ -45,9 +45,11 @@ struct SessionStats {
     /// misses run the partition refinement.
     std::size_t lump_hits = 0;
     std::size_t lump_misses = 0;
-    /// Cumulative chain sizes over lump misses: states fed into the
-    /// refinement vs blocks out — lump_states_in / lump_states_out is the
-    /// session's aggregate reduction ratio.
+    /// Cumulative sizes over lump misses: the models' reported states
+    /// (CompiledModel::state_count(), the full chain's count for an
+    /// orbit-explored individual model) vs blocks out —
+    /// lump_states_in / lump_states_out is the session's aggregate
+    /// reduction ratio.
     std::size_t lump_states_in = 0;
     std::size_t lump_states_out = 0;
     /// CSL property cache: hits return the memoised CheckResult for an
@@ -128,8 +130,9 @@ public:
     /// and cached for the session.  Returned by shared_ptr so the result
     /// stays valid across concurrent clear() calls.  For models compiled
     /// with ReductionPolicy::Auto the solve runs on the lumped quotient and
-    /// the block masses are lifted back (uniformly within blocks — exact
-    /// for every functional in the model's lump signature).
+    /// the block masses are lifted back over the model's chain() states
+    /// (uniformly within blocks — exact for every functional in the
+    /// model's lump signature).
     [[nodiscard]] std::shared_ptr<const std::vector<double>> steady_state(
         const CompiledPtr& model);
 

@@ -56,24 +56,6 @@ void StateSymmetry::canonicalize(std::span<std::int64_t> values) const noexcept 
     }
 }
 
-bool StateSymmetry::is_canonical(std::span<const std::int64_t> values) const noexcept {
-    for (const Orbit& orbit : orbits_) {
-        const std::size_t* fields = fields_.data() + orbit.offset;
-        const std::size_t arity = orbit.arity;
-        for (std::size_t i = 1; i < orbit.instances; ++i) {
-            const std::size_t* lo = fields + (i - 1) * arity;
-            const std::size_t* hi = fields + i * arity;
-            for (std::size_t t = 0; t < arity; ++t) {
-                const std::int64_t a = values[lo[t]];
-                const std::int64_t b = values[hi[t]];
-                if (a < b) break;
-                if (a > b) return false;
-            }
-        }
-    }
-    return true;
-}
-
 double StateSymmetry::orbit_size(std::span<const std::int64_t> values) const noexcept {
     double total = 1.0;
     for (const Orbit& orbit : orbits_) {

@@ -12,13 +12,10 @@
 // symmetry quotient, with per-orbit rates accumulated by the CSR builder's
 // duplicate-coalescing.  The quotient of a chain under a group of
 // automorphisms is an exact ordinary lumping, so every measure computed on
-// it equals the full-chain value.  The lumping layer uses the same proof
-// on a fully explored chain: ctmc::QuotientCtmc's orbit entry point maps
-// every state to its representative (canonicalize, then StateStore::find),
-// refines on the orbit chain and spreads the partition back over the
-// members — bitwise the quotient direct lumping of the full chain builds
-// on every shipped model (ctmc/quotient.hpp has the argument).  Either way
-// symmetry comes first and splitter-queue refinement handles the residual.
+// it equals the full-chain value, and the lumping layer
+// (graph::coarsest_lumping) composes on top: symmetry first, splitter-queue
+// refinement on the residual.  core::compile explores on the orbits under
+// SymmetryPolicy::Auto and under ReductionPolicy::Auto.
 //
 // Because the automorphism group fixes the (canonical) initial state, the
 // reachable set of the full chain is the disjoint union of the orbits of
@@ -36,9 +33,10 @@
 namespace arcade::engine {
 
 /// Whether core::compile canonicalises states to orbit representatives.
-/// Mirrors core::ReductionPolicy: Off explores the full chain (the seed
-/// behaviour, byte-identical outputs), Auto explores the symmetry quotient
-/// directly whenever nontrivial orbits are detected.  Each compile chooses
+/// Mirrors core::ReductionPolicy: Auto explores the symmetry quotient
+/// directly whenever nontrivial orbits are detected and reports its sizes;
+/// Off explores the full chain, unless ReductionPolicy::Auto explores the
+/// orbits anyway (reporting the full chain's sizes).  Each compile chooses
 /// (CompileOptions::symmetry).
 enum class SymmetryPolicy {
     Off,   ///< explore the full chain
@@ -73,9 +71,6 @@ public:
     /// representative: within every orbit the instance tuples end up in
     /// nondecreasing lexicographic order.  Allocation-free (hot path).
     void canonicalize(std::span<std::int64_t> values) const noexcept;
-
-    /// True when `values` already is its own orbit representative.
-    [[nodiscard]] bool is_canonical(std::span<const std::int64_t> values) const noexcept;
 
     /// Size of the orbit of `values` under the full symmetric groups of the
     /// orbits: the product over orbits of  k! / prod(multiplicity!)  where

@@ -7,7 +7,7 @@
 // ReductionPolicy::Auto (full chain otherwise, or when the formula contains
 // Next), resolve rewards from the model, reuse the session's cached
 // steady-state solve for top-level S/R[S] queries, and lift the per-state
-// results back to the full state space.
+// results back to the states of the model's chain().
 #include <algorithm>
 #include <cmath>
 
@@ -239,12 +239,12 @@ CheckResult finish(const Evaluated& e, std::span<const double> initial) {
 // ---------------------------------------------------------------------------
 
 /// What the compiled-path evaluation runs on: the model's quotient under
-/// ReductionPolicy::Auto, the full chain otherwise.  The reward registry
-/// always holds full-chain structures — projection happens lazily inside
+/// ReductionPolicy::Auto, the model's chain() otherwise.  The reward registry
+/// always holds chain()-sized structures — projection happens lazily inside
 /// find_reward (into `projected`), so an unreferenced caller structure that
 /// is not block-constant never aborts an unrelated check.
 struct Substrate {
-    std::shared_ptr<const ctmc::QuotientCtmc> quotient;  ///< null = full chain
+    std::shared_ptr<const ctmc::QuotientCtmc> quotient;  ///< null = model's chain()
     const ctmc::Ctmc* chain = nullptr;
     RewardRegistry rewards;    ///< model's cost reward + caller structures
     RewardRegistry projected;  ///< lazily projected copies (quotient runs)
@@ -260,7 +260,7 @@ Substrate make_substrate(engine::AnalysisSession& session,
     Substrate sub;
     // Next reads jump probabilities, which intra-block rates (unconstrained
     // by ordinary lumpability) can change between bisimilar states — fall
-    // back to the full chain for such formulas.
+    // back to the model's chain() for such formulas.
     const bool reduce = model->reduction() == core::ReductionPolicy::Auto &&
                         !contains_next(formula);
     if (reduce) {
@@ -312,7 +312,7 @@ CheckResult check(engine::AnalysisSession& session,
     ARCADE_ASSERT(model != nullptr, "CSL check of a null model");
     validate(options);
     validate(formula);
-    const std::size_t n = model->state_count();
+    const std::size_t n = model->chain().state_count();
 
     // Top-level steady-state queries reuse the session's cached solve — the
     // exact distribution (and summation order) the availability and
@@ -331,7 +331,7 @@ CheckResult check(engine::AnalysisSession& session,
     }
     if (const auto* reward = std::get_if<Reward>(&formula.node())) {
         if (std::holds_alternative<SteadyStateReward>(reward->property)) {
-            // Full-chain registry: the dot against the cached (lifted)
+            // chain()-sized registry: the dot against the cached (lifted)
             // distribution is the steady-state-cost measure verbatim.
             RewardRegistry registry;
             registry.emplace(model->cost_reward().name(), model->cost_reward());
@@ -376,7 +376,7 @@ std::vector<double> check_series(engine::AnalysisSession& session,
     ARCADE_ASSERT(model != nullptr, "CSL series check of a null model");
     validate(options);
     validate(formula);
-    if (initial.size() != model->state_count()) {
+    if (initial.size() != model->chain().state_count()) {
         throw InvalidArgument("check_series: initial distribution size mismatch");
     }
 

@@ -8,17 +8,22 @@
 //    projected on the quotient chain, reward structures project through
 //    QuotientCtmc::project_values, nested quantitative sub-queries solve on
 //    the quotient — and the final satisfaction/value vectors lift back to
-//    the full state space (per-state CSL functionals are block-constant, so
-//    the lift copies block values; see ctmc/quotient.hpp).  Formulas
-//    containing the Next operator fall back to the full chain: X reads jump
-//    probabilities, which intra-block rates — unconstrained by ordinary
-//    lumpability — can change between bisimilar states.
+//    the states of the model's chain() (per-state CSL functionals are
+//    block-constant, so the lift copies block values; see
+//    ctmc/quotient.hpp).  For an individual model that chain is the orbit
+//    chain, one state per orbit of interchangeable components (see
+//    core::ReductionPolicy).  Formulas containing the Next operator fall
+//    back to chain(): X reads jump probabilities, which intra-block rates —
+//    unconstrained by ordinary lumpability — can change between bisimilar
+//    states.  Orbit chains keep them exact, because no transition of the
+//    individual encoding maps a state into its own orbit (each one fails or
+//    repairs exactly one component).
 //  * top-level steady-state queries (S bound [f], R bound [S]) reuse the
 //    session's cached steady-state solve, so a property asks for exactly
 //    the distribution the availability/long-run-cost measures already
 //    solved — byte-identical values, one Gauss–Seidel solve per model.
 //  * reward structures resolve from the model (its "cost" reward) plus any
-//    caller-supplied CheckerOptions structures (given at full-chain size;
+//    caller-supplied CheckerOptions structures (given over chain()'s states;
 //    projected automatically under Auto).
 //
 // check_series is the sweep runner's path: it evaluates one time-parametric

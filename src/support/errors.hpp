@@ -56,14 +56,6 @@ public:
     explicit ModelError(const std::string& what) : Error(what) {}
 };
 
-/// A fact the library derived itself turned out false — a library bug, not
-/// bad input (e.g. a symmetry proof mapping a state to an unexplored
-/// representative).  Thrown where a wrong answer could otherwise follow.
-class InternalError : public Error {
-public:
-    explicit InternalError(const std::string& what) : Error(what) {}
-};
-
 namespace detail {
 [[noreturn]] void assertion_failed(const char* expr, const char* file, int line,
                                    const std::string& message);

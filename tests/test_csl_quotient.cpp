@@ -6,7 +6,8 @@
 //    (verdict) vectors bitwise-identical, quantitative vectors to 1e-9
 //    relative (two different linear-algebra runs cannot be bitwise);
 //  * on both watertree encodings, the engine path under ReductionPolicy::
-//    Auto agrees with ::Off the same way, for nested P/S/R formulas;
+//    Auto agrees with ::Off the same way, for nested P/S/R formulas (state
+//    by state: Auto's individual chain holds one representative per orbit);
 //  * the engine path under Auto IS the lifted quotient check, bit for bit
 //    (same computation — this is the bitwise guarantee of the lift);
 //  * formulas containing Next fall back to the full chain under Auto, so
@@ -16,7 +17,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <random>
+#include <span>
 
 #include "arcade/compiler.hpp"
 #include "ctmc/quotient.hpp"
@@ -119,6 +122,23 @@ void expect_near_rel(const std::vector<double>& a, const std::vector<double>& b,
     }
 }
 
+/// off_state[i] = the state of `off` with the encoding of state i of
+/// `automatic`'s chain (SIZE_MAX when `off` has none).  Under Auto an
+/// individual model's chain holds one state per orbit, the orbit's
+/// representative, which is itself a state of the full chain.
+std::vector<std::size_t> same_encoding_states(const core::CompiledModel& automatic,
+                                              const core::CompiledModel& off) {
+    const auto& layout = off.state_store().layout();
+    std::vector<std::uint64_t> packed(layout.words_per_state());
+    std::vector<std::size_t> off_state(automatic.chain().state_count());
+    for (std::size_t i = 0; i < off_state.size(); ++i) {
+        const auto encoded = automatic.encoded_state(i);
+        layout.pack(std::span<const std::int16_t>(encoded), packed.data());
+        off_state[i] = off.state_store().find(packed.data());
+    }
+    return off_state;
+}
+
 /// Nested P/S/R formulas over the planted chain's vocabulary.  Thresholds
 /// sit far from the computed probabilities, so Off/Auto verdicts cannot
 /// flip on solver noise.
@@ -210,6 +230,11 @@ TEST(CslQuotient, AutoAgreesWithOffOnBothWatertreeEncodings) {
         const auto model_off = session_off.compile(wt::line2(wt::strategy("FFF-1")), off);
         const auto model_auto =
             session_auto.compile(wt::line2(wt::strategy("FFF-1")), automatic);
+        // Per-state results index each model's chain(): under Auto the
+        // individual encoding's is the orbit chain, so compare every Auto
+        // state with the Off state of the same encoding.
+        const auto off_state = same_encoding_states(*model_auto, *model_off);
+        for (const std::size_t s : off_state) ASSERT_NE(s, SIZE_MAX);
 
         const std::string x2 = wt::properties::survivability_formula(2.0 / 3.0, 25.0);
         for (const std::string& formula :
@@ -223,11 +248,17 @@ TEST(CslQuotient, AutoAgreesWithOffOnBothWatertreeEncodings) {
             const std::string what =
                 formula + (encoding == core::Encoding::Individual ? " individual"
                                                                   : " lumped");
-            EXPECT_EQ(a.satisfaction, b.satisfaction) << what;
+            std::vector<bool> a_satisfaction;
+            std::vector<double> a_values;
+            for (const std::size_t s : off_state) {
+                if (!a.satisfaction.empty()) a_satisfaction.push_back(a.satisfaction[s]);
+                if (!a.values.empty()) a_values.push_back(a.values[s]);
+            }
+            EXPECT_EQ(a_satisfaction, b.satisfaction) << what;
             if (a.holds) {
                 EXPECT_EQ(*a.holds, *b.holds) << what;
             }
-            expect_near_rel(a.values, b.values, 1e-8, what);
+            expect_near_rel(a_values, b.values, 1e-8, what);
             if (a.value) {
                 EXPECT_NEAR(*a.value, *b.value, 1e-8) << what;
             }
@@ -306,14 +337,28 @@ TEST(CslQuotient, UnreferencedNonLumpableRewardStructuresDoNotAbortChecks) {
     // structure that is NOT block-constant w.r.t. the model's lump
     // signature must not abort a check that never reads it — and must
     // throw InvalidArgument only when actually referenced on the quotient.
+    // Under Auto a paper model is explored on its orbits, and its orbit
+    // chain is already the coarsest quotient, so no per-state structure
+    // splits a block there.  A strict repair priority puts every component
+    // in a class of its own: nothing is interchangeable, the chain is
+    // explored in full, and bisimilar states still lump.
+    auto line2 = wt::line2(wt::strategy("DED"));
+    for (auto& ru : line2.repair_units) {
+        ru.policy = core::RepairPolicy::Priority;
+        ru.priorities.clear();
+        for (std::size_t i = 0; i < ru.components.size(); ++i) {
+            ru.priorities.push_back(static_cast<int>(i));
+        }
+    }
     engine::AnalysisSession session;
     core::CompileOptions options;
     options.reduction = core::ReductionPolicy::Auto;
-    const auto model = session.compile(wt::line2(wt::strategy("DED")), options);
-    ASSERT_LT(session.quotient(model)->block_count(), model->state_count());
+    const auto model = session.compile(line2, options);
+    ASSERT_FALSE(model->orbit_explored());
+    ASSERT_LT(session.quotient(model)->block_count(), model->chain().state_count());
 
     logic::CheckerOptions checker;
-    std::vector<double> per_state(model->state_count());
+    std::vector<double> per_state(model->chain().state_count());
     for (std::size_t s = 0; s < per_state.size(); ++s) {
         per_state[s] = static_cast<double>(s);  // splits every block
     }

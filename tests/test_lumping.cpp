@@ -11,20 +11,24 @@
 //    models reaches (or beats) the hand-lumped state counts;
 //  * every sweep::paper grid renders numerically identical rows with
 //    ReductionPolicy::Auto and ::Off;
-//  * lumping through the symmetry orbits gives the bitwise-identical
-//    quotient to direct lumping on every shipped individual-encoding model,
-//    and the same partition on small generated models;
+//  * under ReductionPolicy::Auto an individual model is explored on its
+//    symmetry orbits: it reports the full chain's exact state and
+//    transition counts on every Table 1 configuration, and lumping its
+//    orbit chain gives the partition direct lumping of the full chain gives
+//    on small generated models;
 //  * under ReductionPolicy::Auto, the measure inputs built per block (the
 //    quotient's stored signature rows, the disaster state's block) and the
-//    series computed from them equal the full-chain projection path bitwise
-//    on every shipped individual-encoding model.
+//    series computed from them equal the projection path bitwise on every
+//    shipped individual-encoding model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <random>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -194,6 +198,19 @@ std::size_t for_each_shipped_individual_model(const core::CompileOptions& option
         }
     }
     return visited;
+}
+
+/// Index in `orbits` (an orbit-explored compile) of the orbit holding state
+/// `s` of `full` (the same model explored in full); SIZE_MAX when missing.
+std::size_t orbit_of(const core::CompiledModel& orbits, const core::CompiledModel& full,
+                     std::size_t s) {
+    const auto encoded = full.encoded_state(s);
+    std::vector<std::int64_t> values(encoded.begin(), encoded.end());
+    orbits.state_symmetry()->canonicalize(values);
+    const auto& layout = orbits.state_store().layout();
+    std::vector<std::uint64_t> packed(layout.words_per_state());
+    layout.pack(std::span<const std::int64_t>(values), packed.data());
+    return orbits.state_store().find(packed.data());
 }
 
 /// A small model with `copies` (2–4) interchangeable components in its
@@ -657,29 +674,43 @@ TEST(AutoLumping, PaperGridsRenderIdenticalRowsWithReductionOnAndOff) {
     EXPECT_GE(stats.reduction_ratio(), 1.0);
 }
 
-TEST(OrbitLumping, EqualsDirectLumpingBitwiseOnEveryShippedIndividualModel) {
-    // Acceptance: every unique model of the shipped grids, compiled on the
-    // individual encoding with and without repair, lumps through its
-    // orbits to exactly the quotient direct lumping builds.
-    core::CompileOptions options;
-    options.encoding = core::Encoding::Individual;
-    const std::size_t checked = for_each_shipped_individual_model(
-        options, [](const core::CompiledModel& compiled, const std::string& label) {
-            ASSERT_NE(compiled.state_symmetry(), nullptr) << label;
-            ASSERT_FALSE(compiled.symmetry_reduced()) << label;
-            const auto orbit_first = compiled.quotient().first;
-            const ctmc::QuotientCtmc direct(compiled.chain(), compiled.lump_signature());
-            expect_same_quotient(*orbit_first, direct, label);
-        });
-    EXPECT_EQ(checked, 108u);
+TEST(AutoCompile, ReportsFullChainSizesOnEveryTable1Configuration) {
+    // Acceptance: Auto explores an individual model on its orbits, yet its
+    // reported sizes (Table 1, model_states, perfbench's state-count gate)
+    // are exactly the full chain's, with and without repair.
+    core::CompileOptions off;
+    off.encoding = core::Encoding::Individual;
+    core::CompileOptions automatic = off;
+    automatic.reduction = core::ReductionPolicy::Auto;
+    std::size_t checked = 0;
+    for (const int line : {1, 2}) {
+        for (const auto& strategy : wt::paper_strategies()) {
+            for (const bool repair : {true, false}) {
+                const auto base = wt::line(line, strategy);
+                const auto model = repair ? base : core::without_repair(base);
+                const std::string label = "line " + std::to_string(line) + " " +
+                                          strategy.name + (repair ? " repair" : " no-repair");
+                const auto full = core::compile(model, off);
+                const auto orbits = core::compile(model, automatic);
+                ASSERT_TRUE(orbits.orbit_explored()) << label;
+                EXPECT_FALSE(orbits.symmetry_reduced()) << label;
+                EXPECT_LT(orbits.chain().state_count(), full.chain().state_count()) << label;
+                EXPECT_EQ(orbits.state_count(), full.state_count()) << label;
+                EXPECT_EQ(orbits.transition_count(), full.transition_count()) << label;
+                EXPECT_EQ(orbits.symmetry_full_states(), full.symmetry_full_states()) << label;
+                ++checked;
+            }
+        }
+    }
+    EXPECT_EQ(checked, 20u);
 }
 
 TEST(QuotientMeasures, BlockInputsEqualTheProjectionPathBitwiseOnEveryShippedIndividualModel) {
     // Acceptance: under ReductionPolicy::Auto every measure input is built
     // per block (the quotient's stored signature rows, the block of the
-    // disaster state).  Each equals bitwise the projection of its full-chain
-    // input, and so does every measure computed from them, on every unique
-    // shipped individual model with and without repair.
+    // disaster state).  Each equals bitwise the projection of its input over
+    // the explored (orbit) chain, and so does every measure computed from
+    // them, on every unique shipped individual model with and without repair.
     core::CompileOptions options;
     options.encoding = core::Encoding::Individual;
     options.reduction = core::ReductionPolicy::Auto;
@@ -742,40 +773,68 @@ TEST(QuotientMeasures, BlockInputsEqualTheProjectionPathBitwiseOnEveryShippedInd
 }
 
 TEST(OrbitLumping, TwoStagePartitionMatchesDirectLumpingOnGeneratedModels) {
-    core::CompileOptions options;
-    options.encoding = core::Encoding::Individual;
+    // Auto explores on the orbits and lumps the orbit chain; Off explores
+    // the full chain and lumps it directly.  Both reach the same partition
+    // of the full chain, the same reported sizes and the same solver
+    // results.
+    core::CompileOptions off;
+    off.encoding = core::Encoding::Individual;
+    core::CompileOptions automatic = off;
+    automatic.reduction = core::ReductionPolicy::Auto;
     for (unsigned seed = 0; seed < 24; ++seed) {
         const auto model = generated_model(seed);
         const std::string label = "seed " + std::to_string(seed);
-        const auto compiled = core::compile(model, options);
-        ASSERT_NE(compiled.state_symmetry(), nullptr) << label;
-        const auto orbit_first = compiled.quotient().first;
-        const ctmc::QuotientCtmc direct(compiled.chain(), compiled.lump_signature());
-        ASSERT_TRUE(same_partition(orbit_first->block_map(), direct.block_map())) << label;
-        EXPECT_LT(orbit_first->block_count(), compiled.state_count()) << label;
+        const auto full = core::compile(model, off);
+        const auto orbits = core::compile(model, automatic);
+        ASSERT_EQ(full.state_symmetry(), nullptr) << label;
+        ASSERT_TRUE(orbits.orbit_explored()) << label;
+        EXPECT_EQ(orbits.state_count(), full.state_count()) << label;
+        EXPECT_EQ(orbits.transition_count(), full.transition_count()) << label;
+        EXPECT_LT(orbits.chain().state_count(), full.state_count()) << label;
+
+        const auto two_stage = orbits.quotient().first;
+        const ctmc::QuotientCtmc direct(full.chain(), full.lump_signature());
+        ASSERT_EQ(two_stage->block_count(), direct.block_count()) << label;
+        EXPECT_LT(two_stage->block_count(), full.state_count()) << label;
+        // The two-stage partition, spread over the full chain's states.
+        std::vector<std::size_t> spread(full.chain().state_count());
+        for (std::size_t s = 0; s < spread.size(); ++s) {
+            const std::size_t orbit = orbit_of(orbits, full, s);
+            ASSERT_NE(orbit, SIZE_MAX) << label << " state " << s;
+            spread[s] = two_stage->block_of(orbit);
+        }
+        ASSERT_TRUE(same_partition(spread, direct.block_map())) << label;
+        // block_in_a[b] = the two-stage block holding direct block b.
+        std::vector<std::size_t> block_in_a(direct.block_count());
+        for (std::size_t s = 0; s < spread.size(); ++s) block_in_a[direct.block_of(s)] = spread[s];
+        const auto in_direct_order = [&](const std::vector<double>& per_a_block) {
+            std::vector<double> out(block_in_a.size());
+            for (std::size_t b = 0; b < out.size(); ++b) out[b] = per_a_block[block_in_a[b]];
+            return out;
+        };
 
         // Every solver agrees between the two quotients ...
-        const auto& a = orbit_first->chain();
+        const auto& a = two_stage->chain();
         const auto& b = direct.chain();
-        expect_near_rel(ctmc::steady_state(a), ctmc::steady_state(b), 1e-12,
+        expect_near_rel(in_direct_order(ctmc::steady_state(a)), ctmc::steady_state(b), 1e-12,
                         label + " steady state");
-        const auto two_down = compiled.disaster_distribution(
-            core::Disaster{"two down", {std::size_t{2}, std::size_t{0}}});
-        const auto initial = orbit_first->project(two_down);
-        const auto direct_initial = direct.project(two_down);
-        const auto a_down = orbit_first->project_mask(compiled.chain().label("down"));
-        const auto b_down = direct.project_mask(compiled.chain().label("down"));
-        const auto a_up = orbit_first->project_mask(compiled.chain().label("operational"));
-        const auto b_up = direct.project_mask(compiled.chain().label("operational"));
+        const core::Disaster two_down{"two down", {std::size_t{2}, std::size_t{0}}};
+        const auto initial = two_stage->project(orbits.disaster_distribution(two_down));
+        const auto direct_initial = direct.project(full.disaster_distribution(two_down));
+        EXPECT_EQ(in_direct_order(initial), direct_initial) << label;
+        const auto a_down = two_stage->project_mask(orbits.chain().label("down"));
+        const auto b_down = direct.project_mask(full.chain().label("down"));
+        const auto a_up = two_stage->project_mask(orbits.chain().label("operational"));
+        const auto b_up = direct.project_mask(full.chain().label("operational"));
         const std::vector<bool> a_all(a.state_count(), true);
         const std::vector<bool> b_all(b.state_count(), true);
         const arcade::rewards::RewardStructure a_cost(
-            "cost", orbit_first->project_values(compiled.cost_reward().state_rates()));
+            "cost", two_stage->project_values(orbits.cost_reward().state_rates()));
         const arcade::rewards::RewardStructure b_cost(
-            "cost", direct.project_values(compiled.cost_reward().state_rates()));
+            "cost", direct.project_values(full.cost_reward().state_rates()));
         for (const double t : {0.5, 5.0, 40.0}) {
             const std::string at = label + " t=" + std::to_string(t);
-            expect_near_rel(ctmc::transient_distribution(a, initial, t),
+            expect_near_rel(in_direct_order(ctmc::transient_distribution(a, initial, t)),
                             ctmc::transient_distribution(b, direct_initial, t), 1e-12,
                             at + " transient");
             EXPECT_NEAR(ctmc::bounded_until_probability(a, initial, a_all, a_up, t),
@@ -798,11 +857,7 @@ TEST(OrbitLumping, TwoStagePartitionMatchesDirectLumpingOnGeneratedModels) {
                 << at << " accumulated cost";
         }
         // ... and with the full chain, to the solvers' precision.
-        core::CompileOptions reduced = options;
-        reduced.reduction = core::ReductionPolicy::Auto;
-        EXPECT_NEAR(core::availability(core::compile(model, reduced)),
-                    core::availability(compiled), 1e-9)
-            << label;
+        EXPECT_NEAR(core::availability(orbits), core::availability(full), 1e-9) << label;
     }
 }
 
@@ -836,32 +891,4 @@ TEST(OrbitLumping, LumpedAndOrbitExploredChainsLumpDirectly) {
                              label + " lumped");
         EXPECT_NEAR(core::availability(explored), core::availability(hand), 1e-9) << label;
     }
-}
-
-TEST(OrbitLumping, RejectsMalformedRepresentativeMaps) {
-    const auto planted = make_planted(3, 2, /*seed=*/5);
-    const auto signature = planted_signature(planted);
-    const std::size_t n = planted.chain.state_count();
-    std::vector<std::size_t> identity(n);
-    for (std::size_t s = 0; s < n; ++s) identity[s] = s;
-    // The identity map is the trivial group: direct lumping exactly.
-    expect_same_quotient(ctmc::QuotientCtmc(planted.chain, signature, identity),
-                         ctmc::QuotientCtmc(planted.chain, signature), "identity");
-
-    const std::vector<std::size_t> short_map(identity.begin(), identity.end() - 1);
-    EXPECT_THROW((void)ctmc::QuotientCtmc(planted.chain, signature, short_map),
-                 arcade::InvalidArgument);
-    auto chained = identity;
-    chained[1] = 0;  // 1 -> 0 -> 2: 0 is not its own representative
-    chained[0] = 2;
-    EXPECT_THROW((void)ctmc::QuotientCtmc(planted.chain, signature, chained),
-                 arcade::InvalidArgument);
-    auto out_of_range = identity;
-    out_of_range[0] = n;
-    EXPECT_THROW((void)ctmc::QuotientCtmc(planted.chain, signature, out_of_range),
-                 arcade::InvalidArgument);
-    auto across = identity;
-    across[2] = 0;  // states 0 and 2 sit in different planted blocks
-    EXPECT_THROW((void)ctmc::QuotientCtmc(planted.chain, signature, across),
-                 arcade::InvalidArgument);
 }

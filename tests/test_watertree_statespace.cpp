@@ -284,6 +284,20 @@ TEST(ChainPins, Line1IndividualUnderSymmetry) {
     }
 }
 
+TEST(ChainPins, Line1IndividualUnderReductionExploresTheSymmetryChain) {
+    // ReductionPolicy::Auto explores on the orbits: bitwise the chain
+    // SymmetryPolicy::Auto explores, while reporting the full chain's size.
+    for (const auto& strategy : wt::paper_strategies()) {
+        core::CompileOptions options;
+        options.reduction = core::ReductionPolicy::Auto;
+        const auto compiled = core::compile(wt::line1(strategy), options);
+        const std::string name = std::string("L1 ").append(strategy.name);
+        EXPECT_EQ(chain_digest(compiled),
+                  pinned(std::begin(kSymmetryPins), std::end(kSymmetryPins), name))
+            << name;
+    }
+}
+
 TEST(ChainPins, ModulesExplorerLine2Translations) {
     for (const auto& strategy : wt::paper_strategies()) {
         const auto explored = modules::explore(core::to_reactive_modules(wt::line2(strategy)));
