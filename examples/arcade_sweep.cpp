@@ -11,25 +11,24 @@
 //
 //   arcade_sweep [--threads N] [--csv out.csv] [--json out.json]
 //                [--shard i/n] [--csv-footer] [--reduction off|auto]
-//                [--symmetry off|auto] [--mttr-sweep]
-//                [--properties] [--pump-scaling N] [--list]
+//                [--mttr-sweep] [--properties] [--pump-scaling N] [--list]
 //
 // --reduction auto analyses every scenario on the automatic
-// strong-bisimulation quotient of its model (see README, "The reduction
-// layer"); --mttr-sweep swaps the paper grid for the MTTR-sensitivity study
-// (repair rates scaled ±50% around the paper's values via
+// strong-bisimulation quotient of its model, exploring individual models on
+// their symmetry orbits (README, "The reduction layer" and "Symmetry
+// reduction"); --mttr-sweep swaps the paper grid for the MTTR-sensitivity
+// study (repair rates scaled ±50% around the paper's values via
 // ScenarioGrid::parameters) and renders its tables instead; --properties
 // swaps in sweep::paper::properties() — the same evaluation with every
 // measure expressed as a CSL/CSRL formula (watertree::properties), checked
 // through the engine's property cache.
 //
-// --symmetry auto explores every model as its symmetry quotient over
-// interchangeable components (README, "Symmetry reduction"); --pump-scaling N
-// swaps in the state-space scaling study (0..N spare pumps per line) and
-// renders its Table-1-style report — symmetry defaults to auto there, since
-// the full chains are the thing the study avoids building.  --list prints the
-// expanded, deduplicated work list (item index, model variant, measure) of
-// whatever grid the other flags select and exits without running anything.
+// --pump-scaling N swaps in the state-space scaling study (0..N spare pumps
+// per line) and renders its Table-1-style report — --reduction defaults to
+// auto there, since the full chains are the thing the study avoids
+// building.  --list prints the expanded, deduplicated work list (item
+// index, model variant, measure) of whatever grid the other flags select
+// and exits without running anything.
 //
 // --shard i/n runs only the i-th of n contiguous slices of the expanded
 // work list (1-based).  Slices are deterministic, disjoint and exhaustive;
@@ -51,6 +50,28 @@
 namespace core = arcade::core;
 namespace sweep = arcade::sweep;
 
+namespace {
+
+/// Writes one export file through `emit` and prints "# wrote PATH".  When
+/// the file cannot be opened, written or closed it prints an error instead
+/// and returns false.
+template <typename Emit>
+bool write_file(const std::string& path, const Emit& emit) {
+    std::ofstream out(path);
+    if (out) {
+        emit(out);
+        out.close();
+    }
+    if (!out) {
+        std::cerr << "arcade_sweep: cannot write '" << path << "'\n";
+        return false;
+    }
+    std::cout << "# wrote " << path << "\n";
+    return true;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
     unsigned threads = 0;
     std::string csv_path;
@@ -62,8 +83,7 @@ int main(int argc, char** argv) {
     bool list_only = false;
     int pump_scaling = -1;  // <0: not requested
     core::ReductionPolicy reduction = core::ReductionPolicy::Off;
-    core::SymmetryPolicy symmetry = core::SymmetryPolicy::Off;
-    bool symmetry_explicit = false;
+    bool reduction_explicit = false;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         const bool has_value = i + 1 < argc;
@@ -102,18 +122,6 @@ int main(int argc, char** argv) {
                 return 2;
             }
             pump_scaling = static_cast<int>(*count);
-        } else if (arg == "--symmetry" && has_value) {
-            const std::string value = argv[++i];
-            if (value == "off") {
-                symmetry = core::SymmetryPolicy::Off;
-            } else if (value == "auto") {
-                symmetry = core::SymmetryPolicy::Auto;
-            } else {
-                std::cerr << "arcade_sweep: --symmetry takes 'off' or 'auto', got '"
-                          << value << "'\n";
-                return 2;
-            }
-            symmetry_explicit = true;
         } else if (arg == "--reduction" && has_value) {
             const std::string value = argv[++i];
             if (value == "off") {
@@ -125,11 +133,11 @@ int main(int argc, char** argv) {
                           << value << "'\n";
                 return 2;
             }
+            reduction_explicit = true;
         } else {
             std::cerr << "usage: arcade_sweep [--threads N] [--csv PATH] [--json PATH] "
                          "[--shard i/n] [--csv-footer] [--reduction off|auto] "
-                         "[--symmetry off|auto] [--mttr-sweep] "
-                         "[--properties] [--pump-scaling N] [--list]\n";
+                         "[--mttr-sweep] [--properties] [--pump-scaling N] [--list]\n";
             return 2;
         }
     }
@@ -148,9 +156,9 @@ int main(int argc, char** argv) {
         : pump_scaling >= 0
             ? sweep::studies::pump_scaling(static_cast<std::size_t>(pump_scaling))
             : sweep::paper::everything();
-    // The scaling study exists to avoid the full chains: default it to the
-    // quotient unless the user explicitly asked for the unreduced run.
-    if (pump_scaling >= 0 && !symmetry_explicit) symmetry = core::SymmetryPolicy::Auto;
+    // The scaling study exists to avoid the full chains: default it to orbit
+    // exploration unless the user explicitly asked for the unreduced run.
+    if (pump_scaling >= 0 && !reduction_explicit) reduction = core::ReductionPolicy::Auto;
 
     if (list_only) {
         const auto items = sweep::shard_slice(sweep::expand(grid), shard);
@@ -163,7 +171,7 @@ int main(int argc, char** argv) {
     }
 
     sweep::SweepRunner runner(arcade::engine::AnalysisSession::global(),
-                              {threads, shard, reduction, symmetry});
+                              {threads, shard, reduction});
     const auto report = runner.run(grid);
 
     if (shard.is_sharded()) {
@@ -237,19 +245,12 @@ int main(int argc, char** argv) {
               << report.stats.steady_state_misses << " misses  (hit rate ";
     std::snprintf(buf, sizeof buf, "%.3f", report.cache_hit_rate());
     std::cout << buf << ")\n";
-    if (reduction == core::ReductionPolicy::Auto) {
+    if (report.stats.lump_hits + report.stats.lump_misses > 0) {
         std::cout << "# reduction: " << report.stats.lump_misses << " quotients built / "
                   << report.stats.lump_hits << " reused, "
                   << report.stats.lump_states_in << " states -> "
                   << report.stats.lump_states_out << " blocks (";
         std::snprintf(buf, sizeof buf, "%.1fx", report.stats.reduction_ratio());
-        std::cout << buf << ")\n";
-    }
-    if (symmetry == core::SymmetryPolicy::Auto) {
-        std::cout << "# symmetry: " << report.stats.symmetry_states_in
-                  << " full states -> " << report.stats.symmetry_states_out
-                  << " orbit representatives (";
-        std::snprintf(buf, sizeof buf, "%.1fx", report.stats.symmetry_ratio());
         std::cout << buf << ")\n";
     }
     if (properties_sweep) {
@@ -264,19 +265,20 @@ int main(int argc, char** argv) {
     std::cout << buf << " states/sec)\n";
 
     if (!csv_path.empty()) {
-        std::ofstream out(csv_path);
         sweep::CsvOptions options;
         options.header = shard.index == 1;  // later shards concatenate after shard 1
         // A per-shard footer would interleave comment lines mid-file and
         // break the byte-identical concatenation guarantee.
         options.footer = csv_footer && !shard.is_sharded();
-        sweep::write_csv(report, grid, out, options);
-        std::cout << "# wrote " << csv_path << "\n";
+        if (!write_file(csv_path, [&](std::ostream& out) {
+                sweep::write_csv(report, grid, out, options);
+            })) {
+            return 1;
+        }
     }
-    if (!json_path.empty()) {
-        std::ofstream out(json_path);
-        sweep::write_json(report, grid, out);
-        std::cout << "# wrote " << json_path << "\n";
+    if (!json_path.empty() &&
+        !write_file(json_path, [&](std::ostream& out) { sweep::write_json(report, grid, out); })) {
+        return 1;
     }
     return report.cache_hit_rate() > 0.0 ? 0 : 1;
 }

@@ -1,7 +1,6 @@
 #include "arcade/compiler.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <string>
 
@@ -737,12 +736,11 @@ CompiledModel run_compile(const ArcadeModel& model, const Plan& plan, Encoder en
     const std::size_t fields = initial16.size();
     std::vector<std::int64_t> initial(initial16.begin(), initial16.end());
 
-    // Either policy's Auto explores on the orbits of the interchangeability
-    // proof; with both Off the full chain is explored and no proof is built.
-    const bool on_orbits = options.symmetry == SymmetryPolicy::Auto ||
-                           options.reduction == ReductionPolicy::Auto;
+    // ReductionPolicy::Auto explores on the orbits of the interchangeability
+    // proof; under Off the full chain is explored and no proof is built.
     const std::shared_ptr<const engine::StateSymmetry> symmetry =
-        on_orbits ? make_state_symmetry(model, plan, encoding) : nullptr;
+        options.reduction == ReductionPolicy::Auto ? make_state_symmetry(model, plan, encoding)
+                                                   : nullptr;
 
     engine::EngineOptions engine_options;
     engine_options.max_states = options.max_states;
@@ -757,35 +755,27 @@ CompiledModel run_compile(const ArcadeModel& model, const Plan& plan, Encoder en
     // Orbit accounting: the full-chain state count is the sum of orbit
     // sizes over the explored representatives (exact — the automorphism
     // group fixes the initial state, so the full reachable set is the
-    // disjoint union of these orbits).  A model that reports the full
-    // chain's sizes (SymmetryPolicy::Off) also counts its transitions: an
+    // disjoint union of these orbits).  The transitions are counted too: an
     // automorphism maps each member's row onto its representative's, and a
     // full-chain row holds one entry per successor the encoder emits,
     // because every transition fails or repairs exactly one component (a
     // different one per transition), so no two coincide and none is the
     // source.
-    double full_states = 0.0;
+    std::size_t full_states = 0;
     std::size_t full_transitions = 0;
-    double symmetry_seconds = 0.0;
     if (symmetry != nullptr) {
-        const auto t0 = std::chrono::steady_clock::now();
-        const bool count_transitions = options.symmetry == SymmetryPolicy::Off;
         std::vector<std::int64_t> values(fields);
         State source(fields);
         auto scratch = encoder.scratch();
         for (std::size_t s = 0; s < n; ++s) {
             store.unpack(s, std::span<std::int64_t>(values));
-            const double orbit = symmetry->orbit_size(values);
+            const auto orbit = static_cast<std::size_t>(symmetry->orbit_size(values));
             full_states += orbit;
-            if (!count_transitions) continue;
             store.unpack(s, std::span<std::int16_t>(source));
             std::size_t row = 0;
             encoder.successors(source, scratch, [&](const State&, double) { ++row; });
-            full_transitions += static_cast<std::size_t>(orbit) * row;
+            full_transitions += orbit * row;
         }
-        symmetry_seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                .count();
     }
 
     std::vector<double> init(n, 0.0);
@@ -826,9 +816,8 @@ CompiledModel run_compile(const ArcadeModel& model, const Plan& plan, Encoder en
 
     return CompiledModel(std::move(chain), std::move(service),
                          rewards::RewardStructure("cost", std::move(cost)), model,
-                         std::move(store), encoding, options.reduction,
-                         options.symmetry, symmetry, full_states, full_transitions,
-                         symmetry_seconds);
+                         std::move(store), encoding, options.reduction, symmetry,
+                         full_states, full_transitions);
 }
 
 }  // namespace
@@ -836,10 +825,9 @@ CompiledModel run_compile(const ArcadeModel& model, const Plan& plan, Encoder en
 CompiledModel::CompiledModel(ctmc::Ctmc chain, std::vector<double> service,
                              rewards::RewardStructure cost, ArcadeModel model,
                              engine::StateStore store, Encoding encoding,
-                             ReductionPolicy reduction, SymmetryPolicy symmetry,
+                             ReductionPolicy reduction,
                              std::shared_ptr<const engine::StateSymmetry> state_symmetry,
-                             double full_states, std::size_t full_transitions,
-                             double symmetry_seconds)
+                             std::size_t full_states, std::size_t full_transitions)
     : chain_(std::move(chain)),
       service_(std::move(service)),
       cost_(std::move(cost)),
@@ -847,18 +835,9 @@ CompiledModel::CompiledModel(ctmc::Ctmc chain, std::vector<double> service,
       store_(std::move(store)),
       encoding_(encoding),
       reduction_(reduction),
-      symmetry_(symmetry),
       state_symmetry_(std::move(state_symmetry)),
-      full_states_(orbit_explored() ? full_states
-                                    : static_cast<double>(chain_.state_count())),
-      state_count_(chain_.state_count()),
-      transition_count_(chain_.transition_count()),
-      symmetry_seconds_(symmetry_seconds) {
-    if (orbit_explored() && symmetry_ == SymmetryPolicy::Off) {
-        state_count_ = static_cast<std::size_t>(full_states_);
-        transition_count_ = full_transitions;
-    }
-}
+      state_count_(orbit_explored() ? full_states : chain_.state_count()),
+      transition_count_(orbit_explored() ? full_transitions : chain_.transition_count()) {}
 
 std::string service_label(double level) {
     std::string label = "service>=";

@@ -41,33 +41,21 @@ enum class Encoding { Individual, Lumped };
 
 /// Whether analyses of a compiled model run on the automatic
 /// strong-bisimulation quotient (ctmc::QuotientCtmc) of its chain.
-///   Off  — every solver runs on the explored chain as-is.
+///   Off  — the full chain is explored and every solver runs on it as-is.
 ///   Auto — measures run on the coarsest quotient respecting the model's
 ///          full measure signature (all chain labels + service levels +
 ///          cost rates) and lift/aggregate results back.  Exact for every
 ///          measure in this library; see src/ctmc/quotient.hpp.  An
 ///          individual model with interchangeable components is explored
-///          on its symmetry orbits (as under SymmetryPolicy::Auto), so the
-///          full chain is never built and the quotient is lumped from the
-///          orbit chain; state_count() and transition_count() still report
-///          the full chain's exact sizes.
+///          on its symmetry orbits (engine/symmetry.hpp), so the full chain
+///          is never built and the quotient is lumped from the orbit chain;
+///          state_count() and transition_count() still report the full
+///          chain's exact sizes.
 /// Chosen per call (CompileOptions::reduction, RunnerOptions::reduction,
 /// arcade_sweep --reduction); every default is Off.
 enum class ReductionPolicy { Off, Auto };
 
-/// Whether compilation explores the symmetry quotient directly (engine
-/// on-the-fly reduction) instead of the full chain.  Under Auto the
-/// compiler detects interchangeable component groups (same rates, same
-/// phase, same repair class — the replicated pump/filter copies) and
-/// canonicalises every explored state to its orbit representative, so the
-/// full chain is never materialised, and the model reports the orbit
-/// chain's sizes.  The quotient is an exact ordinary lumping; it composes
-/// with ReductionPolicy (symmetry first, splitter-queue refinement on the
-/// residual).  ReductionPolicy::Auto explores on the same orbits under
-/// either policy; Off with ReductionPolicy::Off explores the full chain.
-/// See engine/symmetry.hpp.  Chosen per call like ReductionPolicy
-/// (arcade_sweep --symmetry); every default is Off.
-using engine::SymmetryPolicy;
+enum class SymmetryPolicy { Off, Auto };  ///< kept for perfbench; nothing reads it
 
 /// Remains only for the benchmark's provenance code.
 enum class BatchPolicy { Off, Auto };
@@ -85,16 +73,15 @@ enum class BatchPolicy { Off, Auto };
 struct CompileOptions {
     Encoding encoding = Encoding::Individual;
     /// Bound on the explored states: orbit representatives when the model
-    /// is explored on its orbits (SymmetryPolicy::Auto or
-    /// ReductionPolicy::Auto), every state of the chain otherwise.
+    /// is explored on its orbits (ReductionPolicy::Auto), every state of the
+    /// chain otherwise.
     std::size_t max_states = 50'000'000;
     /// Worker threads for the sharded exploration; 0 = hardware concurrency.
     /// Any thread count produces the identical CTMC.
     unsigned threads = 0;
     /// Run analyses on the lumped quotient of the compiled chain?
     ReductionPolicy reduction = ReductionPolicy::Off;
-    /// Explore the symmetry quotient directly?
-    SymmetryPolicy symmetry = SymmetryPolicy::Off;
+    SymmetryPolicy symmetry = SymmetryPolicy::Off;  ///< kept for perfbench; `compile` ignores it
     /// Kept for perfbench; `compile` ignores it.
     analysis::LintLevel lint = analysis::default_lint_level();
 };
@@ -119,10 +106,8 @@ public:
                   rewards::RewardStructure cost, ArcadeModel model,
                   engine::StateStore store, Encoding encoding,
                   ReductionPolicy reduction = ReductionPolicy::Off,
-                  SymmetryPolicy symmetry = SymmetryPolicy::Off,
                   std::shared_ptr<const engine::StateSymmetry> state_symmetry = nullptr,
-                  double full_states = 0.0, std::size_t full_transitions = 0,
-                  double symmetry_seconds = 0.0);
+                  std::size_t full_states = 0, std::size_t full_transitions = 0);
 
     /// The explored chain: the orbit chain when orbit_explored(), the full
     /// chain otherwise.  Every per-state vector of this model (service
@@ -130,10 +115,9 @@ public:
     /// is indexed by its states — size them by chain().state_count().
     [[nodiscard]] const ctmc::Ctmc& chain() const noexcept { return chain_; }
     [[nodiscard]] ctmc::Ctmc& chain() noexcept { return chain_; }
-    /// Reported size of the model (Table 1): the full chain's exact state
-    /// and transition counts for a model that only ReductionPolicy::Auto
-    /// put on its orbits, the explored chain's otherwise (so under
-    /// SymmetryPolicy::Auto the orbit chain's).
+    /// Reported size of the model (Table 1): always the full chain's exact
+    /// state and transition counts, also when the model was explored on its
+    /// orbits (chain().state_count() is then the orbit chain's).
     [[nodiscard]] std::size_t state_count() const noexcept { return state_count_; }
     [[nodiscard]] std::size_t transition_count() const noexcept { return transition_count_; }
 
@@ -154,41 +138,19 @@ public:
     [[nodiscard]] const ArcadeModel& model() const noexcept { return model_; }
     [[nodiscard]] Encoding encoding() const noexcept { return encoding_; }
     [[nodiscard]] ReductionPolicy reduction() const noexcept { return reduction_; }
-    [[nodiscard]] SymmetryPolicy symmetry() const noexcept { return symmetry_; }
 
     /// True when the chain was explored on symmetry orbits: an individual
     /// model with two or more interchangeable components, compiled under
-    /// SymmetryPolicy::Auto or ReductionPolicy::Auto.
+    /// ReductionPolicy::Auto.
     [[nodiscard]] bool orbit_explored() const noexcept { return state_symmetry_ != nullptr; }
 
-    /// True when the chain is a symmetry quotient that SymmetryPolicy::Auto
-    /// asked for (the session's symmetry_* counters count these).
-    [[nodiscard]] bool symmetry_reduced() const noexcept {
-        return symmetry_ == SymmetryPolicy::Auto && orbit_explored();
-    }
-
-    /// Exact state count of the full (unreduced) chain: the sum of orbit
-    /// sizes over the explored representatives — recovered without ever
-    /// materialising the full chain (engine/symmetry.hpp explains why this
-    /// is exact).  Equals state_count() unless symmetry_reduced().
-    [[nodiscard]] double symmetry_full_states() const noexcept { return full_states_; }
-
-    /// full states / reported states (1.0 unless symmetry_reduced()).
-    [[nodiscard]] double symmetry_ratio() const noexcept {
-        return state_count() == 0
-                   ? 1.0
-                   : symmetry_full_states() / static_cast<double>(state_count());
-    }
-
-    /// Wall seconds of the post-exploration orbit accounting pass (the
-    /// canonicalisation machinery outside the BFS hot path); 0 when the
-    /// chain was explored in full.
-    [[nodiscard]] double symmetry_seconds() const noexcept { return symmetry_seconds_; }
+    /// Kept for perfbench: state_count() as a double.
+    [[nodiscard]] double symmetry_full_states() const noexcept { return state_count_; }
 
     /// The interchangeability proof the chain was explored on: the orbits
     /// of interchangeable components.  Null when the chain was explored in
-    /// full (ReductionPolicy::Off with SymmetryPolicy::Off), for the lumped
-    /// encoding and for models without two interchangeable components.
+    /// full (ReductionPolicy::Off), for the lumped encoding and for models
+    /// without two interchangeable components.
     [[nodiscard]] const engine::StateSymmetry* state_symmetry() const noexcept {
         return state_symmetry_.get();
     }
@@ -260,12 +222,9 @@ private:
     engine::StateStore store_;
     Encoding encoding_;
     ReductionPolicy reduction_ = ReductionPolicy::Off;
-    SymmetryPolicy symmetry_ = SymmetryPolicy::Off;
     std::shared_ptr<const engine::StateSymmetry> state_symmetry_;
-    double full_states_ = 0.0;
     std::size_t state_count_ = 0;
     std::size_t transition_count_ = 0;
-    double symmetry_seconds_ = 0.0;
     /// Lazy quotient cache.  The mutex lives behind a shared_ptr so the
     /// model stays movable (run_compile returns by value).
     mutable std::shared_ptr<std::mutex> quotient_mutex_ = std::make_shared<std::mutex>();

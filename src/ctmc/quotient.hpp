@@ -20,7 +20,7 @@
 // chain-sized vector to project.
 //
 // A chain explored on symmetry orbits (core::compile under
-// ReductionPolicy::Auto or SymmetryPolicy::Auto) is already an exact lumping
+// ReductionPolicy::Auto) is already an exact lumping
 // of the full chain, and its coarsest quotient is the full chain's: the
 // compiler lumps that orbit chain, so refinement never sees the full chain.
 //

@@ -40,14 +40,12 @@ private:
 };
 
 std::uint64_t options_key(std::uint64_t model_fp, std::uint64_t encoding,
-                          std::size_t max_states, std::uint64_t reduction,
-                          std::uint64_t symmetry) {
+                          std::size_t max_states, std::uint64_t reduction) {
     Fingerprinter fp(0);
     fp.mix(model_fp);
     fp.mix(encoding);
     fp.mix(max_states);
     fp.mix(reduction);
-    fp.mix(symmetry);
     return fp.value();
 }
 
@@ -93,13 +91,11 @@ AnalysisSession::CompiledPtr AnalysisSession::compile(const core::ArcadeModel& m
                                                       const core::CompileOptions& options) {
     const std::uint64_t key = options_key(
         fingerprint(model), static_cast<std::uint64_t>(options.encoding), options.max_states,
-        static_cast<std::uint64_t>(options.reduction),
-        static_cast<std::uint64_t>(options.symmetry));
+        static_cast<std::uint64_t>(options.reduction));
     const std::uint64_t check = options_key(fingerprint(model, /*seed=*/1),
                                             static_cast<std::uint64_t>(options.encoding),
                                             options.max_states,
-                                            static_cast<std::uint64_t>(options.reduction),
-                                            static_cast<std::uint64_t>(options.symmetry));
+                                            static_cast<std::uint64_t>(options.reduction));
     {
         std::lock_guard<std::mutex> lock(mutex_);
         const auto it = compiled_.find(key);
@@ -119,12 +115,6 @@ AnalysisSession::CompiledPtr AnalysisSession::compile(const core::ArcadeModel& m
     }
     entry = {check, std::move(fresh)};
     ++stats_.compile_misses;
-    if (entry.value->symmetry_reduced()) {
-        stats_.symmetry_states_in +=
-            static_cast<std::size_t>(entry.value->symmetry_full_states() + 0.5);
-        stats_.symmetry_states_out += entry.value->state_count();
-        stats_.symmetry_seconds += entry.value->symmetry_seconds();
-    }
     return entry.value;
 }
 

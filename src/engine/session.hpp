@@ -57,17 +57,6 @@ struct SessionStats {
     /// misses run the checker (on the quotient under ReductionPolicy::Auto).
     std::size_t property_hits = 0;
     std::size_t property_misses = 0;
-    /// On-the-fly symmetry reduction, aggregated over compile misses whose
-    /// model carried nontrivial orbits (SymmetryPolicy::Auto): full-chain
-    /// states that were never materialised (recovered exactly from orbit
-    /// sizes) vs orbit representatives actually explored, plus the wall
-    /// seconds spent in the orbit-accounting pass.  symmetry_states_in /
-    /// symmetry_states_out is the aggregate quotient ratio — next to the
-    /// lump counters because the two reductions compose (symmetry during
-    /// exploration, splitter-queue refinement on the residual).
-    std::size_t symmetry_states_in = 0;
-    std::size_t symmetry_states_out = 0;
-    double symmetry_seconds = 0.0;
 
     /// Aggregate state-space reduction achieved by lumping (>= 1; 1.0 when
     /// nothing was lumped).
@@ -75,14 +64,6 @@ struct SessionStats {
         return lump_states_out > 0 ? static_cast<double>(lump_states_in) /
                                          static_cast<double>(lump_states_out)
                                    : 1.0;
-    }
-
-    /// Aggregate reduction achieved by on-the-fly symmetry (>= 1; 1.0 when
-    /// no model was symmetry-reduced).
-    [[nodiscard]] double symmetry_ratio() const noexcept {
-        return symmetry_states_out > 0 ? static_cast<double>(symmetry_states_in) /
-                                             static_cast<double>(symmetry_states_out)
-                                       : 1.0;
     }
 };
 
@@ -103,10 +84,7 @@ struct SessionStats {
         .lump_states_in = after.lump_states_in - before.lump_states_in,
         .lump_states_out = after.lump_states_out - before.lump_states_out,
         .property_hits = after.property_hits - before.property_hits,
-        .property_misses = after.property_misses - before.property_misses,
-        .symmetry_states_in = after.symmetry_states_in - before.symmetry_states_in,
-        .symmetry_states_out = after.symmetry_states_out - before.symmetry_states_out,
-        .symmetry_seconds = after.symmetry_seconds - before.symmetry_seconds};
+        .property_misses = after.property_misses - before.property_misses};
 }
 
 /// Structural fingerprint of a model (stable across identical rebuilds of
@@ -122,7 +100,7 @@ public:
     using CompiledPtr = std::shared_ptr<const core::CompiledModel>;
 
     /// Compiles `model`, or returns the cached instance for an identical
-    /// (model fingerprint, encoding, max_states) request.
+    /// (model fingerprint, encoding, max_states, reduction) request.
     [[nodiscard]] CompiledPtr compile(const core::ArcadeModel& model,
                                       const core::CompileOptions& options = {});
 

@@ -15,7 +15,7 @@
 // it equals the full-chain value, and the lumping layer
 // (graph::coarsest_lumping) composes on top: symmetry first, splitter-queue
 // refinement on the residual.  core::compile explores on the orbits under
-// SymmetryPolicy::Auto and under ReductionPolicy::Auto.
+// ReductionPolicy::Auto.
 //
 // Because the automorphism group fixes the (canonical) initial state, the
 // reachable set of the full chain is the disjoint union of the orbits of
@@ -31,17 +31,6 @@
 #include <vector>
 
 namespace arcade::engine {
-
-/// Whether core::compile canonicalises states to orbit representatives.
-/// Mirrors core::ReductionPolicy: Auto explores the symmetry quotient
-/// directly whenever nontrivial orbits are detected and reports its sizes;
-/// Off explores the full chain, unless ReductionPolicy::Auto explores the
-/// orbits anyway (reporting the full chain's sizes).  Each compile chooses
-/// (CompileOptions::symmetry).
-enum class SymmetryPolicy {
-    Off,   ///< explore the full chain
-    Auto,  ///< canonicalise to orbit representatives during exploration
-};
 
 /// One orbit of interchangeable instances.  `instances[i]` lists the field
 /// indices (into the StateLayout the symmetry was built for) holding

@@ -25,67 +25,12 @@ Partition normalise(const std::vector<std::size_t>& labels) {
     return out;
 }
 
-/// The round-based reference refinement: split every block by the full
-/// signature until a fixed point, O(rounds × m log n).
-Partition coarsest_lumping_rounds(const linalg::CsrMatrix& rates, Partition partition,
-                                  LumpingStats* stats) {
-    const std::size_t n = rates.rows();
-
-    // Scratch reused across rounds.
-    std::vector<std::pair<std::size_t, double>> edges;  // (target block, rate)
-    std::vector<std::uint64_t> key;
-    std::vector<std::size_t> next(n);
-
-    for (;;) {
-        std::unordered_map<std::vector<std::uint64_t>, std::size_t, WordVectorHash> ids;
-        ids.reserve(partition.count * 2);
-        std::size_t next_count = 0;
-        for (std::size_t s = 0; s < n; ++s) {
-            const std::size_t own = partition.block_of[s];
-            edges.clear();
-            const auto cols = rates.row_columns(s);
-            const auto vals = rates.row_values(s);
-            for (std::size_t k = 0; k < cols.size(); ++k) {
-                if (cols[k] == s) continue;  // diagonal entries are not rates
-                const std::size_t b = partition.block_of[cols[k]];
-                if (b == own) continue;  // intra-block rates are unconstrained
-                edges.emplace_back(b, vals[k]);
-            }
-            if (stats != nullptr) stats->edges_scanned += cols.size();
-            // Sort by (block, value) so equal multisets of block-labelled
-            // rates accumulate in the same order — per-block sums become
-            // bitwise comparable across states.
-            std::sort(edges.begin(), edges.end(),
-                      [](const auto& a, const auto& b) {
-                          if (a.first != b.first) return a.first < b.first;
-                          return double_bits(a.second) < double_bits(b.second);
-                      });
-            key.clear();
-            key.push_back(own);
-            for (std::size_t k = 0; k < edges.size();) {
-                const std::size_t b = edges[k].first;
-                double sum = 0.0;
-                for (; k < edges.size() && edges[k].first == b; ++k) sum += edges[k].second;
-                key.push_back(b);
-                key.push_back(double_bits(sum));
-            }
-            const auto [it, inserted] = ids.emplace(key, next_count);
-            if (inserted) ++next_count;
-            next[s] = it->second;
-        }
-        if (next_count == partition.count) break;  // fixed point: lumpable
-        partition.block_of = next;
-        partition.count = next_count;
-    }
-    return partition;
-}
-
 /// The splitter-queue refinement (see the header comment): a worklist of
 /// splitter blocks; processing one touches only the predecessors of its
 /// members.  Every part of every split re-enters the queue, so when the
 /// queue drains each block's states carry bitwise-equal sorted rate sums
-/// towards every final block — the same fixed point the round-based sweeps
-/// reach, at a fraction of the scanned edges.
+/// towards every final block — the same fixed point round-based signature
+/// sweeps reach, at a fraction of the scanned edges.
 Partition coarsest_lumping_splitter(const linalg::CsrMatrix& rates, Partition partition,
                                     LumpingStats* stats) {
     const std::size_t n = rates.rows();
@@ -156,7 +101,8 @@ Partition coarsest_lumping_splitter(const linalg::CsrMatrix& rates, Partition pa
 
         // Gather every rate sent into the splitter from outside it.  Rates
         // from the splitter's own members are unconstrained by ordinary
-        // lumpability, exactly like the round-based signature skips them.
+        // lumpability, exactly like test_lumping's round-based reference
+        // skips them.
         contrib.clear();
         touched_states.clear();
         for (std::size_t i = block_begin[splitter]; i < block_end[splitter]; ++i) {
@@ -185,8 +131,8 @@ Partition coarsest_lumping_splitter(const linalg::CsrMatrix& rates, Partition pa
         }
 
         // Per-state sums, each accumulated in ascending bit-pattern order —
-        // the same order the round-based signature uses, so the two
-        // algorithms compare bitwise-identical values.  Per-state runs are a
+        // the same order test_lumping's round-based reference uses, so the
+        // two compare bitwise-identical values.  Per-state runs are a
         // handful of parallel rates: insertion sort.
         touched_blocks.clear();
         for (const std::size_t s : touched_states) {
@@ -287,7 +233,7 @@ std::vector<std::vector<std::size_t>> Partition::members() const {
 
 Partition coarsest_lumping(const linalg::CsrMatrix& rates,
                            const std::vector<std::size_t>& initial_block_of,
-                           LumpingAlgorithm algorithm, LumpingStats* stats) {
+                           LumpingStats* stats) {
     const std::size_t n = rates.rows();
     ARCADE_ASSERT(rates.cols() == n, "lumping needs a square matrix");
     ARCADE_ASSERT(initial_block_of.size() == n, "initial partition size mismatch");
@@ -296,12 +242,10 @@ Partition coarsest_lumping(const linalg::CsrMatrix& rates,
         if (stats != nullptr) stats->blocks = partition.count;
         return partition;
     }
-    partition = algorithm == LumpingAlgorithm::Rounds
-                    ? coarsest_lumping_rounds(rates, std::move(partition), stats)
-                    : coarsest_lumping_splitter(rates, std::move(partition), stats);
+    partition = coarsest_lumping_splitter(rates, std::move(partition), stats);
     if (stats != nullptr) stats->blocks = partition.count;
-    // Renumber into first-occurrence order: both algorithms then return the
-    // identical block_of array for the identical partition.
+    // Renumber into first-occurrence order: the identical partition always
+    // comes back as the identical block_of array.
     return normalise(partition.block_of);
 }
 

@@ -3,42 +3,31 @@
 // minimisation": states are merged when they carry the same per-block
 // outgoing rate sums towards every other block.
 //
-// Two refinement algorithms compute the same fixed point:
+// The refinement is Valmari–Franceschinis-style, driven by a worklist of
+// splitter blocks.  Processing splitter S touches only the *predecessors*
+// of S's members: each touched state's rates into S are sorted by exact bit
+// pattern and summed, and every block holding touched states is split by
+// those sums (states with no edge into S form their own group: no edge is
+// a different signature from a zero-valued sum).  Whenever a
+// block splits, all parts re-enter the queue.  Work is proportional to the
+// in-edges of the splitters processed instead of one full O(m log n) sweep
+// per round, which is what makes huge individual encodings cheap to lump
+// (test_lumping keeps the round-based signature refinement as its reference
+// and asserts this scans fewer edges on every line-2 individual encoding).
+// Hopcroft's process-all-but-the-largest-part trick is deliberately NOT
+// used: its correctness relies on w(s, B \ B') = w(s, B) - w(s, B'), an
+// identity of exact arithmetic that floating-point sums do not satisfy
+// bitwise — re-queueing every part keeps the result identical to the
+// round-based reference on every input.
 //
-// * SplitterQueue (the default) — Valmari–Franceschinis-style refinement
-//   driven by a worklist of splitter blocks.  Processing splitter S touches
-//   only the *predecessors* of S's members: each touched state's rates into
-//   S are sorted by exact bit pattern and summed, and every block holding
-//   touched states is split by those sums (states with no edge into S form
-//   their own group, mirroring the presence/absence distinction of the
-//   signature form).  Whenever a block splits, all parts re-enter the queue.
-//   Work is proportional to the in-edges of the splitters processed instead
-//   of one full O(m log n) sweep per round, which is what makes huge
-//   individual encodings cheap to lump (test_lumping asserts it scans fewer
-//   edges than Rounds on every line-2 individual encoding).
-//   Hopcroft's process-all-but-the-largest-part trick is deliberately NOT
-//   used: its correctness relies on w(s, B \ B') = w(s, B) - w(s, B'), an
-//   identity of exact arithmetic that floating-point sums do not satisfy
-//   bitwise — re-queueing every part keeps the result identical to the
-//   round-based reference on every input.
-//
-// * Rounds (the reference that test_lumping passes explicitly) — splits every
-//   block by the full signature
-//     sig(s) = [ block(s), sorted { (block(target), summed rate) : targets
-//                outside block(s) } ]
-//   and iterates to a fixed point (Paige–Tarjan style splitting, in its
-//   round-based signature form), costing O(rounds × m log n).
-//
-// A fixed point is exactly an ordinarily lumpable partition, and both
-// refinements converge to the *coarsest* lumpable refinement of the initial
+// A fixed point is exactly an ordinarily lumpable partition, and the
+// refinement converges to the *coarsest* lumpable refinement of the initial
 // partition: if Q is lumpable and refines partition P, then for states s,t
 // sharing a Q-block and any P-block C != block_P(s), C is a union of
 // Q-blocks distinct from block_Q(s), so r(s,C) = sum of per-Q-block rates =
 // r(t,C) — s and t survive every split.  Per-(state, block) sums are always
 // accumulated in sorted bit-pattern order, so equal rate multisets produce
-// bitwise-identical sums in either algorithm and the partitions (after
-// first-occurrence renumbering) coincide exactly — asserted on every test
-// chain by test_lumping.
+// bitwise-identical sums.
 //
 // Rates towards a state's *own* block (and diagonal entries) are deliberately
 // ignored: intra-block transitions never change the block of the aggregated
@@ -98,19 +87,12 @@ struct Partition {
     [[nodiscard]] std::vector<std::vector<std::size_t>> members() const;
 };
 
-/// Which refinement computes the partition (see the header comment).
-enum class LumpingAlgorithm {
-    SplitterQueue,  ///< worklist refinement, work ∝ splitter in-edges (default)
-    Rounds,         ///< full-signature sweeps, O(rounds × m log n) (reference)
-};
-
 /// Work counters of one refinement run (test_lumping compares them).
 struct LumpingStats {
     /// Block count of the final partition (block counts only ever grow, so
     /// this is also the peak).
     std::size_t blocks = 0;
-    /// Total (state, rate) contributions scanned — the work actually done;
-    /// the splitter queue's edge over the round-based sweeps shows up here.
+    /// Total (state, rate) contributions scanned — the work actually done.
     std::size_t edges_scanned = 0;
 };
 
@@ -119,13 +101,11 @@ struct LumpingStats {
 /// same block; the numbering itself is irrelevant).  Diagonal entries are
 /// ignored.  Rate comparisons are exact: per-(state, target-block) sums are
 /// accumulated in sorted value order, so two states with the same multiset
-/// of block-labelled rates produce bitwise-identical signatures.  Both
-/// algorithms return the identical partition; `stats`, when given, receives
-/// the run's work counters.
-[[nodiscard]] Partition coarsest_lumping(
-    const linalg::CsrMatrix& rates, const std::vector<std::size_t>& initial_block_of,
-    LumpingAlgorithm algorithm = LumpingAlgorithm::SplitterQueue,
-    LumpingStats* stats = nullptr);
+/// of block-labelled rates produce bitwise-identical signatures.  `stats`,
+/// when given, receives the run's work counters.
+[[nodiscard]] Partition coarsest_lumping(const linalg::CsrMatrix& rates,
+                                         const std::vector<std::size_t>& initial_block_of,
+                                         LumpingStats* stats = nullptr);
 
 }  // namespace arcade::graph
 

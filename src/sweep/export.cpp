@@ -212,10 +212,6 @@ void write_csv(const SweepReport& report, const ScenarioGrid& grid, std::ostream
         count(" property_hits=", st.property_hits);
         count(" property_misses=", st.property_misses);
         real(" reduction_ratio=", st.reduction_ratio());
-        count(" symmetry_states_in=", st.symmetry_states_in);
-        count(" symmetry_states_out=", st.symmetry_states_out);
-        real(" symmetry_ratio=", st.symmetry_ratio());
-        real(" symmetry_seconds=", st.symmetry_seconds);
         count(" state_points=", report.state_points);
         real(" states_per_sec=", report.states_per_second());
         real(" wall_seconds=", report.wall_seconds);
@@ -257,10 +253,6 @@ void write_json(const SweepReport& report, const ScenarioGrid& grid, std::ostrea
     count("property_hits", st.property_hits);
     count("property_misses", st.property_misses);
     real("reduction_ratio", st.reduction_ratio());
-    count("symmetry_states_in", st.symmetry_states_in);
-    count("symmetry_states_out", st.symmetry_states_out);
-    real("symmetry_ratio", st.symmetry_ratio());
-    real("symmetry_seconds", st.symmetry_seconds);
     count("state_points", report.state_points);
     real("states_per_second", report.states_per_second());
     out += "    \"wall_seconds\": ";
@@ -293,8 +285,8 @@ void write_json(const SweepReport& report, const ScenarioGrid& grid, std::ostrea
         if (scale_field) {
             out += ", \"scale\": \"";
             append_json_escaped(out, r.item.scale.name);
-            out += "\", \"model_full_states\": ";
-            append_g17(out, r.model_full_states);
+            out += "\", \"model_explored_states\": ";
+            append_int(out, r.model_explored_states);
         }
         out += ", \"model_states\": ";
         append_int(out, r.model_states);

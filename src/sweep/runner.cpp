@@ -136,8 +136,8 @@ engine::AnalysisSession::CompiledPtr compile_item(engine::AnalysisSession& sessi
         item.variant.repair && item.measure.kind != MeasureKind::Reliability &&
         !(item.measure.kind == MeasureKind::Property && item.measure.strip_repair);
     return watertree::compile_line(session, item.line, strat, item.variant.encoding,
-                                   params, with_repair, options.reduction,
-                                   options.symmetry, item.scale.extra_pumps);
+                                   params, with_repair, options.reduction, /*symmetry=*/{},
+                                   item.scale.extra_pumps);
 }
 
 /// The compiled model of `item`, its quotient lookup routed through the
@@ -156,7 +156,7 @@ engine::AnalysisSession::CompiledPtr prepare(engine::AnalysisSession& session,
     result.item = item;
     result.model_states = model->state_count();
     result.model_transitions = model->transition_count();
-    result.model_full_states = model->symmetry_full_states();
+    result.model_explored_states = model->chain().state_count();
     return model;
 }
 
@@ -328,7 +328,8 @@ SweepReport SweepRunner::run(const ScenarioGrid& grid, const std::vector<WorkIte
 
     report.unique_models = unique_models.size();
     for (const auto& r : report.results) {
-        report.state_points += r.model_states * std::max<std::size_t>(r.values.size(), 1);
+        report.state_points +=
+            r.model_explored_states * std::max<std::size_t>(r.values.size(), 1);
     }
     report.stats = session_.stats() - stats_before;
     report.wall_seconds = now_seconds() - t0;

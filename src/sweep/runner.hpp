@@ -33,10 +33,11 @@ struct ScenarioResult {
     std::vector<double> values;
     std::size_t model_states = 0;       ///< state count of the compiled model
     std::size_t model_transitions = 0;  ///< transition count of the compiled model
-    /// Exact full-chain state count recovered from symmetry orbit sizes;
-    /// equals model_states when the model was explored without symmetry
-    /// reduction (the state-space scaling report's numerator).
-    double model_full_states = 0.0;
+    /// States of the chain actually explored (CompiledModel::chain()): the
+    /// orbit chain of an individual model under ReductionPolicy::Auto,
+    /// model_states otherwise.
+    std::size_t model_explored_states = 0;
+    double model_full_states = 0.0;  ///< kept for perfbench; nothing reads it
     /// Wall time of this cell's evaluation; cells that shared one power
     /// pass split its wall time evenly.
     double seconds = 0.0;
@@ -47,7 +48,7 @@ struct SweepReport {
     engine::SessionStats stats;           ///< session-counter delta for this run
     double wall_seconds = 0.0;
     std::size_t unique_models = 0;  ///< distinct compiled-model prefixes
-    std::size_t state_points = 0;   ///< sum of model states × grid points solved
+    std::size_t state_points = 0;   ///< sum of explored states × grid points solved
 
     /// Solved state-points per second of wall time (0 when degenerate).
     [[nodiscard]] double states_per_second() const noexcept {
@@ -71,10 +72,7 @@ struct RunnerOptions {
     /// quotients are built in the phase-1 compile barrier and the report's
     /// stats carry the lump cache counters and reduction sizes.
     core::ReductionPolicy reduction = core::ReductionPolicy::Off;
-    /// On-the-fly symmetry reduction: under Auto every compile of the run
-    /// explores the orbit quotient over interchangeable components directly;
-    /// the report's stats carry the symmetry counters.
-    core::SymmetryPolicy symmetry = core::SymmetryPolicy::Off;
+    core::SymmetryPolicy symmetry = core::SymmetryPolicy::Off;  ///< kept for perfbench
 };
 
 class SweepRunner {

@@ -204,7 +204,7 @@ void render_pump_scaling(const SweepReport& report, const ScenarioGrid& grid,
                          std::ostream& os) {
     os << "=== State-space scaling: spare pumps per line (individual encoding) ===\n\n";
     Table table({"Model", "Pumps", "Explored states", "Full states", "Reduction",
-                 "Transitions"});
+                 "Full transitions"});
     char buf[64];
     for (const int line : grid.lines) {
         // Paper configurations: line 1 has 4 pumps, line 2 has 3.
@@ -226,13 +226,12 @@ void render_pump_scaling(const SweepReport& report, const ScenarioGrid& grid,
             cells.emplace_back("line" + std::to_string(line) + " " +
                                cell->item.strategy + " (" + scale.name + ")");
             cells.emplace_back(std::to_string(base_pumps + scale.extra_pumps));
+            cells.emplace_back(std::to_string(cell->model_explored_states));
             cells.emplace_back(std::to_string(cell->model_states));
-            std::snprintf(buf, sizeof buf, "%.0f", cell->model_full_states);
-            cells.emplace_back(buf);
             std::snprintf(buf, sizeof buf, "%.1fx",
-                          cell->model_states > 0
-                              ? cell->model_full_states /
-                                    static_cast<double>(cell->model_states)
+                          cell->model_explored_states > 0
+                              ? static_cast<double>(cell->model_states) /
+                                    static_cast<double>(cell->model_explored_states)
                               : 1.0);
             cells.emplace_back(buf);
             cells.emplace_back(std::to_string(cell->model_transitions));
@@ -241,8 +240,8 @@ void render_pump_scaling(const SweepReport& report, const ScenarioGrid& grid,
     }
     table.print(os);
     os << "\n(explored = the chain the engine actually built; full = exact count\n"
-          " recovered from symmetry orbit sizes; they coincide when symmetry\n"
-          " reduction is off)\n";
+          " recovered from symmetry orbit sizes; they coincide when reduction\n"
+          " is off)\n";
 }
 
 }  // namespace arcade::sweep::studies

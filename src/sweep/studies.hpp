@@ -42,15 +42,15 @@ void render_mttr_sensitivity(const SweepReport& report, const ScenarioGrid& grid
 
 /// Component-count scaling: both lines with 0..max_extra_pumps spare pumps
 /// beyond the paper's configuration on the individual encoding, state-space
-/// cells only.  Run it with RunnerOptions::symmetry = Auto: each cell's
-/// model_states is then the symmetry quotient actually explored while
-/// model_full_states is the exact full-chain count recovered from orbit
-/// sizes — the growing gap is the point of the study.  (Under Off the grid
-/// explores the full chains, which beyond a few extra pumps will hit the
-/// exploration guard.)
+/// cells only.  Run it with RunnerOptions::reduction = Auto: each model is
+/// then explored on its orbits, so each cell's model_explored_states is the
+/// orbit chain actually explored while model_states is the exact full-chain
+/// count recovered from orbit sizes — the growing gap is the point of the
+/// study.  (Under Off the grid explores the full chains, which beyond a few
+/// extra pumps will hit the exploration guard.)
 [[nodiscard]] ScenarioGrid pump_scaling(std::size_t max_extra_pumps = 3);
 /// Table-1-style state-space report at each scale: pumps, explored states,
-/// full-chain states, transitions and the reduction ratio per row.
+/// full-chain states, the reduction ratio and full-chain transitions per row.
 void render_pump_scaling(const SweepReport& report, const ScenarioGrid& grid,
                          std::ostream& os);
 

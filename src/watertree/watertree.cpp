@@ -92,12 +92,11 @@ engine::AnalysisSession::CompiledPtr compile_line(engine::AnalysisSession& sessi
                                                   const Parameters& params,
                                                   bool with_repair,
                                                   core::ReductionPolicy reduction,
-                                                  core::SymmetryPolicy symmetry,
+                                                  core::SymmetryPolicy /*kept for perfbench*/,
                                                   std::size_t extra_pumps) {
     core::CompileOptions options;
     options.encoding = encoding;
     options.reduction = reduction;
-    options.symmetry = symmetry;
     core::ArcadeModel model = line(number, strategy, params, extra_pumps);
     if (!with_repair) model = core::without_repair(model);
     return session.compile(model, options);

@@ -59,18 +59,17 @@ struct Strategy {
 
 /// Session-cached compilation of one line (the figure harnesses' and the
 /// sweep runner's entry point): callers asking for the same (line, strategy,
-/// encoding, parameters, repair, reduction, symmetry, scale) variant share
-/// one CompiledModel.  `with_repair = false` strips the repair units before
+/// encoding, parameters, repair, reduction, scale) variant share one
+/// CompiledModel.  `with_repair = false` strips the repair units before
 /// compiling (the reliability measure and the no-repair model variants);
 /// `reduction` selects whether measures of the model run on its lumped
-/// quotient; `symmetry` selects on-the-fly exploration of the orbit quotient
-/// over interchangeable components.  Both default to Off.
+/// quotient (under Auto an individual model is explored on its orbits).
 [[nodiscard]] engine::AnalysisSession::CompiledPtr compile_line(
     engine::AnalysisSession& session, int number, const Strategy& strategy,
     core::Encoding encoding = core::Encoding::Individual, const Parameters& params = {},
     bool with_repair = true,
     core::ReductionPolicy reduction = core::ReductionPolicy::Off,
-    core::SymmetryPolicy symmetry = core::SymmetryPolicy::Off,
+    core::SymmetryPolicy = core::SymmetryPolicy::Off,  // kept for perfbench; ignored
     std::size_t extra_pumps = 0);
 
 /// Line 1: 3 softeners, 3 sand filters, 1 reservoir, 4 pumps (3+1 spare).

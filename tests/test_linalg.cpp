@@ -583,7 +583,6 @@ TEST(UniformisedKernels, AbsorbingMaskMatchesUntilTransformOnLine2Frf1) {
     core::CompileOptions options;
     options.encoding = core::Encoding::Individual;
     options.reduction = core::ReductionPolicy::Off;
-    options.symmetry = core::SymmetryPolicy::Off;
     const auto model = core::compile(watertree::line(2, watertree::strategy("FRF-1")), options);
     ASSERT_EQ(model.state_count(), 8129u);
     const std::vector<bool> phi(model.state_count(), true);

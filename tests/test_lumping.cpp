@@ -30,6 +30,7 @@
 #include <set>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "arcade/compiler.hpp"
@@ -240,6 +241,77 @@ core::ArcadeModel generated_model(unsigned seed) {
     return builder.build();
 }
 
+/// Arbitrary block labels renumbered into first-occurrence order — the
+/// numbering graph::coarsest_lumping returns.
+graph::Partition first_occurrence(const std::vector<std::size_t>& labels) {
+    graph::Partition out;
+    out.block_of.resize(labels.size());
+    std::unordered_map<std::size_t, std::size_t> remap;
+    for (std::size_t v = 0; v < labels.size(); ++v) {
+        const auto [it, inserted] = remap.emplace(labels[v], out.count);
+        if (inserted) ++out.count;
+        out.block_of[v] = it->second;
+    }
+    return out;
+}
+
+/// The round-based reference for graph::coarsest_lumping: split every
+/// block by the full signature
+///   sig(s) = [ block(s), sorted { (block(target), summed rate) : targets
+///              outside block(s) } ]
+/// and iterate to a fixed point (Paige–Tarjan style splitting in its
+/// round-based signature form), O(rounds × m log n).  Per-(state, block)
+/// sums accumulate in sorted bit-pattern order, as in the splitter queue.
+/// Returns the partition in first-occurrence numbering and fills `stats`
+/// like coarsest_lumping does.
+graph::Partition coarsest_lumping_rounds(const arcade::linalg::CsrMatrix& rates,
+                                         const std::vector<std::size_t>& initial,
+                                         graph::LumpingStats* stats) {
+    const std::size_t n = rates.rows();
+    graph::Partition partition = first_occurrence(initial);
+    std::vector<std::pair<std::size_t, double>> edges;  // (target block, rate)
+    std::vector<std::uint64_t> key;
+    std::vector<std::size_t> next(n);
+    for (;;) {
+        std::unordered_map<std::vector<std::uint64_t>, std::size_t, graph::WordVectorHash> ids;
+        std::size_t next_count = 0;
+        for (std::size_t s = 0; s < n; ++s) {
+            const std::size_t own = partition.block_of[s];
+            edges.clear();
+            const auto cols = rates.row_columns(s);
+            const auto vals = rates.row_values(s);
+            for (std::size_t k = 0; k < cols.size(); ++k) {
+                if (cols[k] == s) continue;  // diagonal entries are not rates
+                const std::size_t b = partition.block_of[cols[k]];
+                if (b == own) continue;  // intra-block rates are unconstrained
+                edges.emplace_back(b, vals[k]);
+            }
+            if (stats != nullptr) stats->edges_scanned += cols.size();
+            std::sort(edges.begin(), edges.end(), [](const auto& a, const auto& b) {
+                if (a.first != b.first) return a.first < b.first;
+                return graph::double_bits(a.second) < graph::double_bits(b.second);
+            });
+            key.clear();
+            key.push_back(own);
+            for (std::size_t k = 0; k < edges.size();) {
+                const std::size_t b = edges[k].first;
+                double sum = 0.0;
+                for (; k < edges.size() && edges[k].first == b; ++k) sum += edges[k].second;
+                key.push_back(b);
+                key.push_back(graph::double_bits(sum));
+            }
+            const auto [it, inserted] = ids.emplace(key, next_count);
+            if (inserted) ++next_count;
+            next[s] = it->second;
+        }
+        if (next_count == partition.count) break;  // fixed point: lumpable
+        partition.block_of = next;
+        partition.count = next_count;
+    }
+    if (stats != nullptr) stats->blocks = partition.count;
+    return first_occurrence(partition.block_of);
+}
+
 }  // namespace
 
 TEST(CoarsestLumping, TrivialPartitionIsAlwaysLumpable) {
@@ -280,12 +352,8 @@ TEST(CoarsestLumping, SplitterQueueMatchesRoundsOnPlantedAndRandomChains) {
                               const std::string& what) {
         graph::LumpingStats splitter_stats;
         graph::LumpingStats rounds_stats;
-        const auto splitter =
-            graph::coarsest_lumping(chain.rates(), initial,
-                                    graph::LumpingAlgorithm::SplitterQueue,
-                                    &splitter_stats);
-        const auto rounds = graph::coarsest_lumping(
-            chain.rates(), initial, graph::LumpingAlgorithm::Rounds, &rounds_stats);
+        const auto splitter = graph::coarsest_lumping(chain.rates(), initial, &splitter_stats);
+        const auto rounds = coarsest_lumping_rounds(chain.rates(), initial, &rounds_stats);
         EXPECT_EQ(splitter.count, rounds.count) << what;
         EXPECT_EQ(splitter.block_of, rounds.block_of) << what;
         EXPECT_EQ(splitter_stats.blocks, rounds_stats.blocks) << what;
@@ -350,12 +418,10 @@ TEST(CoarsestLumping, SplitterQueueMatchesRoundsOnWatertreeEncodings) {
             }
             graph::LumpingStats splitter_stats;
             graph::LumpingStats rounds_stats;
-            const auto splitter = graph::coarsest_lumping(
-                model.chain().rates(), initial,
-                graph::LumpingAlgorithm::SplitterQueue, &splitter_stats);
+            const auto splitter =
+                graph::coarsest_lumping(model.chain().rates(), initial, &splitter_stats);
             const auto rounds =
-                graph::coarsest_lumping(model.chain().rates(), initial,
-                                        graph::LumpingAlgorithm::Rounds, &rounds_stats);
+                coarsest_lumping_rounds(model.chain().rates(), initial, &rounds_stats);
             EXPECT_EQ(splitter.block_of, rounds.block_of)
                 << name << (individual ? " individual" : " lumped");
             // The point of the rewrite: the splitter queue scans a fraction
@@ -390,12 +456,8 @@ TEST(CoarsestLumping, DegenerateInputsAgreeBitwiseAcrossAlgorithms) {
                          const std::string& what) {
         graph::LumpingStats splitter_stats;
         graph::LumpingStats rounds_stats;
-        const auto splitter =
-            graph::coarsest_lumping(rates, initial,
-                                    graph::LumpingAlgorithm::SplitterQueue,
-                                    &splitter_stats);
-        const auto rounds = graph::coarsest_lumping(
-            rates, initial, graph::LumpingAlgorithm::Rounds, &rounds_stats);
+        const auto splitter = graph::coarsest_lumping(rates, initial, &splitter_stats);
+        const auto rounds = coarsest_lumping_rounds(rates, initial, &rounds_stats);
         EXPECT_EQ(splitter.count, rounds.count) << what;
         EXPECT_EQ(splitter.block_of, rounds.block_of) << what;
         EXPECT_EQ(splitter_stats.blocks, rounds_stats.blocks) << what;
@@ -693,11 +755,9 @@ TEST(AutoCompile, ReportsFullChainSizesOnEveryTable1Configuration) {
                 const auto full = core::compile(model, off);
                 const auto orbits = core::compile(model, automatic);
                 ASSERT_TRUE(orbits.orbit_explored()) << label;
-                EXPECT_FALSE(orbits.symmetry_reduced()) << label;
                 EXPECT_LT(orbits.chain().state_count(), full.chain().state_count()) << label;
                 EXPECT_EQ(orbits.state_count(), full.state_count()) << label;
                 EXPECT_EQ(orbits.transition_count(), full.transition_count()) << label;
-                EXPECT_EQ(orbits.symmetry_full_states(), full.symmetry_full_states()) << label;
                 ++checked;
             }
         }
@@ -871,10 +931,9 @@ TEST(OrbitLumping, LumpedAndOrbitExploredChainsLumpDirectly) {
 
         core::CompileOptions orbits;
         orbits.encoding = core::Encoding::Individual;
-        orbits.symmetry = core::SymmetryPolicy::Auto;
         orbits.reduction = core::ReductionPolicy::Auto;
         const auto explored = core::compile(model, orbits);
-        ASSERT_TRUE(explored.symmetry_reduced()) << label;
+        ASSERT_TRUE(explored.orbit_explored()) << label;
         expect_same_quotient(*explored.quotient().first,
                              ctmc::QuotientCtmc(explored.chain(), explored.lump_signature()),
                              label + " orbit-explored");

@@ -365,7 +365,6 @@ core::CompiledModel line2_frf2() {
     core::CompileOptions options;
     options.encoding = core::Encoding::Individual;
     options.reduction = core::ReductionPolicy::Off;
-    options.symmetry = core::SymmetryPolicy::Off;
     return core::compile(watertree::line(2, watertree::strategy("FRF-2")), options);
 }
 

@@ -560,10 +560,6 @@ std::string reference_csv(const sweep::SweepReport& report, const sweep::Scenari
            << " property_hits=" << report.stats.property_hits
            << " property_misses=" << report.stats.property_misses
            << " reduction_ratio=" << fmt(report.stats.reduction_ratio())
-           << " symmetry_states_in=" << report.stats.symmetry_states_in
-           << " symmetry_states_out=" << report.stats.symmetry_states_out
-           << " symmetry_ratio=" << fmt(report.stats.symmetry_ratio())
-           << " symmetry_seconds=" << fmt(report.stats.symmetry_seconds)
            << " state_points=" << report.state_points
            << " states_per_sec=" << fmt(report.states_per_second())
            << " wall_seconds=" << fmt(report.wall_seconds) << "\n";
@@ -589,10 +585,6 @@ std::string reference_json(const sweep::SweepReport& report, const sweep::Scenar
        << "    \"property_hits\": " << report.stats.property_hits << ",\n"
        << "    \"property_misses\": " << report.stats.property_misses << ",\n"
        << "    \"reduction_ratio\": " << fmt(report.stats.reduction_ratio()) << ",\n"
-       << "    \"symmetry_states_in\": " << report.stats.symmetry_states_in << ",\n"
-       << "    \"symmetry_states_out\": " << report.stats.symmetry_states_out << ",\n"
-       << "    \"symmetry_ratio\": " << fmt(report.stats.symmetry_ratio()) << ",\n"
-       << "    \"symmetry_seconds\": " << fmt(report.stats.symmetry_seconds) << ",\n"
        << "    \"state_points\": " << report.state_points << ",\n"
        << "    \"states_per_second\": " << fmt(report.states_per_second()) << ",\n"
        << "    \"wall_seconds\": " << fmt(report.wall_seconds) << "\n  },\n"
@@ -611,7 +603,7 @@ std::string reference_json(const sweep::SweepReport& report, const sweep::Scenar
            << ", \"formula\": \"" << reference_json_escape(m.property) << "\"";
         if (scale_field) {
             os << ", \"scale\": \"" << reference_json_escape(r.item.scale.name)
-               << "\", \"model_full_states\": " << fmt(r.model_full_states);
+               << "\", \"model_explored_states\": " << r.model_explored_states;
         }
         os << ", \"model_states\": " << r.model_states
            << ", \"model_transitions\": " << r.model_transitions
@@ -671,10 +663,10 @@ TEST(SweepExport, WritersMatchTheStreamReferenceByteForByte) {
         expect_exports_match_reference(report, grid, "properties");
     }
     {
-        // One extra pump: the `scale` column and model_full_states.
+        // One extra pump: the `scale` column and model_explored_states.
         const auto grid = sweep::studies::pump_scaling(1);
         sweep::RunnerOptions options;
-        options.symmetry = core::SymmetryPolicy::Auto;
+        options.reduction = core::ReductionPolicy::Auto;
         sweep::SweepRunner runner(session, options);
         expect_exports_match_reference(runner.run(grid), grid, "pump scaling");
     }

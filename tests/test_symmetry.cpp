@@ -1,19 +1,21 @@
 // On-the-fly symmetry reduction: the StateSymmetry canonicalisation kernel,
-// the compiler's orbit detection over interchangeable components, and the
-// policy threading through session, sweep and scaling study.
+// the compiler's orbit detection over interchangeable components, and orbit
+// exploration under ReductionPolicy::Auto through session, sweep and
+// scaling study.
 //
 //  * canonicalize sorts instance tuples and orbit_size counts permutations
 //    modulo repeated tuples;
-//  * the individual-encoding watertree lines explored as quotients land
+//  * the individual-encoding watertree lines explored on their orbits land
 //    EXACTLY on the paper's hand-lumped Table 1 sizes (449 / 257), and the
 //    full-chain counts recovered from orbit sizes equal the actually
 //    explored full chains (111809 / 8129);
-//  * every measure agrees between the quotient and the full chain to solver
-//    precision, on both encodings, with and without post-hoc lumping;
-//  * the sweep's pump-scaling axis reports the exact quotient and
-//    full-chain sizes up to +3 pumps;
-//  * the whole paper evaluation on the individual encoding explored as
-//    symmetry quotients is bitwise identical to the hand-lumped encoding.
+//  * every measure agrees between the orbit chain and the full chain to
+//    solver precision, on both encodings;
+//  * the sweep's pump-scaling axis reports the exact explored and full-chain
+//    sizes up to +3 pumps;
+//  * the whole paper evaluation on the individual encoding under
+//    ReductionPolicy::Auto is bitwise identical to the hand-lumped encoding;
+//  * the SymmetryPolicy stub kept for the benchmark selects nothing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -91,42 +93,40 @@ TEST(StateSymmetry, TrivialWithoutTwoInstances) {
 }
 
 TEST(CompilerSymmetry, QuotientLandsOnHandLumpedTable1Sizes) {
-    core::CompileOptions quotient_options;
-    quotient_options.encoding = core::Encoding::Individual;
-    quotient_options.symmetry = core::SymmetryPolicy::Auto;
+    core::CompileOptions orbit_options;
+    orbit_options.encoding = core::Encoding::Individual;
+    orbit_options.reduction = core::ReductionPolicy::Auto;
 
-    const auto l1 = core::compile(wt::line1(wt::strategy("FRF-1")), quotient_options);
-    ASSERT_TRUE(l1.symmetry_reduced());
-    // The quotient over interchangeable components is exactly the paper's
-    // hand-lumped Table 1 size, and the full-chain count is recovered
-    // exactly from orbit sizes without exploring it.
-    EXPECT_EQ(l1.state_count(), 449u);
-    EXPECT_DOUBLE_EQ(l1.symmetry_full_states(), 111809.0);
-    EXPECT_GE(l1.symmetry_ratio(), 10.0);  // 249x at the paper's 4 pumps
+    const auto l1 = core::compile(wt::line1(wt::strategy("FRF-1")), orbit_options);
+    ASSERT_TRUE(l1.orbit_explored());
+    // The orbit chain over interchangeable components is exactly the
+    // paper's hand-lumped Table 1 size, and the full-chain count is
+    // recovered exactly from orbit sizes without exploring it.
+    EXPECT_EQ(l1.chain().state_count(), 449u);
+    EXPECT_EQ(l1.state_count(), 111809u);
+    EXPECT_EQ(l1.quotient().first->block_count(), 449u);
 
-    const auto l2 = core::compile(wt::line2(wt::strategy("FRF-1")), quotient_options);
-    ASSERT_TRUE(l2.symmetry_reduced());
-    EXPECT_EQ(l2.state_count(), 257u);
-    EXPECT_DOUBLE_EQ(l2.symmetry_full_states(), 8129.0);
+    const auto l2 = core::compile(wt::line2(wt::strategy("FRF-1")), orbit_options);
+    ASSERT_TRUE(l2.orbit_explored());
+    EXPECT_EQ(l2.chain().state_count(), 257u);
+    EXPECT_EQ(l2.state_count(), 8129u);
 
-    // Off is the seed behaviour: the full chain, with full_states falling
-    // back to the explored count.
+    // Off is the seed behaviour: the full chain, explored and reported.
     core::CompileOptions full_options;
     full_options.encoding = core::Encoding::Individual;
-    full_options.symmetry = core::SymmetryPolicy::Off;
     const auto full = core::compile(wt::line2(wt::strategy("FRF-1")), full_options);
-    EXPECT_FALSE(full.symmetry_reduced());
+    EXPECT_FALSE(full.orbit_explored());
+    EXPECT_EQ(full.chain().state_count(), 8129u);
     EXPECT_EQ(full.state_count(), 8129u);
-    EXPECT_DOUBLE_EQ(full.symmetry_full_states(), 8129.0);
-    EXPECT_DOUBLE_EQ(full.symmetry_ratio(), 1.0);
+    EXPECT_EQ(full.transition_count(), l2.transition_count());
 
     // The lumped encoding already aggregates the interchangeable copies, so
     // there is nothing left to permute.
     core::CompileOptions lumped_options;
     lumped_options.encoding = core::Encoding::Lumped;
-    lumped_options.symmetry = core::SymmetryPolicy::Auto;
+    lumped_options.reduction = core::ReductionPolicy::Auto;
     const auto lumped = core::compile(wt::line2(wt::strategy("FRF-1")), lumped_options);
-    EXPECT_FALSE(lumped.symmetry_reduced());
+    EXPECT_FALSE(lumped.orbit_explored());
 }
 
 TEST(CompilerSymmetry, MeasuresAgreeWithFullChainOnBothEncodings) {
@@ -135,9 +135,8 @@ TEST(CompilerSymmetry, MeasuresAgreeWithFullChainOnBothEncodings) {
             for (const int line : {1, 2}) {
                 core::CompileOptions off;
                 off.encoding = encoding;
-                off.symmetry = core::SymmetryPolicy::Off;
                 core::CompileOptions on = off;
-                on.symmetry = core::SymmetryPolicy::Auto;
+                on.reduction = core::ReductionPolicy::Auto;
 
                 const auto model = wt::line(line, wt::strategy(strategy));
                 const auto full = core::compile(model, off);
@@ -156,18 +155,18 @@ TEST(CompilerSymmetry, MeasuresAgreeWithFullChainOnBothEncodings) {
 }
 
 TEST(CompilerSymmetry, DisasterMeasuresCanonicaliseTheLookup) {
-    // Disaster states are looked up by encoded valuation; under symmetry the
-    // valuation must canonicalise to its representative first or the lookup
-    // misses.  Survivability after Disaster 1 exercises exactly that.
+    // Disaster states are looked up by encoded valuation; on the orbit chain
+    // the valuation must canonicalise to its representative first or the
+    // lookup misses.  Survivability after Disaster 1 exercises exactly that.
     core::CompileOptions off;
     off.encoding = core::Encoding::Individual;
-    off.symmetry = core::SymmetryPolicy::Off;
     core::CompileOptions on = off;
-    on.symmetry = core::SymmetryPolicy::Auto;
+    on.reduction = core::ReductionPolicy::Auto;
 
     const auto model = wt::line1(wt::strategy("FRF-1"));
     const auto full = core::compile(model, off);
     const auto quotient = core::compile(model, on);
+    ASSERT_TRUE(quotient.orbit_explored());
     const auto disaster = wt::disaster1(model);
     for (const double t : {1.0, 10.0}) {
         EXPECT_NEAR(core::survivability(full, disaster, 1.0, t),
@@ -177,63 +176,64 @@ TEST(CompilerSymmetry, DisasterMeasuresCanonicaliseTheLookup) {
 }
 
 TEST(CompilerSymmetry, ComposesWithPostHocLumping) {
-    // Symmetry first, splitter-queue refinement on the residual: the doubly
+    // Orbits first, splitter-queue refinement on the orbit chain: the
     // reduced model still reproduces the full-chain availability, and the
-    // session keys quotient and full variants apart.
+    // session keys the reduced and full variants apart.
     engine::AnalysisSession session;
     const auto strategy = wt::strategy("FRF-1");
 
     const auto full = wt::compile_line(session, 2, strategy, core::Encoding::Individual,
-                                       {}, true, core::ReductionPolicy::Auto,
-                                       core::SymmetryPolicy::Off);
+                                       {}, true, core::ReductionPolicy::Off);
     const auto reduced = wt::compile_line(session, 2, strategy,
                                           core::Encoding::Individual, {}, true,
-                                          core::ReductionPolicy::Auto,
-                                          core::SymmetryPolicy::Auto);
+                                          core::ReductionPolicy::Auto);
     ASSERT_NE(full.get(), reduced.get());  // distinct cache entries
-    EXPECT_EQ(full->state_count(), 8129u);
-    EXPECT_EQ(reduced->state_count(), 257u);
+    EXPECT_EQ(full->chain().state_count(), 8129u);
+    EXPECT_EQ(reduced->chain().state_count(), 257u);
+    EXPECT_EQ(reduced->state_count(), 8129u);
     EXPECT_NEAR(core::availability(session, full), core::availability(session, reduced),
                 1e-9);
 
     const auto stats = session.stats();
-    EXPECT_EQ(stats.symmetry_states_in, 8129u);
-    EXPECT_EQ(stats.symmetry_states_out, 257u);
-    EXPECT_GT(stats.symmetry_ratio(), 10.0);
+    EXPECT_EQ(stats.lump_states_in, 8129u);
+    EXPECT_EQ(stats.lump_states_out, 257u);
+    EXPECT_GT(stats.reduction_ratio(), 10.0);
 }
 
 TEST(CompilerSymmetry, ScaledLineExploresTinyQuotientOfHugeChain) {
-    // The acceptance scenario: >= 4 pumps, quotient >= 10x smaller than the
-    // recovered full-chain count.  Line 1 with one extra spare pump has 5
-    // pumps; the full chain (562817 states) is never explored.
+    // The acceptance scenario: >= 4 pumps, orbit chain >= 10x smaller than
+    // the recovered full-chain count.  Line 1 with one extra spare pump has
+    // 5 pumps; the full chain (562817 states) is never explored.
     core::CompileOptions options;
     options.encoding = core::Encoding::Individual;
-    options.symmetry = core::SymmetryPolicy::Auto;
+    options.reduction = core::ReductionPolicy::Auto;
     const auto scaled =
         core::compile(wt::line1(wt::strategy("FRF-1"), {}, /*extra_pumps=*/1), options);
-    ASSERT_TRUE(scaled.symmetry_reduced());
-    EXPECT_EQ(scaled.state_count(), 545u);
-    EXPECT_DOUBLE_EQ(scaled.symmetry_full_states(), 562817.0);
-    EXPECT_GE(scaled.symmetry_ratio(), 10.0);
+    ASSERT_TRUE(scaled.orbit_explored());
+    EXPECT_EQ(scaled.chain().state_count(), 545u);
+    EXPECT_EQ(scaled.state_count(), 562817u);
+    EXPECT_GE(static_cast<double>(scaled.state_count()) /
+                  static_cast<double>(scaled.chain().state_count()),
+              10.0);
 }
 
 TEST(SweepSymmetry, PumpScalingReportsQuotientAndFullStates) {
     engine::AnalysisSession session;
     const auto grid = sweep::studies::pump_scaling(/*max_extra_pumps=*/3);
     sweep::RunnerOptions options;
-    options.symmetry = core::SymmetryPolicy::Auto;
+    options.reduction = core::ReductionPolicy::Auto;
     sweep::SweepRunner runner(session, options);
     const auto report = runner.run(grid);
     ASSERT_EQ(report.results.size(), 8u);  // 2 lines x 4 scales
 
-    // Explored quotient states and the full count recovered from orbit
+    // Explored orbit-chain states and the full count recovered from orbit
     // sizes, per (line, extra pumps).  The +3 full chains (23.7M / 1.0M
     // states) are never built.
     struct Expected {
         int line;
         std::size_t extra_pumps;
         std::size_t explored;
-        double full;
+        std::size_t full;
     };
     const Expected expected[] = {
         {1, 0, 449, 111809},  {1, 1, 545, 562817},  {1, 2, 641, 3381185},
@@ -247,8 +247,10 @@ TEST(SweepSymmetry, PumpScalingReportsQuotientAndFullStates) {
             });
         ASSERT_NE(it, report.results.end()) << "line" << e.line << " +" << e.extra_pumps;
         EXPECT_EQ(it->item.strategy, "FRF-1");
-        EXPECT_EQ(it->model_states, e.explored) << it->item.key();
-        EXPECT_EQ(it->model_full_states, e.full) << it->item.key();
+        EXPECT_EQ(it->model_explored_states, e.explored) << it->item.key();
+        EXPECT_EQ(it->model_states, e.full) << it->item.key();
+        ASSERT_EQ(it->values.size(), 1u);
+        EXPECT_EQ(it->values.front(), static_cast<double>(e.full)) << it->item.key();
     }
 
     std::ostringstream table;
@@ -267,7 +269,7 @@ TEST(SweepSymmetry, PumpScalingReportsQuotientAndFullStates) {
 
 TEST(SweepSymmetry, UnscaledGridsKeepTheirSchemaAndKeys) {
     // The default scale adds no column, no key suffix and no JSON field —
-    // the paper grids stay byte-identical with symmetry off.
+    // the paper grids stay byte-identical.
     const auto grid = sweep::paper::table1();
     const auto items = sweep::expand(grid);
     ASSERT_FALSE(items.empty());
@@ -277,9 +279,7 @@ TEST(SweepSymmetry, UnscaledGridsKeepTheirSchemaAndKeys) {
     }
 
     engine::AnalysisSession session;
-    sweep::RunnerOptions off;
-    off.symmetry = core::SymmetryPolicy::Off;
-    sweep::SweepRunner runner(session, off);
+    sweep::SweepRunner runner(session);
     const auto report = runner.run(grid);
     std::ostringstream csv;
     sweep::write_csv(report, grid, csv);
@@ -289,7 +289,9 @@ TEST(SweepSymmetry, UnscaledGridsKeepTheirSchemaAndKeys) {
     EXPECT_EQ(csv.str().find("scale"), std::string::npos);
 }
 
-TEST(SweepSymmetry, SymmetryCountersRideTheExports) {
+TEST(SweepSymmetry, ReductionCountersRideTheExports) {
+    // Orbit exploration reports through the lump counters: the full chain's
+    // states in, the blocks of the orbit chain's quotient out.
     engine::AnalysisSession session;
     sweep::ScenarioGrid grid;
     grid.lines = {2};
@@ -297,42 +299,43 @@ TEST(SweepSymmetry, SymmetryCountersRideTheExports) {
     grid.variants = {sweep::individual_variant()};
     grid.measures = {sweep::measure_spec(sweep::MeasureKind::Availability)};
     sweep::RunnerOptions options;
-    options.symmetry = core::SymmetryPolicy::Auto;
+    options.reduction = core::ReductionPolicy::Auto;
     sweep::SweepRunner runner(session, options);
     const auto report = runner.run(grid);
-    EXPECT_EQ(report.stats.symmetry_states_in, 8129u);
-    EXPECT_EQ(report.stats.symmetry_states_out, 257u);
+    EXPECT_EQ(report.stats.lump_states_in, 8129u);
+    EXPECT_EQ(report.stats.lump_states_out, 257u);
 
     std::ostringstream json;
     sweep::write_json(report, grid, json);
-    EXPECT_NE(json.str().find("\"symmetry_states_in\": 8129"), std::string::npos);
-    EXPECT_NE(json.str().find("\"symmetry_ratio\""), std::string::npos);
+    EXPECT_NE(json.str().find("\"lump_states_in\": 8129"), std::string::npos);
+    EXPECT_NE(json.str().find("\"reduction_ratio\""), std::string::npos);
+    EXPECT_EQ(json.str().find("symmetry"), std::string::npos);
 
     std::ostringstream csv;
     sweep::CsvOptions with_footer;
     with_footer.footer = true;
     sweep::write_csv(report, grid, csv, with_footer);
-    EXPECT_NE(csv.str().find("symmetry_states_in=8129"), std::string::npos);
-    EXPECT_NE(csv.str().find("symmetry_ratio="), std::string::npos);
+    EXPECT_NE(csv.str().find("reduction_ratio="), std::string::npos);
+    EXPECT_EQ(csv.str().find("symmetry"), std::string::npos);
 }
 
 TEST(SweepSymmetry, IndividualQuotientsRenderThePaperBitwiseLikeTheLumpedEncoding) {
     // The finding that keeps LumpedEncoder honest: every value of
-    // sweep::paper::everything() computed on the individual encoding's
-    // symmetry quotients carries the same bits as on the hand-lumped
-    // encoding, over the same state counts.
-    const auto run = [](const sweep::ModelVariant& variant, core::SymmetryPolicy symmetry) {
+    // sweep::paper::everything() computed on the individual encoding under
+    // ReductionPolicy::Auto (explored on its orbits, then lumped) carries
+    // the same bits as on the hand-lumped encoding, over chains of the same
+    // size.
+    const auto run = [](const sweep::ModelVariant& variant) {
         auto grid = sweep::paper::everything();
         grid.variants = {variant};
         engine::AnalysisSession session;
         sweep::RunnerOptions options;
-        options.reduction = core::ReductionPolicy::Off;
-        options.symmetry = symmetry;
+        options.reduction = core::ReductionPolicy::Auto;
         sweep::SweepRunner runner(session, options);
         return runner.run(grid);
     };
-    const auto quotient = run(sweep::individual_variant(), core::SymmetryPolicy::Auto);
-    const auto lumped = run(sweep::lumped_variant(), core::SymmetryPolicy::Off);
+    const auto quotient = run(sweep::individual_variant());
+    const auto lumped = run(sweep::lumped_variant());
 
     ASSERT_EQ(quotient.results.size(), lumped.results.size());
     std::size_t values = 0;
@@ -340,7 +343,7 @@ TEST(SweepSymmetry, IndividualQuotientsRenderThePaperBitwiseLikeTheLumpedEncodin
         const auto& q = quotient.results[i];
         const auto& l = lumped.results[i];
         ASSERT_EQ(q.item.index, l.item.index);
-        EXPECT_EQ(q.model_states, l.model_states) << l.item.key();
+        EXPECT_EQ(q.model_explored_states, l.model_explored_states) << l.item.key();
         ASSERT_EQ(q.values.size(), l.values.size()) << l.item.key();
         for (std::size_t k = 0; k < q.values.size(); ++k) {
             EXPECT_EQ(std::memcmp(&q.values[k], &l.values[k], sizeof(double)), 0)
@@ -351,4 +354,23 @@ TEST(SweepSymmetry, IndividualQuotientsRenderThePaperBitwiseLikeTheLumpedEncodin
     }
     EXPECT_EQ(quotient.results.size(), 60u);
     EXPECT_EQ(values, 4760u);
+}
+
+TEST(SymmetryStub, SessionCompileIgnoresThePolicy) {
+    // core::SymmetryPolicy survives only for the benchmark's sources: the
+    // compile cache does not key on it, so Auto hits the entry Off made.
+    engine::AnalysisSession session;
+    const auto model = wt::line2(wt::strategy("FRF-1"));
+    core::CompileOptions off;
+    off.symmetry = core::SymmetryPolicy::Off;
+    core::CompileOptions on = off;
+    on.symmetry = core::SymmetryPolicy::Auto;
+    const auto a = session.compile(model, off);
+    const auto b = session.compile(model, on);
+    EXPECT_EQ(a.get(), b.get());
+    EXPECT_FALSE(b->orbit_explored());
+    EXPECT_EQ(b->chain().state_count(), 8129u);
+    const auto stats = session.stats();
+    EXPECT_EQ(stats.compile_misses, 1u);
+    EXPECT_EQ(stats.compile_hits, 1u);
 }

@@ -175,7 +175,7 @@ struct Pin {
     const char* digest;
 };
 
-// line × strategy × encoding × repair, symmetry off.
+// line × strategy × encoding × repair, reduction off.
 const Pin kCompilePins[] = {
     {"L1 DED individual repair", "236602b70d4e95b3"},
     {"L1 DED individual no-repair", "145d885c4ff63477"},
@@ -219,7 +219,7 @@ const Pin kCompilePins[] = {
     {"L2 FFF-2 lumped no-repair", "c8143b73e69bbe82"},
 };
 
-// Line 1, individual encoding, with repair, SymmetryPolicy::Auto.
+// Line 1, individual encoding, with repair, explored on its symmetry orbits.
 const Pin kSymmetryPins[] = {
     {"L1 DED", "d5274c0138608e53"},
     {"L1 FRF-1", "b10f742d2e9f8ce6"},
@@ -272,21 +272,9 @@ TEST(ChainPins, EveryNativeCompileConfiguration) {
     EXPECT_EQ(checked, 40u);
 }
 
-TEST(ChainPins, Line1IndividualUnderSymmetry) {
-    for (const auto& strategy : wt::paper_strategies()) {
-        core::CompileOptions options;
-        options.symmetry = core::SymmetryPolicy::Auto;
-        const auto compiled = core::compile(wt::line1(strategy), options);
-        const std::string name = std::string("L1 ").append(strategy.name);
-        EXPECT_EQ(chain_digest(compiled),
-                  pinned(std::begin(kSymmetryPins), std::end(kSymmetryPins), name))
-            << name;
-    }
-}
-
 TEST(ChainPins, Line1IndividualUnderReductionExploresTheSymmetryChain) {
-    // ReductionPolicy::Auto explores on the orbits: bitwise the chain
-    // SymmetryPolicy::Auto explores, while reporting the full chain's size.
+    // ReductionPolicy::Auto explores on the orbits: bitwise the symmetry
+    // chain pinned here, while reporting the full chain's size.
     for (const auto& strategy : wt::paper_strategies()) {
         core::CompileOptions options;
         options.reduction = core::ReductionPolicy::Auto;
