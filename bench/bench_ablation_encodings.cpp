@@ -1,6 +1,9 @@
 // Ablation A1: individual (paper) encoding vs lumped (symmetry-reduced)
 // encoding — state-space sizes and measure agreement, expressed as one
-// declarative sweep over the ModelVariant axis (sweep::studies).  The
+// declarative sweep over the ModelVariant axis (sweep::studies).  It runs
+// with reduction off, so the individual rows are full chains; under
+// ReductionPolicy::Auto an individual model would be explored on the
+// lumped encoding and report the full chain's sizes.  The
 // rendered rows are byte-identical to the pre-migration hand-rolled loop
 // (asserted by test_sweep_golden).
 #include <iostream>

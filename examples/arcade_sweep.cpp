@@ -15,8 +15,8 @@
 //
 // --reduction auto analyses every scenario on the automatic
 // strong-bisimulation quotient of its model, exploring individual models on
-// their symmetry orbits (README, "The reduction layer" and "Symmetry
-// reduction"); --mttr-sweep swaps the paper grid for the MTTR-sensitivity
+// the lumped encoding (README, "The reduction layer" and "One reduced
+// route"); --mttr-sweep swaps the paper grid for the MTTR-sensitivity
 // study (repair rates scaled ±50% around the paper's values via
 // ScenarioGrid::parameters) and renders its tables instead; --properties
 // swaps in sweep::paper::properties() — the same evaluation with every
@@ -156,8 +156,8 @@ int main(int argc, char** argv) {
         : pump_scaling >= 0
             ? sweep::studies::pump_scaling(static_cast<std::size_t>(pump_scaling))
             : sweep::paper::everything();
-    // The scaling study exists to avoid the full chains: default it to orbit
-    // exploration unless the user explicitly asked for the unreduced run.
+    // The scaling study exists to avoid the full chains: default it to the
+    // lumped route unless the user explicitly asked for the unreduced run.
     if (pump_scaling >= 0 && !reduction_explicit) reduction = core::ReductionPolicy::Auto;
 
     if (list_only) {

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <string>
+#include <type_traits>
 
 #include "arcade/fault_tree.hpp"
 #include "engine/explore.hpp"
@@ -39,6 +41,7 @@ struct CompPlan {
     std::size_t ru = SIZE_MAX;     // repair unit index (SIZE_MAX = unrepairable)
     std::size_t cls = SIZE_MAX;    // class within the RU (queue RUs only)
     std::size_t phase = SIZE_MAX;  // service phase
+    std::size_t group = SIZE_MAX;  // lumped group
     double frate = 0.0;
     double rrate = 0.0;
 };
@@ -52,7 +55,6 @@ struct Group {
     double frate = 0.0;
     double rrate = 0.0;
     double failed_cost_rate = 3.0;
-    std::vector<std::size_t> members;
 };
 
 struct Plan {
@@ -136,19 +138,19 @@ Plan make_plan(const ArcadeModel& model) {
 
     // Lumped groups: components sharing (ru, cls, phase, rates, cost).
     for (std::size_t c = 0; c < model.components.size(); ++c) {
-        const CompPlan& cp = plan.comps[c];
-        bool placed = false;
-        for (auto& g : plan.groups) {
-            if (g.ru == cp.ru && g.cls == cp.cls && g.phase == cp.phase &&
-                g.frate == cp.frate && g.rrate == cp.rrate &&
-                g.failed_cost_rate == model.components[c].failed_cost_rate) {
-                g.members.push_back(c);
-                ++g.size;
-                placed = true;
+        CompPlan& cp = plan.comps[c];
+        for (std::size_t g = 0; g < plan.groups.size(); ++g) {
+            Group& group = plan.groups[g];
+            if (group.ru == cp.ru && group.cls == cp.cls && group.phase == cp.phase &&
+                group.frate == cp.frate && group.rrate == cp.rrate &&
+                group.failed_cost_rate == model.components[c].failed_cost_rate) {
+                ++group.size;
+                cp.group = g;
                 break;
             }
         }
-        if (!placed) {
+        if (cp.group == SIZE_MAX) {
+            cp.group = plan.groups.size();
             Group g;
             g.ru = cp.ru;
             g.cls = cp.cls;
@@ -157,7 +159,6 @@ Plan make_plan(const ArcadeModel& model) {
             g.frate = cp.frate;
             g.rrate = cp.rrate;
             g.failed_cost_rate = model.components[c].failed_cost_rate;
-            g.members.push_back(c);
             plan.groups.push_back(std::move(g));
         }
     }
@@ -442,6 +443,61 @@ private:
     std::size_t n_;
 };
 
+/// Lumping soundness: within a queue RU class, FCFS tie-breaking between
+/// *different* groups is not representable, so every queue class must hold
+/// one group.  Then the lumped encoding is an exact lumping of the
+/// individual one: each lumped state stands for one orbit of individual
+/// states under permutations of every group's members.
+bool lumpable(const Plan& plan) {
+    for (std::size_t r = 0; r < plan.rus.size(); ++r) {
+        if (plan.rus[r].kind != RuKind::Queue) continue;
+        for (std::size_t k = 0; k < plan.rus[r].classes.size(); ++k) {
+            const auto in_class = std::count_if(
+                plan.groups.begin(), plan.groups.end(),
+                [&](const Group& g) { return g.ru == r && g.cls == k; });
+            if (in_class > 1) return false;
+        }
+    }
+    return true;
+}
+
+/// a·b, or ModelError when it does not fit a size_t.
+std::size_t checked_mul(std::size_t a, std::size_t b) {
+    std::size_t product = 0;
+    if (__builtin_mul_overflow(a, b, &product)) {
+        throw ModelError("individual chain size exceeds " + std::to_string(SIZE_MAX));
+    }
+    return product;
+}
+
+std::size_t checked_add(std::size_t a, std::size_t b) {
+    std::size_t sum = 0;
+    if (__builtin_add_overflow(a, b, &sum)) {
+        throw ModelError("individual chain size exceeds " + std::to_string(SIZE_MAX));
+    }
+    return sum;
+}
+
+/// n!/(n−k)!: the ways to give k distinct tuples to k of n members.
+std::size_t falling_factorial(std::size_t n, std::size_t k) {
+    std::size_t out = 1;
+    for (std::size_t i = 0; i < k; ++i) out = checked_mul(out, n - i);
+    return out;
+}
+
+/// C(n, k): the ways to pick k of n members that all get one tuple.  Each
+/// step C(n, i+1) = C(n, i)·(n−i)/(i+1) divides out gcd(C(n, i), i+1)
+/// first, so only a result past SIZE_MAX throws.
+std::size_t binomial(std::size_t n, std::size_t k) {
+    k = std::min(k, n - k);
+    std::size_t out = 1;
+    for (std::size_t i = 0; i < k; ++i) {
+        const std::size_t g = std::gcd(out, i + 1);
+        out = checked_mul(out / g, (n - i) / ((i + 1) / g));
+    }
+    return out;
+}
+
 // ---------------------------------------------------------------------------
 // Lumped encoding.
 // Layout: [wait_0 .. wait_{G-1}, tracked_0 .. tracked_{R-1}]
@@ -454,21 +510,10 @@ class LumpedEncoder {
 public:
     LumpedEncoder(const ArcadeModel& model, const Plan& plan)
         : model_(model), plan_(plan), g_(plan.groups.size()), r_(plan.rus.size()) {
-        // Lumping soundness: within a queue RU class, FCFS tie-breaking
-        // between *different* groups is not representable.
-        for (std::size_t r = 0; r < plan_.rus.size(); ++r) {
-            if (plan_.rus[r].kind != RuKind::Queue) continue;
-            for (std::size_t k = 0; k < plan_.rus[r].classes.size(); ++k) {
-                std::size_t groups_in_class = 0;
-                for (const auto& g : plan_.groups) {
-                    if (g.ru == r && g.cls == k) ++groups_in_class;
-                }
-                if (groups_in_class > 1) {
-                    throw ModelError(
-                        "lumped encoding: repair class with equal rates spans "
-                        "non-exchangeable components; use the individual encoding");
-                }
-            }
+        if (!lumpable(plan)) {
+            throw ModelError(
+                "lumped encoding: repair class with equal rates spans "
+                "non-exchangeable components; use the individual encoding");
         }
     }
 
@@ -606,6 +651,40 @@ public:
         }
     }
 
+    /// The individual-encoding states and transitions lumped state `s`
+    /// stands for: {orbit size, orbit size × individual row length}.  The
+    /// orbit is the product over groups of n!/(n−down)! for a queue group,
+    /// whose down members all hold distinct (status, rank) tuples, and of
+    /// C(n, down) otherwise.  An individual row holds one failure per up
+    /// component plus the repairs in progress — each transition fails or
+    /// repairs a different component, so no two coincide.  Throws
+    /// ModelError past SIZE_MAX.
+    [[nodiscard]] std::pair<std::size_t, std::size_t> individual_sizes(const State& s) const {
+        std::size_t orbit = 1;
+        std::size_t row = 0;
+        for (std::size_t g = 0; g < g_; ++g) {
+            const Group& group = plan_.groups[g];
+            const std::size_t down = down_of_group(s, g);
+            row += group.size - down;
+            const bool queue = group.ru != SIZE_MAX && plan_.rus[group.ru].kind == RuKind::Queue;
+            orbit = checked_mul(orbit, queue ? falling_factorial(group.size, down)
+                                             : binomial(group.size, down));
+        }
+        for (std::size_t r = 0; r < r_; ++r) {
+            const RuPlan& ru = plan_.rus[r];
+            std::size_t waiting = 0;
+            for (std::size_t g : plan_.ru_groups[r]) waiting += static_cast<std::size_t>(s[g]);
+            if (ru.kind == RuKind::Dedicated) {
+                row += waiting;
+            } else if (ru.kind == RuKind::Queue && ru.preemptive) {
+                row += std::min(ru.crews, waiting);
+            } else if (ru.kind == RuKind::Queue && tracked_group(s, r) != SIZE_MAX) {
+                row += 1 + std::min(ru.crews - 1, waiting);
+            }
+        }
+        return {orbit, checked_mul(orbit, row)};
+    }
+
     [[nodiscard]] double service(const State& s, Scratch& scratch) const {
         std::vector<std::size_t>& up = scratch.up_per_phase;
         up.resize(model_.phases.size());
@@ -638,20 +717,18 @@ public:
     [[nodiscard]] State disaster(const Disaster& d) const {
         ARCADE_ASSERT(d.failed_per_phase.size() == model_.phases.size(),
                       "disaster phase arity mismatch");
+        // The components IndividualEncoder::disaster fails, counted per
+        // group: the first failed_per_phase[p] listed in phase p.
         State s = initial();
         for (std::size_t p = 0; p < model_.phases.size(); ++p) {
-            std::size_t remaining = d.failed_per_phase[p];
-            if (remaining > model_.phases[p].components.size()) {
+            const auto& phase = model_.phases[p];
+            if (d.failed_per_phase[p] > phase.components.size()) {
                 throw ModelError("disaster '" + d.name + "' fails more components than phase '" +
-                                 model_.phases[p].name + "' has");
+                                 phase.name + "' has");
             }
-            for (std::size_t g = 0; g < g_ && remaining > 0; ++g) {
-                if (plan_.groups[g].phase != p) continue;
-                const std::size_t take = std::min(remaining, plan_.groups[g].size);
-                s[g] = static_cast<std::int16_t>(take);
-                remaining -= take;
+            for (std::size_t i = 0; i < d.failed_per_phase[p]; ++i) {
+                ++s[plan_.comps[phase.components[i]].group];
             }
-            ARCADE_ASSERT(remaining == 0, "disaster allocation failed");
         }
         // promote tracked slots
         Scratch scratch;
@@ -701,82 +778,28 @@ private:
     typename Encoder::Scratch scratch_;
 };
 
-/// Orbit structure of the individual encoding: every lumped group with two
-/// or more members is a set of interchangeable components (same failure and
-/// repair rates, same phase, same repair class), and permuting the members'
-/// (status, rank) field pairs is a chain automorphism — ranks are unique
-/// among waiting components of a repair class and the queue discipline
-/// treats class members only by rank, so a swap relabels states without
-/// changing any rate, service level or cost.  The lumped encoding's counter
-/// fields carry no such permutation, so it gets no proof (null), and
-/// neither does a model without two interchangeable components.
-std::shared_ptr<const engine::StateSymmetry> make_state_symmetry(const ArcadeModel& model,
-                                                                 const Plan& plan,
-                                                                 Encoding encoding) {
-    if (encoding != Encoding::Individual) return nullptr;
-    const std::size_t n = model.components.size();
-    std::vector<engine::SymmetryOrbit> orbits;
-    for (const auto& group : plan.groups) {
-        if (group.members.size() < 2) continue;
-        engine::SymmetryOrbit orbit;
-        for (const std::size_t c : group.members) {
-            orbit.instances.push_back({c, n + c});
-        }
-        orbits.push_back(std::move(orbit));
-    }
-    if (orbits.empty()) return nullptr;
-    return std::make_shared<const engine::StateSymmetry>(std::move(orbits));
-}
-
+/// Explores `model` with `encoder`.  A lumped encoder compiling an
+/// individual model (ReductionPolicy::Auto) reports the individual chain's
+/// sizes, summed over its states in closed form.
 template <typename Encoder>
-CompiledModel run_compile(const ArcadeModel& model, const Plan& plan, Encoder encoder,
-                          Encoding encoding, const CompileOptions& options) {
+CompiledModel run_compile(const ArcadeModel& model, Encoder encoder, Encoding explored_with,
+                          const CompileOptions& options) {
     const engine::StateLayout layout(encoder.layout());
     const State initial16 = encoder.initial();
     const std::size_t fields = initial16.size();
     std::vector<std::int64_t> initial(initial16.begin(), initial16.end());
 
-    // ReductionPolicy::Auto explores on the orbits of the interchangeability
-    // proof; under Off the full chain is explored and no proof is built.
-    const std::shared_ptr<const engine::StateSymmetry> symmetry =
-        options.reduction == ReductionPolicy::Auto ? make_state_symmetry(model, plan, encoding)
-                                                   : nullptr;
-
     engine::EngineOptions engine_options;
     engine_options.max_states = options.max_states;
     engine_options.threads = options.threads;
-    engine_options.symmetry = symmetry.get();
     auto explored = engine::explore_bfs(
         layout, initial, [&] { return EncoderWorker<Encoder>(encoder, fields); },
         engine_options);
     engine::StateStore store = std::move(explored.store);
     const std::size_t n = store.size();
-
-    // Orbit accounting: the full-chain state count is the sum of orbit
-    // sizes over the explored representatives (exact — the automorphism
-    // group fixes the initial state, so the full reachable set is the
-    // disjoint union of these orbits).  The transitions are counted too: an
-    // automorphism maps each member's row onto its representative's, and a
-    // full-chain row holds one entry per successor the encoder emits,
-    // because every transition fails or repairs exactly one component (a
-    // different one per transition), so no two coincide and none is the
-    // source.
-    std::size_t full_states = 0;
-    std::size_t full_transitions = 0;
-    if (symmetry != nullptr) {
-        std::vector<std::int64_t> values(fields);
-        State source(fields);
-        auto scratch = encoder.scratch();
-        for (std::size_t s = 0; s < n; ++s) {
-            store.unpack(s, std::span<std::int64_t>(values));
-            const auto orbit = static_cast<std::size_t>(symmetry->orbit_size(values));
-            full_states += orbit;
-            store.unpack(s, std::span<std::int16_t>(source));
-            std::size_t row = 0;
-            encoder.successors(source, scratch, [&](const State&, double) { ++row; });
-            full_transitions += orbit * row;
-        }
-    }
+    const bool lumps_individual = explored_with != options.encoding;
+    std::size_t state_count = lumps_individual ? 0 : n;
+    std::size_t transition_count = lumps_individual ? 0 : explored.rates.nonzeros();
 
     std::vector<double> init(n, 0.0);
     init[0] = 1.0;
@@ -791,6 +814,13 @@ CompiledModel run_compile(const ArcadeModel& model, const Plan& plan, Encoder en
             store.unpack(s, std::span<std::int16_t>(decoded));
             service[s] = encoder.service(decoded, scratch);
             cost[s] = encoder.cost_rate(decoded);
+            if constexpr (std::is_same_v<Encoder, LumpedEncoder>) {
+                if (lumps_individual) {
+                    const auto [states, transitions] = encoder.individual_sizes(decoded);
+                    state_count = checked_add(state_count, states);
+                    transition_count = checked_add(transition_count, transitions);
+                }
+            }
         }
     }
 
@@ -816,8 +846,8 @@ CompiledModel run_compile(const ArcadeModel& model, const Plan& plan, Encoder en
 
     return CompiledModel(std::move(chain), std::move(service),
                          rewards::RewardStructure("cost", std::move(cost)), model,
-                         std::move(store), encoding, options.reduction, symmetry,
-                         full_states, full_transitions);
+                         std::move(store), options.encoding, options.reduction, explored_with,
+                         state_count, transition_count);
 }
 
 }  // namespace
@@ -825,9 +855,8 @@ CompiledModel run_compile(const ArcadeModel& model, const Plan& plan, Encoder en
 CompiledModel::CompiledModel(ctmc::Ctmc chain, std::vector<double> service,
                              rewards::RewardStructure cost, ArcadeModel model,
                              engine::StateStore store, Encoding encoding,
-                             ReductionPolicy reduction,
-                             std::shared_ptr<const engine::StateSymmetry> state_symmetry,
-                             std::size_t full_states, std::size_t full_transitions)
+                             ReductionPolicy reduction, Encoding explored_with,
+                             std::size_t state_count, std::size_t transition_count)
     : chain_(std::move(chain)),
       service_(std::move(service)),
       cost_(std::move(cost)),
@@ -835,9 +864,9 @@ CompiledModel::CompiledModel(ctmc::Ctmc chain, std::vector<double> service,
       store_(std::move(store)),
       encoding_(encoding),
       reduction_(reduction),
-      state_symmetry_(std::move(state_symmetry)),
-      state_count_(orbit_explored() ? full_states : chain_.state_count()),
-      transition_count_(orbit_explored() ? full_transitions : chain_.transition_count()) {}
+      explored_with_(explored_with),
+      state_count_(state_count),
+      transition_count_(transition_count) {}
 
 std::string service_label(double level) {
     std::string label = "service>=";
@@ -901,14 +930,7 @@ std::vector<bool> CompiledModel::operational_states() const { return service_at_
 
 std::size_t CompiledModel::lookup(const std::vector<std::int16_t>& encoded) const {
     std::vector<std::uint64_t> packed(store_.layout().words_per_state());
-    if (orbit_explored()) {
-        // Only orbit representatives are interned; canonicalise first.
-        std::vector<std::int64_t> values(encoded.begin(), encoded.end());
-        state_symmetry_->canonicalize(values);
-        store_.layout().pack(std::span<const std::int64_t>(values), packed.data());
-    } else {
-        store_.layout().pack(std::span<const std::int16_t>(encoded), packed.data());
-    }
+    store_.layout().pack(std::span<const std::int16_t>(encoded), packed.data());
     const std::size_t index = store_.find(packed.data());
     if (index == SIZE_MAX) {
         throw ModelError("encoded state is not reachable in the compiled model");
@@ -918,7 +940,7 @@ std::size_t CompiledModel::lookup(const std::vector<std::int16_t>& encoded) cons
 
 std::size_t CompiledModel::disaster_state(const Disaster& disaster) const {
     const Plan plan = make_plan(model_);
-    if (encoding_ == Encoding::Individual) {
+    if (explored_with_ == Encoding::Individual) {
         IndividualEncoder enc(model_, plan);
         return lookup(enc.disaster(disaster));
     }
@@ -940,11 +962,13 @@ std::vector<std::int16_t> CompiledModel::encoded_state(std::size_t index) const 
 CompiledModel compile(const ArcadeModel& model, const CompileOptions& options) {
     model.validate();
     const Plan plan = make_plan(model);
-    return options.encoding == Encoding::Individual
-               ? run_compile(model, plan, IndividualEncoder(model, plan), options.encoding,
-                             options)
-               : run_compile(model, plan, LumpedEncoder(model, plan), options.encoding,
-                             options);
+    // Auto explores an individual model on its lumped encoding whenever that
+    // is an exact lumping of it; otherwise the full chain, as under Off.
+    if (options.encoding == Encoding::Individual &&
+        (options.reduction == ReductionPolicy::Off || !lumpable(plan))) {
+        return run_compile(model, IndividualEncoder(model, plan), Encoding::Individual, options);
+    }
+    return run_compile(model, LumpedEncoder(model, plan), Encoding::Lumped, options);
 }
 
 ArcadeModel without_repair(const ArcadeModel& model) {

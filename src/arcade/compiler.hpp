@@ -11,7 +11,11 @@
 // * Lumped — exchangeable components (same rates, same phase, same repair
 //   class) are aggregated into counters.  Orders of magnitude smaller state
 //   spaces with identical measures (asserted by tests); the ablation
-//   benchmark quantifies the reduction.
+//   benchmark quantifies the reduction.  It exists when every queue repair
+//   class holds one such group, and is then an exact lumping of the
+//   individual chain: one lumped state per orbit of individual states under
+//   permutations of interchangeable components.  ReductionPolicy::Auto
+//   explores an individual model on it.
 //
 // Additional crews beyond the first serve the policy-best waiting components
 // and are derived from the state rather than tracked — this reproduces the
@@ -32,7 +36,6 @@
 #include "ctmc/ctmc.hpp"
 #include "ctmc/quotient.hpp"
 #include "engine/state_store.hpp"
-#include "engine/symmetry.hpp"
 #include "rewards/rewards.hpp"
 
 namespace arcade::core {
@@ -46,11 +49,13 @@ enum class Encoding { Individual, Lumped };
 ///          full measure signature (all chain labels + service levels +
 ///          cost rates) and lift/aggregate results back.  Exact for every
 ///          measure in this library; see src/ctmc/quotient.hpp.  An
-///          individual model with interchangeable components is explored
-///          on its symmetry orbits (engine/symmetry.hpp), so the full chain
-///          is never built and the quotient is lumped from the orbit chain;
+///          individual model is explored on the lumped encoding when that
+///          encoding exists for it (every queue repair class holds one group
+///          of interchangeable components), so the full chain is never
+///          built and the quotient is lumped from the lumped chain;
 ///          state_count() and transition_count() still report the full
-///          chain's exact sizes.
+///          chain's exact sizes.  Otherwise the full chain is explored, as
+///          under Off.
 /// Chosen per call (CompileOptions::reduction, RunnerOptions::reduction,
 /// arcade_sweep --reduction); every default is Off.
 enum class ReductionPolicy { Off, Auto };
@@ -72,9 +77,9 @@ enum class BatchPolicy { Off, Auto };
 
 struct CompileOptions {
     Encoding encoding = Encoding::Individual;
-    /// Bound on the explored states: orbit representatives when the model
-    /// is explored on its orbits (ReductionPolicy::Auto), every state of the
-    /// chain otherwise.
+    /// Bound on the explored states, chain()'s: the lumped chain when an
+    /// individual model is explored on the lumped encoding
+    /// (ReductionPolicy::Auto), the full chain otherwise.
     std::size_t max_states = 50'000'000;
     /// Worker threads for the sharded exploration; 0 = hardware concurrency.
     /// Any thread count produces the identical CTMC.
@@ -99,25 +104,25 @@ struct Disaster {
 /// the seed's unordered_map over heap-allocated encoded vectors.
 class CompiledModel {
 public:
-    /// `full_states`/`full_transitions` are the full chain's exact sizes
-    /// when `state_symmetry` is the proof the chain was explored on (0 and
-    /// ignored otherwise).
+    /// `explored_with` is the encoder that built `chain` and `store`;
+    /// `state_count`/`transition_count` are the sizes the model reports.
     CompiledModel(ctmc::Ctmc chain, std::vector<double> service,
                   rewards::RewardStructure cost, ArcadeModel model,
-                  engine::StateStore store, Encoding encoding,
-                  ReductionPolicy reduction = ReductionPolicy::Off,
-                  std::shared_ptr<const engine::StateSymmetry> state_symmetry = nullptr,
-                  std::size_t full_states = 0, std::size_t full_transitions = 0);
+                  engine::StateStore store, Encoding encoding, ReductionPolicy reduction,
+                  Encoding explored_with, std::size_t state_count,
+                  std::size_t transition_count);
 
-    /// The explored chain: the orbit chain when orbit_explored(), the full
-    /// chain otherwise.  Every per-state vector of this model (service
+    /// The explored chain: the lumped chain when an individual model was
+    /// explored on the lumped encoding (ReductionPolicy::Auto), the chain of
+    /// encoding() otherwise.  Every per-state vector of this model (service
     /// levels, cost rates, labels, disaster distributions, lifted results)
     /// is indexed by its states — size them by chain().state_count().
     [[nodiscard]] const ctmc::Ctmc& chain() const noexcept { return chain_; }
     [[nodiscard]] ctmc::Ctmc& chain() noexcept { return chain_; }
-    /// Reported size of the model (Table 1): always the full chain's exact
-    /// state and transition counts, also when the model was explored on its
-    /// orbits (chain().state_count() is then the orbit chain's).
+    /// Reported size of the model (Table 1): always the exact state and
+    /// transition counts of encoding()'s chain, also when an individual
+    /// model was explored on the lumped encoding (chain().state_count() is
+    /// then the lumped chain's).
     [[nodiscard]] std::size_t state_count() const noexcept { return state_count_; }
     [[nodiscard]] std::size_t transition_count() const noexcept { return transition_count_; }
 
@@ -139,21 +144,8 @@ public:
     [[nodiscard]] Encoding encoding() const noexcept { return encoding_; }
     [[nodiscard]] ReductionPolicy reduction() const noexcept { return reduction_; }
 
-    /// True when the chain was explored on symmetry orbits: an individual
-    /// model with two or more interchangeable components, compiled under
-    /// ReductionPolicy::Auto.
-    [[nodiscard]] bool orbit_explored() const noexcept { return state_symmetry_ != nullptr; }
-
     /// Kept for perfbench: state_count() as a double.
     [[nodiscard]] double symmetry_full_states() const noexcept { return state_count_; }
-
-    /// The interchangeability proof the chain was explored on: the orbits
-    /// of interchangeable components.  Null when the chain was explored in
-    /// full (ReductionPolicy::Off), for the lumped encoding and for models
-    /// without two interchangeable components.
-    [[nodiscard]] const engine::StateSymmetry* state_symmetry() const noexcept {
-        return state_symmetry_.get();
-    }
 
     /// The model's full measure signature: every chain label plus the
     /// service-level and cost-rate vectors — the union of everything any
@@ -182,9 +174,9 @@ public:
 
     /// The strong-bisimulation quotient of the chain w.r.t.
     /// lump_signature(), computed lazily once per model (thread-safe) and
-    /// shared by every consumer.  It lumps the explored chain directly: an
-    /// orbit-explored chain is already an exact lumping of the full chain,
-    /// so refinement finishes the job on its orbits.
+    /// shared by every consumer.  It lumps the explored chain directly: a
+    /// lumped chain is already an exact lumping of the full chain, so
+    /// refinement finishes the job on its states.
     /// `.second` reports whether this call built it (false = cache hit);
     /// the AnalysisSession turns that into its lump_hits/lump_misses
     /// counters.  Because the session deduplicates
@@ -198,7 +190,8 @@ public:
     [[nodiscard]] std::size_t initial_state() const noexcept { return 0; }
 
     /// Index of the canonical state right after `disaster` struck: the
-    /// policy-best failed component is in repair, the rest queue in
+    /// first failed_per_phase[p] components listed in each phase p are down,
+    /// the policy-best of them is in repair, the rest queue in
     /// component-index order (the paper: "we use the priority of components
     /// to define the repair ordering").  Throws ModelError when the disaster
     /// is inconsistent with the model.
@@ -208,7 +201,9 @@ public:
     /// distribution), over chain()'s states.
     [[nodiscard]] std::vector<double> disaster_distribution(const Disaster& disaster) const;
 
-    /// Raw encoded state, decoded from the packed store (tests/debugging).
+    /// Raw encoded state, decoded from the packed store (tests/debugging):
+    /// in the encoding that explored chain(), the lumped one for an
+    /// individual model explored on it.
     [[nodiscard]] std::vector<std::int16_t> encoded_state(std::size_t index) const;
 
     /// The packed state store (engine layer; exposed for perf counters).
@@ -222,7 +217,7 @@ private:
     engine::StateStore store_;
     Encoding encoding_;
     ReductionPolicy reduction_ = ReductionPolicy::Off;
-    std::shared_ptr<const engine::StateSymmetry> state_symmetry_;
+    Encoding explored_with_;
     std::size_t state_count_ = 0;
     std::size_t transition_count_ = 0;
     /// Lazy quotient cache.  The mutex lives behind a shared_ptr so the

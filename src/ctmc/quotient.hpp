@@ -19,10 +19,10 @@
 // whose inputs come from the signature build them per block, without a
 // chain-sized vector to project.
 //
-// A chain explored on symmetry orbits (core::compile under
-// ReductionPolicy::Auto) is already an exact lumping
-// of the full chain, and its coarsest quotient is the full chain's: the
-// compiler lumps that orbit chain, so refinement never sees the full chain.
+// An individual model explored on the lumped encoding (core::compile under
+// ReductionPolicy::Auto) has a chain that is already an exact lumping of
+// the full chain, and its coarsest quotient is the full chain's: the
+// compiler lumps that lumped chain, so refinement never sees the full chain.
 //
 // lift() spreads block mass uniformly over members.  That is exact for every
 // block-constant functional (anything in the signature) but *not* a

@@ -16,7 +16,7 @@
 // row: a source's interned (target, rate) pairs are appended and the row is
 // closed as soon as its last emission is in — self-loops dropped (CTMC
 // no-ops), then linalg::sort_and_sum_row(), the library's one duplicate-sum
-// contract, which also coalesces the per-orbit rates of symmetry reduction.
+// contract.
 #ifndef ARCADE_ENGINE_EXPLORE_HPP
 #define ARCADE_ENGINE_EXPLORE_HPP
 
@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "engine/state_store.hpp"
-#include "engine/symmetry.hpp"
 #include "linalg/csr_matrix.hpp"
 #include "support/errors.hpp"
 
@@ -42,12 +41,6 @@ struct EngineOptions {
     std::size_t max_states = 50'000'000;
     /// Worker threads; 0 means std::thread::hardware_concurrency().
     unsigned threads = 0;
-    /// On-the-fly symmetry reduction: when non-null (and nontrivial), the
-    /// initial state and every emitted target are canonicalised to their
-    /// orbit representative before interning, so the explored chain is the
-    /// symmetry quotient.  The pointee must outlive the exploration; the
-    /// caller is responsible for the orbits being genuine automorphisms.
-    const StateSymmetry* symmetry = nullptr;
 };
 
 /// Result of an exploration: interned states (index order = BFS discovery
@@ -89,19 +82,8 @@ Explored explore_bfs(const StateLayout& layout, std::span<const std::int64_t> in
     const std::size_t wps = layout.words_per_state();
     const std::size_t fields = layout.field_count();
 
-    const StateSymmetry* symmetry =
-        (options.symmetry != nullptr && !options.symmetry->trivial())
-            ? options.symmetry
-            : nullptr;
-
     std::vector<std::uint64_t> packed(wps);
-    if (symmetry != nullptr) {
-        std::vector<std::int64_t> canonical(initial.begin(), initial.end());
-        symmetry->canonicalize(canonical);
-        layout.pack(std::span<const std::int64_t>(canonical), packed.data());
-    } else {
-        layout.pack(initial, packed.data());
-    }
+    layout.pack(initial, packed.data());
     store.intern(packed.data());
 
     const unsigned threads = resolve_threads(options.threads);
@@ -148,7 +130,6 @@ Explored explore_bfs(const StateLayout& layout, std::span<const std::int64_t> in
         decltype(make_worker()) worker;
         std::vector<std::int64_t> values;
         std::vector<std::uint64_t> packed;
-        std::vector<std::int64_t> canonical;  // scratch for symmetry reduction
     };
     // Workers and shards are made on first use, up to the number of shards
     // a level activates — never `threads` of them up front.
@@ -159,23 +140,7 @@ Explored explore_bfs(const StateLayout& layout, std::span<const std::int64_t> in
         workers.reserve(count);
         while (workers.size() < count) {
             workers.push_back(WorkerState{make_worker(), std::vector<std::int64_t>(fields),
-                                          std::vector<std::uint64_t>(wps),
-                                          std::vector<std::int64_t>(fields)});
-        }
-    };
-
-    // Packs `target` into w.packed, canonicalising to the orbit
-    // representative first when symmetry reduction is on.  Identical in the
-    // inline and sharded paths, so numbering stays thread-count-invariant.
-    const auto pack_target = [&layout, fields, symmetry](WorkerState& w, auto target) {
-        if (symmetry != nullptr) {
-            for (std::size_t i = 0; i < fields; ++i) {
-                w.canonical[i] = static_cast<std::int64_t>(target[i]);
-            }
-            symmetry->canonicalize(std::span<std::int64_t>(w.canonical));
-            layout.pack(std::span<const std::int64_t>(w.canonical), w.packed.data());
-        } else {
-            layout.pack(target, w.packed.data());
+                                          std::vector<std::uint64_t>(wps)});
         }
     };
 
@@ -202,7 +167,7 @@ Explored explore_bfs(const StateLayout& layout, std::span<const std::int64_t> in
                          [&](auto target, double rate) {
                              if (rate < 0.0) throw ModelError("negative transition rate");
                              if (rate == 0.0) return;
-                             pack_target(w, target);
+                             layout.pack(target, w.packed.data());
                              const auto [index, inserted] = store.intern(w.packed.data());
                              if (inserted) check_explosion(store.size());
                              append(si, index, rate);
@@ -238,7 +203,7 @@ Explored explore_bfs(const StateLayout& layout, std::span<const std::int64_t> in
                                      throw ModelError("negative transition rate");
                                  }
                                  if (rate == 0.0) return;
-                                 pack_target(w, target);
+                                 layout.pack(target, w.packed.data());
                                  shard.words.insert(shard.words.end(), w.packed.begin(),
                                                     w.packed.end());
                                  shard.rates.push_back(rate);

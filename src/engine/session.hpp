@@ -46,8 +46,8 @@ struct SessionStats {
     std::size_t lump_hits = 0;
     std::size_t lump_misses = 0;
     /// Cumulative sizes over lump misses: the models' reported states
-    /// (CompiledModel::state_count(), the full chain's count for an
-    /// orbit-explored individual model) vs blocks out —
+    /// (CompiledModel::state_count(), the full chain's count also for an
+    /// individual model explored on the lumped encoding) vs blocks out —
     /// lump_states_in / lump_states_out is the session's aggregate
     /// reduction ratio.
     std::size_t lump_states_in = 0;

@@ -10,12 +10,12 @@
 //    the quotient — and the final satisfaction/value vectors lift back to
 //    the states of the model's chain() (per-state CSL functionals are
 //    block-constant, so the lift copies block values; see
-//    ctmc/quotient.hpp).  For an individual model that chain is the orbit
+//    ctmc/quotient.hpp).  For an individual model that chain is the lumped
 //    chain, one state per orbit of interchangeable components (see
 //    core::ReductionPolicy).  Formulas containing the Next operator fall
 //    back to chain(): X reads jump probabilities, which intra-block rates —
 //    unconstrained by ordinary lumpability — can change between bisimilar
-//    states.  Orbit chains keep them exact, because no transition of the
+//    states.  Lumped chains keep them exact, because no transition of the
 //    individual encoding maps a state into its own orbit (each one fails or
 //    repairs exactly one component).
 //  * top-level steady-state queries (S bound [f], R bound [S]) reuse the

@@ -9,8 +9,8 @@
 // Exploration runs on the engine layer: states are bit-packed into the
 // arena-backed store and the BFS is sharded across worker threads
 // (ExploreOptions::threads); any thread count produces the identical CTMC.
-// The explored chain is always the full chain: orbit (symmetry) reduction
-// happens only in core::compile, lumping after exploration.
+// The explored chain is always the full chain; lumping happens after
+// exploration.
 //
 // Every guard, rate, assignment, label and reward expression is prepared
 // once per explore (bytecode by default, the expression tree under

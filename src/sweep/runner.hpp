@@ -34,7 +34,7 @@ struct ScenarioResult {
     std::size_t model_states = 0;       ///< state count of the compiled model
     std::size_t model_transitions = 0;  ///< transition count of the compiled model
     /// States of the chain actually explored (CompiledModel::chain()): the
-    /// orbit chain of an individual model under ReductionPolicy::Auto,
+    /// lumped chain of an individual model under ReductionPolicy::Auto,
     /// model_states otherwise.
     std::size_t model_explored_states = 0;
     double model_full_states = 0.0;  ///< kept for perfbench; nothing reads it

@@ -240,8 +240,8 @@ void render_pump_scaling(const SweepReport& report, const ScenarioGrid& grid,
     }
     table.print(os);
     os << "\n(explored = the chain the engine actually built; full = exact count\n"
-          " recovered from symmetry orbit sizes; they coincide when reduction\n"
-          " is off)\n";
+          " summed in closed form over the lumped states; they coincide when\n"
+          " reduction is off)\n";
 }
 
 }  // namespace arcade::sweep::studies

@@ -63,7 +63,8 @@ struct Strategy {
 /// CompiledModel.  `with_repair = false` strips the repair units before
 /// compiling (the reliability measure and the no-repair model variants);
 /// `reduction` selects whether measures of the model run on its lumped
-/// quotient (under Auto an individual model is explored on its orbits).
+/// quotient (under Auto an individual model is explored on the lumped
+/// encoding).
 [[nodiscard]] engine::AnalysisSession::CompiledPtr compile_line(
     engine::AnalysisSession& session, int number, const Strategy& strategy,
     core::Encoding encoding = core::Encoding::Individual, const Parameters& params = {},

@@ -7,7 +7,9 @@
 //    relative (two different linear-algebra runs cannot be bitwise);
 //  * on both watertree encodings, the engine path under ReductionPolicy::
 //    Auto agrees with ::Off the same way, for nested P/S/R formulas (state
-//    by state: Auto's individual chain holds one representative per orbit);
+//    by state: Auto explores an individual model on the lumped encoding, so
+//    every full-chain state is compared with the lumped state standing for
+//    it);
 //  * the engine path under Auto IS the lifted quotient check, bit for bit
 //    (same computation — this is the bitwise guarantee of the lift);
 //  * formulas containing Next fall back to the full chain under Auto, so
@@ -19,10 +21,10 @@
 #include <cmath>
 #include <cstdint>
 #include <random>
-#include <span>
 
 #include "arcade/compiler.hpp"
 #include "ctmc/quotient.hpp"
+#include "lumped_counters.hpp"
 #include "engine/session.hpp"
 #include "logic/csl.hpp"
 #include "logic/csl_compiled.hpp"
@@ -122,21 +124,19 @@ void expect_near_rel(const std::vector<double>& a, const std::vector<double>& b,
     }
 }
 
-/// off_state[i] = the state of `off` with the encoding of state i of
-/// `automatic`'s chain (SIZE_MAX when `off` has none).  Under Auto an
-/// individual model's chain holds one state per orbit, the orbit's
-/// representative, which is itself a state of the full chain.
-std::vector<std::size_t> same_encoding_states(const core::CompiledModel& automatic,
-                                              const core::CompiledModel& off) {
-    const auto& layout = off.state_store().layout();
-    std::vector<std::uint64_t> packed(layout.words_per_state());
-    std::vector<std::size_t> off_state(automatic.chain().state_count());
-    for (std::size_t i = 0; i < off_state.size(); ++i) {
-        const auto encoded = automatic.encoded_state(i);
-        layout.pack(std::span<const std::int16_t>(encoded), packed.data());
-        off_state[i] = off.state_store().find(packed.data());
+/// auto_state[s] = the state of `automatic`'s chain standing for state s of
+/// `off`'s (SIZE_MAX when it has none): under Auto an individual model is
+/// explored on the lumped encoding, whose state is s's lumped counters; a
+/// lumped model explores the same chain either way.
+std::vector<std::size_t> auto_states(const core::CompiledModel& automatic,
+                                     const core::CompiledModel& off) {
+    std::vector<std::size_t> auto_state(off.chain().state_count());
+    for (std::size_t s = 0; s < auto_state.size(); ++s) {
+        auto_state[s] = off.encoding() == core::Encoding::Individual
+                            ? arcade::testing::lumped_state_of(automatic, off, s)
+                            : s;
     }
-    return off_state;
+    return auto_state;
 }
 
 /// Nested P/S/R formulas over the planted chain's vocabulary.  Thresholds
@@ -231,10 +231,10 @@ TEST(CslQuotient, AutoAgreesWithOffOnBothWatertreeEncodings) {
         const auto model_auto =
             session_auto.compile(wt::line2(wt::strategy("FFF-1")), automatic);
         // Per-state results index each model's chain(): under Auto the
-        // individual encoding's is the orbit chain, so compare every Auto
-        // state with the Off state of the same encoding.
-        const auto off_state = same_encoding_states(*model_auto, *model_off);
-        for (const std::size_t s : off_state) ASSERT_NE(s, SIZE_MAX);
+        // individual encoding's is the lumped chain, so compare every Off
+        // state with the Auto state standing for it.
+        const auto auto_state = auto_states(*model_auto, *model_off);
+        for (const std::size_t s : auto_state) ASSERT_NE(s, SIZE_MAX);
 
         const std::string x2 = wt::properties::survivability_formula(2.0 / 3.0, 25.0);
         for (const std::string& formula :
@@ -248,17 +248,17 @@ TEST(CslQuotient, AutoAgreesWithOffOnBothWatertreeEncodings) {
             const std::string what =
                 formula + (encoding == core::Encoding::Individual ? " individual"
                                                                   : " lumped");
-            std::vector<bool> a_satisfaction;
-            std::vector<double> a_values;
-            for (const std::size_t s : off_state) {
-                if (!a.satisfaction.empty()) a_satisfaction.push_back(a.satisfaction[s]);
-                if (!a.values.empty()) a_values.push_back(a.values[s]);
+            std::vector<bool> b_satisfaction;
+            std::vector<double> b_values;
+            for (const std::size_t s : auto_state) {
+                if (!b.satisfaction.empty()) b_satisfaction.push_back(b.satisfaction[s]);
+                if (!b.values.empty()) b_values.push_back(b.values[s]);
             }
-            EXPECT_EQ(a_satisfaction, b.satisfaction) << what;
+            EXPECT_EQ(a.satisfaction, b_satisfaction) << what;
             if (a.holds) {
                 EXPECT_EQ(*a.holds, *b.holds) << what;
             }
-            expect_near_rel(a_values, b.values, 1e-8, what);
+            expect_near_rel(a.values, b_values, 1e-8, what);
             if (a.value) {
                 EXPECT_NEAR(*a.value, *b.value, 1e-8) << what;
             }
@@ -337,11 +337,12 @@ TEST(CslQuotient, UnreferencedNonLumpableRewardStructuresDoNotAbortChecks) {
     // structure that is NOT block-constant w.r.t. the model's lump
     // signature must not abort a check that never reads it — and must
     // throw InvalidArgument only when actually referenced on the quotient.
-    // Under Auto a paper model is explored on its orbits, and its orbit
-    // chain is already the coarsest quotient, so no per-state structure
-    // splits a block there.  A strict repair priority puts every component
-    // in a class of its own: nothing is interchangeable, the chain is
-    // explored in full, and bisimilar states still lump.
+    // Under Auto a paper model is explored on the lumped encoding, and its
+    // lumped chain is already the coarsest quotient, so no per-state
+    // structure splits a block there.  A strict repair priority puts every
+    // component in a class and a group of its own: nothing is
+    // interchangeable, the lumped chain is as large as the full chain, and
+    // bisimilar states still lump.
     auto line2 = wt::line2(wt::strategy("DED"));
     for (auto& ru : line2.repair_units) {
         ru.policy = core::RepairPolicy::Priority;
@@ -354,7 +355,7 @@ TEST(CslQuotient, UnreferencedNonLumpableRewardStructuresDoNotAbortChecks) {
     core::CompileOptions options;
     options.reduction = core::ReductionPolicy::Auto;
     const auto model = session.compile(line2, options);
-    ASSERT_FALSE(model->orbit_explored());
+    ASSERT_EQ(model->chain().state_count(), model->state_count());
     ASSERT_LT(session.quotient(model)->block_count(), model->chain().state_count());
 
     logic::CheckerOptions checker;

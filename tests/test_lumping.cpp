@@ -11,11 +11,13 @@
 //    models reaches (or beats) the hand-lumped state counts;
 //  * every sweep::paper grid renders numerically identical rows with
 //    ReductionPolicy::Auto and ::Off;
-//  * under ReductionPolicy::Auto an individual model is explored on its
-//    symmetry orbits: it reports the full chain's exact state and
-//    transition counts on every Table 1 configuration, and lumping its
-//    orbit chain gives the partition direct lumping of the full chain gives
-//    on small generated models;
+//  * under ReductionPolicy::Auto an individual model is explored on the
+//    lumped encoding: it reports the full chain's exact state and
+//    transition counts on every Table 1 configuration and its preemptive
+//    variants (checked integer arithmetic: a count past SIZE_MAX throws),
+//    and lumping its lumped chain gives the partition direct lumping of the
+//    full chain gives on small generated models; a model without a lumped
+//    encoding (FCFS across non-exchangeable components) is explored in full;
 //  * under ReductionPolicy::Auto, the measure inputs built per block (the
 //    quotient's stored signature rows, the disaster state's block) and the
 //    series computed from them equal the projection path bitwise on every
@@ -28,7 +30,6 @@
 #include <cstdint>
 #include <random>
 #include <set>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -42,6 +43,7 @@
 #include "ctmc/transient.hpp"
 #include "engine/session.hpp"
 #include "graph/lumping.hpp"
+#include "lumped_counters.hpp"
 #include "rewards/rewards.hpp"
 #include "support/errors.hpp"
 #include "sweep/sweep.hpp"
@@ -201,22 +203,10 @@ std::size_t for_each_shipped_individual_model(const core::CompileOptions& option
     return visited;
 }
 
-/// Index in `orbits` (an orbit-explored compile) of the orbit holding state
-/// `s` of `full` (the same model explored in full); SIZE_MAX when missing.
-std::size_t orbit_of(const core::CompiledModel& orbits, const core::CompiledModel& full,
-                     std::size_t s) {
-    const auto encoded = full.encoded_state(s);
-    std::vector<std::int64_t> values(encoded.begin(), encoded.end());
-    orbits.state_symmetry()->canonicalize(values);
-    const auto& layout = orbits.state_store().layout();
-    std::vector<std::uint64_t> packed(layout.words_per_state());
-    layout.pack(std::span<const std::int64_t>(values), packed.data());
-    return orbits.state_store().find(packed.data());
-}
-
 /// A small model with `copies` (2–4) interchangeable components in its
 /// first phase, a second group of one to three, and randomised rates and
-/// repair set-up.
+/// repair set-up.  Seeds ≡ 0 (mod 4) repair both groups FCFS in one class,
+/// which the lumped encoding cannot represent.
 core::ArcadeModel generated_model(unsigned seed) {
     std::mt19937 rng(seed);
     std::uniform_real_distribution<double> mttf(20.0, 400.0);
@@ -737,39 +727,128 @@ TEST(AutoLumping, PaperGridsRenderIdenticalRowsWithReductionOnAndOff) {
 }
 
 TEST(AutoCompile, ReportsFullChainSizesOnEveryTable1Configuration) {
-    // Acceptance: Auto explores an individual model on its orbits, yet its
-    // reported sizes (Table 1, model_states, perfbench's state-count gate)
-    // are exactly the full chain's, with and without repair.
+    // Acceptance: Auto explores an individual model on the lumped encoding,
+    // yet its reported sizes (Table 1, model_states, perfbench's state-count
+    // gate) are exactly the full chain's, with and without repair.  The
+    // preemptive variants are the only shipped models on the closed form's
+    // preemptive branch.
     core::CompileOptions off;
     off.encoding = core::Encoding::Individual;
     core::CompileOptions automatic = off;
     automatic.reduction = core::ReductionPolicy::Auto;
+    core::CompileOptions lumped = automatic;
+    lumped.encoding = core::Encoding::Lumped;
+    std::vector<wt::Strategy> strategies = wt::paper_strategies();
+    for (const char* name : {"FRF-1-pre", "FRF-2-pre", "FFF-1-pre", "FFF-2-pre"}) {
+        strategies.push_back(wt::strategy(name));
+    }
     std::size_t checked = 0;
     for (const int line : {1, 2}) {
-        for (const auto& strategy : wt::paper_strategies()) {
+        for (const auto& strategy : strategies) {
             for (const bool repair : {true, false}) {
                 const auto base = wt::line(line, strategy);
                 const auto model = repair ? base : core::without_repair(base);
                 const std::string label = "line " + std::to_string(line) + " " +
                                           strategy.name + (repair ? " repair" : " no-repair");
                 const auto full = core::compile(model, off);
-                const auto orbits = core::compile(model, automatic);
-                ASSERT_TRUE(orbits.orbit_explored()) << label;
-                EXPECT_LT(orbits.chain().state_count(), full.chain().state_count()) << label;
-                EXPECT_EQ(orbits.state_count(), full.state_count()) << label;
-                EXPECT_EQ(orbits.transition_count(), full.transition_count()) << label;
+                const auto reduced = core::compile(model, automatic);
+                const auto hand = core::compile(model, lumped);
+                EXPECT_EQ(reduced.chain().state_count(), hand.state_count()) << label;
+                EXPECT_LT(reduced.chain().state_count(), full.chain().state_count()) << label;
+                EXPECT_EQ(reduced.state_count(), full.state_count()) << label;
+                EXPECT_EQ(reduced.transition_count(), full.transition_count()) << label;
                 ++checked;
             }
         }
     }
-    EXPECT_EQ(checked, 20u);
+    EXPECT_EQ(checked, 36u);
+}
+
+TEST(AutoCompile, FullChainSizesUseCheckedIntegerArithmetic) {
+    // One redundant phase of k interchangeable FRF pumps, one crew: the
+    // lumped chain has k + 1 states, the full chain sum_{j=0..k} k!/j!.
+    // k = 20 is the largest that fits a 64-bit size_t; k = 21 (about
+    // e·21! = 1.39e20 states) must throw, not wrap.
+    const auto pumps = [](std::size_t k) {
+        core::ModelBuilder builder("pumps-" + std::to_string(k));
+        (void)builder.add_redundant_phase("pump", k, 100.0, 2.0);
+        builder.with_repair(core::RepairPolicy::FastestRepairFirst, 1, false);
+        return builder.build();
+    };
+    core::CompileOptions automatic;
+    automatic.reduction = core::ReductionPolicy::Auto;
+    const auto twenty = core::compile(pumps(20), automatic);
+    EXPECT_EQ(twenty.chain().state_count(), 21u);
+    EXPECT_EQ(twenty.state_count(), std::size_t{6613313319248080001u});
+    EXPECT_THROW((void)core::compile(pumps(21), automatic), arcade::ModelError);
+
+    // The closed form at a size the full chain can check: 6 pumps.
+    core::CompileOptions off;
+    const auto full = core::compile(pumps(6), off);
+    const auto reduced = core::compile(pumps(6), automatic);
+    EXPECT_EQ(full.state_count(), 1957u);  // sum_{j=0..6} 6!/j!
+    EXPECT_EQ(reduced.state_count(), full.state_count());
+    EXPECT_EQ(reduced.transition_count(), full.transition_count());
+}
+
+TEST(AutoCompile, NonLumpableModelsExploreTheFullChain) {
+    // FCFS across two groups has no lumped encoding: asking for it throws,
+    // and Auto explores the individual model in full, as Off does, then
+    // lumps it exactly as direct lumping of the Off chain does.
+    core::CompileOptions off;
+    core::CompileOptions automatic;
+    automatic.reduction = core::ReductionPolicy::Auto;
+    core::CompileOptions lumped;
+    lumped.encoding = core::Encoding::Lumped;
+    std::size_t checked = 0;
+    for (unsigned seed = 0; seed < 24; seed += 4) {
+        const auto model = generated_model(seed);
+        const std::string label = "seed " + std::to_string(seed);
+        EXPECT_THROW((void)core::compile(model, lumped), arcade::ModelError) << label;
+        const auto full = core::compile(model, off);
+        const auto reduced = core::compile(model, automatic);
+        EXPECT_EQ(reduced.chain().state_count(), reduced.state_count()) << label;
+        EXPECT_EQ(reduced.state_count(), full.state_count()) << label;
+        EXPECT_EQ(reduced.transition_count(), full.transition_count()) << label;
+        expect_same_quotient(*reduced.quotient().first,
+                             ctmc::QuotientCtmc(full.chain(), full.lump_signature()), label);
+        ++checked;
+    }
+    EXPECT_EQ(checked, 6u);
+}
+
+TEST(AutoCompile, DisasterStateStandsForTheFullChainDisasterState) {
+    // A disaster fails the first components listed in each phase on both
+    // encodings.  In a phase listing two groups interleaved (repair times
+    // 2, 5 and 2 h under FRF, so each repair class holds one group), the
+    // lumped disaster state must stand for the individual one rather than
+    // fill the first group first.
+    core::ModelBuilder builder("interleaved");
+    (void)builder.add_redundant_phase("pump", 3, 100.0, 2.0);
+    builder.with_repair(core::RepairPolicy::FastestRepairFirst, 1, false);
+    auto model = builder.build();
+    model.components[1].mttr = 5.0;
+    core::CompileOptions off;
+    core::CompileOptions automatic;
+    automatic.reduction = core::ReductionPolicy::Auto;
+    const auto full = core::compile(model, off);
+    const auto reduced = core::compile(model, automatic);
+    ASSERT_LT(reduced.chain().state_count(), full.chain().state_count());
+    const core::Disaster two_down{"two down", {std::size_t{2}}};
+    EXPECT_EQ(arcade::testing::lumped_state_of(reduced, full, full.disaster_state(two_down)),
+              reduced.disaster_state(two_down));
+    for (const double t : {0.5, 5.0}) {
+        EXPECT_NEAR(core::survivability(full, two_down, 1.0, t),
+                    core::survivability(reduced, two_down, 1.0, t), 1e-9)
+            << "t=" << t;
+    }
 }
 
 TEST(QuotientMeasures, BlockInputsEqualTheProjectionPathBitwiseOnEveryShippedIndividualModel) {
     // Acceptance: under ReductionPolicy::Auto every measure input is built
     // per block (the quotient's stored signature rows, the block of the
     // disaster state).  Each equals bitwise the projection of its input over
-    // the explored (orbit) chain, and so does every measure computed from
+    // the explored (lumped) chain, and so does every measure computed from
     // them, on every unique shipped individual model with and without repair.
     core::CompileOptions options;
     options.encoding = core::Encoding::Individual;
@@ -833,7 +912,8 @@ TEST(QuotientMeasures, BlockInputsEqualTheProjectionPathBitwiseOnEveryShippedInd
 }
 
 TEST(OrbitLumping, TwoStagePartitionMatchesDirectLumpingOnGeneratedModels) {
-    // Auto explores on the orbits and lumps the orbit chain; Off explores
+    // Auto explores on the lumped encoding and lumps the lumped chain (or,
+    // for a model without a lumped encoding, the full chain); Off explores
     // the full chain and lumps it directly.  Both reach the same partition
     // of the full chain, the same reported sizes and the same solver
     // results.
@@ -845,23 +925,27 @@ TEST(OrbitLumping, TwoStagePartitionMatchesDirectLumpingOnGeneratedModels) {
         const auto model = generated_model(seed);
         const std::string label = "seed " + std::to_string(seed);
         const auto full = core::compile(model, off);
-        const auto orbits = core::compile(model, automatic);
-        ASSERT_EQ(full.state_symmetry(), nullptr) << label;
-        ASSERT_TRUE(orbits.orbit_explored()) << label;
-        EXPECT_EQ(orbits.state_count(), full.state_count()) << label;
-        EXPECT_EQ(orbits.transition_count(), full.transition_count()) << label;
-        EXPECT_LT(orbits.chain().state_count(), full.state_count()) << label;
+        const auto reduced = core::compile(model, automatic);
+        const bool lumped = seed % 4 != 0;
+        EXPECT_EQ(reduced.state_count(), full.state_count()) << label;
+        EXPECT_EQ(reduced.transition_count(), full.transition_count()) << label;
+        if (lumped) {
+            EXPECT_LT(reduced.chain().state_count(), full.state_count()) << label;
+        } else {
+            EXPECT_EQ(reduced.chain().state_count(), full.state_count()) << label;
+        }
 
-        const auto two_stage = orbits.quotient().first;
+        const auto two_stage = reduced.quotient().first;
         const ctmc::QuotientCtmc direct(full.chain(), full.lump_signature());
         ASSERT_EQ(two_stage->block_count(), direct.block_count()) << label;
         EXPECT_LT(two_stage->block_count(), full.state_count()) << label;
         // The two-stage partition, spread over the full chain's states.
         std::vector<std::size_t> spread(full.chain().state_count());
         for (std::size_t s = 0; s < spread.size(); ++s) {
-            const std::size_t orbit = orbit_of(orbits, full, s);
-            ASSERT_NE(orbit, SIZE_MAX) << label << " state " << s;
-            spread[s] = two_stage->block_of(orbit);
+            const std::size_t state =
+                lumped ? arcade::testing::lumped_state_of(reduced, full, s) : s;
+            ASSERT_NE(state, SIZE_MAX) << label << " state " << s;
+            spread[s] = two_stage->block_of(state);
         }
         ASSERT_TRUE(same_partition(spread, direct.block_map())) << label;
         // block_in_a[b] = the two-stage block holding direct block b.
@@ -879,17 +963,17 @@ TEST(OrbitLumping, TwoStagePartitionMatchesDirectLumpingOnGeneratedModels) {
         expect_near_rel(in_direct_order(ctmc::steady_state(a)), ctmc::steady_state(b), 1e-12,
                         label + " steady state");
         const core::Disaster two_down{"two down", {std::size_t{2}, std::size_t{0}}};
-        const auto initial = two_stage->project(orbits.disaster_distribution(two_down));
+        const auto initial = two_stage->project(reduced.disaster_distribution(two_down));
         const auto direct_initial = direct.project(full.disaster_distribution(two_down));
         EXPECT_EQ(in_direct_order(initial), direct_initial) << label;
-        const auto a_down = two_stage->project_mask(orbits.chain().label("down"));
+        const auto a_down = two_stage->project_mask(reduced.chain().label("down"));
         const auto b_down = direct.project_mask(full.chain().label("down"));
-        const auto a_up = two_stage->project_mask(orbits.chain().label("operational"));
+        const auto a_up = two_stage->project_mask(reduced.chain().label("operational"));
         const auto b_up = direct.project_mask(full.chain().label("operational"));
         const std::vector<bool> a_all(a.state_count(), true);
         const std::vector<bool> b_all(b.state_count(), true);
         const arcade::rewards::RewardStructure a_cost(
-            "cost", two_stage->project_values(orbits.cost_reward().state_rates()));
+            "cost", two_stage->project_values(reduced.cost_reward().state_rates()));
         const arcade::rewards::RewardStructure b_cost(
             "cost", direct.project_values(full.cost_reward().state_rates()));
         for (const double t : {0.5, 5.0, 40.0}) {
@@ -917,26 +1001,25 @@ TEST(OrbitLumping, TwoStagePartitionMatchesDirectLumpingOnGeneratedModels) {
                 << at << " accumulated cost";
         }
         // ... and with the full chain, to the solvers' precision.
-        EXPECT_NEAR(core::availability(orbits), core::availability(full), 1e-9) << label;
+        EXPECT_NEAR(core::availability(reduced), core::availability(full), 1e-9) << label;
     }
 }
 
 TEST(OrbitLumping, LumpedAndOrbitExploredChainsLumpDirectly) {
-    // A lumped-encoding chain carries no proof, and an orbit-explored chain
-    // has used its proof already: both quotients are exactly what direct
-    // lumping builds.
+    // An individual model explored on the lumped encoding and a lumped
+    // model: both quotients are exactly what direct lumping of their
+    // chains builds.
     for (unsigned seed = 0; seed < 8; ++seed) {
         const auto model = generated_model(seed);
         const std::string label = "seed " + std::to_string(seed);
 
-        core::CompileOptions orbits;
-        orbits.encoding = core::Encoding::Individual;
-        orbits.reduction = core::ReductionPolicy::Auto;
-        const auto explored = core::compile(model, orbits);
-        ASSERT_TRUE(explored.orbit_explored()) << label;
+        core::CompileOptions reduced;
+        reduced.encoding = core::Encoding::Individual;
+        reduced.reduction = core::ReductionPolicy::Auto;
+        const auto explored = core::compile(model, reduced);
         expect_same_quotient(*explored.quotient().first,
                              ctmc::QuotientCtmc(explored.chain(), explored.lump_signature()),
-                             label + " orbit-explored");
+                             label + " individual");
 
         // FCFS across the two groups has no lumped encoding.
         if (seed % 4 == 0) continue;
@@ -944,7 +1027,7 @@ TEST(OrbitLumping, LumpedAndOrbitExploredChainsLumpDirectly) {
         lumped.encoding = core::Encoding::Lumped;
         lumped.reduction = core::ReductionPolicy::Auto;
         const auto hand = core::compile(model, lumped);
-        EXPECT_EQ(hand.state_symmetry(), nullptr) << label;
+        EXPECT_EQ(hand.chain().state_count(), explored.chain().state_count()) << label;
         expect_same_quotient(*hand.quotient().first,
                              ctmc::QuotientCtmc(hand.chain(), hand.lump_signature()),
                              label + " lumped");
