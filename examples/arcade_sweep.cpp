@@ -13,10 +13,9 @@
 //                [--shard i/n] [--csv-footer] [--reduction off|auto]
 //                [--mttr-sweep] [--properties] [--pump-scaling N] [--list]
 //
-// --reduction auto analyses every scenario on the automatic
-// strong-bisimulation quotient of its model, exploring individual models on
-// the lumped encoding (README, "The reduction layer" and "One reduced
-// route"); --mttr-sweep swaps the paper grid for the MTTR-sensitivity
+// --reduction auto explores every individual model on the lumped encoding
+// and analyses its scenarios on that chain (README, "The reduction layer";
+// --pump-scaling prints the explored against the full sizes); --mttr-sweep swaps the paper grid for the MTTR-sensitivity
 // study (repair rates scaled ±50% around the paper's values via
 // ScenarioGrid::parameters) and renders its tables instead; --properties
 // swaps in sweep::paper::properties() — the same evaluation with every
@@ -245,14 +244,6 @@ int main(int argc, char** argv) {
               << report.stats.steady_state_misses << " misses  (hit rate ";
     std::snprintf(buf, sizeof buf, "%.3f", report.cache_hit_rate());
     std::cout << buf << ")\n";
-    if (report.stats.lump_hits + report.stats.lump_misses > 0) {
-        std::cout << "# reduction: " << report.stats.lump_misses << " quotients built / "
-                  << report.stats.lump_hits << " reused, "
-                  << report.stats.lump_states_in << " states -> "
-                  << report.stats.lump_states_out << " blocks (";
-        std::snprintf(buf, sizeof buf, "%.1fx", report.stats.reduction_ratio());
-        std::cout << buf << ")\n";
-    }
     if (properties_sweep) {
         std::cout << "# properties: " << report.stats.property_misses
                   << " checked / " << report.stats.property_hits << " cache hits\n";

@@ -877,41 +877,8 @@ std::string service_label(double level) {
 ctmc::LumpSignature CompiledModel::lump_signature() const {
     ctmc::LumpSignature signature;
     signature.labels = chain_.label_names();
-    signature.values.resize(kSignatureRows);
-    signature.values[kServiceRow] = service_;
-    signature.values[kCostRow] = cost_.state_rates();
+    signature.values = {service_, cost_.state_rates()};
     return signature;
-}
-
-const std::vector<double>& CompiledModel::block_row(const ctmc::QuotientCtmc& quotient,
-                                                    SignatureRow row) const {
-    ARCADE_ASSERT(quotient.original_state_count() == chain_.state_count() &&
-                      quotient.values().size() == kSignatureRows,
-                  "quotient is not over this model's lump signature");
-    return quotient.values()[row];
-}
-
-const std::vector<double>& CompiledModel::block_service_levels(
-    const ctmc::QuotientCtmc& quotient) const {
-    return block_row(quotient, kServiceRow);
-}
-
-const std::vector<double>& CompiledModel::block_cost_rates(
-    const ctmc::QuotientCtmc& quotient) const {
-    return block_row(quotient, kCostRow);
-}
-
-std::vector<bool> CompiledModel::block_service_at_least(const ctmc::QuotientCtmc& quotient,
-                                                        double x) const {
-    return at_least(block_service_levels(quotient), x);
-}
-
-std::vector<double> CompiledModel::block_disaster_distribution(
-    const ctmc::QuotientCtmc& quotient, const Disaster& disaster) const {
-    ARCADE_ASSERT(quotient.original_state_count() == chain_.state_count(),
-                  "quotient is not over this model's chain");
-    return ctmc::Ctmc::point_distribution(quotient.block_count(),
-                                          quotient.block_of(disaster_state(disaster)));
 }
 
 std::pair<std::shared_ptr<const ctmc::QuotientCtmc>, bool> CompiledModel::quotient()

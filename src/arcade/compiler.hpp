@@ -42,20 +42,18 @@ namespace arcade::core {
 
 enum class Encoding { Individual, Lumped };
 
-/// Whether analyses of a compiled model run on the automatic
-/// strong-bisimulation quotient (ctmc::QuotientCtmc) of its chain.
-///   Off  — the full chain is explored and every solver runs on it as-is.
-///   Auto — measures run on the coarsest quotient respecting the model's
-///          full measure signature (all chain labels + service levels +
-///          cost rates) and lift/aggregate results back.  Exact for every
-///          measure in this library; see src/ctmc/quotient.hpp.  An
-///          individual model is explored on the lumped encoding when that
+/// How core::compile explores an individual model; a compile-time choice
+/// only — every analysis reads chain(), whatever the policy.
+///   Off  — the full chain of encoding() is explored.
+///   Auto — an individual model is explored on the lumped encoding when that
 ///          encoding exists for it (every queue repair class holds one group
-///          of interchangeable components), so the full chain is never
-///          built and the quotient is lumped from the lumped chain;
-///          state_count() and transition_count() still report the full
-///          chain's exact sizes.  Otherwise the full chain is explored, as
-///          under Off.
+///          of interchangeable components).  The lumped chain is an exact
+///          lumping of the full chain and, on every shipped model, its own
+///          coarsest quotient over lump_signature(), so chain() is the
+///          reduced chain the analyses run on; state_count() and
+///          transition_count() still report the full chain's exact sizes.
+///          Any other model is compiled exactly as under Off (explored and
+///          analysed in full).
 /// Chosen per call (CompileOptions::reduction, RunnerOptions::reduction,
 /// arcade_sweep --reduction); every default is Off.
 enum class ReductionPolicy { Off, Auto };
@@ -84,7 +82,7 @@ struct CompileOptions {
     /// Worker threads for the sharded exploration; 0 = hardware concurrency.
     /// Any thread count produces the identical CTMC.
     unsigned threads = 0;
-    /// Run analyses on the lumped quotient of the compiled chain?
+    /// Explore an individual model on the lumped encoding when it has one?
     ReductionPolicy reduction = ReductionPolicy::Off;
     SymmetryPolicy symmetry = SymmetryPolicy::Off;  ///< kept for perfbench; `compile` ignores it
     /// Kept for perfbench; `compile` ignores it.
@@ -115,7 +113,7 @@ public:
     /// The explored chain: the lumped chain when an individual model was
     /// explored on the lumped encoding (ReductionPolicy::Auto), the chain of
     /// encoding() otherwise.  Every per-state vector of this model (service
-    /// levels, cost rates, labels, disaster distributions, lifted results)
+    /// levels, cost rates, labels, disaster distributions, CSL results)
     /// is indexed by its states — size them by chain().state_count().
     [[nodiscard]] const ctmc::Ctmc& chain() const noexcept { return chain_; }
     [[nodiscard]] ctmc::Ctmc& chain() noexcept { return chain_; }
@@ -149,40 +147,14 @@ public:
 
     /// The model's full measure signature: every chain label plus the
     /// service-level and cost-rate vectors — the union of everything any
-    /// measure in this library reads, so ONE quotient serves them all.
+    /// measure in this library reads.
     [[nodiscard]] ctmc::LumpSignature lump_signature() const;
 
-    // Measure inputs on the blocks of `quotient`, a quotient of this
-    // model's chain over lump_signature() (quotient().first), built in
-    // O(blocks) from the rows the quotient stored per block.  Each is
-    // bitwise the projection of its full-chain counterpart (test_lumping
-    // checks that on every shipped individual model).
-
-    /// Bitwise quotient.project_values(service_levels()).
-    [[nodiscard]] const std::vector<double>& block_service_levels(
-        const ctmc::QuotientCtmc& quotient) const;
-    /// Bitwise quotient.project_values(cost_reward().state_rates()).
-    [[nodiscard]] const std::vector<double>& block_cost_rates(
-        const ctmc::QuotientCtmc& quotient) const;
-    /// Bitwise quotient.project_mask(service_at_least(x)).
-    [[nodiscard]] std::vector<bool> block_service_at_least(const ctmc::QuotientCtmc& quotient,
-                                                           double x) const;
-    /// Bitwise quotient.project(disaster_distribution(disaster)): the point
-    /// distribution on the disaster state's block.
-    [[nodiscard]] std::vector<double> block_disaster_distribution(
-        const ctmc::QuotientCtmc& quotient, const Disaster& disaster) const;
-
     /// The strong-bisimulation quotient of the chain w.r.t.
-    /// lump_signature(), computed lazily once per model (thread-safe) and
-    /// shared by every consumer.  It lumps the explored chain directly: a
-    /// lumped chain is already an exact lumping of the full chain, so
-    /// refinement finishes the job on its states.
-    /// `.second` reports whether this call built it (false = cache hit);
-    /// the AnalysisSession turns that into its lump_hits/lump_misses
-    /// counters.  Because the session deduplicates
-    /// models by fingerprint and each model holds one quotient over its
-    /// canonical signature, identical (model, signature) requests anywhere
-    /// in the process share one refinement.
+    /// lump_signature(), computed lazily once per model (thread-safe): the
+    /// on-demand lumping API.  No analysis reads it; tests and perfbench
+    /// do.  `.second` reports whether this call built it (false = cache
+    /// hit).
     [[nodiscard]] std::pair<std::shared_ptr<const ctmc::QuotientCtmc>, bool> quotient()
         const;
 
@@ -224,11 +196,6 @@ private:
     /// model stays movable (run_compile returns by value).
     mutable std::shared_ptr<std::mutex> quotient_mutex_ = std::make_shared<std::mutex>();
     mutable std::shared_ptr<const ctmc::QuotientCtmc> quotient_;
-
-    /// Value rows of lump_signature(), by position.
-    enum SignatureRow : std::size_t { kServiceRow, kCostRow, kSignatureRows };
-    [[nodiscard]] const std::vector<double>& block_row(const ctmc::QuotientCtmc& quotient,
-                                                       SignatureRow row) const;
 
     [[nodiscard]] std::size_t lookup(const std::vector<std::int16_t>& encoded) const;
 };

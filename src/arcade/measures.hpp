@@ -52,7 +52,7 @@ namespace arcade::core {
 
 /// Cost curves after the disaster — instantaneous (Fig 6) and accumulated
 /// (Fig 7), each request on its own grid — from ONE power pass over the
-/// model's chain (its quotient under ReductionPolicy::Auto).  Result i is
+/// model's chain().  Result i is
 /// bitwise the one-request series of request i.
 [[nodiscard]] std::vector<std::vector<double>> cost_series(
     const CompiledModel& model, const Disaster& disaster,
@@ -81,9 +81,6 @@ namespace arcade::core {
 
 /// Remains only for the benchmark's step-count code (a survivability cell's chain).
 struct FusedSeriesPlan {
-    /// Keeps the quotient alive while `chain` is in use (Auto reduction);
-    /// nullptr under ReductionPolicy::Off.
-    std::shared_ptr<const ctmc::QuotientCtmc> quotient;
     /// Owns the until-transformed chain.
     std::shared_ptr<const ctmc::Ctmc> transformed;
     const ctmc::Ctmc* chain = nullptr;  ///< transformed.get()

@@ -176,36 +176,4 @@ std::vector<double> QuotientCtmc::project_values(std::span<const double> per_sta
     return out;
 }
 
-std::vector<double> QuotientCtmc::lift(std::span<const double> per_block) const {
-    ARCADE_ASSERT(per_block.size() == block_count(), "lift size mismatch");
-    std::vector<double> out(block_of_.size(), 0.0);
-    for (std::size_t s = 0; s < out.size(); ++s) {
-        const std::size_t b = block_of_[s];
-        out[s] = per_block[b] / static_cast<double>(block_sizes_[b]);
-    }
-    return out;
-}
-
-std::vector<double> QuotientCtmc::lift_values(std::span<const double> per_block) const {
-    ARCADE_ASSERT(per_block.size() == block_count(), "value lift size mismatch");
-    std::vector<double> out(block_of_.size(), 0.0);
-    for (std::size_t s = 0; s < out.size(); ++s) out[s] = per_block[block_of_[s]];
-    return out;
-}
-
-std::vector<bool> QuotientCtmc::lift_mask(const std::vector<bool>& per_block) const {
-    ARCADE_ASSERT(per_block.size() == block_count(), "mask lift size mismatch");
-    std::vector<bool> out(block_of_.size(), false);
-    for (std::size_t s = 0; s < out.size(); ++s) out[s] = per_block[block_of_[s]];
-    return out;
-}
-
-std::vector<std::vector<double>> QuotientCtmc::lift_series(
-    const std::vector<std::vector<double>>& per_block_series) const {
-    std::vector<std::vector<double>> out;
-    out.reserve(per_block_series.size());
-    for (const auto& d : per_block_series) out.push_back(lift(d));
-    return out;
-}
-
 }  // namespace arcade::ctmc

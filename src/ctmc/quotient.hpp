@@ -1,4 +1,4 @@
-// Automatic CTMC reduction by strong-bisimulation lumping.
+// CTMC reduction by strong-bisimulation lumping, on demand.
 //
 // A LumpSignature names everything a measure reads off a chain — labels and
 // per-state value vectors (reward rates, service levels).  The QuotientCtmc
@@ -8,27 +8,20 @@
 // state functional is built from the signature evaluates *exactly* on the
 // quotient chain (project the initial distribution, run the unchanged
 // solver, read block masses).  This is the reduction Table 1 of the paper
-// obtains by hand-written lumped encodings, applied automatically to any
-// chain — the same state-space move network-recovery MDPs and water-network
-// maintenance studies rely on to stay tractable.
+// obtains by hand-written lumped encodings, computed for any chain.
 //
 // The partition is the signature partition refined by
 // graph::coarsest_lumping over every state of the chain.  The quotient rates,
-// initial distribution, labels and value rows are read off each block's
-// lowest-index member.  The per-block value rows (values()) let a measure
-// whose inputs come from the signature build them per block, without a
-// chain-sized vector to project.
+// initial distribution, labels and value rows (values()) are read off each
+// block's lowest-index member.
 //
-// An individual model explored on the lumped encoding (core::compile under
-// ReductionPolicy::Auto) has a chain that is already an exact lumping of
-// the full chain, and its coarsest quotient is the full chain's: the
-// compiler lumps that lumped chain, so refinement never sees the full chain.
-//
-// lift() spreads block mass uniformly over members.  That is exact for every
-// block-constant functional (anything in the signature) but *not* a
-// per-state statement: two bisimilar states need not carry equal long-run
-// mass.  Consumers that read per-state values outside the signature must
-// analyse the original chain.
+// No analysis in this library runs on a quotient.  Under
+// ReductionPolicy::Auto core::compile explores an individual model on the
+// lumped encoding, whose chain is already an exact lumping of the full
+// chain and, on every shipped model, its own coarsest quotient; the
+// analyses read that chain.  CompiledModel::quotient() builds this class
+// on demand, and the tests use it as the reference the lumped encoding is
+// checked against.
 #ifndef ARCADE_CTMC_QUOTIENT_HPP
 #define ARCADE_CTMC_QUOTIENT_HPP
 
@@ -101,24 +94,6 @@ public:
     /// when the values are not exactly block-constant.
     [[nodiscard]] std::vector<double> project_values(
         std::span<const double> per_state) const;
-
-    /// Distribution lift: block mass spread uniformly over members.  Exact
-    /// for block-constant functionals; see the header comment.
-    [[nodiscard]] std::vector<double> lift(std::span<const double> per_block) const;
-
-    /// Value lift: every member receives its block's value verbatim (the
-    /// inverse of project_values).  This is the lift for per-state
-    /// *functionals* — CSL satisfaction probabilities, reward values — which
-    /// are block-constant on bisimilar states, unlike distribution mass.
-    [[nodiscard]] std::vector<double> lift_values(std::span<const double> per_block) const;
-
-    /// Mask lift: every member receives its block's bit verbatim (the
-    /// inverse of project_mask) — CSL satisfaction sets come back this way.
-    [[nodiscard]] std::vector<bool> lift_mask(const std::vector<bool>& per_block) const;
-
-    /// Series lift: one lifted distribution per grid point.
-    [[nodiscard]] std::vector<std::vector<double>> lift_series(
-        const std::vector<std::vector<double>>& per_block_series) const;
 
 private:
     struct Build {

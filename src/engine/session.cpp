@@ -120,22 +120,7 @@ AnalysisSession::CompiledPtr AnalysisSession::compile(const core::ArcadeModel& m
 
 std::shared_ptr<const ctmc::QuotientCtmc> AnalysisSession::quotient(
     const CompiledPtr& model) {
-    return quotient_impl(model, /*count_hit=*/true);
-}
-
-std::shared_ptr<const ctmc::QuotientCtmc> AnalysisSession::quotient_impl(
-    const CompiledPtr& model, bool count_hit) {
-    ARCADE_ASSERT(model != nullptr, "quotient of a null model");
-    const auto [q, fresh] = model->quotient();
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (fresh) {
-        ++stats_.lump_misses;
-        stats_.lump_states_in += model->state_count();
-        stats_.lump_states_out += q->block_count();
-    } else if (count_hit) {
-        ++stats_.lump_hits;
-    }
-    return q;
+    return model->quotient().first;
 }
 
 std::shared_ptr<const logic::CheckResult> AnalysisSession::check_property(
@@ -164,7 +149,7 @@ std::shared_ptr<const logic::CheckResult> AnalysisSession::check_property(
         }
     }
     // Evaluate outside the lock: the checker re-enters the session for the
-    // quotient and the cached steady-state solve.
+    // cached steady-state solve.
     logic::CheckerOptions options;
     options.epsilon = epsilon;
     auto fresh = std::make_shared<const logic::CheckResult>(
@@ -196,17 +181,7 @@ std::shared_ptr<const std::vector<double>> AnalysisSession::steady_state(
             return it->second.pi;
         }
     }
-    auto pi = [&] {
-        if (model->reduction() == core::ReductionPolicy::Auto) {
-            // Internal reuse of an already-requested quotient must not count
-            // as extra cache traffic (a fresh build still records the miss).
-            const auto q = quotient_impl(model, /*count_hit=*/false);
-            return std::make_shared<const std::vector<double>>(
-                q->lift(ctmc::steady_state(q->chain())));
-        }
-        return std::make_shared<const std::vector<double>>(
-            ctmc::steady_state(model->chain()));
-    }();
+    auto pi = std::make_shared<const std::vector<double>>(ctmc::steady_state(model->chain()));
     std::lock_guard<std::mutex> lock(mutex_);
     const auto [it, inserted] = steady_.emplace(model.get(), SteadyEntry{model, std::move(pi)});
     if (inserted) {

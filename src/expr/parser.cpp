@@ -1,4 +1,5 @@
 // Pratt parser for the PRISM-style expression syntax (see expr.hpp).
+// Nesting is bounded (kMaxDepth), so hostile input cannot exhaust the stack.
 #include <cctype>
 #include <optional>
 
@@ -131,6 +132,11 @@ private:
     }
 };
 
+/// Deepest nesting of parentheses, conditionals and prefix/right-
+/// associative operators the parser accepts; model expressions nest a few
+/// levels.
+constexpr std::size_t kMaxDepth = 256;
+
 class Parser {
 public:
     explicit Parser(const std::string& text, std::size_t base_offset)
@@ -148,8 +154,29 @@ private:
     Lexer lexer_;
     Token current_;
     std::size_t base_ = 0;
+    std::size_t depth_ = 0;  ///< nesting levels open on the stack
 
     void advance() { current_ = lexer_.next(); }
+
+    /// One nesting level for the lifetime of the scope.  Every recursion of
+    /// the grammar opens one: parse_ternary (parentheses, call arguments,
+    /// conditional branches) and the right operands of !, unary - and =>.
+    class Nested {
+    public:
+        explicit Nested(Parser& parser) : depth_(parser.depth_) {
+            if (++depth_ > kMaxDepth) {
+                throw ParseError("expression nested deeper than " +
+                                     std::to_string(kMaxDepth) + " levels",
+                                 1, parser.current_.pos + 1);
+            }
+        }
+        ~Nested() { --depth_; }
+        Nested(const Nested&) = delete;
+        Nested& operator=(const Nested&) = delete;
+
+    private:
+        std::size_t& depth_;
+    };
 
     /// Stamps a parsed (sub)expression with its source byte offset.  After a
     /// constant fold the composite may BE one of its operands; re-stamping
@@ -165,6 +192,7 @@ private:
     }
 
     Expr parse_ternary() {
+        const Nested nested(*this);
         const std::size_t start = current_.pos;
         Expr cond = parse_iff();
         if (current_.kind == TokenKind::Question) {
@@ -191,6 +219,7 @@ private:
         const std::size_t start = current_.pos;
         Expr lhs = parse_or();
         if (current_.kind == TokenKind::Implies) {  // right-associative
+            const Nested nested(*this);
             advance();
             return at(start, Expr::binary(BinaryOp::Implies, std::move(lhs), parse_implies()));
         }
@@ -219,6 +248,7 @@ private:
 
     Expr parse_not() {
         if (current_.kind == TokenKind::Not) {
+            const Nested nested(*this);
             const std::size_t start = current_.pos;
             advance();
             return at(start, Expr::unary(UnaryOp::Not, parse_not()));
@@ -273,6 +303,7 @@ private:
 
     Expr parse_unary() {
         if (current_.kind == TokenKind::Minus) {
+            const Nested nested(*this);
             const std::size_t start = current_.pos;
             advance();
             return at(start, Expr::unary(UnaryOp::Neg, parse_unary()));

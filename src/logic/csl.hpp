@@ -146,12 +146,6 @@ void validate(const StateFormula& formula);
 [[nodiscard]] std::uint64_t fingerprint(const StateFormula& formula,
                                         std::uint64_t seed = 0);
 
-/// True when the formula contains a Next (X) path operator anywhere.  Next
-/// reads jump probabilities, which depend on intra-block rates that ordinary
-/// lumpability leaves unconstrained — the quotient-aware checker falls back
-/// to the full chain for such formulas.
-[[nodiscard]] bool contains_next(const StateFormula& formula);
-
 /// Parses the textual CSL/CSRL syntax, e.g.
 ///   P=? [ true U<=100 "down" ]
 ///   S=? [ "operational" ]

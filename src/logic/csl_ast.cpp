@@ -1,7 +1,6 @@
 // AST utilities for CSL/CSRL formulas: the canonical printer (round-trip
 // exact with the parser), the structural fingerprint the property caches
-// key on, validation of numeric literals, and the Next scan the
-// quotient-aware checker uses to fall back to the full chain.
+// key on and validation of numeric literals.
 #include <cmath>
 
 #include "graph/lumping.hpp"
@@ -112,30 +111,6 @@ std::uint64_t fingerprint(const StateFormula& formula, std::uint64_t seed) {
         h = graph::fnv1a_mix(h, static_cast<unsigned char>(c));
     }
     return h;
-}
-
-bool contains_next(const StateFormula& formula) {
-    if (const auto* neg = std::get_if<Negation>(&formula.node())) {
-        return contains_next(*neg->operand);
-    }
-    if (const auto* con = std::get_if<Conjunction>(&formula.node())) {
-        return contains_next(*con->lhs) || contains_next(*con->rhs);
-    }
-    if (const auto* dis = std::get_if<Disjunction>(&formula.node())) {
-        return contains_next(*dis->lhs) || contains_next(*dis->rhs);
-    }
-    if (const auto* prob = std::get_if<Probabilistic>(&formula.node())) {
-        if (const auto* next = std::get_if<NextPath>(&prob->path)) {
-            (void)next;
-            return true;
-        }
-        const auto& until = std::get<UntilPath>(prob->path);
-        return contains_next(*until.lhs) || contains_next(*until.rhs);
-    }
-    if (const auto* ss = std::get_if<SteadyState>(&formula.node())) {
-        return contains_next(*ss->operand);
-    }
-    return false;  // literals, labels, rewards
 }
 
 void validate(const CheckerOptions& options) {

@@ -1,13 +1,11 @@
 // CSL/CSRL model-checking engine (see csl.hpp for the supported grammar,
-// csl_compiled.hpp for the reduction-aware path over compiled models).
+// csl_compiled.hpp for the path over compiled models).
 //
 // One recursive evaluator serves both entry points: the raw overloads run
 // it on a bare chain with the caller's reward registry; the compiled
-// overloads run it on the model's strong-bisimulation quotient under
-// ReductionPolicy::Auto (full chain otherwise, or when the formula contains
-// Next), resolve rewards from the model, reuse the session's cached
-// steady-state solve for top-level S/R[S] queries, and lift the per-state
-// results back to the states of the model's chain().
+// overloads run it on the model's chain(), resolve rewards from the model
+// and reuse the session's cached steady-state solve for top-level S/R[S]
+// queries.
 #include <algorithm>
 #include <cmath>
 
@@ -22,19 +20,13 @@ namespace arcade::logic {
 
 namespace {
 
-/// Everything one recursive evaluation reads: the chain to analyse (a full
-/// chain or a quotient chain — the recursion cannot tell), the resolved
-/// reward registry (by reference: structures are never copied or re-looked-
-/// up per recursion level) and the numeric tolerance.  When the evaluation
-/// runs on a quotient chain, `quotient`/`projected` are set and reward
-/// structures project lazily at use site — only a formula that actually
-/// reads a structure pays (or fails) its projection.
+/// Everything one recursive evaluation reads: the chain to analyse, the
+/// resolved reward registry (by reference: structures are never copied or
+/// re-looked-up per recursion level) and the numeric tolerance.
 struct Context {
     const ctmc::Ctmc& chain;
-    const RewardRegistry& rewards;  ///< full-chain sized structures
+    const RewardRegistry& rewards;  ///< chain-sized structures
     double epsilon = 1e-12;
-    const ctmc::QuotientCtmc* quotient = nullptr;
-    RewardRegistry* projected = nullptr;  ///< per-evaluation projection cache
 };
 
 /// Evaluation result inside the recursion: either a satisfaction set or a
@@ -69,26 +61,15 @@ bool compare(Comparison cmp, double value, double threshold) {
 const rewards::RewardStructure& find_reward(const Context& ctx, const std::string& name) {
     const RewardRegistry& all = ctx.rewards;
     if (all.empty()) throw ModelError("no reward structures registered with the checker");
-    RewardRegistry::const_iterator it;
     if (name.empty()) {
         if (all.size() != 1) {
             throw ModelError("multiple reward structures: name one explicitly, R{\"name\"}");
         }
-        it = all.begin();
-    } else {
-        it = all.find(name);
-        if (it == all.end()) throw ModelError("unknown reward structure '" + name + "'");
+        return all.begin()->second;
     }
-    if (ctx.quotient == nullptr) return it->second;
-    // Quotient substrate: project on first use and cache per evaluation.
-    const auto cached = ctx.projected->find(it->first);
-    if (cached != ctx.projected->end()) return cached->second;
-    return ctx.projected
-        ->emplace(it->first,
-                  rewards::RewardStructure(
-                      it->second.name(),
-                      ctx.quotient->project_values(it->second.state_rates())))
-        .first->second;
+    const auto it = all.find(name);
+    if (it == all.end()) throw ModelError("unknown reward structure '" + name + "'");
+    return it->second;
 }
 
 /// Per-state probabilities for a path formula.
@@ -238,42 +219,16 @@ CheckResult finish(const Evaluated& e, std::span<const double> initial) {
 // Compiled-model path (csl_compiled.hpp)
 // ---------------------------------------------------------------------------
 
-/// What the compiled-path evaluation runs on: the model's quotient under
-/// ReductionPolicy::Auto, the model's chain() otherwise.  The reward registry
-/// always holds chain()-sized structures — projection happens lazily inside
-/// find_reward (into `projected`), so an unreferenced caller structure that
-/// is not block-constant never aborts an unrelated check.
-struct Substrate {
-    std::shared_ptr<const ctmc::QuotientCtmc> quotient;  ///< null = model's chain()
-    const ctmc::Ctmc* chain = nullptr;
-    RewardRegistry rewards;    ///< model's cost reward + caller structures
-    RewardRegistry projected;  ///< lazily projected copies (quotient runs)
-
-    [[nodiscard]] Context context(double epsilon) {
-        return Context{*chain, rewards, epsilon, quotient.get(), &projected};
-    }
-};
-
-Substrate make_substrate(engine::AnalysisSession& session,
-                         const engine::AnalysisSession::CompiledPtr& model,
-                         const StateFormula& formula, const CheckerOptions& options) {
-    Substrate sub;
-    // Next reads jump probabilities, which intra-block rates (unconstrained
-    // by ordinary lumpability) can change between bisimilar states — fall
-    // back to the model's chain() for such formulas.
-    const bool reduce = model->reduction() == core::ReductionPolicy::Auto &&
-                        !contains_next(formula);
-    if (reduce) {
-        sub.quotient = session.quotient(model);
-        sub.chain = &sub.quotient->chain();
-    } else {
-        sub.chain = &model->chain();
-    }
-    sub.rewards.emplace(model->cost_reward().name(), model->cost_reward());
+/// The compiled path's reward registry: the model's cost reward plus the
+/// caller's structures (given over chain()'s states), which win on a name
+/// clash.
+RewardRegistry model_rewards(const core::CompiledModel& model, const CheckerOptions& options) {
+    RewardRegistry registry;
+    registry.emplace(model.cost_reward().name(), model.cost_reward());
     for (const auto& [name, structure] : options.reward_structures) {
-        sub.rewards.insert_or_assign(name, structure);
+        registry.insert_or_assign(name, structure);
     }
-    return sub;
+    return registry;
 }
 
 /// Shapes a chain-global scalar (steady-state query) into a CheckResult the
@@ -314,14 +269,14 @@ CheckResult check(engine::AnalysisSession& session,
     validate(formula);
     const std::size_t n = model->chain().state_count();
 
+    const RewardRegistry registry = model_rewards(*model, options);
+    const Context ctx{model->chain(), registry, options.epsilon};
+
     // Top-level steady-state queries reuse the session's cached solve — the
     // exact distribution (and summation order) the availability and
     // long-run-cost measures use, so S=?["operational"] IS the availability.
     if (const auto* ss = std::get_if<SteadyState>(&formula.node())) {
-        Substrate sub = make_substrate(session, model, *ss->operand, options);
-        const Context ctx = sub.context(options.epsilon);
-        std::vector<bool> target = eval_boolean(ctx, *ss->operand);
-        if (sub.quotient != nullptr) target = sub.quotient->lift_mask(target);
+        const std::vector<bool> target = eval_boolean(ctx, *ss->operand);
         const auto pi = session.steady_state(model);
         double value = 0.0;
         for (std::size_t s = 0; s < n; ++s) {
@@ -331,14 +286,8 @@ CheckResult check(engine::AnalysisSession& session,
     }
     if (const auto* reward = std::get_if<Reward>(&formula.node())) {
         if (std::holds_alternative<SteadyStateReward>(reward->property)) {
-            // chain()-sized registry: the dot against the cached (lifted)
-            // distribution is the steady-state-cost measure verbatim.
-            RewardRegistry registry;
-            registry.emplace(model->cost_reward().name(), model->cost_reward());
-            for (const auto& [name, structure] : options.reward_structures) {
-                registry.insert_or_assign(name, structure);
-            }
-            const Context ctx{model->chain(), registry, options.epsilon};
+            // The dot against the cached distribution is the
+            // steady-state-cost measure verbatim.
             const auto& structure = find_reward(ctx, reward->structure);
             const auto pi = session.steady_state(model);
             const double value = linalg::dot(*pi, structure.state_rates());
@@ -346,19 +295,7 @@ CheckResult check(engine::AnalysisSession& session,
         }
     }
 
-    Substrate sub = make_substrate(session, model, formula, options);
-    const Context ctx = sub.context(options.epsilon);
-    Evaluated e = eval(ctx, formula);
-    if (sub.quotient != nullptr) {
-        // Per-state CSL functionals are block-constant on bisimilar states:
-        // the lift copies each block's value/bit to its members.
-        if (e.quantitative) {
-            e.values = sub.quotient->lift_values(e.values);
-        } else {
-            e.sat = sub.quotient->lift_mask(e.sat);
-        }
-    }
-    return finish(e, model->chain().initial_distribution());
+    return finish(eval(ctx, formula), model->chain().initial_distribution());
 }
 
 CheckResult check(engine::AnalysisSession& session,
@@ -367,8 +304,7 @@ CheckResult check(engine::AnalysisSession& session,
     return check(session, model, *parse_csl(formula), options);
 }
 
-std::vector<double> check_series(engine::AnalysisSession& session,
-                                 const engine::AnalysisSession::CompiledPtr& model,
+std::vector<double> check_series(const engine::AnalysisSession::CompiledPtr& model,
                                  const StateFormula& formula,
                                  std::span<const double> times,
                                  std::span<const double> initial,
@@ -389,11 +325,9 @@ std::vector<double> check_series(engine::AnalysisSession& session,
         complement = true;
     }
 
-    Substrate sub = make_substrate(session, model, *f, options);
-    const Context ctx = sub.context(options.epsilon);
-    const std::vector<double> init =
-        sub.quotient != nullptr ? sub.quotient->project(initial)
-                                : std::vector<double>(initial.begin(), initial.end());
+    const RewardRegistry registry = model_rewards(*model, options);
+    const Context ctx{model->chain(), registry, options.epsilon};
+    const ctmc::Ctmc& chain = model->chain();
     ctmc::TransientOptions topt;
     topt.epsilon = options.epsilon;
 
@@ -411,7 +345,7 @@ std::vector<double> check_series(engine::AnalysisSession& session,
         // measure kernels verbatim.
         const std::vector<bool> phi = eval_boolean(ctx, *until->lhs);
         const std::vector<bool> psi = eval_boolean(ctx, *until->rhs);
-        values = ctmc::bounded_until_series(*sub.chain, init, phi, psi, times, topt);
+        values = ctmc::bounded_until_series(chain, initial, phi, psi, times, topt);
     } else if (const auto* reward = std::get_if<Reward>(&f->node())) {
         if (reward->bound.comparison != Comparison::Query ||
             std::holds_alternative<SteadyStateReward>(reward->property)) {
@@ -421,9 +355,9 @@ std::vector<double> check_series(engine::AnalysisSession& session,
         }
         const auto& structure = find_reward(ctx, reward->structure);
         values = std::holds_alternative<InstantaneousReward>(reward->property)
-                     ? rewards::instantaneous_reward_series(*sub.chain, init, structure,
+                     ? rewards::instantaneous_reward_series(chain, initial, structure,
                                                             times, topt)
-                     : rewards::accumulated_reward_series(*sub.chain, init, structure,
+                     : rewards::accumulated_reward_series(chain, initial, structure,
                                                           times, topt);
     } else {
         throw InvalidArgument(

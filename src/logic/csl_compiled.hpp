@@ -1,30 +1,22 @@
 // CSL/CSRL checking on compiled Arcade models, through the analysis engine.
 //
-// This is the reduction-aware entry into the checker (the raw
-// check(Ctmc, ...) overloads in csl.hpp stay available for bare chains):
+// This is the entry into the checker for compiled models (the raw
+// check(Ctmc, ...) overloads in csl.hpp stay available for bare chains).
+// Every evaluation runs on the model's chain(), whatever its
+// ReductionPolicy: under Auto an individual model's chain() is already the
+// lumped chain, one state per orbit of interchangeable components (see
+// core::ReductionPolicy), so per-state results index those states.  Every
+// operator, Next included, gives there what it gives on the full chain: the
+// lumping is exact, and no transition of the individual encoding maps a
+// state into its own orbit (each one fails or repairs exactly one
+// component), so jump probabilities between orbits are kept too.
 //
-//  * under ReductionPolicy::Auto the whole recursive evaluation runs on the
-//    model's shared strong-bisimulation quotient — labels are already
-//    projected on the quotient chain, reward structures project through
-//    QuotientCtmc::project_values, nested quantitative sub-queries solve on
-//    the quotient — and the final satisfaction/value vectors lift back to
-//    the states of the model's chain() (per-state CSL functionals are
-//    block-constant, so the lift copies block values; see
-//    ctmc/quotient.hpp).  For an individual model that chain is the lumped
-//    chain, one state per orbit of interchangeable components (see
-//    core::ReductionPolicy).  Formulas containing the Next operator fall
-//    back to chain(): X reads jump probabilities, which intra-block rates —
-//    unconstrained by ordinary lumpability — can change between bisimilar
-//    states.  Lumped chains keep them exact, because no transition of the
-//    individual encoding maps a state into its own orbit (each one fails or
-//    repairs exactly one component).
 //  * top-level steady-state queries (S bound [f], R bound [S]) reuse the
 //    session's cached steady-state solve, so a property asks for exactly
 //    the distribution the availability/long-run-cost measures already
 //    solved — byte-identical values, one Gauss–Seidel solve per model.
 //  * reward structures resolve from the model (its "cost" reward) plus any
-//    caller-supplied CheckerOptions structures (given over chain()'s states;
-//    projected automatically under Auto).
+//    caller-supplied CheckerOptions structures, given over chain()'s states.
 //
 // check_series is the sweep runner's path: it evaluates one time-parametric
 // quantitative query over a whole time grid with a single evolver, calling
@@ -45,9 +37,9 @@
 
 namespace arcade::logic {
 
-/// Model-checks `formula` on a compiled model through `session`
-/// (quotient-aware under ReductionPolicy::Auto; see the header comment).
-/// Satisfaction/value vectors in the result are full-state-space sized.
+/// Model-checks `formula` on a compiled model's chain() through `session`
+/// (see the header comment).  Satisfaction/value vectors in the result are
+/// sized chain().state_count().
 [[nodiscard]] CheckResult check(engine::AnalysisSession& session,
                                 const engine::AnalysisSession::CompiledPtr& model,
                                 const StateFormula& formula,
@@ -64,14 +56,13 @@ namespace arcade::logic {
 /// point, all points advanced by one shared evolver.  The top level must be
 /// P=? [ phi U<=t psi ], R=? [ I=t ], R=? [ C<=t ], or a Negation of one of
 /// these (the parser's G<=t desugaring; values complement to 1 - p) —
-/// anything else throws InvalidArgument.  `initial` is the full-chain
-/// initial distribution the query starts from (a disaster distribution for
-/// the paper's GOOD-model measures); it is projected onto the quotient
-/// under ReductionPolicy::Auto.
+/// anything else throws InvalidArgument.  `initial` is the distribution
+/// over chain()'s states the query starts from (a disaster distribution for
+/// the paper's GOOD-model measures).
 [[nodiscard]] std::vector<double> check_series(
-    engine::AnalysisSession& session, const engine::AnalysisSession::CompiledPtr& model,
-    const StateFormula& formula, std::span<const double> times,
-    std::span<const double> initial, const CheckerOptions& options = {});
+    const engine::AnalysisSession::CompiledPtr& model, const StateFormula& formula,
+    std::span<const double> times, std::span<const double> initial,
+    const CheckerOptions& options = {});
 
 }  // namespace arcade::logic
 

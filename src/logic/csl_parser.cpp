@@ -2,6 +2,7 @@
 //
 // Every ParseError names the byte offset of the offending token, so tooling
 // (and humans staring at generated formulas) can point at the exact spot.
+// Nesting is bounded (kMaxDepth), so hostile input cannot exhaust the stack.
 #include <cctype>
 
 #include "logic/csl.hpp"
@@ -84,6 +85,10 @@ private:
     std::size_t i_ = 0;
 };
 
+/// Deepest nesting of operators and parentheses the parser accepts; the
+/// paper's formulas nest a few levels.
+constexpr std::size_t kMaxDepth = 256;
+
 class CslParser {
 public:
     explicit CslParser(const std::string& text) : cur_(text) {}
@@ -156,7 +161,26 @@ private:
         return b;
     }
 
+    /// One nesting level for the lifetime of the scope (every recursion of
+    /// the grammar passes through parse_unary).
+    class Nested {
+    public:
+        explicit Nested(CslParser& parser) : depth_(parser.depth_) {
+            if (++depth_ > kMaxDepth) {
+                fail("formula nested deeper than " + std::to_string(kMaxDepth) + " levels",
+                     parser.cur_.offset());
+            }
+        }
+        ~Nested() { --depth_; }
+        Nested(const Nested&) = delete;
+        Nested& operator=(const Nested&) = delete;
+
+    private:
+        std::size_t& depth_;
+    };
+
     StateFormulaPtr parse_unary() {
+        const Nested nested(*this);
         if (cur_.accept("!")) return make(Negation{parse_unary()});
         if (cur_.accept("(")) {
             StateFormulaPtr f = parse_or();
@@ -254,6 +278,7 @@ private:
     /// Set by parse_path when the path just parsed was a G (globally),
     /// consumed — and reset — by the immediately enclosing P node.
     bool globally_ = false;
+    std::size_t depth_ = 0;  ///< parse_unary frames on the stack
 };
 
 }  // namespace

@@ -207,11 +207,8 @@ void write_csv(const SweepReport& report, const ScenarioGrid& grid, std::ostream
         count(" steady_hits=", st.steady_state_hits);
         count(" steady_misses=", st.steady_state_misses);
         real(" cache_hit_rate=", report.cache_hit_rate());
-        count(" lump_hits=", st.lump_hits);
-        count(" lump_misses=", st.lump_misses);
         count(" property_hits=", st.property_hits);
         count(" property_misses=", st.property_misses);
-        real(" reduction_ratio=", st.reduction_ratio());
         count(" state_points=", report.state_points);
         real(" states_per_sec=", report.states_per_second());
         real(" wall_seconds=", report.wall_seconds);
@@ -246,13 +243,8 @@ void write_json(const SweepReport& report, const ScenarioGrid& grid, std::ostrea
     count("steady_state_hits", st.steady_state_hits);
     count("steady_state_misses", st.steady_state_misses);
     real("cache_hit_rate", report.cache_hit_rate());
-    count("lump_hits", st.lump_hits);
-    count("lump_misses", st.lump_misses);
-    count("lump_states_in", st.lump_states_in);
-    count("lump_states_out", st.lump_states_out);
     count("property_hits", st.property_hits);
     count("property_misses", st.property_misses);
-    real("reduction_ratio", st.reduction_ratio());
     count("state_points", report.state_points);
     real("states_per_second", report.states_per_second());
     out += "    \"wall_seconds\": ";

@@ -140,19 +140,13 @@ engine::AnalysisSession::CompiledPtr compile_item(engine::AnalysisSession& sessi
                                    item.scale.extra_pumps);
 }
 
-/// The compiled model of `item`, its quotient lookup routed through the
-/// session so the lump cache counters see one request per cell (the
-/// measures reuse the same shared quotient), and the cell's result with
-/// the model's sizes filled in.
+/// The compiled model of `item`, and the cell's result with the model's
+/// sizes filled in.
 engine::AnalysisSession::CompiledPtr prepare(engine::AnalysisSession& session,
                                              const ScenarioGrid& grid, const WorkItem& item,
                                              const RunnerOptions& options,
                                              ScenarioResult& result) {
     auto model = compile_item(session, grid, item, options);
-    if (options.reduction == core::ReductionPolicy::Auto &&
-        item.measure.kind != MeasureKind::StateSpace) {
-        (void)session.quotient(model);
-    }
     result.item = item;
     result.model_states = model->state_count();
     result.model_transitions = model->transition_count();
@@ -195,8 +189,8 @@ ScenarioResult evaluate(engine::AnalysisSession& session, const ScenarioGrid& gr
                 // swept over the grid by the measure-series kernels.
                 const auto initial = model->disaster_distribution(
                     make_disaster(item.measure.disaster, *model));
-                result.values = logic::check_series(session, model, *formula,
-                                                    item.measure.times, initial);
+                result.values =
+                    logic::check_series(model, *formula, item.measure.times, initial);
             } else {
                 // As-written evaluation through the session's property
                 // cache; boolean verdicts export as 1.0 / 0.0.
@@ -287,28 +281,15 @@ SweepReport SweepRunner::run(const ScenarioGrid& grid, const std::vector<WorkIte
     // Phase 1: compile each unique model prefix exactly once.  Without this
     // barrier two work items sharing a prefix could race into the session
     // cache and compile the same model twice.
-    struct ModelWork {
-        std::size_t first_item;
-        bool needs_quotient = false;  ///< any sharing item runs a solver
-    };
-    std::map<std::string, ModelWork> unique_models;  // model key -> plan
+    std::map<std::string, std::size_t> unique_models;  // model key -> first item
     for (std::size_t i = 0; i < items.size(); ++i) {
-        auto& work = unique_models.emplace(items[i].model_key(), ModelWork{i}).first->second;
-        if (items[i].measure.kind != MeasureKind::StateSpace) work.needs_quotient = true;
+        unique_models.emplace(items[i].model_key(), i);
     }
-    std::vector<const ModelWork*> to_compile;
+    std::vector<std::size_t> to_compile;
     to_compile.reserve(unique_models.size());
-    for (const auto& [key, work] : unique_models) to_compile.push_back(&work);
+    for (const auto& [key, first_item] : unique_models) to_compile.push_back(first_item);
     run_stealing(workers, to_compile.size(), [&](std::size_t i) {
-        const auto model =
-            compile_item(session_, grid, items[to_compile[i]->first_item], options_);
-        // Build the quotient inside the barrier too, so phase 2 never
-        // serialises behind a partition refinement (and the lump counters
-        // attribute the miss to this run).
-        if (options_.reduction == core::ReductionPolicy::Auto &&
-            to_compile[i]->needs_quotient) {
-            (void)session_.quotient(model);
-        }
+        (void)compile_item(session_, grid, items[to_compile[i]], options_);
     });
 
     // Phase 2: one task per power sequence; results land in grid order by

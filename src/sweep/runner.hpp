@@ -67,10 +67,10 @@ struct RunnerOptions {
     /// Which slice of the expanded work list this process runs (1/1 = all).
     /// Applies to run(grid) only; pre-expanded item lists are the caller's.
     ShardSpec shard;
-    /// Analyse every cell on the automatic lumped quotient of its model?
-    /// Flows into CompileOptions::reduction for every compile of the run;
-    /// quotients are built in the phase-1 compile barrier and the report's
-    /// stats carry the lump cache counters and reduction sizes.
+    /// Flows into CompileOptions::reduction for every compile of the run:
+    /// under Auto an individual model is explored (and every cell on it
+    /// analysed) on the lumped encoding; each result's model_states against
+    /// model_explored_states shows the reduction.
     core::ReductionPolicy reduction = core::ReductionPolicy::Off;
     core::SymmetryPolicy symmetry = core::SymmetryPolicy::Off;  ///< kept for perfbench
 };

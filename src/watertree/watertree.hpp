@@ -62,9 +62,9 @@ struct Strategy {
 /// encoding, parameters, repair, reduction, scale) variant share one
 /// CompiledModel.  `with_repair = false` strips the repair units before
 /// compiling (the reliability measure and the no-repair model variants);
-/// `reduction` selects whether measures of the model run on its lumped
-/// quotient (under Auto an individual model is explored on the lumped
-/// encoding).
+/// `reduction` is the compile's ReductionPolicy: under Auto an individual
+/// model is explored on the lumped encoding, and every measure of the
+/// model runs on that chain.
 [[nodiscard]] engine::AnalysisSession::CompiledPtr compile_line(
     engine::AnalysisSession& session, int number, const Strategy& strategy,
     core::Encoding encoding = core::Encoding::Individual, const Parameters& params = {},

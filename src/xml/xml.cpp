@@ -152,9 +152,14 @@ std::string decode_entities(const std::string& raw, XmlCursor& cur) {
     return out;
 }
 
-ElementPtr parse_element(XmlCursor& cur);
+/// Deepest element nesting the parser accepts (the root is depth 1); an
+/// Arcade model nests a few levels.
+constexpr std::size_t kMaxDepth = 256;
 
-void parse_content(XmlCursor& cur, Element& element) {
+ElementPtr parse_element(XmlCursor& cur, std::size_t depth);
+
+/// Parses the content of `element`, which sits at `depth`.
+void parse_content(XmlCursor& cur, Element& element, std::size_t depth) {
     std::string text;     // decoded output
     std::string pending;  // raw character data awaiting entity decoding
     const auto flush = [&] {
@@ -179,7 +184,7 @@ void parse_content(XmlCursor& cur, Element& element) {
         } else if (cur.looking_at("</")) {
             break;
         } else if (cur.peek() == '<') {
-            element.add_child(parse_element(cur));
+            element.add_child(parse_element(cur, depth + 1));
         } else {
             pending += cur.take();
         }
@@ -189,8 +194,12 @@ void parse_content(XmlCursor& cur, Element& element) {
     if (!trimmed.empty()) element.append_text(trimmed);
 }
 
-ElementPtr parse_element(XmlCursor& cur) {
+ElementPtr parse_element(XmlCursor& cur, std::size_t depth) {
     if (cur.done() || cur.peek() != '<') cur.fail("expected '<'");
+    if (depth > kMaxDepth) {
+        cur.fail("elements nested deeper than " + std::to_string(kMaxDepth) +
+                 " levels at byte offset " + std::to_string(cur.pos()));
+    }
     cur.take();  // '<'
     auto element = std::make_shared<Element>(cur.name());
     // attributes
@@ -221,7 +230,7 @@ ElementPtr parse_element(XmlCursor& cur) {
         element->set_attribute(key, decode_entities(value, cur));
     }
     // content
-    parse_content(cur, *element);
+    parse_content(cur, *element, depth);
     // closing tag
     if (!cur.looking_at("</")) cur.fail("expected closing tag for <" + element->name() + ">");
     cur.take_n(2);
@@ -262,7 +271,7 @@ ElementPtr parse_document(const std::string& source) {
         }
     }
     if (cur.done()) cur.fail("document has no root element");
-    ElementPtr root = parse_element(cur);
+    ElementPtr root = parse_element(cur, 1);
     cur.skip_ws();
     if (!cur.done()) cur.fail("content after the root element");
     return root;

@@ -1,19 +1,18 @@
-// Quotient-checker identity: CSL/CSRL verdicts and values computed through
-// the reduction-aware engine path must agree with checking the full chain.
+// CSL on reduced chains: verdicts and values on a lumped chain must agree
+// with checking the full chain.
 //
 //  * on planted labelled chains, raw-checking the hand-built QuotientCtmc
-//    and lifting agrees with raw-checking the full chain: satisfaction
-//    (verdict) vectors bitwise-identical, quantitative vectors to 1e-9
-//    relative (two different linear-algebra runs cannot be bitwise);
+//    agrees with raw-checking the full chain, every state read through its
+//    block: satisfaction (verdict) vectors bitwise-identical, quantitative
+//    vectors to 1e-9 relative (two different linear-algebra runs cannot be
+//    bitwise);
 //  * on both watertree encodings, the engine path under ReductionPolicy::
-//    Auto agrees with ::Off the same way, for nested P/S/R formulas (state
+//    Auto agrees with ::Off the same way, for nested P/S/R/X formulas (state
 //    by state: Auto explores an individual model on the lumped encoding, so
 //    every full-chain state is compared with the lumped state standing for
 //    it);
-//  * the engine path under Auto IS the lifted quotient check, bit for bit
-//    (same computation — this is the bitwise guarantee of the lift);
-//  * formulas containing Next fall back to the full chain under Auto, so
-//    Auto and Off are bitwise-identical there;
+//  * the engine path under Auto IS the raw check of the model's chain(),
+//    bit for bit;
 //  * the session memoises results keyed by (model fingerprint, formula
 //    fingerprint): repeated checks return the same shared result.
 #include <gtest/gtest.h>
@@ -98,19 +97,26 @@ Planted make_planted(std::size_t blocks, std::size_t copies, unsigned seed) {
     return out;
 }
 
-/// Raw-checks `formula` on the quotient chain (projected rewards) and lifts
-/// the per-state vectors back — the by-hand version of the engine path.
-logic::CheckResult check_lifted(const Planted& planted, const ctmc::QuotientCtmc& q,
-                                const std::string& formula) {
+/// Raw-checks `formula` on the quotient chain (projected rewards) and reads
+/// the per-state vectors back through the block map: state s gets the
+/// entry of block_of(s).
+logic::CheckResult check_by_block(const Planted& planted, const ctmc::QuotientCtmc& q,
+                                  const std::string& formula) {
     logic::CheckerOptions options;
     options.reward_structures.emplace(
         "cost",
         arcade::rewards::RewardStructure("cost", q.project_values(planted.cost)));
     logic::CheckResult result = logic::check(q.chain(), formula, options);
-    if (!result.values.empty()) result.values = q.lift_values(result.values);
+    const std::size_t n = q.original_state_count();
+    if (!result.values.empty()) {
+        std::vector<double> values(n);
+        for (std::size_t s = 0; s < n; ++s) values[s] = result.values[q.block_of(s)];
+        result.values = std::move(values);
+    }
     if (!result.satisfaction.empty()) {
-        std::vector<bool> sat(result.satisfaction);
-        result.satisfaction = q.lift_mask(sat);
+        std::vector<bool> sat(n);
+        for (std::size_t s = 0; s < n; ++s) sat[s] = result.satisfaction[q.block_of(s)];
+        result.satisfaction = std::move(sat);
     }
     return result;
 }
@@ -164,56 +170,52 @@ TEST(CslQuotient, LiftedQuotientCheckAgreesWithFullChainOnPlantedChains) {
         ASSERT_EQ(q.block_count(), 6u);
         for (const char* formula : kPlantedFormulas) {
             const auto full = logic::check(planted.chain, formula, planted.options);
-            const auto lifted = check_lifted(planted, q, formula);
+            const auto by_block = check_by_block(planted, q, formula);
             const std::string what = std::string(formula) + " seed " + std::to_string(seed);
             // Verdicts are bitwise: boolean vectors either agree exactly or
             // the quotient is wrong.
-            EXPECT_EQ(full.satisfaction, lifted.satisfaction) << what;
-            ASSERT_EQ(full.holds.has_value(), lifted.holds.has_value()) << what;
+            EXPECT_EQ(full.satisfaction, by_block.satisfaction) << what;
+            ASSERT_EQ(full.holds.has_value(), by_block.holds.has_value()) << what;
             if (full.holds) {
-                EXPECT_EQ(*full.holds, *lifted.holds) << what;
+                EXPECT_EQ(*full.holds, *by_block.holds) << what;
             }
             // Values are two different linear-algebra runs (6 blocks vs 18
             // states): equal to tight tolerance, never bitwise.
-            expect_near_rel(full.values, lifted.values, 1e-9, what);
-            ASSERT_EQ(full.value.has_value(), lifted.value.has_value()) << what;
+            expect_near_rel(full.values, by_block.values, 1e-9, what);
+            ASSERT_EQ(full.value.has_value(), by_block.value.has_value()) << what;
             if (full.value) {
-                EXPECT_NEAR(*full.value, *lifted.value, 1e-9) << what;
+                EXPECT_NEAR(*full.value, *by_block.value, 1e-9) << what;
             }
         }
     }
 }
 
-TEST(CslQuotient, EnginePathUnderAutoIsTheLiftedQuotientCheckBitwise) {
-    // The engine path under ReductionPolicy::Auto must BE the lifted
-    // quotient evaluation — same kernels, same lift — so comparing the two
-    // is bitwise, not approximate.  (S / R[S] queries route through the
-    // session's cached steady-state solve instead and are covered below.)
+TEST(CslQuotient, EnginePathUnderAutoIsTheRawCheckOfTheChainBitwise) {
+    // Under ReductionPolicy::Auto the engine path runs the recursive
+    // evaluator on the model's chain() — the lumped chain an individual
+    // model is explored on — so it is the raw check of that chain, bit for
+    // bit.  (S / R[S] queries route through the session's cached
+    // steady-state solve instead and are covered below.)
     engine::AnalysisSession session;
     core::CompileOptions options;
     options.encoding = core::Encoding::Individual;
     options.reduction = core::ReductionPolicy::Auto;
     const auto model = session.compile(wt::line2(wt::strategy("FRF-1")), options);
-    const auto q = session.quotient(model);
-    ASSERT_LT(q->block_count(), model->state_count());
+    ASSERT_LT(model->chain().state_count(), model->state_count());
 
+    logic::CheckerOptions checker;
+    checker.reward_structures.emplace(model->cost_reward().name(), model->cost_reward());
     for (const std::string& formula :
          {std::string("P=? [ true U<=10 \"down\" ]"),
           std::string("P>=0.5 [ true U<=100 \"operational\" ]"),
+          std::string("R{\"cost\"}=? [ C<=2 ]"), std::string("P=? [ X \"down\" ]"),
           wt::properties::survivability_formula(2.0 / 3.0, 50.0)}) {
-        logic::CheckerOptions checker;
-        checker.reward_structures.emplace(
-            "cost", arcade::rewards::RewardStructure(
-                        "cost", q->project_values(model->cost_reward().state_rates())));
-        logic::CheckResult by_hand = logic::check(q->chain(), formula, checker);
+        const auto by_hand = logic::check(model->chain(), formula, checker);
         const auto engine_result = logic::check(session, model, formula);
-        if (!by_hand.values.empty()) {
-            EXPECT_EQ(engine_result.values, q->lift_values(by_hand.values)) << formula;
-        }
-        if (!by_hand.satisfaction.empty()) {
-            EXPECT_EQ(engine_result.satisfaction, q->lift_mask(by_hand.satisfaction))
-                << formula;
-        }
+        EXPECT_EQ(engine_result.values, by_hand.values) << formula;
+        EXPECT_EQ(engine_result.satisfaction, by_hand.satisfaction) << formula;
+        EXPECT_EQ(engine_result.value, by_hand.value) << formula;
+        EXPECT_EQ(engine_result.holds, by_hand.holds) << formula;
     }
 }
 
@@ -242,7 +244,9 @@ TEST(CslQuotient, AutoAgreesWithOffOnBothWatertreeEncodings) {
               std::string("S=? [ \"operational\" ]"),
               std::string("R{\"cost\"}=? [ S ]"),
               std::string("P=? [ !\"total_failure\" U<=50 \"operational\" ]"),
-              std::string("S>=0.000001 [ P>=0.5 [ true U<=1 \"operational\" ] ]"), x2}) {
+              std::string("S>=0.000001 [ P>=0.5 [ true U<=1 \"operational\" ] ]"), x2,
+              std::string("P=? [ X \"down\" ]"), std::string("P=? [ X !\"operational\" ]"),
+              std::string("P>=0.1 [ X P>=0.5 [ true U<=1 \"operational\" ] ]")}) {
             const auto a = logic::check(session_off, model_off, formula);
             const auto b = logic::check(session_auto, model_auto, formula);
             const std::string what =
@@ -267,9 +271,10 @@ TEST(CslQuotient, AutoAgreesWithOffOnBothWatertreeEncodings) {
 }
 
 TEST(CslQuotient, NextFallsBackToTheFullChainBitwise) {
-    // X is not invariant under ordinary lumping (jump probabilities read
-    // intra-block rates), so the engine path evaluates Next-containing
-    // formulas on the full chain — Auto and Off become the same computation.
+    // X is not invariant under ordinary lumping in general (jump
+    // probabilities read intra-block rates).  A lumped model explores the
+    // same chain under Auto as under Off, and every analysis reads chain(),
+    // so Next is the same computation under both.
     engine::AnalysisSession session_off;
     engine::AnalysisSession session_auto;
     core::CompileOptions off;
@@ -332,17 +337,13 @@ TEST(CslQuotient, SessionMemoisesPropertyResults) {
     EXPECT_EQ(session.stats().property_misses, 0u);
 }
 
-TEST(CslQuotient, UnreferencedNonLumpableRewardStructuresDoNotAbortChecks) {
-    // Caller-supplied reward structures project lazily at use site: a
-    // structure that is NOT block-constant w.r.t. the model's lump
-    // signature must not abort a check that never reads it — and must
-    // throw InvalidArgument only when actually referenced on the quotient.
-    // Under Auto a paper model is explored on the lumped encoding, and its
-    // lumped chain is already the coarsest quotient, so no per-state
-    // structure splits a block there.  A strict repair priority puts every
+TEST(CslQuotient, CallerRewardStructuresAreReadOnTheChainAsGiven) {
+    // Caller-supplied reward structures are given over chain()'s states and
+    // read as given, also under Auto: a structure that splits every block of
+    // the chain's quotient is no error.  A strict repair priority puts every
     // component in a class and a group of its own: nothing is
     // interchangeable, the lumped chain is as large as the full chain, and
-    // bisimilar states still lump.
+    // bisimilar states would still lump.
     auto line2 = wt::line2(wt::strategy("DED"));
     for (auto& ru : line2.repair_units) {
         ru.policy = core::RepairPolicy::Priority;
@@ -356,7 +357,7 @@ TEST(CslQuotient, UnreferencedNonLumpableRewardStructuresDoNotAbortChecks) {
     options.reduction = core::ReductionPolicy::Auto;
     const auto model = session.compile(line2, options);
     ASSERT_EQ(model->chain().state_count(), model->state_count());
-    ASSERT_LT(session.quotient(model)->block_count(), model->chain().state_count());
+    ASSERT_LT(model->quotient().first->block_count(), model->chain().state_count());
 
     logic::CheckerOptions checker;
     std::vector<double> per_state(model->chain().state_count());
@@ -366,13 +367,12 @@ TEST(CslQuotient, UnreferencedNonLumpableRewardStructuresDoNotAbortChecks) {
     checker.reward_structures.emplace(
         "perstate", arcade::rewards::RewardStructure("perstate", per_state));
 
-    const auto unrelated =
-        logic::check(session, model, "P=? [ true U<=1 \"down\" ]", checker);
-    EXPECT_TRUE(unrelated.value.has_value());
-
-    EXPECT_THROW(
-        (void)logic::check(session, model, "R{\"perstate\"}=? [ C<=1 ]", checker),
-        arcade::InvalidArgument);
+    const std::string formula = "R{\"perstate\"}=? [ C<=0.1 ]";
+    const auto engine_result = logic::check(session, model, formula, checker);
+    const auto by_hand = logic::check(model->chain(), formula, checker);
+    ASSERT_TRUE(engine_result.value.has_value());
+    EXPECT_EQ(engine_result.values, by_hand.values);
+    EXPECT_EQ(*engine_result.value, *by_hand.value);
 }
 
 TEST(CslQuotient, CheckSeriesRejectsNonTimeParametricTopLevels) {
@@ -383,8 +383,8 @@ TEST(CslQuotient, CheckSeriesRejectsNonTimeParametricTopLevels) {
     for (const char* formula : {"S=? [ \"operational\" ]", "R{\"cost\"}=? [ S ]",
                                 "P>=0.5 [ true U<=1 \"down\" ]", "\"operational\"",
                                 "P=? [ true U \"down\" ]"}) {
-        EXPECT_THROW((void)logic::check_series(session, model, *logic::parse_csl(formula),
-                                               times, initial),
+        EXPECT_THROW((void)logic::check_series(model, *logic::parse_csl(formula), times,
+                                               initial),
                      arcade::InvalidArgument)
             << formula;
     }

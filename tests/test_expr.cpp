@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <utility>
 
 #include "expr/expr.hpp"
 #include "support/errors.hpp"
@@ -95,6 +97,32 @@ TEST(ExprParser, Errors) {
     EXPECT_THROW(expr::parse_expression("min(1)"), arcade::ParseError);  // arity
     EXPECT_THROW(eval("1 / 0"), arcade::ModelError);
     EXPECT_THROW(eval("1 & true"), arcade::ModelError);  // type error
+}
+
+TEST(ExprParser, DeepNestingThrowsParseErrorInsteadOfOverflowingTheStack) {
+    // 100000 nested parentheses, negations or right-associative
+    // implications: the parser stops at its nesting bound (256) and reports
+    // where (column = byte offset + 1).
+    const std::size_t deep = 100000;
+    std::string implications = "a";
+    for (std::size_t i = 0; i < deep; ++i) implications += "=>a";
+    const std::pair<std::string, std::size_t> cases[] = {
+        {std::string(deep, '(') + "1" + std::string(deep, ')'), 257},
+        {std::string(deep, '!') + "true", 256},
+        {std::string(deep, '-') + "1", 256},
+        {implications, 767},
+    };
+    for (const auto& [text, column] : cases) {
+        try {
+            (void)expr::parse_expression(text);
+            ADD_FAILURE() << "no ParseError for " << text.substr(0, 8) << "...";
+        } catch (const arcade::ParseError& e) {
+            EXPECT_EQ(e.line(), 1u) << e.what();
+            EXPECT_EQ(e.column(), column) << e.what();
+        }
+    }
+    // Nesting below the bound still parses.
+    EXPECT_EQ(eval(std::string(200, '(') + "7" + std::string(200, ')')).as_int(), 7);
 }
 
 TEST(ExprParser, RoundTripsThroughToString) {

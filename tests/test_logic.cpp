@@ -192,6 +192,28 @@ TEST(Csl, ParseErrorsReportByteOffsets) {
     EXPECT_EQ(offset_in("P<=x [ F \"a\" ]"), "3");         // number expected at 'x'
 }
 
+TEST(Csl, DeepNestingThrowsParseErrorInsteadOfOverflowingTheStack) {
+    // 100000 nested parentheses or negations: the parser stops at its
+    // nesting bound (256) and names the byte offset where it stopped.
+    const std::size_t deep = 100000;
+    for (const std::string& text :
+         {std::string(deep, '(') + "true" + std::string(deep, ')'),
+          std::string(deep, '!') + "true"}) {
+        try {
+            (void)logic::parse_csl(text);
+            ADD_FAILURE() << "no ParseError for " << text.substr(0, 8) << "...";
+        } catch (const arcade::ParseError& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("nested deeper than 256 levels at byte offset 256"),
+                      std::string::npos)
+                << what;
+        }
+    }
+    // Nesting below the bound still parses.
+    EXPECT_NO_THROW((void)logic::parse_csl(std::string(200, '(') + "true" +
+                                           std::string(200, ')')));
+}
+
 TEST(Csl, MalformedThresholdsThrowInvalidArgument) {
     const auto f = Fixture::make();
     // Probability bounds outside [0, 1] are caller mistakes, not model
@@ -247,17 +269,6 @@ TEST(Csl, FingerprintSeparatesFormulasAndStreams) {
                                           "P=? [ true U<=2 \"down\" ]")));
     // Independent hash streams back the double-keyed property cache.
     EXPECT_NE(logic::fingerprint(*a, 0), logic::fingerprint(*a, 1));
-}
-
-TEST(Csl, ContainsNextScansEveryPosition) {
-    EXPECT_TRUE(logic::contains_next(*logic::parse_csl("P=? [ X \"up\" ]")));
-    EXPECT_TRUE(logic::contains_next(
-        *logic::parse_csl("S=? [ P>=0.5 [ X \"up\" ] ]")));
-    EXPECT_TRUE(logic::contains_next(
-        *logic::parse_csl("P=? [ true U<=1 P>=0.5 [ X \"up\" ] ]")));
-    EXPECT_FALSE(logic::contains_next(
-        *logic::parse_csl("P=? [ true U<=1 (\"up\" & S>=0.5 [ \"down\" ]) ]")));
-    EXPECT_FALSE(logic::contains_next(*logic::parse_csl("R{\"cost\"}=? [ C<=1 ]")));
 }
 
 TEST(Csl, UnknownLabelAndRewardErrors) {

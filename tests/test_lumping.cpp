@@ -1,4 +1,4 @@
-// The automatic-reduction layer: coarsest strong-bisimulation lumping
+// The reduction layer: coarsest strong-bisimulation lumping
 // (graph::coarsest_lumping), the quotient chain (ctmc::QuotientCtmc), and
 // the ReductionPolicy threading through compiler, session and sweep.
 //
@@ -18,24 +18,20 @@
 //    and lumping its lumped chain gives the partition direct lumping of the
 //    full chain gives on small generated models; a model without a lumped
 //    encoding (FCFS across non-exchangeable components) is explored in full;
-//  * under ReductionPolicy::Auto, the measure inputs built per block (the
-//    quotient's stored signature rows, the disaster state's block) and the
-//    series computed from them equal the projection path bitwise on every
-//    shipped individual-encoding model.
+//  * Auto's chain is its own coarsest quotient on every Table 1
+//    configuration (identity block map), which is why every analysis reads
+//    chain() and none a quotient.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdint>
 #include <random>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "arcade/compiler.hpp"
-#include "arcade/fault_tree.hpp"
 #include "arcade/measures.hpp"
 #include "ctmc/bounded_until.hpp"
 #include "ctmc/quotient.hpp"
@@ -126,9 +122,6 @@ std::vector<std::uint64_t> bits_of(const std::vector<double>& values) {
     return out;
 }
 
-/// Bit patterns of one double, for exact comparison of scalar measures.
-std::uint64_t bits_of(double value) { return graph::double_bits(value); }
-
 /// Bitwise equality of two quotients: block map, CSR arrays, initial
 /// distribution and projected labels.
 void expect_same_quotient(const ctmc::QuotientCtmc& a, const ctmc::QuotientCtmc& b,
@@ -162,45 +155,6 @@ bool same_partition(const std::vector<std::size_t>& a, const std::vector<std::si
         if (a_to_b[a[s]] != b[s] || b_to_a[b[s]] != a[s]) return false;
     }
     return true;
-}
-
-/// The model a shipped grid cell evaluates: repair units stripped for
-/// reliability and strip_repair properties (and for repair-free variants).
-core::ArcadeModel cell_model(const sweep::ScenarioGrid& grid, const sweep::WorkItem& item) {
-    const bool with_repair =
-        item.variant.repair && item.measure.kind != sweep::MeasureKind::Reliability &&
-        !(item.measure.kind == sweep::MeasureKind::Property && item.measure.strip_repair);
-    auto model = wt::line(item.line, wt::strategy(item.strategy),
-                          grid.parameters[item.parameter_index].params,
-                          item.scale.extra_pumps);
-    return with_repair ? model : core::without_repair(model);
-}
-
-/// Calls visit(compiled, label) once for every unique model the shipped
-/// grids compile on the individual encoding (each cell's model with and
-/// without repair), compiled with `options`; returns how many it visited.
-template <typename Visit>
-std::size_t for_each_shipped_individual_model(const core::CompileOptions& options,
-                                              Visit visit) {
-    const std::vector<sweep::ScenarioGrid> grids = {
-        sweep::paper::everything(), sweep::studies::ablation_encodings(),
-        sweep::studies::ablation_preemption(), sweep::studies::mttr_sensitivity()};
-    std::set<std::uint64_t> seen;
-    std::size_t visited = 0;
-    for (const auto& grid : grids) {
-        for (const auto& item : sweep::expand(grid)) {
-            const auto with_cell = cell_model(grid, item);
-            for (const auto& model : {with_cell, core::without_repair(with_cell)}) {
-                if (!seen.insert(engine::fingerprint(model)).second) continue;
-                const std::string label = "line " + std::to_string(item.line) + " " +
-                                          item.strategy + " (" + model.name + ", " +
-                                          item.model_key() + ")";
-                visit(core::compile(model, options), label);
-                ++visited;
-            }
-        }
-    }
-    return visited;
 }
 
 /// A small model with `copies` (2–4) interchangeable components in its
@@ -553,29 +507,17 @@ TEST(QuotientCtmc, AgreesWithOriginalOnEverySolver) {
     }
 }
 
-TEST(QuotientCtmc, LiftAndProjectRoundTripBlockMasses) {
+TEST(QuotientCtmc, ProjectSumsMemberMassesPerBlock) {
     const auto planted = make_planted(4, 5, /*seed=*/3);
     const ctmc::QuotientCtmc quotient(planted.chain, planted_signature(planted));
-    const auto pi = ctmc::steady_state(quotient.chain());
-    const auto lifted = quotient.lift(pi);
-    EXPECT_EQ(lifted.size(), planted.chain.state_count());
-    // Lifting spreads each block's mass uniformly; projecting back returns
-    // the block masses exactly and preserves the total.
-    expect_near_rel(quotient.project(lifted), pi, 1e-12, "project(lift)");
-    double total = 0.0;
-    for (const double p : lifted) total += p;
-    EXPECT_NEAR(total, 1.0, 1e-9);
-
-    // Per-state series lift: one lifted distribution per grid point.
-    const std::vector<double> times{0.0, 1.0, 2.5};
-    const auto series = ctmc::transient_series(
-        quotient.chain(), quotient.chain().initial_distribution(), times);
-    const auto lifted_series = quotient.lift_series(series);
-    ASSERT_EQ(lifted_series.size(), times.size());
-    for (std::size_t i = 0; i < times.size(); ++i) {
-        expect_near_rel(quotient.project(lifted_series[i]), series[i], 1e-12,
-                        "project(lift_series)");
-    }
+    const auto pi = ctmc::steady_state(planted.chain);
+    const auto projected = quotient.project(pi);
+    ASSERT_EQ(projected.size(), quotient.block_count());
+    std::vector<double> by_hand(quotient.block_count(), 0.0);
+    for (std::size_t s = 0; s < pi.size(); ++s) by_hand[quotient.block_of(s)] += pi[s];
+    EXPECT_EQ(bits_of(projected), bits_of(by_hand));
+    // Block masses are the quotient's own steady state.
+    expect_near_rel(projected, ctmc::steady_state(quotient.chain()), 1e-9, "project(pi)");
 }
 
 TEST(QuotientCtmc, SignatureLabelPreventsMerging) {
@@ -648,35 +590,6 @@ TEST(AutoLumping, ReachesHandLumpedTable1SizesOnLine1) {
     }
 }
 
-TEST(AutoLumping, SessionCountsLumpCacheTraffic) {
-    engine::AnalysisSession session;
-    core::CompileOptions options;
-    options.encoding = core::Encoding::Individual;
-    options.reduction = core::ReductionPolicy::Auto;
-    const auto model = session.compile(wt::line2(wt::strategy("FRF-1")), options);
-
-    const auto first = session.quotient(model);
-    const auto second = session.quotient(model);
-    EXPECT_EQ(first.get(), second.get());
-    const auto stats = session.stats();
-    EXPECT_EQ(stats.lump_misses, 1u);
-    EXPECT_EQ(stats.lump_hits, 1u);
-    EXPECT_EQ(stats.lump_states_in, model->state_count());
-    EXPECT_EQ(stats.lump_states_out, first->block_count());
-    // The individual encoding lumps by orders of magnitude (Table 1).
-    EXPECT_GT(stats.reduction_ratio(), 10.0);
-
-    // The session's steady-state cache serves the lifted quotient solve.
-    const double avail = core::availability(session, model);
-    core::CompileOptions off = options;
-    off.reduction = core::ReductionPolicy::Off;
-    engine::AnalysisSession plain;
-    EXPECT_NEAR(avail,
-                core::availability(plain, plain.compile(wt::line2(wt::strategy("FRF-1")),
-                                                        off)),
-                1e-9);
-}
-
 TEST(AutoLumping, PaperGridsRenderIdenticalRowsWithReductionOnAndOff) {
     // Acceptance: every sweep::paper grid produces numerically identical
     // rows with reduction on and off.
@@ -715,15 +628,6 @@ TEST(AutoLumping, PaperGridsRenderIdenticalRowsWithReductionOnAndOff) {
                             std::string(name) + " " + a.item.key());
         }
     }
-    // The auto runner actually lumped.  The paper grids analyse hand-lumped
-    // models, which turn out to be exactly the coarsest quotient for the
-    // full measure signature — so the aggregate ratio here is 1.0, the
-    // strongest possible endorsement of the hand encoding (and the
-    // individual-encoding reduction is asserted in
-    // SessionCountsLumpCacheTraffic and the Table 1 parity tests).
-    const auto stats = session_auto.stats();
-    EXPECT_GT(stats.lump_misses, 0u);
-    EXPECT_GE(stats.reduction_ratio(), 1.0);
 }
 
 TEST(AutoCompile, ReportsFullChainSizesOnEveryTable1Configuration) {
@@ -757,6 +661,17 @@ TEST(AutoCompile, ReportsFullChainSizesOnEveryTable1Configuration) {
                 EXPECT_LT(reduced.chain().state_count(), full.chain().state_count()) << label;
                 EXPECT_EQ(reduced.state_count(), full.state_count()) << label;
                 EXPECT_EQ(reduced.transition_count(), full.transition_count()) << label;
+                // Auto's chain is its own coarsest quotient: every analysis
+                // reads chain() and nothing is left to lump.
+                const auto quotient = reduced.quotient().first;
+                EXPECT_EQ(quotient->block_count(), reduced.chain().state_count()) << label;
+                for (std::size_t s = 0; s < quotient->block_map().size(); ++s) {
+                    if (quotient->block_of(s) != s) {
+                        ADD_FAILURE() << label << ": state " << s << " is in block "
+                                      << quotient->block_of(s);
+                        break;
+                    }
+                }
                 ++checked;
             }
         }
@@ -842,73 +757,6 @@ TEST(AutoCompile, DisasterStateStandsForTheFullChainDisasterState) {
                     core::survivability(reduced, two_down, 1.0, t), 1e-9)
             << "t=" << t;
     }
-}
-
-TEST(QuotientMeasures, BlockInputsEqualTheProjectionPathBitwiseOnEveryShippedIndividualModel) {
-    // Acceptance: under ReductionPolicy::Auto every measure input is built
-    // per block (the quotient's stored signature rows, the block of the
-    // disaster state).  Each equals bitwise the projection of its input over
-    // the explored (lumped) chain, and so does every measure computed from
-    // them, on every unique shipped individual model with and without repair.
-    core::CompileOptions options;
-    options.encoding = core::Encoding::Individual;
-    options.reduction = core::ReductionPolicy::Auto;
-    const std::vector<double> times{0.0, 0.5, 4.0, 24.0};
-    const std::array<ctmc::SeriesRequest, 2> requests{
-        ctmc::SeriesRequest{times, ctmc::SeriesForm::Instantaneous},
-        ctmc::SeriesRequest{times, ctmc::SeriesForm::Accumulated}};
-    const std::size_t checked = for_each_shipped_individual_model(
-        options, [&](const core::CompiledModel& model, const std::string& label) {
-            const auto q = model.quotient().first;
-            const auto& rates = model.cost_reward().state_rates();
-            EXPECT_EQ(bits_of(model.block_service_levels(*q)),
-                      bits_of(q->project_values(model.service_levels())))
-                << label;
-            EXPECT_EQ(bits_of(model.block_cost_rates(*q)), bits_of(q->project_values(rates)))
-                << label;
-
-            // The projection path the Auto measures took before they built
-            // their inputs per block.
-            const arcade::rewards::RewardStructure projected_cost(
-                model.cost_reward().name(), q->project_values(rates));
-            EXPECT_EQ(bits_of(core::steady_state_cost(model)),
-                      bits_of(arcade::rewards::steady_state_reward(q->chain(), projected_cost)))
-                << label;
-
-            const std::vector<bool> phi(q->block_count(), true);
-            const auto levels = core::phase_service_levels(model.model());
-            for (const double x : levels) {
-                EXPECT_EQ(model.block_service_at_least(*q, x),
-                          q->project_mask(model.service_at_least(x)))
-                    << label << " service>=" << x;
-            }
-            const std::vector<core::Disaster> disasters = {
-                wt::disaster1(model.model()), wt::disaster2(),
-                core::Disaster{"none",
-                               std::vector<std::size_t>(model.model().phases.size(), 0)}};
-            for (const auto& disaster : disasters) {
-                const std::string at = label + " " + disaster.name;
-                const auto initial = q->project(model.disaster_distribution(disaster));
-                EXPECT_EQ(bits_of(model.block_disaster_distribution(*q, disaster)),
-                          bits_of(initial))
-                    << at;
-                for (const double x : levels) {
-                    EXPECT_EQ(bits_of(core::survivability_series(model, disaster, x, times)),
-                              bits_of(ctmc::bounded_until_series(
-                                  q->chain(), initial, phi,
-                                  q->project_mask(model.service_at_least(x)), times)))
-                        << at << " survivability service>=" << x;
-                }
-                const auto costs = core::cost_series(model, disaster, requests);
-                const auto projected =
-                    arcade::rewards::reward_series(q->chain(), initial, projected_cost, requests);
-                ASSERT_EQ(costs.size(), projected.size()) << at;
-                for (std::size_t k = 0; k < costs.size(); ++k) {
-                    EXPECT_EQ(bits_of(costs[k]), bits_of(projected[k])) << at << " cost " << k;
-                }
-            }
-        });
-    EXPECT_EQ(checked, 108u);
 }
 
 TEST(OrbitLumping, TwoStagePartitionMatchesDirectLumpingOnGeneratedModels) {

@@ -555,11 +555,8 @@ std::string reference_csv(const sweep::SweepReport& report, const sweep::Scenari
            << " steady_hits=" << report.stats.steady_state_hits
            << " steady_misses=" << report.stats.steady_state_misses
            << " cache_hit_rate=" << fmt(report.cache_hit_rate())
-           << " lump_hits=" << report.stats.lump_hits
-           << " lump_misses=" << report.stats.lump_misses
            << " property_hits=" << report.stats.property_hits
            << " property_misses=" << report.stats.property_misses
-           << " reduction_ratio=" << fmt(report.stats.reduction_ratio())
            << " state_points=" << report.state_points
            << " states_per_sec=" << fmt(report.states_per_second())
            << " wall_seconds=" << fmt(report.wall_seconds) << "\n";
@@ -578,13 +575,8 @@ std::string reference_json(const sweep::SweepReport& report, const sweep::Scenar
        << "    \"steady_state_hits\": " << report.stats.steady_state_hits << ",\n"
        << "    \"steady_state_misses\": " << report.stats.steady_state_misses << ",\n"
        << "    \"cache_hit_rate\": " << fmt(report.cache_hit_rate()) << ",\n"
-       << "    \"lump_hits\": " << report.stats.lump_hits << ",\n"
-       << "    \"lump_misses\": " << report.stats.lump_misses << ",\n"
-       << "    \"lump_states_in\": " << report.stats.lump_states_in << ",\n"
-       << "    \"lump_states_out\": " << report.stats.lump_states_out << ",\n"
        << "    \"property_hits\": " << report.stats.property_hits << ",\n"
        << "    \"property_misses\": " << report.stats.property_misses << ",\n"
-       << "    \"reduction_ratio\": " << fmt(report.stats.reduction_ratio()) << ",\n"
        << "    \"state_points\": " << report.state_points << ",\n"
        << "    \"states_per_second\": " << fmt(report.states_per_second()) << ",\n"
        << "    \"wall_seconds\": " << fmt(report.wall_seconds) << "\n  },\n"

@@ -128,11 +128,8 @@ TEST(CompilerSymmetry, ComposesWithPostHocLumping) {
     EXPECT_EQ(reduced->state_count(), 8129u);
     EXPECT_NEAR(core::availability(session, full), core::availability(session, reduced),
                 1e-9);
-
-    const auto stats = session.stats();
-    EXPECT_EQ(stats.lump_states_in, 8129u);
-    EXPECT_EQ(stats.lump_states_out, 257u);
-    EXPECT_GT(stats.reduction_ratio(), 10.0);
+    // Refining the lumped chain merges nothing more.
+    EXPECT_EQ(reduced->quotient().first->block_count(), 257u);
 }
 
 TEST(CompilerSymmetry, ScaledLineExploresTinyQuotientOfHugeChain) {
@@ -223,9 +220,10 @@ TEST(SweepSymmetry, UnscaledGridsKeepTheirSchemaAndKeys) {
     EXPECT_EQ(csv.str().find("scale"), std::string::npos);
 }
 
-TEST(SweepSymmetry, ReductionCountersRideTheExports) {
-    // Auto reports through the lump counters: the full chain's
-    // states in, the blocks of the lumped chain's quotient out.
+TEST(SweepSymmetry, ResultsCarryTheReductionAsModelSizes) {
+    // Auto reports the reduction per result: the full chain's states as
+    // model_states, the lumped chain actually explored as
+    // model_explored_states.  The exports carry no lump counters.
     engine::AnalysisSession session;
     sweep::ScenarioGrid grid;
     grid.lines = {2};
@@ -236,21 +234,24 @@ TEST(SweepSymmetry, ReductionCountersRideTheExports) {
     options.reduction = core::ReductionPolicy::Auto;
     sweep::SweepRunner runner(session, options);
     const auto report = runner.run(grid);
-    EXPECT_EQ(report.stats.lump_states_in, 8129u);
-    EXPECT_EQ(report.stats.lump_states_out, 257u);
+    ASSERT_EQ(report.results.size(), 1u);
+    EXPECT_EQ(report.results[0].model_states, 8129u);
+    EXPECT_EQ(report.results[0].model_explored_states, 257u);
 
     std::ostringstream json;
     sweep::write_json(report, grid, json);
-    EXPECT_NE(json.str().find("\"lump_states_in\": 8129"), std::string::npos);
-    EXPECT_NE(json.str().find("\"reduction_ratio\""), std::string::npos);
-    EXPECT_EQ(json.str().find("symmetry"), std::string::npos);
+    EXPECT_NE(json.str().find("\"model_states\": 8129"), std::string::npos);
+    for (const char* gone : {"lump", "reduction_ratio", "symmetry"}) {
+        EXPECT_EQ(json.str().find(gone), std::string::npos) << gone;
+    }
 
     std::ostringstream csv;
     sweep::CsvOptions with_footer;
     with_footer.footer = true;
     sweep::write_csv(report, grid, csv, with_footer);
-    EXPECT_NE(csv.str().find("reduction_ratio="), std::string::npos);
-    EXPECT_EQ(csv.str().find("symmetry"), std::string::npos);
+    for (const char* gone : {"lump", "reduction_ratio", "symmetry"}) {
+        EXPECT_EQ(csv.str().find(gone), std::string::npos) << gone;
+    }
 }
 
 TEST(SymmetryStub, SessionCompileIgnoresThePolicy) {

@@ -51,6 +51,29 @@ TEST(Xml, RejectsMalformedDocuments) {
     EXPECT_THROW(xml::parse_document("<a>&unknown;</a>"), arcade::ParseError);
 }
 
+TEST(Xml, DeepNestingThrowsParseErrorInsteadOfOverflowingTheStack) {
+    // 100000 nested elements: the parser stops at its nesting bound (256)
+    // at the opening '<' of element 257, byte offset 768.
+    const std::size_t deep = 100000;
+    std::string text;
+    for (std::size_t i = 0; i < deep; ++i) text += "<a>";
+    for (std::size_t i = 0; i < deep; ++i) text += "</a>";
+    try {
+        (void)xml::parse_document(text);
+        ADD_FAILURE() << "no ParseError";
+    } catch (const arcade::ParseError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("nested deeper than 256 levels at byte offset 768"), std::string::npos)
+            << what;
+        EXPECT_EQ(e.column(), 769u);
+    }
+    // Nesting below the bound still parses.
+    std::string shallow;
+    for (int i = 0; i < 200; ++i) shallow += "<a>";
+    for (int i = 0; i < 200; ++i) shallow += "</a>";
+    EXPECT_EQ(xml::parse_document(shallow)->name(), "a");
+}
+
 TEST(Xml, WriteParseRoundTrip) {
     xml::Element root("config");
     root.set_attribute("version", "1");
