@@ -232,7 +232,7 @@ public:
         return n;
     }
 
-    /// Per-thread buffers of successors(), service() and disaster(): the
+    /// Caller-owned buffers of successors(), service() and disaster(): the
     /// successor being built and the queue scans, sized once and reused, so
     /// generating a successor allocates nothing.
     struct Scratch {
@@ -549,7 +549,7 @@ public:
         return down;
     }
 
-    /// Per-thread buffers of successors(), service() and disaster(); see
+    /// Caller-owned buffers of successors(), service() and disaster(); see
     /// IndividualEncoder::Scratch.
     struct Scratch {
         State next;
@@ -751,33 +751,6 @@ private:
     std::size_t r_;
 };
 
-/// Adapts an encoder (which works on int16 vectors) to the engine's int64
-/// worker interface.  One adapter per worker thread: the conversion buffer
-/// and the encoder's scratch are worker-local, the encoder itself is shared
-/// immutable state.
-template <typename Encoder>
-class EncoderWorker {
-public:
-    explicit EncoderWorker(const Encoder& encoder, std::size_t fields)
-        : encoder_(encoder), current_(fields), scratch_(encoder.scratch()) {}
-
-    template <typename Emit>
-    void operator()(std::span<const std::int64_t> state, Emit&& emit) {
-        for (std::size_t i = 0; i < current_.size(); ++i) {
-            current_[i] = static_cast<std::int16_t>(state[i]);
-        }
-        encoder_.successors(current_, scratch_, [&](const State& target, double rate) {
-            ARCADE_ASSERT(rate > 0.0, "non-positive rate emitted");
-            emit(std::span<const std::int16_t>(target), rate);
-        });
-    }
-
-private:
-    const Encoder& encoder_;
-    State current_;
-    typename Encoder::Scratch scratch_;
-};
-
 /// Explores `model` with `encoder`.  A lumped encoder compiling an
 /// individual model (ReductionPolicy::Auto) reports the individual chain's
 /// sizes, summed over its states in closed form.
@@ -789,12 +762,22 @@ CompiledModel run_compile(const ArcadeModel& model, Encoder encoder, Encoding ex
     const std::size_t fields = initial16.size();
     std::vector<std::int64_t> initial(initial16.begin(), initial16.end());
 
-    engine::EngineOptions engine_options;
-    engine_options.max_states = options.max_states;
-    engine_options.threads = options.threads;
+    // The encoders work on int16 states, the engine on int64 ones; `current`
+    // and the encoder's scratch serve the exploration and the sweep below.
+    State current(fields);
+    auto scratch = encoder.scratch();
     auto explored = engine::explore_bfs(
-        layout, initial, [&] { return EncoderWorker<Encoder>(encoder, fields); },
-        engine_options);
+        layout, initial,
+        [&](std::span<const std::int64_t> state, auto&& emit) {
+            for (std::size_t i = 0; i < fields; ++i) {
+                current[i] = static_cast<std::int16_t>(state[i]);
+            }
+            encoder.successors(current, scratch, [&](const State& target, double rate) {
+                ARCADE_ASSERT(rate > 0.0, "non-positive rate emitted");
+                emit(std::span<const std::int16_t>(target), rate);
+            });
+        },
+        engine::EngineOptions{.max_states = options.max_states});
     engine::StateStore store = std::move(explored.store);
     const std::size_t n = store.size();
     const bool lumps_individual = explored_with != options.encoding;
@@ -807,19 +790,15 @@ CompiledModel run_compile(const ArcadeModel& model, Encoder encoder, Encoding ex
 
     std::vector<double> service(n);
     std::vector<double> cost(n);
-    {
-        State decoded(fields);
-        auto scratch = encoder.scratch();
-        for (std::size_t s = 0; s < n; ++s) {
-            store.unpack(s, std::span<std::int16_t>(decoded));
-            service[s] = encoder.service(decoded, scratch);
-            cost[s] = encoder.cost_rate(decoded);
-            if constexpr (std::is_same_v<Encoder, LumpedEncoder>) {
-                if (lumps_individual) {
-                    const auto [states, transitions] = encoder.individual_sizes(decoded);
-                    state_count = checked_add(state_count, states);
-                    transition_count = checked_add(transition_count, transitions);
-                }
+    for (std::size_t s = 0; s < n; ++s) {
+        store.unpack(s, std::span<std::int16_t>(current));
+        service[s] = encoder.service(current, scratch);
+        cost[s] = encoder.cost_rate(current);
+        if constexpr (std::is_same_v<Encoder, LumpedEncoder>) {
+            if (lumps_individual) {
+                const auto [states, transitions] = encoder.individual_sizes(current);
+                state_count = checked_add(state_count, states);
+                transition_count = checked_add(transition_count, transitions);
             }
         }
     }

@@ -79,9 +79,7 @@ struct CompileOptions {
     /// individual model is explored on the lumped encoding
     /// (ReductionPolicy::Auto), the full chain otherwise.
     std::size_t max_states = 50'000'000;
-    /// Worker threads for the sharded exploration; 0 = hardware concurrency.
-    /// Any thread count produces the identical CTMC.
-    unsigned threads = 0;
+    unsigned threads = 0;  ///< kept for perfbench; explore ignores it
     /// Explore an individual model on the lumped encoding when it has one?
     ReductionPolicy reduction = ReductionPolicy::Off;
     SymmetryPolicy symmetry = SymmetryPolicy::Off;  ///< kept for perfbench; `compile` ignores it

@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -162,14 +163,28 @@ struct Node {
 /// Applies a unary operator (same sharing contract as apply_binary).
 [[nodiscard]] Value apply_unary(UnaryOp op, const Value& a);
 
+/// A byte of a source: its offset and its 1-based line and column.
+struct SourcePos {
+    std::size_t offset = 0;
+    std::size_t line = 1;
+    std::size_t column = 1;
+};
+
+/// Where byte `pos` of `text` lies, `text` starting at `origin` of its
+/// source: lines and columns count on from there, past any newline in
+/// `text`.
+[[nodiscard]] SourcePos locate(std::string_view text, std::size_t pos,
+                               const SourcePos& origin = {});
+
 /// Parses the PRISM-style expression syntax:
 ///   literals: 3, 2.5, true, false
 ///   operators: ? :, <=>, =>, |, &, !, = !=, < <= > >=, + -, * /, unary -
 ///   calls: min(a,b,...), max(a,b,...), floor(x), ceil(x), pow(x,y)
-/// Every parsed node is stamped with `base_offset` plus the byte offset of
-/// its subexpression in `text`, so diagnostics on slices of a larger source
-/// (the PRISM parser) can anchor into the whole file.
-[[nodiscard]] Expr parse_expression(const std::string& text, std::size_t base_offset = 0);
+/// `text` starts at `origin` of a larger source (the PRISM parser passes
+/// slices of a file): every parsed node is stamped with origin.offset plus
+/// its byte offset in `text`, and a ParseError names the source's line and
+/// column.
+[[nodiscard]] Expr parse_expression(const std::string& text, SourcePos origin = {});
 
 }  // namespace arcade::expr
 

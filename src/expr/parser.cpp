@@ -1,7 +1,9 @@
 // Pratt parser for the PRISM-style expression syntax (see expr.hpp).
 // Nesting is bounded (kMaxDepth), so hostile input cannot exhaust the stack.
+#include <algorithm>
 #include <cctype>
 #include <optional>
+#include <string_view>
 
 #include "expr/expr.hpp"
 #include "support/errors.hpp"
@@ -25,9 +27,16 @@ struct Token {
     std::size_t pos = 0;
 };
 
+/// The ParseError for byte `pos` of `text`, which starts at `origin`.
+ParseError error_at(const std::string& message, const std::string& text, std::size_t pos,
+                    const SourcePos& origin) {
+    const SourcePos at = locate(text, pos, origin);
+    return ParseError(message, at.line, at.column);
+}
+
 class Lexer {
 public:
-    explicit Lexer(const std::string& text) : text_(text) {}
+    Lexer(const std::string& text, const SourcePos& origin) : text_(text), origin_(origin) {}
 
     Token next() {
         skip_space();
@@ -80,13 +89,14 @@ public:
                 }
                 return {TokenKind::Gt, ">", pos};
             default:
-                throw ParseError(std::string("unexpected character '") + c + "' in expression",
-                                 1, pos + 1);
+                throw error_at(std::string("unexpected character '") + c + "' in expression",
+                               text_, pos, origin_);
         }
     }
 
 private:
     const std::string& text_;
+    SourcePos origin_;
     std::size_t i_ = 0;
 
     void skip_space() {
@@ -139,8 +149,8 @@ constexpr std::size_t kMaxDepth = 256;
 
 class Parser {
 public:
-    explicit Parser(const std::string& text, std::size_t base_offset)
-        : lexer_(text), base_(base_offset) {
+    Parser(const std::string& text, const SourcePos& origin)
+        : text_(text), origin_(origin), lexer_(text, origin) {
         advance();
     }
 
@@ -151,12 +161,17 @@ public:
     }
 
 private:
+    const std::string& text_;
+    SourcePos origin_;
     Lexer lexer_;
     Token current_;
-    std::size_t base_ = 0;
     std::size_t depth_ = 0;  ///< nesting levels open on the stack
 
     void advance() { current_ = lexer_.next(); }
+
+    [[noreturn]] void fail(const std::string& message, std::size_t pos) const {
+        throw error_at(message, text_, pos, origin_);
+    }
 
     /// One nesting level for the lifetime of the scope.  Every recursion of
     /// the grammar opens one: parse_ternary (parentheses, call arguments,
@@ -165,9 +180,9 @@ private:
     public:
         explicit Nested(Parser& parser) : depth_(parser.depth_) {
             if (++depth_ > kMaxDepth) {
-                throw ParseError("expression nested deeper than " +
-                                     std::to_string(kMaxDepth) + " levels",
-                                 1, parser.current_.pos + 1);
+                parser.fail("expression nested deeper than " + std::to_string(kMaxDepth) +
+                                " levels",
+                            parser.current_.pos);
             }
         }
         ~Nested() { --depth_; }
@@ -181,12 +196,11 @@ private:
     /// Stamps a parsed (sub)expression with its source byte offset.  After a
     /// constant fold the composite may BE one of its operands; re-stamping
     /// with the construct's start still points inside the right text.
-    Expr at(std::size_t pos, Expr e) const { return e.with_offset(base_ + pos); }
+    Expr at(std::size_t pos, Expr e) const { return e.with_offset(origin_.offset + pos); }
 
     void expect(TokenKind kind, const std::string& what) {
         if (current_.kind != kind) {
-            throw ParseError("expected " + what + " but found '" + current_.text + "'", 1,
-                             current_.pos + 1);
+            fail("expected " + what + " but found '" + current_.text + "'", current_.pos);
         }
         advance();
     }
@@ -332,7 +346,7 @@ private:
             case TokenKind::Identifier: {
                 const std::string name = current_.text;
                 advance();
-                if (current_.kind == TokenKind::LParen) return at(start, parse_call(name));
+                if (current_.kind == TokenKind::LParen) return at(start, parse_call(name, start));
                 return at(start, Expr::identifier(name));
             }
             case TokenKind::LParen: {
@@ -342,12 +356,11 @@ private:
                 return e;
             }
             default:
-                throw ParseError("unexpected token '" + current_.text + "'", 1,
-                                 current_.pos + 1);
+                fail("unexpected token '" + current_.text + "'", current_.pos);
         }
     }
 
-    Expr parse_call(const std::string& name) {
+    Expr parse_call(const std::string& name, std::size_t start) {
         expect(TokenKind::LParen, "'('");
         std::vector<Expr> args;
         if (current_.kind != TokenKind::RParen) {
@@ -361,7 +374,7 @@ private:
 
         auto fold = [&](BinaryOp op) {
             if (args.size() < 2) {
-                throw ParseError(name + "() needs at least two arguments");
+                fail(name + "() needs at least two arguments", start);
             }
             Expr acc = args[0];
             for (std::size_t i = 1; i < args.size(); ++i) {
@@ -370,7 +383,7 @@ private:
             return acc;
         };
         auto unary1 = [&](UnaryOp op) {
-            if (args.size() != 1) throw ParseError(name + "() needs exactly one argument");
+            if (args.size() != 1) fail(name + "() needs exactly one argument", start);
             return Expr::unary(op, args[0]);
         };
 
@@ -379,17 +392,27 @@ private:
         if (name == "floor") return unary1(UnaryOp::Floor);
         if (name == "ceil") return unary1(UnaryOp::Ceil);
         if (name == "pow") {
-            if (args.size() != 2) throw ParseError("pow() needs exactly two arguments");
+            if (args.size() != 2) fail("pow() needs exactly two arguments", start);
             return Expr::binary(BinaryOp::Pow, args[0], args[1]);
         }
-        throw ParseError("unknown function '" + name + "'");
+        fail("unknown function '" + name + "'", start);
     }
 };
 
 }  // namespace
 
-Expr parse_expression(const std::string& text, std::size_t base_offset) {
-    return Parser(text, base_offset).parse();
+SourcePos locate(std::string_view text, std::size_t pos, const SourcePos& origin) {
+    const std::string_view before = text.substr(0, pos);
+    const std::size_t newline = before.rfind('\n');
+    if (newline == std::string_view::npos) {
+        return {origin.offset + pos, origin.line, origin.column + pos};
+    }
+    const auto lines = static_cast<std::size_t>(std::count(before.begin(), before.end(), '\n'));
+    return {origin.offset + pos, origin.line + lines, pos - newline};
+}
+
+Expr parse_expression(const std::string& text, SourcePos origin) {
+    return Parser(text, origin).parse();
 }
 
 }  // namespace arcade::expr

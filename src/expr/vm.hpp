@@ -61,7 +61,7 @@ struct Instr {
 };
 
 /// A compiled expression.  Immutable after compile(); safe to share across
-/// the explorer's worker threads (run() only touches thread-local scratch).
+/// threads (run() only touches thread-local scratch).
 class Program {
 public:
     /// Evaluates over the slot values (`slots[i]` is the value of the

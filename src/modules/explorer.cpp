@@ -129,7 +129,7 @@ struct PreparedRewardItem {
 /// with this action.
 using SyncGroup = std::vector<std::vector<PreparedCommand>>;
 
-/// Immutable exploration context shared by all worker threads.
+/// Immutable exploration context: the prepared expressions of one explore.
 struct ExploreContext {
     std::vector<VarDecl> vars;
     Scope scope;
@@ -225,12 +225,12 @@ engine::StateLayout make_layout(const std::vector<VarDecl>& vars) {
     return engine::StateLayout(fields);
 }
 
-/// Per-thread successor generator over the shared context: the one walk over
-/// interleaved commands and the synchronised products, whichever evaluator
-/// the context's expressions were prepared for.
-class Worker {
+/// Successor generator over the context: the one walk over interleaved
+/// commands and the synchronised products, whichever evaluator the
+/// context's expressions were prepared for.
+class SuccessorWalk {
 public:
-    explicit Worker(const ExploreContext& ctx) : ctx_(ctx), frame_(ctx.scope) {}
+    explicit SuccessorWalk(const ExploreContext& ctx) : ctx_(ctx), frame_(ctx.scope) {}
 
     template <typename Emit>
     void operator()(std::span<const std::int64_t> current, Emit&& emit) {
@@ -371,11 +371,8 @@ ExploredModel explore(const ModuleSystem& system, const ExploreOptions& options)
         initial[i] = v.init;
     }
 
-    engine::EngineOptions engine_options;
-    engine_options.max_states = options.max_states;
-    engine_options.threads = options.threads;
-    auto explored = engine::explore_bfs(
-        make_layout(ctx.vars), initial, [&ctx] { return Worker(ctx); }, engine_options);
+    auto explored = engine::explore_bfs(make_layout(ctx.vars), initial, SuccessorWalk(ctx),
+                                        engine::EngineOptions{.max_states = options.max_states});
     engine::StateStore store = std::move(explored.store);
 
     std::vector<double> init_dist(store.size(), 0.0);

@@ -7,10 +7,8 @@
 // the engine's packed state store), label bitsets and reward structures.
 //
 // Exploration runs on the engine layer: states are bit-packed into the
-// arena-backed store and the BFS is sharded across worker threads
-// (ExploreOptions::threads); any thread count produces the identical CTMC.
-// The explored chain is always the full chain; lumping happens after
-// exploration.
+// arena-backed store by engine::explore_bfs's serial BFS.  The explored
+// chain is always the full chain; lumping happens after exploration.
 //
 // Every guard, rate, assignment, label and reward expression is prepared
 // once per explore (bytecode by default, the expression tree under
@@ -37,8 +35,7 @@ namespace arcade::modules {
 
 struct ExploreOptions {
     std::size_t max_states = 50'000'000;  ///< explosion guard
-    /// Worker threads for the sharded BFS; 0 = hardware concurrency.
-    unsigned threads = 0;
+    unsigned threads = 0;  ///< kept for perfbench; explore ignores it
     /// Evaluator for guards/rates/assignments/labels/rewards.  The default
     /// compiles every expression to bytecode once per model (expr::vm); the
     /// tree interpreter (EvalMode::Interp) is the oracle tests pass

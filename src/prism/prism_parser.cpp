@@ -1,8 +1,8 @@
 #include "prism/prism_parser.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <map>
-#include <set>
 
 #include "support/errors.hpp"
 #include "support/strings.hpp"
@@ -27,9 +27,11 @@ public:
     [[nodiscard]] std::string peek_word() {
         const std::size_t save_i = i_;
         const std::size_t save_line = line_;
+        const std::size_t save_line_start = line_start_;
         std::string w = word();
         i_ = save_i;
         line_ = save_line;
+        line_start_ = save_line_start;
         return w;
     }
 
@@ -75,15 +77,15 @@ public:
         return false;
     }
 
+    /// Where the most recent until()/until_arrow() slice began — the origin
+    /// expression parsing stamps its nodes and locates its errors with.
+    [[nodiscard]] const expr::SourcePos& last_origin() const noexcept { return last_origin_; }
+
     /// Reads raw text up to (not including) the delimiter character,
     /// balancing parentheses so that e.g. ';' inside parens is skipped.
-    /// Byte offset where the most recent until()/until_arrow() slice began
-    /// — the base offset expression parsing stamps its nodes with.
-    [[nodiscard]] std::size_t last_offset() const noexcept { return last_offset_; }
-
     std::string until(char delim) {
         skip_ws();
-        last_offset_ = i_;
+        mark_origin();
         std::size_t depth = 0;
         std::size_t j = i_;
         while (j < src_.size()) {
@@ -110,7 +112,7 @@ public:
     /// Needed for guards, where a bare '-' may be a subtraction.
     std::string until_arrow() {
         skip_ws();
-        last_offset_ = i_;
+        mark_origin();
         std::size_t depth = 0;
         std::size_t j = i_;
         while (j < src_.size()) {
@@ -148,11 +150,17 @@ private:
     const std::string& src_;
     std::size_t i_ = 0;
     std::size_t line_ = 1;
-    std::size_t last_offset_ = 0;
+    std::size_t line_start_ = 0;  ///< byte offset where line_ begins
+    expr::SourcePos last_origin_;
+
+    void mark_origin() { last_origin_ = {i_, line_, i_ - line_start_ + 1}; }
 
     void advance(std::size_t n) {
         for (std::size_t k = 0; k < n && i_ < src_.size(); ++k, ++i_) {
-            if (src_[i_] == '\n') ++line_;
+            if (src_[i_] == '\n') {
+                ++line_;
+                line_start_ = i_ + 1;
+            }
         }
     }
 
@@ -170,38 +178,118 @@ private:
     }
 };
 
-/// Substitutes formula identifiers by their bodies (recursively), recording
-/// which formulas were hit.  Rebuilt nodes keep the original's source
-/// offset; substituted bodies keep the offsets of their defining text.
-expr::Expr substitute(const expr::Expr& e, const std::map<std::string, expr::Expr>& formulas,
-                      std::set<std::string>& used) {
-    using namespace expr;
-    if (e.empty()) return e;
-    const auto& n = e.node();
-    if (const auto* id = std::get_if<Identifier>(&n)) {
-        const auto it = formulas.find(id->name);
-        if (it != formulas.end()) {
-            used.insert(id->name);
-            return substitute(it->second, formulas, used);
+/// Largest expansion of one formula use: the nodes its formula bodies
+/// contribute and how deep they nest.  Formulas that double at every
+/// definition grow exponentially with the file; no model comes near.
+constexpr std::size_t kMaxExpandedNodes = std::size_t{1} << 16;
+constexpr std::size_t kMaxExpandedDepth = 1024;
+
+/// The formulas defined so far, substituted syntactically where an
+/// expression names one, as in PRISM.  A body is kept as written and
+/// expanded at each use against the formulas defined by then, so it may
+/// name a formula defined after it.  A formula that reaches itself, or an
+/// expansion past kMaxExpandedNodes nodes or kMaxExpandedDepth levels, is a
+/// ParseError.  Expanded nodes keep the offsets of the text they came from.
+class Formulas {
+public:
+    explicit Formulas(const std::string& source) : source_(source) {}
+
+    /// Defines `name` by `body`, parsed at byte `offset`; the first
+    /// definition of a name wins.
+    void define(const std::string& name, expr::Expr body, std::size_t offset) {
+        definitions_.emplace(name, Definition{std::move(body), offset});
+    }
+
+    /// `e` with every formula it names expanded; those formulas count as used.
+    expr::Expr expand(const expr::Expr& e) {
+        expanding_.clear();
+        nodes_ = 0;
+        return expand(e, 0);
+    }
+
+    /// Name and body offset of every formula no expansion reached, by name.
+    [[nodiscard]] std::vector<std::pair<std::string, std::size_t>> unused() const {
+        std::vector<std::pair<std::string, std::size_t>> out;
+        for (const auto& [name, definition] : definitions_) {
+            if (!definition.used) out.emplace_back(name, definition.offset);
         }
-        return e;
+        return out;
     }
-    if (std::get_if<Literal>(&n) != nullptr) return e;
-    if (const auto* u = std::get_if<Unary>(&n)) {
-        return Expr::unary(u->op, substitute(u->operand, formulas, used))
+
+private:
+    struct Definition {
+        expr::Expr body;
+        std::size_t offset;
+        bool used = false;
+    };
+    using Entry = std::pair<const std::string, Definition>;
+
+    const std::string& source_;
+    std::map<std::string, Definition> definitions_;
+    std::vector<const Entry*> expanding_;  ///< formulas open in expand(), outermost first
+    std::size_t nodes_ = 0;                ///< nodes formula bodies gave this expansion
+
+    [[noreturn]] void fail(const std::string& message, std::size_t offset) const {
+        const expr::SourcePos at = expr::locate(source_, offset);
+        throw ParseError(message + " at byte offset " + std::to_string(offset), at.line,
+                         at.column);
+    }
+
+    expr::Expr expand(const expr::Expr& e, std::size_t depth) {
+        using namespace expr;
+        if (e.empty()) return e;
+        const auto& n = e.node();
+        if (const auto* id = std::get_if<Identifier>(&n)) {
+            const auto it = definitions_.find(id->name);
+            if (it != definitions_.end()) return expand_formula(*it, e.offset(), depth);
+        }
+        if (!expanding_.empty()) {
+            const Entry& outermost = *expanding_.front();
+            if (++nodes_ > kMaxExpandedNodes) {
+                fail("formula '" + outermost.first + "' expands to more than " +
+                         std::to_string(kMaxExpandedNodes) + " nodes",
+                     outermost.second.offset);
+            }
+            if (depth > kMaxExpandedDepth) {
+                fail("formula '" + outermost.first + "' expands deeper than " +
+                         std::to_string(kMaxExpandedDepth) + " levels",
+                     outermost.second.offset);
+            }
+            ++depth;
+        }
+        if (std::get_if<Identifier>(&n) != nullptr || std::get_if<Literal>(&n) != nullptr) {
+            return e;
+        }
+        if (const auto* u = std::get_if<Unary>(&n)) {
+            return Expr::unary(u->op, expand(u->operand, depth)).with_offset(e.offset());
+        }
+        if (const auto* b = std::get_if<Binary>(&n)) {
+            return Expr::binary(b->op, expand(b->lhs, depth), expand(b->rhs, depth))
+                .with_offset(e.offset());
+        }
+        const auto& ite_node = std::get<Ite>(n);
+        return Expr::ite(expand(ite_node.cond, depth), expand(ite_node.then_branch, depth),
+                         expand(ite_node.else_branch, depth))
             .with_offset(e.offset());
     }
-    if (const auto* b = std::get_if<Binary>(&n)) {
-        return Expr::binary(b->op, substitute(b->lhs, formulas, used),
-                            substitute(b->rhs, formulas, used))
-            .with_offset(e.offset());
+
+    /// Expands a use, at byte `use_offset`, of the formula `formula`.
+    expr::Expr expand_formula(Entry& formula, std::size_t use_offset, std::size_t depth) {
+        const auto open = std::find(expanding_.begin(), expanding_.end(), &formula);
+        if (open != expanding_.end()) {
+            std::string cycle;
+            for (auto it = open; it != expanding_.end(); ++it) cycle += (*it)->first + " -> ";
+            fail("formula '" + formula.first + "' is defined in terms of itself (" + cycle +
+                     formula.first + ")",
+                 use_offset);
+        }
+        formula.second.used = true;
+        expanding_.push_back(&formula);
+        expr::Expr out = expand(formula.second.body, depth);
+        expanding_.pop_back();
+        return out;
     }
-    const auto& ite_node = std::get<Ite>(n);
-    return Expr::ite(substitute(ite_node.cond, formulas, used),
-                     substitute(ite_node.then_branch, formulas, used),
-                     substitute(ite_node.else_branch, formulas, used))
-        .with_offset(e.offset());
-}
+};
 
 /// Evaluates a constant expression against already-known constants.
 class ConstEnv final : public expr::Environment {
@@ -225,10 +313,7 @@ private:
 modules::ModuleSystem parse_prism(const std::string& source, PrismParseInfo* info) {
     Scanner sc(source);
     modules::ModuleSystem system;
-    std::map<std::string, expr::Expr> formulas;
-    std::map<std::string, std::size_t> formula_offsets;
-    std::map<std::string, std::vector<std::string>> formula_refs;
-    std::set<std::string> used_formulas;
+    Formulas formulas(source);
     ConstEnv const_env(system.constants);
 
     if (!sc.accept("ctmc")) {
@@ -236,8 +321,7 @@ modules::ModuleSystem parse_prism(const std::string& source, PrismParseInfo* inf
     }
 
     auto parse_expr_text = [&](const std::string& text) {
-        return substitute(expr::parse_expression(text, sc.last_offset()), formulas,
-                          used_formulas);
+        return formulas.expand(expr::parse_expression(text, sc.last_origin()));
     };
 
     while (!sc.at_end()) {
@@ -269,19 +353,9 @@ modules::ModuleSystem parse_prism(const std::string& source, PrismParseInfo* inf
             const std::string name = sc.word();
             sc.expect("=");
             const std::string body = sc.until(';');
-            const std::size_t body_offset = sc.last_offset();
+            const expr::SourcePos origin = sc.last_origin();
             sc.expect(";");
-            // References between formulas are resolved at definition time
-            // (bodies are stored fully substituted), so record the raw
-            // dependency edges here — usage tracking closes over them.
-            const expr::Expr raw = expr::parse_expression(body, body_offset);
-            std::vector<std::string>& refs = formula_refs[name];
-            for (const auto& ref : raw.free_variables()) {
-                if (formulas.contains(ref)) refs.push_back(ref);
-            }
-            formula_offsets.emplace(name, body_offset);
-            std::set<std::string> definition_uses;  // not real uses
-            formulas.emplace(name, substitute(raw, formulas, definition_uses));
+            formulas.define(name, expr::parse_expression(body, origin), origin.offset);
         } else if (kw == "module") {
             sc.word();
             modules::Module module;
@@ -382,24 +456,9 @@ modules::ModuleSystem parse_prism(const std::string& source, PrismParseInfo* inf
             sc.fail("unexpected keyword '" + kw + "'");
         }
     }
-    if (info != nullptr) {
-        // A formula is used when a real expression substituted it, or when a
-        // used formula's definition referenced it (transitively).
-        std::vector<std::string> work(used_formulas.begin(), used_formulas.end());
-        while (!work.empty()) {
-            const auto it = formula_refs.find(work.back());
-            work.pop_back();
-            if (it == formula_refs.end()) continue;
-            for (const auto& ref : it->second) {
-                if (used_formulas.insert(ref).second) work.push_back(ref);
-            }
-        }
-        for (const auto& [name, offset] : formula_offsets) {
-            if (!used_formulas.contains(name)) {
-                info->unused_formulas.emplace_back(name, offset);
-            }
-        }
-    }
+    // A formula is used when an expansion reached it: named by an
+    // expression, or by a used formula's body (transitively).
+    if (info != nullptr) info->unused_formulas = formulas.unused();
     return system;
 }
 

@@ -10,7 +10,6 @@
 #include <thread>
 
 #include "arcade/measures.hpp"
-#include "engine/explore.hpp"
 #include "logic/csl_compiled.hpp"
 #include "support/errors.hpp"
 
@@ -68,6 +67,13 @@ private:
     };
     std::vector<Deque> queues_;
 };
+
+/// Resolves a thread request against the hardware: 0 means all cores.
+unsigned resolve_threads(unsigned requested) {
+    if (requested != 0) return requested;
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 1 : hw;
+}
 
 /// Runs `task(index)` over [0, count) on `workers` threads with stealing.
 /// Tasks are dealt round-robin so related neighbours spread out; the first
@@ -276,7 +282,7 @@ SweepReport SweepRunner::run(const ScenarioGrid& grid, const std::vector<WorkIte
     }
     const double t0 = now_seconds();
     const auto stats_before = session_.stats();
-    const std::size_t workers = engine::resolve_threads(options_.threads);
+    const std::size_t workers = resolve_threads(options_.threads);
 
     // Phase 1: compile each unique model prefix exactly once.  Without this
     // barrier two work items sharing a prefix could race into the session

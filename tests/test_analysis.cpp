@@ -385,8 +385,8 @@ endrewards
 
 TEST(Offsets, ParserStampsByteOffsets) {
     EXPECT_EQ(expr::parse_expression("q").offset(), 0u);
-    EXPECT_EQ(expr::parse_expression("q", 42).offset(), 42u);
-    const auto sum = expr::parse_expression("  x + y", 10);
+    EXPECT_EQ(expr::parse_expression("q", {.offset = 42}).offset(), 42u);
+    const auto sum = expr::parse_expression("  x + y", {.offset = 10});
     EXPECT_EQ(sum.offset(), 12u);  // at the expression, past the whitespace
 }
 

@@ -1,4 +1,4 @@
-// Engine layer: packed state store, deterministic parallel exploration,
+// Engine layer: packed state store, deterministic exploration,
 // analysis-session caching.
 #include <gtest/gtest.h>
 
@@ -281,10 +281,9 @@ namespace {
 
 namespace la = arcade::linalg;
 
-/// A 5-dimensional grid [0, 7]^5 (32768 states; its middle BFS levels hold
-/// thousands of states, so 2-4 threads take the sharded path).  Every state
-/// emits: three duplicate steps along dimension 0 valued 0.1, 0.2, 0.3, whose
-/// sum depends on association; unit-ish steps along the other dimensions; a
+/// A 5-dimensional grid [0, 7]^5 (32768 states).  Every state emits: three
+/// duplicate steps along dimension 0 valued 0.1, 0.2, 0.3, whose sum
+/// depends on association; unit-ish steps along the other dimensions; a
 /// self-loop; a zero-rate step back (dropped); a jump to the origin; and a
 /// late duplicate of the dimension-1 step, apart from its first emission.
 constexpr std::int64_t kGridSide = 8;
@@ -321,13 +320,13 @@ void grid_successors(std::span<const std::int64_t> v, std::vector<std::int64_t>&
     }
 }
 
-auto grid_factory(std::size_t* made = nullptr) {
-    return [made] {
-        if (made != nullptr) ++*made;
-        return [t = std::vector<std::int64_t>()](std::span<const std::int64_t> v,
-                                                 auto&& emit) mutable {
-            grid_successors(v, t, emit);
-        };
+/// The grid's successor callable for explore_bfs; counts its calls into
+/// `calls` when given.
+auto grid_walk(std::size_t* calls = nullptr) {
+    return [calls, t = std::vector<std::int64_t>()](std::span<const std::int64_t> v,
+                                                    auto&& emit) mutable {
+        if (calls != nullptr) ++*calls;
+        grid_successors(v, t, emit);
     };
 }
 
@@ -379,7 +378,7 @@ std::vector<std::uint64_t> bits_of(const std::vector<double>& values) {
 
 }  // namespace
 
-TEST(ExploreBfs, MatchesReferenceBfsBitwiseForEveryThreadCount) {
+TEST(ExploreBfs, MatchesReferenceBfsBitwise) {
     const std::vector<std::int64_t> initial(kGridDims, 0);
     const ReferenceChain reference = reference_bfs(initial);
     ASSERT_EQ(reference.states.size(), 32768u);
@@ -390,168 +389,72 @@ TEST(ExploreBfs, MatchesReferenceBfsBitwiseForEveryThreadCount) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(reference.rates.at(0, 1)),
               std::bit_cast<std::uint64_t>(left));
 
-    for (const unsigned threads : {1u, 2u, 3u, 4u}) {
-        const auto explored = engine::explore_bfs(grid_layout(), initial, grid_factory(),
-                                                  engine::EngineOptions{.threads = threads});
-        ASSERT_EQ(explored.store.size(), reference.states.size()) << threads << " threads";
-        std::vector<std::int64_t> values(kGridDims);
-        for (std::size_t s = 0; s < reference.states.size(); ++s) {
-            explored.store.unpack(s, std::span<std::int64_t>(values));
-            ASSERT_EQ(values, reference.states[s]) << "state " << s << ", " << threads;
-        }
-        const la::CsrMatrix& rates = explored.rates;
-        EXPECT_EQ(rates.rows(), reference.rates.rows());
-        EXPECT_EQ(rates.cols(), reference.rates.cols());
-        EXPECT_EQ(rates.row_ptr(), reference.rates.row_ptr()) << threads << " threads";
-        EXPECT_EQ(rates.col_idx(), reference.rates.col_idx()) << threads << " threads";
-        EXPECT_EQ(bits_of(rates.values()), bits_of(reference.rates.values()))
-            << threads << " threads";
-        // Exactly sized, like CsrBuilder::build(): no growth slack.
-        EXPECT_EQ(rates.col_idx().capacity(), rates.nonzeros());
-        EXPECT_EQ(rates.values().capacity(), rates.nonzeros());
+    const auto explored = engine::explore_bfs(grid_layout(), initial, grid_walk());
+    ASSERT_EQ(explored.store.size(), reference.states.size());
+    std::vector<std::int64_t> values(kGridDims);
+    for (std::size_t s = 0; s < reference.states.size(); ++s) {
+        explored.store.unpack(s, std::span<std::int64_t>(values));
+        ASSERT_EQ(values, reference.states[s]) << "state " << s;
     }
+    const la::CsrMatrix& rates = explored.rates;
+    EXPECT_EQ(rates.rows(), reference.rates.rows());
+    EXPECT_EQ(rates.cols(), reference.rates.cols());
+    EXPECT_EQ(rates.row_ptr(), reference.rates.row_ptr());
+    EXPECT_EQ(rates.col_idx(), reference.rates.col_idx());
+    EXPECT_EQ(bits_of(rates.values()), bits_of(reference.rates.values()));
+    // Exactly sized, like CsrBuilder::build(): no growth slack.
+    EXPECT_EQ(rates.col_idx().capacity(), rates.nonzeros());
+    EXPECT_EQ(rates.values().capacity(), rates.nonzeros());
 }
 
-TEST(ExploreBfs, NegativeRateThrowsOnInlineAndShardedPaths) {
-    // State (4, 4, 4, 4, 4) sits on BFS level 20, thousands of states wide.
-    const auto factory = [] {
-        return [t = std::vector<std::int64_t>()](std::span<const std::int64_t> v,
-                                                 auto&& emit) mutable {
-            grid_successors(v, t, emit);
-            bool hit = true;
-            for (const std::int64_t x : v) hit = hit && x == 4;
-            if (hit) emit(v, -1.0);
-        };
+TEST(ExploreBfs, NegativeRateThrows) {
+    // State (4, 4, 4, 4, 4) sits on BFS level 20, deep in the exploration.
+    auto walk = [t = std::vector<std::int64_t>()](std::span<const std::int64_t> v,
+                                                  auto&& emit) mutable {
+        grid_successors(v, t, emit);
+        bool hit = true;
+        for (const std::int64_t x : v) hit = hit && x == 4;
+        if (hit) emit(v, -1.0);
     };
     const std::vector<std::int64_t> initial(kGridDims, 0);
-    for (const unsigned threads : {1u, 4u}) {
-        EXPECT_THROW((void)engine::explore_bfs(grid_layout(), initial, factory,
-                                               engine::EngineOptions{.threads = threads}),
-                     arcade::ModelError)
-            << threads << " threads";
-    }
+    EXPECT_THROW((void)engine::explore_bfs(grid_layout(), initial, walk), arcade::ModelError);
 }
 
-TEST(ExploreBfs, StateGuardThrowsOnInlineAndShardedPaths) {
+TEST(ExploreBfs, StateGuardThrowsWhileInterning) {
     const std::vector<std::int64_t> initial(kGridDims, 0);
-    // Levels 0-4 hold 1 + 5 + 15 + 35 + 70 states, all under the 128-state
-    // shard minimum: the guard at 100 fires while interning inline, with the
-    // one worker of the inline path.
-    std::size_t made = 0;
-    EXPECT_THROW((void)engine::explore_bfs(
-                     grid_layout(), initial, grid_factory(&made),
-                     engine::EngineOptions{.max_states = 100, .threads = 4}),
-                 arcade::ModelError);
-    EXPECT_EQ(made, 1u);
-    // Level 7 (330 states) is the first split in two; 792 states are
-    // interned when it starts, so the guard at 1000 fires in its merge.
-    made = 0;
-    EXPECT_THROW((void)engine::explore_bfs(
-                     grid_layout(), initial, grid_factory(&made),
-                     engine::EngineOptions{.max_states = 1000, .threads = 2}),
-                 arcade::ModelError);
-    EXPECT_EQ(made, 2u);
+    // The guard counts interned states, not expanded ones: levels 0-4 hold
+    // 1 + 5 + 15 + 35 + 70 states, so 100 is passed while level 3 is
+    // expanded, and 1000 (792 states through level 7) while level 7 is.
+    for (const std::size_t max_states : {std::size_t{100}, std::size_t{1000}}) {
+        std::size_t calls = 0;
+        try {
+            (void)engine::explore_bfs(grid_layout(), initial, grid_walk(&calls),
+                                      engine::EngineOptions{.max_states = max_states});
+            ADD_FAILURE() << "expected ModelError at " << max_states;
+        } catch (const arcade::ModelError& e) {
+            EXPECT_NE(std::string(e.what()).find("more than " + std::to_string(max_states)),
+                      std::string::npos)
+                << e.what();
+        }
+        // It fires on the intern that passes it, mid-row, so fewer sources
+        // than max_states were expanded.
+        EXPECT_LT(calls, max_states);
+    }
 }
 
 TEST(ExploreBfs, StateLimitBeyondTheIndexRangeThrowsBeforeExploring) {
     // State numbers are 32-bit column indices: a guard that could let more
-    // states through is refused on entry, before any worker is made.
+    // states through is refused on entry, before any state is expanded.
     const std::vector<std::int64_t> initial(kGridDims, 0);
-    std::size_t made = 0;
+    std::size_t calls = 0;
     try {
-        (void)engine::explore_bfs(grid_layout(), initial, grid_factory(&made),
+        (void)engine::explore_bfs(grid_layout(), initial, grid_walk(&calls),
                                   engine::EngineOptions{.max_states = std::size_t{1} << 32});
         ADD_FAILURE() << "expected ModelError";
     } catch (const arcade::ModelError& e) {
         EXPECT_NE(std::string(e.what()).find("32-bit"), std::string::npos) << e.what();
     }
-    EXPECT_EQ(made, 0u);
-}
-
-TEST(ExploreBfs, MakesWorkersOnlyForShardsThatRun) {
-    // A 10-state path: every level holds one state, so exploration never
-    // leaves the inline path and no thread starts, whatever is requested.
-    const engine::StateLayout layout({{0, 9}});
-    std::size_t made = 0;
-    const auto factory = [&made] {
-        ++made;
-        return [](std::span<const std::int64_t> v, auto&& emit) {
-            if (v[0] >= 9) return;
-            const std::int64_t next = v[0] + 1;
-            emit(std::span<const std::int64_t>(&next, 1), 1.0);
-        };
-    };
-    const std::vector<std::int64_t> initial{0};
-    const auto explored = engine::explore_bfs(layout, initial, factory,
-                                              engine::EngineOptions{.threads = 1'000'000});
-    EXPECT_EQ(made, 1u);
-    EXPECT_EQ(explored.store.size(), 10u);
-    EXPECT_EQ(explored.rates.nonzeros(), 9u);
-}
-
-namespace {
-
-/// Asserts two compiled models are structurally identical: state count,
-/// canonical per-state encodings, and the exact rate matrix.
-void expect_identical(const core::CompiledModel& a, const core::CompiledModel& b) {
-    ASSERT_EQ(a.state_count(), b.state_count());
-    ASSERT_EQ(a.transition_count(), b.transition_count());
-    for (std::size_t s = 0; s < a.state_count(); ++s) {
-        ASSERT_EQ(a.encoded_state(s), b.encoded_state(s)) << "state " << s;
-    }
-    EXPECT_EQ(a.chain().rates().row_ptr(), b.chain().rates().row_ptr());
-    EXPECT_EQ(a.chain().rates().col_idx(), b.chain().rates().col_idx());
-    EXPECT_EQ(a.chain().rates().values(), b.chain().rates().values());
-    EXPECT_EQ(a.service_levels(), b.service_levels());
-}
-
-}  // namespace
-
-TEST(ParallelExploration, CompileMatchesSerialOnLine2) {
-    const auto model = wt::line2(wt::strategy("FRF-1"));
-    core::CompileOptions serial;
-    serial.threads = 1;
-    const auto reference = core::compile(model, serial);
-    EXPECT_EQ(reference.state_count(), 8129u);  // paper Table 1
-
-    for (const unsigned threads : {2u, 4u}) {
-        core::CompileOptions parallel;
-        parallel.threads = threads;
-        expect_identical(reference, core::compile(model, parallel));
-    }
-}
-
-TEST(ParallelExploration, LumpedEncodingMatchesSerial) {
-    const auto model = wt::line1(wt::strategy("FFF-2"));
-    core::CompileOptions serial;
-    serial.encoding = core::Encoding::Lumped;
-    serial.threads = 1;
-    core::CompileOptions parallel = serial;
-    parallel.threads = 3;
-    expect_identical(core::compile(model, serial), core::compile(model, parallel));
-}
-
-TEST(ParallelExploration, ModuleExplorerMatchesSerialOnLine2) {
-    const auto system = core::to_reactive_modules(wt::line2(wt::strategy("FRF-1")));
-    modules::ExploreOptions serial;
-    serial.threads = 1;
-    const auto reference = modules::explore(system, serial);
-
-    modules::ExploreOptions parallel;
-    parallel.threads = 2;
-    const auto explored = modules::explore(system, parallel);
-
-    ASSERT_EQ(reference.chain.state_count(), explored.chain.state_count());
-    ASSERT_EQ(reference.chain.transition_count(), explored.chain.transition_count());
-    for (std::size_t s = 0; s < reference.state_count(); ++s) {
-        ASSERT_EQ(reference.valuation(s), explored.valuation(s)) << "state " << s;
-    }
-    EXPECT_EQ(reference.chain.rates().row_ptr(), explored.chain.rates().row_ptr());
-    EXPECT_EQ(reference.chain.rates().col_idx(), explored.chain.rates().col_idx());
-    EXPECT_EQ(reference.chain.rates().values(), explored.chain.rates().values());
-    for (const auto& name : reference.chain.label_names()) {
-        EXPECT_EQ(reference.chain.label(name), explored.chain.label(name));
-    }
+    EXPECT_EQ(calls, 0u);
 }
 
 TEST(ExploredModel, StatesAdapterMaterialisesValuations) {

@@ -16,9 +16,11 @@
 
 #include <algorithm>
 #include <cstring>
+#include <future>
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arcade/modules_compiler.hpp"
@@ -238,38 +240,42 @@ std::string explore_error(const modules::ModuleSystem& system, expr::EvalMode ev
 }  // namespace
 
 TEST(EvalRewire, InterpAndVmExploreIdenticalChains) {
+    // Each system is explored under both evaluators on a thread of its own;
+    // the comparisons run here, in order.
+    using Chains = std::pair<modules::ExploredModel, modules::ExploredModel>;
+    const auto explore_both = [](modules::ModuleSystem system) {
+        return std::async(std::launch::async, [system = std::move(system)] {
+            return Chains{explore_with(system, expr::EvalMode::Vm),
+                          explore_with(system, expr::EvalMode::Interp)};
+        });
+    };
+    std::vector<std::pair<std::string, std::future<Chains>>> systems;
     for (const char* name : {"DED", "FRF-1", "FRF-2", "FFF-1", "FFF-2"}) {
         for (int line = 1; line <= 2; ++line) {
             const auto model = line == 1 ? wt::line1(wt::strategy(name))
                                          : wt::line2(wt::strategy(name));
-            const auto system = core::to_reactive_modules(model);
-            const auto vm = explore_with(system, expr::EvalMode::Vm);
-            const auto interp = explore_with(system, expr::EvalMode::Interp);
-            expect_identical_chains(vm, interp,
-                                    std::string(name) + " line " + std::to_string(line));
+            systems.emplace_back(std::string(name) + " line " + std::to_string(line),
+                                 explore_both(core::to_reactive_modules(model)));
         }
     }
-
     for (std::size_t i = 0; i < std::size(kPrismTexts); ++i) {
-        const auto system = prism::parse_prism(kPrismTexts[i]);
-        const auto vm = explore_with(system, expr::EvalMode::Vm);
-        const auto interp = explore_with(system, expr::EvalMode::Interp);
-        expect_identical_chains(vm, interp, "PRISM text " + std::to_string(i));
+        systems.emplace_back("PRISM text " + std::to_string(i),
+                             explore_both(prism::parse_prism(kPrismTexts[i])));
     }
-
     // One spare pump beyond the paper's line 2.
-    const auto scaled =
-        core::to_reactive_modules(wt::line2(wt::strategy("DED"), {}, /*extra_pumps=*/1));
-    expect_identical_chains(explore_with(scaled, expr::EvalMode::Vm),
-                            explore_with(scaled, expr::EvalMode::Interp),
-                            "DED line 2 +1 pump");
-
+    systems.emplace_back("DED line 2 +1 pump",
+                         explore_both(core::to_reactive_modules(
+                             wt::line2(wt::strategy("DED"), {}, /*extra_pumps=*/1))));
     // The same four-pump stage written one module per pump.
-    const auto pumps = prism::parse_prism(kPumpStage);
-    const auto vm = explore_with(pumps, expr::EvalMode::Vm);
-    const auto interp = explore_with(pumps, expr::EvalMode::Interp);
-    EXPECT_EQ(vm.state_count(), 16u);  // 2^4 pump valuations
-    expect_identical_chains(vm, interp, "four-pump stage");
+    auto pumps = explore_both(prism::parse_prism(kPumpStage));
+
+    for (auto& [what, explored] : systems) {
+        const Chains chains = explored.get();
+        expect_identical_chains(chains.first, chains.second, what);
+    }
+    const Chains chains = pumps.get();
+    EXPECT_EQ(chains.first.state_count(), 16u);  // 2^4 pump valuations
+    expect_identical_chains(chains.first, chains.second, "four-pump stage");
 }
 
 TEST(EvalRewire, StatePredicateAgreesAcrossEvaluators) {

@@ -1,6 +1,10 @@
 // Unit tests: PRISM-language parser and writer (round trip).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "ctmc/steady_state.hpp"
 #include "modules/explorer.hpp"
 #include "prism/prism_parser.hpp"
@@ -125,6 +129,118 @@ TEST(PrismParser, MissingSemicolonErrorsMentionLocation) {
         FAIL() << "expected ParseError";
     } catch (const arcade::ParseError& e) {
         EXPECT_NE(std::string(e.what()).find("line"), std::string::npos);
+    }
+}
+
+TEST(PrismParser, ExpressionErrorsReportTheFilesLineAndColumn) {
+    const struct {
+        const char* text;
+        std::size_t line;
+        std::size_t column;
+    } cases[] = {
+        // The second '=' of a guard on line 4.
+        {"ctmc\nmodule m\n  x : [0..1] init 0;\n  [] x = = 0 -> 1 : (x'=1);\nendmodule\n", 4,
+         10},
+        // A character the expression syntax lacks, on the second line of a
+        // guard that starts on line 4.
+        {"ctmc\nmodule m\n  x : [0..1] init 0;\n  [] x=0 &\n     x $ 1 -> 1 : (x'=1);\n"
+         "endmodule\n",
+         5, 8},
+        // A rate naming an unknown function, after a multi-line module.
+        {"ctmc\nmodule m\n  x : [0..1] init 0;\n  [] x=0 -> 1 : (x'=1);\n"
+         "  [] x=1 -> sqrt(2) : (x'=0);\nendmodule\n",
+         5, 13},
+    };
+    for (const auto& c : cases) {
+        try {
+            (void)prism::parse_prism(c.text);
+            ADD_FAILURE() << "expected ParseError for " << c.text;
+        } catch (const arcade::ParseError& e) {
+            EXPECT_EQ(e.line(), c.line) << e.what();
+            EXPECT_EQ(e.column(), c.column) << e.what();
+        }
+    }
+}
+
+TEST(PrismParser, FormulasMayReferToFormulasDefinedLater) {
+    const auto sys = prism::parse_prism(R"(ctmc
+formula a = b + 1;
+formula b = 2 * x;
+module m
+  x : [0..1] init 0;
+  [] x=0 -> 1 : (x'=1);
+endmodule
+label "l" = a = 3;
+)");
+    const auto explored = modules::explore(sys);
+    EXPECT_EQ(explored.chain.label("l"), (std::vector<bool>{false, true}));
+}
+
+TEST(PrismParser, CyclicFormulasAreParseErrorsAtTheCycle) {
+    // b expands to a, whose body names b again: the error points at that b
+    // (byte 17, line 2, column 13).
+    try {
+        (void)prism::parse_prism(
+            "ctmc\nformula a = b;\nformula b = a;\nlabel \"l\" = b > 0;\n");
+        ADD_FAILURE() << "expected ParseError";
+    } catch (const arcade::ParseError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("b -> a -> b"), std::string::npos) << what;
+        EXPECT_NE(what.find("byte offset 17"), std::string::npos) << what;
+        EXPECT_EQ(e.line(), 2u) << what;
+        EXPECT_EQ(e.column(), 13u) << what;
+    }
+    EXPECT_THROW((void)prism::parse_prism("ctmc\nformula a = a + 1;\nconst int k = a;\n"),
+                 arcade::ParseError);
+    // A cycle nothing uses is never expanded.
+    EXPECT_NO_THROW((void)prism::parse_prism("ctmc\nformula a = b;\nformula b = a;\n"));
+}
+
+TEST(PrismParser, FormulaExpansionIsBounded) {
+    // f_i = f_{i-1} + f_{i-1} doubles at every definition: f_k expands to
+    // 2^(k+1) - 1 nodes.  Expanding f_22 for the label passes the bound, and
+    // the error names f_22's body.
+    const auto doubling = [](int k) {
+        std::string text = "ctmc\nmodule m\n  x : [0..1] init 0;\nendmodule\nformula f0 = x;\n";
+        std::size_t last_body = 0;
+        for (int i = 1; i <= k; ++i) {
+            const std::string previous = 'f' + std::to_string(i - 1);
+            text += "formula f";
+            text += std::to_string(i);
+            text += " = ";
+            last_body = text.size();
+            text += previous + " + " + previous + ";\n";
+        }
+        text += "label \"l\" = f";
+        text += std::to_string(k);
+        text += " > 0;\n";
+        return std::pair{text, last_body};
+    };
+    const auto [small, small_body] = doubling(10);
+    EXPECT_NO_THROW((void)prism::parse_prism(small));
+    const auto [large, large_body] = doubling(22);
+    try {
+        (void)prism::parse_prism(large);
+        ADD_FAILURE() << "expected ParseError";
+    } catch (const arcade::ParseError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("formula 'f22'"), std::string::npos) << what;
+        EXPECT_NE(what.find("byte offset " + std::to_string(large_body)), std::string::npos)
+            << what;
+    }
+
+    // A chain g_i = g_{i-1} + 1 grows one level per formula; 2000 levels are
+    // refused before they can overflow a recursive walk.
+    std::string deep = "ctmc\nmodule m\n  x : [0..1] init 0;\nendmodule\nformula g0 = x;\n";
+    for (int i = 1; i <= 2000; ++i) {
+        deep += "formula g" + std::to_string(i) + " = g" + std::to_string(i - 1) + " + 1;\n";
+    }
+    deep += "label \"l\" = g2000 > 0;\n";
+    try {
+        (void)prism::parse_prism(deep);
+        ADD_FAILURE() << "expected ParseError";
+    } catch (const arcade::ParseError& e) {
+        EXPECT_NE(std::string(e.what()).find("deeper than"), std::string::npos) << e.what();
     }
 }
 
