@@ -4,7 +4,7 @@
 // than Line 1 despite less redundancy (fewer pumps exposed to failure).
 //
 // Migrated onto the sweep layer: the figure is the declarative
-// sweep::paper::fig3() grid evaluated by the work-stealing runner — the
+// sweep::paper::fig3() grid evaluated by the sweep runner — the
 // result rows are identical to the hand-rolled per-line loop this harness
 // used to carry (asserted by test_sweep_golden).
 #include <iostream>

@@ -4,7 +4,7 @@
 // all reach ~1 by 4.5 h.
 //
 // Migrated onto the sweep layer: the figure is the declarative
-// sweep::paper::fig4() grid evaluated by the work-stealing runner — the
+// sweep::paper::fig4() grid evaluated by the sweep runner — the
 // result rows are identical to the hand-rolled strategy loop this harness
 // used to carry (asserted by test_sweep_golden).
 #include <iostream>

@@ -3,7 +3,7 @@
 // slower (two pump repairs needed instead of one).
 //
 // Migrated onto the sweep layer: the figure is the declarative
-// sweep::paper::fig5() grid evaluated by the work-stealing runner — the
+// sweep::paper::fig5() grid evaluated by the sweep runner — the
 // result rows are identical to the hand-rolled strategy loop this harness
 // used to carry (asserted by test_sweep_golden).
 #include <iostream>

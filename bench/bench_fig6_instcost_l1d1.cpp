@@ -4,7 +4,7 @@
 // 1 and FRF-2 to 2 (their idle-crew costs); FRF-1 converges slowest.
 //
 // Migrated onto the sweep layer: the figure is the declarative
-// sweep::paper::fig6() grid evaluated by the work-stealing runner — the
+// sweep::paper::fig6() grid evaluated by the sweep runner — the
 // result rows are identical to the hand-rolled strategy loop this harness
 // used to carry (asserted by test_sweep_golden).
 #include <iostream>

@@ -3,7 +3,7 @@
 // (~115 at 10 h, slope -> 11/h); FRF-2 slightly below FRF-1 during recovery.
 //
 // Migrated onto the sweep layer: the figure is the declarative
-// sweep::paper::fig7() grid evaluated by the work-stealing runner — the
+// sweep::paper::fig7() grid evaluated by the sweep runner — the
 // result rows are identical to the hand-rolled strategy loop this harness
 // used to carry (asserted by test_sweep_golden).
 #include <iostream>

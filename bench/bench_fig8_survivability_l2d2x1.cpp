@@ -4,7 +4,7 @@
 // slowest (the reservoir is repaired last under FFF); DED fastest.
 //
 // Migrated onto the sweep layer: the figure is the declarative
-// sweep::paper::fig8() grid evaluated by the work-stealing runner — the
+// sweep::paper::fig8() grid evaluated by the sweep runner — the
 // result rows are identical to the hand-rolled strategy loop this harness
 // used to carry (asserted by test_sweep_golden).
 #include <iostream>

@@ -5,7 +5,7 @@
 // (the 100 h sand-filter repair dominates).
 //
 // Migrated onto the sweep layer: the figure is the declarative
-// sweep::paper::fig9() grid evaluated by the work-stealing runner — the
+// sweep::paper::fig9() grid evaluated by the sweep runner — the
 // result rows are identical to the hand-rolled strategy loop this harness
 // used to carry (asserted by test_sweep_golden).
 #include <iostream>

@@ -4,7 +4,7 @@
 //
 // Migrated onto the sweep layer: the table is the declarative
 // sweep::paper::table1() grid — a ModelVariant axis sweeps the two
-// encodings — evaluated by the work-stealing runner; the rendered rows are
+// encodings — evaluated by the sweep runner; the rendered rows are
 // identical to the hand-rolled compile loop this harness used to carry
 // (asserted by test_sweep_golden).
 #include <iostream>

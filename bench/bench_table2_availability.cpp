@@ -2,7 +2,7 @@
 // per line and combined (A1 + A2 - A1*A2).
 //
 // Migrated onto the sweep layer: the table is the declarative
-// sweep::paper::table2() grid evaluated by the work-stealing runner — the
+// sweep::paper::table2() grid evaluated by the sweep runner — the
 // rendered rows are identical to the hand-rolled strategy loop this harness
 // used to carry (asserted by test_sweep_golden).
 #include <iostream>

@@ -3,7 +3,7 @@
 //
 // A single ScenarioGrid spans (both lines) × (all five repair strategies) ×
 // (availability + the six figure measures with their time grids).  The
-// work-stealing runner expands it to 60 scenarios over 10 compiled models,
+// sweep runner expands it to 60 scenarios over 10 compiled models,
 // funnels everything through the global AnalysisSession, and this driver
 // renders the paper's Table 2 availability column and the Figure 8
 // survivability grid from the results — plus cache-hit and states/sec

@@ -87,7 +87,11 @@ std::vector<std::vector<double>> transient_series(const Ctmc& chain,
 
 SeriesGrid::SeriesGrid(double lambda, std::span<const double> times, double epsilon)
     : lambda_(lambda) {
-    windows_.reserve(times.size());
+    // One window per distinct grid point, all looked up in one batch.
+    std::vector<double> rates;
+    std::vector<std::size_t> window_of;  // grid point -> its rate
+    rates.reserve(times.size());
+    window_of.reserve(times.size());
     double prev = 0.0;
     for (const double t : times) {
         if (t < prev - TransientEvolver::kTimeTolerance) {
@@ -96,13 +100,18 @@ SeriesGrid::SeriesGrid(double lambda, std::span<const double> times, double epsi
                                   std::to_string(prev) +
                                   "; grid times must be non-decreasing");
         }
-        if (!windows_.empty() && t <= prev) {
-            windows_.push_back(windows_.back());  // duplicate: clamp to prev
-            continue;
+        // A point at or just before prev reuses prev's window.
+        if (rates.empty() || t > prev) {
+            prev = std::max(prev, t);
+            rates.push_back(lambda * prev);
         }
-        prev = std::max(prev, t);
-        windows_.push_back(numeric::fox_glynn_cached(lambda * prev, epsilon));
-        steps_ = std::max(steps_, windows_.back()->right);
+        window_of.push_back(rates.size() - 1);
+    }
+    const auto windows = numeric::fox_glynn_cached(rates, epsilon);
+    windows_.reserve(times.size());
+    for (const std::size_t w : window_of) {
+        windows_.push_back(windows[w]);
+        steps_ = std::max(steps_, windows[w]->right);
     }
 }
 

@@ -30,17 +30,6 @@ double sum(std::span<const double> v) {
     return s;
 }
 
-double neumaier_sum(std::span<const double> v) {
-    double total = 0.0;
-    double comp = 0.0;
-    for (const double x : v) {
-        const double t = total + x;
-        comp += std::abs(total) >= std::abs(x) ? (total - t) + x : (x - t) + total;
-        total = t;
-    }
-    return total + comp;
-}
-
 double dot(std::span<const double> a, std::span<const double> b) {
     ARCADE_ASSERT(a.size() == b.size(), "dot size mismatch");
     double s = 0.0;

@@ -47,26 +47,41 @@ PoissonWeights fox_glynn(double q, double epsilon) {
     // summation's own rounding floor: refuse rather than silently return
     // under-covering weights.  Likewise once the window spans the entire
     // effective support ([0, 2·mode + 100]) widening cannot add mass.
+    //
+    // The weights are scaled so the mode m has value 1 and evaluated from it
+    // outwards by the recurrences
+    //   p_{k+1} = p_k * q / (k+1),  p_{k-1} = p_k * k / q,
+    // so a weight never depends on the window: down[j] holds w_{m-j} and
+    // up[j] w_{m+j}, and a wider attempt only extends the two chains.
+    const std::size_t m = static_cast<std::size_t>(mode);
+    std::vector<double> down{1.0};
+    std::vector<double> up{1.0};
     double widths = 5.0;
     for (;; widths *= 1.5) {
-        const auto [left, right] = window(widths);
-        // Evaluate weights from the mode outwards using the recurrences
-        //   p_{k+1} = p_k * q / (k+1),  p_{k-1} = p_k * k / q
-        // scaled so the mode has value 1, then normalise by the true total.
-        const std::size_t m = static_cast<std::size_t>(mode);
-        std::vector<double> w(right - left + 1, 0.0);
-        const std::size_t mi = m - left;
-        w[mi] = 1.0;
-        for (std::size_t k = m; k > left; --k) {
-            w[k - 1 - left] = w[k - left] * static_cast<double>(k) / q;
+        const auto bounds = window(widths);
+        const std::size_t left = bounds.first;
+        const std::size_t right = bounds.second;
+        // The chains are independent: stepping them interleaved overlaps
+        // the divisions of one with those of the other.
+        while (down.size() <= m - left || up.size() <= right - m) {
+            if (down.size() <= m - left) {
+                down.push_back(down.back() * static_cast<double>(m + 1 - down.size()) / q);
+            }
+            if (up.size() <= right - m) {
+                up.push_back(up.back() * q / static_cast<double>(m + up.size()));
+            }
         }
-        for (std::size_t k = m; k < right; ++k) {
-            w[k + 1 - left] = w[k - left] * q / static_cast<double>(k + 1);
-        }
+        // Visits w_left .. w_right in index order.
+        const auto each_weight = [&](auto&& visit) {
+            for (std::size_t j = m - left; j > 0; --j) visit(down[j]);
+            for (std::size_t j = 0; j <= right - m; ++j) visit(up[j]);
+        };
         // Neumaier-compensated sum: the window can hold millions of terms
         // and a naively accumulated total would carry more rounding error
         // than the epsilons we must certify.
-        const double total = linalg::neumaier_sum(w);
+        linalg::NeumaierSum sum;
+        each_weight([&](double w) { sum.add(w); });
+        const double total = sum.value();
         // Certify coverage via geometric tail bounds in the same scaled
         // units as the weights.  (total * pmf(mode) is useless here: the
         // log-pmf cancels ~q-sized terms, so its error alone exceeds tight
@@ -75,17 +90,17 @@ PoissonWeights fox_glynn(double q, double epsilon) {
         // w_right * rr/(1-rr); symmetrically for the left tail with
         // p_{k-1}/p_k = k/q <= rl < 1.
         const double rr = q / (static_cast<double>(right) + 1.0);
-        double tail = w[right - left] * rr / (1.0 - rr);
+        double tail = up[right - m] * rr / (1.0 - rr);
         if (left > 0) {
             const double rl = static_cast<double>(left) / q;
-            tail += w[0] * rl / (1.0 - rl);
+            tail += down[m - left] * rl / (1.0 - rl);
         }
         const double truncated_mass = 1.0 - tail / total;
         if (truncated_mass >= 1.0 - epsilon) {
             out.left = left;
             out.right = right;
-            out.weights.resize(w.size());
-            for (std::size_t i = 0; i < w.size(); ++i) out.weights[i] = w[i] / total;
+            out.weights.reserve(right - left + 1);
+            each_weight([&](double w) { out.weights.push_back(w / total); });
             out.total_before_norm = std::min(truncated_mass, 1.0);
             return out;
         }
@@ -116,7 +131,7 @@ struct FoxGlynnCache {
     std::map<CacheKey, decltype(lru)::iterator> index;
     FoxGlynnCacheStats stats;
     // Each series cell asks for one window per grid point (91–101 distinct
-    // q on the paper's grids); one pass of the paper's grid asks for ~1700
+    // q on the paper's grids); one pass of the paper's grid asks for 1603
     // distinct windows, about 1 MB of weights.
     static constexpr std::size_t kCapacity = 2048;
 };
@@ -128,38 +143,57 @@ FoxGlynnCache& cache() {
 
 }  // namespace
 
-std::shared_ptr<const PoissonWeights> fox_glynn_cached(double q, double epsilon) {
-    const CacheKey key{std::bit_cast<std::uint64_t>(q),
-                       std::bit_cast<std::uint64_t>(epsilon)};
+std::vector<std::shared_ptr<const PoissonWeights>> fox_glynn_cached(
+    std::span<const double> rates, double epsilon) {
     FoxGlynnCache& c = cache();
+    const auto key_of = [&](std::size_t i) {
+        return CacheKey{std::bit_cast<std::uint64_t>(rates[i]),
+                        std::bit_cast<std::uint64_t>(epsilon)};
+    };
+    // Moves the entry of `key`, if any, to the front and returns it.
+    const auto touch = [&](const CacheKey& key) -> std::shared_ptr<const PoissonWeights> {
+        const auto it = c.index.find(key);
+        if (it == c.index.end()) return nullptr;
+        c.lru.splice(c.lru.begin(), c.lru, it->second);
+        return c.lru.front().second;
+    };
+    std::vector<std::shared_ptr<const PoissonWeights>> out(rates.size());
     {
         std::lock_guard<std::mutex> lock(c.mutex);
-        const auto it = c.index.find(key);
-        if (it != c.index.end()) {
-            c.lru.splice(c.lru.begin(), c.lru, it->second);
-            ++c.stats.hits;
-            return c.lru.front().second;
+        for (std::size_t i = 0; i < rates.size(); ++i) {
+            out[i] = touch(key_of(i));
+            if (out[i] != nullptr) ++c.stats.hits;
         }
     }
     // Compute outside the lock: the window search can be expensive and may
     // throw.  Two threads racing on the same key both compute the same
     // deterministic weights; the loser's insert below just finds the entry
     // already present.
-    auto weights = std::make_shared<const PoissonWeights>(fox_glynn(q, epsilon));
+    std::vector<std::shared_ptr<const PoissonWeights>> fresh(rates.size());
+    for (std::size_t i = 0; i < rates.size(); ++i) {
+        if (out[i] == nullptr) {
+            fresh[i] = std::make_shared<const PoissonWeights>(fox_glynn(rates[i], epsilon));
+        }
+    }
     std::lock_guard<std::mutex> lock(c.mutex);
-    ++c.stats.misses;
-    const auto it = c.index.find(key);
-    if (it != c.index.end()) {
-        c.lru.splice(c.lru.begin(), c.lru, it->second);
-        return c.lru.front().second;
+    for (std::size_t i = 0; i < rates.size(); ++i) {
+        if (fresh[i] == nullptr) continue;
+        ++c.stats.misses;
+        out[i] = touch(key_of(i));
+        if (out[i] != nullptr) continue;
+        c.lru.emplace_front(key_of(i), std::move(fresh[i]));
+        c.index.emplace(key_of(i), c.lru.begin());
+        if (c.lru.size() > FoxGlynnCache::kCapacity) {
+            c.index.erase(c.lru.back().first);
+            c.lru.pop_back();
+        }
+        out[i] = c.lru.front().second;
     }
-    c.lru.emplace_front(key, std::move(weights));
-    c.index.emplace(key, c.lru.begin());
-    if (c.lru.size() > FoxGlynnCache::kCapacity) {
-        c.index.erase(c.lru.back().first);
-        c.lru.pop_back();
-    }
-    return c.lru.front().second;
+    return out;
+}
+
+std::shared_ptr<const PoissonWeights> fox_glynn_cached(double q, double epsilon) {
+    return fox_glynn_cached(std::span<const double>(&q, 1), epsilon).front();
 }
 
 FoxGlynnCacheStats fox_glynn_cache_stats() {

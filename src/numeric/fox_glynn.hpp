@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <vector>
 
 namespace arcade::numeric {
@@ -44,6 +45,17 @@ struct PoissonWeights {
 /// the entry is evicted.
 [[nodiscard]] std::shared_ptr<const PoissonWeights> fox_glynn_cached(double q,
                                                                      double epsilon);
+
+/// fox_glynn_cached for every rate of `rates`, taking the cache's lock once
+/// for the lookups and once for the inserts instead of once per rate: a
+/// series pass on four workers otherwise spends more time queueing for the
+/// lock than computing windows.  On one thread, while the cache has room,
+/// the windows, hits and misses are those of one call per rate in order,
+/// except that a rate repeated in `rates` and missing from the cache is
+/// computed, and counted as a miss, once per repeat.  Concurrent calls that
+/// miss the same window may each compute it; each computation is a miss.
+[[nodiscard]] std::vector<std::shared_ptr<const PoissonWeights>> fox_glynn_cached(
+    std::span<const double> rates, double epsilon);
 
 /// Hit/miss counters of the fox_glynn_cached LRU (process-wide).
 struct FoxGlynnCacheStats {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <map>
+#include <set>
 
 #include "support/errors.hpp"
 #include "support/strings.hpp"
@@ -22,6 +23,12 @@ public:
     }
 
     [[nodiscard]] std::size_t line() const noexcept { return line_; }
+
+    /// Where the next token begins.
+    [[nodiscard]] expr::SourcePos position() {
+        skip_ws();
+        return {i_, line_, i_ - line_start_ + 1};
+    }
 
     /// Peeks the next word without consuming.
     [[nodiscard]] std::string peek_word() {
@@ -153,7 +160,7 @@ private:
     std::size_t line_start_ = 0;  ///< byte offset where line_ begins
     expr::SourcePos last_origin_;
 
-    void mark_origin() { last_origin_ = {i_, line_, i_ - line_start_ + 1}; }
+    void mark_origin() { last_origin_ = position(); }
 
     void advance(std::size_t n) {
         for (std::size_t k = 0; k < n && i_ < src_.size(); ++k, ++i_) {
@@ -194,8 +201,8 @@ class Formulas {
 public:
     explicit Formulas(const std::string& source) : source_(source) {}
 
-    /// Defines `name` by `body`, parsed at byte `offset`; the first
-    /// definition of a name wins.
+    /// Defines `name` by `body`, parsed at byte `offset`; the parser
+    /// rejects a second definition of a name before it gets here.
     void define(const std::string& name, expr::Expr body, std::size_t offset) {
         definitions_.emplace(name, Definition{std::move(body), offset});
     }
@@ -323,6 +330,20 @@ modules::ModuleSystem parse_prism(const std::string& source, PrismParseInfo* inf
     auto parse_expr_text = [&](const std::string& text) {
         return formulas.expand(expr::parse_expression(text, sc.last_origin()));
     };
+    // Reads the name a definition of `kind` introduces, quoted for labels
+    // and reward structures.  A name defined twice within one kind is a
+    // ParseError at the second definition: PRISM has no redefinition, and
+    // a map would silently keep the first.  Variables are global across
+    // modules.
+    std::map<std::string, std::set<std::string>> defined;  // kind -> names
+    auto define_name = [&](const std::string& kind, bool quoted = false) {
+        const expr::SourcePos at = sc.position();
+        std::string name = quoted ? sc.quoted() : sc.word();
+        if (!defined[kind].insert(name).second) {
+            throw ParseError("duplicate " + kind + " '" + name + "'", at.line, at.column);
+        }
+        return name;
+    };
 
     while (!sc.at_end()) {
         const std::string kw = sc.peek_word();
@@ -336,7 +357,7 @@ modules::ModuleSystem parse_prism(const std::string& source, PrismParseInfo* inf
                 is_double = type == "double";
                 is_bool = type == "bool";
             }
-            const std::string name = sc.word();
+            const std::string name = define_name("constant");
             sc.expect("=");
             const std::string body = sc.until(';');
             sc.expect(";");
@@ -350,7 +371,7 @@ modules::ModuleSystem parse_prism(const std::string& source, PrismParseInfo* inf
             }
         } else if (kw == "formula") {
             sc.word();
-            const std::string name = sc.word();
+            const std::string name = define_name("formula");
             sc.expect("=");
             const std::string body = sc.until(';');
             const expr::SourcePos origin = sc.last_origin();
@@ -359,7 +380,7 @@ modules::ModuleSystem parse_prism(const std::string& source, PrismParseInfo* inf
         } else if (kw == "module") {
             sc.word();
             modules::Module module;
-            module.name = sc.word();
+            module.name = define_name("module");
             while (!sc.accept("endmodule")) {
                 if (sc.accept("[")) {
                     // command
@@ -402,7 +423,7 @@ modules::ModuleSystem parse_prism(const std::string& source, PrismParseInfo* inf
                 } else {
                     // variable declaration: name : [lo..hi] init e;  |  name : bool init e;
                     modules::VarDecl var;
-                    var.name = sc.word();
+                    var.name = define_name("variable");
                     sc.expect(":");
                     if (sc.accept("bool")) {
                         var.type = modules::VarType::Bool;
@@ -432,7 +453,7 @@ modules::ModuleSystem parse_prism(const std::string& source, PrismParseInfo* inf
             system.modules.push_back(std::move(module));
         } else if (kw == "label") {
             sc.word();
-            const std::string name = sc.quoted();
+            const std::string name = define_name("label", /*quoted=*/true);
             sc.expect("=");
             const std::string body = sc.until(';');
             sc.expect(";");
@@ -440,7 +461,7 @@ modules::ModuleSystem parse_prism(const std::string& source, PrismParseInfo* inf
         } else if (kw == "rewards") {
             sc.word();
             modules::RewardDecl decl;
-            decl.name = sc.quoted();
+            decl.name = define_name("reward structure", /*quoted=*/true);
             while (!sc.accept("endrewards")) {
                 modules::RewardItem item;
                 const std::string guard_text = sc.until(':');

@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
+#include <condition_variable>
 #include <exception>
-#include <functional>
 #include <map>
 #include <mutex>
+#include <queue>
 #include <thread>
+#include <tuple>
 
 #include "arcade/measures.hpp"
 #include "logic/csl_compiled.hpp"
@@ -23,92 +24,21 @@ double now_seconds() {
         .count();
 }
 
-/// Per-thread deques with stealing: a worker pops its own newest task
-/// (back, cache-warm) and steals the oldest (front) from a victim, the
-/// classic Chase–Lev discipline in its simple mutexed form — sweep tasks
-/// are milliseconds long, so contention on the per-deque mutex is noise.
-class WorkQueues {
-public:
-    explicit WorkQueues(std::size_t workers) : queues_(workers) {}
-
-    void push(std::size_t owner, std::size_t task) {
-        std::lock_guard<std::mutex> lock(queues_[owner].mutex);
-        queues_[owner].tasks.push_back(task);
+/// A task in the ready queue.  Compiles (rank 0) run first, in grid order;
+/// then the power sequences that solve a steady state (rank 1), then the
+/// series (rank 2), each class by descending cost estimate.  `order`, the
+/// task's first item, breaks ties, so the order is total.
+struct Ready {
+    int rank = 0;
+    double cost = 0.0;
+    std::size_t order = 0;
+    std::size_t task = 0;
+    /// std::priority_queue pops its greatest element, the next to run:
+    /// lowest rank, then highest cost, then first in grid order.
+    bool operator<(const Ready& other) const {
+        return std::tie(other.rank, cost, other.order) < std::tie(rank, other.cost, order);
     }
-
-    /// Own-queue pop, then steal scan starting after the caller.  Returns
-    /// false only when every deque is empty.
-    bool pop(std::size_t self, std::size_t& task) {
-        {
-            auto& own = queues_[self];
-            std::lock_guard<std::mutex> lock(own.mutex);
-            if (!own.tasks.empty()) {
-                task = own.tasks.back();
-                own.tasks.pop_back();
-                return true;
-            }
-        }
-        for (std::size_t i = 1; i < queues_.size(); ++i) {
-            auto& victim = queues_[(self + i) % queues_.size()];
-            std::lock_guard<std::mutex> lock(victim.mutex);
-            if (!victim.tasks.empty()) {
-                task = victim.tasks.front();
-                victim.tasks.pop_front();
-                return true;
-            }
-        }
-        return false;
-    }
-
-private:
-    struct Deque {
-        std::mutex mutex;
-        std::deque<std::size_t> tasks;
-    };
-    std::vector<Deque> queues_;
 };
-
-/// Resolves a thread request against the hardware: 0 means all cores.
-unsigned resolve_threads(unsigned requested) {
-    if (requested != 0) return requested;
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : hw;
-}
-
-/// Runs `task(index)` over [0, count) on `workers` threads with stealing.
-/// Tasks are dealt round-robin so related neighbours spread out; the first
-/// exception wins and is rethrown on the caller's thread.
-void run_stealing(std::size_t workers, std::size_t count,
-                  const std::function<void(std::size_t)>& task) {
-    if (count == 0) return;
-    workers = std::clamp<std::size_t>(workers, 1, count);
-    if (workers == 1) {
-        for (std::size_t i = 0; i < count; ++i) task(i);
-        return;
-    }
-    WorkQueues queues(workers);
-    for (std::size_t i = 0; i < count; ++i) queues.push(i % workers, i);
-
-    std::exception_ptr first_error;
-    std::mutex error_mutex;
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-        pool.emplace_back([&, w] {
-            std::size_t index = 0;
-            while (queues.pop(w, index)) {
-                try {
-                    task(index);
-                } catch (...) {
-                    std::lock_guard<std::mutex> lock(error_mutex);
-                    if (!first_error) first_error = std::current_exception();
-                }
-            }
-        });
-    }
-    for (auto& t : pool) t.join();
-    if (first_error) std::rethrow_exception(first_error);
-}
 
 bool is_cost(MeasureKind kind) {
     return kind == MeasureKind::InstantaneousCost || kind == MeasureKind::AccumulatedCost;
@@ -212,7 +142,7 @@ ScenarioResult evaluate(engine::AnalysisSession& session, const ScenarioGrid& gr
     return result;
 }
 
-/// Phase-2 tasks: one per power sequence.  Cost cells with equal model key,
+/// The cell tasks: one per power sequence.  Cost cells with equal model key,
 /// variant, scale and disaster step the same chain from the same
 /// distribution with the same reward, so they form one task (of one cell
 /// when the partner lies outside `items`); every other item is its own
@@ -282,38 +212,108 @@ SweepReport SweepRunner::run(const ScenarioGrid& grid, const std::vector<WorkIte
     }
     const double t0 = now_seconds();
     const auto stats_before = session_.stats();
-    const std::size_t workers = resolve_threads(options_.threads);
 
-    // Phase 1: compile each unique model prefix exactly once.  Without this
-    // barrier two work items sharing a prefix could race into the session
-    // cache and compile the same model twice.
-    std::map<std::string, std::size_t> unique_models;  // model key -> first item
+    // The task graph: tasks [0, models) compile each unique model once, in
+    // grid order; task models + s evaluates power sequence s, and becomes
+    // ready when its model's compile finishes, so no two cells can race
+    // into the session cache to compile the same model.
+    std::vector<std::size_t> models;                  // first item of each model
+    std::map<std::string, std::size_t> model_of_key;  // model key -> model
     for (std::size_t i = 0; i < items.size(); ++i) {
-        unique_models.emplace(items[i].model_key(), i);
+        if (model_of_key.emplace(items[i].model_key(), models.size()).second) {
+            models.push_back(i);
+        }
     }
-    std::vector<std::size_t> to_compile;
-    to_compile.reserve(unique_models.size());
-    for (const auto& [key, first_item] : unique_models) to_compile.push_back(first_item);
-    run_stealing(workers, to_compile.size(), [&](std::size_t i) {
-        (void)compile_item(session_, grid, items[to_compile[i]], options_);
-    });
+    const auto sequences = power_sequences(items);
+    std::vector<std::vector<std::size_t>> released(models.size());  // model -> sequences
+    for (std::size_t s = 0; s < sequences.size(); ++s) {
+        released[model_of_key.at(items[sequences[s].front()].model_key())].push_back(s);
+    }
 
-    // Phase 2: one task per power sequence; results land in grid order by
-    // item index.
     SweepReport report;
     report.results.resize(items.size());
-    const auto tasks = power_sequences(items);
-    run_stealing(workers, tasks.size(), [&](std::size_t t) {
-        const auto& cells = tasks[t];
+    // Runs one task and returns the tasks it makes ready.  A sequence's
+    // cost estimates its work from the compiled chain: its nonzeros for a
+    // steady state, and nonzeros × (1 + λ·t_last), about one sparse
+    // product per uniformised step, for a series.
+    const auto run_task = [&](std::size_t task) {
+        std::vector<Ready> made_ready;
+        if (task < models.size()) {
+            const auto model = compile_item(session_, grid, items[models[task]], options_);
+            const double nonzeros = static_cast<double>(model->chain().rates().nonzeros());
+            const double rate = linalg::uniformisation_rate(model->chain().max_exit_rate());
+            for (const std::size_t s : released[task]) {
+                const auto& cells = sequences[s];
+                const bool series = items[cells.front()].measure.is_series();
+                double t_last = 0.0;
+                for (const std::size_t i : cells) {
+                    const auto& times = items[i].measure.times;
+                    if (series && !times.empty()) t_last = std::max(t_last, times.back());
+                }
+                made_ready.push_back({series ? 2 : 1, nonzeros * (1.0 + rate * t_last),
+                                 cells.front(), models.size() + s});
+            }
+            return made_ready;
+        }
+        const auto& cells = sequences[task - models.size()];
         if (is_cost(items[cells.front()].measure.kind)) {
             evaluate_costs(session_, grid, items, cells, options_, report.results);
         } else {
-            report.results[cells.front()] = evaluate(session_, grid, items[cells.front()],
-                                                     options_);
+            report.results[cells.front()] =
+                evaluate(session_, grid, items[cells.front()], options_);
         }
-    });
+        return made_ready;
+    };
 
-    report.unique_models = unique_models.size();
+    // One pool over one ready queue.  The first exception stops new tasks
+    // from starting and is rethrown once every worker has joined; a failed
+    // compile releases none of its cells.
+    std::priority_queue<Ready> ready;
+    for (std::size_t m = 0; m < models.size(); ++m) ready.push({0, 0.0, models[m], m});
+    std::mutex mutex;
+    std::condition_variable changed;
+    std::size_t running = 0;
+    std::exception_ptr first_error;
+    const auto work = [&] {
+        std::unique_lock<std::mutex> lock(mutex);
+        for (;;) {
+            changed.wait(lock, [&] { return first_error || !ready.empty() || running == 0; });
+            if (first_error || ready.empty()) return;
+            const std::size_t task = ready.top().task;
+            ready.pop();
+            ++running;
+            lock.unlock();
+            try {
+                const auto next = run_task(task);
+                lock.lock();
+                for (const Ready& r : next) ready.push(r);
+            } catch (...) {
+                if (!lock.owns_lock()) lock.lock();
+                if (!first_error) first_error = std::current_exception();
+            }
+            --running;
+            changed.notify_all();
+        }
+    };
+    // One worker is the caller's thread.  More get threads of their own while
+    // it waits; when it worked too, perfbench's `paper` set-up ran 18% slower.
+    const unsigned threads = options_.threads != 0
+                                 ? options_.threads
+                                 : std::max(1u, std::thread::hardware_concurrency());
+    const std::size_t workers =
+        std::min<std::size_t>(threads, models.size() + sequences.size());
+    std::vector<std::thread> pool;
+    try {
+        while (workers > 1 && pool.size() < workers) pool.emplace_back(work);
+    } catch (...) {  // a worker that cannot start fails the run like a task
+        const std::lock_guard<std::mutex> lock(mutex);
+        if (!first_error) first_error = std::current_exception();
+    }
+    if (workers == 1) work();
+    for (auto& t : pool) t.join();
+    if (first_error) std::rethrow_exception(first_error);
+
+    report.unique_models = models.size();
     for (const auto& r : report.results) {
         report.state_points +=
             r.model_explored_states * std::max<std::size_t>(r.values.size(), 1);

@@ -1,19 +1,23 @@
 // Parallel execution of expanded scenario grids over one AnalysisSession.
 //
-// Two phases, both work-stealing over per-thread deques:
+// One task graph, run by one pool of workers over one ready queue:
 //
-//   1. every *unique* model prefix of the grid is compiled exactly once
-//      (through the session, so a repeated sweep — or a prefix another
-//      harness already compiled — is a pure cache hit);
-//   2. the measures evaluate in parallel, one task per power sequence:
-//      each series reads its whole time grid off one uniformisation pass
-//      (ctmc::functional_series), and the cost cells of one model and
-//      disaster (Figs 6 and 7) share one pass (core::cost_series).
+//   * every *unique* model prefix of the grid is one compile task, run
+//     exactly once through the session (so a repeated sweep — or a prefix
+//     another harness already compiled — is a pure cache hit);
+//   * a compile that finishes releases its model's cell tasks, one per
+//     power sequence: each series reads its whole time grid off one
+//     uniformisation pass (ctmc::functional_series), and the cost cells of
+//     one model and disaster (Figs 6 and 7) share one pass
+//     (core::cost_series).
 //
-// Results land in deterministic grid order regardless of thread count or
-// steal pattern: workers write into a pre-sized slot per work item.  The
-// report carries the session-counter delta (cache effectiveness) and a
-// states/sec throughput figure for the perf harnesses.
+// Compiles run first, in grid order, so they unlock cells early; ready
+// cells run longest first: steady-state cells before series, each class by
+// an estimate of its work from the compiled chain.  Results land in
+// deterministic grid order regardless of thread count or run order:
+// workers write into a pre-sized slot per work item.  The report carries
+// the session-counter delta (cache effectiveness) and a states/sec
+// throughput figure for the perf harnesses.
 #ifndef ARCADE_SWEEP_RUNNER_HPP
 #define ARCADE_SWEEP_RUNNER_HPP
 
@@ -63,7 +67,9 @@ struct SweepReport {
 };
 
 struct RunnerOptions {
-    unsigned threads = 0;  ///< worker threads; 0 = hardware concurrency
+    /// Workers, never more than there are tasks; 0 = hardware concurrency.
+    /// One worker runs on the caller's thread; more get threads of their own.
+    unsigned threads = 0;
     /// Which slice of the expanded work list this process runs (1/1 = all).
     /// Applies to run(grid) only; pre-expanded item lists are the caller's.
     ShardSpec shard;
@@ -81,8 +87,9 @@ public:
         : session_(session), options_(options) {}
 
     /// expand()s the grid, keeps this runner's shard of the work list, and
-    /// evaluates every item.  The first worker exception (e.g. an
-    /// inconsistent disaster) is rethrown after the pool drains.
+    /// evaluates every item.  After the first exception (e.g. a model that
+    /// fails to compile) no new task starts; it is rethrown once every
+    /// worker has joined.
     [[nodiscard]] SweepReport run(const ScenarioGrid& grid);
 
     /// Evaluates pre-expanded items (callers that filter or re-order cells).

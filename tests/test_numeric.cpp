@@ -2,19 +2,26 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "arcade/compiler.hpp"
+#include "engine/session.hpp"
 #include "linalg/csr_matrix.hpp"
+#include "linalg/kernels.hpp"
 #include "linalg/vector_ops.hpp"
 #include "numeric/fox_glynn.hpp"
 #include "numeric/linear_solvers.hpp"
 #include "support/errors.hpp"
+#include "sweep/sweep.hpp"
 #include "watertree/watertree.hpp"
 
 namespace num = arcade::numeric;
@@ -76,6 +83,146 @@ TEST(FoxGlynn, LargeRateCapturesRequestedMass) {
         double total = 0.0;
         for (double x : w.weights) total += x;
         EXPECT_NEAR(total, 1.0, 1e-9) << "q=" << q;
+    }
+}
+
+namespace {
+
+/// fox_glynn as it stood when every widening attempt reallocated its window
+/// and reran both recurrences from the mode: the reference the kept
+/// routine, which extends two chains across attempts, must match bit for
+/// bit.
+num::PoissonWeights fox_glynn_per_attempt(double q, double epsilon) {
+    num::PoissonWeights out;
+    if (q == 0.0) {
+        out.left = out.right = 0;
+        out.weights = {1.0};
+        out.total_before_norm = 1.0;
+        return out;
+    }
+    const double mode = std::floor(q);
+    const double sd = std::sqrt(q);
+    for (double widths = 5.0;; widths *= 1.5) {
+        const double lo = mode - widths * sd - 4.0;
+        const double hi = mode + widths * sd + 4.0;
+        const std::size_t left = lo > 0.0 ? static_cast<std::size_t>(lo) : 0;
+        const std::size_t right = static_cast<std::size_t>(hi);
+        const std::size_t m = static_cast<std::size_t>(mode);
+        std::vector<double> w(right - left + 1, 0.0);
+        w[m - left] = 1.0;
+        for (std::size_t k = m; k > left; --k) {
+            w[k - 1 - left] = w[k - left] * static_cast<double>(k) / q;
+        }
+        for (std::size_t k = m; k < right; ++k) {
+            w[k + 1 - left] = w[k - left] * q / static_cast<double>(k + 1);
+        }
+        la::NeumaierSum sum;
+        for (const double x : w) sum.add(x);
+        const double total = sum.value();
+        const double rr = q / (static_cast<double>(right) + 1.0);
+        double tail = w[right - left] * rr / (1.0 - rr);
+        if (left > 0) {
+            const double rl = static_cast<double>(left) / q;
+            tail += w[0] * rl / (1.0 - rl);
+        }
+        const double truncated_mass = 1.0 - tail / total;
+        if (truncated_mass >= 1.0 - epsilon) {
+            out.left = left;
+            out.right = right;
+            out.weights.resize(w.size());
+            for (std::size_t i = 0; i < w.size(); ++i) out.weights[i] = w[i] / total;
+            out.total_before_norm = std::min(truncated_mass, 1.0);
+            return out;
+        }
+        const bool support_covered =
+            left == 0 && static_cast<double>(right) >= 2.0 * mode + 100.0;
+        if (widths > 1.0e3 || support_covered) {
+            throw arcade::ConvergenceError(
+                "fox_glynn: cannot capture 1 - epsilon of the Poisson mass for q=" +
+                std::to_string(q) + ", epsilon=" + std::to_string(epsilon) +
+                " (captured " + std::to_string(truncated_mass) + " with window [" +
+                std::to_string(left) + ", " + std::to_string(right) + "])");
+        }
+    }
+}
+
+/// The window fox_glynn computes, or the message it throws.
+struct FoxGlynnOutcome {
+    std::size_t left = 0;
+    std::size_t right = 0;
+    std::vector<std::uint64_t> weight_bits;
+    std::uint64_t total_bits = 0;
+    std::string error;
+
+    bool operator==(const FoxGlynnOutcome&) const = default;
+};
+
+template <typename FoxGlynn>
+FoxGlynnOutcome outcome_of(FoxGlynn fox_glynn, double q, double epsilon) {
+    FoxGlynnOutcome out;
+    try {
+        const num::PoissonWeights w = fox_glynn(q, epsilon);
+        out.left = w.left;
+        out.right = w.right;
+        for (const double x : w.weights) {
+            out.weight_bits.push_back(std::bit_cast<std::uint64_t>(x));
+        }
+        out.total_bits = std::bit_cast<std::uint64_t>(w.total_before_norm);
+    } catch (const arcade::ConvergenceError& e) {
+        out.error = e.what();
+    }
+    return out;
+}
+
+}  // namespace
+
+TEST(FoxGlynn, ExtendedChainsMatchThePerAttemptRecurrencesBitwise) {
+    const double denorm_min = std::numeric_limits<double>::denorm_min();
+    std::vector<double> rates = {0.0, denorm_min, 1e-310};
+    for (int i = 0; i <= 140; ++i) rates.push_back(1e-3 * std::pow(10.0, i / 20.0));
+    // The exact q = λ·t of every window a paper pass asks for: λ is the
+    // uniformisation rate of the chain each cell steps, the full chain for
+    // cost cells and, for survivability, the one whose target states absorb.
+    arcade::engine::AnalysisSession session;
+    const auto paper = arcade::sweep::paper::everything();
+    std::vector<double> paper_rates;
+    for (const int line : paper.lines) {
+        for (const auto& name : paper.strategies) {
+            const auto model = arcade::watertree::compile_line(
+                session, line, arcade::watertree::strategy(name), arcade::core::Encoding::Lumped);
+            const auto& chain = model->chain();
+            for (const auto& measure : paper.measures) {
+                if (measure.disaster == arcade::sweep::DisasterKind::Mixed && line != 2) continue;
+                const double max_exit =
+                    measure.kind == arcade::sweep::MeasureKind::Survivability
+                        ? chain.max_exit_rate(model->service_at_least(measure.service_level))
+                        : chain.max_exit_rate();
+                const double lambda = la::uniformisation_rate(max_exit);
+                for (const double t : measure.times) paper_rates.push_back(lambda * t);
+            }
+        }
+    }
+    // They are the pass's windows: after a serial pass, asking for them
+    // all misses nothing, and they number the pass's misses.
+    num::fox_glynn_cache_clear();
+    (void)arcade::sweep::SweepRunner(session, {1u, {}}).run(paper);
+    const auto pass = num::fox_glynn_cache_stats();
+    (void)num::fox_glynn_cached(paper_rates, 1e-12);
+    EXPECT_EQ(num::fox_glynn_cache_stats().misses, pass.misses);
+    std::vector<double> distinct = paper_rates;
+    std::sort(distinct.begin(), distinct.end());
+    distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
+    EXPECT_EQ(distinct.size(), pass.misses);
+    num::fox_glynn_cache_clear();
+    rates.insert(rates.end(), distinct.begin(), distinct.end());
+    // 1e-12 is the solvers' default; the tiny epsilons force the widest
+    // windows, where the routine must throw (if it throws) the same error.
+    for (const double epsilon : {1e-12, 1e-6, 1e-300, denorm_min}) {
+        for (const double q : rates) {
+            EXPECT_EQ(outcome_of(num::fox_glynn, q, epsilon),
+                      outcome_of(fox_glynn_per_attempt, q, epsilon))
+                << "q=" << q << " epsilon=" << epsilon;
+        }
     }
 }
 
@@ -198,6 +345,54 @@ TEST(FoxGlynnCache, HitsAndMissesAreCountedAndSharedAcrossCallers) {
     const auto cleared = num::fox_glynn_cache_stats();
     EXPECT_EQ(cleared.hits, 0u);
     EXPECT_EQ(cleared.misses, 0u);
+}
+
+TEST(FoxGlynnCache, ABatchCountsAsOneCallPerRate) {
+    // A second batch over the same rates hits every window, and the
+    // windows are the ones one call per rate returns.
+    num::fox_glynn_cache_clear();
+    const std::vector<double> rates = {0.0, 3.0, 40.5, 1e3};
+    const auto batch = num::fox_glynn_cached(rates, 1e-12);
+    ASSERT_EQ(batch.size(), rates.size());
+    auto stats = num::fox_glynn_cache_stats();
+    EXPECT_EQ(stats.misses, 4u);
+    EXPECT_EQ(stats.hits, 0u);
+    const auto again = num::fox_glynn_cached(rates, 1e-12);
+    for (std::size_t i = 0; i < rates.size(); ++i) {
+        EXPECT_EQ(again[i].get(), batch[i].get()) << i;
+        EXPECT_EQ(num::fox_glynn_cached(rates[i], 1e-12).get(), batch[i].get()) << i;
+        EXPECT_EQ(batch[i]->weights, num::fox_glynn(rates[i], 1e-12).weights) << i;
+    }
+    stats = num::fox_glynn_cache_stats();
+    EXPECT_EQ(stats.misses, 4u);
+    EXPECT_EQ(stats.hits, 8u);
+    num::fox_glynn_cache_clear();
+}
+
+TEST(FoxGlynnCache, ConcurrentBatchesShareOneWindowPerRate) {
+    // Four threads ask for the same 200 windows at once.  A window two of
+    // them miss together is computed twice, but the cache keeps one, so
+    // every later request for a rate gets one object.
+    num::fox_glynn_cache_clear();
+    std::vector<double> rates;
+    for (int i = 1; i <= 200; ++i) rates.push_back(2.5 * i);
+    std::vector<std::vector<std::shared_ptr<const num::PoissonWeights>>> got(4);
+    std::vector<std::thread> pool;
+    for (std::size_t t = 0; t < got.size(); ++t) {
+        pool.emplace_back([&, t] { got[t] = num::fox_glynn_cached(rates, 1e-12); });
+    }
+    for (auto& thread : pool) thread.join();
+    const auto stats = num::fox_glynn_cache_stats();
+    EXPECT_EQ(stats.hits + stats.misses, got.size() * rates.size());
+    EXPECT_GE(stats.misses, rates.size());
+    const auto after = num::fox_glynn_cached(rates, 1e-12);
+    for (std::size_t i = 0; i < rates.size(); ++i) {
+        for (const auto& windows : got) {
+            EXPECT_EQ(windows[i]->weights, after[i]->weights) << i;
+        }
+    }
+    EXPECT_EQ(num::fox_glynn_cache_stats().misses, stats.misses);
+    num::fox_glynn_cache_clear();
 }
 
 // ---------------------------------------------------------------------------

@@ -162,6 +162,59 @@ TEST(PrismParser, ExpressionErrorsReportTheFilesLineAndColumn) {
     }
 }
 
+namespace {
+
+/// Parses `text`, which defines one name twice: the ParseError must name
+/// it (`message`) and point at the second definition's name.
+void expect_redefinition_error(const std::string& text, const std::string& message,
+                               std::size_t line, std::size_t column) {
+    try {
+        (void)prism::parse_prism(text);
+        ADD_FAILURE() << "expected ParseError for " << text;
+    } catch (const arcade::ParseError& e) {
+        EXPECT_NE(std::string(e.what()).find(message), std::string::npos) << e.what();
+        EXPECT_EQ(e.line(), line) << e.what();
+        EXPECT_EQ(e.column(), column) << e.what();
+    }
+}
+
+}  // namespace
+
+TEST(PrismParser, RedefinedConstantIsAParseError) {
+    expect_redefinition_error("ctmc\nconst int k = 1;\nconst int k = 2;\n",
+                              "duplicate constant 'k'", 3, 11);
+}
+
+TEST(PrismParser, RedefinedFormulaIsAParseError) {
+    expect_redefinition_error("ctmc\nformula f = 1;\nformula f = 2;\nconst int k = f;\n",
+                              "duplicate formula 'f'", 3, 9);
+}
+
+TEST(PrismParser, RedefinedLabelIsAParseError) {
+    expect_redefinition_error("ctmc\nlabel \"up\" = true;\nlabel \"up\" = false;\n",
+                              "duplicate label 'up'", 3, 7);
+}
+
+TEST(PrismParser, RedefinedModuleIsAParseError) {
+    expect_redefinition_error(
+        "ctmc\nmodule m\n  x : [0..1] init 0;\nendmodule\n"
+        "module m\n  y : [0..1] init 0;\nendmodule\n",
+        "duplicate module 'm'", 5, 8);
+}
+
+TEST(PrismParser, RedefinedVariableIsAParseErrorAcrossModules) {
+    expect_redefinition_error(
+        "ctmc\nmodule a\n  x : [0..1] init 0;\nendmodule\n"
+        "module b\n  x : bool init false;\nendmodule\n",
+        "duplicate variable 'x'", 6, 3);
+}
+
+TEST(PrismParser, RedefinedRewardStructureIsAParseError) {
+    expect_redefinition_error(
+        "ctmc\nrewards \"r\"\n  true : 1;\nendrewards\nrewards \"r\"\n  true : 2;\nendrewards\n",
+        "duplicate reward structure 'r'", 5, 9);
+}
+
 TEST(PrismParser, FormulasMayReferToFormulasDefinedLater) {
     const auto sys = prism::parse_prism(R"(ctmc
 formula a = b + 1;

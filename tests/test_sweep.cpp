@@ -1,4 +1,4 @@
-// Unit tests: scenario-grid expansion, the work-stealing runner and result
+// Unit tests: scenario-grid expansion, the task-graph runner and result
 // export — including the sweep-vs-handwritten identity on the paper's
 // Table 2 line-2 cell (the sweep layer must subsume the bench harnesses
 // bit-for-bit, not just approximately).
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "arcade/measures.hpp"
+#include "numeric/fox_glynn.hpp"
 #include "support/errors.hpp"
 #include "support/series.hpp"
 #include "sweep/sweep.hpp"
@@ -843,5 +844,110 @@ TEST(SweepRunner, SharedCostPassMatchesSeparateCostCellsBitwise) {
                 << r.item.key() << " point " << k;
         }
         EXPECT_GT(r.seconds, 0.0);
+    }
+}
+
+namespace {
+
+/// Every SessionStats counter of two runs, side by side.
+void expect_same_stats(const engine::SessionStats& a, const engine::SessionStats& b,
+                       const std::string& context) {
+    EXPECT_EQ(a.compile_hits, b.compile_hits) << context;
+    EXPECT_EQ(a.compile_misses, b.compile_misses) << context;
+    EXPECT_EQ(a.steady_state_hits, b.steady_state_hits) << context;
+    EXPECT_EQ(a.steady_state_misses, b.steady_state_misses) << context;
+    EXPECT_EQ(a.property_hits, b.property_hits) << context;
+    EXPECT_EQ(a.property_misses, b.property_misses) << context;
+}
+
+}  // namespace
+
+TEST(SweepRunner, PaperGridIsBitwiseEqualAtEveryThreadCount) {
+    // The whole paper evaluation, cost pairs included: the order the task
+    // graph runs cells in must not reach a single bit of any result, nor
+    // any session counter.
+    const auto grid = sweep::paper::everything();
+    const auto run = [&](unsigned threads) {
+        engine::AnalysisSession session;
+        return sweep::SweepRunner(session, {threads, {}}).run(grid);
+    };
+    arcade::numeric::fox_glynn_cache_clear();
+    const auto serial = run(1);
+    EXPECT_EQ(serial.stats.compile_misses, serial.unique_models);
+    // One serial pass asks for 1603 distinct Fox–Glynn windows (README).
+    const auto windows = arcade::numeric::fox_glynn_cache_stats();
+    EXPECT_EQ(windows.misses, 1603u);
+    EXPECT_EQ(windows.hits, 3147u);
+    for (const unsigned threads : {2u, 3u, 8u}) {
+        const std::string context = std::to_string(threads) + " threads";
+        const auto parallel = run(threads);
+        EXPECT_EQ(parallel.unique_models, serial.unique_models) << context;
+        EXPECT_EQ(parallel.stats.compile_misses, parallel.unique_models) << context;
+        expect_same_stats(parallel.stats, serial.stats, context);
+        ASSERT_EQ(parallel.results.size(), serial.results.size()) << context;
+        for (std::size_t i = 0; i < serial.results.size(); ++i) {
+            const auto& a = serial.results[i];
+            const auto& b = parallel.results[i];
+            EXPECT_EQ(b.item.key(), a.item.key()) << context;
+            EXPECT_EQ(b.model_states, a.model_states) << a.item.key();
+            EXPECT_EQ(b.model_transitions, a.model_transitions) << a.item.key();
+            EXPECT_EQ(b.model_explored_states, a.model_explored_states) << a.item.key();
+            ASSERT_EQ(b.values.size(), a.values.size()) << a.item.key();
+            for (std::size_t k = 0; k < a.values.size(); ++k) {
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(b.values[k]),
+                          std::bit_cast<std::uint64_t>(a.values[k]))
+                    << context << " " << a.item.key() << " point " << k;
+            }
+        }
+    }
+}
+
+TEST(SweepRunner, AModelThatFailsToCompileFailsTheRunAtEveryThreadCount) {
+    // Line 1 with 17 spare pumps has 21 interchangeable pumps: under Auto
+    // the closed-form size of its full chain overflows, and the compile
+    // throws ModelError.  The grid's other model compiles and its cells
+    // run; the run must still end in the failed model's own error.
+    std::string expected;
+    try {
+        engine::AnalysisSession session;
+        (void)wt::compile_line(session, 1, wt::strategy("FRF-1"), core::Encoding::Individual,
+                               {}, true, core::ReductionPolicy::Auto, {}, 17);
+        FAIL() << "21 interchangeable pumps compiled";
+    } catch (const arcade::ModelError& e) {
+        expected = e.what();
+    }
+    sweep::ScenarioGrid grid;
+    grid.lines = {1};
+    grid.strategies = {"FRF-1"};
+    grid.variants = {sweep::individual_variant()};
+    grid.scales = {sweep::ScaleSpec{}, sweep::ScaleSpec{"pumps+17", 17}};
+    grid.measures = {
+        measure_spec(MeasureKind::Availability),
+        measure_spec(MeasureKind::Survivability, DisasterKind::AllPumps, 1.0 / 3.0,
+                     arcade::time_grid(4.5, 10)),
+    };
+    for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+        engine::AnalysisSession session;
+        sweep::RunnerOptions options;
+        options.threads = threads;
+        options.reduction = core::ReductionPolicy::Auto;
+        try {
+            (void)sweep::SweepRunner(session, options).run(grid);
+            ADD_FAILURE() << "no error at " << threads << " threads";
+        } catch (const arcade::ModelError& e) {
+            EXPECT_EQ(std::string(e.what()), expected) << threads << " threads";
+        }
+    }
+}
+
+TEST(SweepRunner, AnEmptyItemListGivesAnEmptyReport) {
+    engine::AnalysisSession session;
+    for (const unsigned threads : {1u, 4u}) {
+        const auto report =
+            sweep::SweepRunner(session, {threads, {}}).run(table2_line2_ded(), {});
+        EXPECT_TRUE(report.results.empty());
+        EXPECT_EQ(report.unique_models, 0u);
+        EXPECT_EQ(report.state_points, 0u);
+        EXPECT_EQ(report.stats.compile_misses + report.stats.compile_hits, 0u);
     }
 }
