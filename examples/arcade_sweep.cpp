@@ -4,7 +4,7 @@
 // A single ScenarioGrid spans (both lines) × (all five repair strategies) ×
 // (availability + the six figure measures with their time grids).  The
 // sweep runner expands it to 60 scenarios over 10 compiled models,
-// funnels everything through the global AnalysisSession, and this driver
+// funnels everything through one AnalysisSession, and this driver
 // renders the paper's Table 2 availability column and the Figure 8
 // survivability grid from the results — plus cache-hit and states/sec
 // counters, and optional CSV/JSON export:
@@ -169,7 +169,8 @@ int main(int argc, char** argv) {
         return 0;
     }
 
-    sweep::SweepRunner runner(arcade::engine::AnalysisSession::global(),
+    arcade::engine::AnalysisSession session;
+    sweep::SweepRunner runner(session,
                               {threads, shard, reduction});
     const auto report = runner.run(grid);
 

@@ -52,7 +52,7 @@ int main() {
 
     // 7. The same model through an AnalysisSession: the second compile is a
     //    cache hit returning the identical instance.
-    auto& session = arcade::engine::AnalysisSession::global();
+    arcade::engine::AnalysisSession session;
     const auto first = session.compile(model);
     const auto second = session.compile(model);
     std::cout << "session cache hit: " << (first.get() == second.get() ? "yes" : "no")

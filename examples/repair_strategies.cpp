@@ -30,7 +30,7 @@ core::ArcadeModel data_centre(core::RepairPolicy policy, std::size_t crews) {
 
 int main() {
     std::cout << "Repair-strategy comparison on a small data centre\n\n";
-    auto& session = arcade::engine::AnalysisSession::global();
+    arcade::engine::AnalysisSession session;
 
     struct Candidate {
         const char* name;

@@ -26,7 +26,7 @@ int main() {
 
     // Round-trip and analyse.
     const core::ArcadeModel model = core::model_from_xml(xml);
-    auto& session = arcade::engine::AnalysisSession::global();
+    arcade::engine::AnalysisSession session;
     const auto compiled = session.compile(model);
     std::cout << "\nmodel '" << model.name << "': " << compiled->state_count()
               << " states after XML round-trip\n\n";

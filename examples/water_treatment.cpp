@@ -14,7 +14,7 @@ namespace core = arcade::core;
 namespace wt = arcade::watertree;
 
 int main() {
-    auto& session = arcade::engine::AnalysisSession::global();
+    arcade::engine::AnalysisSession session;
     std::cout << "Water-treatment facility (DSN 2010 case study)\n";
     std::cout << "==============================================\n\n";
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cctype>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -11,6 +10,7 @@
 #include "analysis/interval.hpp"
 #include "engine/state_store.hpp"
 #include "support/errors.hpp"
+#include "support/strings.hpp"
 
 namespace arcade::analysis {
 
@@ -583,17 +583,10 @@ private:
     }
 };
 
-std::string ascii_lower(std::string_view text) {
-    std::string out(text);
-    std::transform(out.begin(), out.end(), out.begin(),
-                   [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-    return out;
-}
-
 }  // namespace
 
 std::optional<LintLevel> parse_lint_level(std::string_view text) {
-    const std::string t = ascii_lower(text);
+    const std::string t = to_lower(text);
     if (t == "off" || t == "0" || t == "false" || t == "none") return LintLevel::Off;
     if (t == "warn" || t == "warning" || t == "on" || t == "1" || t == "true") {
         return LintLevel::Warn;

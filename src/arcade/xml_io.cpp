@@ -153,10 +153,4 @@ ArcadeModel load_model(const std::string& path) {
     return model_from_xml(buffer.str());
 }
 
-void save_model(const ArcadeModel& model, const std::string& path) {
-    std::ofstream out(path);
-    if (!out) throw InvalidArgument("cannot open '" + path + "' for writing");
-    out << model_to_xml(model);
-}
-
 }  // namespace arcade::core

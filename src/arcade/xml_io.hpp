@@ -42,9 +42,6 @@ namespace arcade::core {
 /// Convenience: reads a model from a file on disk.
 [[nodiscard]] ArcadeModel load_model(const std::string& path);
 
-/// Convenience: writes a model to a file on disk.
-void save_model(const ArcadeModel& model, const std::string& path);
-
 }  // namespace arcade::core
 
 #endif  // ARCADE_ARCADE_XML_IO_HPP

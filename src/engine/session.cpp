@@ -221,9 +221,4 @@ void AnalysisSession::clear() {
     stats_ = SessionStats{};
 }
 
-AnalysisSession& AnalysisSession::global() {
-    static AnalysisSession session;
-    return session;
-}
-
 }  // namespace arcade::engine

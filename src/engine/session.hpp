@@ -17,8 +17,9 @@
 // Reactive-modules systems (PRISM input) are not cached here: callers run
 // modules::explore directly.
 //
-// Sessions are thread-safe; the process-wide `global()` session backs the
-// convenience paths in bench_common and the examples.
+// Sessions are thread-safe.  There is no process-wide session: each caller
+// (a sweep, an example, a test) declares its own, so its caches and
+// counters cover exactly its own work.
 #ifndef ARCADE_ENGINE_SESSION_HPP
 #define ARCADE_ENGINE_SESSION_HPP
 
@@ -116,9 +117,6 @@ public:
 
     /// Drops every cached artefact (models, distributions, properties).
     void clear();
-
-    /// Process-wide session used by the convenience helpers in bench/examples.
-    [[nodiscard]] static AnalysisSession& global();
 
 private:
     /// Steady-state cache entry: holds the model shared_ptr so the raw

@@ -1,8 +1,9 @@
 // Pratt parser for the PRISM-style expression syntax (see expr.hpp).
-// Nesting is bounded (kMaxDepth), so hostile input cannot exhaust the stack.
+// Nesting is bounded (kMaxDepth) and so is the depth of the tree it builds
+// (kMaxTreeDepth), so hostile input cannot exhaust the stack, here or in a
+// later walk over the tree.
 #include <algorithm>
 #include <cctype>
-#include <optional>
 #include <string_view>
 
 #include "expr/expr.hpp"
@@ -143,9 +144,17 @@ private:
 };
 
 /// Deepest nesting of parentheses, conditionals and prefix/right-
-/// associative operators the parser accepts; model expressions nest a few
-/// levels.
+/// associative operators the parser accepts (each costs a dozen parser
+/// frames); model expressions nest a few levels.  Left-associative chains
+/// are loops here, so only kMaxTreeDepth bounds them.
 constexpr std::size_t kMaxDepth = 256;
+
+/// A parsed subexpression and its tree depth: the nodes on its longest
+/// root-to-leaf path, a leaf counting 1.
+struct Parsed {
+    Expr expr;
+    std::size_t depth = 1;
+};
 
 class Parser {
 public:
@@ -155,9 +164,9 @@ public:
     }
 
     Expr parse() {
-        Expr e = parse_ternary();
+        Parsed e = parse_ternary();
         expect(TokenKind::End, "end of expression");
-        return e;
+        return std::move(e.expr);
     }
 
 private:
@@ -198,6 +207,15 @@ private:
     /// with the construct's start still points inside the right text.
     Expr at(std::size_t pos, Expr e) const { return e.with_offset(origin_.offset + pos); }
 
+    /// Depth of an operator node over children at most `children` deep;
+    /// past kMaxTreeDepth it fails at the operator's position `op`.
+    std::size_t deeper(std::size_t children, std::size_t op) const {
+        if (children >= kMaxTreeDepth) {
+            fail("expression deeper than " + std::to_string(kMaxTreeDepth) + " levels", op);
+        }
+        return children + 1;
+    }
+
     void expect(TokenKind kind, const std::string& what) {
         if (current_.kind != kind) {
             fail("expected " + what + " but found '" + current_.text + "'", current_.pos);
@@ -205,127 +223,130 @@ private:
         advance();
     }
 
-    Expr parse_ternary() {
+    using Rule = Parsed (Parser::*)();
+
+    /// The operator of a binary-operator token.
+    [[nodiscard]] BinaryOp binary_op(TokenKind kind) const {
+        switch (kind) {
+            case TokenKind::Plus: return BinaryOp::Add;
+            case TokenKind::Minus: return BinaryOp::Sub;
+            case TokenKind::Star: return BinaryOp::Mul;
+            case TokenKind::Slash: return BinaryOp::Div;
+            case TokenKind::Eq: return BinaryOp::Eq;
+            case TokenKind::Ne: return BinaryOp::Ne;
+            case TokenKind::Lt: return BinaryOp::Lt;
+            case TokenKind::Le: return BinaryOp::Le;
+            case TokenKind::Gt: return BinaryOp::Gt;
+            case TokenKind::Ge: return BinaryOp::Ge;
+            case TokenKind::And: return BinaryOp::And;
+            case TokenKind::Or: return BinaryOp::Or;
+            case TokenKind::Implies: return BinaryOp::Implies;
+            case TokenKind::Iff: return BinaryOp::Iff;
+            default: fail("expected a binary operator", current_.pos);
+        }
+    }
+
+    template <TokenKind... Ops>
+    [[nodiscard]] bool at_one_of() const {
+        return ((current_.kind == Ops) || ...);
+    }
+
+    /// `lhs op rhs`, `op` the current token and `rhs` parsed by `rule`.
+    Parsed binary(std::size_t start, Parsed lhs, Rule rule) {
+        const std::size_t op_pos = current_.pos;
+        const BinaryOp op = binary_op(current_.kind);
+        advance();
+        Parsed rhs = (this->*rule)();
+        const std::size_t depth = deeper(std::max(lhs.depth, rhs.depth), op_pos);
+        return {at(start, Expr::binary(op, std::move(lhs.expr), std::move(rhs.expr))), depth};
+    }
+
+    /// `rule (op rule)*` over the operators `Ops`, left-associative: a loop
+    /// here, one tree level per operator.
+    template <TokenKind... Ops>
+    Parsed left_chain(Rule rule) {
+        const std::size_t start = current_.pos;
+        Parsed lhs = (this->*rule)();
+        while (at_one_of<Ops...>()) lhs = binary(start, std::move(lhs), rule);
+        return lhs;
+    }
+
+    Parsed parse_ternary() {
         const Nested nested(*this);
         const std::size_t start = current_.pos;
-        Expr cond = parse_iff();
+        Parsed cond = parse_iff();
         if (current_.kind == TokenKind::Question) {
             advance();
-            Expr a = parse_ternary();
+            Parsed a = parse_ternary();
             expect(TokenKind::Colon, "':'");
-            Expr b = parse_ternary();
-            return at(start, Expr::ite(std::move(cond), std::move(a), std::move(b)));
+            Parsed b = parse_ternary();
+            const std::size_t depth = deeper(std::max({cond.depth, a.depth, b.depth}), start);
+            return {at(start, Expr::ite(std::move(cond.expr), std::move(a.expr),
+                                        std::move(b.expr))),
+                    depth};
         }
         return cond;
     }
 
-    Expr parse_iff() {
-        const std::size_t start = current_.pos;
-        Expr lhs = parse_implies();
-        while (current_.kind == TokenKind::Iff) {
-            advance();
-            lhs = at(start, Expr::binary(BinaryOp::Iff, std::move(lhs), parse_implies()));
-        }
-        return lhs;
-    }
+    Parsed parse_iff() { return left_chain<TokenKind::Iff>(&Parser::parse_implies); }
 
-    Expr parse_implies() {
+    Parsed parse_implies() {
         const std::size_t start = current_.pos;
-        Expr lhs = parse_or();
+        Parsed lhs = parse_or();
         if (current_.kind == TokenKind::Implies) {  // right-associative
             const Nested nested(*this);
-            advance();
-            return at(start, Expr::binary(BinaryOp::Implies, std::move(lhs), parse_implies()));
+            return binary(start, std::move(lhs), &Parser::parse_implies);
         }
         return lhs;
     }
 
-    Expr parse_or() {
-        const std::size_t start = current_.pos;
-        Expr lhs = parse_and();
-        while (current_.kind == TokenKind::Or) {
-            advance();
-            lhs = at(start, Expr::binary(BinaryOp::Or, std::move(lhs), parse_and()));
-        }
-        return lhs;
-    }
+    Parsed parse_or() { return left_chain<TokenKind::Or>(&Parser::parse_and); }
 
-    Expr parse_and() {
-        const std::size_t start = current_.pos;
-        Expr lhs = parse_not();
-        while (current_.kind == TokenKind::And) {
-            advance();
-            lhs = at(start, Expr::binary(BinaryOp::And, std::move(lhs), parse_not()));
-        }
-        return lhs;
-    }
+    Parsed parse_and() { return left_chain<TokenKind::And>(&Parser::parse_not); }
 
-    Expr parse_not() {
+    Parsed parse_not() {
         if (current_.kind == TokenKind::Not) {
             const Nested nested(*this);
             const std::size_t start = current_.pos;
             advance();
-            return at(start, Expr::unary(UnaryOp::Not, parse_not()));
+            Parsed operand = parse_not();
+            const std::size_t depth = deeper(operand.depth, start);
+            return {at(start, Expr::unary(UnaryOp::Not, std::move(operand.expr))), depth};
         }
         return parse_comparison();
     }
 
-    Expr parse_comparison() {
+    Parsed parse_comparison() {
         const std::size_t start = current_.pos;
-        Expr lhs = parse_additive();
-        const auto op = [&]() -> std::optional<BinaryOp> {
-            switch (current_.kind) {
-                case TokenKind::Eq: return BinaryOp::Eq;
-                case TokenKind::Ne: return BinaryOp::Ne;
-                case TokenKind::Lt: return BinaryOp::Lt;
-                case TokenKind::Le: return BinaryOp::Le;
-                case TokenKind::Gt: return BinaryOp::Gt;
-                case TokenKind::Ge: return BinaryOp::Ge;
-                default: return std::nullopt;
-            }
-        }();
-        if (op) {
-            advance();
-            return at(start, Expr::binary(*op, std::move(lhs), parse_additive()));
+        Parsed lhs = parse_additive();
+        using enum TokenKind;
+        if (at_one_of<Eq, Ne, Lt, Le, Gt, Ge>()) {
+            return binary(start, std::move(lhs), &Parser::parse_additive);
         }
         return lhs;
     }
 
-    Expr parse_additive() {
-        const std::size_t start = current_.pos;
-        Expr lhs = parse_multiplicative();
-        while (current_.kind == TokenKind::Plus || current_.kind == TokenKind::Minus) {
-            const BinaryOp op =
-                current_.kind == TokenKind::Plus ? BinaryOp::Add : BinaryOp::Sub;
-            advance();
-            lhs = at(start, Expr::binary(op, std::move(lhs), parse_multiplicative()));
-        }
-        return lhs;
+    Parsed parse_additive() {
+        return left_chain<TokenKind::Plus, TokenKind::Minus>(&Parser::parse_multiplicative);
     }
 
-    Expr parse_multiplicative() {
-        const std::size_t start = current_.pos;
-        Expr lhs = parse_unary();
-        while (current_.kind == TokenKind::Star || current_.kind == TokenKind::Slash) {
-            const BinaryOp op =
-                current_.kind == TokenKind::Star ? BinaryOp::Mul : BinaryOp::Div;
-            advance();
-            lhs = at(start, Expr::binary(op, std::move(lhs), parse_unary()));
-        }
-        return lhs;
+    Parsed parse_multiplicative() {
+        return left_chain<TokenKind::Star, TokenKind::Slash>(&Parser::parse_unary);
     }
 
-    Expr parse_unary() {
+    Parsed parse_unary() {
         if (current_.kind == TokenKind::Minus) {
             const Nested nested(*this);
             const std::size_t start = current_.pos;
             advance();
-            return at(start, Expr::unary(UnaryOp::Neg, parse_unary()));
+            Parsed operand = parse_unary();
+            const std::size_t depth = deeper(operand.depth, start);
+            return {at(start, Expr::unary(UnaryOp::Neg, std::move(operand.expr))), depth};
         }
         return parse_primary();
     }
 
-    Expr parse_primary() {
+    Parsed parse_primary() {
         const std::size_t start = current_.pos;
         switch (current_.kind) {
             case TokenKind::Number: {
@@ -333,25 +354,28 @@ private:
                 advance();
                 if (text.find('.') == std::string::npos && text.find('e') == std::string::npos &&
                     text.find('E') == std::string::npos) {
-                    return at(start, Expr::integer(std::stoll(text)));
+                    return {at(start, Expr::integer(std::stoll(text)))};
                 }
-                return at(start, Expr::real(std::stod(text)));
+                return {at(start, Expr::real(std::stod(text)))};
             }
             case TokenKind::True:
                 advance();
-                return at(start, Expr::boolean(true));
+                return {at(start, Expr::boolean(true))};
             case TokenKind::False:
                 advance();
-                return at(start, Expr::boolean(false));
+                return {at(start, Expr::boolean(false))};
             case TokenKind::Identifier: {
                 const std::string name = current_.text;
                 advance();
-                if (current_.kind == TokenKind::LParen) return at(start, parse_call(name, start));
-                return at(start, Expr::identifier(name));
+                if (current_.kind == TokenKind::LParen) {
+                    Parsed call = parse_call(name, start);
+                    return {at(start, call.expr), call.depth};
+                }
+                return {at(start, Expr::identifier(name))};
             }
             case TokenKind::LParen: {
                 advance();
-                Expr e = parse_ternary();
+                Parsed e = parse_ternary();
                 expect(TokenKind::RParen, "')'");
                 return e;
             }
@@ -360,9 +384,9 @@ private:
         }
     }
 
-    Expr parse_call(const std::string& name, std::size_t start) {
+    Parsed parse_call(const std::string& name, std::size_t start) {
         expect(TokenKind::LParen, "'('");
-        std::vector<Expr> args;
+        std::vector<Parsed> args;
         if (current_.kind != TokenKind::RParen) {
             args.push_back(parse_ternary());
             while (current_.kind == TokenKind::Comma) {
@@ -372,19 +396,21 @@ private:
         }
         expect(TokenKind::RParen, "')'");
 
+        // min/max fold their arguments left to right, one level each.
         auto fold = [&](BinaryOp op) {
             if (args.size() < 2) {
                 fail(name + "() needs at least two arguments", start);
             }
-            Expr acc = args[0];
+            Parsed acc = args[0];
             for (std::size_t i = 1; i < args.size(); ++i) {
-                acc = Expr::binary(op, std::move(acc), args[i]);
+                const std::size_t depth = deeper(std::max(acc.depth, args[i].depth), start);
+                acc = {Expr::binary(op, std::move(acc.expr), args[i].expr), depth};
             }
             return acc;
         };
         auto unary1 = [&](UnaryOp op) {
             if (args.size() != 1) fail(name + "() needs exactly one argument", start);
-            return Expr::unary(op, args[0]);
+            return Parsed{Expr::unary(op, args[0].expr), deeper(args[0].depth, start)};
         };
 
         if (name == "min") return fold(BinaryOp::Min);
@@ -393,7 +419,8 @@ private:
         if (name == "ceil") return unary1(UnaryOp::Ceil);
         if (name == "pow") {
             if (args.size() != 2) fail("pow() needs exactly two arguments", start);
-            return Expr::binary(BinaryOp::Pow, args[0], args[1]);
+            return Parsed{Expr::binary(BinaryOp::Pow, args[0].expr, args[1].expr),
+                          deeper(std::max(args[0].depth, args[1].depth), start)};
         }
         fail("unknown function '" + name + "'", start);
     }

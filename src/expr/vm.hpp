@@ -72,8 +72,6 @@ public:
     [[nodiscard]] Value run(std::span<const Value> slots) const;
 
     [[nodiscard]] const std::vector<Instr>& code() const noexcept { return code_; }
-    [[nodiscard]] const std::vector<Value>& constant_pool() const noexcept { return pool_; }
-    [[nodiscard]] std::uint32_t register_count() const noexcept { return register_count_; }
     /// True when the whole expression folded to a single constant.
     [[nodiscard]] bool is_constant() const noexcept {
         return code_.size() == 1 && code_.front().op == OpCode::LoadConst;

@@ -41,21 +41,6 @@ inline void scatter_row(const Index* __restrict cols, const double* __restrict v
     for (; k < end; ++k) y[cols[k]] += xr * vals[k];
 }
 
-void multiply_left_scalar(const CsrMatrix& m, std::span<const double> x,
-                          std::span<double> y) {
-    std::fill(y.begin(), y.end(), 0.0);
-    const auto& row_ptr = m.row_ptr();
-    const auto& col_idx = m.col_idx();
-    const auto& values = m.values();
-    for (std::size_t r = 0; r < m.rows(); ++r) {
-        const double xr = x[r];
-        if (xr == 0.0) continue;
-        for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-            y[col_idx[k]] += xr * values[k];
-        }
-    }
-}
-
 /// The blocked y = x^T * M.  kStay adds x[r]*stay[r] to y[r] after row r's
 /// scatter — the uniformised step over a precomputed P.
 template <bool kStay>
@@ -114,11 +99,7 @@ void set_kernel_mode(KernelMode mode) {
 void multiply_left(const CsrMatrix& m, std::span<const double> x, std::span<double> y) {
     ARCADE_ASSERT(x.size() == m.rows() && y.size() == m.cols(),
                   "multiply_left shape mismatch");
-    if (kernel_mode() == KernelMode::Scalar) {
-        multiply_left_scalar(m, x, y);
-    } else {
-        left_rows<false>(m, nullptr, x, y);
-    }
+    left_rows<false>(m, nullptr, x, y);
 }
 
 double uniformisation_rate(double max_exit_rate) {

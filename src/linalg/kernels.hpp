@@ -1,13 +1,13 @@
 // Blocked CSR matvec kernels for the numeric core.
 //
-// Every production multiply runs one blocked body: 4-way unrolled inner
-// loops over __restrict pointers.  The plain multiply_left also keeps the
-// seed's straightforward loop as a reference, selected only when a test or
-// bench calls set_kernel_mode(KernelMode::Scalar).  Both accumulate in the
-// SAME ascending-index order with a single sequential accumulator chain, so
-// their results are bitwise identical — the unrolling only pipelines the
-// loads and multiplies; it never reassociates a floating-point sum and
-// never contracts into FMAs.
+// Every multiply runs one blocked body: 4-way unrolled inner loops over
+// __restrict pointers.  It accumulates in the same ascending-index order,
+// with a single sequential accumulator chain, as the seed's
+// straightforward loop (kept in test_linalg as the reference), so the
+// results are bitwise identical — the unrolling only pipelines the loads
+// and multiplies; it never reassociates a floating-point sum and never
+// contracts into FMAs.  KernelMode is kept for perfbench: no mode changes
+// what runs.
 //
 // Uniformisation is done once per solve: uniformise() turns a rate matrix
 // into P = I + Q/lambda (off-diagonal probabilities plus per-row stay
@@ -28,17 +28,18 @@ namespace arcade::linalg {
 
 enum class KernelMode {
     Blocked,  ///< unrolled kernels (default)
-    Scalar,   ///< the seed's reference loop (multiply_left only)
+    Scalar,   ///< kept for perfbench; runs the blocked kernels
     Simd,     ///< kept for perfbench; runs the blocked kernels
 };
 
 /// Kept for perfbench; always false.
 [[nodiscard]] bool simd_available();
 
-/// Current mode; initially Blocked.
+/// Kept for perfbench: the mode last set (initially Blocked); nothing
+/// in the library reads it.
 [[nodiscard]] KernelMode kernel_mode();
 
-/// Overrides the mode at runtime (atomic; used by identity tests/benches).
+/// Kept for perfbench: stores the mode kernel_mode() returns (atomic).
 void set_kernel_mode(KernelMode mode);
 
 /// acc + sum of vals[k]*x[cols[k]] over one CSR row range [begin,end), in

@@ -2,9 +2,13 @@
 //
 // Every ParseError names the byte offset of the offending token, so tooling
 // (and humans staring at generated formulas) can point at the exact spot.
-// Nesting is bounded (kMaxDepth), so hostile input cannot exhaust the stack.
+// Nesting is bounded (kMaxDepth) and so is the depth of the tree it builds
+// (expr::kMaxTreeDepth, shared with the expression parser), so hostile
+// input cannot exhaust the stack, here or in the checker's walk.
+#include <algorithm>
 #include <cctype>
 
+#include "expr/expr.hpp"
 #include "logic/csl.hpp"
 #include "support/errors.hpp"
 
@@ -86,24 +90,61 @@ private:
 };
 
 /// Deepest nesting of operators and parentheses the parser accepts; the
-/// paper's formulas nest a few levels.
+/// paper's formulas nest a few levels.  `&` and `|` chains are loops here,
+/// so only expr::kMaxTreeDepth bounds them.
 constexpr std::size_t kMaxDepth = 256;
+
+/// A parsed state formula, or a path formula's operands, and the tree
+/// depth: the nodes on the longest root-to-leaf path, a leaf counting 1.
+template <typename T>
+struct Parsed {
+    T value;
+    std::size_t depth = 1;
+};
 
 class CslParser {
 public:
-    explicit CslParser(const std::string& text) : cur_(text) {}
+    explicit CslParser(const std::string& text) : text_(text), cur_(text) {}
 
     StateFormulaPtr parse() {
-        StateFormulaPtr f = parse_or();
+        StateFormulaPtr f = parse_or().value;
         if (!cur_.done()) fail("trailing input", cur_.offset());
         return f;
     }
 
 private:
+    const std::string& text_;
     Cursor cur_;
 
     static StateFormulaPtr make(StateFormula::Node node) {
         return std::make_shared<const StateFormula>(std::move(node));
+    }
+
+    /// Depth of a node over children at most `children` deep; past
+    /// expr::kMaxTreeDepth it fails at byte `offset`, naming its line and
+    /// column.
+    [[nodiscard]] std::size_t deeper(std::size_t children, std::size_t offset) const {
+        if (children >= expr::kMaxTreeDepth) {
+            const expr::SourcePos at = expr::locate(text_, offset);
+            throw ParseError("CSL: formula deeper than " +
+                                 std::to_string(expr::kMaxTreeDepth) +
+                                 " levels at byte offset " + std::to_string(offset),
+                             at.line, at.column);
+        }
+        return children + 1;
+    }
+
+    /// The left-associative chain `next (token next)*` of `Node`s.
+    template <typename Node>
+    Parsed<StateFormulaPtr> left_chain(Parsed<StateFormulaPtr> (CslParser::*next)(),
+                                       const char* token) {
+        Parsed<StateFormulaPtr> lhs = (this->*next)();
+        for (std::size_t op = cur_.offset(); cur_.accept(token); op = cur_.offset()) {
+            Parsed<StateFormulaPtr> rhs = (this->*next)();
+            const std::size_t depth = deeper(std::max(lhs.depth, rhs.depth), op);
+            lhs = {make(Node{std::move(lhs.value), std::move(rhs.value)}), depth};
+        }
+        return lhs;
     }
 
     /// Builds the P node for a G path parsed as its dual Until:
@@ -122,20 +163,12 @@ private:
         return inner;
     }
 
-    StateFormulaPtr parse_or() {
-        StateFormulaPtr lhs = parse_and();
-        while (cur_.accept("|")) {
-            lhs = make(Disjunction{lhs, parse_and()});
-        }
-        return lhs;
+    Parsed<StateFormulaPtr> parse_or() {
+        return left_chain<Disjunction>(&CslParser::parse_and, "|");
     }
 
-    StateFormulaPtr parse_and() {
-        StateFormulaPtr lhs = parse_unary();
-        while (cur_.accept("&")) {
-            lhs = make(Conjunction{lhs, parse_unary()});
-        }
-        return lhs;
+    Parsed<StateFormulaPtr> parse_and() {
+        return left_chain<Conjunction>(&CslParser::parse_unary, "&");
     }
 
     Bound parse_bound() {
@@ -179,36 +212,44 @@ private:
         std::size_t& depth_;
     };
 
-    StateFormulaPtr parse_unary() {
+    Parsed<StateFormulaPtr> parse_unary() {
         const Nested nested(*this);
-        if (cur_.accept("!")) return make(Negation{parse_unary()});
+        const std::size_t start = cur_.offset();
+        if (cur_.accept("!")) {
+            Parsed<StateFormulaPtr> operand = parse_unary();
+            const std::size_t depth = deeper(operand.depth, start);
+            return {make(Negation{std::move(operand.value)}), depth};
+        }
         if (cur_.accept("(")) {
-            StateFormulaPtr f = parse_or();
+            Parsed<StateFormulaPtr> f = parse_or();
             cur_.expect(")");
             return f;
         }
-        if (cur_.accept("true")) return make(BoolLiteral{true});
-        if (cur_.accept("false")) return make(BoolLiteral{false});
+        if (cur_.accept("true")) return {make(BoolLiteral{true})};
+        if (cur_.accept("false")) return {make(BoolLiteral{false})};
         if (cur_.accept("P")) {
             Bound b = parse_bound();
             cur_.expect("[");
             globally_ = false;
-            PathFormula path = parse_path();
+            Parsed<PathFormula> path = parse_path();
             // Consume the flag at THIS P node: a nested P [G ...] inside the
             // path has already consumed its own, so the duality fixup never
             // leaks across operator levels.
             const bool globally = globally_;
             globally_ = false;
             cur_.expect("]");
-            if (globally) return make_globally(b, std::move(path));
-            return make(Probabilistic{b, std::move(path)});
+            // A G query's P node may sit under the Negation that complements it.
+            const std::size_t depth = deeper(path.depth + (globally ? 1 : 0), start);
+            if (globally) return {make_globally(b, std::move(path.value)), depth};
+            return {make(Probabilistic{b, std::move(path.value)}), depth};
         }
         if (cur_.accept("S")) {
             Bound b = parse_bound();
             cur_.expect("[");
-            StateFormulaPtr f = parse_or();
+            Parsed<StateFormulaPtr> f = parse_or();
             cur_.expect("]");
-            return make(SteadyState{b, f});
+            const std::size_t depth = deeper(f.depth, start);
+            return {make(SteadyState{b, std::move(f.value)}), depth};
         }
         if (cur_.accept("R")) {
             std::string structure;
@@ -220,10 +261,10 @@ private:
             cur_.expect("[");
             RewardProperty prop = parse_reward_property();
             cur_.expect("]");
-            return make(Reward{std::move(structure), b, prop});
+            return {make(Reward{std::move(structure), b, prop})};
         }
         // label
-        return make(Label{cur_.quoted()});
+        return {make(Label{cur_.quoted()})};
     }
 
     RewardProperty parse_reward_property() {
@@ -241,9 +282,11 @@ private:
         fail("expected a reward property: I=t, C<=t, or S", cur_.offset());
     }
 
-    PathFormula parse_path() {
+    /// A path formula; its depth is that of its deepest state formula.
+    Parsed<PathFormula> parse_path() {
         if (cur_.accept("X")) {
-            return NextPath{parse_or()};
+            Parsed<StateFormulaPtr> f = parse_or();
+            return {NextPath{f.value}, f.depth};
         }
         if (cur_.accept("G")) {
             // G<=t f is the dual of an Until:  P(G f) = 1 - P(true U !f).
@@ -253,26 +296,27 @@ private:
             // so the checker never needs a dedicated `globally` node.
             std::optional<double> bound;
             if (cur_.accept("<=")) bound = cur_.number();
-            StateFormulaPtr f = parse_or();
-            StateFormulaPtr not_f = std::make_shared<const StateFormula>(Negation{f});
+            const std::size_t at = cur_.offset();
+            Parsed<StateFormulaPtr> f = parse_or();
+            StateFormulaPtr not_f = std::make_shared<const StateFormula>(Negation{f.value});
             StateFormulaPtr tru = std::make_shared<const StateFormula>(BoolLiteral{true});
             UntilPath u{tru, not_f, bound};
             globally_ = true;
-            return u;
+            return {u, deeper(f.depth, at)};
         }
         if (cur_.accept("F")) {
             std::optional<double> bound;
             if (cur_.accept("<=")) bound = cur_.number();
-            StateFormulaPtr f = parse_or();
+            Parsed<StateFormulaPtr> f = parse_or();
             StateFormulaPtr tru = std::make_shared<const StateFormula>(BoolLiteral{true});
-            return UntilPath{tru, f, bound};
+            return {UntilPath{tru, f.value, bound}, f.depth};
         }
-        StateFormulaPtr lhs = parse_or();
+        Parsed<StateFormulaPtr> lhs = parse_or();
         cur_.expect("U");
         std::optional<double> bound;
         if (cur_.accept("<=")) bound = cur_.number();
-        StateFormulaPtr rhs = parse_or();
-        return UntilPath{lhs, rhs, bound};
+        Parsed<StateFormulaPtr> rhs = parse_or();
+        return {UntilPath{lhs.value, rhs.value, bound}, std::max(lhs.depth, rhs.depth)};
     }
 
     /// Set by parse_path when the path just parsed was a G (globally),

@@ -14,13 +14,6 @@ std::vector<std::string> Module::alphabet() const {
     return out;
 }
 
-const Module* ModuleSystem::find_module(const std::string& module_name) const {
-    for (const auto& m : modules) {
-        if (m.name == module_name) return &m;
-    }
-    return nullptr;
-}
-
 const RewardDecl* ModuleSystem::find_reward(const std::string& reward_name) const {
     for (const auto& r : rewards) {
         if (r.name == reward_name) return &r;

@@ -76,7 +76,6 @@ struct ModuleSystem {
     std::map<std::string, expr::Expr> labels;   ///< named state formulas
     std::vector<RewardDecl> rewards;
 
-    [[nodiscard]] const Module* find_module(const std::string& module_name) const;
     [[nodiscard]] const RewardDecl* find_reward(const std::string& reward_name) const;
     [[nodiscard]] std::vector<VarDecl> all_variables() const;
 };

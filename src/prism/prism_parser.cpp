@@ -194,9 +194,11 @@ constexpr std::size_t kMaxExpandedDepth = 1024;
 /// The formulas defined so far, substituted syntactically where an
 /// expression names one, as in PRISM.  A body is kept as written and
 /// expanded at each use against the formulas defined by then, so it may
-/// name a formula defined after it.  A formula that reaches itself, or an
-/// expansion past kMaxExpandedNodes nodes or kMaxExpandedDepth levels, is a
-/// ParseError.  Expanded nodes keep the offsets of the text they came from.
+/// name a formula defined after it.  A formula that reaches itself, an
+/// expansion past kMaxExpandedNodes nodes or kMaxExpandedDepth levels, or
+/// an expanded tree deeper than expr::kMaxTreeDepth (the parser's bound on
+/// every tree, which an expansion would otherwise exceed) is a ParseError.
+/// Expanded nodes keep the offsets of the text they came from.
 class Formulas {
 public:
     explicit Formulas(const std::string& source) : source_(source) {}
@@ -235,6 +237,7 @@ private:
     std::map<std::string, Definition> definitions_;
     std::vector<const Entry*> expanding_;  ///< formulas open in expand(), outermost first
     std::size_t nodes_ = 0;                ///< nodes formula bodies gave this expansion
+    std::size_t outermost_level_ = 0;      ///< level at which expanding_.front() opened
 
     [[noreturn]] void fail(const std::string& message, std::size_t offset) const {
         const expr::SourcePos at = expr::locate(source_, offset);
@@ -242,46 +245,57 @@ private:
                          at.column);
     }
 
-    expr::Expr expand(const expr::Expr& e, std::size_t depth) {
+    /// The outermost formula being expanded grew past a bound.  Kept out
+    /// of expand() so that its frame, which every tree level costs, stays
+    /// small (see expr::kMaxTreeDepth).
+    [[noreturn, gnu::noinline]] void fail_expansion(const char* relation, std::size_t limit,
+                                                    const char* unit) const {
+        const Entry& outermost = *expanding_.front();
+        fail("formula '" + outermost.first + "' expands " + relation + " " +
+                 std::to_string(limit) + " " + unit,
+             outermost.second.offset);
+    }
+
+    /// `e`, which sits `level` nodes below the root, expanded.
+    expr::Expr expand(const expr::Expr& e, std::size_t level) {
         using namespace expr;
         if (e.empty()) return e;
         const auto& n = e.node();
         if (const auto* id = std::get_if<Identifier>(&n)) {
             const auto it = definitions_.find(id->name);
-            if (it != definitions_.end()) return expand_formula(*it, e.offset(), depth);
+            if (it != definitions_.end()) return expand_formula(*it, e.offset(), level);
         }
         if (!expanding_.empty()) {
-            const Entry& outermost = *expanding_.front();
             if (++nodes_ > kMaxExpandedNodes) {
-                fail("formula '" + outermost.first + "' expands to more than " +
-                         std::to_string(kMaxExpandedNodes) + " nodes",
-                     outermost.second.offset);
+                fail_expansion("to more than", kMaxExpandedNodes, "nodes");
             }
-            if (depth > kMaxExpandedDepth) {
-                fail("formula '" + outermost.first + "' expands deeper than " +
-                         std::to_string(kMaxExpandedDepth) + " levels",
-                     outermost.second.offset);
+            if (level - outermost_level_ > kMaxExpandedDepth) {
+                fail_expansion("deeper than", kMaxExpandedDepth, "levels");
             }
-            ++depth;
+            if (level >= expr::kMaxTreeDepth) {
+                fail_expansion("deeper than", expr::kMaxTreeDepth, "levels");
+            }
         }
+        ++level;
         if (std::get_if<Identifier>(&n) != nullptr || std::get_if<Literal>(&n) != nullptr) {
             return e;
         }
         if (const auto* u = std::get_if<Unary>(&n)) {
-            return Expr::unary(u->op, expand(u->operand, depth)).with_offset(e.offset());
+            return Expr::unary(u->op, expand(u->operand, level)).with_offset(e.offset());
         }
         if (const auto* b = std::get_if<Binary>(&n)) {
-            return Expr::binary(b->op, expand(b->lhs, depth), expand(b->rhs, depth))
+            return Expr::binary(b->op, expand(b->lhs, level), expand(b->rhs, level))
                 .with_offset(e.offset());
         }
         const auto& ite_node = std::get<Ite>(n);
-        return Expr::ite(expand(ite_node.cond, depth), expand(ite_node.then_branch, depth),
-                         expand(ite_node.else_branch, depth))
+        return Expr::ite(expand(ite_node.cond, level), expand(ite_node.then_branch, level),
+                         expand(ite_node.else_branch, level))
             .with_offset(e.offset());
     }
 
     /// Expands a use, at byte `use_offset`, of the formula `formula`.
-    expr::Expr expand_formula(Entry& formula, std::size_t use_offset, std::size_t depth) {
+    [[gnu::noinline]] expr::Expr expand_formula(Entry& formula, std::size_t use_offset,
+                                                std::size_t level) {
         const auto open = std::find(expanding_.begin(), expanding_.end(), &formula);
         if (open != expanding_.end()) {
             std::string cycle;
@@ -291,8 +305,9 @@ private:
                  use_offset);
         }
         formula.second.used = true;
+        if (expanding_.empty()) outermost_level_ = level;
         expanding_.push_back(&formula);
-        expr::Expr out = expand(formula.second.body, depth);
+        expr::Expr out = expand(formula.second.body, level);
         expanding_.pop_back();
         return out;
     }

@@ -1,5 +1,6 @@
-// Output helpers for the benchmark harnesses: aligned ASCII tables and
-// gnuplot-ready (t, value...) series, the formats the paper's figures use.
+// Output helpers for the paper's artefacts and the examples: aligned ASCII
+// tables and gnuplot-ready (t, value...) series, the formats the paper's
+// figures use.
 #ifndef ARCADE_SUPPORT_SERIES_HPP
 #define ARCADE_SUPPORT_SERIES_HPP
 

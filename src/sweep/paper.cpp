@@ -383,7 +383,7 @@ void render_table2(const SweepReport& report, std::ostream& os) {
     os << "(paper values in parentheses; DED matches to 1e-7, two-crew\n"
           " rows to ~1e-4; the paper's one-crew digits carry solver noise —\n"
           " its own FFF-2 line-2 exceeds DED, which is semantically\n"
-          " impossible.  See EXPERIMENTS.md.)\n\n";
+          " impossible.  See README.md, \"Differences from the paper\")\n\n";
 
     struct PaperRow {
         const char* name;

@@ -1,11 +1,11 @@
 // The DSN 2010 paper's figures and tables as named ScenarioGrids.
 //
-// Every artefact of the paper's evaluation is one declarative spec here —
-// the figure/table harnesses under bench/ are thin mains that run the spec
-// through a SweepRunner and call the matching render function.  The golden
-// tests assert that each rendered artefact is byte-identical to the
-// hand-rolled measure loops the harnesses carried before the migration, so
-// the sweep layer provably subsumes them.
+// Every artefact of the paper's evaluation is one declarative spec here
+// plus a render function; examples/paper_artefacts.cpp runs each spec
+// through one SweepRunner and renders them all.  The golden tests assert
+// that each rendered artefact is byte-identical to the hand-rolled measure
+// loops the per-figure mains carried before the migration, so the sweep
+// layer provably subsumes them.
 //
 //   fig3     reliability over time, both lines (repairs stripped)
 //   fig4/5   survivability, Line 1, Disaster 1, recovery to X1 / X2

@@ -17,7 +17,7 @@
 // deterministic grid order regardless of thread count or run order:
 // workers write into a pre-sized slot per work item.  The report carries
 // the session-counter delta (cache effectiveness) and a states/sec
-// throughput figure for the perf harnesses.
+// throughput figure.
 #ifndef ARCADE_SWEEP_RUNNER_HPP
 #define ARCADE_SWEEP_RUNNER_HPP
 

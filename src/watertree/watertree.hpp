@@ -57,9 +57,9 @@ struct Strategy {
                                      const Parameters& params = {},
                                      std::size_t extra_pumps = 0);
 
-/// Session-cached compilation of one line (the figure harnesses' and the
-/// sweep runner's entry point): callers asking for the same (line, strategy,
-/// encoding, parameters, repair, reduction, scale) variant share one
+/// Session-cached compilation of one line (the sweep runner's entry
+/// point): callers asking for the same (line, strategy, encoding,
+/// parameters, repair, reduction, scale) variant share one
 /// CompiledModel.  `with_repair = false` strips the repair units before
 /// compiling (the reliability measure and the no-repair model variants);
 /// `reduction` is the compile's ReductionPolicy: under Auto an individual

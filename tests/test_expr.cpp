@@ -125,6 +125,39 @@ TEST(ExprParser, DeepNestingThrowsParseErrorInsteadOfOverflowingTheStack) {
     EXPECT_EQ(eval(std::string(200, '(') + "7" + std::string(200, ')')).as_int(), 7);
 }
 
+TEST(ExprParser, LongChainsThrowParseErrorPastTheTreeBound) {
+    // A left-associative chain is a loop in the parser but one tree level
+    // per operator in every later walk (evaluate, compile, to_string,
+    // destruction).  "x+x+...+x" with n terms is n levels deep, so the
+    // chain of kMaxTreeDepth terms parses and one term more fails at its
+    // last '+' (byte 2k-1 for the k-th, column 2k).
+    const std::size_t bound = expr::kMaxTreeDepth;
+    const auto sum = [](std::size_t terms) {
+        std::string text = "x";
+        for (std::size_t i = 1; i < terms; ++i) text += "+x";
+        return text;
+    };
+    MapEnv env;
+    env.values.emplace("x", expr::Value(1LL));
+    EXPECT_EQ(expr::parse_expression(sum(bound)).evaluate(env).as_int(),
+              static_cast<long long>(bound));
+    for (const std::size_t terms : {bound + 1, std::size_t{100000}}) {
+        try {
+            (void)expr::parse_expression(sum(terms));
+            ADD_FAILURE() << "no ParseError for " << terms << " terms";
+        } catch (const arcade::ParseError& e) {
+            EXPECT_EQ(e.line(), 1u) << e.what();
+            EXPECT_EQ(e.column(), 2 * bound) << e.what();
+            EXPECT_NE(std::string(e.what()).find("deeper than"), std::string::npos)
+                << e.what();
+        }
+    }
+    // min/max fold their arguments one level each.
+    std::string wide = "min(x";
+    for (std::size_t i = 0; i < bound; ++i) wide += ",x";
+    EXPECT_THROW((void)expr::parse_expression(wide + ")"), arcade::ParseError);
+}
+
 TEST(ExprParser, RoundTripsThroughToString) {
     for (const char* text :
          {"(1 + (2 * x))", "min(a, b)", "(x >= 3 ? 0 : (y + 1))", "!(p & q)"}) {

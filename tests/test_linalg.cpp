@@ -106,10 +106,11 @@ TEST(VectorOps, NeumaierSumCompensatesCancellation) {
     EXPECT_DOUBLE_EQ(neumaier({}), 0.0);
 }
 
-// --- Kernel-mode bitwise identity on deliberately awkward inputs ----------
+// --- Blocked-kernel bitwise identity on deliberately awkward inputs ------
 //
 // The blocked body's whole contract is "same bits, fewer cycles": it must
-// agree byte for byte with the scalar reference on empty rows, single-entry
+// agree byte for byte with the seed's scalar loop (scalar_multiply_left
+// below, the reference) under every kernel mode on empty rows, single-entry
 // rows, rows longer than the unroll width, dimensions that are not a
 // multiple of it, and NaN/inf payloads.  One IEEE caveat shapes the inputs:
 // when BOTH operands of an add are NaNs with different payloads the result
@@ -187,6 +188,23 @@ std::vector<double> edge_vector(std::size_t n, Specials specials) {
     return v;
 }
 
+/// The seed's y = x^T * M: one entry at a time, rows with x[r] == 0
+/// skipped.
+void scalar_multiply_left(const la::CsrMatrix& m, std::span<const double> x,
+                          std::span<double> y) {
+    std::fill(y.begin(), y.end(), 0.0);
+    const auto& row_ptr = m.row_ptr();
+    const auto& col_idx = m.col_idx();
+    const auto& values = m.values();
+    for (std::size_t r = 0; r < m.rows(); ++r) {
+        const double xr = x[r];
+        if (xr == 0.0) continue;
+        for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+            y[col_idx[k]] += xr * values[k];
+        }
+    }
+}
+
 constexpr la::KernelMode kModes[] = {la::KernelMode::Scalar, la::KernelMode::Blocked};
 
 const char* mode_name(la::KernelMode mode) {
@@ -199,10 +217,7 @@ void expect_all_modes_identical(Specials specials) {
     const std::vector<double> x = edge_vector(n, specials);
 
     std::vector<double> ref_left(n);
-    {
-        const KernelModeGuard guard(la::KernelMode::Scalar);
-        la::multiply_left(m, x, ref_left);
-    }
+    scalar_multiply_left(m, x, ref_left);
 
     for (const la::KernelMode mode : kModes) {
         const KernelModeGuard guard(mode);

@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "ctmc/ctmc.hpp"
+#include "expr/expr.hpp"
 #include "logic/csl.hpp"
 #include "support/errors.hpp"
 #include "watertree/properties.hpp"
@@ -212,6 +213,38 @@ TEST(Csl, DeepNestingThrowsParseErrorInsteadOfOverflowingTheStack) {
     // Nesting below the bound still parses.
     EXPECT_NO_THROW((void)logic::parse_csl(std::string(200, '(') + "true" +
                                            std::string(200, ')')));
+}
+
+TEST(Csl, LongChainsThrowParseErrorPastTheTreeBound) {
+    // `"up" | "up" | ...` is a loop in the parser but one tree level per
+    // operator in the checker and in to_string: n labels are n levels deep.
+    // The chain of kMaxTreeDepth labels parses and checks; 10^6 labels
+    // stop at the bound's '|' with its line and column.
+    const std::size_t bound = arcade::expr::kMaxTreeDepth;
+    const auto chain = [](std::size_t labels) {
+        std::string text = "\"up\"";
+        for (std::size_t i = 1; i < labels; ++i) text += " | \"up\"";
+        return text;
+    };
+    const auto f = Fixture::make();
+    const auto at_bound = logic::check(f.chain, chain(bound), f.options);
+    EXPECT_EQ(at_bound.satisfaction, (std::vector<bool>{true, false}));
+    for (const std::size_t labels : {bound + 1, std::size_t{1000000}}) {
+        try {
+            (void)logic::parse_csl(chain(labels));
+            ADD_FAILURE() << "no ParseError for " << labels << " labels";
+        } catch (const arcade::ParseError& e) {
+            // The k-th '|' sits at byte 7k-2.
+            const std::size_t offset = 7 * bound - 2;
+            EXPECT_EQ(e.line(), 1u) << e.what();
+            EXPECT_EQ(e.column(), offset + 1) << e.what();
+            EXPECT_NE(std::string(e.what()).find("deeper than " + std::to_string(bound) +
+                                                 " levels at byte offset " +
+                                                 std::to_string(offset)),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(Csl, MalformedThresholdsThrowInvalidArgument) {

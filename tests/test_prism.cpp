@@ -5,7 +5,10 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/lint.hpp"
 #include "ctmc/steady_state.hpp"
+#include "expr/expr.hpp"
+#include "logic/csl.hpp"
 #include "modules/explorer.hpp"
 #include "prism/prism_parser.hpp"
 #include "prism/prism_writer.hpp"
@@ -294,6 +297,58 @@ TEST(PrismParser, FormulaExpansionIsBounded) {
         ADD_FAILURE() << "expected ParseError";
     } catch (const arcade::ParseError& e) {
         EXPECT_NE(std::string(e.what()).find("deeper than"), std::string::npos) << e.what();
+    }
+}
+
+TEST(PrismParser, LongExpressionChainsThrowParseErrorPastTheTreeBound) {
+    // The label "x+x+...+x > 0" with n terms is n+1 levels deep.  Every walk
+    // over it (formula expansion, interval analysis, the VM compile, the
+    // checker, destruction) recurses once per level; 100000 terms used to
+    // overflow the stack of arcade_lint.
+    const std::size_t bound = arcade::expr::kMaxTreeDepth;
+    const auto model = [](std::size_t terms) {
+        std::string text =
+            "ctmc\nmodule m\n  x : [0..1] init 0;\n  [] x=0 -> 1.0 : (x'=1);\n"
+            "  [] x=1 -> 2.0 : (x'=0);\nendmodule\nlabel \"l\" = x";
+        for (std::size_t i = 1; i < terms; ++i) text += "+x";
+        return text + " > 0;\n";
+    };
+    // Exactly at the bound: parses, lints, explores and checks.
+    const auto system = prism::parse_prism(model(bound - 1));
+    EXPECT_NO_THROW((void)arcade::analysis::lint(system));
+    const auto explored = modules::explore(system);
+    EXPECT_EQ(explored.chain.label("l"), (std::vector<bool>{false, true}));
+    const auto result = arcade::logic::check(explored.chain, "S=? [ \"l\" ]");
+    ASSERT_TRUE(result.value.has_value());
+    EXPECT_NEAR(*result.value, 1.0 / 3.0, 1e-12);
+    // One level more fails (at the '>'); a longer sum fails at the bound's
+    // '+' on line 7 (the label text starts at column 13; the k-th '+' is
+    // 2k columns on).
+    EXPECT_THROW((void)prism::parse_prism(model(bound)), arcade::ParseError);
+    for (const std::size_t terms : {bound + 1, std::size_t{100000}}) {
+        try {
+            (void)prism::parse_prism(model(terms));
+            ADD_FAILURE() << "no ParseError for " << terms << " terms";
+        } catch (const arcade::ParseError& e) {
+            EXPECT_EQ(e.line(), 7u) << e.what();
+            EXPECT_EQ(e.column(), 12 + 2 * bound) << e.what();
+        }
+    }
+    // Formula expansion may not deepen a tree past the bound either: the
+    // same label over the two-level formula f parses at the bound and
+    // expands one level past it.
+    std::string sum_of_f = model(2);
+    sum_of_f.replace(sum_of_f.find("label"), std::string::npos, "formula f = x+1;\nlabel \"l\" = f");
+    for (std::size_t i = 2; i < bound; ++i) sum_of_f += "+f";
+    sum_of_f += " > 0;\n";
+    try {
+        (void)prism::parse_prism(sum_of_f);
+        ADD_FAILURE() << "no ParseError for an expansion past the bound";
+    } catch (const arcade::ParseError& e) {
+        EXPECT_NE(std::string(e.what()).find("formula 'f' expands deeper than " +
+                                             std::to_string(bound) + " levels"),
+                  std::string::npos)
+            << e.what();
     }
 }
 

@@ -1,7 +1,7 @@
 // Unit tests: scenario-grid expansion, the task-graph runner and result
 // export — including the sweep-vs-handwritten identity on the paper's
-// Table 2 line-2 cell (the sweep layer must subsume the bench harnesses
-// bit-for-bit, not just approximately).
+// Table 2 line-2 cell (the sweep layer must subsume the hand-rolled
+// measure loops bit-for-bit, not just approximately).
 #include <gtest/gtest.h>
 
 #include <bit>

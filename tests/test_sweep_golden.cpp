@@ -1,7 +1,7 @@
 // Golden comparisons for the sweep migration: every paper figure/table that
-// bench/ renders through a declarative ScenarioGrid must emit rows
-// byte-identical to the hand-rolled measure loops the harnesses carried
-// before the migration.  Each test renders the sweep report through
+// example_paper_artefacts renders through a declarative ScenarioGrid must
+// emit rows byte-identical to the hand-rolled measure loops the per-figure
+// mains carried before the migration.  Each test renders the sweep report through
 // sweep::paper::render_* and rebuilds the expected text with direct
 // compile_line / *_series calls — the exact code shape of the pre-migration
 // harness — in an independent session.
@@ -380,7 +380,7 @@ TEST_P(SweepGolden, Table2AvailabilityRowsAreByteIdentical) {
     expected << "(paper values in parentheses; DED matches to 1e-7, two-crew\n"
                 " rows to ~1e-4; the paper's one-crew digits carry solver noise —\n"
                 " its own FFF-2 line-2 exceeds DED, which is semantically\n"
-                " impossible.  See EXPERIMENTS.md.)\n\n";
+                " impossible.  See README.md, \"Differences from the paper\")\n\n";
     arcade::Table table({"Strategy", "Line 1 (paper)", "Line 2 (paper)", "Combined (paper)"});
     char buf[128];
     for (const auto& row : paper) {

@@ -141,7 +141,8 @@ TEST(Fig9Survivability, OrderingFlipsAtX3) {
     // coincide (within 1e-2 absolute): both policies schedule the softener
     // repair — which X3 does not need — before the last needed repair, so
     // the work to reach X3 is identical.  The paper's visible FFF-1 lead is
-    // another instance of its one-crew solver noise; see EXPERIMENTS.md.
+    // another instance of its one-crew solver noise; see README.md,
+    // "Differences from the paper".
     for (double t : {30.0, 60.0, 100.0}) {
         const double fff1 =
             core::survivability(lumped(wt::line2(strategy("FFF-1"))), disaster, x3, t);
