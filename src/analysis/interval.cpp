@@ -289,110 +289,6 @@ std::string AbstractValue::to_string() const {
     return out;
 }
 
-namespace {
-
-/// `op a` of an operand that does not always fail.
-[[gnu::noinline]] AbstractValue abstract_unary(UnaryOp op, const AbstractValue& a) {
-    AbstractValue r;
-    switch (op) {
-        case UnaryOp::Neg:
-            if (a.has_numeric) r = AbstractValue::numeric(-a.hi, -a.lo, a.integral);
-            r.may_fail = a.has_bool();  // -true throws
-            break;
-        case UnaryOp::Not:
-            r = AbstractValue::boolean(a.can_false, a.can_true);
-            r.may_fail = a.has_numeric;  // !3 throws
-            break;
-        case UnaryOp::Floor:
-            if (a.has_numeric) {
-                r = AbstractValue::numeric(std::floor(a.lo), std::floor(a.hi), true);
-            }
-            r.may_fail = a.has_bool();
-            break;
-        case UnaryOp::Ceil:
-            if (a.has_numeric) {
-                r = AbstractValue::numeric(std::ceil(a.lo), std::ceil(a.hi), true);
-            }
-            r.may_fail = a.has_bool();
-            break;
-    }
-    r.may_fail = r.may_fail || a.may_fail;
-    return r;
-}
-
-/// `a op c` for the operators that evaluate both operands (not `&`/`|`).
-[[gnu::noinline]] AbstractValue abstract_binary(BinaryOp op, const AbstractValue& a,
-                                                const AbstractValue& c) {
-    if (c.always_fails()) {
-        AbstractValue r;
-        r.may_fail = true;
-        return r;
-    }
-    AbstractValue r;
-    switch (op) {
-        case BinaryOp::Add:
-        case BinaryOp::Sub:
-        case BinaryOp::Mul:
-        case BinaryOp::Div:
-        case BinaryOp::Min:
-        case BinaryOp::Max:
-        case BinaryOp::Pow:
-            if (a.has_numeric && c.has_numeric) {
-                r = numeric_binary(op, a, c);
-            } else {
-                r.may_fail = true;  // a bool operand always throws
-            }
-            r.may_fail = r.may_fail || a.has_bool() || c.has_bool();
-            break;
-        case BinaryOp::Lt:
-        case BinaryOp::Le:
-        case BinaryOp::Gt:
-        case BinaryOp::Ge:
-            if (a.has_numeric && c.has_numeric) {
-                r = numeric_compare(op, a, c);
-            } else {
-                r.may_fail = true;
-            }
-            r.may_fail = r.may_fail || a.has_bool() || c.has_bool();
-            break;
-        case BinaryOp::Eq:
-        case BinaryOp::Ne: r = equality(op, a, c); break;
-        case BinaryOp::Implies:
-            r = AbstractValue::boolean(a.can_false || c.can_true, a.can_true && c.can_false);
-            r.may_fail = a.has_numeric || c.has_numeric;
-            break;
-        case BinaryOp::Iff:
-            r = AbstractValue::boolean(
-                (a.can_true && c.can_true) || (a.can_false && c.can_false),
-                (a.can_true && c.can_false) || (a.can_false && c.can_true));
-            r.may_fail = a.has_numeric || c.has_numeric;
-            break;
-        default: r = AbstractValue::top(); break;
-    }
-    r.may_fail = r.may_fail || a.may_fail || c.may_fail;
-    return r;
-}
-
-/// A conditional: each reachable branch under the environment its
-/// condition refines.
-[[gnu::noinline]] AbstractValue abstract_ite(const expr::Ite& ite, const AbstractEnv& env) {
-    const AbstractValue c = abstract_eval(ite.cond, env);
-    if (c.always_fails()) return failure();
-    AbstractValue r;
-    r.may_fail = c.may_fail || c.has_numeric;  // non-bool condition throws
-    if (c.can_true) {
-        r = r.join(abstract_eval(ite.then_branch, refine(env, ite.cond, true)));
-    }
-    if (c.can_false) {
-        r = r.join(abstract_eval(ite.else_branch, refine(env, ite.cond, false)));
-    }
-    return r;
-}
-
-}  // namespace
-
-// One tree level per call, so the frame stays small: the operator
-// arithmetic lives in the helpers above (see expr::kMaxTreeDepth).
 AbstractValue abstract_eval(const expr::Expr& e, const AbstractEnv& env) {
     if (e.empty()) return AbstractValue::top();
     const auto& n = e.node();
@@ -406,7 +302,31 @@ AbstractValue abstract_eval(const expr::Expr& e, const AbstractEnv& env) {
     if (const auto* u = std::get_if<expr::Unary>(&n)) {
         const AbstractValue a = abstract_eval(u->operand, env);
         if (a.always_fails()) return failure();
-        return abstract_unary(u->op, a);
+        AbstractValue r;
+        switch (u->op) {
+            case UnaryOp::Neg:
+                if (a.has_numeric) r = AbstractValue::numeric(-a.hi, -a.lo, a.integral);
+                r.may_fail = a.has_bool();  // -true throws
+                break;
+            case UnaryOp::Not:
+                r = AbstractValue::boolean(a.can_false, a.can_true);
+                r.may_fail = a.has_numeric;  // !3 throws
+                break;
+            case UnaryOp::Floor:
+                if (a.has_numeric) {
+                    r = AbstractValue::numeric(std::floor(a.lo), std::floor(a.hi), true);
+                }
+                r.may_fail = a.has_bool();
+                break;
+            case UnaryOp::Ceil:
+                if (a.has_numeric) {
+                    r = AbstractValue::numeric(std::ceil(a.lo), std::ceil(a.hi), true);
+                }
+                r.may_fail = a.has_bool();
+                break;
+        }
+        r.may_fail = r.may_fail || a.may_fail;
+        return r;
     }
     if (const auto* b = std::get_if<expr::Binary>(&n)) {
         const AbstractValue a = abstract_eval(b->lhs, env);
@@ -435,9 +355,69 @@ AbstractValue abstract_eval(const expr::Expr& e, const AbstractEnv& env) {
             }
             return r;
         }
-        return abstract_binary(b->op, a, abstract_eval(b->rhs, env));
+        const AbstractValue c = abstract_eval(b->rhs, env);
+        if (c.always_fails()) {
+            AbstractValue r;
+            r.may_fail = true;
+            return r;
+        }
+        AbstractValue r;
+        switch (b->op) {
+            case BinaryOp::Add:
+            case BinaryOp::Sub:
+            case BinaryOp::Mul:
+            case BinaryOp::Div:
+            case BinaryOp::Min:
+            case BinaryOp::Max:
+            case BinaryOp::Pow:
+                if (a.has_numeric && c.has_numeric) {
+                    r = numeric_binary(b->op, a, c);
+                } else {
+                    r.may_fail = true;  // a bool operand always throws
+                }
+                r.may_fail = r.may_fail || a.has_bool() || c.has_bool();
+                break;
+            case BinaryOp::Lt:
+            case BinaryOp::Le:
+            case BinaryOp::Gt:
+            case BinaryOp::Ge:
+                if (a.has_numeric && c.has_numeric) {
+                    r = numeric_compare(b->op, a, c);
+                } else {
+                    r.may_fail = true;
+                }
+                r.may_fail = r.may_fail || a.has_bool() || c.has_bool();
+                break;
+            case BinaryOp::Eq:
+            case BinaryOp::Ne: r = equality(b->op, a, c); break;
+            case BinaryOp::Implies:
+                r = AbstractValue::boolean(a.can_false || c.can_true,
+                                           a.can_true && c.can_false);
+                r.may_fail = a.has_numeric || c.has_numeric;
+                break;
+            case BinaryOp::Iff:
+                r = AbstractValue::boolean(
+                    (a.can_true && c.can_true) || (a.can_false && c.can_false),
+                    (a.can_true && c.can_false) || (a.can_false && c.can_true));
+                r.may_fail = a.has_numeric || c.has_numeric;
+                break;
+            default: r = AbstractValue::top(); break;
+        }
+        r.may_fail = r.may_fail || a.may_fail || c.may_fail;
+        return r;
     }
-    return abstract_ite(std::get<expr::Ite>(n), env);
+    const auto& ite = std::get<expr::Ite>(n);
+    const AbstractValue c = abstract_eval(ite.cond, env);
+    if (c.always_fails()) return failure();
+    AbstractValue r;
+    r.may_fail = c.may_fail || c.has_numeric;  // non-bool condition throws
+    if (c.can_true) {
+        r = r.join(abstract_eval(ite.then_branch, refine(env, ite.cond, true)));
+    }
+    if (c.can_false) {
+        r = r.join(abstract_eval(ite.else_branch, refine(env, ite.cond, false)));
+    }
+    return r;
 }
 
 AbstractEnv refine(AbstractEnv env, const expr::Expr& cond, bool assume_true) {

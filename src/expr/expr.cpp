@@ -259,46 +259,32 @@ Value Expr::evaluate(const Environment& env) const {
                                                  : ite_node.else_branch.evaluate(env);
 }
 
-// One tree level per call, so the frame stays small: every piece is
-// appended to `out` in place (see kMaxTreeDepth).
 std::string Expr::to_string() const {
     if (empty()) return "<empty>";
     const auto& n = node();
     if (const auto* lit = std::get_if<Literal>(&n)) return lit->value.to_string();
     if (const auto* id = std::get_if<Identifier>(&n)) return id->name;
-    std::string out;
     if (const auto* u = std::get_if<Unary>(&n)) {
         switch (u->op) {
-            case UnaryOp::Neg: out = "-("; break;
-            case UnaryOp::Not: out = "!("; break;
-            case UnaryOp::Floor: out = "floor("; break;
-            case UnaryOp::Ceil: out = "ceil("; break;
+            case UnaryOp::Neg: return "-(" + u->operand.to_string() + ")";
+            case UnaryOp::Not: return "!(" + u->operand.to_string() + ")";
+            case UnaryOp::Floor: return "floor(" + u->operand.to_string() + ")";
+            case UnaryOp::Ceil: return "ceil(" + u->operand.to_string() + ")";
         }
-        out += u->operand.to_string();
-    } else if (const auto* b = std::get_if<Binary>(&n)) {
-        const bool call =
-            b->op == BinaryOp::Min || b->op == BinaryOp::Max || b->op == BinaryOp::Pow;
-        if (call) out = binary_symbol(b->op);
-        out += "(";
-        out += b->lhs.to_string();
-        if (call) {
-            out += ", ";
-        } else {
-            out += " ";
-            out += binary_symbol(b->op);
-            out += " ";
-        }
-        out += b->rhs.to_string();
-    } else {
-        const auto& ite_node = std::get<Ite>(n);
-        out = "(";
-        out += ite_node.cond.to_string();
-        out += " ? ";
-        out += ite_node.then_branch.to_string();
-        out += " : ";
-        out += ite_node.else_branch.to_string();
     }
-    out += ")";
+    if (const auto* b = std::get_if<Binary>(&n)) {
+        if (b->op == BinaryOp::Min || b->op == BinaryOp::Max || b->op == BinaryOp::Pow) {
+            return std::string(binary_symbol(b->op)) + "(" + b->lhs.to_string() + ", " +
+                   b->rhs.to_string() + ")";
+        }
+        std::string out = "(";
+        out += b->lhs.to_string() + " " + binary_symbol(b->op) + " " + b->rhs.to_string() + ")";
+        return out;
+    }
+    const auto& ite_node = std::get<Ite>(n);
+    std::string out = "(";
+    out += ite_node.cond.to_string() + " ? " + ite_node.then_branch.to_string() + " : " +
+           ite_node.else_branch.to_string() + ")";
     return out;
 }
 

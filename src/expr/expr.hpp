@@ -177,18 +177,17 @@ struct SourcePos {
                                const SourcePos& origin = {});
 
 /// Deepest tree the expression and CSL parsers build, in nodes on the
-/// longest root-to-leaf path (a leaf counts 1; every binary, unary,
-/// conditional and CSL operator level counts, `x+x+...` included); deeper
-/// input is a ParseError naming the line and column, and PRISM formula
-/// expansion stops at the same depth.  Every later walk recurses once per
-/// level: formula expansion, evaluate(), compile(), to_string(), interval
-/// analysis, the CSL checker and the tree's destruction.  Under
-/// ASan+UBSan (RelWithDebInfo, 8 MiB stack, main thread or std::thread)
-/// the shallowest of them, compile() of an `&` chain, survives 7125
-/// levels, to_string() 8125 and the CSL checker 8250; the rest go deeper
-/// (Release: 27500 levels and more).  Those walks keep their recursive
-/// frames small for this reason.
-inline constexpr std::size_t kMaxTreeDepth = 4096;
+/// longest root-to-leaf path of the tree built (a leaf counts 1; every
+/// binary, unary, conditional and CSL operator node counts, `x+x+...`
+/// included, and an operator folded to a literal or to one of its operands
+/// adds none); deeper input is a ParseError naming the line and column, and
+/// PRISM formula expansion stops at the same depth.  Every later walk
+/// recurses once per level: formula expansion, evaluate(), compile(),
+/// to_string(), interval analysis, the CSL checker and the tree's
+/// destruction.  Under ASan+UBSan (RelWithDebInfo, 8 MiB stack) the
+/// shallowest of them, the CSL checker, survives about 1600 levels; model
+/// expressions are tens of levels deep.
+inline constexpr std::size_t kMaxTreeDepth = 1024;
 
 /// Parses the PRISM-style expression syntax:
 ///   literals: 3, 2.5, true, false

@@ -4,6 +4,7 @@
 // later walk over the tree.
 #include <algorithm>
 #include <cctype>
+#include <initializer_list>
 #include <string_view>
 
 #include "expr/expr.hpp"
@@ -206,14 +207,25 @@ private:
     /// constant fold the composite may BE one of its operands; re-stamping
     /// with the construct's start still points inside the right text.
     Expr at(std::size_t pos, Expr e) const { return e.with_offset(origin_.offset + pos); }
+    Parsed at(std::size_t pos, Parsed p) const { return {at(pos, std::move(p.expr)), p.depth}; }
 
-    /// Depth of an operator node over children at most `children` deep;
-    /// past kMaxTreeDepth it fails at the operator's position `op`.
-    std::size_t deeper(std::size_t children, std::size_t op) const {
-        if (children >= kMaxTreeDepth) {
+    /// `built`, the node an Expr constructor made of `children`, with its
+    /// depth.  The constructors fold: a literal is one level deep, and a
+    /// child returned as the result (`true & g` is g) keeps its own depth.
+    /// A new operator node is one level over its deepest child; past
+    /// kMaxTreeDepth it fails at the operator's position `op`.
+    Parsed made(Expr built, std::initializer_list<const Parsed*> children,
+                std::size_t op) const {
+        if (std::holds_alternative<Literal>(built.node())) return {std::move(built)};
+        std::size_t deepest = 0;
+        for (const Parsed* child : children) {
+            if (&child->expr.node() == &built.node()) return {std::move(built), child->depth};
+            deepest = std::max(deepest, child->depth);
+        }
+        if (deepest >= kMaxTreeDepth) {
             fail("expression deeper than " + std::to_string(kMaxTreeDepth) + " levels", op);
         }
-        return children + 1;
+        return {std::move(built), deepest + 1};
     }
 
     void expect(TokenKind kind, const std::string& what) {
@@ -257,12 +269,11 @@ private:
         const BinaryOp op = binary_op(current_.kind);
         advance();
         Parsed rhs = (this->*rule)();
-        const std::size_t depth = deeper(std::max(lhs.depth, rhs.depth), op_pos);
-        return {at(start, Expr::binary(op, std::move(lhs.expr), std::move(rhs.expr))), depth};
+        return at(start, made(Expr::binary(op, lhs.expr, rhs.expr), {&lhs, &rhs}, op_pos));
     }
 
     /// `rule (op rule)*` over the operators `Ops`, left-associative: a loop
-    /// here, one tree level per operator.
+    /// here, one tree level per operator that does not fold.
     template <TokenKind... Ops>
     Parsed left_chain(Rule rule) {
         const std::size_t start = current_.pos;
@@ -280,10 +291,7 @@ private:
             Parsed a = parse_ternary();
             expect(TokenKind::Colon, "':'");
             Parsed b = parse_ternary();
-            const std::size_t depth = deeper(std::max({cond.depth, a.depth, b.depth}), start);
-            return {at(start, Expr::ite(std::move(cond.expr), std::move(a.expr),
-                                        std::move(b.expr))),
-                    depth};
+            return at(start, made(Expr::ite(cond.expr, a.expr, b.expr), {&cond, &a, &b}, start));
         }
         return cond;
     }
@@ -310,8 +318,7 @@ private:
             const std::size_t start = current_.pos;
             advance();
             Parsed operand = parse_not();
-            const std::size_t depth = deeper(operand.depth, start);
-            return {at(start, Expr::unary(UnaryOp::Not, std::move(operand.expr))), depth};
+            return at(start, made(Expr::unary(UnaryOp::Not, operand.expr), {&operand}, start));
         }
         return parse_comparison();
     }
@@ -340,8 +347,7 @@ private:
             const std::size_t start = current_.pos;
             advance();
             Parsed operand = parse_unary();
-            const std::size_t depth = deeper(operand.depth, start);
-            return {at(start, Expr::unary(UnaryOp::Neg, std::move(operand.expr))), depth};
+            return at(start, made(Expr::unary(UnaryOp::Neg, operand.expr), {&operand}, start));
         }
         return parse_primary();
     }
@@ -367,10 +373,7 @@ private:
             case TokenKind::Identifier: {
                 const std::string name = current_.text;
                 advance();
-                if (current_.kind == TokenKind::LParen) {
-                    Parsed call = parse_call(name, start);
-                    return {at(start, call.expr), call.depth};
-                }
+                if (current_.kind == TokenKind::LParen) return at(start, parse_call(name, start));
                 return {at(start, Expr::identifier(name))};
             }
             case TokenKind::LParen: {
@@ -403,14 +406,13 @@ private:
             }
             Parsed acc = args[0];
             for (std::size_t i = 1; i < args.size(); ++i) {
-                const std::size_t depth = deeper(std::max(acc.depth, args[i].depth), start);
-                acc = {Expr::binary(op, std::move(acc.expr), args[i].expr), depth};
+                acc = made(Expr::binary(op, acc.expr, args[i].expr), {&acc, &args[i]}, start);
             }
             return acc;
         };
         auto unary1 = [&](UnaryOp op) {
             if (args.size() != 1) fail(name + "() needs exactly one argument", start);
-            return Parsed{Expr::unary(op, args[0].expr), deeper(args[0].depth, start)};
+            return made(Expr::unary(op, args[0].expr), {&args[0]}, start);
         };
 
         if (name == "min") return fold(BinaryOp::Min);
@@ -419,8 +421,8 @@ private:
         if (name == "ceil") return unary1(UnaryOp::Ceil);
         if (name == "pow") {
             if (args.size() != 2) fail("pow() needs exactly two arguments", start);
-            return Parsed{Expr::binary(BinaryOp::Pow, args[0].expr, args[1].expr),
-                          deeper(std::max(args[0].depth, args[1].depth), start)};
+            return made(Expr::binary(BinaryOp::Pow, args[0].expr, args[1].expr),
+                        {&args[0], &args[1]}, start);
         }
         fail("unknown function '" + name + "'", start);
     }

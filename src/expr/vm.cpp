@@ -70,17 +70,10 @@ private:
 
     std::uint32_t here() const { return static_cast<std::uint32_t>(out_.code_.size()); }
 
-    // gen() and gen_short_circuit() recurse once per tree level, so what
-    // does not recurse stays out of their frames (see kMaxTreeDepth).
-    [[gnu::noinline]] std::optional<Value> gen_const(const Value& v, std::uint32_t dst,
-                                                     std::size_t mark) {
+    std::optional<Value> gen_const(const Value& v, std::uint32_t dst, std::size_t mark) {
         truncate(mark);
         emit(OpCode::LoadConst, dst, 0, pool_index(v));
         return v;
-    }
-
-    [[noreturn, gnu::noinline]] static void unknown_identifier(const std::string& name) {
-        throw ModelError("unknown identifier '" + name + "' in expression");
     }
 
     std::optional<Value> gen(const Expr& e, std::uint32_t dst) {
@@ -102,13 +95,16 @@ private:
                     return gen_const(cit->second, dst, mark);
                 }
             }
-            unknown_identifier(id->name);
+            throw ModelError("unknown identifier '" + id->name + "' in expression");
         }
         if (const auto* u = std::get_if<Unary>(&n)) {
             const std::optional<Value> k = gen(u->operand, dst);
             if (k.has_value()) {
-                std::optional<Value> folded = fold(u->op, *k, dst, mark);
-                if (folded.has_value()) return folded;
+                try {
+                    return gen_const(apply_unary(u->op, *k), dst, mark);
+                } catch (const ModelError&) {
+                    // keep the instructions: the error belongs to run()
+                }
             }
             emit(unary_opcode(u->op), dst, dst, 0);
             return std::nullopt;
@@ -120,37 +116,15 @@ private:
             const std::optional<Value> lk = gen(b->lhs, dst);
             const std::optional<Value> rk = gen(b->rhs, dst + 1);
             if (lk.has_value() && rk.has_value()) {
-                std::optional<Value> folded = fold(b->op, *lk, *rk, dst, mark);
-                if (folded.has_value()) return folded;
+                try {
+                    return gen_const(apply_binary(b->op, *lk, *rk), dst, mark);
+                } catch (const ModelError&) {
+                }
             }
             emit(binary_opcode(b->op), dst, dst, dst + 1);
             return std::nullopt;
         }
-        return gen_ite(std::get<Ite>(n), dst, mark);
-    }
-
-    // An operator over known operands, committed as one LoadConst; nullopt
-    // when applying it throws, keeping the instructions: the error belongs
-    // to run().
-    [[gnu::noinline]] std::optional<Value> fold(UnaryOp op, const Value& a, std::uint32_t dst,
-                                                std::size_t mark) {
-        try {
-            return gen_const(apply_unary(op, a), dst, mark);
-        } catch (const ModelError&) {
-            return std::nullopt;
-        }
-    }
-    [[gnu::noinline]] std::optional<Value> fold(BinaryOp op, const Value& a, const Value& b,
-                                                std::uint32_t dst, std::size_t mark) {
-        try {
-            return gen_const(apply_binary(op, a, b), dst, mark);
-        } catch (const ModelError&) {
-            return std::nullopt;
-        }
-    }
-
-    [[gnu::noinline]] std::optional<Value> gen_ite(const Ite& ite, std::uint32_t dst,
-                                                   std::size_t mark) {
+        const auto& ite = std::get<Ite>(n);
         const std::optional<Value> ck = gen(ite.cond, dst);
         if (ck.has_value() && ck->is_bool()) {
             truncate(mark);

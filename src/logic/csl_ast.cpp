@@ -54,13 +54,29 @@ void validate_time(double t, const char* what) {
     }
 }
 
-/// Literals, labels and the P, S and R operators.
-[[gnu::noinline]] std::string operator_string(const StateFormula& formula) {
+}  // namespace
+
+std::string to_string(const StateFormula& formula) {
     if (const auto* lit = std::get_if<BoolLiteral>(&formula.node())) {
         return lit->value ? "true" : "false";
     }
     if (const auto* label = std::get_if<Label>(&formula.node())) {
         return "\"" + label->name + "\"";
+    }
+    if (const auto* neg = std::get_if<Negation>(&formula.node())) {
+        std::string out = "!";
+        out += to_string(*neg->operand);
+        return out;
+    }
+    if (const auto* con = std::get_if<Conjunction>(&formula.node())) {
+        std::string out = "(";
+        out += to_string(*con->lhs) + " & " + to_string(*con->rhs) + ")";
+        return out;
+    }
+    if (const auto* dis = std::get_if<Disjunction>(&formula.node())) {
+        std::string out = "(";
+        out += to_string(*dis->lhs) + " | " + to_string(*dis->rhs) + ")";
+        return out;
     }
     if (const auto* prob = std::get_if<Probabilistic>(&formula.node())) {
         std::string out = "P";
@@ -84,27 +100,6 @@ void validate_time(double t, const char* what) {
         out += "S";
     }
     return out + " ]";
-}
-
-}  // namespace
-
-// Negations and the boolean connectives, whose chains can run
-// expr::kMaxTreeDepth levels deep, recurse through this small frame.
-std::string to_string(const StateFormula& formula) {
-    if (const auto* neg = std::get_if<Negation>(&formula.node())) {
-        std::string out = "!";
-        out += to_string(*neg->operand);
-        return out;
-    }
-    const auto* con = std::get_if<Conjunction>(&formula.node());
-    const auto* dis = std::get_if<Disjunction>(&formula.node());
-    if (con == nullptr && dis == nullptr) return operator_string(formula);
-    std::string out = "(";
-    out += to_string(con != nullptr ? *con->lhs : *dis->lhs);
-    out += con != nullptr ? " & " : " | ";
-    out += to_string(con != nullptr ? *con->rhs : *dis->rhs);
-    out += ")";
-    return out;
 }
 
 std::uint64_t fingerprint(const StateFormula& formula, std::uint64_t seed) {

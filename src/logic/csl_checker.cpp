@@ -39,14 +39,12 @@ struct Evaluated {
 
 Evaluated eval(const Context& ctx, const StateFormula& f);
 
-[[noreturn, gnu::noinline]] void throw_quantitative_operand() {
-    throw ModelError("expected a boolean sub-formula but found a =? query");
-}
-
 std::vector<bool> eval_boolean(const Context& ctx, const StateFormula& f) {
     Evaluated e = eval(ctx, f);
-    if (e.quantitative) throw_quantitative_operand();
-    return std::move(e.sat);
+    if (e.quantitative) {
+        throw ModelError("expected a boolean sub-formula but found a =? query");
+    }
+    return e.sat;
 }
 
 bool compare(Comparison cmp, double value, double threshold) {
@@ -105,53 +103,7 @@ std::vector<double> path_probabilities(const Context& ctx, const PathFormula& pa
     return ctmc::reachability_probability(ctx.chain, phi, psi);
 }
 
-/// The complement of a sub-result: 1 - value for a =? query (the G
-/// duality), the set complement otherwise.
-[[gnu::noinline]] Evaluated complement(const Evaluated& inner) {
-    Evaluated out;
-    if (inner.quantitative) {
-        out.quantitative = true;
-        out.values.resize(inner.values.size());
-        for (std::size_t s = 0; s < out.values.size(); ++s) {
-            out.values[s] = 1.0 - inner.values[s];
-        }
-        return out;
-    }
-    out.sat.resize(inner.sat.size());
-    for (std::size_t s = 0; s < out.sat.size(); ++s) out.sat[s] = !inner.sat[s];
-    return out;
-}
-
-/// a & b, or a | b, state by state.
-[[gnu::noinline]] Evaluated connect(const std::vector<bool>& a, const std::vector<bool>& b,
-                                    bool conjunction) {
-    Evaluated out;
-    out.sat.resize(a.size());
-    for (std::size_t s = 0; s < a.size(); ++s) {
-        out.sat[s] = conjunction ? a[s] && b[s] : a[s] || b[s];
-    }
-    return out;
-}
-
-Evaluated eval_operator(const Context& ctx, const StateFormula& f);
-
-/// The recursion itself: negations and the boolean connectives, whose
-/// chains can run expr::kMaxTreeDepth levels deep, recurse through this
-/// small frame; everything else lives in non-inlined helpers.
 Evaluated eval(const Context& ctx, const StateFormula& f) {
-    if (const auto* neg = std::get_if<Negation>(&f.node())) {
-        return complement(eval(ctx, *neg->operand));
-    }
-    const auto* con = std::get_if<Conjunction>(&f.node());
-    const auto* dis = std::get_if<Disjunction>(&f.node());
-    if (con == nullptr && dis == nullptr) return eval_operator(ctx, f);
-    const std::vector<bool> a = eval_boolean(ctx, con != nullptr ? *con->lhs : *dis->lhs);
-    return connect(a, eval_boolean(ctx, con != nullptr ? *con->rhs : *dis->rhs),
-                   con != nullptr);
-}
-
-/// Literals, labels and the P, S and R operators.
-[[gnu::noinline]] Evaluated eval_operator(const Context& ctx, const StateFormula& f) {
     const std::size_t n = ctx.chain.state_count();
     Evaluated out;
 
@@ -161,6 +113,33 @@ Evaluated eval(const Context& ctx, const StateFormula& f) {
     }
     if (const auto* label = std::get_if<Label>(&f.node())) {
         out.sat = ctx.chain.label(label->name);
+        return out;
+    }
+    if (const auto* neg = std::get_if<Negation>(&f.node())) {
+        Evaluated inner = eval(ctx, *neg->operand);
+        if (inner.quantitative) {
+            // numeric complement: 1 - value (used for the G duality)
+            out.quantitative = true;
+            out.values.resize(n);
+            for (std::size_t s = 0; s < n; ++s) out.values[s] = 1.0 - inner.values[s];
+            return out;
+        }
+        out.sat.resize(n);
+        for (std::size_t s = 0; s < n; ++s) out.sat[s] = !inner.sat[s];
+        return out;
+    }
+    if (const auto* con = std::get_if<Conjunction>(&f.node())) {
+        const auto a = eval_boolean(ctx, *con->lhs);
+        const auto b = eval_boolean(ctx, *con->rhs);
+        out.sat.resize(n);
+        for (std::size_t s = 0; s < n; ++s) out.sat[s] = a[s] && b[s];
+        return out;
+    }
+    if (const auto* dis = std::get_if<Disjunction>(&f.node())) {
+        const auto a = eval_boolean(ctx, *dis->lhs);
+        const auto b = eval_boolean(ctx, *dis->rhs);
+        out.sat.resize(n);
+        for (std::size_t s = 0; s < n; ++s) out.sat[s] = a[s] || b[s];
         return out;
     }
     if (const auto* prob = std::get_if<Probabilistic>(&f.node())) {

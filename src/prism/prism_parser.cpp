@@ -186,18 +186,16 @@ private:
 };
 
 /// Largest expansion of one formula use: the nodes its formula bodies
-/// contribute and how deep they nest.  Formulas that double at every
-/// definition grow exponentially with the file; no model comes near.
+/// contribute.  Formulas that double at every definition grow
+/// exponentially with the file; no model comes near.
 constexpr std::size_t kMaxExpandedNodes = std::size_t{1} << 16;
-constexpr std::size_t kMaxExpandedDepth = 1024;
 
 /// The formulas defined so far, substituted syntactically where an
 /// expression names one, as in PRISM.  A body is kept as written and
 /// expanded at each use against the formulas defined by then, so it may
-/// name a formula defined after it.  A formula that reaches itself, an
-/// expansion past kMaxExpandedNodes nodes or kMaxExpandedDepth levels, or
-/// an expanded tree deeper than expr::kMaxTreeDepth (the parser's bound on
-/// every tree, which an expansion would otherwise exceed) is a ParseError.
+/// name a formula defined after it.  A formula that reaches itself, or an
+/// expansion past kMaxExpandedNodes nodes or expr::kMaxTreeDepth levels
+/// from the root (the parser's bound on every tree), is a ParseError.
 /// Expanded nodes keep the offsets of the text they came from.
 class Formulas {
 public:
@@ -237,23 +235,11 @@ private:
     std::map<std::string, Definition> definitions_;
     std::vector<const Entry*> expanding_;  ///< formulas open in expand(), outermost first
     std::size_t nodes_ = 0;                ///< nodes formula bodies gave this expansion
-    std::size_t outermost_level_ = 0;      ///< level at which expanding_.front() opened
 
     [[noreturn]] void fail(const std::string& message, std::size_t offset) const {
         const expr::SourcePos at = expr::locate(source_, offset);
         throw ParseError(message + " at byte offset " + std::to_string(offset), at.line,
                          at.column);
-    }
-
-    /// The outermost formula being expanded grew past a bound.  Kept out
-    /// of expand() so that its frame, which every tree level costs, stays
-    /// small (see expr::kMaxTreeDepth).
-    [[noreturn, gnu::noinline]] void fail_expansion(const char* relation, std::size_t limit,
-                                                    const char* unit) const {
-        const Entry& outermost = *expanding_.front();
-        fail("formula '" + outermost.first + "' expands " + relation + " " +
-                 std::to_string(limit) + " " + unit,
-             outermost.second.offset);
     }
 
     /// `e`, which sits `level` nodes below the root, expanded.
@@ -266,14 +252,16 @@ private:
             if (it != definitions_.end()) return expand_formula(*it, e.offset(), level);
         }
         if (!expanding_.empty()) {
+            const Entry& outermost = *expanding_.front();
             if (++nodes_ > kMaxExpandedNodes) {
-                fail_expansion("to more than", kMaxExpandedNodes, "nodes");
-            }
-            if (level - outermost_level_ > kMaxExpandedDepth) {
-                fail_expansion("deeper than", kMaxExpandedDepth, "levels");
+                fail("formula '" + outermost.first + "' expands to more than " +
+                         std::to_string(kMaxExpandedNodes) + " nodes",
+                     outermost.second.offset);
             }
             if (level >= expr::kMaxTreeDepth) {
-                fail_expansion("deeper than", expr::kMaxTreeDepth, "levels");
+                fail("formula '" + outermost.first + "' expands deeper than " +
+                         std::to_string(expr::kMaxTreeDepth) + " levels",
+                     outermost.second.offset);
             }
         }
         ++level;
@@ -294,8 +282,7 @@ private:
     }
 
     /// Expands a use, at byte `use_offset`, of the formula `formula`.
-    [[gnu::noinline]] expr::Expr expand_formula(Entry& formula, std::size_t use_offset,
-                                                std::size_t level) {
+    expr::Expr expand_formula(Entry& formula, std::size_t use_offset, std::size_t level) {
         const auto open = std::find(expanding_.begin(), expanding_.end(), &formula);
         if (open != expanding_.end()) {
             std::string cycle;
@@ -305,7 +292,6 @@ private:
                  use_offset);
         }
         formula.second.used = true;
-        if (expanding_.empty()) outermost_level_ = level;
         expanding_.push_back(&formula);
         expr::Expr out = expand(formula.second.body, level);
         expanding_.pop_back();

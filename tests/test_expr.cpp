@@ -4,8 +4,10 @@
 #include <map>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "expr/expr.hpp"
+#include "expr/vm.hpp"
 #include "support/errors.hpp"
 
 namespace expr = arcade::expr;
@@ -132,18 +134,26 @@ TEST(ExprParser, LongChainsThrowParseErrorPastTheTreeBound) {
     // chain of kMaxTreeDepth terms parses and one term more fails at its
     // last '+' (byte 2k-1 for the k-th, column 2k).
     const std::size_t bound = expr::kMaxTreeDepth;
-    const auto sum = [](std::size_t terms) {
-        std::string text = "x";
-        for (std::size_t i = 1; i < terms; ++i) text += "+x";
+    const auto chain = [](std::size_t terms, const std::string& term, const std::string& op) {
+        std::string text = term;
+        for (std::size_t i = 1; i < terms; ++i) text += op + term;
         return text;
     };
     MapEnv env;
     env.values.emplace("x", expr::Value(1LL));
-    EXPECT_EQ(expr::parse_expression(sum(bound)).evaluate(env).as_int(),
-              static_cast<long long>(bound));
+    env.values.emplace("b", expr::Value(true));
+    // At the bound, every walk the checks below reach runs to the bottom.
+    const expr::Expr sum = expr::parse_expression(chain(bound, "x", "+"));
+    EXPECT_EQ(sum.evaluate(env).as_int(), static_cast<long long>(bound));
+    EXPECT_EQ(sum.to_string().size(), 6 * bound - 5);  // n "x", n-1 " + " and "()"
+    const expr::Expr conjunction = expr::parse_expression(chain(bound, "b", "&"));
+    expr::SlotMap slots;
+    slots.slots.emplace("b", 0);
+    const std::vector<expr::Value> values{expr::Value(true)};
+    EXPECT_TRUE(expr::compile(conjunction, slots).run(values).as_bool());
     for (const std::size_t terms : {bound + 1, std::size_t{100000}}) {
         try {
-            (void)expr::parse_expression(sum(terms));
+            (void)expr::parse_expression(chain(terms, "x", "+"));
             ADD_FAILURE() << "no ParseError for " << terms << " terms";
         } catch (const arcade::ParseError& e) {
             EXPECT_EQ(e.line(), 1u) << e.what();
@@ -153,9 +163,13 @@ TEST(ExprParser, LongChainsThrowParseErrorPastTheTreeBound) {
         }
     }
     // min/max fold their arguments one level each.
-    std::string wide = "min(x";
-    for (std::size_t i = 0; i < bound; ++i) wide += ",x";
-    EXPECT_THROW((void)expr::parse_expression(wide + ")"), arcade::ParseError);
+    EXPECT_THROW((void)expr::parse_expression("min(" + chain(bound + 1, "x", ",") + ")"),
+                 arcade::ParseError);
+    // The bound is on the tree built, not on the text: operators that fold
+    // to a literal, or to one of their operands, add no level.
+    EXPECT_EQ(expr::parse_expression(chain(10000, "1", "+")).evaluate(env).as_int(), 10000);
+    EXPECT_TRUE(
+        expr::parse_expression(chain(10000, "true", "&") + "&b").evaluate(env).as_bool());
 }
 
 TEST(ExprParser, RoundTripsThroughToString) {

@@ -218,8 +218,8 @@ TEST(Csl, DeepNestingThrowsParseErrorInsteadOfOverflowingTheStack) {
 TEST(Csl, LongChainsThrowParseErrorPastTheTreeBound) {
     // `"up" | "up" | ...` is a loop in the parser but one tree level per
     // operator in the checker and in to_string: n labels are n levels deep.
-    // The chain of kMaxTreeDepth labels parses and checks; 10^6 labels
-    // stop at the bound's '|' with its line and column.
+    // The chain of kMaxTreeDepth labels parses, checks and prints; 10^6
+    // labels stop at the bound's '|' with its line and column.
     const std::size_t bound = arcade::expr::kMaxTreeDepth;
     const auto chain = [](std::size_t labels) {
         std::string text = "\"up\"";
@@ -229,6 +229,8 @@ TEST(Csl, LongChainsThrowParseErrorPastTheTreeBound) {
     const auto f = Fixture::make();
     const auto at_bound = logic::check(f.chain, chain(bound), f.options);
     EXPECT_EQ(at_bound.satisfaction, (std::vector<bool>{true, false}));
+    // n labels print as n "up", n-1 " | " and n-1 "()".
+    EXPECT_EQ(logic::to_string(*logic::parse_csl(chain(bound))).size(), 9 * bound - 5);
     for (const std::size_t labels : {bound + 1, std::size_t{1000000}}) {
         try {
             (void)logic::parse_csl(chain(labels));

@@ -107,8 +107,8 @@ TEST(SweepRunner, RejectsItemsPointingOutsideTheGridsParameters) {
 }
 
 TEST(SweepRunner, Table2Line2CellMatchesHandwrittenBenchExactly) {
-    // The line-2 Table 2 cell, exactly as bench_table2_availability computes
-    // it by hand: session-cached lumped compile + cached steady state.  The
+    // The line-2 Table 2 cell, exactly as the hand-rolled measure loop
+    // computes it: session-cached lumped compile + cached steady state.  The
     // sweep must return the identical double, not a close one.
     engine::AnalysisSession session;
     sweep::SweepRunner runner(session);
