@@ -1,6 +1,6 @@
 // arcade_lint — standalone front-end for the model linter (analysis/lint.hpp).
 //
-//   arcade_lint [--level off|warn|error] <model>...
+//   arcade_lint [--level off|warn] <model>...
 //
 // Each <model> is either an Arcade XML file (.xml — linted through its
 // reactive-modules translation) or a PRISM file (.prism/.pm/.sm — linted
@@ -10,9 +10,11 @@
 // repair, which the native compiler accepts) is reported on stderr as
 // "not linted" and does not fail the run.  Every file is processed.
 //
-// Exit status: 2 on usage errors or when any file could not be read or
-// parsed; otherwise 1 when any file produced an error-severity finding
-// (warnings and notes are fine; --level off merely parses), else 0.
+// The summary line counts the files that were read and parsed, and names
+// how many could not be.  Exit status: 2 on usage errors or when any file
+// could not be read or parsed; otherwise 1 when any file produced an
+// error-severity finding (warnings and notes are fine; --level off merely
+// parses), else 0.
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -77,12 +79,12 @@ int main(int argc, char** argv) {
             const auto parsed = analysis::parse_lint_level(argv[++i]);
             if (!parsed) {
                 std::cerr << "arcade_lint: unknown level '" << argv[i]
-                          << "' (expected off, warn or error)\n";
+                          << "' (expected off or warn)\n";
                 return 2;
             }
             level = *parsed;
         } else if (arg == "--help" || arg == "-h") {
-            std::cout << "usage: arcade_lint [--level off|warn|error] <model.xml|model.prism>...\n";
+            std::cout << "usage: arcade_lint [--level off|warn] <model.xml|model.prism>...\n";
             return 0;
         } else if (!arg.empty() && arg[0] == '-') {
             std::cerr << "arcade_lint: unknown option '" << arg << "'\n";
@@ -92,7 +94,7 @@ int main(int argc, char** argv) {
         }
     }
     if (paths.empty()) {
-        std::cerr << "usage: arcade_lint [--level off|warn|error] <model.xml|model.prism>...\n";
+        std::cerr << "usage: arcade_lint [--level off|warn] <model.xml|model.prism>...\n";
         return 2;
     }
 
@@ -120,8 +122,9 @@ int main(int argc, char** argv) {
             std::cout << path << ": " << d.to_string() << "\n";
         }
     }
-    std::printf("%zu file(s) checked, %d error(s), %d warning(s), %zu not linted\n",
-                paths.size(), errors, warnings, not_linted);
+    std::printf("%zu file(s) checked, %d error(s), %d warning(s), %zu not linted, "
+                "%zu unreadable\n",
+                paths.size() - unreadable, errors, warnings, not_linted, unreadable);
     if (unreadable > 0) return 2;
     return level != analysis::LintLevel::Off && errors > 0 ? 1 : 0;
 }

@@ -10,24 +10,23 @@
 // counters, and optional CSV/JSON export:
 //
 //   arcade_sweep [--threads N] [--csv out.csv] [--json out.json]
-//                [--shard i/n] [--csv-footer] [--reduction off|auto]
-//                [--mttr-sweep] [--properties] [--pump-scaling N] [--list]
+//                [--shard i/n] [--csv-footer] [--mttr-sweep] [--properties]
+//                [--pump-scaling N] [--list]
 //
-// --reduction auto explores every individual model on the lumped encoding
-// and analyses its scenarios on that chain (README, "The reduction layer";
-// --pump-scaling prints the explored against the full sizes); --mttr-sweep swaps the paper grid for the MTTR-sensitivity
-// study (repair rates scaled ±50% around the paper's values via
-// ScenarioGrid::parameters) and renders its tables instead; --properties
-// swaps in sweep::paper::properties() — the same evaluation with every
-// measure expressed as a CSL/CSRL formula (watertree::properties), checked
-// through the engine's property cache.
+// Every model compiles under ReductionPolicy::Auto: an individual model is
+// explored on the lumped encoding when one exists, and its scenarios are
+// analysed on that chain (README, "The reduction layer").  --mttr-sweep
+// swaps the paper grid for the MTTR-sensitivity study (repair rates scaled
+// ±50% around the paper's values via ScenarioGrid::parameters) and renders
+// its tables instead; --properties swaps in sweep::paper::properties() —
+// the same evaluation with every measure expressed as a CSL/CSRL formula
+// (watertree::properties), checked through the session.
 //
 // --pump-scaling N swaps in the state-space scaling study (0..N spare pumps
-// per line) and renders its Table-1-style report — --reduction defaults to
-// auto there, since the full chains are the thing the study avoids
-// building.  --list prints the expanded, deduplicated work list (item
-// index, model variant, measure) of whatever grid the other flags select
-// and exits without running anything.
+// per line) and renders its Table-1-style report, the explored lumped
+// chains against the full sizes summed in closed form.  --list prints the
+// expanded, deduplicated work list (item index, model variant, measure) of
+// whatever grid the other flags select and exits without running anything.
 //
 // --shard i/n runs only the i-th of n contiguous slices of the expanded
 // work list (1-based).  Slices are deterministic, disjoint and exhaustive;
@@ -81,8 +80,6 @@ int main(int argc, char** argv) {
     bool properties_sweep = false;
     bool list_only = false;
     int pump_scaling = -1;  // <0: not requested
-    core::ReductionPolicy reduction = core::ReductionPolicy::Off;
-    bool reduction_explicit = false;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         const bool has_value = i + 1 < argc;
@@ -121,22 +118,10 @@ int main(int argc, char** argv) {
                 return 2;
             }
             pump_scaling = static_cast<int>(*count);
-        } else if (arg == "--reduction" && has_value) {
-            const std::string value = argv[++i];
-            if (value == "off") {
-                reduction = core::ReductionPolicy::Off;
-            } else if (value == "auto") {
-                reduction = core::ReductionPolicy::Auto;
-            } else {
-                std::cerr << "arcade_sweep: --reduction takes 'off' or 'auto', got '"
-                          << value << "'\n";
-                return 2;
-            }
-            reduction_explicit = true;
         } else {
             std::cerr << "usage: arcade_sweep [--threads N] [--csv PATH] [--json PATH] "
-                         "[--shard i/n] [--csv-footer] [--reduction off|auto] "
-                         "[--mttr-sweep] [--properties] [--pump-scaling N] [--list]\n";
+                         "[--shard i/n] [--csv-footer] [--mttr-sweep] [--properties] "
+                         "[--pump-scaling N] [--list]\n";
             return 2;
         }
     }
@@ -155,9 +140,6 @@ int main(int argc, char** argv) {
         : pump_scaling >= 0
             ? sweep::studies::pump_scaling(static_cast<std::size_t>(pump_scaling))
             : sweep::paper::everything();
-    // The scaling study exists to avoid the full chains: default it to the
-    // lumped route unless the user explicitly asked for the unreduced run.
-    if (pump_scaling >= 0 && !reduction_explicit) reduction = core::ReductionPolicy::Auto;
 
     if (list_only) {
         const auto items = sweep::shard_slice(sweep::expand(grid), shard);
@@ -170,8 +152,7 @@ int main(int argc, char** argv) {
     }
 
     arcade::engine::AnalysisSession session;
-    sweep::SweepRunner runner(session,
-                              {threads, shard, reduction});
+    sweep::SweepRunner runner(session, {threads, shard, core::ReductionPolicy::Auto});
     const auto report = runner.run(grid);
 
     if (shard.is_sharded()) {
@@ -245,10 +226,6 @@ int main(int argc, char** argv) {
               << report.stats.steady_state_misses << " misses  (hit rate ";
     std::snprintf(buf, sizeof buf, "%.3f", report.cache_hit_rate());
     std::cout << buf << ")\n";
-    if (properties_sweep) {
-        std::cout << "# properties: " << report.stats.property_misses
-                  << " checked / " << report.stats.property_hits << " cache hits\n";
-    }
     std::cout << "# throughput: " << report.state_points
               << " state-points in ";
     std::snprintf(buf, sizeof buf, "%.3f", report.wall_seconds);

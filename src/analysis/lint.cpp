@@ -591,7 +591,6 @@ std::optional<LintLevel> parse_lint_level(std::string_view text) {
     if (t == "warn" || t == "warning" || t == "on" || t == "1" || t == "true") {
         return LintLevel::Warn;
     }
-    if (t == "error" || t == "strict") return LintLevel::Error;
     return std::nullopt;
 }
 
@@ -599,7 +598,6 @@ std::string_view lint_level_name(LintLevel level) noexcept {
     switch (level) {
         case LintLevel::Off: return "off";
         case LintLevel::Warn: return "warn";
-        case LintLevel::Error: return "error";
     }
     return "?";
 }

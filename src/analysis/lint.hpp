@@ -42,15 +42,14 @@ namespace arcade::analysis {
 
 enum class Severity { Note, Warning, Error };
 
-/// examples/arcade_lint's --level.  Off only parses; Warn (the default) and
-/// Error both print every finding and exit 1 on any error-severity one.
+/// examples/arcade_lint's --level.  Off only parses; Warn (the default)
+/// prints every finding and exits 1 on any error-severity one.
 enum class LintLevel {
     Off,
     Warn,
-    Error,
 };
 
-/// "off" / "warn" / "error" (accepts a few aliases, case-insensitive).
+/// "off" / "warn" (accepts a few aliases, case-insensitive).
 [[nodiscard]] std::optional<LintLevel> parse_lint_level(std::string_view text);
 [[nodiscard]] std::string_view lint_level_name(LintLevel level) noexcept;
 [[nodiscard]] std::string_view severity_name(Severity severity) noexcept;

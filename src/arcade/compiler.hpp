@@ -54,8 +54,8 @@ enum class Encoding { Individual, Lumped };
 ///          transition_count() still report the full chain's exact sizes.
 ///          Any other model is compiled exactly as under Off (explored and
 ///          analysed in full).
-/// Chosen per call (CompileOptions::reduction, RunnerOptions::reduction,
-/// arcade_sweep --reduction); every default is Off.
+/// Chosen per call (CompileOptions::reduction, RunnerOptions::reduction);
+/// every default is Off, and arcade_sweep always sets Auto.
 enum class ReductionPolicy { Off, Auto };
 
 enum class SymmetryPolicy { Off, Auto };  ///< kept for perfbench; nothing reads it

@@ -7,10 +7,9 @@
 // k = 0 … K, where K is the right Fox–Glynn point of the grid's last time;
 // each grid point then weights that sequence with its own Poisson window.
 // A 101-point curve costs K + 1 sparse matrix-vector products — the same
-// as a single solve at its last time point.
-//
-// TransientEvolver and transient_distribution/transient_series return whole
-// distributions and step from grid point to grid point.
+// as a single solve at its last time point.  (tests/transient_reference.hpp
+// keeps the stepwise engine, which steps whole distributions from grid
+// point to grid point, as the tests' segment-wise reference.)
 #ifndef ARCADE_CTMC_TRANSIENT_HPP
 #define ARCADE_CTMC_TRANSIENT_HPP
 
@@ -28,52 +27,6 @@ struct TransientOptions {
     double epsilon = 1e-12;  ///< Fox–Glynn truncation error per grid point
 };
 
-/// Distribution over states at time `t`, starting from `initial`.
-[[nodiscard]] std::vector<double> transient_distribution(const Ctmc& chain,
-                                                         std::span<const double> initial,
-                                                         double t,
-                                                         const TransientOptions& options = {});
-
-/// Distribution at each time of the (ascending) grid `times`.
-/// Returns one vector per grid point.
-[[nodiscard]] std::vector<std::vector<double>> transient_series(
-    const Ctmc& chain, std::span<const double> initial, std::span<const double> times,
-    const TransientOptions& options = {});
-
-/// Incremental uniformisation engine.  Construct once per (chain, initial),
-/// then call advance_to() with non-decreasing times.  The chain is
-/// uniformised once, at construction; every step multiplies by that P.
-class TransientEvolver {
-public:
-    TransientEvolver(const Ctmc& chain, std::span<const double> initial,
-                     TransientOptions options = {});
-    TransientEvolver(const TransientEvolver&) = delete;
-    TransientEvolver& operator=(const TransientEvolver&) = delete;
-
-    /// Tolerance under which a slightly-earlier `t` counts as a duplicate of
-    /// the current grid point rather than a backwards move.
-    static constexpr double kTimeTolerance = 1e-12;
-
-    /// Advances the internal distribution to absolute time `t`.  Duplicate
-    /// grid points — `t` within kTimeTolerance below the current time — are
-    /// a no-op (the time never moves backwards); a `t` earlier than that
-    /// throws InvalidArgument.
-    void advance_to(double t);
-
-    [[nodiscard]] const std::vector<double>& distribution() const noexcept { return dist_; }
-    [[nodiscard]] double time() const noexcept { return time_; }
-
-private:
-    linalg::UniformisedMatrix p_;
-    TransientOptions options_;
-    std::vector<double> dist_;
-    std::vector<double> scratch_a_;
-    std::vector<double> scratch_b_;
-    double time_ = 0.0;
-
-    void step(double dt);
-};
-
 /// How a grid value is formed from the power sequence s_k = f(initial · P^k).
 enum class SeriesForm {
     Instantaneous,  ///< f(π_t) = Σ_k pois(k; λt) · s_k
@@ -81,13 +34,17 @@ enum class SeriesForm {
 };
 
 /// The Fox–Glynn window of every point of a time grid at uniformisation rate
-/// `lambda`, with TransientEvolver's grid semantics: a point within
-/// kTimeTolerance below its predecessor is a duplicate and clamps to it (the
-/// same window, hence the same value); an earlier one throws
-/// InvalidArgument.  t = 0 has the window {1} at k = 0, so its instantaneous
-/// value is s_0 = f(initial) and its accumulated value 0.
+/// `lambda`.  A point within kTimeTolerance below its predecessor is a
+/// duplicate and clamps to it (the same window, hence the same value); an
+/// earlier one throws InvalidArgument.  t = 0 has the window {1} at k = 0,
+/// so its instantaneous value is s_0 = f(initial) and its accumulated
+/// value 0.
 class SeriesGrid {
 public:
+    /// How far below its predecessor a grid point may lie and still count as
+    /// a duplicate rather than a backwards move.
+    static constexpr double kTimeTolerance = 1e-12;
+
     SeriesGrid(double lambda, std::span<const double> times, double epsilon);
 
     /// K: the highest power any grid point reads, so s_0 … s_K are needed.

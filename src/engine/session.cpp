@@ -1,29 +1,30 @@
 #include "engine/session.hpp"
 
+#include <bit>
+
 #include "ctmc/steady_state.hpp"
-#include "graph/lumping.hpp"
 #include "linalg/vector_ops.hpp"
 #include "logic/csl_compiled.hpp"
 #include "support/errors.hpp"
+#include "support/fnv1a.hpp"
 
 namespace arcade::engine {
 
 namespace {
 
-/// FNV-1a accumulator over heterogeneous fields (word mixing shared with
-/// the reduction layer's signature keys — graph/lumping.hpp).
+/// FNV-1a accumulator over heterogeneous fields.
 class Fingerprinter {
 public:
     explicit Fingerprinter(std::uint64_t seed) {
         mix(static_cast<std::uint64_t>(seed ^ 0x2545f4914f6cdd1dull));
     }
-    void mix(std::uint64_t v) { h_ = graph::fnv1a_mix(h_, v); }
+    void mix(std::uint64_t v) { h_ = fnv1a_mix(h_, v); }
     void mix(bool v) { mix(static_cast<std::uint64_t>(v)); }
     void mix(int v) { mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(v))); }
-    void mix(double v) { mix(graph::double_bits(v)); }
+    void mix(double v) { mix(std::bit_cast<std::uint64_t>(v)); }
     void mix(const std::string& s) {
         for (const char c : s) {
-            h_ = graph::fnv1a_mix(h_, static_cast<unsigned char>(c));
+            h_ = fnv1a_mix(h_, static_cast<unsigned char>(c));
         }
         mix(static_cast<std::uint64_t>(s.size()));
     }
@@ -36,7 +37,7 @@ public:
     [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
 
 private:
-    std::uint64_t h_ = graph::kFnv1aBasis;
+    std::uint64_t h_ = kFnv1aBasis;
 };
 
 std::uint64_t options_key(std::uint64_t model_fp, std::uint64_t encoding,
@@ -124,50 +125,11 @@ std::shared_ptr<const ctmc::QuotientCtmc> AnalysisSession::quotient(
 }
 
 std::shared_ptr<const logic::CheckResult> AnalysisSession::check_property(
-    const CompiledPtr& model, const logic::StateFormula& formula, double epsilon) {
-    ARCADE_ASSERT(model != nullptr, "check_property of a null model");
-    // Key = (model fingerprint + compile shape, formula fingerprint,
-    // epsilon); like the compile cache, a second-stream fingerprint is
-    // stored and verified so a collision cannot return the wrong result.
-    const auto key_of = [&](std::uint64_t seed) {
-        Fingerprinter fp(seed);
-        fp.mix(fingerprint(model->model(), seed));
-        fp.mix(static_cast<std::uint64_t>(model->encoding()));
-        fp.mix(static_cast<std::uint64_t>(model->reduction()));
-        fp.mix(logic::fingerprint(formula, seed));
-        fp.mix(epsilon);
-        return fp.value();
-    };
-    const std::uint64_t key = key_of(0);
-    const std::uint64_t check = key_of(1);
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = properties_.find(key);
-        if (it != properties_.end() && it->second.check == check) {
-            ++stats_.property_hits;
-            return it->second.result;
-        }
-    }
-    // Evaluate outside the lock: the checker re-enters the session for the
-    // cached steady-state solve.
+    const CompiledPtr& model, const std::string& formula, double epsilon) {
     logic::CheckerOptions options;
     options.epsilon = epsilon;
-    auto fresh = std::make_shared<const logic::CheckResult>(
+    return std::make_shared<const logic::CheckResult>(
         logic::check(*this, model, formula, options));
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto& entry = properties_[key];
-    if (entry.result != nullptr && entry.check == check) {
-        ++stats_.property_hits;  // lost a benign race; reuse the winner
-        return entry.result;
-    }
-    entry = {check, model, std::move(fresh)};
-    ++stats_.property_misses;
-    return entry.result;
-}
-
-std::shared_ptr<const logic::CheckResult> AnalysisSession::check_property(
-    const CompiledPtr& model, const std::string& formula, double epsilon) {
-    return check_property(model, *logic::parse_csl(formula), epsilon);
 }
 
 std::shared_ptr<const std::vector<double>> AnalysisSession::steady_state(
@@ -217,7 +179,6 @@ void AnalysisSession::clear() {
     std::lock_guard<std::mutex> lock(mutex_);
     compiled_.clear();
     steady_.clear();
-    properties_.clear();
     stats_ = SessionStats{};
 }
 

@@ -8,11 +8,13 @@
 //   * CompiledModel instances (identical watertree line+strategy+encoding
 //     requests return the same shared_ptr),
 //   * steady-state distributions per compiled model (one Gauss–Seidel
-//     solve serves availability AND long-run cost),
-//   * CSL property results per compiled model.
+//     solve serves availability AND long-run cost, and the CSL checker's
+//     top-level S / R[S] queries).
 //
 // Every cached analysis runs on the compiled model's chain(); the
 // reduction policy only shapes the compile (and so its cache key).
+// CSL properties are not cached: callers run logic::check over the
+// session (logic/csl_compiled.hpp).
 //
 // Reactive-modules systems (PRISM input) are not cached here: callers run
 // modules::explore directly.
@@ -26,6 +28,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -33,7 +36,6 @@
 #include "arcade/types.hpp"
 
 namespace arcade::logic {
-class StateFormula;
 struct CheckResult;
 }  // namespace arcade::logic
 
@@ -45,11 +47,6 @@ struct SessionStats {
     std::size_t compile_misses = 0;
     std::size_t steady_state_hits = 0;
     std::size_t steady_state_misses = 0;
-    /// CSL property cache: hits return the memoised CheckResult for an
-    /// identical (model fingerprint, formula fingerprint, epsilon) request,
-    /// misses run the checker.
-    std::size_t property_hits = 0;
-    std::size_t property_misses = 0;
 };
 
 /// Counter delta between two stats() snapshots — how run-level consumers (the
@@ -63,9 +60,7 @@ struct SessionStats {
         .compile_hits = after.compile_hits - before.compile_hits,
         .compile_misses = after.compile_misses - before.compile_misses,
         .steady_state_hits = after.steady_state_hits - before.steady_state_hits,
-        .steady_state_misses = after.steady_state_misses - before.steady_state_misses,
-        .property_hits = after.property_hits - before.property_hits,
-        .property_misses = after.property_misses - before.property_misses};
+        .steady_state_misses = after.steady_state_misses - before.steady_state_misses};
 }
 
 /// Structural fingerprint of a model (stable across identical rebuilds of
@@ -95,15 +90,8 @@ public:
     [[nodiscard]] std::shared_ptr<const ctmc::QuotientCtmc> quotient(
         const CompiledPtr& model);
 
-    /// Model-checks a CSL/CSRL formula on `model`, memoised for the session
-    /// keyed by (model fingerprint, formula fingerprint, epsilon) — the
-    /// repeated-scenario path for properties, mirroring steady_state().
-    /// Evaluation (logic::check over the session) runs on the model's
-    /// chain() and reuses the cached steady-state solve for top-level
-    /// S / R[S] queries; see logic/csl_compiled.hpp.
-    [[nodiscard]] std::shared_ptr<const logic::CheckResult> check_property(
-        const CompiledPtr& model, const logic::StateFormula& formula,
-        double epsilon = 1e-12);
+    /// Kept for perfbench: logic::check(*this, model, parse_csl(formula))
+    /// with the given epsilon, uncached.
     [[nodiscard]] std::shared_ptr<const logic::CheckResult> check_property(
         const CompiledPtr& model, const std::string& formula, double epsilon = 1e-12);
 
@@ -115,7 +103,7 @@ public:
 
     [[nodiscard]] SessionStats stats() const;
 
-    /// Drops every cached artefact (models, distributions, properties).
+    /// Drops every cached artefact (models, distributions).
     void clear();
 
 private:
@@ -124,14 +112,6 @@ private:
     struct SteadyEntry {
         CompiledPtr model;
         std::shared_ptr<const std::vector<double>> pi;
-    };
-
-    /// Property cache entry: pins the model whose chain the result indexes
-    /// and carries the second-stream fingerprint, verified on every hit.
-    struct PropertyEntry {
-        std::uint64_t check = 0;
-        CompiledPtr model;
-        std::shared_ptr<const logic::CheckResult> result;
     };
 
     template <typename Ptr>
@@ -143,7 +123,6 @@ private:
     mutable std::mutex mutex_;
     std::unordered_map<std::uint64_t, CacheEntry<CompiledPtr>> compiled_;
     std::unordered_map<const core::CompiledModel*, SteadyEntry> steady_;
-    std::unordered_map<std::uint64_t, PropertyEntry> properties_;
     SessionStats stats_;
 };
 

@@ -212,6 +212,53 @@ const char* binary_symbol(BinaryOp op) {
     return "?";
 }
 
+/// The precedence level of a left-associative operator (the parser's
+/// loops: `* /`, `+ -`, `&`, `|`, `<=>`), or 0 for any other operator.
+int chain_level(BinaryOp op) {
+    switch (op) {
+        case BinaryOp::Mul:
+        case BinaryOp::Div: return 1;
+        case BinaryOp::Add:
+        case BinaryOp::Sub: return 2;
+        case BinaryOp::And: return 3;
+        case BinaryOp::Or: return 4;
+        case BinaryOp::Iff: return 5;
+        default: return 0;
+    }
+}
+
+/// `lhs op rhs` of an infix node, unparenthesised.  A left operand that is
+/// a left-associative operator of the node's own level prints the same way,
+/// so `(a + b) - c` reads `a + b - c`: the parser's loop builds the same
+/// tree back, and a long chain nests one parenthesis deep instead of one
+/// per term.  Right operands keep their parentheses.
+std::string infix_string(const Binary& b) {
+    const auto* left = b.lhs.empty() ? nullptr : std::get_if<Binary>(&b.lhs.node());
+    const int level = chain_level(b.op);
+    std::string out = level != 0 && left != nullptr && chain_level(left->op) == level
+                          ? infix_string(*left)
+                          : b.lhs.to_string();
+    out += ' ';
+    out += binary_symbol(b.op);
+    out += ' ';
+    out += b.rhs.to_string();
+    return out;
+}
+
+/// The argument list of a min/max/pow call.  min and max fold their
+/// arguments left to right, so a left operand calling the same function
+/// prints as leading arguments: min(min(a, b), c) reads min(a, b, c), which
+/// parses back to the same tree without one nesting level per argument.
+std::string call_arguments(const Binary& b) {
+    const auto* left = b.lhs.empty() ? nullptr : std::get_if<Binary>(&b.lhs.node());
+    std::string out = b.op != BinaryOp::Pow && left != nullptr && left->op == b.op
+                          ? call_arguments(*left)
+                          : b.lhs.to_string();
+    out += ", ";
+    out += b.rhs.to_string();
+    return out;
+}
+
 void collect_vars(const Expr& e, std::vector<std::string>& out) {
     if (e.empty()) return;
     const auto& n = e.node();
@@ -274,11 +321,15 @@ std::string Expr::to_string() const {
     }
     if (const auto* b = std::get_if<Binary>(&n)) {
         if (b->op == BinaryOp::Min || b->op == BinaryOp::Max || b->op == BinaryOp::Pow) {
-            return std::string(binary_symbol(b->op)) + "(" + b->lhs.to_string() + ", " +
-                   b->rhs.to_string() + ")";
+            std::string out = binary_symbol(b->op);
+            out += '(';
+            out += call_arguments(*b);
+            out += ')';
+            return out;
         }
         std::string out = "(";
-        out += b->lhs.to_string() + " " + binary_symbol(b->op) + " " + b->rhs.to_string() + ")";
+        out += infix_string(*b);
+        out += ')';
         return out;
     }
     const auto& ite_node = std::get<Ite>(n);

@@ -101,7 +101,10 @@ public:
     /// Evaluates under `env`.  Type errors throw arcade::ModelError.
     [[nodiscard]] Value evaluate(const Environment& env) const;
 
-    /// Pretty-prints with minimal parentheses (round-trips via parse_expression).
+    /// Prints every infix node in parentheses, except a left operand at its
+    /// parent's left-associative level (`(a + b - c)`), and nested min/max
+    /// calls as one call (`min(a, b, c)`), so a chain nests one level deep;
+    /// round-trips via parse_expression.
     [[nodiscard]] std::string to_string() const;
 
     /// Names of all identifiers appearing in the expression.

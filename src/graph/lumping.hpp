@@ -41,21 +41,9 @@
 #include <vector>
 
 #include "linalg/csr_matrix.hpp"
+#include "support/fnv1a.hpp"
 
 namespace arcade::graph {
-
-/// FNV-1a offset basis / one-word mix — the hash behind every signature
-/// key in the reduction layer and the engine's model fingerprints.
-inline constexpr std::uint64_t kFnv1aBasis = 1469598103934665603ull;
-
-[[nodiscard]] constexpr std::uint64_t fnv1a_mix(std::uint64_t h,
-                                                std::uint64_t v) noexcept {
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xffu;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
 
 /// Exact bit pattern of a double (signature keys must distinguish values
 /// the way the refinement compares them: bitwise).

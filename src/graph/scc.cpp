@@ -81,87 +81,4 @@ SccDecomposition strongly_connected_components(const linalg::CsrMatrix& adjacenc
     return out;
 }
 
-std::vector<bool> backward_reachable(const linalg::CsrMatrix& transposed,
-                                     const std::vector<bool>& targets) {
-    return forward_reachable(transposed, targets);
-}
-
-std::vector<bool> forward_reachable(const linalg::CsrMatrix& adjacency,
-                                    const std::vector<bool>& sources) {
-    const std::size_t n = adjacency.rows();
-    ARCADE_ASSERT(sources.size() == n, "reachability mask size mismatch");
-    std::vector<bool> seen = sources;
-    std::vector<std::size_t> frontier;
-    for (std::size_t v = 0; v < n; ++v) {
-        if (seen[v]) frontier.push_back(v);
-    }
-    while (!frontier.empty()) {
-        const std::size_t v = frontier.back();
-        frontier.pop_back();
-        for (std::size_t w : adjacency.row_columns(v)) {
-            if (!seen[w]) {
-                seen[w] = true;
-                frontier.push_back(w);
-            }
-        }
-    }
-    return seen;
-}
-
-std::vector<bool> almost_sure_reach(const linalg::CsrMatrix& adjacency,
-                                    const linalg::CsrMatrix& transposed,
-                                    const std::vector<bool>& allowed,
-                                    const std::vector<bool>& targets) {
-    const std::size_t n = adjacency.rows();
-    ARCADE_ASSERT(allowed.size() == n && targets.size() == n, "mask size mismatch");
-
-    // Standard Prob1 fixpoint: start from "can reach targets through allowed"
-    // and iteratively remove states that can escape or get trapped.
-    // u = states with P(reach targets staying in allowed) = 1.
-    // Compute complement: states with positive probability of never reaching.
-    // First: prob0 = states that cannot reach targets through allowed at all.
-    std::vector<bool> can_reach(n, false);
-    {
-        std::vector<std::size_t> frontier;
-        for (std::size_t v = 0; v < n; ++v) {
-            if (targets[v]) {
-                can_reach[v] = true;
-                frontier.push_back(v);
-            }
-        }
-        while (!frontier.empty()) {
-            const std::size_t v = frontier.back();
-            frontier.pop_back();
-            for (std::size_t w : transposed.row_columns(v)) {
-                if (!can_reach[w] && allowed[w] && !targets[w]) {
-                    can_reach[w] = true;
-                    frontier.push_back(w);
-                }
-            }
-        }
-    }
-    // Iteratively remove states that have an edge to a state outside
-    // (can_reach ∪ targets) — in a Markov chain every outgoing edge has
-    // positive probability, so such a state fails almost-sure reachability.
-    std::vector<bool> good = can_reach;
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (std::size_t v = 0; v < n; ++v) {
-            if (!good[v] || targets[v]) continue;
-            for (std::size_t w : adjacency.row_columns(v)) {
-                if (!good[w] && !targets[w]) {
-                    good[v] = false;
-                    changed = true;
-                    break;
-                }
-            }
-        }
-    }
-    for (std::size_t v = 0; v < n; ++v) {
-        if (targets[v]) good[v] = true;
-    }
-    return good;
-}
-
 }  // namespace arcade::graph

@@ -1,6 +1,7 @@
 // Strongly-connected-component analysis of the CTMC transition graph.
-// Needed for: steady-state of reducible chains (BSCC detection),
-// qualitative precomputation for unbounded until, reachability closures.
+// Needed for the steady state of reducible chains (BSCC detection).  The
+// reachability closures of steady state and unbounded until are computed
+// where they are used (reachability_over in ctmc/steady_state.cpp).
 #ifndef ARCADE_GRAPH_SCC_HPP
 #define ARCADE_GRAPH_SCC_HPP
 
@@ -26,24 +27,6 @@ struct SccDecomposition {
 /// structural zeros if that is not wanted.  Self-loops are permitted.
 [[nodiscard]] SccDecomposition strongly_connected_components(
     const linalg::CsrMatrix& adjacency);
-
-/// States from which `targets` is reachable (backward closure).
-/// `transposed` must be the transpose of the transition adjacency.
-[[nodiscard]] std::vector<bool> backward_reachable(const linalg::CsrMatrix& transposed,
-                                                   const std::vector<bool>& targets);
-
-/// States reachable from `sources` (forward closure).
-[[nodiscard]] std::vector<bool> forward_reachable(const linalg::CsrMatrix& adjacency,
-                                                  const std::vector<bool>& sources);
-
-/// States that reach `targets` with probability 1 in the embedded process:
-/// the standard "Prob1" precomputation for unbounded until over
-/// (`allowed`, `targets`): maximal set U with targets ⊆ U such that from every
-/// state of U \ targets, all paths stay in `allowed` until hitting targets.
-[[nodiscard]] std::vector<bool> almost_sure_reach(const linalg::CsrMatrix& adjacency,
-                                                  const linalg::CsrMatrix& transposed,
-                                                  const std::vector<bool>& allowed,
-                                                  const std::vector<bool>& targets);
 
 }  // namespace arcade::graph
 

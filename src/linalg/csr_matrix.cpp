@@ -49,38 +49,37 @@ void sort_row_by_column(Index* cols, double* vals, std::size_t len) {
     }
 }
 
-/// Counting-sort transpose of `m` over the entries `keep(row, col)` accepts.
-/// Source rows are visited in ascending order, so every transposed row comes
-/// out column-sorted without a sort.
-template <typename Keep>
-CsrMatrix transpose_kept(const CsrMatrix& m, Keep keep) {
-    const std::size_t rows = m.rows();
-    const std::size_t cols = m.cols();
+}  // namespace
+
+CsrMatrix incoming_off_diagonal(const CsrMatrix& m) {
+    ARCADE_ASSERT(m.rows() == m.cols(), "incoming_off_diagonal needs a square matrix");
+    // A counting-sort transpose without the diagonal.  Source rows are
+    // visited in ascending order, so every row comes out column-sorted
+    // without a sort.
+    const std::size_t n = m.rows();
     const auto& row_ptr = m.row_ptr();
     const auto& col_idx = m.col_idx();
     const auto& values = m.values();
-    std::vector<std::size_t> ptr(cols + 1, 0);
-    for (std::size_t r = 0; r < rows; ++r) {
+    std::vector<std::size_t> ptr(n + 1, 0);
+    for (std::size_t r = 0; r < n; ++r) {
         for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-            if (keep(r, col_idx[k])) ++ptr[col_idx[k] + 1];
+            if (col_idx[k] != r) ++ptr[col_idx[k] + 1];
         }
     }
-    for (std::size_t c = 0; c < cols; ++c) ptr[c + 1] += ptr[c];
-    std::vector<Index> out_cols(ptr[cols]);
-    std::vector<double> out_vals(ptr[cols]);
+    for (std::size_t c = 0; c < n; ++c) ptr[c + 1] += ptr[c];
+    std::vector<Index> out_cols(ptr[n]);
+    std::vector<double> out_vals(ptr[n]);
     std::vector<std::size_t> fill(ptr.begin(), ptr.end() - 1);
-    for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t r = 0; r < n; ++r) {
         for (std::size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-            if (!keep(r, col_idx[k])) continue;
+            if (col_idx[k] == r) continue;
             const std::size_t slot = fill[col_idx[k]]++;
             out_cols[slot] = static_cast<Index>(r);
             out_vals[slot] = values[k];
         }
     }
-    return CsrMatrix(cols, rows, std::move(ptr), std::move(out_cols), std::move(out_vals));
+    return CsrMatrix(n, n, std::move(ptr), std::move(out_cols), std::move(out_vals));
 }
-
-}  // namespace
 
 CsrBuilder::CsrBuilder(std::size_t rows, std::size_t cols) : rows_(rows), cols_(cols) {
     check_index_range(rows, cols, "CsrBuilder");
@@ -164,21 +163,6 @@ double CsrMatrix::at(std::size_t row, std::size_t col) const {
     const auto it = std::lower_bound(cols.begin(), cols.end(), col);
     if (it == cols.end() || *it != col) return 0.0;
     return values_[row_ptr_[row] + static_cast<std::size_t>(it - cols.begin())];
-}
-
-double CsrMatrix::row_sum(std::size_t row) const {
-    double s = 0.0;
-    for (double v : row_values(row)) s += v;
-    return s;
-}
-
-CsrMatrix CsrMatrix::transposed() const {
-    return transpose_kept(*this, [](std::size_t, std::size_t) { return true; });
-}
-
-CsrMatrix incoming_off_diagonal(const CsrMatrix& m) {
-    ARCADE_ASSERT(m.rows() == m.cols(), "incoming_off_diagonal needs a square matrix");
-    return transpose_kept(m, [](std::size_t r, std::size_t c) { return r != c; });
 }
 
 }  // namespace arcade::linalg

@@ -90,13 +90,6 @@ public:
     /// Value at (row, col); 0.0 when not stored.
     [[nodiscard]] double at(std::size_t row, std::size_t col) const;
 
-    /// Sum of stored values in `row`.
-    [[nodiscard]] double row_sum(std::size_t row) const;
-
-    /// Transposed copy, by a counting sort over the columns: O(nnz + rows +
-    /// cols), every entry copied unchanged, rows column-sorted.
-    [[nodiscard]] CsrMatrix transposed() const;
-
     [[nodiscard]] const std::vector<std::size_t>& row_ptr() const noexcept { return row_ptr_; }
     [[nodiscard]] const std::vector<Index>& col_idx() const noexcept { return col_idx_; }
     [[nodiscard]] const std::vector<double>& values() const noexcept { return values_; }
@@ -111,9 +104,10 @@ private:
 
 /// Incoming edges of a square matrix with the diagonal dropped: row v lists,
 /// in ascending order, every source s != v with m(s, v) stored, valued
-/// m(s, v).  This is transposed() minus the diagonal — the "who sends rate
-/// into v" structure of Gauss–Seidel steady-state sweeps, reachability
-/// searches and splitter-based lumping.
+/// m(s, v): the transpose minus the diagonal, built by a counting sort over
+/// the columns in O(nnz + rows), every entry copied unchanged.  It is the
+/// "who sends rate into v" structure of Gauss–Seidel steady-state sweeps,
+/// reachability searches and splitter-based lumping.
 [[nodiscard]] CsrMatrix incoming_off_diagonal(const CsrMatrix& m);
 
 }  // namespace arcade::linalg

@@ -7,23 +7,6 @@
 
 namespace arcade::linalg {
 
-double linf_distance(std::span<const double> a, std::span<const double> b) {
-    ARCADE_ASSERT(a.size() == b.size(), "linf_distance size mismatch");
-    double m = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i) m = std::max(m, std::abs(a[i] - b[i]));
-    return m;
-}
-
-double relative_distance(std::span<const double> a, std::span<const double> b) {
-    ARCADE_ASSERT(a.size() == b.size(), "relative_distance size mismatch");
-    double m = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        const double scale = std::max(std::abs(a[i]), 1e-300);
-        m = std::max(m, std::abs(a[i] - b[i]) / scale);
-    }
-    return m;
-}
-
 double sum(std::span<const double> v) {
     double s = 0.0;
     for (double x : v) s += x;

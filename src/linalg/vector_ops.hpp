@@ -11,12 +11,6 @@
 
 namespace arcade::linalg {
 
-/// max_i |a_i - b_i| (Chebyshev distance).
-[[nodiscard]] double linf_distance(std::span<const double> a, std::span<const double> b);
-
-/// max_i |a_i - b_i| / max(|a_i|, floor) — PRISM-style relative criterion.
-[[nodiscard]] double relative_distance(std::span<const double> a, std::span<const double> b);
-
 /// sum of entries.
 [[nodiscard]] double sum(std::span<const double> v);
 

@@ -13,7 +13,6 @@
 #ifndef ARCADE_LOGIC_CSL_HPP
 #define ARCADE_LOGIC_CSL_HPP
 
-#include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
@@ -132,19 +131,15 @@ using RewardRegistry = std::map<std::string, rewards::RewardStructure>;
 void validate(const CheckerOptions& options);
 void validate(const StateFormula& formula);
 
-/// Canonical textual form of a formula, re-parsable by parse_csl: binary
-/// operators fully parenthesised, numbers printed round-trip exact (%.17g).
+/// Canonical textual form of a formula, re-parsable by parse_csl: every
+/// binary node parenthesised, except the left operand of an `&` or `|`
+/// that is itself an `&` or `|` (the parser's left-associative chains, so
+/// a chain prints at one nesting level); numbers printed round-trip exact
+/// (%.17g).
 /// parse → print → parse is the identity on the AST (G re-parses via its
 /// Until desugaring), which the round-trip tests pin for every formula in
 /// watertree::properties.
 [[nodiscard]] std::string to_string(const StateFormula& formula);
-
-/// Structural fingerprint of a formula (FNV-1a over the canonical printed
-/// form).  `seed` selects an independent hash stream, mirroring
-/// engine::fingerprint: property caches store a second-stream check value
-/// and verify it on every hit.
-[[nodiscard]] std::uint64_t fingerprint(const StateFormula& formula,
-                                        std::uint64_t seed = 0);
 
 /// Parses the textual CSL/CSRL syntax, e.g.
 ///   P=? [ true U<=100 "down" ]

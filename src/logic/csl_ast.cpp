@@ -1,9 +1,7 @@
 // AST utilities for CSL/CSRL formulas: the canonical printer (round-trip
-// exact with the parser), the structural fingerprint the property caches
-// key on and validation of numeric literals.
+// exact with the parser) and validation of numeric literals.
 #include <cmath>
 
-#include "graph/lumping.hpp"
 #include "logic/csl.hpp"
 #include "support/errors.hpp"
 #include "support/strings.hpp"
@@ -34,6 +32,19 @@ std::string path_string(const PathFormula& path) {
     std::string out = to_string(*until.lhs) + " U";
     if (until.time_bound) out += "<=" + format_g17(*until.time_bound);
     return out + " " + to_string(*until.rhs);
+}
+
+/// `lhs op rhs` of an `&` or `|` node, unparenthesised.  A left operand of
+/// the same kind prints the same way, so `(a | b) | c` reads `a | b | c`:
+/// the parser's left-associative chain builds the same tree back, and a
+/// long chain nests one parenthesis deep instead of one per term.
+template <typename Node>
+std::string chain_string(const Node& node, const char* op) {
+    const auto* left = std::get_if<Node>(&node.lhs->node());
+    std::string out = left != nullptr ? chain_string(*left, op) : to_string(*node.lhs);
+    out += op;
+    out += to_string(*node.rhs);
+    return out;
 }
 
 void validate_bound(const Bound& b, bool probability) {
@@ -70,12 +81,14 @@ std::string to_string(const StateFormula& formula) {
     }
     if (const auto* con = std::get_if<Conjunction>(&formula.node())) {
         std::string out = "(";
-        out += to_string(*con->lhs) + " & " + to_string(*con->rhs) + ")";
+        out += chain_string(*con, " & ");
+        out += ')';
         return out;
     }
     if (const auto* dis = std::get_if<Disjunction>(&formula.node())) {
         std::string out = "(";
-        out += to_string(*dis->lhs) + " | " + to_string(*dis->rhs) + ")";
+        out += chain_string(*dis, " | ");
+        out += ')';
         return out;
     }
     if (const auto* prob = std::get_if<Probabilistic>(&formula.node())) {
@@ -100,17 +113,6 @@ std::string to_string(const StateFormula& formula) {
         out += "S";
     }
     return out + " ]";
-}
-
-std::uint64_t fingerprint(const StateFormula& formula, std::uint64_t seed) {
-    // The canonical printed form IS the structure (round-trip exact), so
-    // hashing it fingerprints the AST; the word mixing is shared with the
-    // engine's model fingerprints.
-    std::uint64_t h = graph::fnv1a_mix(graph::kFnv1aBasis, seed ^ 0x9e3779b97f4a7c15ull);
-    for (const char c : to_string(formula)) {
-        h = graph::fnv1a_mix(h, static_cast<unsigned char>(c));
-    }
-    return h;
 }
 
 void validate(const CheckerOptions& options) {

@@ -341,7 +341,7 @@ std::vector<double> check_series(const engine::AnalysisSession::CompiledPtr& mod
                 "(P=? [ phi U<=t psi ], R=? [ I=t ], R=? [ C<=t ], optionally negated)");
         }
         // The formula's own bound is nominal; each grid point replaces it,
-        // all advanced by one shared evolver — the survivability/reliability
+        // all read off one power pass — the survivability/reliability
         // measure kernels verbatim.
         const std::vector<bool> phi = eval_boolean(ctx, *until->lhs);
         const std::vector<bool> psi = eval_boolean(ctx, *until->rhs);

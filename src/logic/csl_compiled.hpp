@@ -19,14 +19,14 @@
 //    caller-supplied CheckerOptions structures, given over chain()'s states.
 //
 // check_series is the sweep runner's path: it evaluates one time-parametric
-// quantitative query over a whole time grid with a single evolver, calling
-// the *same* forward-series kernels as the measure pipeline
+// quantitative query over a whole time grid in one uniformised power pass,
+// calling the *same* forward-series kernels as the measure pipeline
 // (ctmc::bounded_until_series, rewards::*_reward_series) so a paper measure
 // re-expressed as a formula reproduces the measure's values bit for bit.
 //
-// Memoisation lives in engine::AnalysisSession::check_property, keyed by
-// (model fingerprint, formula fingerprint); these free functions are the
-// evaluators it calls on a miss.
+// Results are not memoised: the sweep runner calls check() once per
+// property cell, and the session caches only what those checks share
+// (the compiled model and its steady state).
 #ifndef ARCADE_LOGIC_CSL_COMPILED_HPP
 #define ARCADE_LOGIC_CSL_COMPILED_HPP
 
@@ -53,7 +53,7 @@ namespace arcade::logic {
 
 /// Evaluates a time-parametric quantitative query over an ascending time
 /// grid: the formula's own (nominal) time bound is replaced by each grid
-/// point, all points advanced by one shared evolver.  The top level must be
+/// point, all points read off one power pass.  The top level must be
 /// P=? [ phi U<=t psi ], R=? [ I=t ], R=? [ C<=t ], or a Negation of one of
 /// these (the parser's G<=t desugaring; values complement to 1 - p) —
 /// anything else throws InvalidArgument.  `initial` is the distribution

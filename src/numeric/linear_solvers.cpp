@@ -11,11 +11,9 @@ namespace arcade::numeric {
 
 namespace {
 
-double criterion(double newv, double oldv, bool relative) {
-    const double diff = std::abs(newv - oldv);
-    if (!relative) return diff;
-    const double scale = std::max(std::abs(newv), 1e-300);
-    return diff / scale;
+/// The relative change of one entry (SolverOptions::epsilon).
+double criterion(double newv, double oldv) {
+    return std::abs(newv - oldv) / std::max(std::abs(newv), 1e-300);
 }
 
 /// `a` with its diagonal split out: the off-diagonal entries keep their
@@ -79,7 +77,7 @@ SolverResult steady_state_gauss_seidel(const linalg::CsrMatrix& rate_matrix,
             const double inflow =
                 linalg::row_dot(cols, vals, pi.data(), row_ptr[j], row_ptr[j + 1], 0.0);
             const double newv = inflow / exit_rate[j];
-            worst = std::max(worst, criterion(newv, pi[j], options.relative));
+            worst = std::max(worst, criterion(newv, pi[j]));
             pi[j] = newv;
         }
         res.iterations = it + 1;
@@ -117,7 +115,7 @@ SolverResult fixpoint_gauss_seidel(const linalg::CsrMatrix& a, std::span<const d
             const double acc =
                 linalg::row_dot(cols, vals, x.data(), row_ptr[i], row_ptr[i + 1], b[i]);
             const double newv = acc / (1.0 - diag[i]);
-            worst = std::max(worst, criterion(newv, x[i], options.relative));
+            worst = std::max(worst, criterion(newv, x[i]));
             x[i] = newv;
         }
         res.iterations = it + 1;
@@ -126,45 +124,6 @@ SolverResult fixpoint_gauss_seidel(const linalg::CsrMatrix& a, std::span<const d
     }
     throw ConvergenceError("fixpoint_gauss_seidel: no convergence after " +
                            std::to_string(options.max_iterations) + " iterations");
-}
-
-SolverResult steady_state_power(const linalg::CsrMatrix& rate_matrix, std::span<double> pi,
-                                const SolverOptions& options) {
-    const std::size_t n = rate_matrix.rows();
-    ARCADE_ASSERT(rate_matrix.cols() == n && pi.size() == n, "shape mismatch");
-
-    // Uniformise once: P = I + Q/Lambda.
-    double max_exit = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto cols = rate_matrix.row_columns(i);
-        const auto vals = rate_matrix.row_values(i);
-        double exit = 0.0;
-        for (std::size_t k = 0; k < cols.size(); ++k) {
-            if (cols[k] != i) exit += vals[k];
-        }
-        max_exit = std::max(max_exit, exit);
-    }
-    const linalg::UniformisedMatrix p =
-        linalg::uniformise(rate_matrix, linalg::uniformisation_rate(max_exit));
-
-    const double u = 1.0 / static_cast<double>(n);
-    for (double& x : pi) x = u;
-    std::vector<double> next(n, 0.0);
-
-    SolverResult res;
-    for (std::size_t it = 0; it < options.max_iterations; ++it) {
-        linalg::uniformised_multiply_left(p, pi, next);
-        const double err = options.relative ? linalg::relative_distance(next, pi)
-                                            : linalg::linf_distance(next, pi);
-        std::copy(next.begin(), next.end(), pi.begin());
-        res.iterations = it + 1;
-        res.final_error = err;
-        if (err < options.epsilon) {
-            linalg::normalize(pi);
-            return res;
-        }
-    }
-    throw ConvergenceError("steady_state_power: no convergence");
 }
 
 }  // namespace arcade::numeric

@@ -13,8 +13,9 @@ namespace arcade::numeric {
 
 /// Convergence parameters shared by the iterative methods.
 struct SolverOptions {
-    double epsilon = 1e-12;        ///< termination threshold
-    bool relative = true;          ///< relative vs absolute criterion
+    /// Termination threshold on the largest relative change of one sweep,
+    /// |new - old| / max(|new|, 1e-300).
+    double epsilon = 1e-12;
     std::size_t max_iterations = 1'000'000;
 };
 
@@ -40,11 +41,6 @@ SolverResult steady_state_gauss_seidel(const linalg::CsrMatrix& rate_matrix,
 SolverResult fixpoint_gauss_seidel(const linalg::CsrMatrix& a,
                                    std::span<const double> b, std::span<double> x,
                                    const SolverOptions& options = {});
-
-/// Power iteration x <- x P with normalisation; robust fallback for
-/// steady-state computation (slower than Gauss–Seidel but matrix-free order).
-SolverResult steady_state_power(const linalg::CsrMatrix& rate_matrix,
-                                std::span<double> pi, const SolverOptions& options = {});
 
 }  // namespace arcade::numeric
 

@@ -45,7 +45,7 @@ private:
                                           const ctmc::TransientOptions& options = {});
 
 /// Instantaneous reward on a non-decreasing time grid (one uniformisation
-/// pass; TransientEvolver's duplicate/decreasing grid semantics).
+/// pass; ctmc::SeriesGrid's duplicate/decreasing grid semantics).
 [[nodiscard]] std::vector<double> instantaneous_reward_series(
     const ctmc::Ctmc& chain, std::span<const double> initial, const RewardStructure& reward,
     std::span<const double> times, const ctmc::TransientOptions& options = {});

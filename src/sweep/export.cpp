@@ -207,8 +207,6 @@ void write_csv(const SweepReport& report, const ScenarioGrid& grid, std::ostream
         count(" steady_hits=", st.steady_state_hits);
         count(" steady_misses=", st.steady_state_misses);
         real(" cache_hit_rate=", report.cache_hit_rate());
-        count(" property_hits=", st.property_hits);
-        count(" property_misses=", st.property_misses);
         count(" state_points=", report.state_points);
         real(" states_per_sec=", report.states_per_second());
         real(" wall_seconds=", report.wall_seconds);
@@ -243,8 +241,6 @@ void write_json(const SweepReport& report, const ScenarioGrid& grid, std::ostrea
     count("steady_state_hits", st.steady_state_hits);
     count("steady_state_misses", st.steady_state_misses);
     real("cache_hit_rate", report.cache_hit_rate());
-    count("property_hits", st.property_hits);
-    count("property_misses", st.property_misses);
     count("state_points", report.state_points);
     real("states_per_second", report.states_per_second());
     out += "    \"wall_seconds\": ";

@@ -128,12 +128,13 @@ ScenarioResult evaluate(engine::AnalysisSession& session, const ScenarioGrid& gr
                 result.values =
                     logic::check_series(model, *formula, item.measure.times, initial);
             } else {
-                // As-written evaluation through the session's property
-                // cache; boolean verdicts export as 1.0 / 0.0.
-                const auto checked = session.check_property(model, *formula);
-                result.values = {checked->value.has_value()
-                                     ? *checked->value
-                                     : (checked->holds.value_or(false) ? 1.0 : 0.0)};
+                // As-written evaluation over the session (top-level S /
+                // R[S] read its cached steady state); boolean verdicts
+                // export as 1.0 / 0.0.
+                const auto checked = logic::check(session, model, *formula);
+                result.values = {checked.value.has_value()
+                                     ? *checked.value
+                                     : (checked.holds.value_or(false) ? 1.0 : 0.0)};
             }
             break;
         }

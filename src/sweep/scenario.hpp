@@ -31,11 +31,11 @@ enum class MeasureKind {
     Survivability,      ///< series: P[service >= level within t | disaster]
     InstantaneousCost,  ///< series: E[cost rate at t | disaster]
     AccumulatedCost,    ///< series: E[cost over [0,t] | disaster]
-    /// A CSL/CSRL formula (MeasureSpec::property), checked through the
-    /// session's property cache.  With an empty time grid the formula is
-    /// evaluated as written (steady-state queries reuse the cached solve);
-    /// with a grid it must be a time-bounded quantitative query whose bound
-    /// sweeps the grid with one shared evolver — the same kernels as the
+    /// A CSL/CSRL formula (MeasureSpec::property), checked over the
+    /// session.  With an empty time grid the formula is evaluated as
+    /// written (steady-state queries reuse the cached solve); with a grid
+    /// it must be a time-bounded quantitative query whose bound sweeps the
+    /// grid in one uniformised power pass — the same kernels as the
     /// dedicated measures, so a re-expressed paper measure reproduces its
     /// rows bit for bit (see logic/csl_compiled.hpp).
     Property,

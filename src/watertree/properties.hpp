@@ -19,7 +19,7 @@
 // Auto — pinned by tests/test_property_sweep.cpp.
 //
 // Time bounds in series formulas are *nominal*: the sweep layer replaces
-// them with each grid point (one shared evolver per curve).  Scalar
+// them with each grid point (one power pass per curve).  Scalar
 // evaluation uses the bound as written.
 #ifndef ARCADE_WATERTREE_PROPERTIES_HPP
 #define ARCADE_WATERTREE_PROPERTIES_HPP

@@ -414,10 +414,11 @@ TEST(LintLevel, ParsesAliases) {
     EXPECT_EQ(analysis::parse_lint_level("0"), LintLevel::Off);
     EXPECT_EQ(analysis::parse_lint_level("WARN"), LintLevel::Warn);
     EXPECT_EQ(analysis::parse_lint_level("on"), LintLevel::Warn);
-    EXPECT_EQ(analysis::parse_lint_level("error"), LintLevel::Error);
-    EXPECT_EQ(analysis::parse_lint_level("strict"), LintLevel::Error);
+    EXPECT_FALSE(analysis::parse_lint_level("error").has_value());
+    EXPECT_FALSE(analysis::parse_lint_level("strict").has_value());
     EXPECT_FALSE(analysis::parse_lint_level("bogus").has_value());
-    EXPECT_EQ(analysis::lint_level_name(LintLevel::Error), "error");
+    EXPECT_EQ(analysis::lint_level_name(LintLevel::Off), "off");
+    EXPECT_EQ(analysis::lint_level_name(LintLevel::Warn), "warn");
 }
 
 TEST(LintLevel, ReportCountsBySeverity) {
@@ -516,7 +517,7 @@ TEST(WatertreeLint, CompileOptionsLintIsInert) {
     options.encoding = core::Encoding::Lumped;
     options.lint = analysis::LintLevel::Off;
     const auto first = session.compile(model, options);
-    options.lint = analysis::LintLevel::Error;
+    options.lint = analysis::LintLevel::Warn;
     const auto second = session.compile(model, options);
     EXPECT_EQ(first, second);
     EXPECT_EQ(session.stats().compile_misses, 1u);

@@ -13,13 +13,14 @@
 //    it);
 //  * the engine path under Auto IS the raw check of the model's chain(),
 //    bit for bit;
-//  * the session memoises results keyed by (model fingerprint, formula
-//    fingerprint): repeated checks return the same shared result.
+//  * the session's check_property is the checker's value, bit for bit.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <random>
+#include <string>
 
 #include "arcade/compiler.hpp"
 #include "ctmc/quotient.hpp"
@@ -313,28 +314,25 @@ TEST(CslQuotient, SteadyStatePropertiesReuseTheSessionSolveByteIdentically) {
     EXPECT_EQ(session.stats().steady_state_misses, 1u);
 }
 
-TEST(CslQuotient, SessionMemoisesPropertyResults) {
+TEST(CslQuotient, SessionCheckPropertyForwardsToTheChecker) {
+    // check_property is an uncached forward to logic::check over the
+    // session, with the given epsilon.
     engine::AnalysisSession session;
     core::CompileOptions options;
     options.reduction = core::ReductionPolicy::Auto;
     const auto model = session.compile(wt::line2(wt::strategy("DED")), options);
 
-    const auto formula = logic::parse_csl("P=? [ true U<=10 \"down\" ]");
-    const auto first = session.check_property(model, *formula);
-    const auto second = session.check_property(model, *formula);
-    EXPECT_EQ(first.get(), second.get());  // the memoised shared result
-    // An equal formula parsed from different text hits the same entry.
-    const auto third = session.check_property(model, "P=? [ true U<=10 \"down\" ]");
-    EXPECT_EQ(first.get(), third.get());
-    // A different formula (or epsilon) misses.
-    (void)session.check_property(model, "P=? [ true U<=20 \"down\" ]");
-    (void)session.check_property(model, *formula, /*epsilon=*/1e-10);
-    const auto stats = session.stats();
-    EXPECT_EQ(stats.property_hits, 2u);
-    EXPECT_EQ(stats.property_misses, 3u);
-
-    session.clear();
-    EXPECT_EQ(session.stats().property_misses, 0u);
+    const std::string formula = "P=? [ true U<=10 \"down\" ]";
+    for (const double epsilon : {1e-12, 1e-10}) {
+        logic::CheckerOptions checker;
+        checker.epsilon = epsilon;
+        const auto want = logic::check(session, model, formula, checker);
+        const auto got = session.check_property(model, formula, epsilon);
+        ASSERT_TRUE(want.value.has_value() && got->value.has_value());
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(*got->value),
+                  std::bit_cast<std::uint64_t>(*want.value))
+            << epsilon;
+    }
 }
 
 TEST(CslQuotient, CallerRewardStructuresAreReadOnTheChainAsGiven) {

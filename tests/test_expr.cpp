@@ -4,6 +4,7 @@
 #include <map>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "expr/expr.hpp"
@@ -145,7 +146,7 @@ TEST(ExprParser, LongChainsThrowParseErrorPastTheTreeBound) {
     // At the bound, every walk the checks below reach runs to the bottom.
     const expr::Expr sum = expr::parse_expression(chain(bound, "x", "+"));
     EXPECT_EQ(sum.evaluate(env).as_int(), static_cast<long long>(bound));
-    EXPECT_EQ(sum.to_string().size(), 6 * bound - 5);  // n "x", n-1 " + " and "()"
+    EXPECT_EQ(sum.to_string().size(), 4 * bound - 1);  // n "x", n-1 " + " and "()"
     const expr::Expr conjunction = expr::parse_expression(chain(bound, "b", "&"));
     expr::SlotMap slots;
     slots.slots.emplace("b", 0);
@@ -170,6 +171,75 @@ TEST(ExprParser, LongChainsThrowParseErrorPastTheTreeBound) {
     EXPECT_EQ(expr::parse_expression(chain(10000, "1", "+")).evaluate(env).as_int(), 10000);
     EXPECT_TRUE(
         expr::parse_expression(chain(10000, "true", "&") + "&b").evaluate(env).as_bool());
+}
+
+namespace {
+
+/// Structural equality of two expression trees: node kinds, operators,
+/// literal values and identifier names.
+bool same_tree(const expr::Expr& a, const expr::Expr& b) {
+    if (a.empty() || b.empty()) return a.empty() && b.empty();
+    if (a.node().index() != b.node().index()) return false;
+    if (const auto* la = std::get_if<expr::Literal>(&a.node())) {
+        return la->value == std::get<expr::Literal>(b.node()).value;
+    }
+    if (const auto* ia = std::get_if<expr::Identifier>(&a.node())) {
+        return ia->name == std::get<expr::Identifier>(b.node()).name;
+    }
+    if (const auto* ua = std::get_if<expr::Unary>(&a.node())) {
+        const auto& ub = std::get<expr::Unary>(b.node());
+        return ua->op == ub.op && same_tree(ua->operand, ub.operand);
+    }
+    if (const auto* ba = std::get_if<expr::Binary>(&a.node())) {
+        const auto& bb = std::get<expr::Binary>(b.node());
+        return ba->op == bb.op && same_tree(ba->lhs, bb.lhs) && same_tree(ba->rhs, bb.rhs);
+    }
+    const auto& ia = std::get<expr::Ite>(a.node());
+    const auto& ib = std::get<expr::Ite>(b.node());
+    return same_tree(ia.cond, ib.cond) && same_tree(ia.then_branch, ib.then_branch) &&
+           same_tree(ia.else_branch, ib.else_branch);
+}
+
+}  // namespace
+
+TEST(ExprParser, PrintParseRoundTripsChainsAtTheTreeBound) {
+    // A left operand at its parent's left-associative level prints without
+    // parentheses, and a min/max whose first argument is the same call as
+    // one call, so a chain of kMaxTreeDepth terms prints one level deep and
+    // parses back to the same tree; right operands keep their nesting.
+    const std::size_t bound = expr::kMaxTreeDepth;
+    const auto chain = [](std::size_t terms, const std::string& term,
+                          const std::vector<std::string>& ops) {
+        std::string text = term;
+        for (std::size_t i = 1; i < terms; ++i) text += ops[i % ops.size()] + term;
+        return text;
+    };
+    for (const std::string& text :
+         {chain(bound, "x", {"+"}), chain(bound, "b", {"&"}), chain(bound, "b", {"|"}),
+          chain(bound, "x", {"+", "-"}), chain(bound, "x", {"*", "/"}),
+          chain(bound, "b", {"<=>"}), "min(" + chain(bound, "x", {", "}) + ")",
+          "max(" + chain(bound, "x", {", "}) + ")"}) {
+        const expr::Expr parsed = expr::parse_expression(text);
+        const std::string printed = parsed.to_string();
+        const expr::Expr reparsed = expr::parse_expression(printed);
+        EXPECT_TRUE(same_tree(reparsed, parsed)) << text.substr(0, 12);
+        EXPECT_EQ(reparsed.to_string(), printed);
+    }
+    // Mixed levels and right-nested operands keep their parentheses.
+    for (const char* text :
+         {"a - (b - c)", "(a + b) * c - d / (e * f)", "(p | q) & r | s", "p & (q & r)",
+          "(a < b) = (c < d)", "(p => q) => r"}) {
+        const expr::Expr parsed = expr::parse_expression(text);
+        EXPECT_TRUE(same_tree(expr::parse_expression(parsed.to_string()), parsed))
+            << text << " printed as " << parsed.to_string();
+    }
+    EXPECT_EQ(expr::parse_expression("a - b + c").to_string(), "(a - b + c)");
+    EXPECT_EQ(expr::parse_expression("a - (b + c)").to_string(), "(a - (b + c))");
+    EXPECT_EQ(expr::parse_expression("a * b + c").to_string(), "((a * b) + c)");
+    EXPECT_EQ(expr::parse_expression("min(a, b, c)").to_string(), "min(a, b, c)");
+    EXPECT_EQ(expr::parse_expression("min(max(a, b), c)").to_string(), "min(max(a, b), c)");
+    EXPECT_EQ(expr::parse_expression("min(a, min(b, c))").to_string(), "min(a, min(b, c))");
+    EXPECT_EQ(expr::parse_expression("pow(pow(a, b), c)").to_string(), "pow(pow(a, b), c)");
 }
 
 TEST(ExprParser, RoundTripsThroughToString) {

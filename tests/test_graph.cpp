@@ -1,4 +1,4 @@
-// Unit tests: SCC decomposition, BSCC detection, reachability closures.
+// Unit tests: SCC decomposition and BSCC detection.
 #include <gtest/gtest.h>
 
 #include "graph/scc.hpp"
@@ -54,35 +54,4 @@ TEST(Scc, DeepChainDoesNotOverflowTheStack) {
     for (int i = 0; i + 1 < n; ++i) edges.push_back({i, i + 1});
     const auto scc = graph::strongly_connected_components(make_graph(n, edges));
     EXPECT_EQ(scc.count, static_cast<std::size_t>(n));
-}
-
-TEST(Reachability, ForwardAndBackwardClosures) {
-    const auto g = make_graph(5, {{0, 1}, {1, 2}, {3, 4}});
-    std::vector<bool> sources(5, false);
-    sources[0] = true;
-    const auto fwd = graph::forward_reachable(g, sources);
-    EXPECT_TRUE(fwd[0] && fwd[1] && fwd[2]);
-    EXPECT_FALSE(fwd[3] || fwd[4]);
-
-    const auto gt = g.transposed();
-    std::vector<bool> targets(5, false);
-    targets[2] = true;
-    const auto bwd = graph::backward_reachable(gt, targets);
-    EXPECT_TRUE(bwd[0] && bwd[1] && bwd[2]);
-    EXPECT_FALSE(bwd[3] || bwd[4]);
-}
-
-TEST(Reachability, AlmostSureReach) {
-    // 0 -> 1 (target), 0 -> 2 (trap), so from 0 reach is NOT almost sure;
-    // 3 -> 1 only, so from 3 it is.
-    const auto g = make_graph(4, {{0, 1}, {0, 2}, {2, 2}, {3, 1}});
-    const auto gt = g.transposed();
-    std::vector<bool> allowed(4, true);
-    std::vector<bool> target(4, false);
-    target[1] = true;
-    const auto sure = graph::almost_sure_reach(g, gt, allowed, target);
-    EXPECT_FALSE(sure[0]);
-    EXPECT_TRUE(sure[1]);
-    EXPECT_FALSE(sure[2]);
-    EXPECT_TRUE(sure[3]);
 }

@@ -36,19 +36,20 @@
 #include "ctmc/bounded_until.hpp"
 #include "ctmc/quotient.hpp"
 #include "ctmc/steady_state.hpp"
-#include "ctmc/transient.hpp"
 #include "engine/session.hpp"
 #include "graph/lumping.hpp"
 #include "lumped_counters.hpp"
 #include "rewards/rewards.hpp"
 #include "support/errors.hpp"
 #include "sweep/sweep.hpp"
+#include "transient_reference.hpp"
 #include "watertree/watertree.hpp"
 
 namespace core = arcade::core;
 namespace ctmc = arcade::ctmc;
 namespace engine = arcade::engine;
 namespace graph = arcade::graph;
+namespace ref = arcade::testing;  // transient_reference.hpp
 namespace sweep = arcade::sweep;
 namespace wt = arcade::watertree;
 
@@ -463,8 +464,8 @@ TEST(QuotientCtmc, AgreesWithOriginalOnEverySolver) {
 
     // Transient distributions project exactly.
     for (const double t : {0.5, 2.0, 10.0}) {
-        const auto full = ctmc::transient_distribution(planted.chain, initial, t);
-        const auto lumped = ctmc::transient_distribution(quotient.chain(), q_initial, t);
+        const auto full = ref::transient_distribution(planted.chain, initial, t);
+        const auto lumped = ref::transient_distribution(quotient.chain(), q_initial, t);
         expect_near_rel(quotient.project(full), lumped, 1e-10,
                         "transient t=" + std::to_string(t));
     }
@@ -826,8 +827,8 @@ TEST(OrbitLumping, TwoStagePartitionMatchesDirectLumpingOnGeneratedModels) {
             "cost", direct.project_values(full.cost_reward().state_rates()));
         for (const double t : {0.5, 5.0, 40.0}) {
             const std::string at = label + " t=" + std::to_string(t);
-            expect_near_rel(in_direct_order(ctmc::transient_distribution(a, initial, t)),
-                            ctmc::transient_distribution(b, direct_initial, t), 1e-12,
+            expect_near_rel(in_direct_order(ref::transient_distribution(a, initial, t)),
+                            ref::transient_distribution(b, direct_initial, t), 1e-12,
                             at + " transient");
             EXPECT_NEAR(ctmc::bounded_until_probability(a, initial, a_all, a_up, t),
                         ctmc::bounded_until_probability(b, direct_initial, b_all, b_up, t),

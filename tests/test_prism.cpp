@@ -367,6 +367,20 @@ TEST(PrismWriter, RoundTripPreservesSemantics) {
     EXPECT_EQ(b.reward_structures.count("downtime"), 1u);
 }
 
+TEST(PrismWriter, RoundTripsALongLabel) {
+    // A 300-term sum prints as one parenthesised chain, not 299 nested
+    // pairs of parentheses past the parser's nesting bound of 256.
+    std::string text =
+        "ctmc\nmodule m\n  x : [0..1] init 0;\n  [] x=0 -> 1.0 : (x'=1);\n"
+        "  [] x=1 -> 2.0 : (x'=0);\nendmodule\nlabel \"l\" = x";
+    for (int i = 1; i < 300; ++i) text += "+x";
+    text += " > 0;\n";
+    const auto sys = prism::parse_prism(text);
+    const auto sys2 = prism::parse_prism(prism::write_prism(sys));
+    EXPECT_EQ(sys2.labels.at("l").to_string(), sys.labels.at("l").to_string());
+    EXPECT_EQ(modules::explore(sys2).chain.label("l"), (std::vector<bool>{false, true}));
+}
+
 TEST(PrismWriter, EmitsParsableGuardsWithArrowsAndMinus) {
     // guards containing '-' and nested parens must survive
     const char* text = R"(

@@ -4,7 +4,7 @@
 // through the sweep runner — with reduction Off AND Auto — because both
 // paths run the very same kernels on the very same masks and distributions.
 // Plus: grid validation, dedup keys, CSV property column and shard
-// byte-identity, and the property cache counters under the runner.
+// byte-identity, and a repeated property sweep on the session caches.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -209,10 +209,9 @@ TEST(PropertySweep, CsvGrowsPropertyColumnAndShardsConcatenateByteIdentically) {
     sweep::write_json(report, grid, json);
     EXPECT_NE(json.str().find("\"formula\": \"S=? [ \\\"operational\\\" ]\""),
               std::string::npos);
-    EXPECT_NE(json.str().find("\"property_misses\""), std::string::npos);
 }
 
-TEST(PropertySweep, RepeatedPropertySweepHitsThePropertyCache) {
+TEST(PropertySweep, RepeatedPropertySweepReusesTheCompileAndSteadyState) {
     sweep::ScenarioGrid grid;
     grid.lines = {2};
     grid.strategies = {"DED"};
@@ -222,11 +221,14 @@ TEST(PropertySweep, RepeatedPropertySweepHitsThePropertyCache) {
     engine::AnalysisSession session;
     sweep::SweepRunner runner(session);
     const auto first = runner.run(grid);
-    EXPECT_EQ(first.stats.property_misses, 1u);
-    EXPECT_EQ(first.stats.property_hits, 0u);
+    EXPECT_EQ(first.stats.compile_misses, 1u);
+    EXPECT_EQ(first.stats.steady_state_misses, 1u);
+    // The second run checks the formula again, on the cached model and its
+    // cached steady state.
     const auto second = runner.run(grid);
-    EXPECT_EQ(second.stats.property_misses, 0u);
-    EXPECT_EQ(second.stats.property_hits, 1u);
+    EXPECT_EQ(second.stats.compile_misses, 0u);
+    EXPECT_EQ(second.stats.steady_state_hits, 1u);
+    EXPECT_EQ(second.stats.steady_state_misses, 0u);
     expect_bitwise(first.results.front().values, second.results.front().values,
-                   "cached property row");
+                   "repeated property row");
 }

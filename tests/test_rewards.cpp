@@ -8,16 +8,17 @@
 #include <span>
 
 #include "ctmc/ctmc.hpp"
-#include "ctmc/transient.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/vector_ops.hpp"
 #include "numeric/fox_glynn.hpp"
 #include "rewards/rewards.hpp"
 #include "support/errors.hpp"
+#include "transient_reference.hpp"
 
 namespace ctmc = arcade::ctmc;
 namespace rw = arcade::rewards;
 namespace la = arcade::linalg;
+namespace ref = arcade::testing;  // transient_reference.hpp
 
 namespace {
 
@@ -175,7 +176,7 @@ std::vector<double> segmentwise_instantaneous(const ctmc::Ctmc& chain,
                                               std::span<const double> times) {
     ctmc::TransientOptions options;
     options.epsilon = kSegmentEpsilon;
-    ctmc::TransientEvolver evolver(chain, chain.initial_distribution(), options);
+    ref::TransientEvolver evolver(chain, chain.initial_distribution(), options);
     std::vector<double> out;
     for (const double t : times) {
         evolver.advance_to(t);

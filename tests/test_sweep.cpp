@@ -556,8 +556,6 @@ std::string reference_csv(const sweep::SweepReport& report, const sweep::Scenari
            << " steady_hits=" << report.stats.steady_state_hits
            << " steady_misses=" << report.stats.steady_state_misses
            << " cache_hit_rate=" << fmt(report.cache_hit_rate())
-           << " property_hits=" << report.stats.property_hits
-           << " property_misses=" << report.stats.property_misses
            << " state_points=" << report.state_points
            << " states_per_sec=" << fmt(report.states_per_second())
            << " wall_seconds=" << fmt(report.wall_seconds) << "\n";
@@ -576,8 +574,6 @@ std::string reference_json(const sweep::SweepReport& report, const sweep::Scenar
        << "    \"steady_state_hits\": " << report.stats.steady_state_hits << ",\n"
        << "    \"steady_state_misses\": " << report.stats.steady_state_misses << ",\n"
        << "    \"cache_hit_rate\": " << fmt(report.cache_hit_rate()) << ",\n"
-       << "    \"property_hits\": " << report.stats.property_hits << ",\n"
-       << "    \"property_misses\": " << report.stats.property_misses << ",\n"
        << "    \"state_points\": " << report.state_points << ",\n"
        << "    \"states_per_second\": " << fmt(report.states_per_second()) << ",\n"
        << "    \"wall_seconds\": " << fmt(report.wall_seconds) << "\n  },\n"
@@ -856,8 +852,6 @@ void expect_same_stats(const engine::SessionStats& a, const engine::SessionStats
     EXPECT_EQ(a.compile_misses, b.compile_misses) << context;
     EXPECT_EQ(a.steady_state_hits, b.steady_state_hits) << context;
     EXPECT_EQ(a.steady_state_misses, b.steady_state_misses) << context;
-    EXPECT_EQ(a.property_hits, b.property_hits) << context;
-    EXPECT_EQ(a.property_misses, b.property_misses) << context;
 }
 
 }  // namespace
