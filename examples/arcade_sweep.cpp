@@ -10,8 +10,7 @@
 // counters, and optional CSV/JSON export:
 //
 //   arcade_sweep [--threads N] [--csv out.csv] [--json out.json]
-//                [--shard i/n] [--csv-footer] [--mttr-sweep] [--properties]
-//                [--pump-scaling N] [--list]
+//                [--mttr-sweep] [--properties] [--pump-scaling N] [--list]
 //
 // Every model compiles under ReductionPolicy::Auto: an individual model is
 // explored on the lumped encoding when one exists, and its scenarios are
@@ -23,25 +22,21 @@
 // (watertree::properties), checked through the session.
 //
 // --pump-scaling N swaps in the state-space scaling study (0..N spare pumps
-// per line) and renders its Table-1-style report, the explored lumped
-// chains against the full sizes summed in closed form.  --list prints the
-// expanded, deduplicated work list (item index, model variant, measure) of
-// whatever grid the other flags select and exits without running anything.
+// per line, N <= 13) and renders its Table-1-style report, the explored
+// lumped chains against the full sizes summed in closed form.  --list prints
+// the expanded, deduplicated work list (item index, model variant, measure)
+// of whatever grid the other flags select and exits without running
+// anything.
 //
-// --shard i/n runs only the i-th of n contiguous slices of the expanded
-// work list (1-based).  Slices are deterministic, disjoint and exhaustive;
-// only shard 1 writes the CSV header, so concatenating the n per-shard CSV
-// files in shard order reproduces the unsharded CSV byte-for-byte (sharded
-// runs therefore ignore --csv-footer: per-shard footers would interleave
-// comment lines mid-file).  Sharded runs skip the human-readable
-// table/figure rendering (their cells may live in other shards) and are
-// meant to be driven for their CSV/JSON output.
+// Exit status: 0 on success, 1 when the library reports an error or an
+// export file cannot be written, 2 on a usage error.
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <string>
 
 #include "arcade/measures.hpp"
+#include "support/errors.hpp"
 #include "support/series.hpp"
 #include "sweep/sweep.hpp"
 
@@ -70,12 +65,10 @@ bool write_file(const std::string& path, const Emit& emit) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     unsigned threads = 0;
     std::string csv_path;
     std::string json_path;
-    sweep::ShardSpec shard;
-    bool csv_footer = false;
     bool mttr_sweep = false;
     bool properties_sweep = false;
     bool list_only = false;
@@ -95,15 +88,6 @@ int main(int argc, char** argv) {
             csv_path = argv[++i];
         } else if (arg == "--json" && has_value) {
             json_path = argv[++i];
-        } else if (arg == "--shard" && has_value) {
-            try {
-                shard = sweep::ShardSpec::parse(argv[++i]);
-            } catch (const std::exception& e) {
-                std::cerr << "arcade_sweep: " << e.what() << "\n";
-                return 2;
-            }
-        } else if (arg == "--csv-footer") {
-            csv_footer = true;
         } else if (arg == "--mttr-sweep") {
             mttr_sweep = true;
         } else if (arg == "--properties") {
@@ -111,17 +95,21 @@ int main(int argc, char** argv) {
         } else if (arg == "--list") {
             list_only = true;
         } else if (arg == "--pump-scaling" && has_value) {
+            // 13 spare pumps is the largest study whose "Full states" column
+            // fits in 64 bits.  Line 1 then has 17 pumps and about 1.67e18
+            // full states, and adding the k-th pump multiplies the count by
+            // about k (16 -> 17 pumps: x17.0), so 18 pumps give about 3.0e19,
+            // past 2^64 - 1 (about 1.8e19), and the compile throws.
             const auto count = sweep::parse_count(argv[++i]);
-            if (!count) {
-                std::cerr << "arcade_sweep: --pump-scaling needs a non-negative "
-                             "number of extra pumps, got '" << argv[i] << "'\n";
+            if (!count || *count > 13) {
+                std::cerr << "arcade_sweep: --pump-scaling needs a number of extra "
+                             "pumps from 0 to 13, got '" << argv[i] << "'\n";
                 return 2;
             }
             pump_scaling = static_cast<int>(*count);
         } else {
             std::cerr << "usage: arcade_sweep [--threads N] [--csv PATH] [--json PATH] "
-                         "[--shard i/n] [--csv-footer] [--mttr-sweep] [--properties] "
-                         "[--pump-scaling N] [--list]\n";
+                         "[--mttr-sweep] [--properties] [--pump-scaling N] [--list]\n";
             return 2;
         }
     }
@@ -142,7 +130,7 @@ int main(int argc, char** argv) {
             : sweep::paper::everything();
 
     if (list_only) {
-        const auto items = sweep::shard_slice(sweep::expand(grid), shard);
+        const auto items = sweep::expand(grid);
         for (const auto& item : items) {
             std::cout << item.index << "\t" << item.model_key() << "\t"
                       << sweep::to_string(item.measure.kind) << "\n";
@@ -152,16 +140,10 @@ int main(int argc, char** argv) {
     }
 
     arcade::engine::AnalysisSession session;
-    sweep::SweepRunner runner(session, {threads, shard, core::ReductionPolicy::Auto});
+    sweep::SweepRunner runner(session, {threads, core::ReductionPolicy::Auto});
     const auto report = runner.run(grid);
 
-    if (shard.is_sharded()) {
-        // A shard holds an arbitrary slice of the grid: the table/figure
-        // renderings below need cells that may live in other shards.
-        std::cout << "# shard " << shard.index << "/" << shard.count << ": "
-                  << report.results.size() << " of " << sweep::expand(grid).size()
-                  << " work items\n";
-    } else if (mttr_sweep) {
+    if (mttr_sweep) {
         sweep::studies::render_mttr_sensitivity(report, grid, std::cout);
     } else if (pump_scaling >= 0) {
         sweep::studies::render_pump_scaling(report, grid, std::cout);
@@ -233,21 +215,16 @@ int main(int argc, char** argv) {
     std::snprintf(buf, sizeof buf, "%.3g", report.states_per_second());
     std::cout << buf << " states/sec)\n";
 
-    if (!csv_path.empty()) {
-        sweep::CsvOptions options;
-        options.header = shard.index == 1;  // later shards concatenate after shard 1
-        // A per-shard footer would interleave comment lines mid-file and
-        // break the byte-identical concatenation guarantee.
-        options.footer = csv_footer && !shard.is_sharded();
-        if (!write_file(csv_path, [&](std::ostream& out) {
-                sweep::write_csv(report, grid, out, options);
-            })) {
-            return 1;
-        }
+    if (!csv_path.empty() &&
+        !write_file(csv_path, [&](std::ostream& out) { sweep::write_csv(report, grid, out); })) {
+        return 1;
     }
     if (!json_path.empty() &&
         !write_file(json_path, [&](std::ostream& out) { sweep::write_json(report, grid, out); })) {
         return 1;
     }
-    return report.cache_hit_rate() > 0.0 ? 0 : 1;
+    return 0;
+} catch (const arcade::Error& e) {
+    std::cerr << "arcade_sweep: " << e.what() << "\n";
+    return 1;
 }

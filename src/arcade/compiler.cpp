@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <type_traits>
@@ -210,6 +211,12 @@ public:
             }
         }
         return fields;
+    }
+
+    /// What field i of layout() holds, for error messages.
+    [[nodiscard]] std::string field_name(std::size_t i) const {
+        return (i < n_ ? "status of component '" : "FIFO rank of component '") +
+               model_.components[i % n_].name + "'";
     }
 
     [[nodiscard]] std::int16_t status(const State& s, std::size_t c) const { return s[c]; }
@@ -534,6 +541,14 @@ public:
         return fields;
     }
 
+    /// What field i of layout() holds, for error messages.
+    [[nodiscard]] std::string field_name(std::size_t i) const {
+        return i < g_ ? "waiting counter of a group in phase '" +
+                            model_.phases[plan_.groups[i].phase].name + "'"
+                      : "tracked-group slot of repair unit '" +
+                            model_.repair_units[i - g_].name + "'";
+    }
+
     [[nodiscard]] std::int16_t wait(const State& s, std::size_t g) const { return s[g]; }
     [[nodiscard]] std::size_t tracked_group(const State& s, std::size_t r) const {
         return s[g_ + r] == 0 ? SIZE_MAX : static_cast<std::size_t>(s[g_ + r] - 1);
@@ -757,7 +772,18 @@ private:
 template <typename Encoder>
 CompiledModel run_compile(const ArcadeModel& model, Encoder encoder, Encoding explored_with,
                           const CompileOptions& options) {
-    const engine::StateLayout layout(encoder.layout());
+    // The encoders hold every field in an int16_t, so a field whose range
+    // passes INT16_MAX (a group counter, FIFO rank or tracked-group slot
+    // g + 1) would wrap mid-exploration.
+    const auto specs = encoder.layout();
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        if (specs[i].high > std::numeric_limits<std::int16_t>::max()) {
+            throw ModelError("compile: " + encoder.field_name(i) + " ranges up to " +
+                             std::to_string(specs[i].high) +
+                             ", past the encoders' int16 limit 32767");
+        }
+    }
+    const engine::StateLayout layout(specs);
     const State initial16 = encoder.initial();
     const std::size_t fields = initial16.size();
     std::vector<std::int64_t> initial(initial16.begin(), initial16.end());

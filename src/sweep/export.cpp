@@ -61,8 +61,7 @@ private:
     std::vector<std::size_t> ends_;
 };
 
-/// Does the grid carry CSL property measures?  Decides (from the grid, not
-/// the result slice, so every shard of one sweep agrees) whether the CSV
+/// Does the grid carry CSL property measures?  Decides whether the CSV
 /// grows its trailing `property` column.
 bool has_property(const ScenarioGrid& grid) {
     for (const auto& m : grid.measures) {
@@ -71,9 +70,8 @@ bool has_property(const ScenarioGrid& grid) {
     return false;
 }
 
-/// Does the grid sweep component scales?  Like has_property, decided from
-/// the grid so every shard agrees; unscaled grids keep the original schema
-/// byte for byte.
+/// Does the grid sweep component scales?  Unscaled grids keep the original
+/// schema byte for byte.
 bool has_scale(const ScenarioGrid& grid) {
     for (const auto& s : grid.scales) {
         if (!s.is_default()) return true;
@@ -126,8 +124,7 @@ std::string csv_field(const std::string& s) {
     return out;
 }
 
-void write_csv(const SweepReport& report, const ScenarioGrid& grid, std::ostream& os,
-               const CsvOptions& options) {
+void write_csv(const SweepReport& report, const ScenarioGrid& grid, std::ostream& os) {
     // Grids without property measures keep the original 9-column schema;
     // property grids append a trailing `property` column carrying the
     // formula, so rows stay self-describing (two formulas in one grid are
@@ -135,13 +132,10 @@ void write_csv(const SweepReport& report, const ScenarioGrid& grid, std::ostream
     const bool property_column = has_property(grid);
     const bool scale_column = has_scale(grid);
     // Rows are assembled in `out` and written once per result.
-    std::string out;
-    if (options.header) {
-        out += "line,strategy,parameters,variant,measure,disaster,service_level,t,value";
-        if (property_column) out += ",property";
-        if (scale_column) out += ",scale";
-        out += '\n';
-    }
+    std::string out = "line,strategy,parameters,variant,measure,disaster,service_level,t,value";
+    if (property_column) out += ",property";
+    if (scale_column) out += ",scale";
+    out += '\n';
     std::string prefix;
     std::string suffix;
     TimeGridText times;
@@ -189,28 +183,6 @@ void write_csv(const SweepReport& report, const ScenarioGrid& grid, std::ostream
             out += '\n';
         }
         flush(out, os);
-    }
-    if (options.footer) {
-        const auto& st = report.stats;
-        const auto count = [&out](const char* key, std::size_t n) {
-            out += key;
-            append_int(out, n);
-        };
-        const auto real = [&out](const char* key, double v) {
-            out += key;
-            append_g17(out, v);
-        };
-        count("# scenarios=", report.results.size());
-        count(" unique_models=", report.unique_models);
-        count(" compile_hits=", st.compile_hits);
-        count(" compile_misses=", st.compile_misses);
-        count(" steady_hits=", st.steady_state_hits);
-        count(" steady_misses=", st.steady_state_misses);
-        real(" cache_hit_rate=", report.cache_hit_rate());
-        count(" state_points=", report.state_points);
-        real(" states_per_sec=", report.states_per_second());
-        real(" wall_seconds=", report.wall_seconds);
-        out += '\n';
     }
     flush(out, os);
 }

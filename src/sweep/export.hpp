@@ -1,9 +1,8 @@
 // Result export for scenario sweeps: a flat CSV (one row per solved point,
-// gnuplot/pandas-friendly) and a structured JSON document.  The JSON always
-// carries the run's cache-effectiveness and throughput counters so
-// downstream tooling can track engine regressions alongside the numbers;
-// the CSV stays strict RFC-4180 by default (counters are an opt-in footer
-// comment).
+// gnuplot/pandas-friendly, strict RFC-4180) and a structured JSON document.
+// The JSON also carries the run's cache-effectiveness and throughput
+// counters so downstream tooling can track engine regressions alongside the
+// numbers.
 #ifndef ARCADE_SWEEP_EXPORT_HPP
 #define ARCADE_SWEEP_EXPORT_HPP
 
@@ -28,26 +27,13 @@ void append_csv_field(std::string& out, std::string_view s);
 /// json_escape appended to `out`.
 void append_json_escaped(std::string& out, std::string_view s);
 
-struct CsvOptions {
-    /// Emit the column-name header line.  Shard 1 of a partitioned sweep
-    /// writes it; later shards suppress it so the per-shard files
-    /// concatenate into exactly the unsharded document.
-    bool header = true;
-    /// Emit the trailing `# scenarios=... cache_hit_rate=...` counter
-    /// comment.  Off by default: comment lines break strict RFC-4180
-    /// parsers (the counters are always present in the JSON export).
-    bool footer = false;
-};
-
 /// Header `line,strategy,parameters,variant,measure,disaster,service_level,
 /// t,value`; scalar measures emit one row with an empty `t` column.  Doubles
 /// are round-trip exact `%.17g` digits (support/strings' append_g17, so the
 /// bytes do not depend on the process locale).  Rows appear in result order,
-/// which for runner output is ascending work-item index — so shard CSVs
-/// concatenate (shard 1 with header, the rest without) into the unsharded
-/// document.  Each result's rows reach `os` in one write.
-void write_csv(const SweepReport& report, const ScenarioGrid& grid, std::ostream& os,
-               const CsvOptions& options = {});
+/// which for runner output is ascending work-item index.  Each result's rows
+/// reach `os` in one write.
+void write_csv(const SweepReport& report, const ScenarioGrid& grid, std::ostream& os);
 
 /// One JSON object: {"counters": {...}, "results": [{..., "values": [...]}]}.
 /// The counters block is always present.

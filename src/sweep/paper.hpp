@@ -80,8 +80,8 @@ namespace arcade::sweep::paper {
 
 // Renderers: turn the report of the matching grid into the exact artefact
 // (figure block or table, including its preamble) the pre-migration harness
-// printed.  They expect an unsharded report of the same-named grid and
-// throw InvalidArgument when a cell is missing.
+// printed.  They expect a report of the same-named grid and throw
+// InvalidArgument when a cell is missing.
 void render_fig3(const SweepReport& report, std::ostream& os);
 void render_fig4(const SweepReport& report, std::ostream& os);
 void render_fig5(const SweepReport& report, std::ostream& os);

@@ -60,41 +60,35 @@ core::Disaster make_disaster(DisasterKind kind, const core::CompiledModel& model
     throw InvalidArgument("unknown DisasterKind");
 }
 
-engine::AnalysisSession::CompiledPtr compile_item(engine::AnalysisSession& session,
-                                                  const ScenarioGrid& grid,
-                                                  const WorkItem& item,
-                                                  const RunnerOptions& options) {
+using CompiledPtr = engine::AnalysisSession::CompiledPtr;
+
+/// The compiled model of `item`, through the session's compile cache; run
+/// once per unique model, by its compile task.
+CompiledPtr compile_item(engine::AnalysisSession& session, const ScenarioGrid& grid,
+                         const WorkItem& item, const RunnerOptions& options) {
     const auto& strat = watertree::strategy(item.strategy);
     const auto& params = grid.parameters[item.parameter_index].params;
-    // Reliability is defined on the repair-free model regardless of variant;
-    // a property can request the same semantics via strip_repair.
+    // Reliability is defined on the repair-free model regardless of variant.
     const bool with_repair =
-        item.variant.repair && item.measure.kind != MeasureKind::Reliability &&
-        !(item.measure.kind == MeasureKind::Property && item.measure.strip_repair);
+        item.variant.repair && item.measure.kind != MeasureKind::Reliability;
     return watertree::compile_line(session, item.line, strat, item.variant.encoding,
                                    params, with_repair, options.reduction, /*symmetry=*/{},
                                    item.scale.extra_pumps);
 }
 
-/// The compiled model of `item`, and the cell's result with the model's
-/// sizes filled in.
-engine::AnalysisSession::CompiledPtr prepare(engine::AnalysisSession& session,
-                                             const ScenarioGrid& grid, const WorkItem& item,
-                                             const RunnerOptions& options,
-                                             ScenarioResult& result) {
-    auto model = compile_item(session, grid, item, options);
+/// The result of `item` on `model`, with the model's sizes filled in.
+void prepare(const WorkItem& item, const core::CompiledModel& model, ScenarioResult& result) {
     result.item = item;
-    result.model_states = model->state_count();
-    result.model_transitions = model->transition_count();
-    result.model_explored_states = model->chain().state_count();
-    return model;
+    result.model_states = model.state_count();
+    result.model_transitions = model.transition_count();
+    result.model_explored_states = model.chain().state_count();
 }
 
-ScenarioResult evaluate(engine::AnalysisSession& session, const ScenarioGrid& grid,
-                        const WorkItem& item, const RunnerOptions& options) {
+ScenarioResult evaluate(engine::AnalysisSession& session, const WorkItem& item,
+                        const CompiledPtr& model) {
     const double t0 = now_seconds();
     ScenarioResult result;
-    const auto model = prepare(session, grid, item, options, result);
+    prepare(item, *model, result);
     switch (item.measure.kind) {
         case MeasureKind::Availability:
             result.values = {core::availability(session, model)};
@@ -146,8 +140,8 @@ ScenarioResult evaluate(engine::AnalysisSession& session, const ScenarioGrid& gr
 /// The cell tasks: one per power sequence.  Cost cells with equal model key,
 /// variant, scale and disaster step the same chain from the same
 /// distribution with the same reward, so they form one task (of one cell
-/// when the partner lies outside `items`); every other item is its own
-/// task.  Tasks are listed by their first item.
+/// when the grid asks for one cost measure only); every other item is its
+/// own task.  Tasks are listed by their first item.
 std::vector<std::vector<std::size_t>> power_sequences(const std::vector<WorkItem>& items) {
     std::vector<std::vector<std::size_t>> tasks;
     std::map<std::string, std::size_t> cost_task;  // group key -> task
@@ -169,19 +163,16 @@ std::vector<std::vector<std::size_t>> power_sequences(const std::vector<WorkItem
 }
 
 /// Evaluates a group of one or more cost cells with one core::cost_series
-/// pass, the only path a cost cell takes.  Every cell is prepared as
-/// evaluate() prepares it; the task's wall time is split evenly across its
-/// cells, so the cells' seconds still sum to busy time.
-void evaluate_costs(engine::AnalysisSession& session, const ScenarioGrid& grid,
-                    const std::vector<WorkItem>& items, const std::vector<std::size_t>& cells,
-                    const RunnerOptions& options, std::vector<ScenarioResult>& results) {
+/// pass, the only path a cost cell takes.  The task's wall time is split
+/// evenly across its cells, so the cells' seconds still sum to busy time.
+void evaluate_costs(const std::vector<WorkItem>& items, const std::vector<std::size_t>& cells,
+                    const CompiledPtr& model, std::vector<ScenarioResult>& results) {
     const double t0 = now_seconds();
-    engine::AnalysisSession::CompiledPtr model;
     std::vector<ctmc::SeriesRequest> requests;
     requests.reserve(cells.size());
     for (const std::size_t i : cells) {
         const MeasureSpec& measure = items[i].measure;
-        model = prepare(session, grid, items[i], options, results[i]);
+        prepare(items[i], *model, results[i]);
         requests.push_back({measure.times, measure.kind == MeasureKind::InstantaneousCost
                                                ? ctmc::SeriesForm::Instantaneous
                                                : ctmc::SeriesForm::Accumulated});
@@ -198,26 +189,17 @@ void evaluate_costs(engine::AnalysisSession& session, const ScenarioGrid& grid,
 }  // namespace
 
 SweepReport SweepRunner::run(const ScenarioGrid& grid) {
-    return run(grid, shard_slice(expand(grid), options_.shard));
-}
-
-SweepReport SweepRunner::run(const ScenarioGrid& grid, const std::vector<WorkItem>& items) {
-    for (const auto& item : items) {
-        if (item.parameter_index >= grid.parameters.size()) {
-            throw InvalidArgument("SweepRunner: work item '" + item.key() +
-                                  "' indexes parameter set " +
-                                  std::to_string(item.parameter_index) +
-                                  " but the grid has " +
-                                  std::to_string(grid.parameters.size()));
-        }
-    }
+    const auto items = expand(grid);
     const double t0 = now_seconds();
     const auto stats_before = session_.stats();
 
     // The task graph: tasks [0, models) compile each unique model once, in
-    // grid order; task models + s evaluates power sequence s, and becomes
-    // ready when its model's compile finishes, so no two cells can race
-    // into the session cache to compile the same model.
+    // grid order, into its slot of `compiled`; task models + s evaluates
+    // power sequence s on the model in its slot.  A sequence becomes ready
+    // when its compile finishes: the compile task fills the slot before it
+    // takes the ready-queue mutex to release its sequences, and a worker
+    // pops a sequence under that mutex, so the write happens before every
+    // read.
     std::vector<std::size_t> models;                  // first item of each model
     std::map<std::string, std::size_t> model_of_key;  // model key -> model
     for (std::size_t i = 0; i < items.size(); ++i) {
@@ -227,9 +209,12 @@ SweepReport SweepRunner::run(const ScenarioGrid& grid, const std::vector<WorkIte
     }
     const auto sequences = power_sequences(items);
     std::vector<std::vector<std::size_t>> released(models.size());  // model -> sequences
+    std::vector<std::size_t> model_of_sequence(sequences.size());
     for (std::size_t s = 0; s < sequences.size(); ++s) {
-        released[model_of_key.at(items[sequences[s].front()].model_key())].push_back(s);
+        model_of_sequence[s] = model_of_key.at(items[sequences[s].front()].model_key());
+        released[model_of_sequence[s]].push_back(s);
     }
+    std::vector<CompiledPtr> compiled(models.size());
 
     SweepReport report;
     report.results.resize(items.size());
@@ -240,7 +225,8 @@ SweepReport SweepRunner::run(const ScenarioGrid& grid, const std::vector<WorkIte
     const auto run_task = [&](std::size_t task) {
         std::vector<Ready> made_ready;
         if (task < models.size()) {
-            const auto model = compile_item(session_, grid, items[models[task]], options_);
+            compiled[task] = compile_item(session_, grid, items[models[task]], options_);
+            const auto& model = compiled[task];
             const double nonzeros = static_cast<double>(model->chain().rates().nonzeros());
             const double rate = linalg::uniformisation_rate(model->chain().max_exit_rate());
             for (const std::size_t s : released[task]) {
@@ -256,12 +242,13 @@ SweepReport SweepRunner::run(const ScenarioGrid& grid, const std::vector<WorkIte
             }
             return made_ready;
         }
-        const auto& cells = sequences[task - models.size()];
+        const std::size_t s = task - models.size();
+        const auto& cells = sequences[s];
+        const auto& model = compiled[model_of_sequence[s]];
         if (is_cost(items[cells.front()].measure.kind)) {
-            evaluate_costs(session_, grid, items, cells, options_, report.results);
+            evaluate_costs(items, cells, model, report.results);
         } else {
-            report.results[cells.front()] =
-                evaluate(session_, grid, items[cells.front()], options_);
+            report.results[cells.front()] = evaluate(session_, items[cells.front()], model);
         }
         return made_ready;
     };

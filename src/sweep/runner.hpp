@@ -4,12 +4,13 @@
 //
 //   * every *unique* model prefix of the grid is one compile task, run
 //     exactly once through the session (so a repeated sweep — or a prefix
-//     another harness already compiled — is a pure cache hit);
-//   * a compile that finishes releases its model's cell tasks, one per
-//     power sequence: each series reads its whole time grid off one
-//     uniformisation pass (ctmc::functional_series), and the cost cells of
-//     one model and disaster (Figs 6 and 7) share one pass
-//     (core::cost_series).
+//     another harness already compiled on the same session — is a pure
+//     cache hit);
+//   * a compile that finishes hands its model to its cell tasks and
+//     releases them, one per power sequence: each series reads its whole
+//     time grid off one uniformisation pass (ctmc::functional_series), and
+//     the cost cells of one model and disaster (Figs 6 and 7) share one
+//     pass (core::cost_series).  A cell never looks its model up again.
 //
 // Compiles run first, in grid order, so they unlock cells early; ready
 // cells run longest first: steady-state cells before series, each class by
@@ -58,7 +59,8 @@ struct SweepReport {
     [[nodiscard]] double states_per_second() const noexcept {
         return wall_seconds > 0.0 ? static_cast<double>(state_points) / wall_seconds : 0.0;
     }
-    /// Fraction of compile + steady-state requests served from cache.
+    /// Fraction of the run's compile + steady-state requests to the session
+    /// served from its cache (one compile request per unique model).
     [[nodiscard]] double cache_hit_rate() const noexcept {
         const std::size_t hits = stats.compile_hits + stats.steady_state_hits;
         const std::size_t total = hits + stats.compile_misses + stats.steady_state_misses;
@@ -70,9 +72,6 @@ struct RunnerOptions {
     /// Workers, never more than there are tasks; 0 = hardware concurrency.
     /// One worker runs on the caller's thread; more get threads of their own.
     unsigned threads = 0;
-    /// Which slice of the expanded work list this process runs (1/1 = all).
-    /// Applies to run(grid) only; pre-expanded item lists are the caller's.
-    ShardSpec shard;
     /// Flows into CompileOptions::reduction for every compile of the run:
     /// under Auto an individual model is explored (and every cell on it
     /// analysed) on the lumped encoding; each result's model_states against
@@ -86,15 +85,10 @@ public:
     explicit SweepRunner(engine::AnalysisSession& session, RunnerOptions options = {})
         : session_(session), options_(options) {}
 
-    /// expand()s the grid, keeps this runner's shard of the work list, and
-    /// evaluates every item.  After the first exception (e.g. a model that
-    /// fails to compile) no new task starts; it is rethrown once every
-    /// worker has joined.
+    /// expand()s the grid and evaluates every item.  After the first
+    /// exception (e.g. a model that fails to compile) no new task starts; it
+    /// is rethrown once every worker has joined.
     [[nodiscard]] SweepReport run(const ScenarioGrid& grid);
-
-    /// Evaluates pre-expanded items (callers that filter or re-order cells).
-    [[nodiscard]] SweepReport run(const ScenarioGrid& grid,
-                                  const std::vector<WorkItem>& items);
 
 private:
     engine::AnalysisSession& session_;

@@ -76,14 +76,10 @@ std::string WorkItem::model_key() const {
     std::string key = "line" + std::to_string(line) + "/" + strategy + "/p" +
                       std::to_string(parameter_index) + "/" +
                       (variant.encoding == core::Encoding::Lumped ? "lumped" : "individual");
-    // Reliability strips the repair units (a repair-free property likewise),
-    // so such cells compile their own model even when another measure shares
-    // the (line, strategy, variant, parameters) cell; a repair-free variant
-    // describes the same model.
-    if (!variant.repair || measure.kind == MeasureKind::Reliability ||
-        (measure.kind == MeasureKind::Property && measure.strip_repair)) {
-        key += "/norepair";
-    }
+    // Reliability strips the repair units, so its cells compile their own
+    // model even when another measure shares the (line, strategy, variant,
+    // parameters) cell; a repair-free variant describes the same model.
+    if (!variant.repair || measure.kind == MeasureKind::Reliability) key += "/norepair";
     // The scale changes the compiled model; the default scale adds nothing so
     // unscaled grids keep their pre-scale keys (and cache identities).
     if (scale.extra_pumps > 0) key += "/+" + std::to_string(scale.extra_pumps) + "p";
@@ -149,11 +145,6 @@ void validate_property(const MeasureSpec& measure) {
             "ScenarioGrid: a scalar property evaluates the formula as written from the "
             "model's own initial state; it cannot take a disaster");
     }
-    if (measure.strip_repair && measure.disaster != DisasterKind::None) {
-        throw InvalidArgument(
-            "ScenarioGrid: a repair-free property starts from the all-up state; it "
-            "cannot take a disaster");
-    }
 }
 
 /// Throws on malformed measures; returns false for cells the cross-product
@@ -176,10 +167,8 @@ bool validate(int line, const MeasureSpec& measure) {
     }
     if (measure.kind == MeasureKind::Property) {
         validate_property(measure);
-    } else if (!measure.property.empty() || measure.strip_repair) {
-        throw InvalidArgument(
-            "ScenarioGrid: formula text and strip_repair apply to property measures "
-            "only");
+    } else if (!measure.property.empty()) {
+        throw InvalidArgument("ScenarioGrid: formula text applies to property measures only");
     }
     if (measure.is_series()) {
         if (measure.times.empty()) {
@@ -242,43 +231,13 @@ std::vector<WorkItem> expand(const ScenarioGrid& grid) {
 }
 
 std::optional<std::size_t> parse_count(const std::string& text) {
-    // Strict digits only: stoul's prefix parsing would turn a typo like
-    // "1/3o" into shard 1/3 and silently duplicate work across a
-    // mis-specified fleet.
+    // Strict digits only: stoul's prefix parsing would turn a typo like "3x"
+    // into 3.
     if (text.empty() || text.size() > 9 ||
         text.find_first_not_of("0123456789") != std::string::npos) {
         return std::nullopt;
     }
     return static_cast<std::size_t>(std::stoul(text));
-}
-
-ShardSpec ShardSpec::parse(const std::string& text) {
-    const std::size_t slash = text.find('/');
-    const auto index = parse_count(text.substr(0, slash));
-    const auto count =
-        slash == std::string::npos ? std::nullopt : parse_count(text.substr(slash + 1));
-    if (!index || !count) {
-        throw InvalidArgument("ShardSpec: expected 'i/n' (e.g. '2/3'), got '" + text + "'");
-    }
-    if (*count == 0 || *index == 0 || *index > *count) {
-        throw InvalidArgument("ShardSpec: shard index must satisfy 1 <= i <= n, got '" +
-                              text + "'");
-    }
-    return ShardSpec{*index, *count};
-}
-
-std::vector<WorkItem> shard_slice(const std::vector<WorkItem>& items,
-                                  const ShardSpec& shard) {
-    if (shard.count == 0 || shard.index == 0 || shard.index > shard.count) {
-        throw InvalidArgument("shard_slice: shard index must satisfy 1 <= i <= n, got " +
-                              std::to_string(shard.index) + "/" +
-                              std::to_string(shard.count));
-    }
-    const std::size_t n = items.size();
-    const std::size_t lo = (shard.index - 1) * n / shard.count;
-    const std::size_t hi = shard.index * n / shard.count;
-    return std::vector<WorkItem>(items.begin() + static_cast<std::ptrdiff_t>(lo),
-                                 items.begin() + static_cast<std::ptrdiff_t>(hi));
 }
 
 }  // namespace arcade::sweep

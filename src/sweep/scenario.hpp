@@ -63,11 +63,6 @@ struct MeasureSpec {
     /// CSL/CSRL source text (MeasureKind::Property only); parsed — and its
     /// thresholds validated — eagerly at expand() time.
     std::string property;
-    /// Strip the repair units before compiling (MeasureKind::Property only):
-    /// the reliability semantics, which the Reliability kind applies
-    /// implicitly.  Folded into model_key() so such cells compile their own
-    /// repair-free model.
-    bool strip_repair = false;
 
     [[nodiscard]] bool is_series() const noexcept {
         if (kind == MeasureKind::Property) return !times.empty();
@@ -135,9 +130,8 @@ struct WorkItem {
     ModelVariant variant;
     std::size_t parameter_index = 0;  ///< into ScenarioGrid::parameters
     MeasureSpec measure;
-    /// Position in the deterministic expand() order.  Shard slices keep the
-    /// original indices, so results from disjoint shards stable-sort by
-    /// `index` back into exactly the unsharded order.
+    /// Position in the deterministic expand() order (the JSON export's
+    /// `index`).
     std::size_t index = 0;
     /// Component-count scale of the cell (the default is the paper model, so
     /// existing aggregate construction keeps meaning "unscaled").
@@ -161,31 +155,10 @@ struct WorkItem {
 [[nodiscard]] std::vector<WorkItem> expand(const ScenarioGrid& grid);
 
 /// Parses a count written as 1–9 decimal digits and nothing else (no sign,
-/// no space, no suffix); nullopt otherwise.  The CLI's counts (shard
-/// numbers, --threads, --pump-scaling) all go through this rule, so a typo
-/// like "3x" or "-1" is an error rather than a silently different count.
+/// no space, no suffix); nullopt otherwise.  The CLI's counts (--threads,
+/// --pump-scaling) both go through this rule, so a typo like "3x" or "-1" is
+/// an error rather than a silently different count.
 [[nodiscard]] std::optional<std::size_t> parse_count(const std::string& text);
-
-/// One slice of a sweep partitioned across processes: shard `index` of
-/// `count`, 1-based (the CLI spelling is `--shard i/n`).
-struct ShardSpec {
-    std::size_t index = 1;
-    std::size_t count = 1;
-
-    [[nodiscard]] bool is_sharded() const noexcept { return count > 1; }
-
-    /// Parses "i/n" (e.g. "2/3").  Throws InvalidArgument unless
-    /// 1 <= i <= n.
-    [[nodiscard]] static ShardSpec parse(const std::string& text);
-};
-
-/// The contiguous slice of `items` belonging to `shard`: slice sizes differ
-/// by at most one, every item lands in exactly one shard, and concatenating
-/// the slices for shards 1..n in order reproduces `items` exactly.  Work-item
-/// indices are preserved, so per-shard results (and their CSV rows) remain
-/// sorted by the unsharded work-item index.
-[[nodiscard]] std::vector<WorkItem> shard_slice(const std::vector<WorkItem>& items,
-                                                const ShardSpec& shard);
 
 }  // namespace arcade::sweep
 

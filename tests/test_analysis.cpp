@@ -446,12 +446,11 @@ namespace {
 
 /// The model a sweep cell compiles, built the way sweep/runner.cpp's
 /// compile_item builds it: line, strategy, parameter set and pump scale,
-/// with the repair units stripped for reliability and strip_repair
-/// properties (and for repair-free variants).
+/// with the repair units stripped for reliability (and for repair-free
+/// variants).
 core::ArcadeModel cell_model(const sweep::ScenarioGrid& grid, const sweep::WorkItem& item) {
     const bool with_repair =
-        item.variant.repair && item.measure.kind != sweep::MeasureKind::Reliability &&
-        !(item.measure.kind == sweep::MeasureKind::Property && item.measure.strip_repair);
+        item.variant.repair && item.measure.kind != sweep::MeasureKind::Reliability;
     auto model = watertree::line(item.line, watertree::strategy(item.strategy),
                                  grid.parameters[item.parameter_index].params,
                                  item.scale.extra_pumps);

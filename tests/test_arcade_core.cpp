@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "arcade/compiler.hpp"
 #include "arcade/fault_tree.hpp"
@@ -134,6 +135,33 @@ TEST(Compiler, SingleComponentIsTwoStateChain) {
     const auto compiled = core::compile(builder.build());
     EXPECT_EQ(compiled.state_count(), 2u);
     EXPECT_NEAR(core::availability(compiled), 100.0 / 104.0, 1e-10);
+}
+
+TEST(Compiler, StateFieldsPastTheInt16LimitThrowBeforeExploring) {
+    // One phase of n components under dedicated repair: the lumped
+    // encoding's failed counter ranges over [0, n].  The encoders hold
+    // fields in int16, so n = 32767 compiles and n = 32768 must be refused
+    // up front rather than wrap once the counter passes 32767.  One
+    // required component keeps the service levels (and labels) at two.
+    const auto model = [](std::size_t n) {
+        core::ModelBuilder builder("wide");
+        builder.add_spare_phase("c", n, 1, 100.0, 4.0);
+        builder.with_repair(core::RepairPolicy::Dedicated);
+        return builder.build();
+    };
+    core::CompileOptions lumped;
+    lumped.encoding = core::Encoding::Lumped;
+    EXPECT_EQ(core::compile(model(32767), lumped).state_count(), 32768u);
+    try {
+        (void)core::compile(model(32768), lumped);
+        FAIL() << "32768 components compiled";
+    } catch (const arcade::ModelError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("waiting counter of a group in phase 'c'"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("ranges up to 32768"), std::string::npos) << what;
+        EXPECT_NE(what.find("32767"), std::string::npos) << what;
+    }
 }
 
 TEST(Compiler, FcfsOnIdenticalComponentsMatchesMm1kQueue) {

@@ -3,32 +3,37 @@
 // properties) must reproduce the measure pipeline's rows byte-identically
 // through the sweep runner — with reduction Off AND Auto — because both
 // paths run the very same kernels on the very same masks and distributions.
-// Plus: grid validation, dedup keys, CSV property column and shard
-// byte-identity, and a repeated property sweep on the session caches.
+// Plus: grid validation, dedup keys, the CSV property column, a repeated
+// property sweep on the session caches, and the negated reliability query
+// checked directly against the reliability measure.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <sstream>
 
+#include "arcade/measures.hpp"
+#include "logic/csl.hpp"
+#include "logic/csl_compiled.hpp"
 #include "support/errors.hpp"
 #include "sweep/sweep.hpp"
 #include "watertree/properties.hpp"
 
 namespace core = arcade::core;
 namespace engine = arcade::engine;
+namespace logic = arcade::logic;
 namespace sweep = arcade::sweep;
 namespace wp = arcade::watertree::properties;
+namespace wt = arcade::watertree;
 
 namespace {
 
 sweep::MeasureSpec property_measure(std::string formula, sweep::DisasterKind disaster,
-                                    std::vector<double> times, bool strip_repair = false) {
+                                    std::vector<double> times) {
     sweep::MeasureSpec m;
     m.kind = sweep::MeasureKind::Property;
     m.disaster = disaster;
     m.times = std::move(times);
     m.property = std::move(formula);
-    m.strip_repair = strip_repair;
     return m;
 }
 
@@ -82,29 +87,25 @@ TEST(PropertySweep, PropertiesGridReproducesEverythingByteIdentically) {
     }
 }
 
-TEST(PropertySweep, ReliabilityPropertyStripsRepairsAndMatchesByteIdentically) {
-    // P=?[G<=t !"down"] with strip_repair is the Reliability measure: the
-    // same repair-free compile (model_key carries /norepair) and the same
-    // 1 - P(U<=t) arithmetic.
-    auto measure_grid = sweep::paper::fig3();
-    auto property_grid = measure_grid;
-    property_grid.measures = {property_measure(
-        wp::reliability_formula(1000.0), sweep::DisasterKind::None,
-        measure_grid.measures.front().times, /*strip_repair=*/true)};
-
-    for (const auto reduction :
-         {core::ReductionPolicy::Off, core::ReductionPolicy::Auto}) {
-        engine::AnalysisSession session_measures;
-        engine::AnalysisSession session_properties;
-        const auto baseline = run(measure_grid, reduction, session_measures);
-        const auto expressed = run(property_grid, reduction, session_properties);
-        ASSERT_EQ(baseline.results.size(), expressed.results.size());
-        for (std::size_t i = 0; i < baseline.results.size(); ++i) {
-            EXPECT_EQ(baseline.results[i].model_states, expressed.results[i].model_states)
-                << "the property must compile the same repair-free model";
-            expect_bitwise(baseline.results[i].values, expressed.results[i].values,
-                           "reliability line " +
-                               std::to_string(baseline.results[i].item.line));
+TEST(PropertySweep, ReliabilityPropertyOnTheRepairFreeModelMatchesByteIdentically) {
+    // P=?[G<=t !"down"] on the repair-free model is the Reliability
+    // measure: the checker's negated until path runs the same
+    // 1 - P(U<=t) arithmetic as core::reliability_series.
+    const auto formula = logic::parse_csl(wp::reliability_formula(1000.0));
+    const auto times = sweep::paper::fig3().measures.front().times;
+    for (const auto encoding : {core::Encoding::Lumped, core::Encoding::Individual}) {
+        engine::AnalysisSession session;
+        for (const int line : {1, 2}) {
+            for (const auto& strategy : wt::paper_strategies()) {
+                const auto model = wt::compile_line(
+                    session, line, strategy, encoding, {}, /*with_repair=*/false,
+                    core::ReductionPolicy::Auto);
+                expect_bitwise(
+                    core::reliability_series(*model, times),
+                    logic::check_series(model, *formula, times,
+                                        model->chain().initial_distribution()),
+                    "reliability line " + std::to_string(line) + " " + strategy.name);
+            }
         }
     }
 }
@@ -153,7 +154,7 @@ TEST(PropertySweep, ExpandValidatesPropertySpecsEagerly) {
         property_measure("S=? [ \"operational\" ]", sweep::DisasterKind::Mixed, {})};
     EXPECT_THROW((void)sweep::expand(grid), arcade::InvalidArgument);
 
-    // Formula text / strip_repair are property-measure fields only.
+    // Formula text is a property-measure field only.
     sweep::MeasureSpec stray;
     stray.kind = sweep::MeasureKind::Availability;
     stray.property = "S=? [ \"operational\" ]";
@@ -170,7 +171,7 @@ TEST(PropertySweep, ExpandValidatesPropertySpecsEagerly) {
     EXPECT_EQ(sweep::expand(grid).size(), 2u);
 }
 
-TEST(PropertySweep, CsvGrowsPropertyColumnAndShardsConcatenateByteIdentically) {
+TEST(PropertySweep, CsvGrowsPropertyColumn) {
     sweep::ScenarioGrid grid;
     grid.lines = {2};
     grid.strategies = {"DED", "FRF-1"};
@@ -180,29 +181,15 @@ TEST(PropertySweep, CsvGrowsPropertyColumnAndShardsConcatenateByteIdentically) {
                          sweep::DisasterKind::Mixed, {0.0, 5.0, 10.0}),
     };
 
-    engine::AnalysisSession unsharded_session;
-    sweep::SweepRunner unsharded(unsharded_session);
+    engine::AnalysisSession session;
     std::ostringstream whole;
-    const auto report = unsharded.run(grid);
+    const auto report = sweep::SweepRunner(session).run(grid);
     sweep::write_csv(report, grid, whole);
 
     // The property grid's CSV carries the trailing formula column.
     EXPECT_NE(whole.str().find(",property\n"), std::string::npos);
     EXPECT_NE(whole.str().find("S=? [ \"\"operational\"\" ]"), std::string::npos)
         << "formula quotes must be RFC-4180 escaped";
-
-    // Per-shard CSVs (header on shard 1 only) concatenate byte-identically.
-    std::ostringstream concatenated;
-    for (std::size_t i = 1; i <= 2; ++i) {
-        engine::AnalysisSession shard_session;
-        sweep::RunnerOptions options;
-        options.shard = {i, 2};
-        sweep::SweepRunner runner(shard_session, options);
-        sweep::CsvOptions csv;
-        csv.header = i == 1;
-        sweep::write_csv(runner.run(grid), grid, concatenated, csv);
-    }
-    EXPECT_EQ(whole.str(), concatenated.str());
 
     // The JSON export names the formula on every result row.
     std::ostringstream json;

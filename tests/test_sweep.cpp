@@ -97,15 +97,6 @@ TEST(ScenarioGrid, MalformedSpecsThrowEagerly) {
     EXPECT_THROW((void)sweep::expand(grid), arcade::InvalidArgument);
 }
 
-TEST(SweepRunner, RejectsItemsPointingOutsideTheGridsParameters) {
-    engine::AnalysisSession session;
-    sweep::SweepRunner runner(session);
-    const auto grid = table2_line2_ded();
-    auto items = sweep::expand(grid);
-    items.front().parameter_index = 7;
-    EXPECT_THROW((void)runner.run(grid, items), arcade::InvalidArgument);
-}
-
 TEST(SweepRunner, Table2Line2CellMatchesHandwrittenBenchExactly) {
     // The line-2 Table 2 cell, exactly as the hand-rolled measure loop
     // computes it: session-cached lumped compile + cached steady state.  The
@@ -156,9 +147,9 @@ TEST(SweepRunner, ResultsAreDeterministicAcrossThreadCounts) {
                      times),
     };
     engine::AnalysisSession serial_session;
-    sweep::SweepRunner serial(serial_session, {1u, {}});
+    sweep::SweepRunner serial(serial_session, {1u});
     engine::AnalysisSession parallel_session;
-    sweep::SweepRunner parallel(parallel_session, {4u, {}});
+    sweep::SweepRunner parallel(parallel_session, {4u});
     const auto a = serial.run(grid);
     const auto b = parallel.run(grid);
     ASSERT_EQ(a.results.size(), b.results.size());
@@ -212,28 +203,15 @@ TEST(SweepExport, CsvAndJsonCarryEveryPointAndTheCounters) {
     std::string line;
     std::size_t rows = 0;
     while (std::getline(lines, line)) ++rows;
-    // header + 1 scalar row + 3 series rows; the counter footer is opt-in
-    // (comment lines break strict RFC-4180 parsers)
+    // header + 1 scalar row + 3 series rows, and no counters: comment
+    // lines would break strict RFC-4180 parsers
     EXPECT_EQ(rows, 1u + 1u + times.size());
+    EXPECT_EQ(csv.str().rfind("line,strategy,parameters,variant,measure,disaster,"
+                              "service_level,t,value\n", 0), 0u);
     EXPECT_NE(csv.str().find("2,DED,paper,lumped,availability,none"), std::string::npos);
-    EXPECT_EQ(csv.str().find("cache_hit_rate="), std::string::npos);
+    EXPECT_EQ(csv.str().find("cache_hit_rate"), std::string::npos);
 
-    sweep::CsvOptions with_footer;
-    with_footer.footer = true;
-    std::ostringstream footered;
-    sweep::write_csv(report, grid, footered, with_footer);
-    EXPECT_NE(footered.str().find("# scenarios=2"), std::string::npos);
-    EXPECT_NE(footered.str().find("cache_hit_rate="), std::string::npos);
-
-    sweep::CsvOptions headerless;
-    headerless.header = false;
-    std::ostringstream body;
-    sweep::write_csv(report, grid, body, headerless);
-    EXPECT_EQ(body.str().find("line,strategy"), std::string::npos);
-    EXPECT_EQ(csv.str(), "line,strategy,parameters,variant,measure,disaster,"
-                         "service_level,t,value\n" + body.str());
-
-    // The JSON export carries the counters unconditionally.
+    // The JSON export carries the counters.
     std::ostringstream json;
     sweep::write_json(report, grid, json);
     EXPECT_NE(json.str().find("\"unique_models\": 1"), std::string::npos);
@@ -314,18 +292,6 @@ TEST(SweepRunner, NoRepairVariantCompilesTheStrippedModel) {
     EXPECT_GT(session.stats().compile_hits, 0u);
 }
 
-TEST(ShardSpec, ParsesTheCliSpelling) {
-    const auto spec = sweep::ShardSpec::parse("2/3");
-    EXPECT_EQ(spec.index, 2u);
-    EXPECT_EQ(spec.count, 3u);
-    EXPECT_TRUE(spec.is_sharded());
-    EXPECT_FALSE(sweep::ShardSpec{}.is_sharded());
-    for (const char* bad : {"", "2", "0/2", "3/2", "2/0", "x/2", "2/y", "/", "1/3o",
-                            "+1/3", " 1/3", "1/3 ", "-1/3"}) {
-        EXPECT_THROW((void)sweep::ShardSpec::parse(bad), arcade::InvalidArgument) << bad;
-    }
-}
-
 TEST(ParseCount, AcceptsOnlyBareDecimalDigits) {
     EXPECT_EQ(sweep::parse_count("0"), 0u);
     EXPECT_EQ(sweep::parse_count("3"), 3u);
@@ -334,66 +300,6 @@ TEST(ParseCount, AcceptsOnlyBareDecimalDigits) {
     for (const char* bad : {"", "-1", "+1", "3x", "1z", " 2", "2 ", "1.0", "0x10",
                             "1000000000"}) {
         EXPECT_FALSE(sweep::parse_count(bad).has_value()) << bad;
-    }
-}
-
-TEST(ShardSlice, PartitionsTheWorkListContiguouslyAndExhaustively) {
-    const auto grid = sweep::paper::everything();
-    const auto items = sweep::expand(grid);
-    ASSERT_GT(items.size(), 10u);
-    for (std::size_t n = 1; n <= 4; ++n) {
-        std::vector<std::string> concatenated;
-        std::size_t min_size = items.size();
-        std::size_t max_size = 0;
-        for (std::size_t i = 1; i <= n; ++i) {
-            const auto slice = sweep::shard_slice(items, {i, n});
-            min_size = std::min(min_size, slice.size());
-            max_size = std::max(max_size, slice.size());
-            for (const auto& item : slice) concatenated.push_back(item.key());
-        }
-        // balanced to within one item, and concatenation == original order
-        EXPECT_LE(max_size - min_size, 1u) << n;
-        ASSERT_EQ(concatenated.size(), items.size()) << n;
-        for (std::size_t k = 0; k < items.size(); ++k) {
-            EXPECT_EQ(concatenated[k], items[k].key());
-            EXPECT_EQ(items[k].index, k);
-        }
-    }
-    EXPECT_THROW((void)sweep::shard_slice(items, {5, 4}), arcade::InvalidArgument);
-}
-
-TEST(ShardSlice, ShardCsvsConcatenateByteIdenticallyForOneTwoThreeShards) {
-    // Separate sessions per shard model separate processes: the concatenated
-    // per-shard CSVs (header on shard 1 only) must reproduce the unsharded
-    // document byte-for-byte, for every shard count in {1, 2, 3}.
-    sweep::ScenarioGrid grid;
-    grid.lines = {1, 2};
-    grid.strategies = {"DED", "FRF-1"};
-    grid.variants = {sweep::lumped_variant(), sweep::individual_variant()};
-    grid.measures = {
-        measure_spec(MeasureKind::Availability),
-        measure_spec(MeasureKind::StateSpace),
-        measure_spec(MeasureKind::Survivability, DisasterKind::AllPumps, 1.0 / 3.0,
-                     arcade::time_grid(5.0, 6)),
-    };
-
-    engine::AnalysisSession unsharded_session;
-    sweep::SweepRunner unsharded(unsharded_session);
-    std::ostringstream whole;
-    sweep::write_csv(unsharded.run(grid), grid, whole);
-
-    for (std::size_t n = 1; n <= 3; ++n) {
-        std::string concatenated;
-        for (std::size_t i = 1; i <= n; ++i) {
-            engine::AnalysisSession shard_session;
-            sweep::SweepRunner runner(shard_session, {0u, {i, n}});
-            std::ostringstream os;
-            sweep::CsvOptions options;
-            options.header = i == 1;
-            sweep::write_csv(runner.run(grid), grid, os, options);
-            concatenated += os.str();
-        }
-        EXPECT_EQ(concatenated, whole.str()) << n << " shards";
     }
 }
 
@@ -518,18 +424,15 @@ bool reference_has_scale(const sweep::ScenarioGrid& grid) {
     return false;
 }
 
-std::string reference_csv(const sweep::SweepReport& report, const sweep::ScenarioGrid& grid,
-                          const sweep::CsvOptions& options) {
+std::string reference_csv(const sweep::SweepReport& report, const sweep::ScenarioGrid& grid) {
     const auto fmt = reference_fmt;
     std::ostringstream os;
     const bool property_column = reference_has_property(grid);
     const bool scale_column = reference_has_scale(grid);
-    if (options.header) {
-        os << "line,strategy,parameters,variant,measure,disaster,service_level,t,value";
-        if (property_column) os << ",property";
-        if (scale_column) os << ",scale";
-        os << "\n";
-    }
+    os << "line,strategy,parameters,variant,measure,disaster,service_level,t,value";
+    if (property_column) os << ",property";
+    if (scale_column) os << ",scale";
+    os << "\n";
     for (const auto& r : report.results) {
         const auto& m = r.item.measure;
         const std::string prefix =
@@ -548,17 +451,6 @@ std::string reference_csv(const sweep::SweepReport& report, const sweep::Scenari
         } else {
             os << prefix << "," << fmt(r.values.front()) << suffix << "\n";
         }
-    }
-    if (options.footer) {
-        os << "# scenarios=" << report.results.size() << " unique_models="
-           << report.unique_models << " compile_hits=" << report.stats.compile_hits
-           << " compile_misses=" << report.stats.compile_misses
-           << " steady_hits=" << report.stats.steady_state_hits
-           << " steady_misses=" << report.stats.steady_state_misses
-           << " cache_hit_rate=" << fmt(report.cache_hit_rate())
-           << " state_points=" << report.state_points
-           << " states_per_sec=" << fmt(report.states_per_second())
-           << " wall_seconds=" << fmt(report.wall_seconds) << "\n";
     }
     return os.str();
 }
@@ -610,21 +502,12 @@ std::string reference_json(const sweep::SweepReport& report, const sweep::Scenar
     return os.str();
 }
 
-/// write_csv under every header/footer combination and write_json must
-/// reproduce the reference writers' bytes.
+/// write_csv and write_json must reproduce the reference writers' bytes.
 void expect_exports_match_reference(const sweep::SweepReport& report,
                                     const sweep::ScenarioGrid& grid, const std::string& what) {
-    for (const bool header : {true, false}) {
-        for (const bool footer : {false, true}) {
-            sweep::CsvOptions options;
-            options.header = header;
-            options.footer = footer;
-            std::ostringstream csv;
-            sweep::write_csv(report, grid, csv, options);
-            EXPECT_EQ(csv.str(), reference_csv(report, grid, options))
-                << what << ": header=" << header << " footer=" << footer;
-        }
-    }
+    std::ostringstream csv;
+    sweep::write_csv(report, grid, csv);
+    EXPECT_EQ(csv.str(), reference_csv(report, grid)) << what;
     std::ostringstream json;
     sweep::write_json(report, grid, json);
     EXPECT_EQ(json.str(), reference_json(report, grid)) << what;
@@ -813,7 +696,7 @@ TEST(SweepRunner, SharedCostPassMatchesSeparateCostCellsBitwise) {
     const auto acc = cost_measure(MeasureKind::AccumulatedCost);
     const auto run = [](const sweep::ScenarioGrid& grid) {
         engine::AnalysisSession session;
-        return sweep::SweepRunner(session, {4u, {}}).run(grid);
+        return sweep::SweepRunner(session, {4u}).run(grid);
     };
     const auto inst_only = run(grid_of({inst}));
     const auto acc_only = run(grid_of({acc}));
@@ -863,7 +746,7 @@ TEST(SweepRunner, PaperGridIsBitwiseEqualAtEveryThreadCount) {
     const auto grid = sweep::paper::everything();
     const auto run = [&](unsigned threads) {
         engine::AnalysisSession session;
-        return sweep::SweepRunner(session, {threads, {}}).run(grid);
+        return sweep::SweepRunner(session, {threads}).run(grid);
     };
     arcade::numeric::fox_glynn_cache_clear();
     const auto serial = run(1);
@@ -934,14 +817,40 @@ TEST(SweepRunner, AModelThatFailsToCompileFailsTheRunAtEveryThreadCount) {
     }
 }
 
-TEST(SweepRunner, AnEmptyItemListGivesAnEmptyReport) {
+TEST(SweepRunner, AGridThatExpandsToNothingGivesAnEmptyReport) {
+    // Disaster 2 is defined on Line 2 only, so a Line 1 grid of Disaster 2
+    // cells expands to an empty work list.
+    sweep::ScenarioGrid grid;
+    grid.lines = {1};
+    grid.strategies = {"DED"};
+    grid.measures = {measure_spec(MeasureKind::Survivability, DisasterKind::Mixed,
+                                  1.0 / 3.0, {0.0, 1.0})};
+    ASSERT_TRUE(sweep::expand(grid).empty());
     engine::AnalysisSession session;
     for (const unsigned threads : {1u, 4u}) {
-        const auto report =
-            sweep::SweepRunner(session, {threads, {}}).run(table2_line2_ded(), {});
+        const auto report = sweep::SweepRunner(session, {threads}).run(grid);
         EXPECT_TRUE(report.results.empty());
         EXPECT_EQ(report.unique_models, 0u);
         EXPECT_EQ(report.state_points, 0u);
         EXPECT_EQ(report.stats.compile_misses + report.stats.compile_hits, 0u);
+    }
+}
+
+TEST(SweepRunner, EachUniqueModelAsksTheSessionOnce) {
+    // A model's compile task hands the model to its cells, so the session
+    // sees one compile request per unique model: a miss on a cold session,
+    // a hit on a repeat of the same grid.
+    const auto grid = sweep::paper::everything();
+    for (const unsigned threads : {1u, 4u}) {
+        const std::string context = std::to_string(threads) + " threads";
+        engine::AnalysisSession session;
+        sweep::SweepRunner runner(session, {threads});
+        const auto cold = runner.run(grid);
+        EXPECT_EQ(cold.unique_models, 10u) << context;
+        EXPECT_EQ(cold.stats.compile_misses, cold.unique_models) << context;
+        EXPECT_EQ(cold.stats.compile_hits, 0u) << context;
+        const auto warm = runner.run(grid);
+        EXPECT_EQ(warm.stats.compile_misses, 0u) << context;
+        EXPECT_EQ(warm.stats.compile_hits, warm.unique_models) << context;
     }
 }

@@ -246,9 +246,7 @@ TEST(SweepSymmetry, ResultsCarryTheReductionAsModelSizes) {
     }
 
     std::ostringstream csv;
-    sweep::CsvOptions with_footer;
-    with_footer.footer = true;
-    sweep::write_csv(report, grid, csv, with_footer);
+    sweep::write_csv(report, grid, csv);
     for (const char* gone : {"lump", "reduction_ratio", "symmetry"}) {
         EXPECT_EQ(csv.str().find(gone), std::string::npos) << gone;
     }
