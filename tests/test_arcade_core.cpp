@@ -162,6 +162,18 @@ TEST(Compiler, StateFieldsPastTheInt16LimitThrowBeforeExploring) {
         EXPECT_NE(what.find("ranges up to 32768"), std::string::npos) << what;
         EXPECT_NE(what.find("32767"), std::string::npos) << what;
     }
+
+    // The individual encoding's FIFO ranks range over [0, class size].
+    core::ModelBuilder queued("queued");
+    queued.add_spare_phase("c", 32768, 1, 100.0, 4.0);
+    queued.with_repair(core::RepairPolicy::FirstComeFirstServe);
+    try {
+        (void)core::compile(queued.build());
+        FAIL() << "32768 queued components compiled";
+    } catch (const arcade::ModelError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("FIFO rank of component"), std::string::npos) << what;
+    }
 }
 
 TEST(Compiler, FcfsOnIdenticalComponentsMatchesMm1kQueue) {
