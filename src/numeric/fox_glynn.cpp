@@ -1,8 +1,10 @@
 #include "numeric/fox_glynn.hpp"
 
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <exception>
 #include <list>
 #include <map>
 #include <mutex>
@@ -123,13 +125,28 @@ namespace {
 // from the very same inputs.
 using CacheKey = std::pair<std::uint64_t, std::uint64_t>;
 
+/// One window of the cache.  A lookup that misses inserts it Unclaimed; the
+/// first caller to claim it (Unclaimed -> Computing) computes it outside the
+/// lock and publishes Ready or Failed.  The state only moves forward, so a
+/// caller that has passed an entry in its claim loop never sees it Unclaimed
+/// again, and every caller that waits on it waits for a claimer that is
+/// computing it.
+struct Entry {
+    enum State : unsigned char { Unclaimed, Computing, Ready, Failed };
+    std::atomic<unsigned char> state{Unclaimed};
+    PoissonWeights weights;    ///< written by the claimer before Ready
+    std::exception_ptr error;  ///< written by the claimer before Failed
+};
+
 struct FoxGlynnCache {
     std::mutex mutex;
     // Most-recent at the front; `index` maps keys to their list position so
-    // a hit is one splice, an eviction one pop_back.
-    std::list<std::pair<CacheKey, std::shared_ptr<const PoissonWeights>>> lru;
+    // a hit is one splice, an eviction one pop_back.  An evicted entry lives
+    // on in the batches that hold it, so eviction never disturbs a claim.
+    std::list<std::pair<CacheKey, std::shared_ptr<Entry>>> lru;
     std::map<CacheKey, decltype(lru)::iterator> index;
-    FoxGlynnCacheStats stats;
+    std::atomic<std::size_t> hits{0};
+    std::atomic<std::size_t> misses{0};
     // Each series cell asks for one window per grid point (91–101 distinct
     // q on the paper's grids); one pass of the paper's grid asks for 1603
     // distinct windows, about 1 MB of weights.
@@ -150,44 +167,76 @@ std::vector<std::shared_ptr<const PoissonWeights>> fox_glynn_cached(
         return CacheKey{std::bit_cast<std::uint64_t>(rates[i]),
                         std::bit_cast<std::uint64_t>(epsilon)};
     };
-    // Moves the entry of `key`, if any, to the front and returns it.
-    const auto touch = [&](const CacheKey& key) -> std::shared_ptr<const PoissonWeights> {
-        const auto it = c.index.find(key);
-        if (it == c.index.end()) return nullptr;
-        c.lru.splice(c.lru.begin(), c.lru, it->second);
-        return c.lru.front().second;
-    };
-    std::vector<std::shared_ptr<const PoissonWeights>> out(rates.size());
+    // Look every rate up under one lock; a miss inserts an unclaimed entry,
+    // so a rate repeated in the batch, or asked for by another caller,
+    // finds the same entry.
+    std::vector<std::shared_ptr<Entry>> entries(rates.size());
     {
         std::lock_guard<std::mutex> lock(c.mutex);
         for (std::size_t i = 0; i < rates.size(); ++i) {
-            out[i] = touch(key_of(i));
-            if (out[i] != nullptr) ++c.stats.hits;
+            const CacheKey key = key_of(i);
+            if (const auto it = c.index.find(key); it != c.index.end()) {
+                c.lru.splice(c.lru.begin(), c.lru, it->second);
+            } else {
+                c.lru.emplace_front(key, std::make_shared<Entry>());
+                c.index.emplace(key, c.lru.begin());
+                if (c.lru.size() > FoxGlynnCache::kCapacity) {
+                    c.index.erase(c.lru.back().first);
+                    c.lru.pop_back();
+                }
+            }
+            entries[i] = c.lru.front().second;
         }
     }
-    // Compute outside the lock: the window search can be expensive and may
-    // throw.  Two threads racing on the same key both compute the same
-    // deterministic weights; the loser's insert below just finds the entry
-    // already present.
-    std::vector<std::shared_ptr<const PoissonWeights>> fresh(rates.size());
+    // Claim and compute, in batch order, every entry no other caller has
+    // claimed; only then wait for the ones others are still computing, so a
+    // caller idles only once it has no window left to compute.
+    std::size_t computed = 0;
     for (std::size_t i = 0; i < rates.size(); ++i) {
-        if (out[i] == nullptr) {
-            fresh[i] = std::make_shared<const PoissonWeights>(fox_glynn(rates[i], epsilon));
+        Entry& e = *entries[i];
+        // A plain load first: a hit should not take the entry's cache line.
+        unsigned char expected = Entry::Unclaimed;
+        if (e.state.load(std::memory_order_relaxed) != Entry::Unclaimed ||
+            !e.state.compare_exchange_strong(expected, Entry::Computing)) {
+            continue;
         }
+        ++computed;
+        c.misses.fetch_add(1, std::memory_order_relaxed);
+        try {
+            e.weights = fox_glynn(rates[i], epsilon);
+        } catch (...) {
+            // Errors are never cached: the entry leaves the index before it
+            // turns Failed, so a later lookup inserts a fresh entry and
+            // computes again, while every caller already holding this one
+            // rethrows its error.
+            e.error = std::current_exception();
+            {
+                std::lock_guard<std::mutex> lock(c.mutex);
+                const auto it = c.index.find(key_of(i));
+                if (it != c.index.end() && it->second->second == entries[i]) {
+                    c.lru.erase(it->second);
+                    c.index.erase(it);
+                }
+            }
+            e.state.store(Entry::Failed, std::memory_order_release);
+            e.state.notify_all();
+            throw;
+        }
+        e.state.store(Entry::Ready, std::memory_order_release);
+        e.state.notify_all();
     }
-    std::lock_guard<std::mutex> lock(c.mutex);
+    c.hits.fetch_add(rates.size() - computed, std::memory_order_relaxed);
+    std::vector<std::shared_ptr<const PoissonWeights>> out(rates.size());
     for (std::size_t i = 0; i < rates.size(); ++i) {
-        if (fresh[i] == nullptr) continue;
-        ++c.stats.misses;
-        out[i] = touch(key_of(i));
-        if (out[i] != nullptr) continue;
-        c.lru.emplace_front(key_of(i), std::move(fresh[i]));
-        c.index.emplace(key_of(i), c.lru.begin());
-        if (c.lru.size() > FoxGlynnCache::kCapacity) {
-            c.index.erase(c.lru.back().first);
-            c.lru.pop_back();
+        Entry& e = *entries[i];
+        unsigned char state = e.state.load(std::memory_order_acquire);
+        while (state == Entry::Computing) {
+            e.state.wait(Entry::Computing, std::memory_order_acquire);
+            state = e.state.load(std::memory_order_acquire);
         }
-        out[i] = c.lru.front().second;
+        if (state == Entry::Failed) std::rethrow_exception(e.error);
+        // Shares ownership of the entry, so the weights outlive an eviction.
+        out[i] = std::shared_ptr<const PoissonWeights>(entries[i], &e.weights);
     }
     return out;
 }
@@ -198,8 +247,7 @@ std::shared_ptr<const PoissonWeights> fox_glynn_cached(double q, double epsilon)
 
 FoxGlynnCacheStats fox_glynn_cache_stats() {
     FoxGlynnCache& c = cache();
-    std::lock_guard<std::mutex> lock(c.mutex);
-    return c.stats;
+    return {c.hits.load(std::memory_order_relaxed), c.misses.load(std::memory_order_relaxed)};
 }
 
 void fox_glynn_cache_clear() {
@@ -207,7 +255,8 @@ void fox_glynn_cache_clear() {
     std::lock_guard<std::mutex> lock(c.mutex);
     c.lru.clear();
     c.index.clear();
-    c.stats = {};
+    c.hits.store(0, std::memory_order_relaxed);
+    c.misses.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace arcade::numeric

@@ -40,24 +40,37 @@ struct PoissonWeights {
 /// the same (lambda·t, epsilon) pairs — the cache turns those
 /// recomputations into a shared lookup.  Cached weights are the same values fox_glynn would
 /// return (same computation, run once), so byte-identity of every consumer
-/// is preserved.  ConvergenceError is propagated, never cached.
-/// Thread-safe; callers keep the result alive via the shared_ptr even if
-/// the entry is evicted.
+/// is preserved.  Thread-safe; callers keep the result alive via the
+/// shared_ptr even if the entry is evicted.
 [[nodiscard]] std::shared_ptr<const PoissonWeights> fox_glynn_cached(double q,
                                                                      double epsilon);
 
 /// fox_glynn_cached for every rate of `rates`, taking the cache's lock once
-/// for the lookups and once for the inserts instead of once per rate: a
-/// series pass on four workers otherwise spends more time queueing for the
-/// lock than computing windows.  On one thread, while the cache has room,
-/// the windows, hits and misses are those of one call per rate in order,
-/// except that a rate repeated in `rates` and missing from the cache is
-/// computed, and counted as a miss, once per repeat.  Concurrent calls that
-/// miss the same window may each compute it; each computation is a miss.
+/// for all the lookups instead of once per rate: a series pass on four
+/// workers otherwise spends more time queueing for the lock than computing
+/// windows.
+///
+/// Each window is computed once, by one caller, even when several callers
+/// or several repeats within `rates` ask for it together.  A lookup that
+/// misses inserts an unclaimed entry; outside the lock the caller then
+/// claims and computes, in batch order, every entry of its batch that no
+/// other caller has claimed, and only then waits for the entries that
+/// others are still computing.  A caller therefore waits only once it has
+/// no window left to compute.
+///
+/// `misses` counts computations and `hits` the other requests.  While the
+/// cache has room, concurrent callers together compute each distinct window
+/// once, and a batch on one thread counts as one call per rate in order.
+/// A computation that throws (ConvergenceError) leaves the cache before it
+/// fails: the error reaches the caller that computed it and every caller
+/// waiting on it, and is never cached, so a later request computes the
+/// window again.  A caller whose own computation throws counts no hits;
+/// the windows it computed before the error stay cached.
 [[nodiscard]] std::vector<std::shared_ptr<const PoissonWeights>> fox_glynn_cached(
     std::span<const double> rates, double epsilon);
 
-/// Hit/miss counters of the fox_glynn_cached LRU (process-wide).
+/// Hit/miss counters of the fox_glynn_cached LRU (process-wide): `misses`
+/// counts window computations, `hits` the requests that computed nothing.
 struct FoxGlynnCacheStats {
     std::size_t hits = 0;
     std::size_t misses = 0;

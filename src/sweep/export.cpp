@@ -23,43 +23,51 @@ void append_int(std::string& out, Int value) {
 }
 
 /// Hands the buffered text to the stream in one write and empties the
-/// buffer, keeping its capacity for the next result.
+/// buffer, keeping its capacity for what follows.
 void flush(std::string& buf, std::ostream& os) {
     os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
     buf.clear();
 }
 
-/// The %.17g text of the time grid last passed to update().  Consecutive
-/// results of one measure share their grid, so a writer formats each run
-/// of equal grids once rather than once per result.
+/// The writers hand the stream chunks of at least this many bytes: fewer
+/// writes than one per result, and a buffer that stays this small instead
+/// of growing to the whole document.
+constexpr std::size_t kChunkBytes = std::size_t{64} << 10;
+
+/// flush once the buffer holds a chunk.
+void flush_chunk(std::string& buf, std::ostream& os) {
+    if (buf.size() >= kChunkBytes) flush(buf, os);
+}
+
+/// The text of the time grid last passed to update().  Consecutive results
+/// of one measure share their grid, so a writer formats each run of equal
+/// grids once rather than once per result.
 class TimeGridText {
 public:
     /// Re-formats only when `times` differs from the last grid (bitwise).
-    void update(const std::vector<double>& times) {
+    const NumberText& update(const std::vector<double>& times) {
         const auto same_bits = [](double a, double b) {
             return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
         };
-        if (std::ranges::equal(times, times_, same_bits)) return;
-        times_ = times;
-        text_.clear();
-        ends_.clear();
-        for (const double t : times) {
-            append_g17(text_, t);
-            ends_.push_back(text_.size());
+        if (!std::ranges::equal(times, times_, same_bits)) {
+            times_ = times;
+            text_.assign(times);
         }
-    }
-
-    /// The text of time point k.
-    [[nodiscard]] std::string_view at(std::size_t k) const {
-        const std::size_t begin = k == 0 ? 0 : ends_[k - 1];
-        return std::string_view(text_).substr(begin, ends_[k] - begin);
+        return text_;
     }
 
 private:
     std::vector<double> times_;
-    std::string text_;
-    std::vector<std::size_t> ends_;
+    NumberText text_;
 };
+
+/// The text of `r.values`: the worker's, or formatted into `scratch` when
+/// the result carries none that fits (a report built by hand).
+const NumberText& value_text(const ScenarioResult& r, NumberText& scratch) {
+    if (r.value_text.size() == r.values.size()) return r.value_text;
+    scratch.assign(r.values);
+    return scratch;
+}
 
 /// Does the grid carry CSL property measures?  Decides whether the CSV
 /// grows its trailing `property` column.
@@ -131,7 +139,7 @@ void write_csv(const SweepReport& report, const ScenarioGrid& grid, std::ostream
     // otherwise indistinguishable).
     const bool property_column = has_property(grid);
     const bool scale_column = has_scale(grid);
-    // Rows are assembled in `out` and written once per result.
+    // Rows are assembled in `out` and written in chunks.
     std::string out = "line,strategy,parameters,variant,measure,disaster,service_level,t,value";
     if (property_column) out += ",property";
     if (scale_column) out += ",scale";
@@ -139,8 +147,10 @@ void write_csv(const SweepReport& report, const ScenarioGrid& grid, std::ostream
     std::string prefix;
     std::string suffix;
     TimeGridText times;
+    NumberText scratch;
     for (const auto& r : report.results) {
         const auto& m = r.item.measure;
+        const NumberText& values = value_text(r, scratch);
         prefix.clear();
         append_int(prefix, r.item.line);
         prefix += ',';
@@ -166,30 +176,30 @@ void write_csv(const SweepReport& report, const ScenarioGrid& grid, std::ostream
             append_csv_field(suffix, r.item.scale.name);
         }
         if (m.is_series()) {
-            times.update(m.times);
-            for (std::size_t i = 0; i < r.values.size(); ++i) {
+            const NumberText& t = times.update(m.times);
+            for (std::size_t i = 0; i < values.size(); ++i) {
                 out += prefix;
-                out += times.at(i);
+                out += t.at(i);
                 out += ',';
-                append_g17(out, r.values[i]);
+                out += values.at(i);
                 out += suffix;
                 out += '\n';
             }
         } else {
             out += prefix;
             out += ',';
-            append_g17(out, r.values.front());
+            out += values.at(0);
             out += suffix;
             out += '\n';
         }
-        flush(out, os);
+        flush_chunk(out, os);
     }
     flush(out, os);
 }
 
 void write_json(const SweepReport& report, const ScenarioGrid& grid, std::ostream& os) {
-    // Like write_csv: the counters, then each result, are assembled in
-    // `out` and written once.
+    // Like write_csv: the document is assembled in `out` and written in
+    // chunks.
     std::string out = "{\n  \"counters\": {\n";
     const auto& st = report.stats;
     const auto count = [&out](const char* key, std::size_t n) {
@@ -220,6 +230,13 @@ void write_json(const SweepReport& report, const ScenarioGrid& grid, std::ostrea
     out += "\n  },\n  \"results\": [\n";
     const bool scale_field = has_scale(grid);
     TimeGridText times;
+    NumberText scratch;
+    const auto append_list = [&out](const NumberText& text) {
+        for (std::size_t k = 0; k < text.size(); ++k) {
+            if (k > 0) out += ", ";
+            out += text.at(k);
+        }
+    };
     for (std::size_t i = 0; i < report.results.size(); ++i) {
         const auto& r = report.results[i];
         const auto& m = r.item.measure;
@@ -255,20 +272,13 @@ void write_json(const SweepReport& report, const ScenarioGrid& grid, std::ostrea
         out += ", \"seconds\": ";
         append_g17(out, r.seconds);
         out += ",\n     \"times\": [";
-        times.update(m.times);
-        for (std::size_t k = 0; k < m.times.size(); ++k) {
-            if (k > 0) out += ", ";
-            out += times.at(k);
-        }
+        append_list(times.update(m.times));
         out += "], \"values\": [";
-        for (std::size_t k = 0; k < r.values.size(); ++k) {
-            if (k > 0) out += ", ";
-            append_g17(out, r.values[k]);
-        }
+        append_list(value_text(r, scratch));
         out += "]}";
         if (i + 1 < report.results.size()) out += ',';
         out += '\n';
-        flush(out, os);
+        flush_chunk(out, os);
     }
     out += "  ]\n}\n";
     flush(out, os);

@@ -31,12 +31,14 @@ void append_json_escaped(std::string& out, std::string_view s);
 /// t,value`; scalar measures emit one row with an empty `t` column.  Doubles
 /// are round-trip exact `%.17g` digits (support/strings' append_g17, so the
 /// bytes do not depend on the process locale).  Rows appear in result order,
-/// which for runner output is ascending work-item index.  Each result's rows
-/// reach `os` in one write.
+/// which for runner output is ascending work-item index.  Values are copied
+/// from each result's value_text when it fits (runner output) and formatted
+/// here otherwise.  Rows reach `os` in writes of at least 64 KiB, whole
+/// results each, and a last shorter one.
 void write_csv(const SweepReport& report, const ScenarioGrid& grid, std::ostream& os);
 
 /// One JSON object: {"counters": {...}, "results": [{..., "values": [...]}]}.
-/// The counters block is always present.
+/// The counters block is always present.  Values and writes as in write_csv.
 void write_json(const SweepReport& report, const ScenarioGrid& grid, std::ostream& os);
 
 }  // namespace arcade::sweep

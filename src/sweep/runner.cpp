@@ -13,8 +13,18 @@
 #include "arcade/measures.hpp"
 #include "logic/csl_compiled.hpp"
 #include "support/errors.hpp"
+#include "support/strings.hpp"
 
 namespace arcade::sweep {
+
+void NumberText::assign(std::span<const double> values) {
+    clear();
+    ends_.reserve(values.size());
+    for (const double v : values) {
+        append_g17(text_, v);
+        ends_.push_back(text_.size());
+    }
+}
 
 namespace {
 
@@ -134,6 +144,7 @@ ScenarioResult evaluate(engine::AnalysisSession& session, const WorkItem& item,
         }
     }
     result.seconds = now_seconds() - t0;
+    result.value_text.assign(result.values);
     return result;
 }
 
@@ -181,8 +192,10 @@ void evaluate_costs(const std::vector<WorkItem>& items, const std::vector<std::s
         *model, make_disaster(items[cells.front()].measure.disaster, *model), requests);
     const double seconds = (now_seconds() - t0) / static_cast<double>(cells.size());
     for (std::size_t k = 0; k < cells.size(); ++k) {
-        results[cells[k]].values = std::move(values[k]);
-        results[cells[k]].seconds = seconds;
+        ScenarioResult& result = results[cells[k]];
+        result.values = std::move(values[k]);
+        result.value_text.assign(result.values);
+        result.seconds = seconds;
     }
 }
 

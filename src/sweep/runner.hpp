@@ -23,6 +23,9 @@
 #define ARCADE_SWEEP_RUNNER_HPP
 
 #include <cstddef>
+#include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "engine/session.hpp"
@@ -30,12 +33,42 @@
 
 namespace arcade::sweep {
 
+/// The `%.17g` text of a list of doubles (support's append_g17): one string
+/// plus the end offset of each number in it, so a writer copies a number's
+/// text instead of formatting it again.
+class NumberText {
+public:
+    /// Replaces the text with that of `values`.
+    void assign(std::span<const double> values);
+    void clear() noexcept {
+        text_.clear();
+        ends_.clear();
+    }
+    /// How many numbers the text holds.
+    [[nodiscard]] std::size_t size() const noexcept { return ends_.size(); }
+    /// The text of number k.
+    [[nodiscard]] std::string_view at(std::size_t k) const {
+        const std::size_t begin = k == 0 ? 0 : ends_[k - 1];
+        return std::string_view(text_).substr(begin, ends_[k] - begin);
+    }
+
+private:
+    std::string text_;
+    std::vector<std::size_t> ends_;
+};
+
 /// One evaluated grid cell.  `values` has one entry per time-grid point for
 /// series measures and exactly one entry for scalar measures (for
 /// MeasureKind::StateSpace, the state count).
 struct ScenarioResult {
     WorkItem item;
     std::vector<double> values;
+    /// The text of `values`, rendered by the worker that computed them, in
+    /// parallel with the other cells; write_csv and write_json copy it.  The
+    /// writers read it only while its size() equals values.size() and
+    /// otherwise format `values` themselves, as for a report built by hand.
+    /// Code that edits `values` must clear it.
+    NumberText value_text;
     std::size_t model_states = 0;       ///< state count of the compiled model
     std::size_t model_transitions = 0;  ///< transition count of the compiled model
     /// States of the chain actually explored (CompiledModel::chain()): the

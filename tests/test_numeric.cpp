@@ -366,9 +366,10 @@ TEST(FoxGlynnCache, ABatchCountsAsOneCallPerRate) {
 }
 
 TEST(FoxGlynnCache, ConcurrentBatchesShareOneWindowPerRate) {
-    // Four threads ask for the same 200 windows at once.  A window two of
-    // them miss together is computed twice, but the cache keeps one, so
-    // every later request for a rate gets one object.
+    // Four threads ask for the same 200 windows at once.  The first caller
+    // to claim a window computes it and the others wait for it, so the
+    // threads together compute each window once and get one object per
+    // rate.
     num::fox_glynn_cache_clear();
     std::vector<double> rates;
     for (int i = 1; i <= 200; ++i) rates.push_back(2.5 * i);
@@ -379,15 +380,70 @@ TEST(FoxGlynnCache, ConcurrentBatchesShareOneWindowPerRate) {
     }
     for (auto& thread : pool) thread.join();
     const auto stats = num::fox_glynn_cache_stats();
-    EXPECT_EQ(stats.hits + stats.misses, got.size() * rates.size());
-    EXPECT_GE(stats.misses, rates.size());
+    EXPECT_EQ(stats.misses, rates.size());
+    EXPECT_EQ(stats.hits, (got.size() - 1) * rates.size());
     const auto after = num::fox_glynn_cached(rates, 1e-12);
     for (std::size_t i = 0; i < rates.size(); ++i) {
-        for (const auto& windows : got) {
-            EXPECT_EQ(windows[i]->weights, after[i]->weights) << i;
-        }
+        for (const auto& windows : got) EXPECT_EQ(windows[i].get(), after[i].get()) << i;
+        EXPECT_EQ(after[i]->weights, num::fox_glynn(rates[i], 1e-12).weights) << i;
     }
     EXPECT_EQ(num::fox_glynn_cache_stats().misses, stats.misses);
+    num::fox_glynn_cache_clear();
+}
+
+TEST(FoxGlynnCache, ARateRepeatedInOneBatchIsComputedOnce) {
+    // The batch's lookups insert the first repeat's entry, so the later
+    // repeats find it: one miss and then hits, as one call per rate would
+    // count them.
+    num::fox_glynn_cache_clear();
+    const std::vector<double> rates = {7.5, 0.0, 7.5, 7.5, 0.0};
+    const auto batch = num::fox_glynn_cached(rates, 1e-12);
+    const auto stats = num::fox_glynn_cache_stats();
+    EXPECT_EQ(stats.misses, 2u);
+    EXPECT_EQ(stats.hits, 3u);
+    EXPECT_EQ(batch[2].get(), batch[0].get());
+    EXPECT_EQ(batch[3].get(), batch[0].get());
+    EXPECT_EQ(batch[4].get(), batch[1].get());
+    EXPECT_EQ(batch[0]->weights, num::fox_glynn(7.5, 1e-12).weights);
+    num::fox_glynn_cache_clear();
+}
+
+TEST(FoxGlynnCache, BatchesInDifferentOrdersComputeEachWindowOnce) {
+    // Each of four threads walks the same 120 rates from its own offset,
+    // every rate twice, so the threads claim different windows first and
+    // wait on each other's: still one computation per distinct window.
+    // Each thread reads its windows before it joins, so a window handed
+    // over before its claimer published it is a data race under TSan.
+    num::fox_glynn_cache_clear();
+    constexpr std::size_t kRates = 120;
+    std::vector<std::vector<double>> batches(4);
+    for (std::size_t t = 0; t < batches.size(); ++t) {
+        for (std::size_t k = 0; k < 2 * kRates; ++k) {
+            batches[t].push_back(1.5 + static_cast<double>((k + 30 * t) % kRates));
+        }
+    }
+    std::vector<std::vector<std::shared_ptr<const num::PoissonWeights>>> got(batches.size());
+    std::vector<double> mass(batches.size(), 0.0);
+    std::vector<std::thread> pool;
+    for (std::size_t t = 0; t < batches.size(); ++t) {
+        pool.emplace_back([&, t] {
+            got[t] = num::fox_glynn_cached(batches[t], 1e-10);
+            for (const auto& window : got[t]) {
+                for (const double w : window->weights) mass[t] += w;
+            }
+        });
+    }
+    for (auto& thread : pool) thread.join();
+    const auto stats = num::fox_glynn_cache_stats();
+    EXPECT_EQ(stats.misses, kRates);
+    EXPECT_EQ(stats.hits, batches.size() * 2 * kRates - kRates);
+    for (std::size_t t = 0; t < batches.size(); ++t) {
+        EXPECT_NEAR(mass[t], 2.0 * kRates, 1e-9) << t;
+        for (std::size_t k = 0; k < batches[t].size(); ++k) {
+            const auto& first = got[0][(k + 30 * t) % kRates];
+            EXPECT_EQ(got[t][k].get(), first.get()) << t << " " << k;
+        }
+    }
     num::fox_glynn_cache_clear();
 }
 

@@ -8,8 +8,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -602,6 +604,117 @@ TEST(SweepExport, TimeGridTextFollowsEveryChangeOfGrid) {
     expect_exports_match_reference(report, grid, "changing grids");
 }
 
+namespace {
+
+/// A stream buffer that keeps the bytes written to it and the size of each
+/// write.
+class WriteLog : public std::streambuf {
+public:
+    std::string bytes;
+    std::vector<std::size_t> writes;
+
+protected:
+    std::streamsize xsputn(const char* s, std::streamsize n) override {
+        bytes.append(s, static_cast<std::size_t>(n));
+        writes.push_back(static_cast<std::size_t>(n));
+        return n;
+    }
+    int_type overflow(int_type c) override {
+        if (!traits_type::eq_int_type(c, traits_type::eof())) {
+            bytes.push_back(traits_type::to_char_type(c));
+            writes.push_back(1);
+        }
+        return traits_type::not_eof(c);
+    }
+};
+
+using Writer = void (*)(const sweep::SweepReport&, const sweep::ScenarioGrid&, std::ostream&);
+
+WriteLog written(Writer writer, const sweep::SweepReport& report,
+                 const sweep::ScenarioGrid& grid) {
+    WriteLog log;
+    std::ostream os(&log);
+    writer(report, grid, os);
+    EXPECT_TRUE(os.good());
+    return log;
+}
+
+/// The writers' bytes from `report`'s value text must equal those of the
+/// same report with its text cleared (the writers format the values) and
+/// those of the reference writers; every write but the last carries at
+/// least 64 KiB.
+void expect_every_route_agrees(const sweep::SweepReport& report,
+                               const sweep::ScenarioGrid& grid, const std::string& what) {
+    auto cleared = report;
+    for (auto& r : cleared.results) r.value_text.clear();
+    const struct {
+        const char* name;
+        Writer writer;
+        std::string reference;
+    } formats[] = {{"csv", sweep::write_csv, reference_csv(report, grid)},
+                   {"json", sweep::write_json, reference_json(report, grid)}};
+    for (const auto& format : formats) {
+        const std::string context = what + " " + format.name;
+        const auto log = written(format.writer, report, grid);
+        EXPECT_EQ(log.bytes, format.reference) << context;
+        EXPECT_EQ(written(format.writer, cleared, grid).bytes, log.bytes) << context;
+        ASSERT_FALSE(log.writes.empty()) << context;
+        for (std::size_t k = 0; k + 1 < log.writes.size(); ++k) {
+            EXPECT_GE(log.writes[k], std::size_t{64} << 10) << context << " write " << k;
+        }
+    }
+}
+
+}  // namespace
+
+TEST(ExportText, WorkerTextWritesTheBytesOfEveryOtherRoute) {
+    engine::AnalysisSession session;
+    const auto grid = sweep::paper::everything();
+    const auto report = sweep::SweepRunner(session, {3}).run(grid);
+    // Every result leaves the runner with the text of its values.
+    for (const auto& r : report.results) {
+        ASSERT_EQ(r.value_text.size(), r.values.size()) << r.item.key();
+    }
+    expect_every_route_agrees(report, grid, "paper");
+
+    // Values whose text is easy to get wrong, given worker text the way
+    // the runner renders it, over enough rows to cross several chunks:
+    // signed zero, subnormals, the largest doubles and values that need all
+    // 17 digits.
+    const std::vector<double> hard = {-0.0,
+                                      5e-324,
+                                      2.2250738585072009e-308,
+                                      1e308,
+                                      -1.7976931348623157e308,
+                                      0.1,
+                                      1.0 / 3.0,
+                                      0.1 + 0.2,
+                                      123456789.12345679,
+                                      -2.5e-17,
+                                      0.0,
+                                      1.0};
+    auto hard_report = report;
+    hard_report.results.clear();
+    std::size_t next = 0;
+    for (int copy = 0; copy < 2; ++copy) {
+        for (auto r : report.results) {
+            for (double& v : r.values) v = hard[next++ % hard.size()];
+            r.value_text.assign(r.values);
+            hard_report.results.push_back(std::move(r));
+        }
+    }
+    std::ostringstream csv;
+    sweep::write_csv(hard_report, grid, csv);
+    EXPECT_GT(csv.str().size(), std::size_t{4} << 16);
+    for (const char* text : {",-0\n", ",4.9406564584124654e-324\n",
+                             ",2.2250738585072009e-308\n", ",1e+308\n",
+                             ",-1.7976931348623157e+308\n", ",0.10000000000000001\n",
+                             ",0.30000000000000004\n"}) {
+        EXPECT_NE(csv.str().find(text), std::string::npos) << text;
+    }
+    expect_every_route_agrees(hard_report, grid, "hard values");
+}
+
 TEST(SweepRunner, ParameterPerturbationsAreDistinctCells) {
     engine::AnalysisSession session;
     sweep::ScenarioGrid grid;
@@ -748,16 +861,22 @@ TEST(SweepRunner, PaperGridIsBitwiseEqualAtEveryThreadCount) {
         engine::AnalysisSession session;
         return sweep::SweepRunner(session, {threads}).run(grid);
     };
+    // A cold pass asks for 1603 distinct Fox–Glynn windows (README) and,
+    // at every thread count, computes each of them once.
+    const auto expect_cold_windows = [](const std::string& context) {
+        const auto windows = arcade::numeric::fox_glynn_cache_stats();
+        EXPECT_EQ(windows.misses, 1603u) << context;
+        EXPECT_EQ(windows.hits, 3147u) << context;
+    };
     arcade::numeric::fox_glynn_cache_clear();
     const auto serial = run(1);
     EXPECT_EQ(serial.stats.compile_misses, serial.unique_models);
-    // One serial pass asks for 1603 distinct Fox–Glynn windows (README).
-    const auto windows = arcade::numeric::fox_glynn_cache_stats();
-    EXPECT_EQ(windows.misses, 1603u);
-    EXPECT_EQ(windows.hits, 3147u);
+    expect_cold_windows("1 thread");
     for (const unsigned threads : {2u, 3u, 8u}) {
         const std::string context = std::to_string(threads) + " threads";
+        arcade::numeric::fox_glynn_cache_clear();
         const auto parallel = run(threads);
+        expect_cold_windows(context);
         EXPECT_EQ(parallel.unique_models, serial.unique_models) << context;
         EXPECT_EQ(parallel.stats.compile_misses, parallel.unique_models) << context;
         expect_same_stats(parallel.stats, serial.stats, context);
