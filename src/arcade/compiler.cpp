@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <limits>
 #include <numeric>
 #include <string>
@@ -24,6 +25,9 @@ std::vector<bool> at_least(std::span<const double> levels, double x) {
 }
 
 using State = std::vector<std::int16_t>;
+/// A state as the encoders read it: explore_bfs decodes each source into
+/// int16_t fields.
+using StateView = std::span<const std::int16_t>;
 
 /// How a repair unit behaves for encoding purposes.
 enum class RuKind { None, Dedicated, Queue };
@@ -63,6 +67,18 @@ struct Plan {
     std::vector<CompPlan> comps;
     std::vector<Group> groups;                       // lumped encoding
     std::vector<std::vector<std::size_t>> ru_groups; // groups per RU, class-major order
+    /// phase_service of every phase at every count of working members.
+    std::vector<std::vector<double>> phase_levels;
+
+    /// phase_service_level from the table: the same values, minimised in
+    /// the same order.
+    [[nodiscard]] double service(const std::vector<std::size_t>& up_per_phase) const {
+        double service = 1.0;
+        for (std::size_t p = 0; p < phase_levels.size(); ++p) {
+            service = std::min(service, phase_levels[p][up_per_phase[p]]);
+        }
+        return service;
+    }
 };
 
 double policy_key(const RepairUnit& ru, const BasicComponent& c, int priority) {
@@ -86,6 +102,12 @@ Plan make_plan(const ArcadeModel& model) {
     for (std::size_t c = 0; c < model.components.size(); ++c) {
         plan.comps[c].frate = model.components[c].failure_rate();
         plan.comps[c].rrate = model.components[c].repair_rate();
+    }
+    for (const auto& phase : model.phases) {
+        auto& levels = plan.phase_levels.emplace_back();
+        for (std::size_t up = 0; up <= phase.components.size(); ++up) {
+            levels.push_back(phase_service(phase, up));
+        }
     }
 
     for (std::size_t r = 0; r < model.repair_units.size(); ++r) {
@@ -193,7 +215,22 @@ constexpr std::int16_t kInRepair = 2;
 class IndividualEncoder {
 public:
     IndividualEncoder(const ArcadeModel& model, const Plan& plan)
-        : model_(model), plan_(plan), n_(model.components.size()) {}
+        : model_(model), plan_(plan), n_(model.components.size()) {
+        // Number the queue classes RU by RU in priority order and give each
+        // a run of queue positions, one per member.
+        class_of_.assign(n_, SIZE_MAX);
+        ru_classes_.assign(plan.rus.size() + 1, 0);
+        for (std::size_t r = 0; r < plan.rus.size(); ++r) {
+            ru_classes_[r] = class_begin_.size();
+            if (plan.rus[r].kind != RuKind::Queue) continue;
+            for (const auto& cls : plan.rus[r].classes) {
+                for (std::size_t c : cls) class_of_[c] = class_begin_.size();
+                class_begin_.push_back(queue_size_);
+                queue_size_ += cls.size();
+            }
+        }
+        ru_classes_.back() = class_begin_.size();
+    }
 
     [[nodiscard]] State initial() const { return State(2 * n_, 0); }
 
@@ -219,107 +256,102 @@ public:
                model_.components[i % n_].name + "'";
     }
 
-    [[nodiscard]] std::int16_t status(const State& s, std::size_t c) const { return s[c]; }
-    [[nodiscard]] std::int16_t rank(const State& s, std::size_t c) const { return s[n_ + c]; }
-
-    /// The tracked in-repair component of a queue RU, or SIZE_MAX.
-    [[nodiscard]] std::size_t tracked(const State& s, std::size_t ru) const {
-        for (std::size_t c : plan_.rus[ru].components) {
-            if (s[c] == kInRepair) return c;
-        }
-        return SIZE_MAX;
-    }
-
-    [[nodiscard]] std::size_t waiting_in_class(const State& s, std::size_t ru,
-                                               std::size_t cls) const {
-        std::size_t n = 0;
-        for (std::size_t c : plan_.rus[ru].classes[cls]) {
-            if (s[c] == kWaiting) ++n;
-        }
-        return n;
-    }
-
-    /// Caller-owned buffers of successors(), service() and disaster(): the
-    /// successor being built and the queue scans, sized once and reused, so
-    /// generating a successor allocates nothing.
+    /// Caller-owned buffers of successors(), rewards() and disaster(),
+    /// sized once and reused, so expanding a state allocates nothing: the
+    /// successor being built, the queues of the state being expanded, the
+    /// picks read off them and the per-phase and per-RU counts.
     struct Scratch {
         State next;
+        std::vector<std::size_t> tracked;  // per RU: in-repair component or SIZE_MAX
+        std::vector<std::size_t> waiting;  // per queue class: waiting members
+        std::vector<std::size_t> queue;    // per class run: waiting members by rank
         std::vector<std::size_t> picked;
-        std::vector<std::pair<std::int16_t, std::size_t>> waiting;
         std::vector<std::size_t> up_per_phase;
+        std::vector<std::size_t> down_per_ru;
     };
 
     [[nodiscard]] Scratch scratch() const {
         Scratch scratch;
         scratch.next.reserve(2 * n_);
+        scratch.tracked.resize(plan_.rus.size());
+        scratch.waiting.resize(class_begin_.size());
+        scratch.queue.resize(queue_size_);
         scratch.picked.reserve(n_);
-        scratch.waiting.reserve(n_);
-        scratch.up_per_phase.reserve(model_.phases.size());
+        scratch.up_per_phase.resize(model_.phases.size());
+        scratch.down_per_ru.resize(plan_.rus.size());
         return scratch;
     }
 
-    /// Waiting components served by derived crews, best-first, up to `k`,
-    /// into scratch.picked.
-    void top_waiting(const State& s, std::size_t ru, std::size_t k, Scratch& scratch) const {
+    /// Reads the queue RUs of `s` into scratch in one pass over the
+    /// components: each RU's tracked (first in-repair) component and each
+    /// class's waiting members ordered by their FIFO rank, which runs
+    /// 1..waiting within a class.
+    void index_queues(StateView s, Scratch& scratch) const {
+        std::fill(scratch.tracked.begin(), scratch.tracked.end(), SIZE_MAX);
+        std::fill(scratch.waiting.begin(), scratch.waiting.end(), 0);
+        for (std::size_t c = 0; c < n_; ++c) {
+            const std::size_t k = class_of_[c];
+            if (k == SIZE_MAX) continue;
+            if (s[c] == kWaiting) {
+                scratch.queue[class_begin_[k] + static_cast<std::size_t>(s[n_ + c]) - 1] = c;
+                ++scratch.waiting[k];
+            } else if (s[c] == kInRepair) {
+                std::size_t& tracked = scratch.tracked[plan_.comps[c].ru];
+                if (tracked == SIZE_MAX) tracked = c;
+            }
+        }
+    }
+
+    /// Waiting components of RU `ru` served by derived crews, best-first,
+    /// up to `k`, into scratch.picked (after index_queues).
+    void top_waiting(std::size_t ru, std::size_t k, Scratch& scratch) const {
         std::vector<std::size_t>& out = scratch.picked;
         out.clear();
-        if (k == 0) return;
-        for (const auto& cls : plan_.rus[ru].classes) {
-            // members sorted by rank
-            auto& waiting = scratch.waiting;
-            waiting.clear();
-            for (std::size_t c : cls) {
-                if (s[c] == kWaiting) waiting.emplace_back(rank(s, c), c);
-            }
-            std::sort(waiting.begin(), waiting.end());
-            for (const auto& [rk, c] : waiting) {
-                out.push_back(c);
-                if (out.size() == k) return;
+        for (std::size_t cls = ru_classes_[ru]; cls < ru_classes_[ru + 1]; ++cls) {
+            const std::size_t* queue = scratch.queue.data() + class_begin_[cls];
+            for (std::size_t i = 0; i < scratch.waiting[cls] && out.size() < k; ++i) {
+                out.push_back(queue[i]);
             }
         }
     }
 
-    /// Removes `c` from its class queue: ranks above it shift down.
-    void remove_from_queue(State& s, std::size_t c) const {
-        const std::size_t ru = plan_.comps[c].ru;
-        const std::size_t cls = plan_.comps[c].cls;
-        const std::int16_t r = s[n_ + c];
-        for (std::size_t m : plan_.rus[ru].classes[cls]) {
-            if (s[m] == kWaiting && s[n_ + m] > r) --s[n_ + m];
+    /// Removes waiting `c` from its class queue in `t`, a copy of the
+    /// indexed state: ranks above it shift down.
+    void remove_from_queue(State& t, std::size_t c, const Scratch& scratch) const {
+        const std::size_t cls = class_of_[c];
+        const std::size_t* queue = scratch.queue.data() + class_begin_[cls];
+        for (std::size_t i = static_cast<std::size_t>(t[n_ + c]); i < scratch.waiting[cls]; ++i) {
+            --t[n_ + queue[i]];
         }
-        s[n_ + c] = 0;
+        t[n_ + c] = 0;
     }
 
-    void append_to_queue(State& s, std::size_t c) const {
-        const std::size_t ru = plan_.comps[c].ru;
-        const std::size_t cls = plan_.comps[c].cls;
-        s[c] = kWaiting;
-        s[n_ + c] =
-            static_cast<std::int16_t>(waiting_in_class(s, ru, cls));  // includes itself now
+    /// Appends up component `c` to its class queue in `t`, a copy of the
+    /// indexed state.
+    void append_to_queue(State& t, std::size_t c, const Scratch& scratch) const {
+        t[c] = kWaiting;
+        t[n_ + c] = static_cast<std::int16_t>(scratch.waiting[class_of_[c]] + 1);
     }
 
     /// Calls emit(const State& target, rate) for every outgoing transition;
     /// `target` is scratch.next, valid only during the call.
     template <typename Emit>
-    void successors(const State& s, Scratch& scratch, Emit&& emit) const {
+    void successors(StateView s, Scratch& scratch, Emit&& emit) const {
+        index_queues(s, scratch);
         State& t = scratch.next;
         // failures
         for (std::size_t c = 0; c < n_; ++c) {
             if (s[c] != kUp) continue;
-            t = s;
+            t.assign(s.begin(), s.end());
             const std::size_t ru = plan_.comps[c].ru;
             if (ru == SIZE_MAX || plan_.rus[ru].kind == RuKind::None) {
                 t[c] = kWaiting;
             } else if (plan_.rus[ru].kind == RuKind::Dedicated) {
                 t[c] = kInRepair;
-            } else if (plan_.rus[ru].preemptive) {
-                append_to_queue(t, c);
+            } else if (!plan_.rus[ru].preemptive && scratch.tracked[ru] == SIZE_MAX) {
+                t[c] = kInRepair;
             } else {
-                if (tracked(s, ru) == SIZE_MAX) {
-                    t[c] = kInRepair;
-                } else {
-                    append_to_queue(t, c);
-                }
+                append_to_queue(t, c, scratch);
             }
             emit(t, plan_.comps[c].frate);
         }
@@ -330,75 +362,75 @@ public:
             if (ru.kind == RuKind::Dedicated) {
                 for (std::size_t c : ru.components) {
                     if (s[c] != kInRepair) continue;
-                    t = s;
+                    t.assign(s.begin(), s.end());
                     t[c] = kUp;
                     emit(t, plan_.comps[c].rrate);
                 }
                 continue;
             }
             if (ru.preemptive) {
-                top_waiting(s, r, ru.crews, scratch);
+                top_waiting(r, ru.crews, scratch);
                 for (std::size_t c : scratch.picked) {
-                    t = s;
-                    remove_from_queue(t, c);
+                    t.assign(s.begin(), s.end());
+                    remove_from_queue(t, c, scratch);
                     t[c] = kUp;
                     emit(t, plan_.comps[c].rrate);
                 }
                 continue;
             }
-            const std::size_t tr = tracked(s, r);
+            const std::size_t tr = scratch.tracked[r];
             if (tr == SIZE_MAX) continue;
             {
                 // crew 1 completes the tracked repair; the best waiting
                 // component (if any) is promoted into the tracked slot.
-                t = s;
+                t.assign(s.begin(), s.end());
                 t[tr] = kUp;
-                top_waiting(s, r, 1, scratch);
+                top_waiting(r, 1, scratch);
                 if (!scratch.picked.empty()) {
                     const std::size_t w = scratch.picked.front();
-                    remove_from_queue(t, w);
+                    remove_from_queue(t, w, scratch);
                     t[w] = kInRepair;
                 }
                 emit(t, plan_.comps[tr].rrate);
             }
             // derived crews 2..k complete policy-best waiting repairs
-            top_waiting(s, r, ru.crews - 1, scratch);
+            top_waiting(r, ru.crews - 1, scratch);
             for (std::size_t c : scratch.picked) {
-                t = s;
-                remove_from_queue(t, c);
+                t.assign(s.begin(), s.end());
+                remove_from_queue(t, c, scratch);
                 t[c] = kUp;
                 emit(t, plan_.comps[c].rrate);
             }
         }
     }
 
-    [[nodiscard]] double service(const State& s, Scratch& scratch) const {
+    /// {service level, cost rate} of `s`, from one pass over its
+    /// components.  The cost adds each failed component's rate in index
+    /// order, then each repair unit's idle crews.
+    [[nodiscard]] std::pair<double, double> rewards(StateView s, Scratch& scratch) const {
         std::vector<std::size_t>& up = scratch.up_per_phase;
-        up.assign(model_.phases.size(), 0);
-        for (std::size_t c = 0; c < n_; ++c) {
-            if (s[c] == kUp) ++up[plan_.comps[c].phase];
-        }
-        return phase_service_level(model_, up);
-    }
-
-    [[nodiscard]] double cost_rate(const State& s) const {
+        std::vector<std::size_t>& down = scratch.down_per_ru;
+        std::fill(up.begin(), up.end(), 0);
+        std::fill(down.begin(), down.end(), 0);
         double cost = 0.0;
         for (std::size_t c = 0; c < n_; ++c) {
-            if (s[c] != kUp) cost += model_.components[c].failed_cost_rate;
+            const CompPlan& cp = plan_.comps[c];
+            if (s[c] == kUp) {
+                ++up[cp.phase];
+                continue;
+            }
+            cost += model_.components[c].failed_cost_rate;
+            if (cp.ru != SIZE_MAX) ++down[cp.ru];
         }
         for (std::size_t r = 0; r < plan_.rus.size(); ++r) {
             const RuPlan& ru = plan_.rus[r];
             if (ru.kind == RuKind::None) continue;
-            std::size_t down = 0;
-            for (std::size_t c : ru.components) {
-                if (s[c] != kUp) ++down;
-            }
             const std::size_t crews =
                 ru.kind == RuKind::Dedicated ? ru.components.size() : ru.crews;
-            const std::size_t busy = std::min(crews, down);
+            const std::size_t busy = std::min(crews, down[r]);
             cost += static_cast<double>(crews - busy) * ru.idle_cost_rate;
         }
-        return cost;
+        return {plan_.service(up), cost};
     }
 
     /// Canonical post-disaster state (see CompiledModel::disaster_state).
@@ -419,6 +451,7 @@ public:
         }
         std::sort(failed.begin(), failed.end());
         // First pass: everything waiting in index order.
+        Scratch scratch = this->scratch();
         for (std::size_t c : failed) {
             const std::size_t ru = plan_.comps[c].ru;
             if (ru == SIZE_MAX || plan_.rus[ru].kind == RuKind::None) {
@@ -426,18 +459,19 @@ public:
             } else if (plan_.rus[ru].kind == RuKind::Dedicated) {
                 s[c] = kInRepair;
             } else {
-                append_to_queue(s, c);
+                index_queues(s, scratch);
+                append_to_queue(s, c, scratch);
             }
         }
         // Second pass: promote the policy-best waiting member of every
         // non-preemptive queue RU into the tracked slot.
-        Scratch scratch;
         for (std::size_t r = 0; r < plan_.rus.size(); ++r) {
             if (plan_.rus[r].kind != RuKind::Queue || plan_.rus[r].preemptive) continue;
-            top_waiting(s, r, 1, scratch);
+            index_queues(s, scratch);
+            top_waiting(r, 1, scratch);
             if (!scratch.picked.empty()) {
                 const std::size_t best = scratch.picked.front();
-                remove_from_queue(s, best);
+                remove_from_queue(s, best, scratch);
                 s[best] = kInRepair;
             }
         }
@@ -448,6 +482,10 @@ private:
     const ArcadeModel& model_;
     const Plan& plan_;
     std::size_t n_;
+    std::vector<std::size_t> class_of_;     // per component: queue class or SIZE_MAX
+    std::vector<std::size_t> class_begin_;  // per queue class: first queue position
+    std::vector<std::size_t> ru_classes_;   // RU r's classes: [ru_classes_[r], [r + 1])
+    std::size_t queue_size_ = 0;
 };
 
 /// Lumping soundness: within a queue RU class, FCFS tie-breaking between
@@ -549,12 +587,12 @@ public:
                             model_.repair_units[i - g_].name + "'";
     }
 
-    [[nodiscard]] std::int16_t wait(const State& s, std::size_t g) const { return s[g]; }
-    [[nodiscard]] std::size_t tracked_group(const State& s, std::size_t r) const {
+    [[nodiscard]] std::int16_t wait(StateView s, std::size_t g) const { return s[g]; }
+    [[nodiscard]] std::size_t tracked_group(StateView s, std::size_t r) const {
         return s[g_ + r] == 0 ? SIZE_MAX : static_cast<std::size_t>(s[g_ + r] - 1);
     }
 
-    [[nodiscard]] std::size_t down_of_group(const State& s, std::size_t g) const {
+    [[nodiscard]] std::size_t down_of_group(StateView s, std::size_t g) const {
         std::size_t down = static_cast<std::size_t>(s[g]);
         const std::size_t r = plan_.groups[g].ru;
         if (r != SIZE_MAX && plan_.rus[r].kind == RuKind::Queue && !plan_.rus[r].preemptive &&
@@ -564,7 +602,7 @@ public:
         return down;
     }
 
-    /// Caller-owned buffers of successors(), service() and disaster(); see
+    /// Caller-owned buffers of successors(), rewards() and disaster(); see
     /// IndividualEncoder::Scratch.
     struct Scratch {
         State next;
@@ -582,7 +620,7 @@ public:
 
     /// Served waiting members per group for derived crews, up to k total,
     /// into scratch.served.
-    void served_waiting(const State& s, std::size_t r, std::size_t k, Scratch& scratch) const {
+    void served_waiting(StateView s, std::size_t r, std::size_t k, Scratch& scratch) const {
         auto& out = scratch.served;
         out.clear();
         if (k == 0) return;
@@ -600,7 +638,7 @@ public:
     /// Calls emit(const State& target, rate) for every outgoing transition;
     /// `target` is scratch.next, valid only during the call.
     template <typename Emit>
-    void successors(const State& s, Scratch& scratch, Emit&& emit) const {
+    void successors(StateView s, Scratch& scratch, Emit&& emit) const {
         State& t = scratch.next;
         // failures
         for (std::size_t g = 0; g < g_; ++g) {
@@ -609,7 +647,7 @@ public:
             const std::size_t up = group.size - down;
             if (up == 0) continue;
             const double rate = static_cast<double>(up) * group.frate;
-            t = s;
+            t.assign(s.begin(), s.end());
             const std::size_t r = group.ru;
             if (r != SIZE_MAX && plan_.rus[r].kind == RuKind::Queue &&
                 !plan_.rus[r].preemptive && tracked_group(s, r) == SIZE_MAX) {
@@ -627,7 +665,7 @@ public:
                 for (std::size_t g : plan_.ru_groups[r]) {
                     const std::size_t down = static_cast<std::size_t>(s[g]);
                     if (down == 0) continue;
-                    t = s;
+                    t.assign(s.begin(), s.end());
                     --t[g];
                     emit(t, static_cast<double>(down) * plan_.groups[g].rrate);
                 }
@@ -636,7 +674,7 @@ public:
             if (ru.preemptive) {
                 served_waiting(s, r, ru.crews, scratch);
                 for (const auto& [g, count] : scratch.served) {
-                    t = s;
+                    t.assign(s.begin(), s.end());
                     --t[g];
                     emit(t, static_cast<double>(count) * plan_.groups[g].rrate);
                 }
@@ -646,7 +684,7 @@ public:
             if (tg == SIZE_MAX) continue;
             {
                 // crew 1 completes; promote the best waiting group
-                t = s;
+                t.assign(s.begin(), s.end());
                 served_waiting(s, r, 1, scratch);
                 if (scratch.served.empty()) {
                     t[g_ + r] = 0;
@@ -659,7 +697,7 @@ public:
             }
             served_waiting(s, r, ru.crews - 1, scratch);
             for (const auto& [g, count] : scratch.served) {
-                t = s;
+                t.assign(s.begin(), s.end());
                 --t[g];
                 emit(t, static_cast<double>(count) * plan_.groups[g].rrate);
             }
@@ -674,7 +712,7 @@ public:
     /// component plus the repairs in progress — each transition fails or
     /// repairs a different component, so no two coincide.  Throws
     /// ModelError past SIZE_MAX.
-    [[nodiscard]] std::pair<std::size_t, std::size_t> individual_sizes(const State& s) const {
+    [[nodiscard]] std::pair<std::size_t, std::size_t> individual_sizes(StateView s) const {
         std::size_t orbit = 1;
         std::size_t row = 0;
         for (std::size_t g = 0; g < g_; ++g) {
@@ -700,7 +738,8 @@ public:
         return {orbit, checked_mul(orbit, row)};
     }
 
-    [[nodiscard]] double service(const State& s, Scratch& scratch) const {
+    /// {service level, cost rate} of `s`.
+    [[nodiscard]] std::pair<double, double> rewards(StateView s, Scratch& scratch) const {
         std::vector<std::size_t>& up = scratch.up_per_phase;
         up.resize(model_.phases.size());
         for (std::size_t p = 0; p < model_.phases.size(); ++p) {
@@ -709,10 +748,10 @@ public:
         for (std::size_t g = 0; g < g_; ++g) {
             up[plan_.groups[g].phase] -= down_of_group(s, g);
         }
-        return phase_service_level(model_, up);
+        return {plan_.service(up), cost_rate(s)};
     }
 
-    [[nodiscard]] double cost_rate(const State& s) const {
+    [[nodiscard]] double cost_rate(StateView s) const {
         double cost = 0.0;
         for (std::size_t g = 0; g < g_; ++g) {
             cost += static_cast<double>(down_of_group(s, g)) * plan_.groups[g].failed_cost_rate;
@@ -784,50 +823,51 @@ CompiledModel run_compile(const ArcadeModel& model, Encoder encoder, Encoding ex
         }
     }
     const engine::StateLayout layout(specs);
-    const State initial16 = encoder.initial();
-    const std::size_t fields = initial16.size();
-    std::vector<std::int64_t> initial(initial16.begin(), initial16.end());
+    const bool lumps_individual = explored_with != options.encoding;
 
-    // The encoders work on int16 states, the engine on int64 ones; `current`
-    // and the encoder's scratch serve the exploration and the sweep below.
-    State current(fields);
+    // explore_bfs expands each state once, in index order, so the walk also
+    // fills the per-state vectors.  A size overflow is raised after the
+    // exploration, where an explosion it meets still wins.
+    std::vector<double> service;
+    std::vector<double> cost;
+    std::size_t state_count = 0;
+    std::size_t transition_count = 0;
+    std::exception_ptr size_error;
     auto scratch = encoder.scratch();
-    auto explored = engine::explore_bfs(
-        layout, initial,
-        [&](std::span<const std::int64_t> state, auto&& emit) {
-            for (std::size_t i = 0; i < fields; ++i) {
-                current[i] = static_cast<std::int16_t>(state[i]);
+    auto explored = engine::explore_bfs<std::int16_t>(
+        layout, encoder.initial(),
+        [&](StateView state, auto&& emit) {
+            const auto [service_level, cost_rate] = encoder.rewards(state, scratch);
+            service.push_back(service_level);
+            cost.push_back(cost_rate);
+            if constexpr (std::is_same_v<Encoder, LumpedEncoder>) {
+                if (lumps_individual && !size_error) {
+                    try {
+                        const auto [states, transitions] = encoder.individual_sizes(state);
+                        state_count = checked_add(state_count, states);
+                        transition_count = checked_add(transition_count, transitions);
+                    } catch (const ModelError&) {
+                        size_error = std::current_exception();
+                    }
+                }
             }
-            encoder.successors(current, scratch, [&](const State& target, double rate) {
+            encoder.successors(state, scratch, [&](const State& target, double rate) {
                 ARCADE_ASSERT(rate > 0.0, "non-positive rate emitted");
-                emit(std::span<const std::int16_t>(target), rate);
+                emit(StateView(target), rate);
             });
         },
         engine::EngineOptions{.max_states = options.max_states});
+    if (size_error) std::rethrow_exception(size_error);
     engine::StateStore store = std::move(explored.store);
     const std::size_t n = store.size();
-    const bool lumps_individual = explored_with != options.encoding;
-    std::size_t state_count = lumps_individual ? 0 : n;
-    std::size_t transition_count = lumps_individual ? 0 : explored.rates.nonzeros();
+    if (!lumps_individual) {
+        state_count = n;
+        transition_count = explored.rates.nonzeros();
+    }
 
     std::vector<double> init(n, 0.0);
     init[0] = 1.0;
     ctmc::Ctmc chain(std::move(explored.rates), std::move(init));
-
-    std::vector<double> service(n);
-    std::vector<double> cost(n);
-    for (std::size_t s = 0; s < n; ++s) {
-        store.unpack(s, std::span<std::int16_t>(current));
-        service[s] = encoder.service(current, scratch);
-        cost[s] = encoder.cost_rate(current);
-        if constexpr (std::is_same_v<Encoder, LumpedEncoder>) {
-            if (lumps_individual) {
-                const auto [states, transitions] = encoder.individual_sizes(current);
-                state_count = checked_add(state_count, states);
-                transition_count = checked_add(transition_count, transitions);
-            }
-        }
-    }
 
     chain.set_label("operational", at_least(service, 1.0));
     chain.set_label("down", [&] {

@@ -1,8 +1,11 @@
 #include "arcade/types.hpp"
 
+#include <cmath>
 #include <set>
+#include <tuple>
 
 #include "support/errors.hpp"
+#include "support/strings.hpp"
 
 namespace arcade::core {
 
@@ -33,6 +36,15 @@ void ArcadeModel::validate() const {
     for (const auto& c : components) {
         if (!(c.mttf > 0.0) || !(c.mttr > 0.0)) {
             throw ModelError("component '" + c.name + "' needs positive MTTF and MTTR");
+        }
+        // An infinite mean gives rate 0, a subnormal one an infinite rate.
+        for (const auto& [what, mean, rate] : {std::tuple{"MTTF", c.mttf, c.failure_rate()},
+                                               std::tuple{"MTTR", c.mttr, c.repair_rate()}}) {
+            if (!(rate > 0.0) || !std::isfinite(rate)) {
+                throw ModelError("component '" + c.name + "' has " + what + " " +
+                                 format_g17(mean) + ", whose rate " + format_g17(rate) +
+                                 " is not positive and finite");
+            }
         }
     }
     std::set<std::string> names;

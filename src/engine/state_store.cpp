@@ -33,8 +33,11 @@ StateLayout::StateLayout(const std::vector<FieldSpec>& fields) : specs_(fields) 
         // can store each word once.
         slot.word = word;
         slot.shift = bits == 0 ? 0 : used;
+        slot.unit = std::uint64_t{1} << slot.shift;
         slots_.push_back(slot);
         used += bits;
+        word_end_.resize(word + 1);
+        word_end_.back() = slots_.size();
     }
     words_ = static_cast<std::size_t>(word) + 1;
 }
@@ -51,69 +54,24 @@ StateStore::StateStore(StateLayout layout)
     slot_mask_ = slots_.size() - 1;
 }
 
-std::size_t StateStore::hash_words(const std::uint64_t* words, std::size_t n) {
-    // splitmix64-style mixing over the packed words.
-    std::uint64_t h = 0x9e3779b97f4a7c15ull;
-    for (std::size_t i = 0; i < n; ++i) {
-        std::uint64_t x = words[i] + 0xbf58476d1ce4e5b9ull * (i + 1);
-        x ^= x >> 30;
-        x *= 0xbf58476d1ce4e5b9ull;
-        x ^= x >> 27;
-        x *= 0x94d049bb133111ebull;
-        x ^= x >> 31;
-        h = (h ^ x) * 0xff51afd7ed558ccdull;
-    }
-    return static_cast<std::size_t>(h);
-}
-
-bool StateStore::equals(std::size_t index, const std::uint64_t* words) const {
-    const std::uint64_t* mine = arena_.data() + index * wps_;
-    for (std::size_t w = 0; w < wps_; ++w) {
-        if (mine[w] != words[w]) return false;
-    }
-    return true;
-}
-
 void StateStore::grow() {
-    std::vector<std::size_t> fresh(slots_.size() * 2, 0);
+    // The slots keep only part of each hash, so rehash from the arena.
+    std::vector<std::uint64_t> fresh(slots_.size() * 2, 0);
     const std::size_t mask = fresh.size() - 1;
-    for (std::size_t i = 0; i < hashes_.size(); ++i) {
-        std::size_t pos = hashes_[i] & mask;
+    for (std::size_t i = 0; i < size_; ++i) {
+        const std::uint64_t h = hash(arena_.data() + i * wps_);
+        std::size_t pos = h & mask;
         while (fresh[pos] != 0) pos = (pos + 1) & mask;
-        fresh[pos] = i + 1;
+        fresh[pos] = (h & kTagMask) | (i + 1);
     }
     slots_ = std::move(fresh);
     slot_mask_ = mask;
 }
 
-std::pair<std::size_t, bool> StateStore::intern(const std::uint64_t* words) {
-    ARCADE_ASSERT(!slots_.empty(), "intern on a default-constructed StateStore");
-    const std::size_t h = hash_words(words, wps_);
-    std::size_t pos = h & slot_mask_;
-    while (slots_[pos] != 0) {
-        const std::size_t index = slots_[pos] - 1;
-        if (hashes_[index] == h && equals(index, words)) return {index, false};
-        pos = (pos + 1) & slot_mask_;
-    }
-    const std::size_t index = hashes_.size();
-    arena_.insert(arena_.end(), words, words + wps_);
-    hashes_.push_back(h);
-    slots_[pos] = index + 1;
-    // keep the load factor below ~0.7
-    if ((hashes_.size() + 1) * 10 > slots_.size() * 7) grow();
-    return {index, true};
-}
-
 std::size_t StateStore::find(const std::uint64_t* words) const {
     if (slots_.empty()) return SIZE_MAX;
-    const std::size_t h = hash_words(words, wps_);
-    std::size_t pos = h & slot_mask_;
-    while (slots_[pos] != 0) {
-        const std::size_t index = slots_[pos] - 1;
-        if (hashes_[index] == h && equals(index, words)) return index;
-        pos = (pos + 1) & slot_mask_;
-    }
-    return SIZE_MAX;
+    const std::uint64_t slot = slots_[probe(words, hash(words))];
+    return slot == 0 ? SIZE_MAX : (slot & kIndexMask) - 1;
 }
 
 const std::uint64_t* StateStore::words(std::size_t index) const {
@@ -123,11 +81,6 @@ const std::uint64_t* StateStore::words(std::size_t index) const {
 
 std::int64_t StateStore::value(std::size_t index, std::size_t field) const {
     return layout_.extract(words(index), field);
-}
-
-void StateStore::reserve(std::size_t states) {
-    arena_.reserve(states * wps_);
-    hashes_.reserve(states);
 }
 
 }  // namespace arcade::engine

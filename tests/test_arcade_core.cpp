@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
+#include <tuple>
 
 #include "arcade/compiler.hpp"
 #include "arcade/fault_tree.hpp"
@@ -11,6 +13,7 @@
 #include "arcade/types.hpp"
 #include "ctmc/steady_state.hpp"
 #include "support/errors.hpp"
+#include "watertree/watertree.hpp"
 
 namespace core = arcade::core;
 
@@ -38,6 +41,41 @@ TEST(ArcadeModel, ValidationCatchesStructuralErrors) {
     ru.priorities = {1};  // wrong length
     prio.with_repair_unit(ru);
     EXPECT_THROW(prio.build(), arcade::ModelError);
+}
+
+TEST(ArcadeModel, RatesMustBePositiveAndFinite) {
+    // An infinite MTTF or MTTR has rate 0: compile used to abort on it.  A
+    // subnormal one has an infinite rate, which used to reach the chain.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double subnormal = 5e-324;
+    ASSERT_TRUE(std::isinf(1.0 / subnormal));
+    for (const auto& [mttf, mttr, quantity] :
+         {std::tuple{inf, 1.0, "MTTF"}, std::tuple{10.0, inf, "MTTR"},
+          std::tuple{subnormal, 1.0, "MTTF"}, std::tuple{10.0, subnormal, "MTTR"}}) {
+        core::ModelBuilder ok("m");
+        ok.add_redundant_phase("a", 2, 10, 1);
+        ok.with_repair(core::RepairPolicy::FastestRepairFirst);
+        auto model = ok.build();
+        model.components[1].mttf = mttf;
+        model.components[1].mttr = mttr;
+        try {
+            (void)core::compile(model);
+            ADD_FAILURE() << "expected ModelError for mttf " << mttf << ", mttr " << mttr;
+        } catch (const arcade::ModelError& e) {
+            EXPECT_NE(std::string(e.what()).find("component 'a2' has " + std::string(quantity)),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    // The case study's parameters reach validation through the builder.
+    arcade::watertree::Parameters params;
+    params.pump_mttf = inf;
+    EXPECT_THROW((void)arcade::watertree::line1(arcade::watertree::strategy("FRF-1"), params),
+                 arcade::ModelError);
+    params = {};
+    params.sandfilter_mttr = subnormal;
+    EXPECT_THROW((void)arcade::watertree::line2(arcade::watertree::strategy("DED"), params),
+                 arcade::ModelError);
 }
 
 TEST(ArcadeModel, PolicyStringsRoundTrip) {

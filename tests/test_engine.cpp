@@ -2,13 +2,17 @@
 // analysis-session caching.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <stdexcept>
 #include <limits>
 #include <map>
 #include <random>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arcade/compiler.hpp"
@@ -455,6 +459,288 @@ TEST(ExploreBfs, StateLimitBeyondTheIndexRangeThrowsBeforeExploring) {
         EXPECT_NE(std::string(e.what()).find("32-bit"), std::string::npos) << e.what();
     }
     EXPECT_EQ(calls, 0u);
+}
+
+TEST(ExploreBfs, NonFiniteRatesThrowAtTheirEmission) {
+    const std::vector<std::int64_t> initial(kGridDims, 0);
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+        std::size_t calls = 0;
+        auto walk = [&calls, bad, t = std::vector<std::int64_t>()](std::span<const std::int64_t> v,
+                                                              auto&& emit) mutable {
+            ++calls;
+            grid_successors(v, t, emit);
+            if (v[0] == 2 && v[1] == 1) emit(v, bad);
+        };
+        try {
+            (void)engine::explore_bfs(grid_layout(), initial, walk);
+            ADD_FAILURE() << "expected ModelError for rate " << bad;
+        } catch (const arcade::ModelError& e) {
+            EXPECT_EQ(std::string(e.what()), "non-finite transition rate");
+        }
+        // (2, 1, 0, 0, 0) is on BFS level 3: the error stops the exploration
+        // there instead of surfacing when the chain is built.
+        EXPECT_LT(calls, 100u) << bad;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Error precedence: explore_bfs interns a source's emissions as one batch
+// after the walk; its errors must be those of a loop that checks, packs and
+// interns each emission as it arrives.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// A 10 x 10 grid walked +1 along each axis from the origin.  At source
+/// `trigger` the walk then emits its extras — (target, rate) pairs, where an
+/// empty target makes the walk throw.
+struct Extra {
+    std::vector<std::int64_t> target;
+    double rate = 1.0;
+};
+
+const engine::StateLayout& square_layout() {
+    static const engine::StateLayout layout({{0, 9}, {0, 9}});
+    return layout;
+}
+
+auto square_walk(std::vector<std::int64_t> trigger, std::vector<Extra> extras) {
+    return [trigger = std::move(trigger), extras = std::move(extras),
+            t = std::vector<std::int64_t>()](std::span<const std::int64_t> v,
+                                            auto&& emit) mutable {
+        for (std::size_t d = 0; d < 2; ++d) {
+            if (v[d] == 9) continue;
+            t.assign(v.begin(), v.end());
+            ++t[d];
+            emit(std::span<const std::int64_t>(t), 1.0 + static_cast<double>(d));
+        }
+        if (!std::equal(v.begin(), v.end(), trigger.begin(), trigger.end())) return;
+        for (const Extra& extra : extras) {
+            if (extra.target.empty()) throw std::runtime_error("walk failed");
+            emit(std::span<const std::int64_t>(extra.target), extra.rate);
+        }
+    };
+}
+
+/// The per-emission loop explore_bfs replaced, written against
+/// std::map: each emission is checked, range-checked field by field and
+/// interned before the walk goes on.  Returns the error message, empty
+/// when the exploration succeeds.
+template <typename Walk>
+std::string per_emission_error(const std::vector<engine::FieldSpec>& fields,
+                               const std::vector<std::int64_t>& initial, Walk walk,
+                               std::size_t max_states) {
+    std::map<std::vector<std::int64_t>, std::size_t> index;
+    std::vector<std::vector<std::int64_t>> states;
+    const auto intern = [&](std::span<const std::int64_t> target) {
+        for (std::size_t i = 0; i < fields.size(); ++i) {
+            if (target[i] < fields[i].low || target[i] > fields[i].high) {
+                throw arcade::ModelError("pack: value " + std::to_string(target[i]) +
+                                         " outside field range [" +
+                                         std::to_string(fields[i].low) + "," +
+                                         std::to_string(fields[i].high) + "]");
+            }
+        }
+        std::vector<std::int64_t> key(target.begin(), target.end());
+        if (index.emplace(key, states.size()).second) {
+            states.push_back(key);
+            if (states.size() > max_states) {
+                throw arcade::ModelError("state-space explosion: more than " +
+                                         std::to_string(max_states) + " states");
+            }
+        }
+    };
+    try {
+        intern(initial);
+        for (std::size_t s = 0; s < states.size(); ++s) {
+            const std::vector<std::int64_t> source = states[s];
+            walk(std::span<const std::int64_t>(source),
+                 [&](std::span<const std::int64_t> target, double rate) {
+                     if (!std::isfinite(rate)) {
+                         throw arcade::ModelError("non-finite transition rate");
+                     }
+                     if (rate < 0.0) throw arcade::ModelError("negative transition rate");
+                     if (rate != 0.0) intern(target);
+                 });
+        }
+    } catch (const std::exception& e) {
+        return e.what();
+    }
+    return "";
+}
+
+template <typename Walk>
+std::string explore_error(const std::vector<std::int64_t>& initial, Walk walk,
+                          std::size_t max_states) {
+    try {
+        (void)engine::explore_bfs(square_layout(), initial, walk,
+                                  engine::EngineOptions{.max_states = max_states});
+    } catch (const std::exception& e) {
+        return e.what();
+    }
+    return "";
+}
+
+}  // namespace
+
+TEST(ExploreBfs, BatchedInterningKeepsThePerEmissionErrorPrecedence) {
+    const std::vector<engine::FieldSpec> fields{{0, 9}, {0, 9}};
+    const std::vector<std::int64_t> origin{0, 0};
+    // (9, 9) is the last state BFS discovers, so emitting it early is new;
+    // each failure follows it within the same source.
+    const Extra corner{{9, 9}, 0.5};
+    const Extra self_loop{{1, 0}, 0.25};
+    const std::vector<std::pair<std::string, std::vector<Extra>>> cases{
+        {"new target, then out of range", {corner, self_loop, {{3, 10}, 1.0}}},
+        {"new target, then negative rate", {corner, {{2, 2}, -1.0}}},
+        {"new target, then NaN", {corner, {{2, 2}, std::numeric_limits<double>::quiet_NaN()}}},
+        {"new target, then the walk throws", {corner, self_loop, {{}, 1.0}}},
+        {"out of range first", {{{-1, 0}, 1.0}, corner}},
+        {"walk throws first", {{{}, 1.0}, corner}},
+        {"no failure", {corner, self_loop, {{2, 0}, 0.0}}},
+    };
+    std::size_t explosions = 0;
+    std::size_t failures = 0;
+    for (const auto& [name, extras] : cases) {
+        for (const auto& trigger : {std::vector<std::int64_t>{0, 0}, std::vector<std::int64_t>{1, 0},
+                                    std::vector<std::int64_t>{4, 5}}) {
+            // Every guard from below the first batch to past the chain.
+            for (std::size_t max_states = 0; max_states <= 101; ++max_states) {
+                const std::string expected =
+                    per_emission_error(fields, origin, square_walk(trigger, extras), max_states);
+                EXPECT_EQ(explore_error(origin, square_walk(trigger, extras), max_states),
+                          expected)
+                    << name << ", trigger (" << trigger[0] << "," << trigger[1]
+                    << "), max_states " << max_states;
+                if (expected.find("explosion") != std::string::npos) ++explosions;
+                if (!expected.empty() && expected.find("explosion") == std::string::npos) {
+                    ++failures;
+                }
+            }
+        }
+    }
+    EXPECT_GT(explosions, 500u);
+    EXPECT_GT(failures, 500u);
+}
+
+TEST(ExploreBfs, SelfLoopsAndDuplicatesInOneBatchSumInEmissionOrder) {
+    // At (1, 0): three duplicates of a known target around two self-loops,
+    // and a new target emitted twice — summed left to right from +0.0.
+    const std::vector<std::int64_t> origin{0, 0};
+    const std::vector<Extra> extras{{{2, 0}, 0.1}, {{1, 0}, 5.0},  {{2, 0}, 0.2},
+                                    {{7, 7}, 0.3}, {{1, 0}, 0.125}, {{2, 0}, 0.3},
+                                    {{7, 7}, 0.6}};
+    const auto explored = engine::explore_bfs(square_layout(), origin,
+                                              square_walk({1, 0}, extras));
+    ASSERT_EQ(explored.store.size(), 100u);
+    std::vector<std::int64_t> values(2);
+    std::size_t seven = SIZE_MAX;
+    for (std::size_t s = 0; s < explored.store.size(); ++s) {
+        explored.store.unpack(s, std::span<std::int64_t>(values));
+        if (values == std::vector<std::int64_t>{7, 7}) seven = s;
+    }
+    // (1, 0) is state 1; its successors (2, 0), (1, 1) are 3 and 4 (BFS
+    // from (0, 0) numbers (1, 0), (0, 1) first), and (7, 7) comes next.
+    ASSERT_EQ(seven, 5u);
+    const auto cols = explored.rates.row_columns(1);
+    const auto vals = explored.rates.row_values(1);
+    ASSERT_EQ(std::vector<la::Index>(cols.begin(), cols.end()),
+              (std::vector<la::Index>{3, 4, 5}));
+    const double to_two = ((((0.0 + 1.0) + 0.1) + 0.2) + 0.3);
+    const double to_seven = (0.0 + 0.3) + 0.6;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(vals[0]), std::bit_cast<std::uint64_t>(to_two));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(vals[1]), std::bit_cast<std::uint64_t>(2.0));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(vals[2]), std::bit_cast<std::uint64_t>(to_seven));
+}
+
+TEST(ExploreBfs, DecodesEachSourceIntoTheRequestedElementType) {
+    // The same walk on int16_t and int64_t sources explores the same chain.
+    auto walk16 = [t = std::vector<std::int16_t>()](std::span<const std::int16_t> v,
+                                                    auto&& emit) mutable {
+        for (std::size_t d = 0; d < 2; ++d) {
+            if (v[d] == 9) continue;
+            t.assign(v.begin(), v.end());
+            ++t[d];
+            emit(std::span<const std::int16_t>(t), 1.0 + static_cast<double>(d));
+        }
+    };
+    const std::vector<std::int16_t> origin16{0, 0};
+    const auto narrow = engine::explore_bfs<std::int16_t>(square_layout(), origin16, walk16);
+    const auto wide = engine::explore_bfs(square_layout(), std::vector<std::int64_t>{0, 0},
+                                          square_walk({-1, -1}, {}));
+    ASSERT_EQ(narrow.store.size(), wide.store.size());
+    for (std::size_t s = 0; s < wide.store.size(); ++s) {
+        EXPECT_EQ(narrow.store.value(s, 0), wide.store.value(s, 0));
+        EXPECT_EQ(narrow.store.value(s, 1), wide.store.value(s, 1));
+    }
+    EXPECT_EQ(narrow.rates.row_ptr(), wide.rates.row_ptr());
+    EXPECT_EQ(narrow.rates.col_idx(), wide.rates.col_idx());
+    EXPECT_EQ(bits_of(narrow.rates.values()), bits_of(wide.rates.values()));
+}
+
+TEST(StateStore, MatchesAMapReferenceThroughEveryGrowth) {
+    // 1-, 2- and 3-word layouts; keys drawn with repeats from a space about
+    // twice the 2^18 states interned, so the 1024-slot table grows at least
+    // eight times.
+    const std::vector<std::vector<engine::FieldSpec>> layouts{
+        {{0, (std::int64_t{1} << 40) - 1}, {-3, 3}},
+        {{0, (std::int64_t{1} << 40) - 1}, {0, (std::int64_t{1} << 40) - 1}},
+        {{0, (std::int64_t{1} << 62)}, {-5, 5}, {0, (std::int64_t{1} << 40) - 1}, {0, 0},
+         {0, (std::int64_t{1} << 62)}}};
+    const std::size_t wanted = std::size_t{1} << 18;
+    std::mt19937_64 rng(111809);
+    for (std::size_t l = 0; l < layouts.size(); ++l) {
+        const engine::StateLayout layout(layouts[l]);
+        ASSERT_EQ(layout.words_per_state(), l + 1);
+        engine::StateStore store(layout);
+        std::map<std::vector<std::uint64_t>, std::size_t> reference;
+        std::vector<std::vector<std::uint64_t>> order;
+        std::vector<std::int64_t> values(layouts[l].size());
+        std::vector<std::uint64_t> words(layout.words_per_state());
+        // Each field draws from a pool of values: two for every field but
+        // the first, whose pool makes the key space 2^19, so draws repeat.
+        std::size_t pooled = 0;
+        for (std::size_t i = 1; i < layouts[l].size(); ++i) {
+            if (layouts[l][i].high > layouts[l][i].low) ++pooled;
+        }
+        const auto draw = [&] {
+            for (std::size_t i = 0; i < values.size(); ++i) {
+                const auto& f = layouts[l][i];
+                const std::uint64_t pool = i == 0 ? std::uint64_t{1} << (19 - pooled) : 2;
+                const std::uint64_t range = static_cast<std::uint64_t>(f.high - f.low);
+                values[i] = f.low + static_cast<std::int64_t>(
+                                        (rng() % pool) * (range / pool) % (range + 1));
+            }
+            layout.pack(std::span<const std::int64_t>(values), words.data());
+        };
+        std::size_t absent_checks = 0;
+        while (store.size() < wanted) {
+            draw();
+            const auto [it, fresh] = reference.emplace(words, reference.size());
+            if (fresh && rng() % 8 == 0) {
+                ASSERT_EQ(store.find(words.data()), SIZE_MAX);
+                ++absent_checks;
+            }
+            if (fresh) order.push_back(words);
+            const auto [index, inserted] = store.intern(words.data());
+            ASSERT_EQ(inserted, fresh);
+            ASSERT_EQ(index, it->second);
+        }
+        EXPECT_GT(absent_checks, 1000u);
+        EXPECT_LT(reference.size(), 2 * wanted);
+        ASSERT_EQ(store.size(), order.size());
+        for (std::size_t s = 0; s < order.size(); ++s) {
+            ASSERT_TRUE(std::equal(order[s].begin(), order[s].end(), store.words(s))) << s;
+            ASSERT_EQ(store.find(order[s].data()), s);
+        }
+        for (int k = 0; k < 10000; ++k) {
+            draw();
+            const auto it = reference.find(words);
+            ASSERT_EQ(store.find(words.data()), it == reference.end() ? SIZE_MAX : it->second);
+        }
+    }
 }
 
 TEST(ExploredModel, StatesAdapterMaterialisesValuations) {

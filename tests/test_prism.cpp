@@ -352,6 +352,27 @@ TEST(PrismParser, LongExpressionChainsThrowParseErrorPastTheTreeBound) {
     }
 }
 
+TEST(PrismExplore, OverflowingRateIsAModelErrorAtItsEmission) {
+    // 1e308*10 folds to +inf.  It used to be explored into the chain and
+    // refused only by the Ctmc constructor, as InvalidArgument.
+    const char* text = R"(
+ctmc
+module m
+  x : [0..2] init 0;
+  [] x=0 -> 1 : (x'=1);
+  [] x=1 -> 1e308*10 : (x'=2);
+  [] x=2 -> 1 : (x'=0);
+endmodule
+)";
+    const auto sys = prism::parse_prism(text);
+    try {
+        (void)modules::explore(sys);
+        FAIL() << "expected ModelError";
+    } catch (const arcade::ModelError& e) {
+        EXPECT_EQ(std::string(e.what()), "non-finite transition rate");
+    }
+}
+
 TEST(PrismWriter, RoundTripPreservesSemantics) {
     const auto sys = prism::parse_prism(kTwoComponentModel);
     const std::string text = prism::write_prism(sys);

@@ -3,13 +3,17 @@
 // reverse-engineered from these numbers).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "arcade/compiler.hpp"
+#include "arcade/fault_tree.hpp"
 #include "arcade/modules_compiler.hpp"
 #include "modules/explorer.hpp"
 #include "watertree/watertree.hpp"
@@ -294,4 +298,260 @@ TEST(ChainPins, ModulesExplorerLine2Translations) {
                   pinned(std::begin(kModulesPins), std::end(kModulesPins), name))
             << name;
     }
+}
+
+// ---------------------------------------------------------------------------
+// The compiler fills its per-state vectors while exploring.  A reference
+// that decodes every explored state afterwards — written here from the
+// encodings' documented layouts, in the compiler's summation orders — must
+// give the same bits: service levels, cost rates and, for an individual
+// model explored on the lumped encoding, the full chain's summed sizes.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// What the reference needs of a model: components grouped as the lumped
+/// encoding groups them (same repair unit, phase, rates, failed-cost rate
+/// and priority; first-occurrence order).
+struct Decoder {
+    const core::ArcadeModel& model;
+    std::vector<std::size_t> unit;   // per component; SIZE_MAX = unrepaired
+    std::vector<std::size_t> phase;  // per component
+    std::vector<std::size_t> group;  // per component
+    std::vector<std::size_t> first_member;
+    std::vector<std::size_t> group_size;
+
+    explicit Decoder(const core::ArcadeModel& m)
+        : model(m),
+          unit(m.components.size(), SIZE_MAX),
+          phase(m.components.size()),
+          group(m.components.size()) {
+        std::vector<int> priority(m.components.size(), 0);
+        for (std::size_t r = 0; r < m.repair_units.size(); ++r) {
+            const auto& ru = m.repair_units[r];
+            for (std::size_t i = 0; i < ru.components.size(); ++i) {
+                unit[ru.components[i]] = r;
+                if (ru.policy == core::RepairPolicy::Priority) {
+                    priority[ru.components[i]] = ru.priorities[i];
+                }
+            }
+        }
+        for (std::size_t p = 0; p < m.phases.size(); ++p) {
+            for (const std::size_t c : m.phases[p].components) phase[c] = p;
+        }
+        const auto key = [&](std::size_t c) {
+            const auto& comp = m.components[c];
+            return std::make_tuple(unit[c], phase[c], comp.failure_rate(), comp.repair_rate(),
+                                   comp.failed_cost_rate, priority[c]);
+        };
+        for (std::size_t c = 0; c < m.components.size(); ++c) {
+            std::size_t g = 0;
+            while (g < first_member.size() && key(first_member[g]) != key(c)) ++g;
+            if (g == first_member.size()) {
+                first_member.push_back(c);
+                group_size.push_back(0);
+            }
+            group[c] = g;
+            ++group_size[g];
+        }
+    }
+
+    [[nodiscard]] const core::RepairUnit* unit_of_group(std::size_t g) const {
+        const std::size_t r = unit[first_member[g]];
+        return r == SIZE_MAX ? nullptr : &model.repair_units[r];
+    }
+    [[nodiscard]] static bool queues(const core::RepairUnit& ru) {
+        return ru.policy != core::RepairPolicy::None &&
+               ru.policy != core::RepairPolicy::Dedicated;
+    }
+    [[nodiscard]] std::size_t crews(const core::RepairUnit& ru) const {
+        return ru.policy == core::RepairPolicy::Dedicated ? ru.components.size() : ru.crews;
+    }
+
+    /// Idle-crew cost of each unit with `down[r]` components down, added in
+    /// unit order.
+    void add_idle_cost(double& cost, const std::vector<std::size_t>& down) const {
+        for (std::size_t r = 0; r < model.repair_units.size(); ++r) {
+            const auto& ru = model.repair_units[r];
+            if (ru.policy == core::RepairPolicy::None) continue;
+            const std::size_t k = crews(ru);
+            cost += static_cast<double>(k - std::min(k, down[r])) * ru.idle_cost_rate;
+        }
+    }
+
+    /// {service, cost} of an individual-encoding state.
+    [[nodiscard]] std::pair<double, double> individual(const std::vector<std::int16_t>& v) const {
+        std::vector<std::size_t> up(model.phases.size(), 0);
+        std::vector<std::size_t> down(model.repair_units.size(), 0);
+        double cost = 0.0;
+        for (std::size_t c = 0; c < model.components.size(); ++c) {
+            if (v[c] == 0) {
+                ++up[phase[c]];
+                continue;
+            }
+            cost += model.components[c].failed_cost_rate;
+            if (unit[c] != SIZE_MAX) ++down[unit[c]];
+        }
+        add_idle_cost(cost, down);
+        return {core::phase_service_level(model, up), cost};
+    }
+
+    /// Down members per group of a lumped-encoding state: its waiting
+    /// counter plus the member a non-preemptive queue tracks.
+    [[nodiscard]] std::vector<std::size_t> group_down(const std::vector<std::int16_t>& v) const {
+        const std::size_t groups = first_member.size();
+        std::vector<std::size_t> down(groups);
+        for (std::size_t g = 0; g < groups; ++g) {
+            down[g] = static_cast<std::size_t>(v[g]);
+            const std::size_t r = unit[first_member[g]];
+            const auto* ru = unit_of_group(g);
+            if (ru != nullptr && queues(*ru) && !ru->preemptive &&
+                v[groups + r] == static_cast<std::int16_t>(g + 1)) {
+                ++down[g];
+            }
+        }
+        return down;
+    }
+
+    /// {service, cost} of a lumped-encoding state.
+    [[nodiscard]] std::pair<double, double> lumped(const std::vector<std::int16_t>& v) const {
+        const auto down = group_down(v);
+        std::vector<std::size_t> up(model.phases.size());
+        for (std::size_t p = 0; p < model.phases.size(); ++p) {
+            up[p] = model.phases[p].components.size();
+        }
+        std::vector<std::size_t> unit_down(model.repair_units.size(), 0);
+        double cost = 0.0;
+        for (std::size_t g = 0; g < down.size(); ++g) {
+            up[phase[first_member[g]]] -= down[g];
+            cost += static_cast<double>(down[g]) * model.components[first_member[g]].failed_cost_rate;
+            if (unit[first_member[g]] != SIZE_MAX) unit_down[unit[first_member[g]]] += down[g];
+        }
+        add_idle_cost(cost, unit_down);
+        return {core::phase_service_level(model, up), cost};
+    }
+
+    /// {states, transitions} of the individual chain a lumped state stands
+    /// for: the orbit (per group n!/(n-d)! in a queue, C(n, d) otherwise)
+    /// times one row (a failure per up component, the repairs in progress).
+    [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> orbit(
+        const std::vector<std::int16_t>& v) const {
+        const std::size_t groups = first_member.size();
+        const auto down = group_down(v);
+        std::uint64_t states = 1;
+        std::uint64_t row = 0;
+        std::vector<std::size_t> waiting(model.repair_units.size(), 0);
+        for (std::size_t g = 0; g < groups; ++g) {
+            const std::size_t n = group_size[g];
+            row += n - down[g];
+            const auto* ru = unit_of_group(g);
+            std::uint64_t ways = 1;
+            for (std::size_t i = 0; i < down[g]; ++i) ways *= n - i;
+            if (ru == nullptr || !queues(*ru)) {
+                for (std::size_t i = 2; i <= down[g]; ++i) ways /= i;
+            }
+            states *= ways;
+            if (ru != nullptr) waiting[unit[first_member[g]]] += static_cast<std::size_t>(v[g]);
+        }
+        for (std::size_t r = 0; r < model.repair_units.size(); ++r) {
+            const auto& ru = model.repair_units[r];
+            if (ru.policy == core::RepairPolicy::Dedicated) {
+                row += waiting[r];
+            } else if (queues(ru) && ru.preemptive) {
+                row += std::min(ru.crews, waiting[r]);
+            } else if (queues(ru) && v[groups + r] != 0) {
+                row += 1 + std::min(ru.crews - 1, waiting[r]);
+            }
+        }
+        return {states, states * row};
+    }
+};
+
+std::vector<std::uint64_t> bit_patterns(const std::vector<double>& values) {
+    std::vector<std::uint64_t> bits;
+    bits.reserve(values.size());
+    for (const double v : values) bits.push_back(std::bit_cast<std::uint64_t>(v));
+    return bits;
+}
+
+}  // namespace
+
+TEST(CompileWalk, PerStateVectorsMatchADecodeAfterExploreReference) {
+    struct Variant {
+        core::Encoding encoding;
+        core::ReductionPolicy reduction;
+    };
+    const Variant variants[] = {{core::Encoding::Individual, core::ReductionPolicy::Off},
+                                {core::Encoding::Lumped, core::ReductionPolicy::Off},
+                                {core::Encoding::Individual, core::ReductionPolicy::Auto}};
+    std::vector<std::string> strategies;
+    for (const auto& s : wt::paper_strategies()) {
+        strategies.push_back(s.name);
+        if (s.policy != core::RepairPolicy::Dedicated) strategies.push_back(s.name + "-pre");
+    }
+    ASSERT_EQ(strategies.size(), 9u);
+    std::size_t checked = 0;
+    std::size_t summed = 0;
+    for (const int line : {1, 2}) {
+        for (const auto& name : strategies) {
+            for (const bool with_repair : {true, false}) {
+                const auto built = wt::line(line, wt::strategy(name));
+                const auto model = with_repair ? built : core::without_repair(built);
+                const Decoder decoder(model);
+                std::size_t full_states = 0;
+                std::size_t full_transitions = 0;
+                for (const Variant& variant : variants) {
+                    core::CompileOptions options;
+                    options.encoding = variant.encoding;
+                    options.reduction = variant.reduction;
+                    const auto compiled = core::compile(model, options);
+                    const std::size_t n = compiled.chain().state_count();
+                    const bool lumped_states =
+                        compiled.encoded_state(0).size() != 2 * model.components.size();
+                    std::vector<double> service(n);
+                    std::vector<double> cost(n);
+                    std::uint64_t states = 0;
+                    std::uint64_t transitions = 0;
+                    for (std::size_t s = 0; s < n; ++s) {
+                        const auto v = compiled.encoded_state(s);
+                        std::tie(service[s], cost[s]) =
+                            lumped_states ? decoder.lumped(v) : decoder.individual(v);
+                        if (lumped_states) {
+                            const auto [orbit_states, orbit_transitions] = decoder.orbit(v);
+                            states += orbit_states;
+                            transitions += orbit_transitions;
+                        }
+                    }
+                    std::string label = std::to_string(line);
+                    label.append(" ").append(name);
+                    label.append(with_repair ? "" : " without repair");
+                    label.append(lumped_states ? " lumped" : " individual");
+                    if (variant.reduction == core::ReductionPolicy::Auto) label.append(" (Auto)");
+                    EXPECT_EQ(bit_patterns(compiled.service_levels()), bit_patterns(service))
+                        << label;
+                    EXPECT_EQ(bit_patterns(compiled.cost_reward().state_rates()),
+                              bit_patterns(cost))
+                        << label;
+                    if (variant.encoding == core::Encoding::Individual &&
+                        variant.reduction == core::ReductionPolicy::Off) {
+                        full_states = n;
+                        full_transitions = compiled.chain().rates().nonzeros();
+                    } else if (variant.encoding == core::Encoding::Individual) {
+                        // Auto: the closed-form sizes, summed over the lumped
+                        // states, are the full chain's.
+                        if (lumped_states) {
+                            EXPECT_EQ(compiled.state_count(), states) << label;
+                            EXPECT_EQ(compiled.transition_count(), transitions) << label;
+                            ++summed;
+                        }
+                        EXPECT_EQ(compiled.state_count(), full_states) << label;
+                        EXPECT_EQ(compiled.transition_count(), full_transitions) << label;
+                    }
+                    ++checked;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(checked, 108u);
+    EXPECT_EQ(summed, 36u);
 }

@@ -144,6 +144,40 @@ TEST(ArcadeXml, HandWrittenModelParses) {
     EXPECT_GT(core::availability(compiled), 0.9);
 }
 
+TEST(ArcadeXml, InfiniteAndSubnormalMeansAreTypedErrors) {
+    const auto tiny = [](const std::string& mttf, const std::string& mttr) {
+        return R"(<arcade name="tiny">
+  <components>
+    <component name="cpu" mttf=")" + mttf + R"(" mttr=")" + mttr + R"("/>
+  </components>
+  <repairUnits>
+    <repairUnit name="crew" policy="dedicated" crews="1"><serves component="cpu"/></repairUnit>
+  </repairUnits>
+  <serviceModel>
+    <phase name="compute" required="1"><member component="cpu"/></phase>
+  </serviceModel>
+</arcade>)";
+    };
+    // std::stod reads "inf": an infinite mean has rate 0, on which compile
+    // used to abort.
+    for (const auto& [mttf, mttr, quantity] :
+         {std::tuple{"inf", "2", "MTTF"}, std::tuple{"100", "inf", "MTTR"}}) {
+        try {
+            (void)core::compile(core::model_from_xml(tiny(mttf, mttr)));
+            ADD_FAILURE() << "expected ModelError for mttf=" << mttf << " mttr=" << mttr;
+        } catch (const arcade::ModelError& e) {
+            const std::string message = e.what();
+            EXPECT_NE(message.find("component 'cpu' has " + std::string(quantity)),
+                      std::string::npos)
+                << message;
+        }
+    }
+    // A subnormal mean (infinite rate) underflows std::stod: the attribute
+    // is refused as not a number before a model exists.
+    EXPECT_THROW((void)core::model_from_xml(tiny("100", "5e-324")), arcade::ParseError);
+    EXPECT_THROW((void)core::model_from_xml(tiny("5e-324", "2")), arcade::ParseError);
+}
+
 TEST(ArcadeXml, MissingSectionsAreErrors) {
     EXPECT_THROW(core::model_from_xml("<arcade/>"), arcade::ParseError);
     EXPECT_THROW(core::model_from_xml("<other/>"), arcade::ParseError);
