@@ -67,18 +67,6 @@ struct Plan {
     std::vector<CompPlan> comps;
     std::vector<Group> groups;                       // lumped encoding
     std::vector<std::vector<std::size_t>> ru_groups; // groups per RU, class-major order
-    /// phase_service of every phase at every count of working members.
-    std::vector<std::vector<double>> phase_levels;
-
-    /// phase_service_level from the table: the same values, minimised in
-    /// the same order.
-    [[nodiscard]] double service(const std::vector<std::size_t>& up_per_phase) const {
-        double service = 1.0;
-        for (std::size_t p = 0; p < phase_levels.size(); ++p) {
-            service = std::min(service, phase_levels[p][up_per_phase[p]]);
-        }
-        return service;
-    }
 };
 
 double policy_key(const RepairUnit& ru, const BasicComponent& c, int priority) {
@@ -102,12 +90,6 @@ Plan make_plan(const ArcadeModel& model) {
     for (std::size_t c = 0; c < model.components.size(); ++c) {
         plan.comps[c].frate = model.components[c].failure_rate();
         plan.comps[c].rrate = model.components[c].repair_rate();
-    }
-    for (const auto& phase : model.phases) {
-        auto& levels = plan.phase_levels.emplace_back();
-        for (std::size_t up = 0; up <= phase.components.size(); ++up) {
-            levels.push_back(phase_service(phase, up));
-        }
     }
 
     for (std::size_t r = 0; r < model.repair_units.size(); ++r) {
@@ -430,7 +412,7 @@ public:
             const std::size_t busy = std::min(crews, down[r]);
             cost += static_cast<double>(crews - busy) * ru.idle_cost_rate;
         }
-        return {plan_.service(up), cost};
+        return {phase_service_level(model_, up), cost};
     }
 
     /// Canonical post-disaster state (see CompiledModel::disaster_state).
@@ -748,7 +730,7 @@ public:
         for (std::size_t g = 0; g < g_; ++g) {
             up[plan_.groups[g].phase] -= down_of_group(s, g);
         }
-        return {plan_.service(up), cost_rate(s)};
+        return {phase_service_level(model_, up), cost_rate(s)};
     }
 
     [[nodiscard]] double cost_rate(StateView s) const {

@@ -167,11 +167,17 @@ FaultTree FaultTree::total_failure_tree(const ArcadeModel& model) {
                                    : any_of(std::move(phase_trees));
 }
 
+namespace {
+
+/// Service level of one phase with `up` working members: up/n for a plain
+/// phase, min(1, up/required) for a spare-managed one.
 double phase_service(const ServicePhase& phase, std::size_t up) {
     const double working = static_cast<double>(up);
     if (phase.spare_managed) return std::min(1.0, working / static_cast<double>(phase.required));
     return working / static_cast<double>(phase.components.size());
 }
+
+}  // namespace
 
 double phase_service_level(const ArcadeModel& model,
                            const std::vector<std::size_t>& up_per_phase) {

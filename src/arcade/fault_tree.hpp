@@ -67,13 +67,10 @@ private:
     std::vector<FaultTree> children_;
 };
 
-/// Service level of one phase with `up` working members: up/n for a plain
-/// phase, min(1, up/required) for a spare-managed one.
-[[nodiscard]] double phase_service(const ServicePhase& phase, std::size_t up);
-
 /// Phase-based service evaluation (the fast path the compiler uses):
-/// service = min over phases of phase_service, starting from 1.  Equals the
-/// FaultTree dual on phase-structured models (asserted by tests).
+/// service = min over phases; plain phase = up/n, spare phase =
+/// min(1, up/required).  Equals the FaultTree dual on phase-structured
+/// models (asserted by tests).
 [[nodiscard]] double phase_service_level(const ArcadeModel& model,
                                          const std::vector<std::size_t>& up_per_phase);
 

@@ -120,7 +120,6 @@ Explored explore_bfs(const StateLayout& layout, std::span<const std::type_identi
         } catch (...) {
             failure = std::current_exception();
         }
-        for (const Emission& e : batch) store.prefetch_state(e.hash);
         for (std::size_t k = 0; k < batch.size(); ++k) {
             const std::size_t index = intern(batch_words.data() + k * wps, batch[k].hash);
             if (index == source) continue;  // rate self-loop: a CTMC no-op

@@ -33,7 +33,6 @@ StateLayout::StateLayout(const std::vector<FieldSpec>& fields) : specs_(fields) 
         // can store each word once.
         slot.word = word;
         slot.shift = bits == 0 ? 0 : used;
-        slot.unit = std::uint64_t{1} << slot.shift;
         slots_.push_back(slot);
         used += bits;
         word_end_.resize(word + 1);

@@ -68,7 +68,7 @@ public:
                     static_cast<std::uint64_t>(static_cast<std::int64_t>(values[i])) -
                     static_cast<std::uint64_t>(s.low);
                 outside |= raw > s.range;
-                acc |= raw * s.unit;
+                acc |= raw << s.shift;
             }
             out[w] = acc;
         }
@@ -102,7 +102,6 @@ private:
         std::int64_t low;
         std::uint64_t range;  // high - low (max raw value)
         std::uint64_t mask;   // (1 << bits) - 1; 0 for zero-width fields
-        std::uint64_t unit;   // 1 << shift: pack multiplies, one instruction
         std::uint32_t word;
         std::uint32_t shift;
     };
@@ -156,15 +155,6 @@ public:
     /// Starts loading the home slot of `hash` into the cache.
     void prefetch(std::uint64_t hash) const noexcept {
         __builtin_prefetch(slots_.data() + (hash & slot_mask_));
-    }
-
-    /// Once the home slot of `hash` is cached: starts loading the state its
-    /// tag matches, which intern() will compare against.
-    void prefetch_state(std::uint64_t hash) const noexcept {
-        const std::uint64_t slot = slots_[hash & slot_mask_];
-        if (slot != 0 && (slot & kTagMask) == (hash & kTagMask)) {
-            __builtin_prefetch(arena_.data() + ((slot & kIndexMask) - 1) * wps_);
-        }
     }
 
     /// Interns a packed state; returns its index and whether it was new.
