@@ -167,24 +167,20 @@ FaultTree FaultTree::total_failure_tree(const ArcadeModel& model) {
                                    : any_of(std::move(phase_trees));
 }
 
-namespace {
-
-/// Service level of one phase with `up` working members: up/n for a plain
-/// phase, min(1, up/required) for a spare-managed one.
-double phase_service(const ServicePhase& phase, std::size_t up) {
-    const double working = static_cast<double>(up);
-    if (phase.spare_managed) return std::min(1.0, working / static_cast<double>(phase.required));
-    return working / static_cast<double>(phase.components.size());
-}
-
-}  // namespace
-
 double phase_service_level(const ArcadeModel& model,
                            const std::vector<std::size_t>& up_per_phase) {
     ARCADE_ASSERT(up_per_phase.size() == model.phases.size(), "phase count mismatch");
     double service = 1.0;
     for (std::size_t p = 0; p < model.phases.size(); ++p) {
-        service = std::min(service, phase_service(model.phases[p], up_per_phase[p]));
+        const auto& phase = model.phases[p];
+        const double up = static_cast<double>(up_per_phase[p]);
+        double s = 0.0;
+        if (phase.spare_managed) {
+            s = std::min(1.0, up / static_cast<double>(phase.required));
+        } else {
+            s = up / static_cast<double>(phase.components.size());
+        }
+        service = std::min(service, s);
     }
     return service;
 }
@@ -197,8 +193,15 @@ std::vector<double> phase_service_levels(const ArcadeModel& model) {
     levels.insert(0.0);
     levels.insert(1.0);
     for (const auto& phase : model.phases) {
-        for (std::size_t up = 0; up <= phase.components.size(); ++up) {
-            levels.insert(phase_service(phase, up));
+        const std::size_t n = phase.components.size();
+        for (std::size_t up = 0; up <= n; ++up) {
+            double s = 0.0;
+            if (phase.spare_managed) {
+                s = std::min(1.0, static_cast<double>(up) / static_cast<double>(phase.required));
+            } else {
+                s = static_cast<double>(up) / static_cast<double>(n);
+            }
+            levels.insert(s);
         }
     }
     return {levels.begin(), levels.end()};
