@@ -5,17 +5,24 @@
 #include <cmath>
 #include <cstdint>
 #include <exception>
-#include <list>
-#include <map>
 #include <mutex>
 #include <utility>
+#include <vector>
 
 #include "linalg/vector_ops.hpp"
 #include "support/errors.hpp"
+#include "support/strings.hpp"
 
 namespace arcade::numeric {
 
 PoissonWeights fox_glynn(double q, double epsilon) {
+    // From 2^53 on a double no longer holds every integer near q, so the
+    // window's indices cannot be formed (cast to size_t, a q past 2^64
+    // collapsed the window to {0} and a large one exhausted memory).
+    if (!std::isfinite(q) || q >= 0x1p53) {
+        throw InvalidArgument("fox_glynn: Poisson rate q=" + format_g17(q) +
+                              " is not finite or not below 2^53");
+    }
     ARCADE_ASSERT(q >= 0.0, "fox_glynn: negative rate");
     ARCADE_ASSERT(epsilon > 0.0 && epsilon < 1.0, "fox_glynn: epsilon out of (0,1)");
 
@@ -138,19 +145,33 @@ struct Entry {
     std::exception_ptr error;  ///< written by the claimer before Failed
 };
 
+/// The cache: an open-addressing index of 2·kCapacity slots, probed
+/// linearly under one mutex, so a lookup is one probe and a miss one
+/// allocation.  A Failed entry is replaced by the next lookup of its key,
+/// and a miss that finds kCapacity entries empties the index; batches keep
+/// the entries they hold either way, so neither disturbs a claim.
 struct FoxGlynnCache {
-    std::mutex mutex;
-    // Most-recent at the front; `index` maps keys to their list position so
-    // a hit is one splice, an eviction one pop_back.  An evicted entry lives
-    // on in the batches that hold it, so eviction never disturbs a claim.
-    std::list<std::pair<CacheKey, std::shared_ptr<Entry>>> lru;
-    std::map<CacheKey, decltype(lru)::iterator> index;
-    std::atomic<std::size_t> hits{0};
-    std::atomic<std::size_t> misses{0};
     // Each series cell asks for one window per grid point (91–101 distinct
     // q on the paper's grids); one pass of the paper's grid asks for 1603
     // distinct windows, about 1 MB of weights.
     static constexpr std::size_t kCapacity = 2048;
+    static constexpr int kSlotBits = std::bit_width(2 * kCapacity - 1);
+    using Slot = std::pair<CacheKey, std::shared_ptr<Entry>>;  ///< empty while the entry is null
+
+    std::mutex mutex;
+    std::vector<Slot> slots = std::vector<Slot>(2 * kCapacity);
+    std::size_t size = 0;  ///< non-empty slots
+    std::atomic<std::size_t> hits{0};
+    std::atomic<std::size_t> misses{0};
+
+    /// The slot holding `key`, or the empty slot where it goes (Fibonacci
+    /// hashing: the product's top bits depend on every bit of the key).
+    std::size_t probe(const CacheKey& key) const {
+        std::size_t i =
+            (key.first ^ std::rotl(key.second, 32)) * 0x9e3779b97f4a7c15u >> (64 - kSlotBits);
+        while (slots[i].second != nullptr && slots[i].first != key) i = (i + 1) % slots.size();
+        return i;
+    }
 };
 
 FoxGlynnCache& cache() {
@@ -163,10 +184,6 @@ FoxGlynnCache& cache() {
 std::vector<std::shared_ptr<const PoissonWeights>> fox_glynn_cached(
     std::span<const double> rates, double epsilon) {
     FoxGlynnCache& c = cache();
-    const auto key_of = [&](std::size_t i) {
-        return CacheKey{std::bit_cast<std::uint64_t>(rates[i]),
-                        std::bit_cast<std::uint64_t>(epsilon)};
-    };
     // Look every rate up under one lock; a miss inserts an unclaimed entry,
     // so a rate repeated in the batch, or asked for by another caller,
     // finds the same entry.
@@ -174,18 +191,21 @@ std::vector<std::shared_ptr<const PoissonWeights>> fox_glynn_cached(
     {
         std::lock_guard<std::mutex> lock(c.mutex);
         for (std::size_t i = 0; i < rates.size(); ++i) {
-            const CacheKey key = key_of(i);
-            if (const auto it = c.index.find(key); it != c.index.end()) {
-                c.lru.splice(c.lru.begin(), c.lru, it->second);
-            } else {
-                c.lru.emplace_front(key, std::make_shared<Entry>());
-                c.index.emplace(key, c.lru.begin());
-                if (c.lru.size() > FoxGlynnCache::kCapacity) {
-                    c.index.erase(c.lru.back().first);
-                    c.lru.pop_back();
-                }
+            const CacheKey key{std::bit_cast<std::uint64_t>(rates[i]),
+                               std::bit_cast<std::uint64_t>(epsilon)};
+            std::size_t slot = c.probe(key);
+            if (c.slots[slot].second == nullptr && c.size == FoxGlynnCache::kCapacity) {
+                c.slots.assign(c.slots.size(), {});
+                c.size = 0;
+                slot = c.probe(key);
             }
-            entries[i] = c.lru.front().second;
+            auto& [slot_key, entry] = c.slots[slot];
+            if (entry == nullptr) ++c.size;
+            if (entry == nullptr || entry->state.load(std::memory_order_relaxed) == Entry::Failed) {
+                slot_key = key;
+                entry = std::make_shared<Entry>();
+            }
+            entries[i] = entry;
         }
     }
     // Claim and compute, in batch order, every entry no other caller has
@@ -205,19 +225,10 @@ std::vector<std::shared_ptr<const PoissonWeights>> fox_glynn_cached(
         try {
             e.weights = fox_glynn(rates[i], epsilon);
         } catch (...) {
-            // Errors are never cached: the entry leaves the index before it
-            // turns Failed, so a later lookup inserts a fresh entry and
-            // computes again, while every caller already holding this one
-            // rethrows its error.
+            // Errors are never cached: a lookup that finds the entry Failed
+            // replaces it and computes again, while every caller already
+            // holding this one rethrows its error.
             e.error = std::current_exception();
-            {
-                std::lock_guard<std::mutex> lock(c.mutex);
-                const auto it = c.index.find(key_of(i));
-                if (it != c.index.end() && it->second->second == entries[i]) {
-                    c.lru.erase(it->second);
-                    c.index.erase(it);
-                }
-            }
             e.state.store(Entry::Failed, std::memory_order_release);
             e.state.notify_all();
             throw;
@@ -235,7 +246,7 @@ std::vector<std::shared_ptr<const PoissonWeights>> fox_glynn_cached(
             state = e.state.load(std::memory_order_acquire);
         }
         if (state == Entry::Failed) std::rethrow_exception(e.error);
-        // Shares ownership of the entry, so the weights outlive an eviction.
+        // Shares ownership of the entry, so the weights outlive its slot.
         out[i] = std::shared_ptr<const PoissonWeights>(entries[i], &e.weights);
     }
     return out;
@@ -253,8 +264,8 @@ FoxGlynnCacheStats fox_glynn_cache_stats() {
 void fox_glynn_cache_clear() {
     FoxGlynnCache& c = cache();
     std::lock_guard<std::mutex> lock(c.mutex);
-    c.lru.clear();
-    c.index.clear();
+    c.slots.assign(c.slots.size(), {});
+    c.size = 0;
     c.hits.store(0, std::memory_order_relaxed);
     c.misses.store(0, std::memory_order_relaxed);
 }

@@ -32,16 +32,18 @@ struct PoissonWeights {
 /// total_before_norm ≥ 1 - epsilon; if no double-precision window can (the
 /// requested epsilon is below the summation's rounding floor), throws
 /// ConvergenceError instead of silently returning under-covering weights.
+/// A q that is not finite or not below 2^53 throws InvalidArgument naming q.
 [[nodiscard]] PoissonWeights fox_glynn(double q, double epsilon);
 
-/// fox_glynn through a process-wide LRU cache keyed by the exact bit
-/// patterns of (q, epsilon).  A series pass asks for one window per grid
+/// fox_glynn through a process-wide cache keyed by the exact bit patterns
+/// of (q, epsilon).  A series pass asks for one window per grid
 /// point, and every sweep cell over the same chain and time grid asks for
 /// the same (lambda·t, epsilon) pairs — the cache turns those
 /// recomputations into a shared lookup.  Cached weights are the same values fox_glynn would
 /// return (same computation, run once), so byte-identity of every consumer
 /// is preserved.  Thread-safe; callers keep the result alive via the
-/// shared_ptr even if the entry is evicted.
+/// shared_ptr even if the entry leaves the cache.  The cache holds at most
+/// 2048 windows: a lookup that misses when it is full empties it first.
 [[nodiscard]] std::shared_ptr<const PoissonWeights> fox_glynn_cached(double q,
                                                                      double epsilon);
 
@@ -61,15 +63,14 @@ struct PoissonWeights {
 /// `misses` counts computations and `hits` the other requests.  While the
 /// cache has room, concurrent callers together compute each distinct window
 /// once, and a batch on one thread counts as one call per rate in order.
-/// A computation that throws (ConvergenceError) leaves the cache before it
-/// fails: the error reaches the caller that computed it and every caller
-/// waiting on it, and is never cached, so a later request computes the
-/// window again.  A caller whose own computation throws counts no hits;
+/// A computation that throws (ConvergenceError, InvalidArgument) is never
+/// cached: the error reaches the caller that computed it and every caller
+/// waiting on it, and a later request computes the window again.  A caller whose own computation throws counts no hits;
 /// the windows it computed before the error stay cached.
 [[nodiscard]] std::vector<std::shared_ptr<const PoissonWeights>> fox_glynn_cached(
     std::span<const double> rates, double epsilon);
 
-/// Hit/miss counters of the fox_glynn_cached LRU (process-wide): `misses`
+/// Hit/miss counters of the fox_glynn_cached cache (process-wide): `misses`
 /// counts window computations, `hits` the requests that computed nothing.
 struct FoxGlynnCacheStats {
     std::size_t hits = 0;
@@ -78,7 +79,7 @@ struct FoxGlynnCacheStats {
 
 [[nodiscard]] FoxGlynnCacheStats fox_glynn_cache_stats();
 
-/// Empties the LRU and zeroes its counters (tests).
+/// Empties the cache and zeroes its counters (tests).
 void fox_glynn_cache_clear();
 
 }  // namespace arcade::numeric

@@ -13,18 +13,9 @@
 #include "arcade/measures.hpp"
 #include "logic/csl_compiled.hpp"
 #include "support/errors.hpp"
-#include "support/strings.hpp"
+#include "sweep/export.hpp"
 
 namespace arcade::sweep {
-
-void NumberText::assign(std::span<const double> values) {
-    clear();
-    ends_.reserve(values.size());
-    for (const double v : values) {
-        append_g17(text_, v);
-        ends_.push_back(text_.size());
-    }
-}
 
 namespace {
 
@@ -94,8 +85,8 @@ void prepare(const WorkItem& item, const core::CompiledModel& model, ScenarioRes
     result.model_explored_states = model.chain().state_count();
 }
 
-ScenarioResult evaluate(engine::AnalysisSession& session, const WorkItem& item,
-                        const CompiledPtr& model) {
+ScenarioResult evaluate(engine::AnalysisSession& session, const ScenarioGrid& grid,
+                        const WorkItem& item, const CompiledPtr& model) {
     const double t0 = now_seconds();
     ScenarioResult result;
     prepare(item, *model, result);
@@ -144,7 +135,7 @@ ScenarioResult evaluate(engine::AnalysisSession& session, const WorkItem& item,
         }
     }
     result.seconds = now_seconds() - t0;
-    result.value_text.assign(result.values);
+    render_text(result, grid);
     return result;
 }
 
@@ -176,8 +167,9 @@ std::vector<std::vector<std::size_t>> power_sequences(const std::vector<WorkItem
 /// Evaluates a group of one or more cost cells with one core::cost_series
 /// pass, the only path a cost cell takes.  The task's wall time is split
 /// evenly across its cells, so the cells' seconds still sum to busy time.
-void evaluate_costs(const std::vector<WorkItem>& items, const std::vector<std::size_t>& cells,
-                    const CompiledPtr& model, std::vector<ScenarioResult>& results) {
+void evaluate_costs(const ScenarioGrid& grid, const std::vector<WorkItem>& items,
+                    const std::vector<std::size_t>& cells, const CompiledPtr& model,
+                    std::vector<ScenarioResult>& results) {
     const double t0 = now_seconds();
     std::vector<ctmc::SeriesRequest> requests;
     requests.reserve(cells.size());
@@ -194,8 +186,8 @@ void evaluate_costs(const std::vector<WorkItem>& items, const std::vector<std::s
     for (std::size_t k = 0; k < cells.size(); ++k) {
         ScenarioResult& result = results[cells[k]];
         result.values = std::move(values[k]);
-        result.value_text.assign(result.values);
         result.seconds = seconds;
+        render_text(result, grid);
     }
 }
 
@@ -259,9 +251,10 @@ SweepReport SweepRunner::run(const ScenarioGrid& grid) {
         const auto& cells = sequences[s];
         const auto& model = compiled[model_of_sequence[s]];
         if (is_cost(items[cells.front()].measure.kind)) {
-            evaluate_costs(items, cells, model, report.results);
+            evaluate_costs(grid, items, cells, model, report.results);
         } else {
-            report.results[cells.front()] = evaluate(session_, items[cells.front()], model);
+            report.results[cells.front()] =
+                evaluate(session_, grid, items[cells.front()], model);
         }
         return made_ready;
     };

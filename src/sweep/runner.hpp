@@ -16,16 +16,16 @@
 // cells run longest first: steady-state cells before series, each class by
 // an estimate of its work from the compiled chain.  Results land in
 // deterministic grid order regardless of thread count or run order:
-// workers write into a pre-sized slot per work item.  The report carries
+// workers write into a pre-sized slot per work item, with the result's
+// export text rendered beside it (sweep/export.hpp).  The report carries
 // the session-counter delta (cache effectiveness) and a states/sec
 // throughput figure.
 #ifndef ARCADE_SWEEP_RUNNER_HPP
 #define ARCADE_SWEEP_RUNNER_HPP
 
 #include <cstddef>
-#include <span>
+#include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "engine/session.hpp"
@@ -33,28 +33,16 @@
 
 namespace arcade::sweep {
 
-/// The `%.17g` text of a list of doubles (support's append_g17): one string
-/// plus the end offset of each number in it, so a writer copies a number's
-/// text instead of formatting it again.
-class NumberText {
-public:
-    /// Replaces the text with that of `values`.
-    void assign(std::span<const double> values);
-    void clear() noexcept {
-        text_.clear();
-        ends_.clear();
-    }
-    /// How many numbers the text holds.
-    [[nodiscard]] std::size_t size() const noexcept { return ends_.size(); }
-    /// The text of number k.
-    [[nodiscard]] std::string_view at(std::size_t k) const {
-        const std::size_t begin = k == 0 ? 0 : ends_[k - 1];
-        return std::string_view(text_).substr(begin, ends_[k] - begin);
-    }
-
-private:
-    std::string text_;
-    std::vector<std::size_t> ends_;
+/// The export text of one result: its CSV rows and its JSON object, as
+/// render_text (sweep/export.hpp) writes them.  The worker that computes a
+/// result renders it, in parallel with the other cells, and write_csv and
+/// write_json copy it.  `fingerprint` covers every bit the text was
+/// rendered from; a writer copies the text only while the result still
+/// matches it, and otherwise renders the result itself.
+struct ResultText {
+    std::string csv;   ///< the result's CSV rows, each ending in '\n'
+    std::string json;  ///< its object of the JSON "results" list, no separator
+    std::uint64_t fingerprint = 0;
 };
 
 /// One evaluated grid cell.  `values` has one entry per time-grid point for
@@ -63,12 +51,6 @@ private:
 struct ScenarioResult {
     WorkItem item;
     std::vector<double> values;
-    /// The text of `values`, rendered by the worker that computed them, in
-    /// parallel with the other cells; write_csv and write_json copy it.  The
-    /// writers read it only while its size() equals values.size() and
-    /// otherwise format `values` themselves, as for a report built by hand.
-    /// Code that edits `values` must clear it.
-    NumberText value_text;
     std::size_t model_states = 0;       ///< state count of the compiled model
     std::size_t model_transitions = 0;  ///< transition count of the compiled model
     /// States of the chain actually explored (CompiledModel::chain()): the
@@ -79,6 +61,7 @@ struct ScenarioResult {
     /// Wall time of this cell's evaluation; cells that shared one power
     /// pass split its wall time evenly.
     double seconds = 0.0;
+    ResultText text;  ///< empty in a report built by hand
 };
 
 struct SweepReport {

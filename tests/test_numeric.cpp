@@ -18,6 +18,7 @@
 #include "linalg/csr_matrix.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/vector_ops.hpp"
+#include "logic/csl.hpp"
 #include "numeric/fox_glynn.hpp"
 #include "numeric/linear_solvers.hpp"
 #include "support/errors.hpp"
@@ -83,6 +84,54 @@ TEST(FoxGlynn, LargeRateCapturesRequestedMass) {
         double total = 0.0;
         for (double x : w.weights) total += x;
         EXPECT_NEAR(total, 1.0, 1e-9) << "q=" << q;
+    }
+}
+
+namespace {
+
+/// The message of the InvalidArgument fox_glynn throws for `q`, or "none".
+std::string invalid_rate_message(double q) {
+    try {
+        (void)num::fox_glynn(q, 1e-12);
+    } catch (const arcade::InvalidArgument& e) {
+        return e.what();
+    }
+    return "none";
+}
+
+}  // namespace
+
+TEST(FoxGlynn, RatesThatAreNotFiniteThrowInvalidArgumentNamingQ) {
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_EQ(invalid_rate_message(inf),
+              "fox_glynn: Poisson rate q=inf is not finite or not below 2^53");
+    EXPECT_EQ(invalid_rate_message(-inf),
+              "fox_glynn: Poisson rate q=-inf is not finite or not below 2^53");
+    EXPECT_EQ(invalid_rate_message(std::numeric_limits<double>::quiet_NaN()),
+              "fox_glynn: Poisson rate q=nan is not finite or not below 2^53");
+}
+
+TEST(FoxGlynn, RatesFromTwoToThe53ThrowInvalidArgumentNamingQ) {
+    // Cast to size_t, a q past 2^64 used to collapse the window to {0}, so a
+    // CSL time bound of 1e20 read the value at t = 0.
+    for (const auto& [q, text] : std::vector<std::pair<double, std::string>>{
+             {0x1p53, "9007199254740992"},
+             {1e20, "1e+20"},
+             {1e100, "1e+100"},
+             {1.7e308, "1.6999999999999999e+308"}}) {
+        EXPECT_EQ(invalid_rate_message(q),
+                  "fox_glynn: Poisson rate q=" + text + " is not finite or not below 2^53")
+            << text;
+    }
+    arcade::engine::AnalysisSession session;
+    const auto model = arcade::watertree::compile_line(
+        session, 2, arcade::watertree::strategy("DED"), arcade::core::Encoding::Lumped);
+    ASSERT_EQ(model->chain().state_count(), 96u);
+    for (const char* bound : {"1e20", "1e100", "1.7e308"}) {
+        EXPECT_THROW((void)arcade::logic::check(
+                         model->chain(), std::string("P=? [ true U<=") + bound + " \"down\" ]"),
+                     arcade::InvalidArgument)
+            << bound;
     }
 }
 
@@ -444,6 +493,101 @@ TEST(FoxGlynnCache, BatchesInDifferentOrdersComputeEachWindowOnce) {
             EXPECT_EQ(got[t][k].get(), first.get()) << t << " " << k;
         }
     }
+    num::fox_glynn_cache_clear();
+}
+
+TEST(FoxGlynnCache, AFailedWindowIsNeverCachedAndTheWindowsBeforeItStay) {
+    // One batch: the windows before the failing rate are computed and stay
+    // cached, the failing one is not, and the one after it was never
+    // claimed, so a later request computes it.
+    num::fox_glynn_cache_clear();
+    const double bad = 1e20;
+    const std::vector<double> batch = {2.5, 7.0, bad, 11.5};
+    EXPECT_THROW((void)num::fox_glynn_cached(batch, 1e-12), arcade::InvalidArgument);
+    EXPECT_EQ(num::fox_glynn_cache_stats().misses, 3u);
+    (void)num::fox_glynn_cached(std::vector<double>{2.5, 7.0}, 1e-12);
+    EXPECT_EQ(num::fox_glynn_cache_stats().misses, 3u);
+    EXPECT_THROW((void)num::fox_glynn_cached(bad, 1e-12), arcade::InvalidArgument);
+    EXPECT_EQ(num::fox_glynn_cache_stats().misses, 4u);
+    (void)num::fox_glynn_cached(11.5, 1e-12);
+    EXPECT_EQ(num::fox_glynn_cache_stats().misses, 5u);
+
+    // Four threads over overlapping batches that each hold the failing rate
+    // among 100 good ones: every caller rethrows, every good window ends up
+    // cached (each good rate is in every batch, and a caller computes all
+    // it claimed before it waits), and the failed one is computed again.
+    num::fox_glynn_cache_clear();
+    constexpr std::size_t kRates = 100;
+    std::vector<std::vector<double>> batches(4);
+    for (std::size_t t = 0; t < batches.size(); ++t) {
+        for (std::size_t k = 0; k < kRates; ++k) {
+            if (k == 40 + 10 * t) batches[t].push_back(bad);
+            batches[t].push_back(0.5 + static_cast<double>((k + 25 * t) % kRates));
+        }
+    }
+    std::vector<int> rethrew(batches.size(), 0);
+    std::vector<std::thread> pool;
+    for (std::size_t t = 0; t < batches.size(); ++t) {
+        pool.emplace_back([&, t] {
+            try {
+                (void)num::fox_glynn_cached(batches[t], 1e-12);
+            } catch (const arcade::InvalidArgument&) {
+                rethrew[t] = 1;
+            }
+        });
+    }
+    for (auto& thread : pool) thread.join();
+    EXPECT_EQ(rethrew, std::vector<int>(batches.size(), 1));
+    const auto stats = num::fox_glynn_cache_stats();
+    EXPECT_GE(stats.misses, kRates + 1);
+    EXPECT_LE(stats.misses, kRates + batches.size());
+    std::vector<double> good = batches[0];
+    std::erase(good, bad);
+    const auto windows = num::fox_glynn_cached(good, 1e-12);
+    EXPECT_EQ(num::fox_glynn_cache_stats().misses, stats.misses);
+    for (std::size_t i = 0; i < good.size(); ++i) {
+        EXPECT_EQ(windows[i]->weights, num::fox_glynn(good[i], 1e-12).weights) << good[i];
+    }
+    EXPECT_THROW((void)num::fox_glynn_cached(bad, 1e-12), arcade::InvalidArgument);
+    EXPECT_EQ(num::fox_glynn_cache_stats().misses, stats.misses + 1);
+    num::fox_glynn_cache_clear();
+}
+
+TEST(FoxGlynnCache, BatchesPastTheCapacityGetTheUncachedWeightsBitwise) {
+    // Four threads ask for 3600 distinct windows in overlapping batches of
+    // 1500, twice each, so the cache fills past its 2048 windows while
+    // other callers hold and compute entries.  Every window must still be
+    // the one fox_glynn computes, bit for bit.
+    num::fox_glynn_cache_clear();
+    const auto same = [](const num::PoissonWeights& a, const num::PoissonWeights& b) {
+        return a.left == b.left && a.right == b.right && a.weights == b.weights &&
+               std::bit_cast<std::uint64_t>(a.total_before_norm) ==
+                   std::bit_cast<std::uint64_t>(b.total_before_norm);
+    };
+    std::vector<std::size_t> wrong(4, 0);
+    std::vector<std::thread> pool;
+    for (std::size_t t = 0; t < wrong.size(); ++t) {
+        pool.emplace_back([&, t] {
+            std::vector<double> rates;
+            for (std::size_t k = 0; k < 1500; ++k) {
+                rates.push_back(0.25 + 0.5 * static_cast<double>(k + 700 * t));
+            }
+            for (int round = 0; round < 2; ++round) {
+                const auto windows = num::fox_glynn_cached(rates, 1e-10);
+                for (std::size_t i = 0; i < rates.size(); ++i) {
+                    if (!same(*windows[i], num::fox_glynn(rates[i], 1e-10))) ++wrong[t];
+                }
+            }
+        });
+    }
+    for (auto& thread : pool) thread.join();
+    EXPECT_EQ(wrong, std::vector<std::size_t>(4, 0));
+    // The cache stayed bounded: the 3600 windows no longer all fit.
+    const auto before = num::fox_glynn_cache_stats();
+    std::vector<double> all;
+    for (std::size_t k = 0; k < 3600; ++k) all.push_back(0.25 + 0.5 * static_cast<double>(k));
+    (void)num::fox_glynn_cached(all, 1e-10);
+    EXPECT_GT(num::fox_glynn_cache_stats().misses, before.misses);
     num::fox_glynn_cache_clear();
 }
 

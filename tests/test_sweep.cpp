@@ -639,14 +639,14 @@ WriteLog written(Writer writer, const sweep::SweepReport& report,
     return log;
 }
 
-/// The writers' bytes from `report`'s value text must equal those of the
-/// same report with its text cleared (the writers format the values) and
+/// The writers' bytes from `report`'s result text must equal those of the
+/// same report with its text cleared (the writers render every result) and
 /// those of the reference writers; every write but the last carries at
 /// least 64 KiB.
 void expect_every_route_agrees(const sweep::SweepReport& report,
                                const sweep::ScenarioGrid& grid, const std::string& what) {
     auto cleared = report;
-    for (auto& r : cleared.results) r.value_text.clear();
+    for (auto& r : cleared.results) r.text = {};
     const struct {
         const char* name;
         Writer writer;
@@ -671,16 +671,35 @@ TEST(ExportText, WorkerTextWritesTheBytesOfEveryOtherRoute) {
     engine::AnalysisSession session;
     const auto grid = sweep::paper::everything();
     const auto report = sweep::SweepRunner(session, {3}).run(grid);
-    // Every result leaves the runner with the text of its values.
+    // Every result leaves the runner with its rows and object, as
+    // render_text gives them.
     for (const auto& r : report.results) {
-        ASSERT_EQ(r.value_text.size(), r.values.size()) << r.item.key();
+        auto again = r;
+        again.text = {};
+        sweep::render_text(again, grid);
+        ASSERT_FALSE(r.text.json.empty()) << r.item.key();
+        EXPECT_EQ(r.text.csv, again.text.csv) << r.item.key();
+        EXPECT_EQ(r.text.json, again.text.json) << r.item.key();
+        EXPECT_EQ(r.text.fingerprint, again.text.fingerprint) << r.item.key();
     }
     expect_every_route_agrees(report, grid, "paper");
+    {
+        // The writers copy a block whose fingerprint matches: text planted
+        // in place of the first result's comes out as planted.
+        auto planted = report;
+        planted.results[0].text.csv = "planted csv\n";
+        planted.results[0].text.json = "planted json";
+        std::ostringstream csv;
+        sweep::write_csv(planted, grid, csv);
+        EXPECT_NE(csv.str().find("\nplanted csv\n"), std::string::npos);
+        std::ostringstream json;
+        sweep::write_json(planted, grid, json);
+        EXPECT_NE(json.str().find("\nplanted json,\n"), std::string::npos);
+    }
 
-    // Values whose text is easy to get wrong, given worker text the way
-    // the runner renders it, over enough rows to cross several chunks:
-    // signed zero, subnormals, the largest doubles and values that need all
-    // 17 digits.
+    // Values whose text is easy to get wrong, rendered the way the runner
+    // renders them, over enough rows to cross several chunks: signed zero,
+    // subnormals, the largest doubles and values that need all 17 digits.
     const std::vector<double> hard = {-0.0,
                                       5e-324,
                                       2.2250738585072009e-308,
@@ -699,7 +718,8 @@ TEST(ExportText, WorkerTextWritesTheBytesOfEveryOtherRoute) {
     for (int copy = 0; copy < 2; ++copy) {
         for (auto r : report.results) {
             for (double& v : r.values) v = hard[next++ % hard.size()];
-            r.value_text.assign(r.values);
+            r.seconds = hard[next++ % hard.size()];
+            sweep::render_text(r, grid);
             hard_report.results.push_back(std::move(r));
         }
     }
@@ -713,6 +733,50 @@ TEST(ExportText, WorkerTextWritesTheBytesOfEveryOtherRoute) {
         EXPECT_NE(csv.str().find(text), std::string::npos) << text;
     }
     expect_every_route_agrees(hard_report, grid, "hard values");
+
+    // A report edited after the run, its text left as the workers rendered
+    // it: each edit must reach the bytes, never the stale block.
+    auto edited = hard_report;
+    const auto series_at = [&](std::size_t from) {
+        for (std::size_t i = from; i < edited.results.size(); ++i) {
+            if (edited.results[i].item.measure.is_series()) return i;
+        }
+        ADD_FAILURE() << "no series result from " << from;
+        return from;
+    };
+    std::size_t i = series_at(0);
+    edited.results[i].item.measure.times[1] = -0.0;  // a time, same length
+    i = series_at(i + 1);
+    edited.results[i].values.back() = 5e-324;  // a value
+    i = series_at(i + 1);
+    edited.results[i].item.measure.times.pop_back();  // a shorter grid
+    edited.results[i].values.pop_back();
+    i = series_at(i + 1);
+    edited.results[i].seconds = 12345.678;
+    edited.results[i + 1].item.strategy = "FRF-1,\"edited\"";  // names
+    edited.results[i + 2].item.variant.name = "variant\nedited";
+    edited.results[i + 3].item.index += 1000;
+    edited.results[i + 4].model_states += 1;
+    edited.results[i + 5].item.measure.service_level = 0.5;
+    const std::size_t last = edited.results.size() - 1;
+    edited.results[last].item.measure.property = "P=? [ F<=1 \"down\" ]";
+    for (const auto& r : edited.results) ASSERT_FALSE(r.text.json.empty());
+    expect_every_route_agrees(edited, grid, "edited after the run");
+
+    // The same report under a grid whose parameter set is renamed, or whose
+    // CSV grows the `scale` or the `property` column.
+    auto renamed = grid;
+    renamed.parameters[0].name = "renamed,\"set\"";
+    expect_every_route_agrees(hard_report, renamed, "renamed parameter set");
+    auto scaled = grid;
+    scaled.scales.push_back({"pumps+1", 1});
+    expect_every_route_agrees(hard_report, scaled, "scale column");
+    auto with_property = grid;
+    sweep::MeasureSpec property;
+    property.kind = MeasureKind::Property;
+    property.property = "S=? [ \"operational\" ]";
+    with_property.measures.push_back(property);
+    expect_every_route_agrees(hard_report, with_property, "property column");
 }
 
 TEST(SweepRunner, ParameterPerturbationsAreDistinctCells) {
